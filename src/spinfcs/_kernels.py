@@ -2,87 +2,10 @@
 
 Amplitude arrays are C-contiguous complex128 of shape (dim, m): one column
 per evolving state.  Index tables come from `sector.SectorBasis.bond_tables`.
-The numba gate kernels are element-for-element identical to the numpy
-reference (no fastmath, no reassociation); only the readout accumulation
-order differs between backends, at the one-ulp level.  Within a backend all
-results are deterministic.  `SPINFCS_NO_NUMBA=1` forces the numpy path.
+All results are deterministic.
 """
 
-import os
-
 import numpy as np
-
-_USE_NUMBA = os.environ.get("SPINFCS_NO_NUMBA", "") != "1"
-
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
-
-def _pair_update_np(amps, i01, i10, c, s):
-    a = amps[i01]
-    b = amps[i10]
-    js = 1j * s
-    amps[i01] = c * a + js * b
-    amps[i10] = js * a + c * b
-
-
-def _phase_update_np(amps, idx, phase):
-    amps[idx] *= phase
-
-
-def _readout_np(amps, r_of, acc):
-    probs = amps.real**2 + amps.imag**2
-    for r in range(acc.shape[0]):
-        rows = np.flatnonzero(r_of == r)
-        if rows.size:
-            acc[r] += probs[rows].sum(axis=0)
-
-
-if _USE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _pair_update_nb(amps, i01, i10, c, s):  # pragma: no cover - jitted
-        m = amps.shape[1]
-        for p in range(i01.shape[0]):
-            r0 = i01[p]
-            r1 = i10[p]
-            for j in range(m):
-                a = amps[r0, j]
-                b = amps[r1, j]
-                amps[r0, j] = complex(
-                    c * a.real - s * b.imag, c * a.imag + s * b.real
-                )
-                amps[r1, j] = complex(
-                    c * b.real - s * a.imag, c * b.imag + s * a.real
-                )
-
-    @njit(cache=True, nogil=True)
-    def _phase_update_nb(amps, idx, phase):  # pragma: no cover - jitted
-        m = amps.shape[1]
-        for p in range(idx.shape[0]):
-            r = idx[p]
-            for j in range(m):
-                amps[r, j] = amps[r, j] * phase
-
-    @njit(cache=True, nogil=True)
-    def _readout_nb(amps, r_of, acc):  # pragma: no cover - jitted
-        dim, m = amps.shape
-        for i in range(dim):
-            r = r_of[i]
-            for j in range(m):
-                a = amps[i, j]
-                acc[r, j] += a.real * a.real + a.imag * a.imag
-
-    pair_update = _pair_update_nb
-    phase_update = _phase_update_nb
-    readout_accumulate = _readout_nb
-else:
-    pair_update = _pair_update_np
-    phase_update = _phase_update_np
-    readout_accumulate = _readout_np
 
 
 def apply_fsim_tables(amps, tables, theta, phi, split_phase):
@@ -92,16 +15,23 @@ def apply_fsim_tables(amps, tables, theta, phi, split_phase):
     """
     i01, i10, i11, i00 = tables
     c = np.cos(theta)
-    s = np.sin(theta)
-    pair_update(amps, i01, i10, c, s)
+    js = 1j * np.sin(theta)
+    a = amps[i01]
+    b = amps[i10]
+    amps[i01] = c * a + js * b
+    amps[i10] = js * a + c * b
     if split_phase:
         half = complex(np.exp(-1j * phi / 2.0))
-        phase_update(amps, i00, half)
-        phase_update(amps, i11, half)
+        amps[i00] *= half
+        amps[i11] *= half
     else:
-        phase_update(amps, i11, complex(np.exp(-1j * phi)))
+        amps[i11] *= complex(np.exp(-1j * phi))
 
 
-def diagonal_phase(amps, word_phases):
-    """Multiply each row by a per-basis-word phase, in place."""
-    amps *= word_phases[:, None]
+def readout_accumulate(amps, r_of, acc):
+    """Add each column's probability mass per right-half count r to acc[r]."""
+    probs = amps.real**2 + amps.imag**2
+    for r in range(acc.shape[0]):
+        rows = np.flatnonzero(r_of == r)
+        if rows.size:
+            acc[r] += probs[rows].sum(axis=0)

@@ -217,22 +217,8 @@ def _write_distributions(path, per_cycle):
 
 def _write_moments(path, report: stats.MomentReport) -> None:
     lines = [MOMENT_HEADER]
-    for i, t in enumerate(report.cycles):
-        lines.append(
-            ",".join(
-                [
-                    str(int(t)),
-                    _fmt(report.mean[i]),
-                    _fmt(report.variance[i]),
-                    _fmt(report.skewness[i]),
-                    _fmt(report.kurtosis[i]),
-                    _fmt(report.sigma_mean[i]),
-                    _fmt(report.sigma_variance[i]),
-                    _fmt(report.sigma_skewness[i]),
-                    _fmt(report.sigma_kurtosis[i]),
-                ]
-            )
-        )
+    for t, row, sigmas in zip(report.cycles, report.rows, report.sigmas):
+        lines.append(",".join([_fmt(t), *map(_fmt, row), *map(_fmt, sigmas)]))
     _write_lines(path, lines)
 
 
@@ -325,12 +311,17 @@ def _write_analysis(parsed, series, out_dir):
         lines = ["mu,z,sigma_z,t_min,t_max,n_points"]
         for mu in sorted(series, key=lambda m: (math.isinf(m), m)):
             report = series[mu]
-            mask = report.mean > 0
-            weighted = bool(np.all(report.sigma_mean[mask] > 0))
+            # the mu=0 mean vanishes by symmetry: fit the variance there
+            if mu == 0.0:
+                values, sigmas = report.variance, report.sigma_variance
+            else:
+                values, sigmas = report.mean, report.sigma_mean
+            mask = values > 0
+            weighted = bool(np.all(sigmas[mask] > 0))
             fit = stats.fit_dynamical_exponent(
                 report.cycles[mask],
-                report.mean[mask],
-                report.sigma_mean[mask] if weighted else None,
+                values[mask],
+                sigmas[mask] if weighted else None,
                 window=analysis["exponent_window"],
             )
             lines.append(
@@ -458,19 +449,14 @@ def _read_distribution_csv(path):
     return per_cycle
 
 
-def _moments_from_grid(values, probs):
-    """Central moments from CSV rows, padded to a symmetric grid."""
+def _symmetric_grid(values, probs):
+    """CSV rows padded with zero mass onto a grid symmetric about zero."""
     top = int(max(values.max(), -values.min(), 2))
     grid = np.arange(-top, top + 2, 2)
     padded = np.zeros(grid.size)
     for m, p in zip(values, probs):
         padded[(int(m) + top) // 2] = p
-    alpha = stats.central_moments((grid.astype(float), padded), 4)
-    if alpha[2] > 0:
-        s, q = stats.skew_kurt(alpha)
-    else:
-        s, q = math.nan, math.nan
-    return float(alpha[1]), float(alpha[2]), s, q
+    return grid.astype(float), padded
 
 
 def cmd_analyze(args) -> int:
@@ -503,19 +489,10 @@ def cmd_analyze(args) -> int:
             mu = math.inf if tag == "inf" else float(tag)
             per_cycle = _read_distribution_csv(path)
             cycles = sorted(t for t in per_cycle if t >= 1)
-            rows = [_moments_from_grid(*per_cycle[t]) for t in cycles]
-            zeros = np.zeros(len(cycles))
-            report = stats.MomentReport(
-                cycles=np.array(cycles, dtype=np.int64),
-                mean=np.array([r[0] for r in rows]),
-                variance=np.array([r[1] for r in rows]),
-                skewness=np.array([r[2] for r in rows]),
-                kurtosis=np.array([r[3] for r in rows]),
-                sigma_mean=zeros.copy(),
-                sigma_variance=zeros.copy(),
-                sigma_skewness=zeros.copy(),
-                sigma_kurtosis=zeros.copy(),
-            )
+            rows = [
+                stats.moment_row(_symmetric_grid(*per_cycle[t])) for t in cycles
+            ]
+            report = stats.MomentReport(cycles, rows)
             series[mu] = report
             mom_path = os.path.join(out_dir, f"moments_mu{tag}.csv")
             _write_moments(mom_path, report)
@@ -578,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--input", required=True, help="directory of run outputs")
     p_an.add_argument("--config", required=True, help="JSON analysis config")
     p_an.add_argument("--out", default=None, help="output directory")
-    p_an.add_argument("--threads", type=int, default=1, help="worker threads")
     p_an.set_defaults(func=cmd_analyze)
 
     p_or = sub.add_parser("oracle", help="print closed-form moment values")

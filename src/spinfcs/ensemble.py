@@ -72,6 +72,27 @@ class ImbalanceEnsemble:
         return p**a * q ** (half - a) * q**b * p ** (half - b)
 
 
+def folded_raw_moment(values, probs, k: int) -> float:
+    """<M^k> on a grid symmetric about zero, folding +-M pairs first so an
+    exactly symmetric mass yields exactly zero odd moments.
+
+    Raises:
+        ValueError: if `values` is not symmetric about zero.
+    """
+    half = len(values) // 2
+    if not np.array_equal(values, -values[::-1]):
+        raise ValueError("grid must be symmetric about zero")
+    acc = probs[half] * (1.0 if k == 0 else 0.0)
+    odd = k % 2 == 1
+    for d in range(half, 0, -1):
+        v = float(values[half + d]) ** k
+        if odd:
+            acc += probs[half + d] * v - probs[half - d] * v
+        else:
+            acc += probs[half + d] * v + probs[half - d] * v
+    return float(acc)
+
+
 class TransferDistribution:
     """Probability mass of the transferred magnetization after t cycles.
 
@@ -121,19 +142,8 @@ class TransferDistribution:
         return float(self.probabilities.sum())
 
     def raw_moment(self, k: int) -> float:
-        """<M^k>, folding +-M pairs first so that an exactly symmetric mass
-        gives exactly zero odd moments."""
-        t = self.cycles
-        p = self.probabilities
-        acc = p[t] * (1.0 if k == 0 else 0.0)
-        odd = k % 2 == 1
-        for d in range(t, 0, -1):
-            v = float(2 * d) ** k
-            if odd:
-                acc += p[t + d] * v - p[t - d] * v
-            else:
-                acc += p[t + d] * v + p[t - d] * v
-        return float(acc)
+        """<M^k>, by `folded_raw_moment`."""
+        return folded_raw_moment(self.values, self.probabilities, k)
 
     def symmetrized(self) -> "TransferDistribution":
         """Average the masses of M and -M."""

@@ -30,7 +30,7 @@ from .noise import (
     postselect,
     readout_flip,
 )
-from .sector import SectorState
+from .sector import SectorState, word_to_bits
 
 logger = logging.getLogger(__name__)
 
@@ -180,12 +180,6 @@ def _measure_indices(probabilities, rng, shots):
     return np.searchsorted(cdf, u, side="right")
 
 
-def _word_bits(word: int, width: int) -> np.ndarray:
-    return np.array(
-        [(word >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int64
-    )
-
-
 def _noiseless_state(ens, config, sample, state_index, postselect_mode):
     n = config.n_qubits
     half = n // 2
@@ -212,7 +206,7 @@ def _noiseless_state(ens, config, sample, state_index, postselect_mode):
         full = np.uint64((1 << n) - 1)
         for word, r in zip(basis.words[outcomes], r_logical):
             w_log = int(word ^ full) if flagged else int(word)
-            measured = _word_bits(w_log, n)
+            measured = word_to_bits(w_log, n)
             if postselect(bits, measured, config.cycles, "causal", config.layer_order):
                 counts[half + (int(r) - r_initial)] += 1
                 kept += 1
@@ -279,7 +273,7 @@ def _noisy_state(ens, config, sample, noise, state_index, postselect_mode):
                 if p_half > 0.0:
                     state = damping_step(state, p_half, rng)
             idx = _measure_indices(state.probabilities(), rng, 1)[0]
-            measured_phys[lo:hi] = _word_bits(
+            measured_phys[lo:hi] = word_to_bits(
                 int(state.basis.words[idx]), hi - lo
             )
         if lo > 0:
@@ -356,45 +350,21 @@ def run_sampled(
     return run
 
 
-def _row_statistic(rows, grid, which):
-    probs = np.mean(rows, axis=0)
-    alpha = stats.central_moments((grid, probs), 4)
-    if which == "mean":
-        return float(alpha[1])
-    if which == "variance":
-        return float(alpha[2])
-    s, q = stats.skew_kurt(alpha)
-    return s if which == "skewness" else q
-
-
 def moment_report(runs: list[SampledRun]) -> stats.MomentReport:
-    """Per-cycle moments of sampled runs with delete-one jackknife sigmas."""
-    names = ("mean", "variance", "skewness", "kurtosis")
-    values = {name: [] for name in names}
-    sigmas = {name: [] for name in names}
-    cycles = []
+    """Per-cycle moments of sampled runs with delete-one jackknife sigmas
+    over initial states (zero for a single surviving state)."""
+    rows = []
+    sigmas = []
     for run in runs:
-        rows = list(run.per_state_distributions())
+        states = list(run.per_state_distributions())
         grid = run.grid.astype(float)
-        cycles.append(run.cycles)
-        for which in names:
-            values[which].append(_row_statistic(rows, grid, which))
-            if len(rows) >= 2:
-                jk = stats.jackknife_sigma(
-                    lambda subset, w=which: _row_statistic(subset, grid, w),
-                    rows,
-                )
-                sigmas[which].append(jk.sigma)
-            else:
-                sigmas[which].append(0.0)
-    return stats.MomentReport(
-        cycles=np.array(cycles, dtype=np.int64),
-        mean=np.array(values["mean"]),
-        variance=np.array(values["variance"]),
-        skewness=np.array(values["skewness"]),
-        kurtosis=np.array(values["kurtosis"]),
-        sigma_mean=np.array(sigmas["mean"]),
-        sigma_variance=np.array(sigmas["variance"]),
-        sigma_skewness=np.array(sigmas["skewness"]),
-        sigma_kurtosis=np.array(sigmas["kurtosis"]),
-    )
+
+        def row(subset):
+            return stats.moment_row((grid, np.mean(subset, axis=0)))
+
+        rows.append(row(states))
+        if len(states) >= 2:
+            sigmas.append(stats.jackknife_sigma(row, states).sigma)
+        else:
+            sigmas.append(np.zeros(4))
+    return stats.MomentReport([run.cycles for run in runs], rows, sigmas)

@@ -6,25 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .ensemble import TransferDistribution
+from .ensemble import TransferDistribution, folded_raw_moment
 from .errors import DegenerateWeightError, UndefinedMomentsError
-
-
-def _grid_raw_moment(values: np.ndarray, probs: np.ndarray, k: int) -> float:
-    """<M^k> on a grid symmetric about zero, folding +-M pairs first so an
-    exactly symmetric mass yields exactly zero odd moments."""
-    half = values.size // 2
-    if not np.array_equal(values, -values[::-1]):
-        raise ValueError("grid must be symmetric about zero")
-    acc = probs[half] * (1.0 if k == 0 else 0.0)
-    odd = k % 2 == 1
-    for d in range(half, 0, -1):
-        v = float(values[half + d]) ** k
-        if odd:
-            acc += probs[half + d] * v - probs[half - d] * v
-        else:
-            acc += probs[half + d] * v + probs[half - d] * v
-    return float(acc)
 
 
 def raw_moments(data, k_max: int = 4) -> np.ndarray:
@@ -34,12 +17,12 @@ def raw_moments(data, k_max: int = 4) -> np.ndarray:
     a 1-D array of samples.
     """
     if isinstance(data, TransferDistribution):
-        return np.array([data.raw_moment(k) for k in range(k_max + 1)])
+        data = (data.values, data.probabilities)
     if isinstance(data, tuple) and len(data) == 2:
         values = np.asarray(data[0], dtype=float)
         probs = np.asarray(data[1], dtype=float)
         return np.array(
-            [_grid_raw_moment(values, probs, k) for k in range(k_max + 1)]
+            [folded_raw_moment(values, probs, k) for k in range(k_max + 1)]
         )
     samples = np.asarray(data, dtype=float)
     if samples.size == 0:
@@ -84,10 +67,23 @@ def skew_kurt(alpha: np.ndarray) -> tuple[float, float]:
 
 
 def distribution_moments(data) -> tuple[float, float, float, float]:
-    """(mean, variance, skewness, excess kurtosis) of a distribution/sample."""
+    """(mean, variance, skewness, excess kurtosis) of a distribution/sample.
+
+    Raises:
+        UndefinedMomentsError: if the variance is not positive.
+    """
     alpha = central_moments(data, 4)
     s, q = skew_kurt(alpha)
     return float(alpha[1]), float(alpha[2]), s, q
+
+
+def moment_row(data) -> np.ndarray:
+    """[mean, variance, skewness, excess kurtosis] of a distribution-like
+    input, as a report row: skewness and kurtosis are NaN when the variance
+    is not positive."""
+    alpha = central_moments(data, 4)
+    s, q = skew_kurt(alpha) if alpha[2] > 0.0 else (math.nan, math.nan)
+    return np.array([alpha[1], alpha[2], s, q])
 
 
 def symmetrize(dist: TransferDistribution) -> TransferDistribution:
@@ -95,65 +91,60 @@ def symmetrize(dist: TransferDistribution) -> TransferDistribution:
     return dist.symmetrized()
 
 
+def _columns(name: str, i: int):
+    return property(lambda self: getattr(self, name)[:, i])
+
+
 @dataclass
 class MomentReport:
     """Per-cycle transfer moments with jackknife uncertainties.
 
-    Exact-mode reports carry zero sigmas.
+    `rows[i]` is the `moment_row` of cycle `cycles[i]` and `sigmas[i]` its
+    uncertainties; without sigmas (exact mode) they are zero.
     """
 
     cycles: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    skewness: np.ndarray
-    kurtosis: np.ndarray
-    sigma_mean: np.ndarray
-    sigma_variance: np.ndarray
-    sigma_skewness: np.ndarray
-    sigma_kurtosis: np.ndarray
+    rows: np.ndarray
+    sigmas: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.cycles = np.asarray(self.cycles, dtype=np.int64)
+        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, 4)
+        if self.sigmas is None:
+            self.sigmas = np.zeros_like(self.rows)
+        self.sigmas = np.asarray(self.sigmas, dtype=float).reshape(-1, 4)
+
+    mean = _columns("rows", 0)
+    variance = _columns("rows", 1)
+    skewness = _columns("rows", 2)
+    kurtosis = _columns("rows", 3)
+    sigma_mean = _columns("sigmas", 0)
+    sigma_variance = _columns("sigmas", 1)
+    sigma_skewness = _columns("sigmas", 2)
+    sigma_kurtosis = _columns("sigmas", 3)
 
     @classmethod
     def from_distributions(cls, dists) -> "MomentReport":
-        """Zero-uncertainty report from exact per-cycle distributions.
-
-        Degenerate (zero-variance) rows get NaN skewness and kurtosis.
-        """
-        rows = []
-        for d in dists:
-            alpha = central_moments(d, 4)
-            if alpha[2] > 0.0:
-                s, q = skew_kurt(alpha)
-            else:
-                s, q = math.nan, math.nan
-            rows.append((float(alpha[1]), float(alpha[2]), s, q))
-        zeros = np.zeros(len(rows))
-        return cls(
-            cycles=np.array([d.cycles for d in dists], dtype=np.int64),
-            mean=np.array([r[0] for r in rows]),
-            variance=np.array([r[1] for r in rows]),
-            skewness=np.array([r[2] for r in rows]),
-            kurtosis=np.array([r[3] for r in rows]),
-            sigma_mean=zeros.copy(),
-            sigma_variance=zeros.copy(),
-            sigma_skewness=zeros.copy(),
-            sigma_kurtosis=zeros.copy(),
-        )
+        """Zero-uncertainty report from exact per-cycle distributions."""
+        return cls([d.cycles for d in dists], [moment_row(d) for d in dists])
 
 
 @dataclass
 class JackknifeResult:
-    sigma: float
-    bias: float
+    sigma: float | np.ndarray
+    bias: float | np.ndarray
     estimates: np.ndarray = field(repr=False)
 
 
 def jackknife_sigma(statistic, states) -> JackknifeResult:
     """Delete-one jackknife uncertainty of `statistic` over `states`.
 
-    `statistic` maps a list of states to a float; it is re-evaluated with
-    each state removed.  Returns the uncertainty
+    `statistic` maps a list of states to a float or to a 1-D array; it is
+    re-evaluated with each state removed.  Returns the uncertainty
     sigma = sqrt((N-1)/N * sum_i (theta_(i) - theta_(.))^2) together with
-    the jackknife bias estimate (N-1)(theta_(.) - theta_full).
+    the jackknife bias estimate (N-1)(theta_(.) - theta_full), per
+    component for an array statistic (each component bit-identical to a
+    scalar call on it) and as floats for a scalar one.
     """
     states = list(states)
     n = len(states)
@@ -162,10 +153,15 @@ def jackknife_sigma(statistic, states) -> JackknifeResult:
     estimates = np.array(
         [statistic(states[:i] + states[i + 1 :]) for i in range(n)]
     )
-    center = estimates.mean()
-    sigma = math.sqrt((n - 1) / n * np.sum((estimates - center) ** 2))
-    bias = (n - 1) * (center - statistic(states))
-    return JackknifeResult(sigma=float(sigma), bias=float(bias), estimates=estimates)
+    # one contiguous row per component: each reduces like a scalar series
+    per_component = np.ascontiguousarray(estimates.reshape(n, -1).T)
+    center = per_component.mean(axis=1)
+    spread = np.sum((per_component - center[:, None]) ** 2, axis=1)
+    sigma = np.sqrt((n - 1) / n * spread)
+    bias = (n - 1) * (center - np.ravel(statistic(states)))
+    if estimates.ndim == 1:
+        return JackknifeResult(float(sigma[0]), float(bias[0]), estimates)
+    return JackknifeResult(sigma, bias, estimates)
 
 
 def weighted_cycle_average(values, sigmas) -> tuple[float, float]:

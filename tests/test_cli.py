@@ -3,6 +3,7 @@ import math
 
 from conftest import REFERENCE_KURTOSIS
 from spinfcs.cli import main
+from spinfcs.stats import fit_dynamical_exponent
 
 HEIS_THETA = 0.4 * math.pi
 HEIS_PHI = 0.8 * math.pi
@@ -293,6 +294,33 @@ class TestAnalysisArtifacts:
         )
         assert code == 1
         assert "header" in capsys.readouterr().err
+
+
+class TestExponentFit:
+    def test_mu_zero_row_is_fitted_to_the_variance(self, tmp_path):
+        # the mu=0 mean vanishes to rounding and used to abort the run
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            n_qubits=8,
+            cycles=4,
+            mu=[0.0, 0.5],
+            analysis={"exponent_window": [2, 4]},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "exponent_fit.csv")
+        fits = {row[0]: row for row in rows}
+        assert 1.0 < float(fits["0.0"][1]) < 2.0
+        assert math.isfinite(float(fits["0.0"][2]))
+        assert fits["0.0"][3:] == ["2", "4", "3"]
+        # mu > 0 keeps fitting the mean
+        _, moments = read_csv(out / "moments_mu0.5.csv")
+        fit = fit_dynamical_exponent(
+            [int(r[0]) for r in moments],
+            [float(r[1]) for r in moments],
+            window=(2, 4),
+        )
+        assert fits["0.5"][1] == repr(fit.z)
 
 
 class TestOracle:

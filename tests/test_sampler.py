@@ -19,7 +19,7 @@ from spinfcs.sampler import (
     run_sampled,
     sample_initial,
 )
-from spinfcs.stats import distribution_moments
+from spinfcs.stats import MomentReport, distribution_moments
 
 
 HEIS = FSimParams(0.4 * np.pi, 0.8 * np.pi)
@@ -253,3 +253,39 @@ class TestNoisyPipeline:
         with np.errstate(all="ignore"):
             pooled = run.pooled_counts()
         assert pooled.sum() > 500
+
+
+class TestMomentReport:
+    def test_values_equal_the_exact_path_on_the_sampled_distribution(self):
+        # n=8 tallies on M in [-8, 8]; the t=2 cone is [-4, 4], so the
+        # sampled grid carries zero padding that the fold must not feel
+        ens = ImbalanceEnsemble(0.5, 8)
+        run = run_sampled(ens, ChainConfig(8, 2, HEIS), SampleConfig(30, 40, seed=2))
+        assert run.grid.size > run.distribution().values.size
+        report = moment_report([run])
+        exact_path = MomentReport.from_distributions([run.distribution()])
+        assert report.cycles.tolist() == exact_path.cycles.tolist() == [2]
+        assert report.rows.tobytes() == exact_path.rows.tobytes()
+        assert np.all(report.sigmas > 0.0)
+
+    def test_zero_variance_jackknife_subset_gives_nan_sigmas(self):
+        # at T1 = 1 cycle the causal filter keeps few shots, and at t=3 some
+        # delete-one subsets have zero variance: their skewness and kurtosis
+        # are NaN, which propagates to the sigmas instead of aborting
+        ens = ImbalanceEnsemble(0.5, 6)
+        runs = [
+            run_sampled(
+                ens,
+                ChainConfig(6, t, HEIS),
+                SampleConfig(10, 100, seed=1),
+                noise=NoiseConfig(t1_cycles=1),
+                postselect_mode="causal",
+            )
+            for t in (1, 2, 3)
+        ]
+        report = moment_report(runs)
+        assert report.cycles.tolist() == [1, 2, 3]
+        assert math.isnan(report.sigma_skewness[2])
+        assert math.isnan(report.sigma_kurtosis[2])
+        assert np.all(np.isfinite(report.sigma_mean))
+        assert np.all(np.isfinite(report.sigma_variance))

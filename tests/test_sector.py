@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_cycle
-from spinfcs import _kernels
 from spinfcs.errors import SectorMismatchError
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.sector import (
@@ -166,31 +164,3 @@ class TestCycle:
             assert state.amplitudes.shape == (dim,)
             assert state.basis.n_excitations == 3
 
-
-class TestKernelBackends:
-    def test_pair_update_backends_agree_exactly(self):
-        rng = np.random.default_rng(0)
-        basis = sector_basis(8, 4)
-        tables = basis.bond_tables(3)
-        amps = rng.standard_normal((basis.dimension, 7)) + 1j * rng.standard_normal(
-            (basis.dimension, 7)
-        )
-        a_nb = np.ascontiguousarray(amps)
-        a_np = amps.copy()
-        c, s = math.cos(0.37), math.sin(0.37)
-        _kernels.pair_update(a_nb, tables[0], tables[1], c, s)
-        _kernels._pair_update_np(a_np, tables[0], tables[1], c, s)
-        assert np.array_equal(a_nb, a_np)
-
-    def test_readout_backends_agree(self):
-        rng = np.random.default_rng(1)
-        basis = sector_basis(8, 4)
-        amps = rng.standard_normal((basis.dimension, 5)) + 1j * rng.standard_normal(
-            (basis.dimension, 5)
-        )
-        r_of = basis.right_ones()
-        acc_a = np.zeros((5, 5))
-        acc_b = np.zeros((5, 5))
-        _kernels.readout_accumulate(np.ascontiguousarray(amps), r_of, acc_a)
-        _kernels._readout_np(amps, r_of, acc_b)
-        assert np.allclose(acc_a, acc_b, rtol=0, atol=1e-13)

@@ -15,6 +15,7 @@ from spinfcs.stats import (
     distribution_moments,
     fit_dynamical_exponent,
     jackknife_sigma,
+    moment_row,
     skew_kurt,
     symmetrize,
     weighted_cycle_average,
@@ -170,6 +171,23 @@ class TestJackknife:
         result = jackknife_sigma(lambda s: float(np.mean(np.square(s)) - np.mean(s) ** 2), xs)
         assert result.bias < 0.0
 
+    def test_vector_statistic_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        xs = list(rng.standard_normal((25, 3)))
+
+        def stat(s):
+            a = np.array(s)
+            return np.array([a[:, 0].mean(), a[:, 1].var(), np.mean(a[:, 2] ** 3)])
+
+        vector = jackknife_sigma(stat, xs)
+        assert vector.sigma.shape == vector.bias.shape == (3,)
+        for c in range(3):
+            scalar = jackknife_sigma(lambda s: float(stat(s)[c]), xs)
+            assert isinstance(scalar.sigma, float)
+            assert isinstance(scalar.bias, float)
+            assert vector.sigma[c] == scalar.sigma
+            assert vector.bias[c] == scalar.bias
+
 
 class TestWeightedAverage:
     def test_equal_sigmas(self):
@@ -282,3 +300,14 @@ class TestMomentReport:
         assert report.cycles.tolist() == [1, 2]
         assert np.all(report.sigma_mean == 0.0)
         assert report.kurtosis[1] == pytest.approx(-0.30867052, abs=1e-7)
+        assert report.rows[1].tolist() == list(distribution_moments(dists[1]))
+
+    def test_zero_variance_row_is_nan_not_an_error(self):
+        dist = TransferDistribution.point_mass(1, 2)
+        row = moment_row(dist)
+        assert row[:2].tolist() == [2.0, 0.0]
+        assert np.isnan(row[2]) and np.isnan(row[3])
+        report = MomentReport.from_distributions([dist])
+        assert np.isnan(report.skewness[0]) and np.isnan(report.kurtosis[0])
+        with pytest.raises(UndefinedMomentsError):
+            distribution_moments(dist)
