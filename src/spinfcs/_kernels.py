@@ -29,9 +29,17 @@ def apply_fsim_tables(amps, tables, theta, phi, split_phase):
 
 
 def readout_accumulate(amps, r_of, acc):
-    """Add each column's probability mass per right-half count r to acc[r]."""
-    probs = amps.real**2 + amps.imag**2
-    for r in range(acc.shape[0]):
-        rows = np.flatnonzero(r_of == r)
-        if rows.size:
-            acc[r] += probs[rows].sum(axis=0)
+    """Add each column's probability mass per right-half count r to acc[r].
+
+    `r_of` is the right count of each row of `amps`.  Adjacent rows of one
+    count are summed as a slice, so a block-ordered layout needs no gather.
+    The sums of squares are numpy elementwise reductions (`einsum` without
+    path optimization never calls BLAS), so the result does not depend on
+    the BLAS thread count.
+    """
+    m = amps.shape[1]
+    edges = np.flatnonzero(np.diff(r_of)) + 1
+    for lo, hi in zip(np.r_[0, edges], np.r_[edges, r_of.size]):
+        parts = amps[lo:hi].view(np.float64)  # interleaved (real, imag)
+        squares = np.einsum("ij,ij->j", parts, parts)
+        acc[r_of[lo]] += squares.reshape(m, 2).sum(axis=1)

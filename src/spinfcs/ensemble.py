@@ -11,12 +11,18 @@ excitations on the right after t cycles, and any imbalance is applied as a
 reweighting afterwards.  The tensor is built by evolving every basis word of
 every sector once, in batched columns.
 
+The evolution stores a sector as a direct sum of left (x) right blocks
+(a, k-a).  A cycle is then one dense cached operator per half chain,
+applied to each block as matrix products, and the center-bond gate, which
+updates slice views of neighbouring blocks in place.
+
 Left-right mirror symmetry of the brickwork (exact for even chain length)
 gives T[t, a, b, r] = T[t, b, a, a+b-r]; only blocks with a >= b are
 evolved and the rest are reflected.
 """
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +30,9 @@ import numpy as np
 
 from . import _kernels
 from .circuit import ChainConfig
-from .errors import ConservationError, EnumerationCapError
+from .errors import ConservationError, EnumerationCapError, InvariantError
 from .gates import FSimParams, LayerOrder, PhaseConvention
-from .sector import SectorState, cycle_bonds, sector_basis
+from .sector import cycle_bonds, sector_basis
 
 DEFAULT_SITE_CAP = 20
 
@@ -187,50 +193,109 @@ def lightcone_reduce(config: ChainConfig) -> ChainConfig:
     return ChainConfig(reduced, config.cycles, config.params, config.layer_order)
 
 
-def _chunk_columns(dim: int) -> int:
-    return int(max(16, min(2048, (1 << 23) // max(dim, 1))))
+CHUNK_COLUMNS = 256
 
 
-def _sector_tasks(n_qubits: int, mirror: bool):
-    """Deterministic task list: (k, column indices) chunks per sector."""
-    half = n_qubits // 2
-    tasks = []
-    for k in range(n_qubits + 1):
-        basis = sector_basis(n_qubits, k)
-        r_of = basis.right_ones()
-        a_of = k - r_of
-        keep = np.flatnonzero(a_of >= r_of) if mirror else np.arange(basis.dimension)
-        m_chunk = _chunk_columns(basis.dimension)
-        for j0 in range(0, keep.size, m_chunk):
-            tasks.append((k, keep[j0 : j0 + m_chunk]))
-    return half, tasks
+def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder):
+    """Dense one-cycle operators (W_L, W_R) of the two half chains.
 
-
-def _evolve_chunk(n_qubits, k, cols, cycles, params, layer_order):
-    """Evolve basis columns `cols` of sector k and return the per-cycle
-    right-count mass tensor contribution, indexed [t-1, a, b, r]."""
-    basis = sector_basis(n_qubits, k)
-    half = n_qubits // 2
-    dim = basis.dimension
-    r_of = basis.right_ones()
-    a_of = (k - r_of).astype(np.int64)
-    m = cols.size
-    amps = np.zeros((dim, m), dtype=np.complex128)
-    amps[cols, np.arange(m)] = 1.0
-    bonds = cycle_bonds(n_qubits, layer_order)
-    tables = [basis.bond_tables(b) for b in bonds]
+    W[c] is the C(half, c)-square matrix of all half-chain gates of one
+    cycle, in cycle order, on the c-excitation sector of `half` sites with
+    the boundary site as the most significant bit.  The left half is read
+    mirrored, which maps its bond i to bond half-2-i; fSim is symmetric
+    under swapping its two sites, so the gates are unchanged.
+    """
+    bonds = cycle_bonds(2 * half, layer_order)
     split = params.convention is PhaseConvention.SPLIT
-    a_cols = a_of[cols]
-    b_cols = r_of[cols]
-    part = np.zeros((cycles, half + 1, half + 1, half + 1))
+
+    def operators(local_bonds):
+        ops = []
+        for c in range(half + 1):
+            basis = sector_basis(half, c)
+            w = np.eye(basis.dimension, dtype=np.complex128)
+            for bond in local_bonds:
+                _kernels.apply_fsim_tables(
+                    w, basis.bond_tables(bond), params.theta, params.phi, split
+                )
+            ops.append(w)
+        return ops
+
+    left = operators([half - 2 - b for b in bonds if b <= half - 2])
+    right = operators([b - half for b in bonds if b >= half])
+    return left, right
+
+
+def _evolve_block(half, a0, b0, j0, m, cycles, params, operators):
+    """Right-count masses of columns j0..j0+m-1 of block (a0, b0) after each
+    cycle, indexed [t-1, r].
+
+    Sector k = a0 + b0 is stored as blocks (a, k-a), a ascending, each of
+    C(half, a) * C(half, k-a) rows ordered left index major, with m columns.
+    A cycle is W_L (x) W_R on every block followed by the center gate, which
+    pairs |01> rows of block (a, b) with |10> rows of block (a+1, b-1).  The
+    W before the first center gate and after the last readout are dropped:
+    summed over a whole initial block, T does not see them.  After s center
+    gates only blocks |a - a0| <= s are nonzero, and only they are touched.
+    """
+    k = a0 + b0
+    lo, hi = max(0, k - half), min(half, k)
+    shape = {a: (math.comb(half, a), math.comb(half, k - a)) for a in range(lo, hi + 1)}
+    sizes = [dl * dr for dl, dr in shape.values()]
+    start = dict(zip(shape, itertools.accumulate(sizes, initial=0)))
+    stop = {a: start[a] + size for a, size in zip(shape, sizes)}
+    r_of = np.repeat([k - a for a in shape], sizes)
+    amps = np.zeros((sum(sizes), m), dtype=np.complex128)
+    # GEMM output, or the two products of the center gate
+    scratch = np.empty(2 * max(sizes) * m, dtype=np.complex128)
+
+    def block(a):
+        return amps[start[a] : stop[a]].reshape(*shape[a], m)
+
+    cols = np.arange(m)
+    amps[start[a0] + j0 + cols, cols] = 1.0
+    w_left, w_right = operators
+    cos = math.cos(params.theta)
+    isin = 1j * math.sin(params.theta)
+    split = params.convention is PhaseConvention.SPLIT
+    phase11 = complex(np.exp(-1j * params.phi / (2.0 if split else 1.0)))
+    phase00 = complex(np.exp(-1j * params.phi / 2.0))
+    part = np.zeros((cycles, half + 1))
     acc = np.empty((half + 1, m))
     for t in range(1, cycles + 1):
-        for tab in tables:
-            _kernels.apply_fsim_tables(amps, tab, params.theta, params.phi, split)
+        # t - 1 center gates applied so far
+        a_lo, a_hi = max(lo, a0 - t + 1), min(hi, a0 + t - 1)
+        if t > 1:
+            for a in range(a_lo, a_hi + 1):
+                dl, dr = shape[a]
+                x = block(a)
+                y = scratch[: dl * dr * m].reshape(dl, dr, m)
+                np.matmul(w_left[a], x.reshape(dl, dr * m), out=y.reshape(dl, dr * m))
+                np.matmul(w_right[k - a], y, out=x)
+        for a in range(max(lo, a_lo - 1), min(hi - 1, a_hi) + 1):
+            b = k - a
+            # |01> of (a, b): left boundary 0, right boundary 1; its |10>
+            # partner leads block (a+1, b-1) on the left, ends it on the right
+            x = block(a)[: math.comb(half - 1, a), math.comb(half - 1, b) :]
+            y = block(a + 1)[math.comb(half - 1, a + 1) :, : math.comb(half - 1, b - 1)]
+            isin_y = scratch[: x.size].reshape(x.shape)
+            isin_x = scratch[x.size : 2 * x.size].reshape(x.shape)
+            np.multiply(y, isin, out=isin_y)
+            np.multiply(x, isin, out=isin_x)
+            x *= cos
+            x += isin_y
+            y *= cos
+            y += isin_x
+        a_lo, a_hi = max(lo, a_lo - 1), min(hi, a_hi + 1)
+        for a in range(a_lo, a_hi + 1):
+            left0, right0 = math.comb(half - 1, a), math.comb(half - 1, k - a)
+            blk = block(a)
+            blk[left0:, right0:] *= phase11
+            if split:
+                blk[:left0, :right0] *= phase00
+        rows = slice(start[a_lo], stop[a_hi])
         acc[:] = 0.0
-        _kernels.readout_accumulate(amps, r_of, acc)
-        for r in range(half + 1):
-            np.add.at(part[t - 1], (a_cols, b_cols, r), acc[r])
+        _kernels.readout_accumulate(amps[rows], r_of[rows], acc)
+        part[t - 1] = acc.sum(axis=1)
     return part
 
 
@@ -249,7 +314,7 @@ def transfer_tensor(
     ones in the left half and b in the right, of measuring r ones on the
     right after t cycles.  It is independent of the imbalance; combine with
     `distribution_from_tensor` for any mu.  Output is bitwise independent of
-    `threads` (fixed reduction order).
+    `threads` (fixed reduction order) and of the BLAS thread count.
     """
     if n_qubits < 2 or n_qubits % 2 != 0:
         raise ValueError(f"n_qubits must be even and >= 2, got {n_qubits}")
@@ -260,19 +325,27 @@ def transfer_tensor(
             T[0, a, b, b] = math.comb(half, a) * math.comb(half, b)
     if cycles == 0:
         return T
-    _, tasks = _sector_tasks(n_qubits, mirror)
+    operators = _half_chain_operators(half, params, layer_order)
+    tasks = [
+        (a, b, j0, min(CHUNK_COLUMNS, size - j0))
+        for a in range(half + 1)
+        for b in range(half + 1)
+        if a >= b or not mirror
+        for size in [math.comb(half, a) * math.comb(half, b)]
+        for j0 in range(0, size, CHUNK_COLUMNS)
+    ]
 
     def run(task):
-        k, cols = task
-        return _evolve_chunk(n_qubits, k, cols, cycles, params, layer_order)
+        a, b, j0, m = task
+        return _evolve_block(half, a, b, j0, m, cycles, params, operators)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, tasks))
     else:
         parts = [run(task) for task in tasks]
-    for part in parts:  # fixed task order: deterministic sum
-        T[1:] += part
+    for (a, b, _, _), part in zip(tasks, parts):  # fixed order: deterministic sum
+        T[1:, a, b] += part
     if mirror:
         for a in range(half + 1):
             for b in range(a + 1, half + 1):
@@ -286,7 +359,12 @@ def transfer_tensor(
 def distribution_from_tensor(
     T: np.ndarray, cycles: int, ens: ImbalanceEnsemble
 ) -> TransferDistribution:
-    """Reweight a transfer tensor into P(M) at a given cycle and imbalance."""
+    """Reweight a transfer tensor into P(M) at a given cycle and imbalance.
+
+    Raises:
+        InvariantError: if the mass is not normalized or lies outside the
+            light cone |M| <= 2t.
+    """
     half = T.shape[1] - 1
     if ens.n_qubits != 2 * half:
         raise ValueError(
@@ -304,7 +382,7 @@ def distribution_from_tensor(
                 mass[r - b + half] += w * T[cycles, a, b, r]
     total = mass.sum()
     if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"transfer mass not normalized: {total!r}")
+        raise InvariantError(f"transfer mass not normalized: {total!r}")
     # the light cone bounds |M| <= 2t exactly: no amplitude path reaches
     # further, so any mass outside the grid is an internal error
     probs = np.zeros(2 * cycles + 1)
@@ -312,7 +390,7 @@ def distribution_from_tensor(
         if mass[i] == 0.0:
             continue
         if abs(m_half) > cycles:
-            raise RuntimeError(
+            raise InvariantError(
                 f"mass {mass[i]!r} outside the light cone at M={2 * m_half}"
             )
         probs[cycles + m_half] = mass[i]
@@ -374,26 +452,20 @@ def pure_domain_wall_distribution(
 ) -> TransferDistribution:
     """P(M) for the single initial word 1...10...0 (the mu = inf limit).
 
-    Evolves one sector state instead of enumerating the ensemble.
+    This is T[t, half, 0, :]: block (half, 0) holds the single word, so it
+    is evolved alone on the block engine of `transfer_tensor`.
     """
     if config.n_qubits > cap_sites:
         raise EnumerationCapError(
             f"domain-wall evolution on {config.n_qubits} sites exceeds the "
             f"cap ({cap_sites}); use sampled mode instead"
         )
-    n = config.n_qubits
-    half = n // 2
-    if config.cycles == 0:
-        return TransferDistribution.point_mass(0)
-    bits = [1] * half + [0] * half
-    state = SectorState.from_bitstring(bits)
-    for _ in range(config.cycles):
-        state.apply_cycle(config.params, config.layer_order)
-    r_of = state.basis.right_ones()
-    probs_by_r = np.bincount(
-        r_of, weights=state.probabilities(), minlength=half + 1
-    )
+    half = config.n_qubits // 2
     t = config.cycles
+    if t == 0:
+        return TransferDistribution.point_mass(0)
+    operators = _half_chain_operators(half, config.params, config.layer_order)
+    probs_by_r = _evolve_block(half, half, 0, 0, 1, t, config.params, operators)[-1]
     probs = np.zeros(2 * t + 1)
     for r in range(half + 1):
         if probs_by_r[r] != 0.0:

@@ -41,5 +41,10 @@ class ConfigError(SpinFcsError):
     """A run configuration is malformed; the message names the key."""
 
 
+class InvariantError(SpinFcsError):
+    """A computed result breaks an invariant it must hold exactly, such as
+    normalization or light-cone support; this is an internal error."""
+
+
 class SchemaError(SpinFcsError):
     """A stored data file does not match the documented schema."""

@@ -8,7 +8,6 @@ precomputed index tables, pairing each |01> word with its |10> partner via
 a two-bit flip; the 4x4 tensor product is never built.
 """
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -42,6 +41,25 @@ def cycle_bonds(n_sites: int, layer_order: LayerOrder = LayerOrder.EVEN_FIRST):
     return even + odd if layer_order is LayerOrder.EVEN_FIRST else odd + even
 
 
+def _sector_words(n_sites: int, n_excitations: int) -> np.ndarray:
+    """All n-site words with k ones, ascending, as uint64.
+
+    words(n, k) is words(n-1, k) followed by (1 << (n-1)) | words(n-1, k-1);
+    both parts are ascending and the second lies above the first.
+    """
+    n, k = n_sites, n_excitations
+    none = np.empty(0, dtype=np.uint64)
+    # words[j] = words(m, j) for the counts j that can still reach (n, k)
+    words = {0: np.zeros(1, dtype=np.uint64)}
+    for m in range(1, n + 1):
+        top = np.uint64(1 << (m - 1))
+        words = {
+            j: np.concatenate([words.get(j, none), top | words.get(j - 1, none)])
+            for j in range(max(0, k - (n - m)), min(k, m) + 1)
+        }
+    return words[k]
+
+
 class SectorBasis:
     """Ranked basis of all n-site words with a fixed number of ones.
 
@@ -60,17 +78,8 @@ class SectorBasis:
         self.n_sites = int(n_sites)
         self.n_excitations = int(n_excitations)
         self.dimension = math.comb(self.n_sites, self.n_excitations)
-        n, k = self.n_sites, self.n_excitations
-        words = np.fromiter(
-            (
-                sum(1 << (n - 1 - i) for i in pos)
-                for pos in itertools.combinations(range(n), k)
-            ),
-            dtype=np.uint64,
-            count=self.dimension,
-        )
-        words.sort()
-        self.words = words
+        self.words = _sector_words(self.n_sites, self.n_excitations)
+        self._site_bits = None
         self._bond_tables = {}
 
     def rank(self, bitstring) -> int:
@@ -109,12 +118,16 @@ class SectorBasis:
         return np.bitwise_count(self.words & mask).astype(np.int64)
 
     def site_bits(self) -> np.ndarray:
-        """(dimension, n_sites) 0/1 matrix of basis words."""
-        n = self.n_sites
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-        return ((self.words[:, None] >> shifts[None, :]) & np.uint64(1)).astype(
-            np.int64
-        )
+        """(dimension, n_sites) 0/1 matrix of basis words (cached, read-only)."""
+        if self._site_bits is None:
+            n = self.n_sites
+            shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+            bits = ((self.words[:, None] >> shifts[None, :]) & np.uint64(1)).astype(
+                np.int64
+            )
+            bits.setflags(write=False)
+            self._site_bits = bits
+        return self._site_bits
 
     def bond_tables(self, bond: int):
         """Index tables (i01, i10, i11, i00) for the bond (bond, bond+1).

@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import REFERENCE_KURTOSIS
+from spinfcs import cli
 from spinfcs.cli import main
 from spinfcs.stats import fit_dynamical_exponent
 
@@ -40,6 +45,42 @@ class TestRunExact:
             t = int(row[0])
             assert abs(float(row[4]) - REFERENCE_KURTOSIS[t]) < 1e-9
         assert [int(r[0]) for r in rows] == [1, 2, 3, 4]
+
+    def test_blas_thread_count_does_not_change_artifacts(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json", n_qubits=10, cycles=5, mu=[0.0, 0.5, "inf"]
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        artifacts = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            done = subprocess.run(
+                [sys.executable, "-m", "spinfcs.cli", "run",
+                 "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            artifacts.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert len(artifacts[0]) == 6
+        assert artifacts[0] == artifacts[1]
+
+    def test_broken_invariant_is_reported_as_an_error(self, tmp_path, monkeypatch, capsys):
+        exact_tensor = cli.transfer_tensor
+
+        def unnormalized(*args, **kwargs):
+            tensor = exact_tensor(*args, **kwargs)
+            tensor[1] *= 1.5
+            return tensor
+
+        monkeypatch.setattr(cli, "transfer_tensor", unnormalized)
+        cfg = write_config(tmp_path / "cfg.json", n_qubits=4)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: transfer mass not normalized")
 
     def test_zero_cycles_single_row(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", cycles=0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_KURTOSIS, dense_exact_pm
+from conftest import REFERENCE_KURTOSIS, dense_cycle, dense_exact_pm, dense_right_ones
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
@@ -20,6 +20,7 @@ from spinfcs.ensemble import (
 from spinfcs.errors import (
     ConservationError,
     EnumerationCapError,
+    InvariantError,
     UnderResolvedError,
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
@@ -213,7 +214,40 @@ class TestPureDomainWall:
         assert np.all(dist.probabilities[negative] == 0.0)
 
 
+def dense_transfer_tensor(n, cycles, theta, phi, convention, order):
+    """T[t, a, b, r] for t = 0..cycles from the dense 2^n cycle unitary."""
+    half = n // 2
+    u = dense_cycle(n, theta, phi, convention, order)
+    words = range(2**n)
+    left = np.array([(w >> half).bit_count() for w in words])
+    right = np.array([dense_right_ones(w, n) for w in words])
+    T = np.zeros((cycles + 1, half + 1, half + 1, half + 1))
+    ut = np.eye(2**n, dtype=complex)
+    for t in range(cycles + 1):
+        probs = np.abs(ut) ** 2  # [final, initial]
+        np.add.at(T[t], (left[None, :], right[None, :], right[:, None]), probs)
+        ut = u @ ut
+    return T
+
+
 class TestTransferTensor:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_matches_dense_oracle(self, n, order, convention):
+        # t <= n/2 and t > n/2; n = 2 is the one-site half chain, and the
+        # center bond is odd for n = 4, 8 and even for n = 2, 6
+        theta, phi = 0.37 * np.pi, -0.61 * np.pi
+        cycles = n // 2 + 2
+        oracle = dense_transfer_tensor(
+            n, cycles, theta, phi, convention.value, order.value
+        )
+        params = params_at(theta, phi, convention.value)
+        for mirror in (True, False):
+            for t in (n // 2, cycles):
+                T = transfer_tensor(n, t, params, order, mirror=mirror)
+                assert np.max(np.abs(T - oracle[: t + 1])) <= 1e-12
+
     def test_mirror_flag_is_an_optimization_only(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         params = params_at(theta, phi)
@@ -294,6 +328,20 @@ class TestTransferDistributionType:
             ImbalanceEnsemble(0.5, 5)
         assert ImbalanceEnsemble(math.inf, 4).p == 1.0
         assert ImbalanceEnsemble(0.0, 4).p == 0.5
+
+    def test_unnormalized_tensor_raises_invariant_error(self):
+        tensor = transfer_tensor(4, 1, FSimParams(0.2, 0.3))
+        tensor[1, 1, 1, 1] += 0.5
+        with pytest.raises(InvariantError, match="not normalized"):
+            distribution_from_tensor(tensor, 1, ImbalanceEnsemble(0.0, 4))
+
+    def test_mass_outside_the_light_cone_raises_invariant_error(self):
+        tensor = transfer_tensor(6, 1, FSimParams(0.2, 0.3))
+        # move mass of block (3, 0) from r = 0 to r = 2: M = 4 > 2t, same total
+        tensor[1, 3, 0, 2] += 0.25
+        tensor[1, 3, 0, 0] -= 0.25
+        with pytest.raises(InvariantError, match="outside the light cone"):
+            distribution_from_tensor(tensor, 1, ImbalanceEnsemble(0.0, 6))
 
     def test_distribution_from_tensor_rejects_mismatch(self):
         tensor = transfer_tensor(4, 1, FSimParams(0.2, 0.3))

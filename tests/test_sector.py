@@ -63,6 +63,24 @@ class TestRanking:
         words = [basis.unrank(i) for i in range(basis.dimension)]
         assert all(a < b for a, b in zip(words, words[1:]))
 
+    def test_words_equal_the_combinations_enumeration(self):
+        for n in range(1, 13):
+            for k in range(n + 1):
+                expected = sorted(
+                    sum(1 << (n - 1 - i) for i in pos)
+                    for pos in itertools.combinations(range(n), k)
+                )
+                words = SectorBasis(n, k).words
+                assert words.dtype == np.uint64
+                assert words.tolist() == expected, (n, k)
+
+    def test_site_bits_is_cached_and_read_only(self):
+        basis = SectorBasis(6, 3)
+        bits = basis.site_bits()
+        assert basis.site_bits() is bits
+        assert not bits.flags.writeable
+        assert [bits_to_word(row) for row in bits] == basis.words.tolist()
+
     def test_word_bits_roundtrip(self):
         bits = [1, 0, 1, 1, 0, 0, 1]
         assert list(word_to_bits(bits_to_word(bits), 7)) == bits
