@@ -28,7 +28,6 @@ from .gates import FSimParams, LayerOrder, PhaseConvention
 from .noise import (
     NoiseConfig,
     causal_min_half_layers,
-    damp_trajectory,
     disorder_and_dephasing,
     postselect,
     readout_flip,
@@ -76,7 +75,6 @@ __all__ = [
     "central_moments",
     "collapse_residual",
     "collapse_scan",
-    "damp_trajectory",
     "disorder_and_dephasing",
     "distribution_from_tensor",
     "distribution_moments",

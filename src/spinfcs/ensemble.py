@@ -32,7 +32,7 @@ from . import _kernels
 from .circuit import ChainConfig
 from .errors import ConservationError, EnumerationCapError, InvariantError
 from .gates import FSimParams, LayerOrder, PhaseConvention
-from .sector import cycle_bonds, sector_basis
+from .sector import brickwork_layers, sector_basis
 
 DEFAULT_SITE_CAP = 20
 
@@ -203,25 +203,26 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
     cycle, in cycle order, on the c-excitation sector of `half` sites with
     the boundary site as the most significant bit.  The left half is read
     mirrored, which maps its bond i to bond half-2-i; fSim is symmetric
-    under swapping its two sites, so the gates are unchanged.
+    under swapping its two sites, so the gates are unchanged.  The right
+    half's layout is anchored at its first physical site, `half`.
     """
-    bonds = cycle_bonds(2 * half, layer_order)
     split = params.convention is PhaseConvention.SPLIT
 
-    def operators(local_bonds):
+    def operators(layers):
         ops = []
         for c in range(half + 1):
             basis = sector_basis(half, c)
             w = np.eye(basis.dimension, dtype=np.complex128)
-            for bond in local_bonds:
+            for bond in itertools.chain(*layers):
                 _kernels.apply_fsim_tables(
                     w, basis.bond_tables(bond), params.theta, params.phi, split
                 )
             ops.append(w)
         return ops
 
-    left = operators([half - 2 - b for b in bonds if b <= half - 2])
-    right = operators([b - half for b in bonds if b >= half])
+    left_layers = brickwork_layers(half, 0, layer_order)
+    left = operators([[half - 2 - b for b in layer] for layer in left_layers])
+    right = operators(brickwork_layers(half, half, layer_order))
     return left, right
 
 

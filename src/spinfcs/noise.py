@@ -10,12 +10,13 @@ needs more half-layers than the circuit contained.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import FSimParams, LayerOrder
-from .sector import SectorState, sector_basis
+from .sector import SectorState, brickwork_layers, sector_basis
 
 
 @dataclass(frozen=True)
@@ -103,22 +104,6 @@ def damp_bits(bits: np.ndarray, duration_cycles: float, noise: NoiseConfig, rng)
     return out
 
 
-def damp_trajectory(state_or_bits, duration_cycles: float, noise: NoiseConfig, rng):
-    """Damp a sector state (per-layer jump unraveling) or a bit array
-    (closed-form idle decay) over a circuit duration in cycles."""
-    if isinstance(state_or_bits, SectorState):
-        steps = 2.0 * duration_cycles
-        n_steps = int(round(steps))
-        if abs(steps - n_steps) > 1e-12:
-            raise ValueError("duration must be a whole number of half-layers")
-        state = state_or_bits
-        p = noise.half_layer_decay
-        for _ in range(n_steps):
-            state = damping_step(state, p, rng)
-        return state
-    return damp_bits(state_or_bits, duration_cycles, noise, rng)
-
-
 def readout_flip(bits: np.ndarray, noise: NoiseConfig, rng) -> np.ndarray:
     """Independent per-qubit readout flips: 0->1 at e0, 1->0 at e1."""
     bits = np.asarray(bits)
@@ -159,11 +144,10 @@ def causal_min_half_layers(
     occ = [False] * n
     for p in pos:
         occ[p] = True
-    first = 0 if layer_order is LayerOrder.EVEN_FIRST else 1
+    layers = brickwork_layers(n, 0, layer_order)
     max_layers = 2 * (n + int(np.abs(src - tgt).sum())) + 4
     for layer in range(max_layers):
-        parity = (first + layer) % 2
-        for bond in range(parity, n - 1, 2):
+        for bond in layers[layer % 2]:
             left, right = occ[bond], occ[bond + 1]
             if left == right:
                 continue  # empty or blocked bond
@@ -215,31 +199,28 @@ def disorder_and_dephasing(
     noise: NoiseConfig,
     rng,
     n_sites: int,
-    cycles: int,
-    layer_order: LayerOrder = LayerOrder.EVEN_FIRST,
+    layers: Sequence[list[int]],
 ) -> list[LayerRealization]:
-    """Draw one shot's noisy circuit: per-gate Gaussian (theta, phi) jitter
-    plus random Z rotations between layers.  Zero widths reproduce the
-    nominal circuit exactly."""
-    even = list(range(0, n_sites - 1, 2))
-    odd = list(range(1, n_sites - 1, 2))
-    per_cycle = [even, odd] if layer_order is LayerOrder.EVEN_FIRST else [odd, even]
-    layers = []
-    for _ in range(cycles):
-        for bonds in per_cycle:
-            if noise.angle_jitter_sd > 0.0:
-                gate_params = [
-                    params.with_angles(
-                        params.theta + noise.angle_jitter_sd * rng.standard_normal(),
-                        params.phi + noise.angle_jitter_sd * rng.standard_normal(),
-                    )
-                    for _ in bonds
-                ]
-            else:
-                gate_params = [params] * len(bonds)
-            if noise.dephasing_sd > 0.0:
-                z_angles = noise.dephasing_sd * rng.standard_normal(n_sites)
-            else:
-                z_angles = None
-            layers.append(LayerRealization(list(bonds), gate_params, z_angles))
-    return layers
+    """Draw one shot's noisy circuit over the given half-layers (bond lists,
+    as `sector.brickwork_layers` lays them out): per-gate Gaussian
+    (theta, phi) jitter plus random Z rotations of the `n_sites` sites after
+    each layer.  Zero widths reproduce the nominal circuit exactly and draw
+    nothing."""
+    realizations = []
+    for bonds in layers:
+        if noise.angle_jitter_sd > 0.0:
+            gate_params = [
+                params.with_angles(
+                    params.theta + noise.angle_jitter_sd * rng.standard_normal(),
+                    params.phi + noise.angle_jitter_sd * rng.standard_normal(),
+                )
+                for _ in bonds
+            ]
+        else:
+            gate_params = [params] * len(bonds)
+        if noise.dephasing_sd > 0.0:
+            z_angles = noise.dephasing_sd * rng.standard_normal(n_sites)
+        else:
+            z_angles = None
+        realizations.append(LayerRealization(list(bonds), gate_params, z_angles))
+    return realizations

@@ -7,6 +7,21 @@ every (cycle, initial state) owns a Philox stream keyed by the master seed,
 and within a state the initial-bit draw and each shot live in disjoint
 counter blocks.  Results therefore depend only on (seed, configuration).
 
+Every initial state takes one of two routes to its measured bitstrings:
+
+* noiseless: the whole chain is evolved once, and all shots are drawn from
+  its exact outcome distribution (counter block 1);
+* noisy: each shot is its own trajectory (counter block 1 + shot) on the
+  2t-site light-cone window around the cut, drawing its disorder, then one
+  damping step per half-layer, the measurement, the classical decay of the
+  sites left and right of the window, and the readout flips, in that order.
+  Sites outside the window never see a gate.
+
+Both routes run the same brickwork layout, anchored to physical sites, and
+end in the same tail: undo the relabeling, post-select (the popcount must
+match the initial state's, and in causal mode the word must also pass the
+causal filter, evaluated once per distinct word), and tally.
+
 Per-state tallies live on the full grid of right-half count changes,
 -n/2..n/2, because noisy number-only-filtered outcomes can land outside the
 causal cone |M| <= 2t; causal filtering confines them again.
@@ -21,7 +36,6 @@ import numpy as np
 from . import stats
 from .circuit import ChainConfig
 from .ensemble import ImbalanceEnsemble, TransferDistribution
-from .gates import LayerOrder
 from .noise import (
     NoiseConfig,
     damp_bits,
@@ -30,9 +44,11 @@ from .noise import (
     postselect,
     readout_flip,
 )
-from .sector import SectorState, word_to_bits
+from .sector import SectorState, brickwork_layers, word_to_bits
 
 logger = logging.getLogger(__name__)
+
+_NOISELESS = NoiseConfig()
 
 
 @dataclass(frozen=True)
@@ -180,51 +196,33 @@ def _measure_indices(probabilities, rng, shots):
     return np.searchsorted(cdf, u, side="right")
 
 
-def _noiseless_state(ens, config, sample, state_index, postselect_mode):
-    n = config.n_qubits
-    half = n // 2
-    sub = _substream(config.cycles, state_index)
-    bits = sample_initial(ens, _philox(sample.seed, sub, 0))
-    if sample.relabel_enabled:
-        phys, flagged = relabel_if_overfull(bits)
-    else:
-        phys, flagged = bits.copy(), False
-    state = SectorState.from_bitstring(phys)
-    for _ in range(config.cycles):
-        state.apply_cycle(config.params, config.layer_order)
-    basis = state.basis
-    meas_rng = _philox(sample.seed, sub, 1)
-    outcomes = _measure_indices(
-        state.probabilities(), meas_rng, sample.shots_per_state
-    )
-    r_phys = basis.right_ones()[outcomes]
-    r_logical = (half - r_phys) if flagged else r_phys
-    r_initial = int(bits[half:].sum())
-    counts = np.zeros(n + 1, dtype=np.int64)
-    if postselect_mode == "causal":
-        kept = 0
-        full = np.uint64((1 << n) - 1)
-        for word, r in zip(basis.words[outcomes], r_logical):
-            w_log = int(word ^ full) if flagged else int(word)
-            measured = word_to_bits(w_log, n)
-            if postselect(bits, measured, config.cycles, "causal", config.layer_order):
-                counts[half + (int(r) - r_initial)] += 1
-                kept += 1
-    else:
-        np.add.at(counts, half + (r_logical - r_initial), 1)
-        kept = sample.shots_per_state  # number conservation is exact here
-    return StateRecord(bits, counts, sample.shots_per_state, kept)
-
-
 def _window_bounds(n_qubits: int, cycles: int) -> tuple[int, int]:
     width = min(n_qubits, 2 * cycles)
     lo = n_qubits // 2 - width // 2
     return lo, lo + width
 
 
-def _noisy_state(ens, config, sample, noise, state_index, postselect_mode):
-    n = config.n_qubits
-    t = config.cycles
+def _trajectory(phys, lo, hi, config, noise, rng) -> SectorState:
+    """Sites lo..hi-1 of the prepared bitstring `phys` after the circuit:
+    every half-layer of the brickwork, anchored at physical site `lo`, with
+    its disorder realization, Z rotations and damping step."""
+    layers = brickwork_layers(hi - lo, lo, config.layer_order) * config.cycles
+    realizations = disorder_and_dephasing(config.params, noise, rng, hi - lo, layers)
+    p_half = noise.half_layer_decay
+    state = SectorState.from_bitstring(phys[lo:hi])
+    for layer in realizations:
+        for bond, gate_params in zip(layer.bonds, layer.gate_params):
+            state.apply_fsim(bond, gate_params)
+        if layer.z_angles is not None:
+            state.apply_diagonal_phases(layer.z_angles)
+        if p_half > 0.0:
+            state = damping_step(state, p_half, rng)
+    return state
+
+
+def _state_record(ens, config, sample, noise, state_index, postselect_mode):
+    """Draw one initial state, measure its shots, filter and tally them."""
+    n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     half = n // 2
     sub = _substream(t, state_index)
     bits = sample_initial(ens, _philox(sample.seed, sub, 0))
@@ -232,64 +230,42 @@ def _noisy_state(ens, config, sample, noise, state_index, postselect_mode):
         phys, flagged = relabel_if_overfull(bits)
     else:
         phys, flagged = bits.copy(), False
-    lo, hi = _window_bounds(n, t)
-    p_half = noise.half_layer_decay
-    wants_disorder = noise.angle_jitter_sd > 0.0 or noise.dephasing_sd > 0.0
-    counts = np.zeros(n + 1, dtype=np.int64)
-    kept = 0
-    r_initial = int(bits[half:].sum())
-    nominal_layers = []
-    if t > 0:
-        for layer_idx in range(2 * t):
-            parity = layer_idx % 2
-            if config.layer_order is LayerOrder.ODD_FIRST:
-                parity = 1 - parity
-            # brickwork parity is anchored to physical site indices
-            nominal_layers.append(
-                [b for b in range(hi - lo - 1) if (b + lo) % 2 == parity]
-            )
-    for shot in range(sample.shots_per_state):
-        rng = _philox(sample.seed, sub, 1 + shot)
-        measured_phys = np.empty(n, dtype=np.int64)
-        if t > 0:
-            state = SectorState.from_bitstring(phys[lo:hi])
-            layers = (
-                disorder_and_dephasing(
-                    config.params, noise, rng, hi - lo, t, config.layer_order
-                )
-                if wants_disorder
-                else None
-            )
-            for layer_idx in range(2 * t):
-                if layers is not None:
-                    realization = layers[layer_idx]
-                    for bond, gp in zip(realization.bonds, realization.gate_params):
-                        state.apply_fsim(bond, gp)
-                    if realization.z_angles is not None:
-                        state.apply_diagonal_phases(realization.z_angles)
-                else:
-                    for bond in nominal_layers[layer_idx]:
-                        state.apply_fsim(bond, config.params)
-                if p_half > 0.0:
-                    state = damping_step(state, p_half, rng)
-            idx = _measure_indices(state.probabilities(), rng, 1)[0]
-            measured_phys[lo:hi] = word_to_bits(
-                int(state.basis.words[idx]), hi - lo
-            )
-        if lo > 0:
-            measured_phys[:lo] = damp_bits(phys[:lo], float(t), noise, rng)
-        if hi < n:
-            measured_phys[hi:] = damp_bits(phys[hi:], float(t), noise, rng)
-        measured_phys = readout_flip(measured_phys, noise, rng)
-        measured = 1 - measured_phys if flagged else measured_phys
-        if postselect_mode != "none" and not postselect(
-            bits, measured, t, postselect_mode, config.layer_order
-        ):
-            continue
-        delta_r = int(measured[half:].sum()) - r_initial
-        counts[half + delta_r] += 1
-        kept += 1
-    return StateRecord(bits, counts, sample.shots_per_state, kept)
+    if noise is None:
+        state = _trajectory(phys, 0, n, config, _NOISELESS, None)
+        outcomes = _measure_indices(
+            state.probabilities(), _philox(sample.seed, sub, 1), shots
+        )
+        measured = word_to_bits(state.basis.words[outcomes], n)
+    else:
+        lo, hi = _window_bounds(n, t)
+        measured = np.empty((shots, n), dtype=np.int64)
+        for shot, row in enumerate(measured):
+            rng = _philox(sample.seed, sub, 1 + shot)
+            if hi > lo:
+                state = _trajectory(phys, lo, hi, config, noise, rng)
+                idx = _measure_indices(state.probabilities(), rng, 1)[0]
+                row[lo:hi] = word_to_bits(state.basis.words[idx], hi - lo)
+            if lo > 0:
+                row[:lo] = damp_bits(phys[:lo], float(t), noise, rng)
+            if hi < n:
+                row[hi:] = damp_bits(phys[hi:], float(t), noise, rng)
+            row[:] = readout_flip(row, noise, rng)
+    if flagged:
+        measured = 1 - measured
+    if postselect_mode == "none":
+        keep = np.ones(shots, dtype=bool)
+    else:
+        keep = measured.sum(axis=1) == bits.sum()
+    if postselect_mode == "causal":
+        words, inverse = np.unique(measured[keep], axis=0, return_inverse=True)
+        causal = np.array(
+            [postselect(bits, w, t, "causal", config.layer_order) for w in words],
+            dtype=bool,
+        )
+        keep[keep] = causal[inverse.reshape(-1)]
+    delta_r = measured[keep, half:].sum(axis=1) - bits[half:].sum()
+    counts = np.bincount(half + delta_r, minlength=n + 1)
+    return StateRecord(bits, counts, shots, int(np.count_nonzero(keep)))
 
 
 def run_sampled(
@@ -316,17 +292,10 @@ def run_sampled(
     if postselect_mode not in ("none", "number_only", "causal"):
         raise ValueError(f"unknown post-selection mode {postselect_mode!r}")
 
-    if noise is None:
-        mode = "sampled"
+    mode = "sampled" if noise is None else "noisy-sampled"
 
-        def worker(i):
-            return _noiseless_state(ens, config, sample, i, postselect_mode)
-
-    else:
-        mode = "noisy-sampled"
-
-        def worker(i):
-            return _noisy_state(ens, config, sample, noise, i, postselect_mode)
+    def worker(i):
+        return _state_record(ens, config, sample, noise, i, postselect_mode)
 
     indices = range(sample.n_initial_states)
     if threads > 1:

@@ -26,19 +26,32 @@ def bits_to_word(bits) -> int:
     return word
 
 
-def word_to_bits(word: int, n_sites: int) -> np.ndarray:
-    """Unpack an integer word into a 0/1 array of length `n_sites`."""
-    return np.array(
-        [(word >> (n_sites - 1 - i)) & 1 for i in range(n_sites)],
-        dtype=np.int64,
-    )
+def word_to_bits(word, n_sites: int) -> np.ndarray:
+    """Unpack an integer word into a 0/1 array of length `n_sites`; an
+    array of words gives one such row per word."""
+    shifts = np.arange(n_sites - 1, -1, -1, dtype=np.uint64)
+    words = np.asarray(word, dtype=np.uint64)[..., None]
+    return ((words >> shifts) & np.uint64(1)).astype(np.int64)
+
+
+def brickwork_layers(
+    n_sites: int, first_site: int, layer_order: LayerOrder
+) -> tuple[list[int], list[int]]:
+    """Bond lists of the two half-layers of one cycle on `n_sites` sites.
+
+    Bond b joins sites b and b+1 of the chain it is given, whose site 0 is
+    physical site `first_site`.  Parity is that of the physical bond
+    first_site + b, so a window cut out of a longer chain runs the layers of
+    the chain itself.  This is the one place the brickwork layout is decided.
+    """
+    start = (first_site + (layer_order is LayerOrder.ODD_FIRST)) % 2
+    return list(range(start, n_sites - 1, 2)), list(range(1 - start, n_sites - 1, 2))
 
 
 def cycle_bonds(n_sites: int, layer_order: LayerOrder = LayerOrder.EVEN_FIRST):
     """Bond indices of one full cycle, first layer then second layer."""
-    even = list(range(0, n_sites - 1, 2))
-    odd = list(range(1, n_sites - 1, 2))
-    return even + odd if layer_order is LayerOrder.EVEN_FIRST else odd + even
+    first, second = brickwork_layers(n_sites, 0, layer_order)
+    return first + second
 
 
 def _sector_words(n_sites: int, n_excitations: int) -> np.ndarray:
@@ -120,11 +133,7 @@ class SectorBasis:
     def site_bits(self) -> np.ndarray:
         """(dimension, n_sites) 0/1 matrix of basis words (cached, read-only)."""
         if self._site_bits is None:
-            n = self.n_sites
-            shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-            bits = ((self.words[:, None] >> shifts[None, :]) & np.uint64(1)).astype(
-                np.int64
-            )
+            bits = word_to_bits(self.words, self.n_sites)
             bits.setflags(write=False)
             self._site_bits = bits
         return self._site_bits

@@ -10,13 +10,12 @@ from spinfcs.noise import (
     NoiseConfig,
     causal_min_half_layers,
     damp_bits,
-    damp_trajectory,
     damping_step,
     disorder_and_dephasing,
     postselect,
     readout_flip,
 )
-from spinfcs.sector import SectorState
+from spinfcs.sector import SectorState, brickwork_layers
 
 
 def layer_successors(word, bonds):
@@ -101,11 +100,12 @@ class TestDamping:
         rng = np.random.default_rng(0)
         noise = NoiseConfig()
         bits = np.array([1, 0, 1, 1])
-        assert np.array_equal(damp_trajectory(bits, 5.0, noise, rng), bits)
+        assert np.array_equal(damp_bits(bits, 5.0, noise, rng), bits)
         state = SectorState.from_bitstring([1, 0, 1, 0])
         before = state.amplitudes.copy()
-        out = damp_trajectory(state, 3.0, noise, rng)
-        assert np.array_equal(out.amplitudes, before)
+        for _ in range(6):  # 3 cycles of half-layer steps
+            state = damping_step(state, noise.half_layer_decay, rng)
+        assert np.array_equal(state.amplitudes, before)
 
     def test_gate_free_survival_probability(self):
         # three excitations, no hopping: P(no decay by t) = exp(-3 t / T1)
@@ -129,7 +129,8 @@ class TestDamping:
         n_traj = 3000
         for _ in range(n_traj):
             state = SectorState.from_bitstring([1, 1, 0, 0])
-            state = damp_trajectory(state, t, noise, rng)
+            for _ in range(int(2 * t)):
+                state = damping_step(state, noise.half_layer_decay, rng)
             survived += state.basis.n_excitations == 2
         p = math.exp(-2 * t / 2.0)
         sigma = math.sqrt(p * (1 - p) / n_traj)
@@ -197,9 +198,10 @@ class TestDisorder:
     def test_zero_widths_give_nominal_circuit(self):
         rng = np.random.default_rng(0)
         params = FSimParams(0.3, 0.4)
-        layers = disorder_and_dephasing(params, NoiseConfig(), rng, 6, 2)
-        assert len(layers) == 4
-        for layer in layers:
+        layers = brickwork_layers(6, 0, LayerOrder.EVEN_FIRST) * 2
+        realizations = disorder_and_dephasing(params, NoiseConfig(), rng, 6, layers)
+        assert len(realizations) == 4
+        for layer in realizations:
             assert layer.z_angles is None
             assert all(gp is params for gp in layer.gate_params)
 
@@ -207,14 +209,29 @@ class TestDisorder:
         rng = np.random.default_rng(0)
         params = FSimParams(0.3, 0.4)
         noise = NoiseConfig(angle_jitter_sd=0.05)
-        layers = disorder_and_dephasing(params, noise, rng, 6, 1)
-        angles = [gp.theta for layer in layers for gp in layer.gate_params]
+        layers = brickwork_layers(6, 0, LayerOrder.EVEN_FIRST)
+        realizations = disorder_and_dephasing(params, noise, rng, 6, layers)
+        angles = [gp.theta for layer in realizations for gp in layer.gate_params]
         assert len(set(angles)) == len(angles)
 
-    def test_brickwork_layout(self):
+    @pytest.mark.parametrize(
+        "first_site, order, first, second",
+        [
+            (0, LayerOrder.EVEN_FIRST, [0, 2, 4], [1, 3]),
+            (0, LayerOrder.ODD_FIRST, [1, 3], [0, 2, 4]),
+            # a window starting at physical site 1: its local bond 0 is the
+            # physical odd bond (1, 2)
+            (1, LayerOrder.EVEN_FIRST, [1, 3], [0, 2, 4]),
+        ],
+    )
+    def test_brickwork_layout(self, first_site, order, first, second):
         rng = np.random.default_rng(0)
-        layers = disorder_and_dephasing(
-            FSimParams(0.3, 0.4), NoiseConfig(), rng, 6, 1, LayerOrder.EVEN_FIRST
+        realizations = disorder_and_dephasing(
+            FSimParams(0.3, 0.4),
+            NoiseConfig(),
+            rng,
+            6,
+            brickwork_layers(6, first_site, order),
         )
-        assert layers[0].bonds == [0, 2, 4]
-        assert layers[1].bonds == [1, 3]
+        assert realizations[0].bonds == first
+        assert realizations[1].bonds == second

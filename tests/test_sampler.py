@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -6,19 +7,22 @@ import pytest
 
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import ImbalanceEnsemble, exact_distribution
-from spinfcs.gates import FSimParams, PhaseConvention
+from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import NoiseConfig
 from spinfcs.sampler import (
     SampleConfig,
     SampledRun,
     StateRecord,
     _philox,
+    _trajectory,
+    _window_bounds,
     estimate_powers,
     moment_report,
     relabel_if_overfull,
     run_sampled,
     sample_initial,
 )
+from spinfcs.sector import SectorState
 from spinfcs.stats import MomentReport, distribution_moments
 
 
@@ -235,6 +239,41 @@ class TestNoisyPipeline:
         # Var(M) per shot <= 4; the jitter adds spread of the same order
         sigma = 2.5 / math.sqrt(shots)
         assert abs(mean - expected) < 5 * sigma
+
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseConfig(),
+            # widths too small to move any angle, but they draw a disorder
+            # realization for every gate and layer
+            NoiseConfig(angle_jitter_sd=1e-300),
+            NoiseConfig(dephasing_sd=1e-300),
+        ],
+    )
+    def test_window_trajectory_runs_the_nominal_circuit(self, noise, order):
+        # at n=6, t=2 the window is sites 1..4: its first local bond is the
+        # physical odd bond (1, 2), so parity must follow physical sites
+        n, t = 6, 2
+        config = ChainConfig(n, t, HEIS, order)
+        lo, hi = _window_bounds(n, t)
+        assert (lo, hi) == (1, 5)
+        first = 0 if order is LayerOrder.EVEN_FIRST else 1
+        nominal = [
+            [b - lo for b in range(lo, hi - 1) if b % 2 == (first + layer) % 2]
+            for layer in range(2 * t)
+        ]
+        rng = np.random.default_rng(3)
+        for phys in itertools.product([0, 1], repeat=n):
+            phys = np.array(phys)
+            want = SectorState.from_bitstring(phys[lo:hi])
+            for bonds in nominal:
+                for bond in bonds:
+                    want.apply_fsim(bond, HEIS)
+            got = _trajectory(phys, lo, hi, config, noise, rng)
+            assert got.basis is want.basis
+            diff = np.abs(got.probabilities() - want.probabilities())
+            assert np.max(diff) < 1e-12
 
     def test_damping_with_compensating_readout_passes_number_filter(self):
         # events where a lost excitation meets a 0->1 readout flip survive

@@ -12,6 +12,7 @@ from spinfcs.sector import (
     SectorBasis,
     SectorState,
     bits_to_word,
+    brickwork_layers,
     sector_basis,
     word_to_bits,
 )
@@ -138,6 +139,21 @@ def sector_cycle_matrix(n, k, params, order):
         state.apply_cycle(params, order)
         cols.append(state.amplitudes)
     return np.column_stack(cols)
+
+
+class TestBrickworkLayout:
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    def test_window_runs_the_layers_of_the_chain(self, order):
+        # a window of sites lo..lo+w-1 applies exactly the chain's bonds that
+        # lie inside it, in the chain's half-layer, whatever the parity of lo
+        n = 9
+        chain = brickwork_layers(n, 0, order)
+        for lo in range(n - 1):
+            for width in range(2, n - lo + 1):
+                window = brickwork_layers(width, lo, order)
+                for local, physical in zip(window, chain):
+                    inside = [b - lo for b in physical if lo <= b <= lo + width - 2]
+                    assert local == inside
 
 
 class TestCycle:
