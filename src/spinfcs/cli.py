@@ -46,13 +46,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _is_a(value, types) -> bool:
+    """isinstance, except that a JSON boolean is not a number (bool is an
+    int subclass)."""
+    types = types if isinstance(types, tuple) else (types,)
+    is_bool = isinstance(value, bool)
+    return isinstance(value, types) and (bool in types or not is_bool)
+
+
 def _require(cfg: dict, key: str, types, default=None, required=False):
-    if key not in cfg:
+    """cfg[key] checked against `types`; a dotted key ('noise.e0') names a
+    value of a sub-table and is looked up by its last part."""
+    name = key.rpartition(".")[2]
+    if name not in cfg:
         if required:
             raise ConfigError(f"config key '{key}' is required")
         return default
-    value = cfg[key]
-    if not isinstance(value, types):
+    value = cfg[name]
+    if not _is_a(value, types):
         raise ConfigError(
             f"config key '{key}': expected {types}, got {type(value).__name__}"
         )
@@ -68,7 +79,7 @@ def _parse_mu_list(raw) -> list[float]:
             if v != "inf":
                 raise ConfigError(f"config key 'mu': unknown value {v!r}")
             out.append(math.inf)
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        elif _is_a(v, (int, float)):
             if v < 0:
                 raise ConfigError(f"config key 'mu': must be >= 0, got {v}")
             out.append(float(v))
@@ -134,19 +145,30 @@ def _parse_config(cfg: dict) -> dict:
         for key in noise_cfg:
             if key not in known:
                 raise ConfigError(f"config key 'noise.{key}': unknown key")
-        t1 = noise_cfg.get("t1_cycles", math.inf)
+        number = (int, float)
+        t1 = _require(noise_cfg, "noise.t1_cycles", (*number, str), default=math.inf)
         if isinstance(t1, str):
             if t1 != "inf":
                 raise ConfigError(f"config key 'noise.t1_cycles': bad value {t1!r}")
             t1 = math.inf
+        rates = {
+            key: _require(noise_cfg, f"noise.{key}", (*number, list), default=0.0)
+            for key in ("e0", "e1")
+        }
+        for key, rate in rates.items():
+            if isinstance(rate, list) and (
+                len(rate) != n_qubits or not all(_is_a(r, number) for r in rate)
+            ):
+                raise ConfigError(
+                    f"config key 'noise.{key}': expected a number or a list of "
+                    f"{n_qubits} per-qubit numbers"
+                )
+        widths = {
+            key: _require(noise_cfg, f"noise.{key}", number, default=0.0)
+            for key in ("angle_jitter_sd", "dephasing_sd")
+        }
         try:
-            parsed["noise"] = NoiseConfig(
-                t1_cycles=t1,
-                e0=noise_cfg.get("e0", 0.0),
-                e1=noise_cfg.get("e1", 0.0),
-                angle_jitter_sd=noise_cfg.get("angle_jitter_sd", 0.0),
-                dephasing_sd=noise_cfg.get("dephasing_sd", 0.0),
-            )
+            parsed["noise"] = NoiseConfig(t1_cycles=t1, **rates, **widths)
         except ValueError as exc:
             raise ConfigError(f"config key 'noise': {exc}") from exc
     else:
@@ -164,7 +186,7 @@ def _parse_analysis(raw) -> dict | None:
         if (
             not isinstance(win, list)
             or len(win) != 2
-            or not all(isinstance(v, int) for v in win)
+            or not all(_is_a(v, int) for v in win)
         ):
             raise ConfigError(
                 "config key 'analysis.exponent_window': expected [t_min, t_max]"
@@ -172,19 +194,13 @@ def _parse_analysis(raw) -> dict | None:
         out["exponent_window"] = (win[0], win[1])
     if "collapse_gammas" in raw:
         gam = raw["collapse_gammas"]
-        if not isinstance(gam, list) or not all(
-            isinstance(v, (int, float)) for v in gam
-        ):
+        if not isinstance(gam, list) or not all(_is_a(v, (int, float)) for v in gam):
             raise ConfigError(
                 "config key 'analysis.collapse_gammas': expected a number list"
             )
         out["collapse_gammas"] = [float(g) for g in gam]
-        out["collapse_t_min"] = raw.get("collapse_t_min", 8)
-        if not isinstance(out["collapse_t_min"], int):
-            raise ConfigError("config key 'analysis.collapse_t_min': expected int")
-        out["collapse_knots"] = raw.get("collapse_knots", 12)
-        if not isinstance(out["collapse_knots"], int):
-            raise ConfigError("config key 'analysis.collapse_knots': expected int")
+        for key, default in (("collapse_t_min", 8), ("collapse_knots", 12)):
+            out[key] = _require(raw, f"analysis.{key}", int, default=default)
     known = {
         "exponent_window",
         "collapse_gammas",
@@ -222,81 +238,65 @@ def _write_moments(path, report: stats.MomentReport) -> None:
     _write_lines(path, lines)
 
 
-def _run_exact(parsed, out_dir, threads):
-    if parsed["n_qubits"] > parsed["cap_sites"]:
-        raise EnumerationCapError(
-            f"exact mode on {parsed['n_qubits']} sites exceeds the cap "
-            f"({parsed['cap_sites']}); switch \"mode\" to \"sampled\""
+def _run(parsed, out_dir, threads):
+    """Distributions and moments CSVs of every mu; returns the paths written
+    and the moment report of each mu."""
+    n, cycles = parsed["n_qubits"], parsed["cycles"]
+    params = FSimParams(
+        parsed["theta"], parsed["phi"], PhaseConvention(parsed["convention"])
+    )
+    order = LayerOrder(parsed["layer_order"])
+    if parsed["mode"] == "exact":
+        if n > parsed["cap_sites"]:
+            raise EnumerationCapError(
+                f"exact mode on {n} sites exceeds the cap "
+                f"({parsed['cap_sites']}); switch \"mode\" to \"sampled\""
+            )
+        tensor = transfer_tensor(n, cycles, params, order, threads=threads)
+
+        def per_mu(ens):
+            dists = [
+                distribution_from_tensor(tensor, t, ens) for t in range(cycles + 1)
+            ]
+            per_cycle = {d.cycles: (d.values, d.probabilities) for d in dists}
+            return per_cycle, stats.MomentReport.from_distributions(dists[1:])
+
+    else:
+        sample = sampler.SampleConfig(
+            n_initial_states=parsed["initial_states"],
+            shots_per_state=parsed["shots_per_state"],
+            seed=parsed["seed"],
+            relabel_enabled=parsed["relabel"],
         )
-    params = FSimParams(
-        parsed["theta"], parsed["phi"], PhaseConvention(parsed["convention"])
-    )
-    order = LayerOrder(parsed["layer_order"])
-    tensor = transfer_tensor(
-        parsed["n_qubits"], parsed["cycles"], params, order, threads=threads
-    )
-    outputs = []
-    series = {}
-    for mu in parsed["mu"]:
-        ens = ImbalanceEnsemble(mu, parsed["n_qubits"])
-        dists = [
-            distribution_from_tensor(tensor, t, ens)
-            for t in range(parsed["cycles"] + 1)
-        ]
-        per_cycle = {d.cycles: (d.values, d.probabilities) for d in dists}
-        tag = _mu_tag(mu)
-        dist_path = os.path.join(out_dir, f"distributions_mu{tag}.csv")
-        _write_distributions(dist_path, per_cycle)
-        outputs.append(dist_path)
-        report = stats.MomentReport.from_distributions(dists[1:])
-        mom_path = os.path.join(out_dir, f"moments_mu{tag}.csv")
-        _write_moments(mom_path, report)
-        outputs.append(mom_path)
-        series[mu] = report
-    return outputs, series
 
-
-def _run_sampled(parsed, out_dir, threads):
-    params = FSimParams(
-        parsed["theta"], parsed["phi"], PhaseConvention(parsed["convention"])
-    )
-    order = LayerOrder(parsed["layer_order"])
-    sample = sampler.SampleConfig(
-        n_initial_states=parsed["initial_states"],
-        shots_per_state=parsed["shots_per_state"],
-        seed=parsed["seed"],
-        relabel_enabled=parsed["relabel"],
-    )
-    outputs = []
-    series = {}
-    for mu in parsed["mu"]:
-        ens = ImbalanceEnsemble(mu, parsed["n_qubits"])
-        runs = []
-        for t in range(1, parsed["cycles"] + 1):
-            config = ChainConfig(parsed["n_qubits"], t, params, order)
-            runs.append(
+        def per_mu(ens):
+            runs = [
                 sampler.run_sampled(
                     ens,
-                    config,
+                    ChainConfig(n, t, params, order),
                     sample,
                     noise=parsed["noise"],
                     postselect_mode=parsed["postselect"],
                     threads=threads,
                 )
-            )
-        per_cycle = {}
-        half = parsed["n_qubits"] // 2
-        for run in runs:
-            rows = run.per_state_distributions().mean(axis=0)
-            per_cycle[run.cycles] = (2 * np.arange(-half, half + 1), rows)
+                for t in range(1, cycles + 1)
+            ]
+            per_cycle = {
+                run.cycles: (run.grid, run.per_state_distributions().mean(axis=0))
+                for run in runs
+            }
+            return per_cycle, sampler.moment_report(runs)
+
+    outputs = []
+    series = {}
+    for mu in parsed["mu"]:
+        per_cycle, report = per_mu(ImbalanceEnsemble(mu, n))
         tag = _mu_tag(mu)
         dist_path = os.path.join(out_dir, f"distributions_mu{tag}.csv")
         _write_distributions(dist_path, per_cycle)
-        outputs.append(dist_path)
-        report = sampler.moment_report(runs)
         mom_path = os.path.join(out_dir, f"moments_mu{tag}.csv")
         _write_moments(mom_path, report)
-        outputs.append(mom_path)
+        outputs += [dist_path, mom_path]
         series[mu] = report
     return outputs, series
 
@@ -381,10 +381,7 @@ def cmd_run(args) -> int:
             parsed["seed"] = args.seed
         out_dir = _resolve_out(args.out)
         os.makedirs(out_dir, exist_ok=True)
-        if parsed["mode"] == "exact":
-            outputs, series = _run_exact(parsed, out_dir, args.threads)
-        else:
-            outputs, series = _run_sampled(parsed, out_dir, args.threads)
+        outputs, series = _run(parsed, out_dir, args.threads)
         outputs.extend(_write_analysis(parsed, series, out_dir))
     except (ConfigError, EnumerationCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -414,31 +411,24 @@ def _read_distribution_csv(path):
         raise SchemaError(
             f"{os.path.basename(path)}: expected header '{DIST_HEADER}', got '{got}'"
         )
+    columns = (
+        ("cycle", int, "an integer"),
+        ("M", int, "an integer"),
+        ("probability", float, "a float"),
+    )
     rows = {}
     for i, line in enumerate(lines[1:], start=2):
+        where = f"{os.path.basename(path)}:{i}"
         parts = line.split(",")
         if len(parts) != 3:
-            raise SchemaError(
-                f"{os.path.basename(path)}:{i}: expected 3 columns, got {len(parts)}"
-            )
-        try:
-            t = int(parts[0])
-        except ValueError:
-            raise SchemaError(
-                f"{os.path.basename(path)}:{i}: column 'cycle' is not an integer"
-            ) from None
-        try:
-            m = int(parts[1])
-        except ValueError:
-            raise SchemaError(
-                f"{os.path.basename(path)}:{i}: column 'M' is not an integer"
-            ) from None
-        try:
-            p = float(parts[2])
-        except ValueError:
-            raise SchemaError(
-                f"{os.path.basename(path)}:{i}: column 'probability' is not a float"
-            ) from None
+            raise SchemaError(f"{where}: expected 3 columns, got {len(parts)}")
+        values = []
+        for text, (column, kind, noun) in zip(parts, columns):
+            try:
+                values.append(kind(text))
+            except ValueError:
+                raise SchemaError(f"{where}: column '{column}' is not {noun}") from None
+        t, m, p = values
         rows.setdefault(t, []).append((m, p))
     per_cycle = {}
     for t, pairs in rows.items():

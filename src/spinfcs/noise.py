@@ -2,8 +2,11 @@
 
 Amplitude damping is unraveled as stochastic quantum jumps: between gate
 layers every qubit decays with a per-half-layer probability
-1 - exp(-1/(2 T1)), uniform across qubits.  Qubits outside the light cone
-never see gates and reduce to classical bits decaying with 1 - exp(-t/T1).
+p = 1 - exp(-1/(2 T1)), uniform across qubits, so a state with N
+excitations makes Binomial(N, p) jumps per half-layer whatever its
+amplitudes; only which sites jump depends on them.  Qubits outside the
+light cone never see gates and reduce to classical bits decaying with
+1 - exp(-t/T1).
 Readout errors flip measured bits at independent 0->1 and 1->0 rates.  The
 causal filter rejects measured bitstrings whose excitation rearrangement
 needs more half-layers than the circuit contained.
@@ -62,34 +65,25 @@ class NoiseConfig:
 def damping_step(state: SectorState, p_decay: float, rng) -> SectorState:
     """One stochastic amplitude-damping step on every qubit of a state.
 
-    Each qubit, in site order, either jumps (its excitation is removed and
-    the state drops one sector) with probability p_decay * <n_q>, or the
-    no-jump back-action damps its occupied amplitudes.  Exactly one random
-    number is drawn per qubit.
+    Damping is uniform, so on a sector with N excitations the no-jump Kraus
+    product is the scalar (1 - p_decay)^(N/2): the step makes
+    j ~ Binomial(N, p_decay) jumps whatever the state.  Which sites S jump
+    has probability proportional to ||sigma^-_S psi||^2; lowering one site
+    at a time, each drawn with probability <n_q>/N of the current state,
+    samples exactly that law.  Returns a new state; the input is unchanged.
     """
-    if p_decay == 0.0:
-        return state
-    n = state.basis.n_sites
-    for q in range(n):
+    for _ in range(rng.binomial(state.basis.n_excitations, p_decay)):
         basis = state.basis
-        if basis.n_excitations == 0:
-            rng.random(n - q)  # keep the stream aligned
-            break
-        bit = np.uint64(1 << (n - 1 - q))
+        occupation = state.probabilities() @ basis.site_bits()
+        q = rng.choice(basis.n_sites, p=occupation / occupation.sum())
+        bit = np.uint64(1 << (basis.n_sites - 1 - q))
         occupied = (basis.words & bit) != 0
-        amps = state.amplitudes
-        p1 = float(np.sum(np.abs(amps[occupied]) ** 2))
-        if rng.random() < p_decay * p1:
-            lowered = sector_basis(n, basis.n_excitations - 1)
-            new_words = basis.words[occupied] & ~bit
-            idx = np.searchsorted(lowered.words, new_words)
-            new_amps = np.zeros(lowered.dimension, dtype=np.complex128)
-            new_amps[idx] = amps[occupied]
-            norm = np.linalg.norm(new_amps)
-            state = SectorState(lowered, new_amps / norm)
-        else:
-            amps[occupied] *= math.sqrt(1.0 - p_decay)
-            state.amplitudes = amps / np.linalg.norm(amps)
+        lowered = sector_basis(basis.n_sites, basis.n_excitations - 1)
+        amps = np.zeros(lowered.dimension, dtype=np.complex128)
+        amps[np.searchsorted(lowered.words, basis.words[occupied] & ~bit)] = (
+            state.amplitudes[occupied]
+        )
+        state = SectorState(lowered, amps / np.linalg.norm(amps))
     return state
 
 

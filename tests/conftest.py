@@ -1,15 +1,19 @@
-"""Shared test fixtures and the dense brute-force oracle.
+"""Shared test fixtures, the dense brute-force oracle and the dense
+density-matrix reference for noise.
 
 The oracle builds full 2^n statevectors from explicit 4x4 kron products and
 never touches the package's sector machinery, so it is an independent check
-of the evolution engine.  Site 0 is the most significant bit, matching the
-package convention.
+of the evolution engine.  The density-matrix reference evolves rho on 2^n
+with the Kraus operators of amplitude damping and the readout channel, so it
+checks the noise trajectories against the channel they unravel.  Site 0 is
+the most significant bit, matching the package convention.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 
 def dense_fsim(theta, phi, convention="tail"):
@@ -81,6 +85,61 @@ def dense_exact_pm(n, t, theta, phi, mu, convention="tail", order="even_first"):
             m = 2 * (nr[wf] - nr[wi])
             pm[m] = pm.get(m, 0.0) + weight * pr
     return pm
+
+
+def dense_damping(rho, n, p_decay):
+    """Amplitude damping of a 2^n density matrix on every qubit, through the
+    Kraus pair K0 = diag(1, sqrt(1 - p)), K1 = sqrt(p) |0><1|."""
+    kraus = [
+        np.diag([1.0, math.sqrt(1.0 - p_decay)]),
+        np.array([[0.0, math.sqrt(p_decay)], [0.0, 0.0]]),
+    ]
+    for site in range(n):
+        left, right = np.eye(2**site), np.eye(2 ** (n - site - 1))
+        ks = [np.kron(np.kron(left, k), right) for k in kraus]
+        rho = sum(k @ rho @ k.conj().T for k in ks)
+    return rho
+
+
+def dense_noisy_measured_probabilities(word, n, t, theta, phi, p_decay, e0, e1):
+    """Probability of every measured n-site word, index = word, after t
+    noisy even-first brickwork cycles from the basis state |word>.
+
+    The density matrix is evolved half-layer by half-layer: the layer's
+    gates, then amplitude damping on every qubit.  Readout is the classical
+    channel that flips a true 0 to 1 with probability e0 and a true 1 to 0
+    with probability e1, independently per qubit.
+    """
+    u4 = dense_fsim(theta, phi)
+    even = list(range(0, n - 1, 2))
+    odd = list(range(1, n - 1, 2))
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[word, word] = 1.0
+    for layer in [even, odd] * t:
+        for bond in layer:
+            g = dense_gate_on_bond(n, bond, u4)
+            rho = g @ rho @ g.conj().T
+        rho = dense_damping(rho, n, p_decay)
+    flip = np.array([[1.0 - e0, e1], [e0, 1.0 - e1]])  # [measured, true]
+    readout = np.ones((1, 1))
+    for _ in range(n):
+        readout = np.kron(readout, flip)
+    return readout @ np.real(np.diag(rho))
+
+
+def chi_square_p_value(observed, expected):
+    """Pearson chi-square p-value of counts against expected counts; bins
+    with an expected count under 5 are pooled into one bin, and bins the
+    reference gives no mass must be empty."""
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert not observed[expected == 0].any(), "counts where the reference has none"
+    observed, expected = observed[expected > 0], expected[expected > 0]
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return stats.chisquare(observed, expected).pvalue
 
 
 def dense_moments(pm):

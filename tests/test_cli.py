@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import REFERENCE_KURTOSIS
+
 from spinfcs import cli
 from spinfcs.cli import main
 from spinfcs.stats import fit_dynamical_exponent
@@ -106,9 +108,12 @@ class TestRunExact:
         assert "sampled" in capsys.readouterr().err
 
     def test_bad_key_named_in_diagnostic(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", cycles="two")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert "'cycles'" in capsys.readouterr().err
+        # a JSON boolean is no number, although bool is an int subclass
+        for value in ("two", True):
+            cfg = write_config(tmp_path / "cfg.json", cycles=value)
+            out = str(tmp_path / "o")
+            assert main(["run", "--config", str(cfg), "--out", out]) == 1
+            assert "'cycles'" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json", cycles=1)
@@ -197,6 +202,51 @@ class TestRunSampled:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mode"] == "noisy-sampled"
+
+
+class TestConfigValidation:
+    NOISY = dict(
+        mode="noisy-sampled",
+        cycles=1,
+        mu=0.5,
+        n_qubits=4,
+        initial_states=2,
+        shots_per_state=10,
+        noise={"t1_cycles": 4.0},
+    )
+
+    BOOLEANS = {
+        "theta": {"theta": True},
+        "seed": {"seed": False},
+        "noise.t1_cycles": {"noise": {"t1_cycles": True}},
+        "noise.dephasing_sd": {"noise": {"dephasing_sd": False}},
+        "noise.e1": {"noise": {"e1": [0.1, True, 0.1, 0.1]}},
+        "analysis.exponent_window": {"analysis": {"exponent_window": [True, 2]}},
+        "analysis.collapse_knots": {
+            "analysis": {"collapse_gammas": [0.5], "collapse_knots": True}
+        },
+    }
+
+    @pytest.mark.parametrize("key, overrides", BOOLEANS.items(), ids=list(BOOLEANS))
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **{**self.NOISY, **overrides})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("key", ["e0", "e1"])
+    def test_per_qubit_rates_need_one_rate_per_qubit(self, tmp_path, capsys, key):
+        noise = {"t1_cycles": 4.0, key: [0.01, 0.02, 0.03]}
+        cfg = write_config(tmp_path / "cfg.json", **{**self.NOISY, "noise": noise})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key 'noise.{key}'")
+        assert "4 per-qubit" in err
+        assert not list(out.glob("*.csv"))  # refused before any trajectory
+        noise[key] = [0.01, 0.02, 0.03, 0.04]
+        cfg = write_config(tmp_path / "cfg.json", **{**self.NOISY, "noise": noise})
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 class TestAnalysisArtifacts:

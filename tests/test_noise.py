@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import chi_square_p_value, dense_cycle, dense_damping
 from scipy.optimize import curve_fit
+from scipy.stats import binom
 
 from spinfcs.gates import FSimParams, LayerOrder
 from spinfcs.noise import (
@@ -149,6 +151,33 @@ class TestDamping:
             yields.append(np.mean(out.sum(axis=1) == n_ones))
         popt, _ = curve_fit(lambda t, tau: np.exp(-n_ones * t / tau), ts, yields)
         assert abs(popt[0] - 4.0) / 4.0 < 0.1
+
+    def test_jumps_on_an_entangled_state_follow_the_kraus_channel(self):
+        # on a fixed-N sector the no-jump Kraus product is a scalar, so the
+        # number of jumps is Binomial(N, p) whatever the amplitudes; the
+        # measured words follow the damped density matrix
+        n, p, draws = 6, 0.3, 4000
+        theta, phi = 0.4 * np.pi, 0.8 * np.pi
+        state = SectorState.from_bitstring([1, 1, 0, 1, 0, 0])
+        for _ in range(2):
+            state.apply_cycle(FSimParams(theta, phi))
+        before = state.amplitudes.copy()
+        rng = np.random.default_rng(31)
+        jumps, words = [], []
+        for _ in range(draws):
+            damped = damping_step(state, p, rng)
+            jumps.append(3 - damped.basis.n_excitations)
+            idx = rng.choice(damped.basis.dimension, p=damped.probabilities())
+            words.append(damped.basis.words[idx])
+        assert np.array_equal(state.amplitudes, before)  # input left unchanged
+        expected = draws * binom.pmf(np.arange(4), 3, p)
+        assert chi_square_p_value(np.bincount(jumps, minlength=4), expected) > 1e-3
+        u = np.linalg.matrix_power(dense_cycle(n, theta, phi), 2)
+        psi = u[:, 0b110100]
+        rho = dense_damping(np.outer(psi, psi.conj()), n, p)
+        expected = draws * np.real(np.diag(rho))
+        observed = np.bincount(np.array(words, dtype=np.int64), minlength=2**n)
+        assert chi_square_p_value(observed, expected) > 1e-3
 
     def test_damping_step_preserves_norm(self):
         rng = np.random.default_rng(21)

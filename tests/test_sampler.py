@@ -4,6 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import (
+    chi_square_p_value,
+    dense_noisy_measured_probabilities,
+    dense_right_ones,
+)
 
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import ImbalanceEnsemble, exact_distribution
@@ -274,6 +279,32 @@ class TestNoisyPipeline:
             assert got.basis is want.basis
             diff = np.abs(got.probabilities() - want.probabilities())
             assert np.max(diff) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["none", "number_only"])
+    def test_domain_wall_counts_match_the_density_matrix(self, mode):
+        # damping and readout trajectories against the channel they unravel
+        n, t = 6, 3
+        assert _window_bounds(n, t) == (0, n)  # the window is the whole chain
+        noise = NoiseConfig(t1_cycles=2.0, e0=0.05, e1=0.1)
+        run = run_sampled(
+            ImbalanceEnsemble(math.inf, n),
+            ChainConfig(n, t, HEIS),
+            SampleConfig(20, 200, seed=2024),
+            noise=noise,
+            postselect_mode=mode,
+        )
+        wall = 0b111000
+        measured = dense_noisy_measured_probabilities(
+            wall, n, t, HEIS.theta, HEIS.phi, noise.half_layer_decay, 0.05, 0.1
+        )
+        # tally column n/2 + N_R(measured) - N_R(wall), with N_R(wall) = 0
+        expected = np.zeros(n + 1)
+        for word, prob in enumerate(measured):
+            if mode == "none" or word.bit_count() == wall.bit_count():
+                expected[n // 2 + dense_right_ones(word, n)] += prob
+        counts = run.pooled_counts()
+        expected *= counts.sum() / expected.sum()
+        assert chi_square_p_value(counts, expected) > 1e-3
 
     def test_damping_with_compensating_readout_passes_number_filter(self):
         # events where a lost excitation meets a 0->1 readout flip survive
