@@ -7,12 +7,7 @@ modeling, post-selection, and universality-class diagnostics.
 
 __version__ = "0.1.0"
 
-from .circuit import (
-    ChainConfig,
-    anisotropy,
-    eta_lambda_roundtrip,
-    transport_regime,
-)
+from .circuit import ChainConfig, anisotropy
 from .ensemble import (
     ImbalanceEnsemble,
     TransferDistribution,
@@ -79,7 +74,6 @@ __all__ = [
     "distribution_from_tensor",
     "distribution_moments",
     "estimate_powers",
-    "eta_lambda_roundtrip",
     "exact_distribution",
     "exact_distributions",
     "fit_dynamical_exponent",
@@ -97,6 +91,5 @@ __all__ = [
     "symmetrize",
     "transfer_tensor",
     "transferred_magnetization",
-    "transport_regime",
     "weighted_cycle_average",
 ]

@@ -1,12 +1,8 @@
-"""Chain-level configuration, anisotropy mapping, and regime classification."""
+"""Chain-level configuration and the anisotropy of the gate parameters."""
 
-import cmath
-import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .errors import BranchSolutionError, UnderResolvedError
+from .errors import UnderResolvedError
 from .gates import FSimParams, LayerOrder
 
 
@@ -47,80 +43,3 @@ class ChainConfig:
 def anisotropy(params: FSimParams) -> float:
     """Anisotropy ratio sin(phi/2)/sin(theta) of the gate parameters."""
     return params.anisotropy()
-
-
-def transport_regime(delta: float, tol: float = 1e-9) -> str:
-    """Classify the expected transport regime from the anisotropy.
-
-    Labeling only; numerical code never branches on the result.
-    """
-    if abs(delta - 1.0) <= tol:
-        return "superdiffusive"
-    return "ballistic" if delta < 1.0 else "diffusive"
-
-
-def eta_lambda_roundtrip(delta: float, theta: float) -> tuple[complex, complex]:
-    """Map (anisotropy, swap angle) to the (eta, lambda) gate parameterization.
-
-    Solves tan^2(theta) = -sin^2(lambda)/sin^2(eta) with delta = cos(eta),
-    then fixes the sign of lambda with the phase relation
-    tan(phi/2) = i tan(lambda)/tan(eta).  For delta < 1, eta is real and
-    lambda imaginary; for delta > 1, eta is imaginary and lambda real.  The
-    returned pair reproduces delta = sin(phi/2)/sin(theta) to 1e-10.
-
-    Raises:
-        BranchSolutionError: if no solution exists in the declared branch.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    st = math.sin(theta)
-    if st == 0.0:
-        raise ValueError("theta with sin(theta)=0 has no parameterization")
-    if abs(delta - 1.0) <= 1e-12:
-        # Both defining relations degenerate identically as eta -> 0.
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    tt2 = math.tan(theta) ** 2
-
-    if delta < 1.0:
-        eta = complex(math.acos(delta))
-        # lambda = i*v with sinh^2(v) = tan^2(theta) sin^2(eta)
-        sin_eta2 = math.sin(eta.real) ** 2
-
-        def magnitude_gap(v):
-            return math.sinh(v) ** 2 / sin_eta2 - tt2
-
-        hi = 1.0
-        while magnitude_gap(hi) < 0.0:
-            hi *= 2.0
-        v = brentq(magnitude_gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-        candidates = [1j * v, -1j * v]
-    else:
-        u = math.acosh(delta)
-        eta = 1j * u
-        # lambda real with sin^2(lambda) = tan^2(theta) sinh^2(u)
-        s = abs(math.tan(theta)) * math.sinh(u)
-        if s > 1.0:
-            raise BranchSolutionError(
-                f"no real lambda: |tan(theta)| sinh(u) = {s:.6g} > 1 "
-                f"(delta={delta:.6g}, theta={theta:.6g})"
-            )
-
-        def magnitude_gap(lam):
-            return math.sin(lam) ** 2 / math.sinh(u) ** 2 - tt2
-
-        lam0 = brentq(magnitude_gap, 0.0, math.pi / 2, xtol=1e-15, rtol=8.9e-16)
-        candidates = [lam0, -lam0 + 0j]
-
-    best = None
-    for lam in candidates:
-        phi_half = cmath.atan(1j * cmath.tan(lam) / cmath.tan(eta))
-        recovered = cmath.sin(phi_half) / st
-        err = abs(recovered - delta)
-        if best is None or err < best[0]:
-            best = (err, complex(lam))
-    err, lam = best
-    if err > 1e-10:
-        raise BranchSolutionError(
-            f"round trip failed: |recovered - delta| = {err:.3g}"
-        )
-    return eta, lam

@@ -180,6 +180,8 @@ def _parse_config(cfg: dict) -> dict:
 def _parse_analysis(raw) -> dict | None:
     if raw is None:
         return None
+    if not isinstance(raw, dict):
+        raise ConfigError("config key 'analysis': expected an object")
     out = {}
     if "exponent_window" in raw:
         win = raw["exponent_window"]
@@ -455,7 +457,7 @@ def cmd_analyze(args) -> int:
             raw = json.load(fh)
         if isinstance(raw, dict) and "analysis" in raw:
             raw = raw["analysis"]  # accept a full run config too
-        analysis = _parse_analysis(raw if raw else None)
+        analysis = _parse_analysis(raw)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read analysis config: {exc}", file=sys.stderr)
         return 1

@@ -25,10 +25,6 @@ class UndefinedAnisotropyError(SpinFcsError):
     """sin(theta) = 0, so the anisotropy ratio is undefined."""
 
 
-class BranchSolutionError(SpinFcsError):
-    """No (eta, lambda) solution exists in the declared branch."""
-
-
 class UndefinedMomentsError(SpinFcsError):
     """Skewness/kurtosis requested for a distribution with zero variance."""
 

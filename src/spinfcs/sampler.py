@@ -7,20 +7,26 @@ every (cycle, initial state) owns a Philox stream keyed by the master seed,
 and within a state the initial-bit draw and each shot live in disjoint
 counter blocks.  Results therefore depend only on (seed, configuration).
 
-Every initial state takes one of two routes to its measured bitstrings:
+Every initial state evolves only the 2t-site light-cone window around the
+cut; sites outside it never see a gate and keep their prepared bits.  The
+state then takes one of two routes to its measured bitstrings:
 
-* noiseless: the whole chain is evolved once, and all shots are drawn from
-  its exact outcome distribution (counter block 1);
+* noiseless: the window is evolved once, and all shots are drawn from its
+  exact outcome distribution (counter block 1);
 * noisy: each shot is its own trajectory (counter block 1 + shot) on the
-  2t-site light-cone window around the cut, drawing its disorder, then one
-  damping step per half-layer, the measurement, the classical decay of the
-  sites left and right of the window, and the readout flips, in that order.
-  Sites outside the window never see a gate.
+  window, drawing its disorder, then one damping step per half-layer, the
+  measurement, the classical decay of the sites left and right of the
+  window, and the readout flips, in that order.
 
 Both routes run the same brickwork layout, anchored to physical sites, and
 end in the same tail: undo the relabeling, post-select (the popcount must
 match the initial state's, and in causal mode the word must also pass the
 causal filter, evaluated once per distinct word), and tally.
+
+The window is exact for the ensemble average, not for one initial state:
+a per-state histogram is that of the window, while the uniform average
+over i.i.d. initial states, and its jackknife over them, are those of the
+whole chain.
 
 Per-state tallies live on the full grid of right-half count changes,
 -n/2..n/2, because noisy number-only-filtered outcomes can land outside the
@@ -230,15 +236,16 @@ def _state_record(ens, config, sample, noise, state_index, postselect_mode):
         phys, flagged = relabel_if_overfull(bits)
     else:
         phys, flagged = bits.copy(), False
+    lo, hi = _window_bounds(n, t)
+    measured = np.tile(phys, (shots, 1))
     if noise is None:
-        state = _trajectory(phys, 0, n, config, _NOISELESS, None)
-        outcomes = _measure_indices(
-            state.probabilities(), _philox(sample.seed, sub, 1), shots
-        )
-        measured = word_to_bits(state.basis.words[outcomes], n)
+        if hi > lo:
+            state = _trajectory(phys, lo, hi, config, _NOISELESS, None)
+            outcomes = _measure_indices(
+                state.probabilities(), _philox(sample.seed, sub, 1), shots
+            )
+            measured[:, lo:hi] = word_to_bits(state.basis.words[outcomes], hi - lo)
     else:
-        lo, hi = _window_bounds(n, t)
-        measured = np.empty((shots, n), dtype=np.int64)
         for shot, row in enumerate(measured):
             rng = _philox(sample.seed, sub, 1 + shot)
             if hi > lo:
@@ -277,11 +284,12 @@ def run_sampled(
     postselect_mode: str = "number_only",
     threads: int = 1,
 ) -> SampledRun:
-    """Sample the experiment: draw initial states, evolve, measure shots,
-    filter, and tally per-state M histograms.
+    """Sample the experiment: draw initial states, evolve their 2t-site
+    light-cone windows, measure shots, filter, and tally per-state M
+    histograms.
 
-    With `noise=None` each state is evolved once and shots are drawn from
-    the exact outcome distribution; with noise every shot is an independent
+    With `noise=None` each window is evolved once and shots are drawn from
+    its exact outcome distribution; with noise every shot is an independent
     trajectory (disorder realizations included).  Output is bitwise
     independent of `threads`.
     """
@@ -321,19 +329,21 @@ def run_sampled(
 
 def moment_report(runs: list[SampledRun]) -> stats.MomentReport:
     """Per-cycle moments of sampled runs with delete-one jackknife sigmas
-    over initial states (zero for a single surviving state)."""
+    over initial states (zero for a single surviving state).
+
+    The delete-one mean histograms are formed at once as (S - x_i)/(N - 1)
+    from the sum S of the N per-state histograms."""
     rows = []
     sigmas = []
     for run in runs:
-        states = list(run.per_state_distributions())
+        states = run.per_state_distributions()
         grid = run.grid.astype(float)
-
-        def row(subset):
-            return stats.moment_row((grid, np.mean(subset, axis=0)))
-
-        rows.append(row(states))
-        if len(states) >= 2:
-            sigmas.append(stats.jackknife_sigma(row, states).sigma)
+        rows.append(stats.moment_row((grid, states.mean(axis=0))))
+        n = len(states)
+        if n >= 2:
+            deleted = (states.sum(axis=0) - states) / (n - 1)
+            estimates = [stats.moment_row((grid, mean)) for mean in deleted]
+            sigmas.append(stats.jackknife_from_estimates(estimates, rows[-1]).sigma)
         else:
             sigmas.append(np.zeros(4))
     return stats.MomentReport([run.cycles for run in runs], rows, sigmas)

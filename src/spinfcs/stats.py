@@ -140,11 +140,8 @@ def jackknife_sigma(statistic, states) -> JackknifeResult:
     """Delete-one jackknife uncertainty of `statistic` over `states`.
 
     `statistic` maps a list of states to a float or to a 1-D array; it is
-    re-evaluated with each state removed.  Returns the uncertainty
-    sigma = sqrt((N-1)/N * sum_i (theta_(i) - theta_(.))^2) together with
-    the jackknife bias estimate (N-1)(theta_(.) - theta_full), per
-    component for an array statistic (each component bit-identical to a
-    scalar call on it) and as floats for a scalar one.
+    re-evaluated with each state removed, and the estimates are reduced by
+    `jackknife_from_estimates`.
     """
     states = list(states)
     n = len(states)
@@ -153,12 +150,26 @@ def jackknife_sigma(statistic, states) -> JackknifeResult:
     estimates = np.array(
         [statistic(states[:i] + states[i + 1 :]) for i in range(n)]
     )
+    return jackknife_from_estimates(estimates, statistic(states))
+
+
+def jackknife_from_estimates(estimates, full) -> JackknifeResult:
+    """Jackknife uncertainty from the delete-one estimates (one per deleted
+    state, in rows) and the full-sample value `full`.
+
+    Returns sigma = sqrt((N-1)/N * sum_i (theta_(i) - theta_(.))^2) together
+    with the bias estimate (N-1)(theta_(.) - theta_full), per component for
+    array estimates (each component bit-identical to a scalar call on it)
+    and as floats for scalar ones.
+    """
+    estimates = np.asarray(estimates, dtype=float)
+    n = len(estimates)
     # one contiguous row per component: each reduces like a scalar series
     per_component = np.ascontiguousarray(estimates.reshape(n, -1).T)
     center = per_component.mean(axis=1)
     spread = np.sum((per_component - center[:, None]) ** 2, axis=1)
     sigma = np.sqrt((n - 1) / n * spread)
-    bias = (n - 1) * (center - np.ravel(statistic(states)))
+    bias = (n - 1) * (center - np.ravel(full))
     if estimates.ndim == 1:
         return JackknifeResult(float(sigma[0]), float(bias[0]), estimates)
     return JackknifeResult(sigma, bias, estimates)

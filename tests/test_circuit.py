@@ -1,16 +1,8 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 
-from spinfcs.circuit import (
-    ChainConfig,
-    anisotropy,
-    eta_lambda_roundtrip,
-    transport_regime,
-)
-from spinfcs.errors import BranchSolutionError, UnderResolvedError
+from spinfcs.circuit import ChainConfig, anisotropy
+from spinfcs.errors import UnderResolvedError
 from spinfcs.gates import FSimParams
 
 
@@ -48,50 +40,3 @@ class TestAnisotropy:
         a = anisotropy(FSimParams(0.3 * np.pi, 0.5 * np.pi))
         b = anisotropy(FSimParams(np.pi - 0.3 * np.pi, 0.5 * np.pi))
         assert a == b
-
-    def test_regime_labels(self):
-        assert transport_regime(0.5) == "ballistic"
-        assert transport_regime(1.0) == "superdiffusive"
-        assert transport_regime(1.0 + 5e-10) == "superdiffusive"
-        assert transport_regime(1.0 + 5e-9) == "diffusive"
-        assert transport_regime(1.6) == "diffusive"
-
-
-def recovered_delta(eta, lam, theta):
-    phi_half = cmath.atan(1j * cmath.tan(lam) / cmath.tan(eta))
-    return cmath.sin(phi_half) / math.sin(theta)
-
-
-class TestEtaLambda:
-    def test_isotropic_limit_degenerates(self):
-        eta, lam = eta_lambda_roundtrip(1.0, 0.4 * np.pi)
-        assert eta == 0.0 and lam == 0.0
-
-    @pytest.mark.parametrize("delta", [0.16, 0.5, 0.9, 0.999])
-    def test_gapless_branch_roundtrip(self, delta):
-        theta = 0.4 * np.pi
-        eta, lam = eta_lambda_roundtrip(delta, theta)
-        assert eta.imag == 0.0 and eta.real > 0.0  # eta real
-        assert lam.real == 0.0  # lambda imaginary
-        assert abs(recovered_delta(eta, lam, theta) - delta) < 1e-10
-        # magnitude relation tan^2(theta) = -sin^2(lambda)/sin^2(eta)
-        lhs = math.tan(theta) ** 2
-        rhs = -(cmath.sin(lam) ** 2) / cmath.sin(eta) ** 2
-        assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
-
-    @pytest.mark.parametrize("delta,theta", [(1.2, 0.2 * np.pi), (1.589, 0.17 * np.pi)])
-    def test_gapped_branch_roundtrip(self, delta, theta):
-        eta, lam = eta_lambda_roundtrip(delta, theta)
-        assert eta.real == 0.0 and eta.imag != 0.0  # eta imaginary
-        assert lam.imag == 0.0  # lambda real
-        assert abs(recovered_delta(eta, lam, theta) - delta) < 1e-10
-
-    def test_gapped_branch_without_solution(self):
-        with pytest.raises(BranchSolutionError):
-            eta_lambda_roundtrip(2.0, 0.4 * np.pi)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            eta_lambda_roundtrip(-0.5, 0.3)
-        with pytest.raises(ValueError):
-            eta_lambda_roundtrip(0.5, 0.0)

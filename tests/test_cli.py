@@ -386,6 +386,23 @@ class TestAnalysisArtifacts:
         assert code == 1
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [5, [1, 2], "exponent_window"])
+    def test_analysis_config_must_be_an_object(self, tmp_path, capsys, raw):
+        (tmp_path / "an.json").write_text(json.dumps(raw))
+        code = main(
+            [
+                "analyze",
+                "--input",
+                str(tmp_path),
+                "--config",
+                str(tmp_path / "an.json"),
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "'analysis': expected an object" in capsys.readouterr().err
+
 
 class TestExponentFit:
     def test_mu_zero_row_is_fitted_to_the_variance(self, tmp_path):

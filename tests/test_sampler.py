@@ -11,7 +11,12 @@ from conftest import (
 )
 
 from spinfcs.circuit import ChainConfig
-from spinfcs.ensemble import ImbalanceEnsemble, exact_distribution
+from spinfcs.ensemble import (
+    ImbalanceEnsemble,
+    distribution_from_tensor,
+    exact_distribution,
+    transfer_tensor,
+)
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import NoiseConfig
 from spinfcs.sampler import (
@@ -27,8 +32,13 @@ from spinfcs.sampler import (
     run_sampled,
     sample_initial,
 )
-from spinfcs.sector import SectorState
-from spinfcs.stats import MomentReport, distribution_moments
+from spinfcs.sector import SectorState, word_to_bits
+from spinfcs.stats import (
+    MomentReport,
+    distribution_moments,
+    jackknife_sigma,
+    moment_row,
+)
 
 
 HEIS = FSimParams(0.4 * np.pi, 0.8 * np.pi)
@@ -161,6 +171,73 @@ class TestAgainstExact:
             )
             assert run.yield_fraction() == 1.0
             assert run.dropped_states == []
+
+
+class TestLightConeWindow:
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_window_ensemble_average_equals_the_tensor(self, n, convention, order):
+        # every initial word, weighted by the ensemble, through the 2t-site
+        # window the sampler evolves: the average is the whole-chain P(M)
+        params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+        half = n // 2
+        words = word_to_bits(np.arange(2**n), n)
+        counts = words[:, :half].sum(axis=1), words[:, half:].sum(axis=1)
+        for t in range(1, half):
+            config = ChainConfig(n, t, params, order)
+            T = transfer_tensor(n, t, params, order)
+            lo, hi = _window_bounds(n, t)
+            assert hi - lo == 2 * t < n
+            window_right = {}  # P(r ones in the window's right half) per word
+
+            def right_ones(phys):
+                key = tuple(phys[lo:hi])
+                if key not in window_right:
+                    state = _trajectory(phys, lo, hi, config, NoiseConfig(), None)
+                    window_right[key] = np.bincount(
+                        state.basis.right_ones(),
+                        weights=state.probabilities(),
+                        minlength=t + 1,
+                    )
+                return window_right[key]
+
+            for mu in (0.0, 0.5):
+                ens = ImbalanceEnsemble(mu, n)
+                want = distribution_from_tensor(T, t, ens).probabilities
+                for relabel in (False, True):
+                    got = np.zeros(2 * t + 1)
+                    for bits, a, b in zip(words, *counts):
+                        phys, flagged = (
+                            relabel_if_overfull(bits) if relabel else (bits, False)
+                        )
+                        p_right = right_ones(phys)
+                        if flagged:
+                            p_right = p_right[::-1]  # complement of t sites
+                        before = bits[half:hi].sum()
+                        weight = ens.word_probability_by_counts(a, b)
+                        got[t - before : 2 * t + 1 - before] += weight * p_right
+                    assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_sampled_moments_on_a_window_smaller_than_the_chain(self):
+        n, t = 12, 2
+        assert _window_bounds(n, t) == (4, 8)
+        ens = ImbalanceEnsemble(0.5, n)
+        config = ChainConfig(n, t, HEIS)
+        exact = distribution_moments(exact_distribution(ens, config))
+        run = run_sampled(ens, config, SampleConfig(400, 200, seed=12))
+        report = moment_report([run])
+        got = report.rows[0]
+        assert np.all(np.abs(got - exact) < 5 * report.sigmas[0])
+
+    def test_paper_chain_length_runs_on_its_window(self):
+        # the whole 46-site chain would be a sector of C(46, 23) ~ 8e12 words
+        n, t = 46, 3
+        run = run_sampled(
+            ImbalanceEnsemble(0.0, n), ChainConfig(n, t, HEIS), SampleConfig(4, 50)
+        )
+        assert run.yield_fraction() == 1.0
+        assert abs(run.distribution().total() - 1.0) < 1e-12
 
 
 class TestReproducibility:
@@ -337,6 +414,23 @@ class TestMomentReport:
         assert report.cycles.tolist() == exact_path.cycles.tolist() == [2]
         assert report.rows.tobytes() == exact_path.rows.tobytes()
         assert np.all(report.sigmas > 0.0)
+
+    def test_sigmas_equal_the_generic_jackknife(self):
+        # delete-one means as (S - x_i)/(N - 1) against re-averaging N - 1
+        ens = ImbalanceEnsemble(0.5, 8)
+        runs = [
+            run_sampled(ens, ChainConfig(8, t, HEIS), SampleConfig(60, 30, seed=6))
+            for t in (1, 2, 3)
+        ]
+        report = moment_report(runs)
+        for run, sigma in zip(runs, report.sigmas):
+            grid = run.grid.astype(float)
+
+            def row(subset):
+                return moment_row((grid, np.mean(subset, axis=0)))
+
+            want = jackknife_sigma(row, run.per_state_distributions()).sigma
+            np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=0.0)
 
     def test_zero_variance_jackknife_subset_gives_nan_sigmas(self):
         # at T1 = 1 cycle the causal filter keeps few shots, and at t=3 some
