@@ -528,6 +528,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinfcs",
@@ -540,7 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON config file")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override seed")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_run.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker threads (>= 1)"
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_an = sub.add_parser("analyze", help="recompute stats from stored CSVs")

@@ -78,9 +78,13 @@ class ImbalanceEnsemble:
         return p**a * q ** (half - a) * q**b * p ** (half - b)
 
 
-def folded_raw_moment(values, probs, k: int) -> float:
+def folded_raw_moment(values, probs, k: int):
     """<M^k> on a grid symmetric about zero, folding +-M pairs first so an
     exactly symmetric mass yields exactly zero odd moments.
+
+    `probs` is one histogram on the grid (the result is a float) or a stack
+    of them along its last axis (one moment per histogram); each histogram
+    of a stack gets the bits of its own single-histogram call.
 
     Raises:
         ValueError: if `values` is not symmetric about zero.
@@ -88,15 +92,16 @@ def folded_raw_moment(values, probs, k: int) -> float:
     half = len(values) // 2
     if not np.array_equal(values, -values[::-1]):
         raise ValueError("grid must be symmetric about zero")
-    acc = probs[half] * (1.0 if k == 0 else 0.0)
+    probs = np.asarray(probs, dtype=float)
+    acc = probs[..., half] * (1.0 if k == 0 else 0.0)
     odd = k % 2 == 1
     for d in range(half, 0, -1):
         v = float(values[half + d]) ** k
         if odd:
-            acc += probs[half + d] * v - probs[half - d] * v
+            acc += probs[..., half + d] * v - probs[..., half - d] * v
         else:
-            acc += probs[half + d] * v + probs[half - d] * v
-    return float(acc)
+            acc += probs[..., half + d] * v + probs[..., half - d] * v
+    return float(acc) if probs.ndim == 1 else acc
 
 
 class TransferDistribution:
@@ -319,6 +324,8 @@ def transfer_tensor(
     """
     if n_qubits < 2 or n_qubits % 2 != 0:
         raise ValueError(f"n_qubits must be even and >= 2, got {n_qubits}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     half = n_qubits // 2
     T = np.zeros((cycles + 1, half + 1, half + 1, half + 1))
     for a in range(half + 1):

@@ -7,12 +7,17 @@ every (cycle, initial state) owns a Philox stream keyed by the master seed,
 and within a state the initial-bit draw and each shot live in disjoint
 counter blocks.  Results therefore depend only on (seed, configuration).
 
-Every initial state evolves only the 2t-site light-cone window around the
-cut; sites outside it never see a gate and keep their prepared bits.  The
-state then takes one of two routes to its measured bitstrings:
+Every initial state is drawn once, from its counter block 0, and
+relabeled.  Only the 2t-site light-cone window around the cut is evolved;
+sites outside it never see a gate and keep their prepared bits.  A state
+then takes one of two routes to its measured bitstrings:
 
-* noiseless: the window is evolved once, and all shots are drawn from its
-  exact outcome distribution (counter block 1);
+* noiseless: the outcome distribution of the window depends only on the
+  window word, so each distinct word of the run is evolved once.  Words of
+  one popcount are evolved together, as the columns of one amplitude
+  block, in chunks of at most max(1, 2^14 // dim) columns (the chunks are
+  also the units of work for the threads).  Each state then draws all its
+  shots from its word's column with its own counter block 1;
 * noisy: each shot is its own trajectory (counter block 1 + shot) on the
   window, drawing its disorder, then one damping step per half-layer, the
   measurement, the classical decay of the sites left and right of the
@@ -35,6 +40,7 @@ causal cone |M| <= 2t; causal filtering confines them again.
 
 import concurrent.futures
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +56,17 @@ from .noise import (
     postselect,
     readout_flip,
 )
-from .sector import SectorState, brickwork_layers, word_to_bits
+from .sector import SectorState, bits_to_word, brickwork_layers, word_to_bits
 
 logger = logging.getLogger(__name__)
 
 _NOISELESS = NoiseConfig()
+
+# Amplitudes in one block of window columns: the noiseless route evolves
+# distinct window words of one popcount in chunks of at most
+# max(1, _CHUNK_AMPLITUDES // dim) columns, so no probability table spans
+# the whole run.
+_CHUNK_AMPLITUDES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,13 +101,16 @@ def sample_initial(ens: ImbalanceEnsemble, rng) -> np.ndarray:
     return (u < ens.site_excitation_probabilities()).astype(np.int64)
 
 
-def relabel_if_overfull(bits) -> tuple[np.ndarray, bool]:
+def relabel_if_overfull(bits) -> tuple[np.ndarray, bool | np.ndarray]:
     """Complement a more-than-half-full bitstring (and flag it), so the
-    physically prepared state never carries more than n/2 excitations."""
+    physically prepared state never carries more than n/2 excitations.
+
+    A 2-D array is a stack of bitstrings, one per row; each row is relabeled
+    on its own and the flags come back as a boolean array."""
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.sum() > bits.size // 2:
-        return 1 - bits, True
-    return bits.copy(), False
+    flagged = bits.sum(axis=-1) > bits.shape[-1] // 2
+    relabeled = np.where(np.expand_dims(flagged, -1), 1 - bits, bits)
+    return relabeled, (flagged if bits.ndim > 1 else bool(flagged))
 
 
 @dataclass
@@ -208,14 +223,16 @@ def _window_bounds(n_qubits: int, cycles: int) -> tuple[int, int]:
     return lo, lo + width
 
 
-def _trajectory(phys, lo, hi, config, noise, rng) -> SectorState:
-    """Sites lo..hi-1 of the prepared bitstring `phys` after the circuit:
+def _trajectory(state, lo, config, noise, rng) -> SectorState:
+    """`state`, on the window of sites lo.. of the chain, after the circuit:
     every half-layer of the brickwork, anchored at physical site `lo`, with
-    its disorder realization, Z rotations and damping step."""
-    layers = brickwork_layers(hi - lo, lo, config.layer_order) * config.cycles
-    realizations = disorder_and_dephasing(config.params, noise, rng, hi - lo, layers)
+    its disorder realization, Z rotations and damping step.  Gates and
+    phases act on every column of a block alike and in place; damping needs
+    a single state, which each step replaces."""
+    width = state.basis.n_sites
+    layers = brickwork_layers(width, lo, config.layer_order) * config.cycles
+    realizations = disorder_and_dephasing(config.params, noise, rng, width, layers)
     p_half = noise.half_layer_decay
-    state = SectorState.from_bitstring(phys[lo:hi])
     for layer in realizations:
         for bond, gate_params in zip(layer.bonds, layer.gate_params):
             state.apply_fsim(bond, gate_params)
@@ -226,37 +243,23 @@ def _trajectory(phys, lo, hi, config, noise, rng) -> SectorState:
     return state
 
 
-def _state_record(ens, config, sample, noise, state_index, postselect_mode):
-    """Draw one initial state, measure its shots, filter and tally them."""
-    n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
-    half = n // 2
-    sub = _substream(t, state_index)
-    bits = sample_initial(ens, _philox(sample.seed, sub, 0))
+def _prepare(ens, sample, cycles):
+    """The initial bits of every state, one row each, drawn from its counter
+    block 0; the prepared bits after the relabeling; and which states were
+    relabeled."""
+    bits = np.empty((sample.n_initial_states, ens.n_qubits), dtype=np.int64)
+    for i, row in enumerate(bits):
+        row[:] = sample_initial(ens, _philox(sample.seed, _substream(cycles, i), 0))
     if sample.relabel_enabled:
-        phys, flagged = relabel_if_overfull(bits)
-    else:
-        phys, flagged = bits.copy(), False
-    lo, hi = _window_bounds(n, t)
-    measured = np.tile(phys, (shots, 1))
-    if noise is None:
-        if hi > lo:
-            state = _trajectory(phys, lo, hi, config, _NOISELESS, None)
-            outcomes = _measure_indices(
-                state.probabilities(), _philox(sample.seed, sub, 1), shots
-            )
-            measured[:, lo:hi] = word_to_bits(state.basis.words[outcomes], hi - lo)
-    else:
-        for shot, row in enumerate(measured):
-            rng = _philox(sample.seed, sub, 1 + shot)
-            if hi > lo:
-                state = _trajectory(phys, lo, hi, config, noise, rng)
-                idx = _measure_indices(state.probabilities(), rng, 1)[0]
-                row[lo:hi] = word_to_bits(state.basis.words[idx], hi - lo)
-            if lo > 0:
-                row[:lo] = damp_bits(phys[:lo], float(t), noise, rng)
-            if hi < n:
-                row[hi:] = damp_bits(phys[hi:], float(t), noise, rng)
-            row[:] = readout_flip(row, noise, rng)
+        return bits, *relabel_if_overfull(bits)
+    return bits, bits, np.zeros(len(bits), dtype=bool)
+
+
+def _tally(bits, flagged, measured, config, postselect_mode) -> StateRecord:
+    """Undo the relabeling of one state's measured bitstrings (shots x n),
+    post-select them and tally their right-count changes."""
+    n, t, shots = config.n_qubits, config.cycles, len(measured)
+    half = n // 2
     if flagged:
         measured = 1 - measured
     if postselect_mode == "none":
@@ -275,6 +278,81 @@ def _state_record(ens, config, sample, noise, state_index, postselect_mode):
     return StateRecord(bits, counts, shots, int(np.count_nonzero(keep)))
 
 
+def _noisy_record(prepared, config, sample, noise, state_index, postselect_mode):
+    """One state's shots, each its own trajectory on counter block
+    1 + shot, filtered and tallied."""
+    bits, phys, flagged = (column[state_index] for column in prepared)
+    n, t = config.n_qubits, config.cycles
+    sub = _substream(t, state_index)
+    lo, hi = _window_bounds(n, t)
+    measured = np.tile(phys, (sample.shots_per_state, 1))
+    for shot, row in enumerate(measured):
+        rng = _philox(sample.seed, sub, 1 + shot)
+        if hi > lo:
+            state = SectorState.from_bitstring(phys[lo:hi])
+            state = _trajectory(state, lo, config, noise, rng)
+            idx = _measure_indices(state.probabilities(), rng, 1)[0]
+            row[lo:hi] = word_to_bits(state.basis.words[idx], hi - lo)
+        if lo > 0:
+            row[:lo] = damp_bits(phys[:lo], float(t), noise, rng)
+        if hi < n:
+            row[hi:] = damp_bits(phys[hi:], float(t), noise, rng)
+        row[:] = readout_flip(row, noise, rng)
+    return _tally(bits, flagged, measured, config, postselect_mode)
+
+
+def _window_chunks(windows, width):
+    """Distinct window words in evolution chunks: (words, states) pairs,
+    where states[j] lists, ascending, the states whose window is words[j].
+
+    Chunks run through the popcount sectors in ascending order, words
+    ascending, at most max(1, _CHUNK_AMPLITUDES // dim) words each."""
+    words, inverse = np.unique(windows, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
+    ones = np.bitwise_count(words)
+    chunks = []
+    for k in np.unique(ones):
+        sector = np.flatnonzero(ones == k)
+        size = max(1, _CHUNK_AMPLITUDES // math.comb(width, int(k)))
+        for j0 in range(0, sector.size, size):
+            picked = sector[j0 : j0 + size]
+            chunks.append((words[picked], [members[j] for j in picked]))
+    return chunks
+
+
+def _noiseless_chunk(chunk, prepared, config, sample, postselect_mode):
+    """Evolve a chunk of distinct window words as the columns of one block,
+    then draw each of their states' shots from its word's column with the
+    state's own counter block 1.  Returns (state index, record) pairs."""
+    words, members = chunk
+    bits, phys, flagged = prepared
+    n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
+    lo, hi = _window_bounds(n, t)
+    if hi > lo:
+        state = SectorState.from_words(words, hi - lo)
+        probabilities = _trajectory(state, lo, config, _NOISELESS, None).probabilities()
+    out = []
+    for column, states in enumerate(members):
+        for i in states:
+            measured = np.tile(phys[i], (shots, 1))
+            if hi > lo:
+                rng = _philox(sample.seed, _substream(t, i), 1)
+                outcomes = _measure_indices(probabilities[:, column], rng, shots)
+                measured[:, lo:hi] = word_to_bits(state.basis.words[outcomes], hi - lo)
+            record = _tally(bits[i], flagged[i], measured, config, postselect_mode)
+            out.append((i, record))
+    return out
+
+
+def _map(task, items, threads):
+    """`task` over `items`, in order, on up to `threads` worker threads."""
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(task, items))
+    return [task(item) for item in items]
+
+
 def run_sampled(
     ens: ImbalanceEnsemble,
     config: ChainConfig,
@@ -288,8 +366,9 @@ def run_sampled(
     light-cone windows, measure shots, filter, and tally per-state M
     histograms.
 
-    With `noise=None` each window is evolved once and shots are drawn from
-    its exact outcome distribution; with noise every shot is an independent
+    With `noise=None` each distinct window word is evolved once, in blocks
+    of columns, and every state draws its shots from the exact outcome
+    distribution of its word; with noise every shot is an independent
     trajectory (disorder realizations included).  Output is bitwise
     independent of `threads`.
     """
@@ -299,18 +378,31 @@ def run_sampled(
         )
     if postselect_mode not in ("none", "number_only", "causal"):
         raise ValueError(f"unknown post-selection mode {postselect_mode!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
-    mode = "sampled" if noise is None else "noisy-sampled"
+    prepared = _prepare(ens, sample, config.cycles)
+    n_states = sample.n_initial_states
+    if noise is None:
+        mode = "sampled"
+        lo, hi = _window_bounds(config.n_qubits, config.cycles)
+        windows = [bits_to_word(row[lo:hi]) for row in prepared[1]]
+        chunks = _window_chunks(np.array(windows, dtype=np.uint64), hi - lo)
 
-    def worker(i):
-        return _state_record(ens, config, sample, noise, i, postselect_mode)
+        def chunk_records(chunk):
+            return _noiseless_chunk(chunk, prepared, config, sample, postselect_mode)
 
-    indices = range(sample.n_initial_states)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(worker, indices))
+        records = [None] * n_states
+        for part in _map(chunk_records, chunks, threads):
+            for i, record in part:
+                records[i] = record
     else:
-        records = [worker(i) for i in indices]
+        mode = "noisy-sampled"
+
+        def state_record(i):
+            return _noisy_record(prepared, config, sample, noise, i, postselect_mode)
+
+        records = _map(state_record, range(n_states), threads)
     run = SampledRun(
         cycles=config.cycles,
         n_qubits=config.n_qubits,
@@ -342,7 +434,7 @@ def moment_report(runs: list[SampledRun]) -> stats.MomentReport:
         n = len(states)
         if n >= 2:
             deleted = (states.sum(axis=0) - states) / (n - 1)
-            estimates = [stats.moment_row((grid, mean)) for mean in deleted]
+            estimates = stats.moment_row((grid, deleted))
             sigmas.append(stats.jackknife_from_estimates(estimates, rows[-1]).sigma)
         else:
             sigmas.append(np.zeros(4))

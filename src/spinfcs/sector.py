@@ -170,13 +170,16 @@ def sector_basis(n_sites: int, n_excitations: int) -> SectorBasis:
 
 
 class SectorState:
-    """A normalized statevector confined to one excitation sector."""
+    """Statevectors confined to one excitation sector: one normalized
+    state of shape (dim,), or a block of them as the columns of a (dim, m)
+    array.  Gates, phases and `probabilities` act on every column alike."""
 
     def __init__(self, basis: SectorBasis, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-        if amplitudes.shape != (basis.dimension,):
+        if amplitudes.ndim not in (1, 2) or amplitudes.shape[0] != basis.dimension:
             raise ValueError(
-                f"amplitudes shape {amplitudes.shape} != ({basis.dimension},)"
+                f"amplitudes shape {amplitudes.shape} is neither "
+                f"({basis.dimension},) nor ({basis.dimension}, m)"
             )
         self.basis = basis
         self.amplitudes = amplitudes
@@ -200,6 +203,26 @@ class SectorState:
         amps[basis.rank(word)] = 1.0
         return cls(basis, amps)
 
+    @classmethod
+    def from_words(cls, words, n_sites: int) -> "SectorState":
+        """Block of basis states, column j being |words[j]>.  The integer
+        words must share one popcount.
+
+        Raises:
+            SectorMismatchError: if the popcounts differ.
+        """
+        words = np.asarray(words, dtype=np.uint64).reshape(-1)
+        if words.size == 0 or np.any(words >> np.uint64(n_sites)):
+            raise ValueError(f"need one or more words of {n_sites} sites")
+        ones = np.bitwise_count(words)
+        if np.any(ones != ones[0]):
+            raise SectorMismatchError("the words of a block differ in popcount")
+        basis = sector_basis(int(n_sites), int(ones[0]))
+        rows = np.searchsorted(basis.words, words)
+        amps = np.zeros((basis.dimension, words.size), dtype=np.complex128)
+        amps[rows, np.arange(words.size)] = 1.0
+        return cls(basis, amps)
+
     def copy(self) -> "SectorState":
         return SectorState(self.basis, self.amplitudes.copy())
 
@@ -211,11 +234,11 @@ class SectorState:
         return a.real**2 + a.imag**2
 
     def apply_fsim(self, bond: int, params: FSimParams) -> None:
-        """Apply one fSim gate on sites (bond, bond+1), in place."""
+        """Apply one fSim gate on sites (bond, bond+1) of every column, in
+        place."""
         tables = self.basis.bond_tables(bond)
-        amps2d = self.amplitudes.reshape(-1, 1)
         _kernels.apply_fsim_tables(
-            amps2d,
+            self._columns(),
             tables,
             params.theta,
             params.phi,
@@ -240,4 +263,8 @@ class SectorState:
         if site_angles.shape != (self.basis.n_sites,):
             raise ValueError("one angle per site required")
         total = self.basis.site_bits() @ site_angles
-        self.amplitudes *= np.exp(-1j * total)
+        self._columns()[...] *= np.exp(-1j * total)[:, None]
+
+    def _columns(self) -> np.ndarray:
+        """The amplitudes as a (dim, m) view, m = 1 for a single state."""
+        return self.amplitudes.reshape(self.basis.dimension, -1)

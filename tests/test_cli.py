@@ -159,6 +159,16 @@ class TestRunSampled:
         for fname in ("distributions_mu0.5.csv", "moments_mu0.5.csv"):
             assert (out1 / fname).read_bytes() == (out4 / fname).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path / "cfg.json", mode="sampled", seed=5)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()  # refused before any work
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",

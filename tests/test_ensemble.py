@@ -262,6 +262,11 @@ class TestTransferTensor:
         b = transfer_tensor(8, 3, params, threads=4)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_is_refused(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            transfer_tensor(4, 1, params_at(0.2, 0.2), threads=threads)
+
     def test_cycle_zero_block_counts(self):
         tensor = transfer_tensor(4, 0, params_at(0.2, 0.2))
         assert tensor[0, 1, 1, 1] == 4.0  # C(2,1)*C(2,1) words stay put

@@ -19,20 +19,24 @@ from spinfcs.ensemble import (
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import NoiseConfig
+from spinfcs import _kernels
 from spinfcs.sampler import (
+    _CHUNK_AMPLITUDES,
     SampleConfig,
     SampledRun,
     StateRecord,
     _philox,
+    _prepare,
     _trajectory,
     _window_bounds,
+    _window_chunks,
     estimate_powers,
     moment_report,
     relabel_if_overfull,
     run_sampled,
     sample_initial,
 )
-from spinfcs.sector import SectorState, word_to_bits
+from spinfcs.sector import SectorState, bits_to_word, word_to_bits
 from spinfcs.stats import (
     MomentReport,
     distribution_moments,
@@ -83,6 +87,13 @@ class TestRelabel:
         bits, flag = relabel_if_overfull([0, 0, 1, 1])
         assert not flag
         assert bits.tolist() == [0, 0, 1, 1]
+
+    def test_a_stack_is_relabeled_row_by_row(self):
+        stack = np.array([[1, 1, 1, 0], [0, 0, 1, 1], [0, 1, 1, 1], [0, 0, 0, 1]])
+        bits, flags = relabel_if_overfull(stack)
+        rows = [relabel_if_overfull(row) for row in stack]
+        assert bits.tolist() == [row.tolist() for row, _ in rows]
+        assert flags.tolist() == [flag for _, flag in rows] == [True, False, True, False]
 
     def test_sampled_moments_agree_with_exact_under_relabel(self):
         ens = ImbalanceEnsemble(0.0, 4)
@@ -194,7 +205,8 @@ class TestLightConeWindow:
             def right_ones(phys):
                 key = tuple(phys[lo:hi])
                 if key not in window_right:
-                    state = _trajectory(phys, lo, hi, config, NoiseConfig(), None)
+                    window = SectorState.from_bitstring(phys[lo:hi])
+                    state = _trajectory(window, lo, config, NoiseConfig(), None)
                     window_right[key] = np.bincount(
                         state.basis.right_ones(),
                         weights=state.probabilities(),
@@ -240,16 +252,97 @@ class TestLightConeWindow:
         assert abs(run.distribution().total() - 1.0) < 1e-12
 
 
+def window_words(ens, config, sample):
+    """Integer window word of every prepared state of a run."""
+    lo, hi = _window_bounds(config.n_qubits, config.cycles)
+    _, prepared, _ = _prepare(ens, sample, config.cycles)
+    return np.array([bits_to_word(row[lo:hi]) for row in prepared], dtype=np.uint64)
+
+
+class TestBatchedWindow:
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_block_columns_match_single_column_runs(self, n, convention, order):
+        # every word of every sector of the window (sites 1..n-2, an odd
+        # anchor), in the chunks the sampler evolves, against one column each
+        params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+        t = n // 2 - 1
+        config = ChainConfig(n, t, params, order)
+        lo, hi = _window_bounds(n, t)
+        width = hi - lo
+        chunks = _window_chunks(np.arange(2**width, dtype=np.uint64), width)
+        assert sum(len(words) for words, _ in chunks) == 2**width
+        if n == 12:  # the 10-site window's middle sectors span several chunks
+            sizes = np.bincount([np.bitwise_count(words[0]) for words, _ in chunks])
+            assert sizes.max() >= 3
+        for words, _ in chunks:
+            block = _trajectory(
+                SectorState.from_words(words, width), lo, config, NoiseConfig(), None
+            )
+            assert block.amplitudes.shape == (block.basis.dimension, len(words))
+            for column, word in enumerate(words):
+                single = SectorState.from_bitstring(int(word), width)
+                single = _trajectory(single, lo, config, NoiseConfig(), None)
+                assert single.basis is block.basis
+                diff = block.probabilities()[:, column] - single.probabilities()
+                assert np.max(np.abs(diff)) <= 1e-12
+
+    def test_each_distinct_window_word_is_evolved_once(self, monkeypatch):
+        n, t = 12, 6
+        ens = ImbalanceEnsemble(0.0, n)
+        config = ChainConfig(n, t, HEIS)
+        sample = SampleConfig(1000, 20, seed=17)
+        distinct = np.unique(window_words(ens, config, sample)).size
+        assert distinct < sample.n_initial_states
+        columns = []
+        apply_fsim_tables = _kernels.apply_fsim_tables
+
+        def counting(amps, *args):
+            # no block is larger than a chunk, or a single column
+            assert amps.size <= max(amps.shape[0], _CHUNK_AMPLITUDES)
+            columns.append(amps.shape[1])
+            return apply_fsim_tables(amps, *args)
+
+        monkeypatch.setattr(_kernels, "apply_fsim_tables", counting)
+        run = run_sampled(ens, config, sample)
+        gates_per_column = t * (n - 1)  # the window is the whole chain
+        assert sum(columns) == distinct * gates_per_column
+        assert len(run.records) == sample.n_initial_states
+
+
 class TestReproducibility:
     def test_bitwise_identical_across_thread_counts(self):
+        for n, t, states, shots in ((6, 2, 24, 64), (12, 6, 300, 40)):
+            ens = ImbalanceEnsemble(0.5, n)
+            config = ChainConfig(n, t, HEIS)
+            for relabel in (True, False):
+                sample = SampleConfig(states, shots, seed=999, relabel_enabled=relabel)
+                if n == 12:  # the largest window sector spans several chunks
+                    width = 2 * t
+                    chunks = _window_chunks(window_words(ens, config, sample), width)
+                    per_sector = np.bincount(
+                        [np.bitwise_count(words[0]) for words, _ in chunks]
+                    )
+                    assert per_sector[t] >= 2
+                runs = [
+                    run_sampled(ens, config, sample, threads=k) for k in (1, 2, 3, 8)
+                ]
+                for other in runs[1:]:
+                    assert len(other.records) == states
+                    for a, b in zip(runs[0].records, other.records):
+                        assert np.array_equal(a.counts, b.counts)
+                        assert np.array_equal(a.initial_bits, b.initial_bits)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("noise", [None, NoiseConfig(e0=0.01)])
+    def test_thread_count_below_one_is_refused(self, threads, noise):
         ens = ImbalanceEnsemble(0.5, 6)
-        config = ChainConfig(6, 2, HEIS)
-        sample = SampleConfig(24, 64, seed=999)
-        runs = [run_sampled(ens, config, sample, threads=k) for k in (1, 3, 8)]
-        for other in runs[1:]:
-            for a, b in zip(runs[0].records, other.records):
-                assert np.array_equal(a.counts, b.counts)
-                assert np.array_equal(a.initial_bits, b.initial_bits)
+        with pytest.raises(ValueError, match="threads"):
+            run_sampled(
+                ens, ChainConfig(6, 2, HEIS), SampleConfig(2, 4), noise=noise,
+                threads=threads,
+            )
 
     def test_noisy_runs_reproducible(self):
         ens = ImbalanceEnsemble(0.5, 6)
@@ -352,7 +445,8 @@ class TestNoisyPipeline:
             for bonds in nominal:
                 for bond in bonds:
                     want.apply_fsim(bond, HEIS)
-            got = _trajectory(phys, lo, hi, config, noise, rng)
+            window = SectorState.from_bitstring(phys[lo:hi])
+            got = _trajectory(window, lo, config, noise, rng)
             assert got.basis is want.basis
             diff = np.abs(got.probabilities() - want.probabilities())
             assert np.max(diff) < 1e-12

@@ -198,3 +198,29 @@ class TestCycle:
             assert state.amplitudes.shape == (dim,)
             assert state.basis.n_excitations == 3
 
+
+
+class TestColumnBlocks:
+    def test_block_columns_evolve_like_single_states(self):
+        n, k = 6, 3
+        basis = sector_basis(n, k)
+        words = basis.words[[0, 7, 19]]
+        block = SectorState.from_words(words, n)
+        assert block.amplitudes.shape == (basis.dimension, 3)
+        singles = [SectorState.from_bitstring(int(w), n) for w in words]
+        angles = np.linspace(0.1, 0.6, n)
+        for state in [block, *singles]:
+            state.apply_cycle(FSimParams(0.3, 1.1), LayerOrder.ODD_FIRST)
+            state.apply_diagonal_phases(angles)
+        for column, single in enumerate(singles):
+            diff = block.amplitudes[:, column] - single.amplitudes
+            assert np.max(np.abs(diff)) <= 1e-12
+        assert np.allclose(block.probabilities().sum(axis=0), 1.0)
+
+    def test_block_words_must_share_a_sector(self):
+        with pytest.raises(SectorMismatchError):
+            SectorState.from_words([0b0011, 0b0111], 4)
+        with pytest.raises(ValueError):
+            SectorState.from_words([0b10011], 4)  # five sites
+        with pytest.raises(ValueError):
+            SectorState.from_words([], 4)

@@ -311,3 +311,39 @@ class TestMomentReport:
         assert np.isnan(report.skewness[0]) and np.isnan(report.kurtosis[0])
         with pytest.raises(UndefinedMomentsError):
             distribution_moments(dist)
+
+    def test_a_stack_of_histograms_gives_each_row_its_scalar_bits(self):
+        # the reference is the scalar arithmetic of one histogram: a +-M fold,
+        # then the binomial expansion with float powers (C pow), row by row
+        rng = np.random.default_rng(11)
+        grid = 2.0 * np.arange(-4, 5)
+        stack = rng.random((300, grid.size))
+        stack /= stack.sum(axis=1, keepdims=True)
+        stack[7] = 0.0
+        stack[7, 6] = 1.0  # zero variance: NaN skewness and kurtosis
+
+        def scalar_row(probs):
+            half = grid.size // 2
+            raw = []
+            for k in range(5):
+                acc = probs[half] * (1.0 if k == 0 else 0.0)
+                for d in range(half, 0, -1):
+                    v = float(grid[half + d]) ** k
+                    sign = -1.0 if k % 2 else 1.0
+                    acc += probs[half + d] * v + sign * probs[half - d] * v
+                raw.append(acc)
+            mean = raw[1]
+            alpha = [
+                sum(math.comb(k, i) * raw[k - i] * (-mean) ** i for i in range(k + 1))
+                for k in range(5)
+            ]
+            var = alpha[2]
+            if not var > 0.0:
+                return [mean, var, math.nan, math.nan]
+            return [mean, var, alpha[3] / var**1.5, alpha[4] / var**2 - 3.0]
+
+        want = np.array([scalar_row(row) for row in stack])
+        got = moment_row((grid, stack))
+        assert got.shape == (300, 4)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(moment_row((grid, stack[3])), want[3])
