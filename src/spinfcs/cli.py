@@ -12,6 +12,8 @@ the SPINFCS_OUT environment variable, else ./spinfcs_out.
 """
 
 import argparse
+import contextlib
+import dataclasses
 import glob
 import json
 import math
@@ -24,12 +26,12 @@ import numpy as np
 from . import __version__, reference, sampler, stats
 from .circuit import ChainConfig
 from .ensemble import (
-    DEFAULT_SITE_CAP,
     ImbalanceEnsemble,
+    check_site_cap,
     distribution_from_tensor,
     transfer_tensor,
 )
-from .errors import ConfigError, EnumerationCapError, SchemaError
+from .errors import ConfigError, SchemaError
 from .gates import FSimParams, LayerOrder, PhaseConvention
 from .noise import NoiseConfig
 
@@ -46,12 +48,38 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+NUMBER = (int, float)
+POSTSELECT_MODES = ("none", "number_only", "causal")
+RUN_KEYS = {
+    "mode", "theta", "phi", "convention", "layer_order", "cycles", "n_qubits",
+    "mu", "seed", "initial_states", "shots_per_state", "relabel", "postselect",
+    "noise", "analysis",
+}
+NOISE_KEYS = {"t1_cycles", "e0", "e1", "angle_jitter_sd", "dephasing_sd"}
+ANALYSIS_KEYS = {
+    "exponent_window", "collapse_gammas", "collapse_t_min", "collapse_knots"
+}
+
+
+def _check(ok, key: str, message: str) -> None:
+    """Refuse config key `key` with `message` unless `ok`."""
+    if not ok:
+        raise ConfigError(f"config key '{key}': {message}")
+
+
 def _is_a(value, types) -> bool:
-    """isinstance, except that a JSON boolean is not a number (bool is an
-    int subclass)."""
-    types = types if isinstance(types, tuple) else (types,)
-    is_bool = isinstance(value, bool)
-    return isinstance(value, types) and (bool in types or not is_bool)
+    """isinstance, except that a JSON boolean (a Python int) is not a number."""
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
+def _table(raw, name: str, known: set) -> None:
+    """Refuse `raw` as the config table `name` ('' at the top level) unless
+    it is a JSON object whose every key is in `known`."""
+    if not name and not isinstance(raw, dict):
+        raise ConfigError("top-level config must be a JSON object")
+    _check(isinstance(raw, dict), name, "expected an object")
+    for key in raw:
+        _check(key in known, f"{name}.{key}" if name else key, "unknown key")
 
 
 def _require(cfg: dict, key: str, types, default=None, required=False):
@@ -59,159 +87,128 @@ def _require(cfg: dict, key: str, types, default=None, required=False):
     value of a sub-table and is looked up by its last part."""
     name = key.rpartition(".")[2]
     if name not in cfg:
-        if required:
-            raise ConfigError(f"config key '{key}' is required")
+        _check(not required, key, "required")
         return default
     value = cfg[name]
-    if not _is_a(value, types):
-        raise ConfigError(
-            f"config key '{key}': expected {types}, got {type(value).__name__}"
-        )
+    _check(_is_a(value, types), key, f"expected {types}, got {type(value).__name__}")
     return value
 
 
-def _parse_mu_list(raw) -> list[float]:
-    if not isinstance(raw, list):
-        raw = [raw]
-    out = []
-    for v in raw:
-        if isinstance(v, str):
-            if v != "inf":
-                raise ConfigError(f"config key 'mu': unknown value {v!r}")
-            out.append(math.inf)
-        elif _is_a(v, (int, float)):
-            if v < 0:
-                raise ConfigError(f"config key 'mu': must be >= 0, got {v}")
-            out.append(float(v))
-        else:
-            raise ConfigError("config key 'mu': expected number or \"inf\"")
-    if not out:
-        raise ConfigError("config key 'mu': empty list")
-    return out
+def _choice(cfg: dict, key: str, choices, default=None) -> str:
+    """cfg[key], one of the strings `choices`; required without a default."""
+    value = _require(cfg, key, str, default, required=default is None)
+    _check(value in choices, key, f"expected one of {choices}, got {value!r}")
+    return value
 
 
-def _parse_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    mode = _require(cfg, "mode", str, required=True)
-    if mode not in ("exact", "sampled", "noisy-sampled"):
-        raise ConfigError(f"config key 'mode': unknown mode {mode!r}")
-    theta = _require(cfg, "theta", (int, float), required=True)
-    phi = _require(cfg, "phi", (int, float), required=True)
-    convention = _require(cfg, "convention", str, default="tail")
-    if convention not in ("tail", "split"):
-        raise ConfigError(
-            f"config key 'convention': expected 'tail' or 'split', got {convention!r}"
-        )
-    layer_order = _require(cfg, "layer_order", str, default="even_first")
-    if layer_order not in ("even_first", "odd_first"):
-        raise ConfigError(
-            "config key 'layer_order': expected 'even_first' or 'odd_first', "
-            f"got {layer_order!r}"
-        )
+def _number_or_inf(value, key: str):
+    """A number, or the string "inf" for infinity."""
+    ok = value == "inf" or _is_a(value, NUMBER)
+    _check(ok, key, f'expected a number or "inf", got {value!r}')
+    return math.inf if value == "inf" else value
+
+
+def _number_list(value, key: str, length=None, noun="numbers", kind=NUMBER):
+    """`value` as a list of `kind` values, of `length` entries if given."""
+    ok = isinstance(value, list) and all(_is_a(v, kind) for v in value)
+    size = "" if length is None else f"{length} "
+    _check(ok and length in (None, len(value)), key, f"expected a list of {size}{noun}")
+    return value
+
+
+@contextlib.contextmanager
+def _refused_as(key: str):
+    """Report the ValueError of a library check as a refusal of `key`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config key '{key}': {exc}") from exc
+
+
+def _parse_config(cfg) -> dict:
+    """Check a `spinfcs run` config and build the library objects of its
+    run once: the ChainConfig, and the SampleConfig of the sampled modes and
+    the NoiseConfig of noisy mode (None where unused)."""
+    _table(cfg, "", RUN_KEYS)
+    mode = _choice(cfg, "mode", ("exact", "sampled", "noisy-sampled"))
+    angles = [_require(cfg, key, NUMBER, required=True) for key in ("theta", "phi")]
+    for key, angle in zip(("theta", "phi"), angles):
+        _check(math.isfinite(angle), key, f"expected a finite angle, got {angle}")
+    convention = _choice(cfg, "convention", ("tail", "split"), "tail")
+    order = _choice(cfg, "layer_order", ("even_first", "odd_first"), "even_first")
     cycles = _require(cfg, "cycles", int, required=True)
-    if cycles < 0:
-        raise ConfigError(f"config key 'cycles': must be >= 0, got {cycles}")
+    _check(cycles >= 0, "cycles", f"must be >= 0, got {cycles}")
     n_qubits = _require(cfg, "n_qubits", int, default=max(2, 2 * cycles))
-    if n_qubits < 2 or n_qubits % 2:
-        raise ConfigError(
-            f"config key 'n_qubits': must be even and >= 2, got {n_qubits}"
-        )
-    mus = _parse_mu_list(_require(cfg, "mu", (int, float, str, list), required=True))
-    parsed = {
-        "mode": mode,
-        "theta": float(theta),
-        "phi": float(phi),
-        "convention": convention,
-        "layer_order": layer_order,
-        "cycles": cycles,
-        "n_qubits": n_qubits,
-        "mu": mus,
-        "seed": _require(cfg, "seed", int, default=0),
-        "initial_states": _require(cfg, "initial_states", int, default=100),
-        "shots_per_state": _require(cfg, "shots_per_state", int, default=1000),
-        "relabel": _require(cfg, "relabel", bool, default=True),
-        "postselect": _require(cfg, "postselect", str, default="number_only"),
-        "cap_sites": _require(cfg, "cap_sites", int, default=DEFAULT_SITE_CAP),
-    }
-    if parsed["postselect"] not in ("none", "number_only", "causal"):
-        raise ConfigError(
-            f"config key 'postselect': unknown mode {parsed['postselect']!r}"
-        )
-    noise_cfg = _require(cfg, "noise", dict, default=None)
-    if mode == "noisy-sampled":
-        noise_cfg = noise_cfg or {}
-        known = {"t1_cycles", "e0", "e1", "angle_jitter_sd", "dephasing_sd"}
-        for key in noise_cfg:
-            if key not in known:
-                raise ConfigError(f"config key 'noise.{key}': unknown key")
-        number = (int, float)
-        t1 = _require(noise_cfg, "noise.t1_cycles", (*number, str), default=math.inf)
-        if isinstance(t1, str):
-            if t1 != "inf":
-                raise ConfigError(f"config key 'noise.t1_cycles': bad value {t1!r}")
-            t1 = math.inf
-        rates = {
-            key: _require(noise_cfg, f"noise.{key}", (*number, list), default=0.0)
-            for key in ("e0", "e1")
-        }
-        for key, rate in rates.items():
-            if isinstance(rate, list) and (
-                len(rate) != n_qubits or not all(_is_a(r, number) for r in rate)
-            ):
-                raise ConfigError(
-                    f"config key 'noise.{key}': expected a number or a list of "
-                    f"{n_qubits} per-qubit numbers"
-                )
-        widths = {
-            key: _require(noise_cfg, f"noise.{key}", number, default=0.0)
-            for key in ("angle_jitter_sd", "dephasing_sd")
-        }
-        try:
-            parsed["noise"] = NoiseConfig(t1_cycles=t1, **rates, **widths)
-        except ValueError as exc:
-            raise ConfigError(f"config key 'noise': {exc}") from exc
+    even = n_qubits >= 2 and n_qubits % 2 == 0
+    _check(even, "n_qubits", f"must be even and >= 2, got {n_qubits}")
+    raw_mu = _require(cfg, "mu", (*NUMBER, str, list), required=True)
+    mus = raw_mu if isinstance(raw_mu, list) else [raw_mu]
+    mus = [float(_number_or_inf(mu, "mu")) for mu in mus]
+    ok = mus and all(mu >= 0 for mu in mus)
+    _check(ok, "mu", f"expected values >= 0, got {raw_mu!r}")
+    seed = _require(cfg, "seed", int, default=0)
+    states = _require(cfg, "initial_states", int, default=100)
+    shots = _require(cfg, "shots_per_state", int, default=1000)
+    relabel = _require(cfg, "relabel", bool, default=True)
+    postselect = _choice(cfg, "postselect", POSTSELECT_MODES, "number_only")
+    noise = _require(cfg, "noise", dict)
+    noisy = mode == "noisy-sampled"
+    _check(noisy or noise is None, "noise", "only noisy-sampled mode takes it")
+    params = FSimParams(*angles, PhaseConvention(convention))
+    sample = None
+    if mode == "exact":
+        with _refused_as("n_qubits"):
+            check_site_cap(n_qubits)
     else:
-        parsed["noise"] = None
-    parsed["analysis"] = _parse_analysis(_require(cfg, "analysis", dict, default=None))
-    return parsed
+        _check(states >= 1, "initial_states", f"must be >= 1, got {states}")
+        _check(shots >= 1, "shots_per_state", f"must be >= 1, got {shots}")
+        sample = sampler.SampleConfig(states, shots, seed, relabel)
+    return {
+        "mode": mode,
+        "chain": ChainConfig(n_qubits, cycles, params, LayerOrder(order)),
+        "mu": mus,
+        "seed": seed,
+        "sample": sample,
+        "noise": _parse_noise(noise or {}, n_qubits) if noisy else None,
+        "postselect": postselect,
+        "analysis": _parse_analysis(_require(cfg, "analysis", dict)),
+    }
 
 
-def _parse_analysis(raw) -> dict | None:
+def _parse_noise(raw: dict, n_qubits: int) -> NoiseConfig:
+    """The NoiseConfig of a `noise` table on a chain of `n_qubits`."""
+    _table(raw, "noise", NOISE_KEYS)
+    t1 = _require(raw, "noise.t1_cycles", (*NUMBER, str), default=math.inf)
+    rates = {}
+    for key in ("e0", "e1"):
+        rates[key] = _require(raw, f"noise.{key}", (*NUMBER, list), default=0.0)
+        if isinstance(rates[key], list):
+            _number_list(rates[key], f"noise.{key}", n_qubits, "per-qubit rates")
+    widths = {
+        key: _require(raw, f"noise.{key}", NUMBER, default=0.0)
+        for key in ("angle_jitter_sd", "dephasing_sd")
+    }
+    t1 = _number_or_inf(t1, "noise.t1_cycles")
+    with _refused_as("noise"):
+        return NoiseConfig(t1_cycles=t1, **rates, **widths)
+
+
+def _parse_analysis(raw) -> dict:
+    """The analysis table checked, with the collapse defaults filled in;
+    null is an empty table."""
     if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ConfigError("config key 'analysis': expected an object")
+        return {}
+    _table(raw, "analysis", ANALYSIS_KEYS)
     out = {}
     if "exponent_window" in raw:
-        win = raw["exponent_window"]
-        if (
-            not isinstance(win, list)
-            or len(win) != 2
-            or not all(_is_a(v, int) for v in win)
-        ):
-            raise ConfigError(
-                "config key 'analysis.exponent_window': expected [t_min, t_max]"
-            )
-        out["exponent_window"] = (win[0], win[1])
+        window = raw["exponent_window"]
+        _number_list(window, "analysis.exponent_window", 2, "integers", int)
+        out["exponent_window"] = tuple(window)
     if "collapse_gammas" in raw:
-        gam = raw["collapse_gammas"]
-        if not isinstance(gam, list) or not all(_is_a(v, (int, float)) for v in gam):
-            raise ConfigError(
-                "config key 'analysis.collapse_gammas': expected a number list"
-            )
-        out["collapse_gammas"] = [float(g) for g in gam]
+        gammas = _number_list(raw["collapse_gammas"], "analysis.collapse_gammas")
+        out["collapse_gammas"] = [float(g) for g in gammas]
         for key, default in (("collapse_t_min", 8), ("collapse_knots", 12)):
             out[key] = _require(raw, f"analysis.{key}", int, default=default)
-    known = {
-        "exponent_window",
-        "collapse_gammas",
-        "collapse_t_min",
-        "collapse_knots",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"config key 'analysis.{key}': unknown key")
     return out
 
 
@@ -219,9 +216,10 @@ def _mu_tag(mu: float) -> str:
     return "inf" if math.isinf(mu) else repr(float(mu))
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: list[str]) -> str:
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def _write_distributions(path, per_cycle):
@@ -243,18 +241,12 @@ def _write_moments(path, report: stats.MomentReport) -> None:
 def _run(parsed, out_dir, threads):
     """Distributions and moments CSVs of every mu; returns the paths written
     and the moment report of each mu."""
-    n, cycles = parsed["n_qubits"], parsed["cycles"]
-    params = FSimParams(
-        parsed["theta"], parsed["phi"], PhaseConvention(parsed["convention"])
-    )
-    order = LayerOrder(parsed["layer_order"])
+    chain = parsed["chain"]
+    n, cycles = chain.n_qubits, chain.cycles
     if parsed["mode"] == "exact":
-        if n > parsed["cap_sites"]:
-            raise EnumerationCapError(
-                f"exact mode on {n} sites exceeds the cap "
-                f"({parsed['cap_sites']}); switch \"mode\" to \"sampled\""
-            )
-        tensor = transfer_tensor(n, cycles, params, order, threads=threads)
+        tensor = transfer_tensor(
+            n, cycles, chain.params, chain.layer_order, threads=threads
+        )
 
         def per_mu(ens):
             dists = [
@@ -264,19 +256,13 @@ def _run(parsed, out_dir, threads):
             return per_cycle, stats.MomentReport.from_distributions(dists[1:])
 
     else:
-        sample = sampler.SampleConfig(
-            n_initial_states=parsed["initial_states"],
-            shots_per_state=parsed["shots_per_state"],
-            seed=parsed["seed"],
-            relabel_enabled=parsed["relabel"],
-        )
 
         def per_mu(ens):
             runs = [
                 sampler.run_sampled(
                     ens,
-                    ChainConfig(n, t, params, order),
-                    sample,
+                    dataclasses.replace(chain, cycles=t),
+                    parsed["sample"],
                     noise=parsed["noise"],
                     postselect_mode=parsed["postselect"],
                     threads=threads,
@@ -303,12 +289,10 @@ def _run(parsed, out_dir, threads):
     return outputs, series
 
 
-def _write_analysis(parsed, series, out_dir):
-    """Exponent fits and the collapse scan from per-mu moment reports."""
-    analysis = parsed["analysis"]
+def _write_analysis(analysis, series, out_dir):
+    """Exponent fits and the collapse scan of an analysis table from per-mu
+    moment reports."""
     outputs = []
-    if analysis is None:
-        return outputs
     if "exponent_window" in analysis:
         lines = ["mu,z,sigma_z,t_min,t_max,n_points"]
         for mu in sorted(series, key=lambda m: (math.isinf(m), m)):
@@ -326,27 +310,12 @@ def _write_analysis(parsed, series, out_dir):
                 sigmas[mask] if weighted else None,
                 window=analysis["exponent_window"],
             )
-            lines.append(
-                ",".join(
-                    [
-                        _mu_tag(mu),
-                        _fmt(fit.z),
-                        _fmt(fit.sigma_z),
-                        str(fit.t_min),
-                        str(fit.t_max),
-                        str(fit.n_points),
-                    ]
-                )
-            )
-        path = os.path.join(out_dir, "exponent_fit.csv")
-        _write_lines(path, lines)
-        outputs.append(path)
+            row = (fit.z, fit.sigma_z, fit.t_min, fit.t_max, fit.n_points)
+            lines.append(",".join([_mu_tag(mu), *map(_fmt, row)]))
+        outputs.append(_write_lines(os.path.join(out_dir, "exponent_fit.csv"), lines))
     if "collapse_gammas" in analysis:
         finite = [mu for mu in series if not math.isinf(mu)]
-        if len(finite) < 2:
-            raise ConfigError(
-                "config key 'analysis.collapse_gammas': needs >= 2 finite mu values"
-            )
+        _check(len(finite) >= 2, "analysis.collapse_gammas", "needs >= 2 finite mu")
         triples = [
             (mu, series[mu].cycles, series[mu].skewness) for mu in sorted(finite)
         ]
@@ -359,9 +328,7 @@ def _write_analysis(parsed, series, out_dir):
         lines = ["gamma,residual"]
         for g, r in zip(gammas, residuals):
             lines.append(f"{_fmt(g)},{_fmt(r)}")
-        path = os.path.join(out_dir, "collapse_scan.csv")
-        _write_lines(path, lines)
-        outputs.append(path)
+        outputs.append(_write_lines(os.path.join(out_dir, "collapse_scan.csv"), lines))
     return outputs
 
 
@@ -378,14 +345,15 @@ def cmd_run(args) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        parsed = _parse_config(raw)
-        if args.seed is not None:
-            parsed["seed"] = args.seed
+        cfg = raw
+        if args.seed is not None and isinstance(raw, dict):
+            cfg = {**raw, "seed": args.seed}
+        parsed = _parse_config(cfg)
         out_dir = _resolve_out(args.out)
         os.makedirs(out_dir, exist_ok=True)
         outputs, series = _run(parsed, out_dir, args.threads)
-        outputs.extend(_write_analysis(parsed, series, out_dir))
-    except (ConfigError, EnumerationCapError, ValueError) as exc:
+        outputs.extend(_write_analysis(parsed["analysis"], series, out_dir))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     manifest = {
@@ -489,9 +457,8 @@ def cmd_analyze(args) -> int:
             mom_path = os.path.join(out_dir, f"moments_mu{tag}.csv")
             _write_moments(mom_path, report)
             outputs.append(mom_path)
-        parsed = {"analysis": analysis}
-        outputs.extend(_write_analysis(parsed, series, out_dir))
-    except (SchemaError, ConfigError, ValueError) as exc:
+        outputs.extend(_write_analysis(analysis, series, out_dir))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(outputs)} artifact(s) to {out_dir}")

@@ -37,6 +37,27 @@ from .sector import brickwork_layers, sector_basis
 DEFAULT_SITE_CAP = 20
 
 
+def check_site_cap(n_sites: int) -> None:
+    """Refuse exact evolution of more than DEFAULT_SITE_CAP sites.
+
+    Raises:
+        EnumerationCapError: if n_sites exceeds the cap.
+    """
+    if n_sites > DEFAULT_SITE_CAP:
+        raise EnumerationCapError(
+            f"exact evolution of {n_sites} sites exceeds the "
+            f"{DEFAULT_SITE_CAP}-site cap; use sampled mode instead"
+        )
+
+
+def thread_map(task, items, threads: int) -> list:
+    """`task` over `items`, in order, on up to `threads` worker threads."""
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(task, items))
+    return [task(item) for item in items]
+
+
 @dataclass(frozen=True)
 class ImbalanceEnsemble:
     """Product distribution over initial bitstrings at imbalance mu >= 0.
@@ -160,9 +181,6 @@ class TransferDistribution:
         """Average the masses of M and -M."""
         sym = 0.5 * (self.probabilities + self.probabilities[::-1])
         return TransferDistribution(self.cycles, sym)
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(v): float(p) for v, p in zip(self.values, self.probabilities)}
 
 
 def transferred_magnetization(b_initial, b_final) -> int:
@@ -347,11 +365,7 @@ def transfer_tensor(
         a, b, j0, m = task
         return _evolve_block(half, a, b, j0, m, cycles, params, operators)
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, tasks))
-    else:
-        parts = [run(task) for task in tasks]
+    parts = thread_map(run, tasks, threads)
     for (a, b, _, _), part in zip(tasks, parts):  # fixed order: deterministic sum
         T[1:, a, b] += part
     if mirror:
@@ -406,10 +420,7 @@ def distribution_from_tensor(
 
 
 def exact_distribution(
-    ens: ImbalanceEnsemble,
-    config: ChainConfig,
-    *,
-    cap_sites: int = DEFAULT_SITE_CAP,
+    ens: ImbalanceEnsemble, config: ChainConfig
 ) -> TransferDistribution:
     """Exact P(M) by weighted enumeration of every initial word.
 
@@ -418,17 +429,16 @@ def exact_distribution(
     `lightcone_reduce` first to simulate the minimal chain.
 
     Raises:
-        EnumerationCapError: if n_qubits exceeds `cap_sites`; use the
-            sampler for larger systems.
+        EnumerationCapError: if n_qubits exceeds DEFAULT_SITE_CAP; use
+            the sampler for larger systems.
     """
-    return exact_distributions(ens, config, cap_sites=cap_sites)[-1]
+    return exact_distributions(ens, config)[-1]
 
 
 def exact_distributions(
     ens: ImbalanceEnsemble,
     config: ChainConfig,
     *,
-    cap_sites: int = DEFAULT_SITE_CAP,
     threads: int = 1,
 ) -> list[TransferDistribution]:
     """Exact P(M) for every cycle 0..config.cycles (one enumeration pass)."""
@@ -436,11 +446,7 @@ def exact_distributions(
         raise ValueError(
             f"ensemble on {ens.n_qubits} qubits, config on {config.n_qubits}"
         )
-    if config.n_qubits > cap_sites:
-        raise EnumerationCapError(
-            f"exact enumeration on {config.n_qubits} sites exceeds the cap "
-            f"({cap_sites}); use sampled mode instead"
-        )
+    check_site_cap(config.n_qubits)
     T = transfer_tensor(
         config.n_qubits,
         config.cycles,
@@ -453,21 +459,13 @@ def exact_distributions(
     ]
 
 
-def pure_domain_wall_distribution(
-    config: ChainConfig,
-    *,
-    cap_sites: int = DEFAULT_SITE_CAP,
-) -> TransferDistribution:
+def pure_domain_wall_distribution(config: ChainConfig) -> TransferDistribution:
     """P(M) for the single initial word 1...10...0 (the mu = inf limit).
 
     This is T[t, half, 0, :]: block (half, 0) holds the single word, so it
     is evolved alone on the block engine of `transfer_tensor`.
     """
-    if config.n_qubits > cap_sites:
-        raise EnumerationCapError(
-            f"domain-wall evolution on {config.n_qubits} sites exceeds the "
-            f"cap ({cap_sites}); use sampled mode instead"
-        )
+    check_site_cap(config.n_qubits)
     half = config.n_qubits // 2
     t = config.cycles
     if t == 0:

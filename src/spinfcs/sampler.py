@@ -38,7 +38,6 @@ Per-state tallies live on the full grid of right-half count changes,
 causal cone |M| <= 2t; causal filtering confines them again.
 """
 
-import concurrent.futures
 import logging
 import math
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ import numpy as np
 
 from . import stats
 from .circuit import ChainConfig
-from .ensemble import ImbalanceEnsemble, TransferDistribution
+from .ensemble import ImbalanceEnsemble, TransferDistribution, thread_map
 from .noise import (
     NoiseConfig,
     damp_bits,
@@ -345,14 +344,6 @@ def _noiseless_chunk(chunk, prepared, config, sample, postselect_mode):
     return out
 
 
-def _map(task, items, threads):
-    """`task` over `items`, in order, on up to `threads` worker threads."""
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(task, items))
-    return [task(item) for item in items]
-
-
 def run_sampled(
     ens: ImbalanceEnsemble,
     config: ChainConfig,
@@ -386,14 +377,13 @@ def run_sampled(
     if noise is None:
         mode = "sampled"
         lo, hi = _window_bounds(config.n_qubits, config.cycles)
-        windows = [bits_to_word(row[lo:hi]) for row in prepared[1]]
-        chunks = _window_chunks(np.array(windows, dtype=np.uint64), hi - lo)
+        chunks = _window_chunks(bits_to_word(prepared[1][:, lo:hi]), hi - lo)
 
         def chunk_records(chunk):
             return _noiseless_chunk(chunk, prepared, config, sample, postselect_mode)
 
         records = [None] * n_states
-        for part in _map(chunk_records, chunks, threads):
+        for part in thread_map(chunk_records, chunks, threads):
             for i, record in part:
                 records[i] = record
     else:
@@ -402,7 +392,7 @@ def run_sampled(
         def state_record(i):
             return _noisy_record(prepared, config, sample, noise, i, postselect_mode)
 
-        records = _map(state_record, range(n_states), threads)
+        records = thread_map(state_record, range(n_states), threads)
     run = SampledRun(
         cycles=config.cycles,
         n_qubits=config.n_qubits,

@@ -18,12 +18,13 @@ from .errors import SectorMismatchError
 from .gates import FSimParams, LayerOrder, PhaseConvention
 
 
-def bits_to_word(bits) -> int:
-    """Pack a 0/1 sequence (site 0 first) into an integer word."""
-    word = 0
-    for b in bits:
-        word = (word << 1) | int(b)
-    return word
+def bits_to_word(bits):
+    """Pack a 0/1 sequence of at most 64 sites (site 0 first) into an
+    integer word; a stack of them, one per row, gives a uint64 array."""
+    bits = np.asarray(bits, dtype=np.uint64)
+    shifts = np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.uint64)
+    words = np.bitwise_or.reduce(bits << shifts, axis=-1)
+    return int(words) if bits.ndim == 1 else words
 
 
 def word_to_bits(word, n_sites: int) -> np.ndarray:
@@ -110,13 +111,7 @@ class SectorBasis:
             raise SectorMismatchError(
                 f"word has {word.bit_count()} ones, sector expects {k}"
             )
-        r = 0
-        remaining = k
-        for i in range(n):
-            if (word >> (n - 1 - i)) & 1:
-                r += math.comb(n - 1 - i, remaining)
-                remaining -= 1
-        return r
+        return int(np.searchsorted(self.words, np.uint64(word)))
 
     def unrank(self, index: int) -> int:
         """Inverse of `rank`; returns the integer word at a given rank."""

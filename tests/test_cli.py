@@ -244,6 +244,28 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    REFUSED = {
+        "unknown-top-level-key": ("n_qubit", {"n_qubit": 40}),
+        "cap-sites-is-unknown": ("cap_sites", {"cap_sites": 30}),
+        "unknown-noise-key": ("noise.t1", {"noise": {"t1": 4.0}}),
+        "unknown-analysis-key": (
+            "analysis.collapse_knot", {"analysis": {"collapse_knot": 5}}
+        ),
+        "noise-in-sampled-mode": (
+            "noise", {"mode": "sampled", "noise": {"t1_cycles": 4.0, "e0": 0.02}}
+        ),
+        "noise-in-exact-mode": ("noise", {"mode": "exact", "noise": {}}),
+        "no-states": ("initial_states", {"initial_states": 0}),
+        "nan-angle": ("theta", {"theta": math.nan}),
+    }
+
+    @pytest.mark.parametrize("key, overrides", REFUSED.values(), ids=list(REFUSED))
+    def test_refusal_names_the_key(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **{**self.NOISY, **overrides})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+        assert not (tmp_path / "o").exists()  # refused before any work
+
     @pytest.mark.parametrize("key", ["e0", "e1"])
     def test_per_qubit_rates_need_one_rate_per_qubit(self, tmp_path, capsys, key):
         noise = {"t1_cycles": 4.0, key: [0.01, 0.02, 0.03]}

@@ -224,3 +224,10 @@ class TestColumnBlocks:
             SectorState.from_words([0b10011], 4)  # five sites
         with pytest.raises(ValueError):
             SectorState.from_words([], 4)
+
+    def test_a_stack_of_rows_packs_row_by_row(self):
+        rows = word_to_bits(sector_basis(8, 4).words, 8)
+        words = bits_to_word(rows)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [bits_to_word(row) for row in rows]
+        assert bits_to_word(rows[:, :0]).tolist() == [0] * len(rows)
