@@ -12,6 +12,8 @@ def apply_fsim_tables(amps, tables, theta, phi, split_phase):
     """Apply one fSim gate, given the bond's index tables, in place.
 
     `amps` has shape (dim, m).  `tables` is the (i01, i10, i11, i00) tuple.
+    `theta` and `phi` are scalars, or (m,) arrays giving each column its own
+    gate; either way every amplitude sees the same elementwise arithmetic.
     """
     i01, i10, i11, i00 = tables
     c = np.cos(theta)
@@ -21,11 +23,11 @@ def apply_fsim_tables(amps, tables, theta, phi, split_phase):
     amps[i01] = c * a + js * b
     amps[i10] = js * a + c * b
     if split_phase:
-        half = complex(np.exp(-1j * phi / 2.0))
+        half = np.exp(-1j * phi / 2.0)
         amps[i00] *= half
         amps[i11] *= half
     else:
-        amps[i11] *= complex(np.exp(-1j * phi))
+        amps[i11] *= np.exp(-1j * phi)
 
 
 def readout_accumulate(amps, r_of, acc):

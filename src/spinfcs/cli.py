@@ -154,6 +154,8 @@ def _parse_config(cfg) -> dict:
     noise = _require(cfg, "noise", dict)
     noisy = mode == "noisy-sampled"
     _check(noisy or noise is None, "noise", "only noisy-sampled mode takes it")
+    analysis = _parse_analysis(_require(cfg, "analysis", dict))
+    _check_collapse(analysis, mus)
     params = FSimParams(*angles, PhaseConvention(convention))
     sample = None
     if mode == "exact":
@@ -171,7 +173,7 @@ def _parse_config(cfg) -> dict:
         "sample": sample,
         "noise": _parse_noise(noise or {}, n_qubits) if noisy else None,
         "postselect": postselect,
-        "analysis": _parse_analysis(_require(cfg, "analysis", dict)),
+        "analysis": analysis,
     }
 
 
@@ -188,9 +190,11 @@ def _parse_noise(raw: dict, n_qubits: int) -> NoiseConfig:
         key: _require(raw, f"noise.{key}", NUMBER, default=0.0)
         for key in ("angle_jitter_sd", "dephasing_sd")
     }
-    t1 = _number_or_inf(t1, "noise.t1_cycles")
-    with _refused_as("noise"):
-        return NoiseConfig(t1_cycles=t1, **rates, **widths)
+    values = {"t1_cycles": _number_or_inf(t1, "noise.t1_cycles"), **rates, **widths}
+    for key, value in values.items():  # the library check, key by key
+        with _refused_as(f"noise.{key}"):
+            NoiseConfig(**{key: value})
+    return NoiseConfig(**values)
 
 
 def _parse_analysis(raw) -> dict:
@@ -210,6 +214,13 @@ def _parse_analysis(raw) -> dict:
         for key, default in (("collapse_t_min", 8), ("collapse_knots", 12)):
             out[key] = _require(raw, f"analysis.{key}", int, default=default)
     return out
+
+
+def _check_collapse(analysis: dict, mus) -> None:
+    """Refuse a collapse scan over fewer than 2 distinct finite mu."""
+    if "collapse_gammas" in analysis:
+        finite = {mu for mu in mus if not math.isinf(mu)}
+        _check(len(finite) >= 2, "analysis.collapse_gammas", "needs >= 2 finite mu")
 
 
 def _mu_tag(mu: float) -> str:
@@ -314,8 +325,8 @@ def _write_analysis(analysis, series, out_dir):
             lines.append(",".join([_mu_tag(mu), *map(_fmt, row)]))
         outputs.append(_write_lines(os.path.join(out_dir, "exponent_fit.csv"), lines))
     if "collapse_gammas" in analysis:
+        _check_collapse(analysis, series)
         finite = [mu for mu in series if not math.isinf(mu)]
-        _check(len(finite) >= 2, "analysis.collapse_gammas", "needs >= 2 finite mu")
         triples = [
             (mu, series[mu].cycles, series[mu].skewness) for mu in sorted(finite)
         ]

@@ -52,6 +52,18 @@ def wrap_angle(x: float) -> float:
     return y
 
 
+def wrap_angles(x) -> np.ndarray:
+    """`wrap_angle` of every entry of an array, bit for bit: `fmod` is
+    exact, and so is the one shift by 2 pi that brings its result into
+    (-pi, pi] (Sterbenz), where `remainder` ties and -pi both land on pi."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("angles must be finite")
+    y = np.fmod(x, 2.0 * math.pi)
+    y = np.where(y > math.pi, y - 2.0 * math.pi, y)
+    return np.where(y <= -math.pi, y + 2.0 * math.pi, y)
+
+
 @dataclass(frozen=True)
 class FSimParams:
     """Swap angle, conditional phase, and phase-placement convention.
@@ -84,10 +96,6 @@ class FSimParams:
             )
         return math.sin(self.phi / 2.0) / s
 
-    def with_angles(self, theta: float, phi: float) -> "FSimParams":
-        """Copy with replaced angles (convention preserved)."""
-        return FSimParams(theta, phi, self.convention)
-
     def matrix(self) -> np.ndarray:
         """The 4x4 unitary on a bond, ordered |00>, |01>, |10>, |11>."""
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -105,3 +113,13 @@ class FSimParams:
             u[0, 0] = half
             u[3, 3] = half
         return u
+
+
+@dataclass(frozen=True)
+class FSimColumns:
+    """One fSim gate with its own angles on each column of a state block:
+    `theta` and `phi` are (m,) arrays, already reduced to (-pi, pi]."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    convention: PhaseConvention

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import FSimParams, LayerOrder
+from .gates import FSimColumns, FSimParams, LayerOrder, wrap_angles
 from .sector import SectorState, brickwork_layers, sector_basis
 
 
@@ -39,14 +39,17 @@ class NoiseConfig:
     dephasing_sd: float = 0.0
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         if not self.t1_cycles > 0:
             raise ValueError(f"t1_cycles must be positive, got {self.t1_cycles}")
         for name in ("e0", "e1"):
             rates = np.asarray(getattr(self, name), dtype=float)
-            if np.any(rates < 0) or np.any(rates > 1):
+            if not np.all((rates >= 0) & (rates <= 1)):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.angle_jitter_sd < 0 or self.dephasing_sd < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+        for name in ("angle_jitter_sd", "dephasing_sd"):
+            width = getattr(self, name)
+            if not (math.isfinite(width) and width >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {width}")
 
     @property
     def half_layer_decay(self) -> float:
@@ -71,8 +74,30 @@ def damping_step(state: SectorState, p_decay: float, rng) -> SectorState:
     has probability proportional to ||sigma^-_S psi||^2; lowering one site
     at a time, each drawn with probability <n_q>/N of the current state,
     samples exactly that law.  Returns a new state; the input is unchanged.
+    This is the single-state reference of `damp_columns`.
     """
-    for _ in range(rng.binomial(state.basis.n_excitations, p_decay)):
+    return _jumps(state, rng.binomial(state.basis.n_excitations, p_decay), rng)
+
+
+def damp_columns(state: SectorState, p_decay: float, rngs):
+    """`damping_step` on every column j of a block, drawing from rngs[j]
+    exactly what it draws on that column alone.
+
+    Returns (j, damped single state) for each column j that jumped; the
+    block itself is left unchanged.
+    """
+    k = state.basis.n_excitations
+    jumps = [rng.binomial(k, p_decay) for rng in rngs]
+    columns = state.columns()
+    return [
+        (j, _jumps(SectorState(state.basis, columns[:, j]), jumps[j], rngs[j]))
+        for j in np.flatnonzero(jumps)
+    ]
+
+
+def _jumps(state: SectorState, count: int, rng) -> SectorState:
+    """`count` jumps of a single state, one lowered site at a time."""
+    for _ in range(count):
         basis = state.basis
         occupation = state.probabilities() @ basis.site_bits()
         q = rng.choice(basis.n_sites, p=occupation / occupation.sum())
@@ -89,9 +114,10 @@ def damping_step(state: SectorState, p_decay: float, rng) -> SectorState:
 
 def damp_bits(bits: np.ndarray, duration_cycles: float, noise: NoiseConfig, rng):
     """Classical damping of idle qubits: each 1 flips to 0 with probability
-    1 - exp(-t/T1).  Draws one random number per bit."""
+    1 - exp(-t/T1).  Draws one random number per bit, from `rng`, or for a
+    stack of rows from rng[i] for row i."""
     bits = np.asarray(bits)
-    u = rng.random(bits.shape)
+    u = _uniforms(bits.shape, rng)
     p = noise.bit_decay(duration_cycles)
     out = bits.copy()
     out[(bits == 1) & (u < p)] = 0
@@ -99,15 +125,23 @@ def damp_bits(bits: np.ndarray, duration_cycles: float, noise: NoiseConfig, rng)
 
 
 def readout_flip(bits: np.ndarray, noise: NoiseConfig, rng) -> np.ndarray:
-    """Independent per-qubit readout flips: 0->1 at e0, 1->0 at e1."""
+    """Independent per-qubit readout flips: 0->1 at e0, 1->0 at e1.  Draws
+    one random number per bit, from `rng`, or for a stack of rows from
+    rng[i] for row i."""
     bits = np.asarray(bits)
-    e0 = np.broadcast_to(np.asarray(noise.e0, dtype=float), bits.shape)
-    e1 = np.broadcast_to(np.asarray(noise.e1, dtype=float), bits.shape)
-    u = rng.random(bits.shape)
+    u = _uniforms(bits.shape, rng)
     out = bits.copy()
-    out[(bits == 0) & (u < e0)] = 1
-    out[(bits == 1) & (u < e1)] = 0
+    out[(bits == 0) & (u < noise.e0)] = 1
+    out[(bits == 1) & (u < noise.e1)] = 0
     return out
+
+
+def _uniforms(shape, rng) -> np.ndarray:
+    """Uniforms of `shape` from one generator, or row i of a stack of rows
+    from rng[i] (one generator per shot)."""
+    if isinstance(rng, np.random.Generator):
+        return rng.random(shape)
+    return np.array([r.random(shape[1]) for r in rng]).reshape(shape)
 
 
 def causal_min_half_layers(
@@ -181,40 +215,58 @@ def postselect(
 
 @dataclass
 class LayerRealization:
-    """One gate layer of a noisy circuit realization."""
+    """One half-layer of the noisy circuits of a block of m shots."""
 
     bonds: list[int]
-    gate_params: list[FSimParams]
-    z_angles: np.ndarray | None  # applied after the layer when present
+    # jittered (theta, phi), each (len(bonds), m); None for the nominal gate
+    angles: tuple[np.ndarray, np.ndarray] | None
+    z_angles: np.ndarray | None  # (n_sites, m), applied after the layer when present
+
+    def gate_params(self, params: FSimParams, columns) -> list:
+        """The gate on each bond for the shots `columns`: the nominal
+        `params`, or `FSimColumns` with each shot's own angles."""
+        if self.angles is None:
+            return [params] * len(self.bonds)
+        theta, phi = (angles[:, columns] for angles in self.angles)
+        return [FSimColumns(*pair, params.convention) for pair in zip(theta, phi)]
 
 
 def disorder_and_dephasing(
     params: FSimParams,
     noise: NoiseConfig,
-    rng,
+    rngs,
     n_sites: int,
     layers: Sequence[list[int]],
 ) -> list[LayerRealization]:
-    """Draw one shot's noisy circuit over the given half-layers (bond lists,
-    as `sector.brickwork_layers` lays them out): per-gate Gaussian
-    (theta, phi) jitter plus random Z rotations of the `n_sites` sites after
-    each layer.  Zero widths reproduce the nominal circuit exactly and draw
-    nothing."""
+    """Draw the noisy circuits of a block of shots over the given
+    half-layers (bond lists, as `sector.brickwork_layers` lays them out):
+    per-gate Gaussian (theta, phi) jitter plus random Z rotations of the
+    `n_sites` sites after each layer.
+
+    Shot j draws from rngs[j], in one `standard_normal` call, the same
+    numbers in the same order as one scalar draw at a time: per half-layer,
+    a (theta, phi) pair per gate, then one Z angle per site.  Jittered
+    angles are reduced exactly as `FSimParams` reduces them.  Zero widths
+    reproduce the nominal circuit exactly and draw nothing.
+    """
+    jitter, dephasing = noise.angle_jitter_sd, noise.dephasing_sd
+    sizes = [
+        2 * len(bonds) * (jitter > 0.0) + n_sites * (dephasing > 0.0)
+        for bonds in layers
+    ]
+    if sum(sizes):
+        draws = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs], axis=1)
+        parts = np.split(draws, np.cumsum(sizes)[:-1])
     realizations = []
-    for bonds in layers:
-        if noise.angle_jitter_sd > 0.0:
-            gate_params = [
-                params.with_angles(
-                    params.theta + noise.angle_jitter_sd * rng.standard_normal(),
-                    params.phi + noise.angle_jitter_sd * rng.standard_normal(),
-                )
-                for _ in bonds
-            ]
-        else:
-            gate_params = [params] * len(bonds)
-        if noise.dephasing_sd > 0.0:
-            z_angles = noise.dephasing_sd * rng.standard_normal(n_sites)
-        else:
-            z_angles = None
-        realizations.append(LayerRealization(list(bonds), gate_params, z_angles))
+    for i, bonds in enumerate(layers):
+        angles = z_angles = None
+        if jitter > 0.0:
+            pairs = parts[i][: 2 * len(bonds)]
+            angles = (
+                wrap_angles(params.theta + jitter * pairs[0::2]),
+                wrap_angles(params.phi + jitter * pairs[1::2]),
+            )
+        if dephasing > 0.0:
+            z_angles = dephasing * parts[i][sizes[i] - n_sites :]
+        realizations.append(LayerRealization(list(bonds), angles, z_angles))
     return realizations

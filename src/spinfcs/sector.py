@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SectorMismatchError
-from .gates import FSimParams, LayerOrder, PhaseConvention
+from .gates import FSimColumns, FSimParams, LayerOrder, PhaseConvention
 
 
 def bits_to_word(bits):
@@ -94,6 +94,7 @@ class SectorBasis:
         self.dimension = math.comb(self.n_sites, self.n_excitations)
         self.words = _sector_words(self.n_sites, self.n_excitations)
         self._site_bits = None
+        self._occupied_sites = None
         self._bond_tables = {}
 
     def rank(self, bitstring) -> int:
@@ -132,6 +133,15 @@ class SectorBasis:
             bits.setflags(write=False)
             self._site_bits = bits
         return self._site_bits
+
+    def occupied_sites(self) -> np.ndarray:
+        """(dimension, n_excitations) matrix of the sites of the ones of
+        each basis word, ascending (cached, read-only)."""
+        if self._occupied_sites is None:
+            sites = np.nonzero(self.site_bits())[1].reshape(self.dimension, -1)
+            sites.setflags(write=False)
+            self._occupied_sites = sites
+        return self._occupied_sites
 
     def bond_tables(self, bond: int):
         """Index tables (i01, i10, i11, i00) for the bond (bond, bond+1).
@@ -228,12 +238,12 @@ class SectorState:
         a = self.amplitudes
         return a.real**2 + a.imag**2
 
-    def apply_fsim(self, bond: int, params: FSimParams) -> None:
+    def apply_fsim(self, bond: int, params: FSimParams | FSimColumns) -> None:
         """Apply one fSim gate on sites (bond, bond+1) of every column, in
-        place."""
+        place; `FSimColumns` gives each column its own angles."""
         tables = self.basis.bond_tables(bond)
         _kernels.apply_fsim_tables(
-            self._columns(),
+            self.columns(),
             tables,
             params.theta,
             params.phi,
@@ -252,14 +262,23 @@ class SectorState:
     def apply_diagonal_phases(self, site_angles: np.ndarray) -> None:
         """Multiply by exp(-i * angle_q) on every occupied site q, in place.
 
-        Used for inter-layer Z-rotation noise; diagonal in the basis.
+        `site_angles` holds one angle per site, shared by every column, or
+        an (n_sites, m) array with a column of angles per column.  Each
+        word's phase is summed over its occupied sites in ascending order,
+        so a column's result does not depend on the block it sits in.  Used
+        for inter-layer Z-rotation noise; diagonal in the basis.
         """
-        site_angles = np.asarray(site_angles, dtype=float)
-        if site_angles.shape != (self.basis.n_sites,):
-            raise ValueError("one angle per site required")
-        total = self.basis.site_bits() @ site_angles
-        self._columns()[...] *= np.exp(-1j * total)[:, None]
+        columns = self.columns()
+        n = self.basis.n_sites
+        if np.shape(site_angles) not in ((n,), (n, columns.shape[1])):
+            raise ValueError("one angle per site (and column) required")
+        angles = np.asarray(site_angles, dtype=float).reshape(n, -1)
+        total = np.zeros((self.basis.dimension, angles.shape[1]))
+        for sites in self.basis.occupied_sites().T:
+            total += angles[sites]
+        phases = total * -1j
+        columns *= np.exp(phases, out=phases)
 
-    def _columns(self) -> np.ndarray:
+    def columns(self) -> np.ndarray:
         """The amplitudes as a (dim, m) view, m = 1 for a single state."""
         return self.amplitudes.reshape(self.basis.dimension, -1)

@@ -257,6 +257,18 @@ class TestConfigValidation:
         "noise-in-exact-mode": ("noise", {"mode": "exact", "noise": {}}),
         "no-states": ("initial_states", {"initial_states": 0}),
         "nan-angle": ("theta", {"theta": math.nan}),
+        "nan-readout-rate": ("noise.e0", {"noise": {"e0": math.nan}}),
+        "nan-per-qubit-rate": (
+            "noise.e1", {"noise": {"e1": [0.1, math.nan, 0.1, 0.1]}}
+        ),
+        "nan-jitter": ("noise.angle_jitter_sd", {"noise": {"angle_jitter_sd": math.nan}}),
+        "nan-dephasing": ("noise.dephasing_sd", {"noise": {"dephasing_sd": math.nan}}),
+        "infinite-dephasing": (
+            "noise.dephasing_sd", {"noise": {"dephasing_sd": math.inf}}
+        ),
+        "collapse-over-one-mu": (
+            "analysis.collapse_gammas", {"analysis": {"collapse_gammas": [0.5]}}
+        ),
     }
 
     @pytest.mark.parametrize("key, overrides", REFUSED.values(), ids=list(REFUSED))
@@ -302,6 +314,26 @@ class TestAnalysisArtifacts:
         header, rows = read_csv(out / "collapse_scan.csv")
         assert header == "gamma,residual"
         assert [r[0] for r in rows] == ["0.4", "0.6", "0.8"]
+
+    @pytest.mark.parametrize("mu", [0.0, [0.5, "inf"], [0.5, 0.5]])
+    def test_collapse_over_fewer_than_two_mu_is_refused_before_the_run(
+        self, tmp_path, capsys, mu
+    ):
+        analysis = {"collapse_gammas": [0.4, 0.6]}
+        cfg = write_config(tmp_path / "cfg.json", mu=mu, analysis=analysis)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'analysis.collapse_gammas'")
+        assert not list(out.glob("*.csv"))  # no distribution was written
+        # analyze refuses the same scan over stored tables
+        run_out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", mu=mu)
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        (tmp_path / "an.json").write_text(json.dumps(analysis))
+        argv = ["analyze", "--input", str(run_out), "--config", str(tmp_path / "an.json")]
+        assert main([*argv, "--out", str(tmp_path / "an")]) == 1
+        assert "analysis.collapse_gammas" in capsys.readouterr().err
 
     def test_synthetic_power_law_recovers_z(self, tmp_path):
         # hand-written distribution tables with mean exactly c * t^(2/3)

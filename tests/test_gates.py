@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinfcs.errors import UndefinedAnisotropyError
-from spinfcs.gates import FSimParams, PhaseConvention, wrap_angle
+from spinfcs.gates import FSimParams, PhaseConvention, wrap_angle, wrap_angles
 
 
 def test_wrap_angle_range():
@@ -17,6 +17,27 @@ def test_wrap_angle_range():
 
 def test_wrap_angle_negative_pi_maps_to_pi():
     assert wrap_angle(-math.pi) == math.pi
+
+
+def test_array_wrap_is_the_scalar_wrap_bit_for_bit():
+    # odd multiples of pi are the ties of math.remainder, where the quotient
+    # parity decides the sign before -pi is mapped to pi
+    odd = (2 * np.arange(-40, 41) + 1) * math.pi
+    edges = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 1e300, -1e-300]
+    x = np.concatenate([
+        odd,
+        np.nextafter(odd, np.inf),
+        np.nextafter(odd, -np.inf),
+        edges,
+        np.random.default_rng(4).normal(0.0, 30.0, 20000),
+    ])
+    want = np.array([wrap_angle(float(v)) for v in x])
+    got = wrap_angles(x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    block = wrap_angles(x[:20000].reshape(4, -1))
+    assert np.array_equal(block.ravel(), want[:20000])
+    with pytest.raises(ValueError):
+        wrap_angles([0.0, math.nan])
 
 
 def test_angles_stored_reduced():

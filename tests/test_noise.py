@@ -7,7 +7,7 @@ from conftest import chi_square_p_value, dense_cycle, dense_damping
 from scipy.optimize import curve_fit
 from scipy.stats import binom
 
-from spinfcs.gates import FSimParams, LayerOrder
+from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import (
     NoiseConfig,
     causal_min_half_layers,
@@ -222,26 +222,87 @@ class TestReadout:
         with pytest.raises(ValueError):
             NoiseConfig(t1_cycles=0.0)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("e0", math.nan),
+            ("e1", math.nan),
+            ("e0", np.array([0.1, math.nan, 0.0])),
+            ("e1", [0.0, math.nan]),
+            ("angle_jitter_sd", math.nan),
+            ("dephasing_sd", math.nan),
+            ("angle_jitter_sd", math.inf),
+            ("t1_cycles", math.nan),
+        ],
+    )
+    def test_nan_is_refused(self, key, value):
+        # a NaN rate fails no range comparison; it used to pass and never flip
+        with pytest.raises(ValueError, match=key):
+            NoiseConfig(**{key: value})
+
 
 class TestDisorder:
     def test_zero_widths_give_nominal_circuit(self):
         rng = np.random.default_rng(0)
         params = FSimParams(0.3, 0.4)
         layers = brickwork_layers(6, 0, LayerOrder.EVEN_FIRST) * 2
-        realizations = disorder_and_dephasing(params, NoiseConfig(), rng, 6, layers)
+        realizations = disorder_and_dephasing(params, NoiseConfig(), [rng], 6, layers)
         assert len(realizations) == 4
         for layer in realizations:
             assert layer.z_angles is None
-            assert all(gp is params for gp in layer.gate_params)
+            assert layer.angles is None
+            gates = layer.gate_params(params, [0])
+            assert len(gates) == len(layer.bonds)
+            assert all(gp is params for gp in gates)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
     def test_jitter_draws_fresh_angles_per_gate(self):
         rng = np.random.default_rng(0)
         params = FSimParams(0.3, 0.4)
         noise = NoiseConfig(angle_jitter_sd=0.05)
         layers = brickwork_layers(6, 0, LayerOrder.EVEN_FIRST)
-        realizations = disorder_and_dephasing(params, noise, rng, 6, layers)
-        angles = [gp.theta for layer in realizations for gp in layer.gate_params]
-        assert len(set(angles)) == len(angles)
+        realizations = disorder_and_dephasing(params, noise, [rng], 6, layers)
+        angles = [
+            float(gp.theta[0])
+            for layer in realizations
+            for gp in layer.gate_params(params, [0])
+        ]
+        assert len(set(angles)) == len(angles) == 5
+
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    @pytest.mark.parametrize("jitter, dephasing", [(0.3, 0.0), (0.0, 0.2), (2.5, 0.2)])
+    def test_a_block_draws_what_each_shot_draws_alone(self, jitter, dephasing, convention):
+        # shot j of a block, against one scalar draw at a time from its own
+        # stream: per layer a (theta, phi) pair per gate, then the Z angles;
+        # a wide jitter sends angles round the circle, where they must be
+        # reduced exactly as FSimParams reduces them
+        params = FSimParams(0.9 * np.pi, -0.7 * np.pi, convention)
+        noise = NoiseConfig(angle_jitter_sd=jitter, dephasing_sd=dephasing)
+        layers = brickwork_layers(7, 1, LayerOrder.ODD_FIRST) * 3
+        block = disorder_and_dephasing(
+            params, noise, [np.random.default_rng(s) for s in range(4)], 7, layers
+        )
+        columns = np.array([3, 0, 2])
+        for j, shot in enumerate(columns):
+            rng = np.random.default_rng(shot)
+            for layer, bonds in zip(block, layers):
+                gates = layer.gate_params(params, columns)
+                assert layer.bonds == bonds and len(gates) == len(bonds)
+                for gp in gates:
+                    if jitter > 0:
+                        want = FSimParams(
+                            params.theta + jitter * rng.standard_normal(),
+                            params.phi + jitter * rng.standard_normal(),
+                        )
+                        assert gp.convention is convention
+                        assert (gp.theta[j], gp.phi[j]) == (want.theta, want.phi)
+                    else:
+                        assert gp is params
+                if dephasing > 0:
+                    want_z = dephasing * rng.standard_normal(7)
+                    assert np.array_equal(layer.z_angles[:, shot], want_z)
+                else:
+                    assert layer.z_angles is None
 
     @pytest.mark.parametrize(
         "first_site, order, first, second",
@@ -258,7 +319,7 @@ class TestDisorder:
         realizations = disorder_and_dephasing(
             FSimParams(0.3, 0.4),
             NoiseConfig(),
-            rng,
+            [rng],
             6,
             brickwork_layers(6, first_site, order),
         )

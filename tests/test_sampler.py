@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import math
@@ -6,8 +7,12 @@ import numpy as np
 import pytest
 from conftest import (
     chi_square_p_value,
+    dense_damping,
+    dense_fsim,
+    dense_gate_on_bond,
     dense_noisy_measured_probabilities,
     dense_right_ones,
+    dense_word_probability,
 )
 
 from spinfcs.circuit import ChainConfig
@@ -18,15 +23,24 @@ from spinfcs.ensemble import (
     transfer_tensor,
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
-from spinfcs.noise import NoiseConfig
-from spinfcs import _kernels
+from spinfcs.noise import (
+    NoiseConfig,
+    damp_bits,
+    damping_step,
+    postselect,
+    readout_flip,
+)
+from spinfcs import _kernels, sampler
 from spinfcs.sampler import (
     _CHUNK_AMPLITUDES,
     SampleConfig,
     SampledRun,
     StateRecord,
+    _measure_indices,
     _philox,
     _prepare,
+    _substream,
+    _tally,
     _trajectory,
     _window_bounds,
     _window_chunks,
@@ -36,7 +50,7 @@ from spinfcs.sampler import (
     run_sampled,
     sample_initial,
 )
-from spinfcs.sector import SectorState, bits_to_word, word_to_bits
+from spinfcs.sector import SectorState, bits_to_word, brickwork_layers, word_to_bits
 from spinfcs.stats import (
     MomentReport,
     distribution_moments,
@@ -206,7 +220,7 @@ class TestLightConeWindow:
                 key = tuple(phys[lo:hi])
                 if key not in window_right:
                     window = SectorState.from_bitstring(phys[lo:hi])
-                    state = _trajectory(window, lo, config, NoiseConfig(), None)
+                    [(state, _)] = _trajectory(window, lo, config, NoiseConfig(), None)
                     window_right[key] = np.bincount(
                         state.basis.right_ones(),
                         weights=state.probabilities(),
@@ -252,6 +266,118 @@ class TestLightConeWindow:
         assert abs(run.distribution().total() - 1.0) < 1e-12
 
 
+def dense_true_probabilities(word, sites, layers, t, p_decay):
+    """diag(rho) of `sites` qubits after t cycles from |word>: each
+    half-layer's gates (bond lists, local), then damping of every qubit."""
+    u4 = dense_fsim(HEIS.theta, HEIS.phi)
+    rho = np.zeros((2**sites, 2**sites), dtype=complex)
+    rho[word, word] = 1.0
+    for bonds in layers * t:
+        for bond in bonds:
+            gate = dense_gate_on_bond(sites, bond, u4)
+            rho = gate @ rho @ gate.conj().T
+        rho = dense_damping(rho, sites, p_decay)
+    return np.real(np.diag(rho))
+
+
+@functools.cache
+def causal_keeps(n, t, order):
+    """keep[x, y]: the causal filter's verdict on every pair of n-site words."""
+    bits = word_to_bits(np.arange(2**n), n)
+    return np.array([[postselect(x, y, t, "causal", order) for y in bits] for x in bits])
+
+
+class TestWindowUnderNoise:
+    """The noisy route evolves the 2t-site window and lets the bits outside
+    it decay classically.  Against the density matrix of the whole chain,
+    both with readout flips, relabeling and the post-selection filter."""
+
+    n = 6
+    noise = NoiseConfig(t1_cycles=2.0, e0=0.05, e1=0.1)
+
+    def measured_given(self, t, order, lo, hi):
+        """{'chain' and 'window': function of the prepared word giving the
+        probability of every measured word}, the window on sites lo..hi-1."""
+        n, noise = self.n, self.noise
+        first = 0 if order is LayerOrder.EVEN_FIRST else 1
+        chain = [[b for b in range(n - 1) if b % 2 == (first + h) % 2] for h in (0, 1)]
+        window = [[b - lo for b in bonds if lo <= b < hi - 1] for bonds in chain]
+        flip = np.array([[1 - noise.e0, noise.e1], [noise.e0, 1 - noise.e1]])
+        readout = functools.reduce(np.kron, [flip] * n)  # [measured, true]
+        bits = word_to_bits(np.arange(2**n), n)
+        outside = np.r_[0:lo, hi:n]
+        survive = math.exp(-t / noise.t1_cycles)
+        p_half = noise.half_layer_decay
+
+        @functools.cache
+        def chain_model(phys):
+            return readout @ dense_true_probabilities(phys, n, chain, t, p_half)
+
+        @functools.cache
+        def window_model(phys):
+            start = bits_to_word(bits[phys, lo:hi])
+            inside = dense_true_probabilities(start, hi - lo, window, t, p_half)
+            was, now = bits[phys, outside], bits[:, outside]
+            decay = np.where(was == 1, np.where(now == 1, survive, 1 - survive), now == 0)
+            true = inside[bits_to_word(bits[:, lo:hi])] * decay.prod(axis=1)
+            return readout @ true
+
+        return {"chain": chain_model, "window": window_model}
+
+    def targets(self, measured_given, t, order, mu, relabel, mode):
+        """(pooled P(M | keep), sum over x of w(x) P(M | keep, x)) on the
+        tally grid, x running over every initial word."""
+        n, half = self.n, self.n // 2
+        words = np.arange(2**n)
+        bits = word_to_bits(words, n)
+        ones, right = bits.sum(axis=1), bits[:, half:].sum(axis=1)
+        joint = np.zeros((2**n, n + 1))  # P(Delta N_R, keep | x)
+        weights = np.array([dense_word_probability(x, n, mu) for x in words])
+        for x in words:
+            flagged = relabel and ones[x] > half
+            measured = measured_given(x ^ (2**n - 1) if flagged else x)
+            if flagged:
+                measured = measured[words ^ (2**n - 1)]
+            if mode == "none":
+                keep = np.ones(2**n, dtype=bool)
+            elif mode == "number_only":
+                keep = ones == ones[x]
+            else:
+                keep = causal_keeps(n, t, order)[x]
+            delta = half + right[keep] - right[x]
+            joint[x] = np.bincount(delta, weights=measured[keep], minlength=n + 1)
+        kept = joint.sum(axis=1)
+        assert np.all(kept > 0)
+        pooled = weights @ joint / (weights @ kept)
+        return pooled, weights @ (joint / kept[:, None])
+
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_window_model_equals_the_chain(self, t, order):
+        lo, hi = _window_bounds(self.n, t)
+        assert hi - lo == 2 * t < self.n
+        models = self.measured_given(t, order, lo, hi)
+        for mu, relabel, mode in itertools.product(
+            (0.0, 0.5), (False, True), ("none", "number_only", "causal")
+        ):
+            chain, window = (
+                self.targets(models[m], t, order, mu, relabel, mode)
+                for m in ("chain", "window")
+            )
+            assert np.max(np.abs(window[0] - chain[0])) <= 1e-12  # pooled
+            if mode != "causal":  # the causal per-state average is not exact
+                assert np.max(np.abs(window[1] - chain[1])) <= 1e-12
+
+    def test_a_shifted_window_is_told_apart(self):
+        n, t, order = self.n, 2, LayerOrder.EVEN_FIRST
+        lo, hi = _window_bounds(n, t)
+        chain = self.measured_given(t, order, lo, hi)["chain"]
+        shifted = self.measured_given(t, order, lo + 1, hi + 1)["window"]
+        want, _ = self.targets(chain, t, order, 0.5, True, "number_only")
+        got, _ = self.targets(shifted, t, order, 0.5, True, "number_only")
+        assert np.max(np.abs(got - want)) > 0.05
+
+
 def window_words(ens, config, sample):
     """Integer window word of every prepared state of a run."""
     lo, hi = _window_bounds(config.n_qubits, config.cycles)
@@ -277,13 +403,14 @@ class TestBatchedWindow:
             sizes = np.bincount([np.bitwise_count(words[0]) for words, _ in chunks])
             assert sizes.max() >= 3
         for words, _ in chunks:
-            block = _trajectory(
+            [(block, columns)] = _trajectory(
                 SectorState.from_words(words, width), lo, config, NoiseConfig(), None
             )
+            assert columns.tolist() == list(range(len(words)))
             assert block.amplitudes.shape == (block.basis.dimension, len(words))
             for column, word in enumerate(words):
                 single = SectorState.from_bitstring(int(word), width)
-                single = _trajectory(single, lo, config, NoiseConfig(), None)
+                [(single, _)] = _trajectory(single, lo, config, NoiseConfig(), None)
                 assert single.basis is block.basis
                 diff = block.probabilities()[:, column] - single.probabilities()
                 assert np.max(np.abs(diff)) <= 1e-12
@@ -309,6 +436,159 @@ class TestBatchedWindow:
         gates_per_column = t * (n - 1)  # the window is the whole chain
         assert sum(columns) == distinct * gates_per_column
         assert len(run.records) == sample.n_initial_states
+
+
+def per_shot_record(ens, config, sample, noise, mode, i):
+    """State i of a noisy run as the route before column blocks ran it:
+    every shot its own single-state trajectory on counter block 1 + shot,
+    drawing its disorder one number at a time, then one damping step per
+    half-layer, the measurement, the decay outside the window and the
+    readout flips."""
+    bits, phys, flagged = (column[i] for column in _prepare(ens, sample, config.cycles))
+    n, t, params = config.n_qubits, config.cycles, config.params
+    lo, hi = _window_bounds(n, t)
+    layers = brickwork_layers(hi - lo, lo, config.layer_order) * t
+    jitter, dephasing = noise.angle_jitter_sd, noise.dephasing_sd
+    measured = np.tile(phys, (sample.shots_per_state, 1))
+    for shot, row in enumerate(measured):
+        rng = _philox(sample.seed, _substream(t, i), 1 + shot)
+        if hi > lo:
+            circuit = []
+            for bonds in layers:
+                gates = [params] * len(bonds)
+                if jitter > 0:
+                    gates = [
+                        FSimParams(
+                            params.theta + jitter * rng.standard_normal(),
+                            params.phi + jitter * rng.standard_normal(),
+                            params.convention,
+                        )
+                        for _ in bonds
+                    ]
+                z = dephasing * rng.standard_normal(hi - lo) if dephasing > 0 else None
+                circuit.append((bonds, gates, z))
+            state = SectorState.from_bitstring(phys[lo:hi])
+            for bonds, gates, z in circuit:
+                for bond, gate in zip(bonds, gates):
+                    state.apply_fsim(bond, gate)
+                if z is not None:
+                    state.apply_diagonal_phases(z)
+                if noise.half_layer_decay > 0:
+                    state = damping_step(state, noise.half_layer_decay, rng)
+            index = _measure_indices(state.probabilities(), rng, 1)[0]
+            row[lo:hi] = word_to_bits(state.basis.words[index], hi - lo)
+        if lo > 0:
+            row[:lo] = damp_bits(phys[:lo], float(t), noise, rng)
+        if hi < n:
+            row[hi:] = damp_bits(phys[hi:], float(t), noise, rng)
+        row[:] = readout_flip(row, noise, rng)
+    return _tally(bits, flagged, measured, config, mode)
+
+
+class TestBatchedNoisyRoute:
+    NOISE = NoiseConfig(
+        t1_cycles=1.5, e0=0.05, e1=0.1, angle_jitter_sd=0.3, dephasing_sd=0.2
+    )
+
+    @staticmethod
+    def traced_run(monkeypatch, ens, config, sample, noise, mode):
+        """run_sampled, checking that no block is wider than the chunk rule
+        allows; returns the run, the block widths and the number of jumps."""
+        widths, jumps = [], []
+        apply_fsim_tables = _kernels.apply_fsim_tables
+        damp_columns = sampler.damp_columns
+
+        def kernel(amps, *args):
+            dim, m = amps.shape
+            assert m <= max(1, sampler._CHUNK_AMPLITUDES // dim)
+            widths.append(m)
+            return apply_fsim_tables(amps, *args)
+
+        def damping(*args):
+            moved = damp_columns(*args)
+            jumps.extend(j for j, _ in moved)
+            return moved
+
+        monkeypatch.setattr(_kernels, "apply_fsim_tables", kernel)
+        monkeypatch.setattr(sampler, "damp_columns", damping)
+        run = run_sampled(ens, config, sample, noise=noise, postselect_mode=mode)
+        return run, widths, len(jumps)
+
+    @staticmethod
+    def assert_records_are_the_per_shot_ones(run, ens, config, sample, noise, mode):
+        assert len(run.records) == sample.n_initial_states
+        for i, got in enumerate(run.records):
+            want = per_shot_record(ens, config, sample, noise, mode, i)
+            assert np.array_equal(got.initial_bits, want.initial_bits)
+            assert np.array_equal(got.counts, want.counts)
+            assert (got.shots, got.kept) == (want.shots, want.kept)
+
+    @pytest.mark.parametrize("mode", ["number_only", "causal"])
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_records_equal_the_per_shot_loop(
+        self, convention, order, relabel, mode, monkeypatch
+    ):
+        # chunks of 64 amplitudes: 3 columns of the 6-site window's middle
+        # sector, so 14 shots span several chunks, and the columns that
+        # jump are re-blocked under the same rule
+        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 64)
+        params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+        ens = ImbalanceEnsemble(0.5, 8)
+        config = ChainConfig(8, 3, params, order)
+        sample = SampleConfig(5, 14, seed=41, relabel_enabled=relabel)
+        run, widths, jumps = self.traced_run(
+            monkeypatch, ens, config, sample, self.NOISE, mode
+        )
+        assert max(widths) > 1 and jumps > 0
+        self.assert_records_are_the_per_shot_ones(
+            run, ens, config, sample, self.NOISE, mode
+        )
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseConfig(angle_jitter_sd=0.3, e0=0.05),
+            NoiseConfig(t1_cycles=1.0, dephasing_sd=0.2),
+            NoiseConfig(t1_cycles=1.0, e1=0.1),
+        ],
+    )
+    def test_each_noise_channel_alone_equals_the_per_shot_loop(self, noise, monkeypatch):
+        ens = ImbalanceEnsemble(0.5, 10)
+        config = ChainConfig(10, 2, HEIS)  # window sites 3..6, decay outside
+        sample = SampleConfig(6, 40, seed=8)
+        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 32)
+        run, widths, jumps = self.traced_run(
+            monkeypatch, ens, config, sample, noise, "number_only"
+        )
+        assert max(widths) > 1
+        assert (jumps > 0) == (noise.half_layer_decay > 0)
+        self.assert_records_are_the_per_shot_ones(
+            run, ens, config, sample, noise, "number_only"
+        )
+
+    def test_records_equal_the_per_shot_loop_at_the_real_chunk_size(self, monkeypatch):
+        # a 10-site window: 140 shots of a sector of dimension >= 120 span
+        # two chunks or more
+        n, t = 12, 5
+        ens = ImbalanceEnsemble(0.5, n)
+        config = ChainConfig(n, t, HEIS)
+        sample = SampleConfig(3, 140, seed=3)
+        lo, hi = _window_bounds(n, t)
+        _, phys, _ = _prepare(ens, sample, t)
+        chunks = [
+            math.ceil(140 / sampler._chunk_columns(hi - lo, int(row[lo:hi].sum())))
+            for row in phys
+        ]
+        assert max(chunks) >= 2
+        run, widths, jumps = self.traced_run(
+            monkeypatch, ens, config, sample, self.NOISE, "causal"
+        )
+        assert jumps > 0
+        self.assert_records_are_the_per_shot_ones(
+            run, ens, config, sample, self.NOISE, "causal"
+        )
 
 
 class TestReproducibility:
@@ -344,15 +624,27 @@ class TestReproducibility:
                 threads=threads,
             )
 
-    def test_noisy_runs_reproducible(self):
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseConfig(t1_cycles=4.0, e0=0.03, e1=0.01),
+            NoiseConfig(
+                t1_cycles=2.0, e0=0.03, e1=0.01, angle_jitter_sd=0.1, dephasing_sd=0.1
+            ),
+        ],
+    )
+    def test_noisy_runs_reproducible(self, noise):
         ens = ImbalanceEnsemble(0.5, 6)
         config = ChainConfig(6, 2, HEIS)
         sample = SampleConfig(6, 30, seed=5)
-        noise = NoiseConfig(t1_cycles=4.0, e0=0.03, e1=0.01)
-        first = run_sampled(ens, config, sample, noise=noise, threads=1)
-        second = run_sampled(ens, config, sample, noise=noise, threads=4)
-        for a, b in zip(first.records, second.records):
-            assert np.array_equal(a.counts, b.counts)
+        first, *others = (
+            run_sampled(ens, config, sample, noise=noise, threads=k)
+            for k in (1, 2, 3, 4)
+        )
+        for other in others:
+            for a, b in zip(first.records, other.records, strict=True):
+                assert np.array_equal(a.counts, b.counts)
+                assert a.kept == b.kept
 
     def test_different_seeds_differ(self):
         ens = ImbalanceEnsemble(0.5, 6)
@@ -446,7 +738,7 @@ class TestNoisyPipeline:
                 for bond in bonds:
                     want.apply_fsim(bond, HEIS)
             window = SectorState.from_bitstring(phys[lo:hi])
-            got = _trajectory(window, lo, config, noise, rng)
+            [(got, _)] = _trajectory(window, lo, config, noise, [rng])
             assert got.basis is want.basis
             diff = np.abs(got.probabilities() - want.probabilities())
             assert np.max(diff) < 1e-12

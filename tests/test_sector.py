@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_cycle
 from spinfcs.errors import SectorMismatchError
-from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
+from spinfcs.gates import FSimColumns, FSimParams, LayerOrder, PhaseConvention
 from spinfcs.sector import (
     SectorBasis,
     SectorState,
@@ -216,6 +216,32 @@ class TestColumnBlocks:
             diff = block.amplitudes[:, column] - single.amplitudes
             assert np.max(np.abs(diff)) <= 1e-12
         assert np.allclose(block.probabilities().sum(axis=0), 1.0)
+
+    def test_per_column_gates_and_phases_act_on_their_own_column(self):
+        n, k = 7, 3
+        basis = sector_basis(n, k)
+        words = basis.words[[2, 2, 11, 30]]
+        rng = np.random.default_rng(9)
+        theta, phi = rng.uniform(-np.pi, np.pi, (2, words.size))
+        z = rng.normal(0.0, 0.3, (n, words.size))
+        block = SectorState.from_words(words, n)
+        singles = [SectorState.from_bitstring(int(w), n) for w in words]
+        for bond in (0, 3, 5, 1):
+            block.apply_fsim(bond, FSimColumns(theta, phi, PhaseConvention.SPLIT))
+            for j, single in enumerate(singles):
+                single.apply_fsim(bond, FSimParams(theta[j], phi[j], "split"))
+        block.apply_diagonal_phases(z)
+        for j, single in enumerate(singles):
+            single.apply_diagonal_phases(z[:, j])
+            diff = block.amplitudes[:, j] - single.amplitudes
+            assert np.max(np.abs(diff)) <= 1e-12
+        # a column's phases do not depend on the block it sits in
+        alone = SectorState(basis, block.amplitudes[:, 2:3].copy())
+        block.apply_diagonal_phases(z)
+        alone.apply_diagonal_phases(z[:, 2:3])
+        assert np.array_equal(alone.amplitudes[:, 0], block.amplitudes[:, 2])
+        with pytest.raises(ValueError):
+            block.apply_diagonal_phases(z[:, :3])
 
     def test_block_words_must_share_a_sector(self):
         with pytest.raises(SectorMismatchError):
