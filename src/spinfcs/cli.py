@@ -29,6 +29,7 @@ from .ensemble import (
     ImbalanceEnsemble,
     check_site_cap,
     distribution_from_tensor,
+    lightcone_reduce,
     transfer_tensor,
 )
 from .errors import ConfigError, SchemaError
@@ -255,6 +256,10 @@ def _run(parsed, out_dir, threads):
     chain = parsed["chain"]
     n, cycles = chain.n_qubits, chain.cycles
     if parsed["mode"] == "exact":
+        if n >= chain.lightcone_width:
+            # sites outside the light cone of the center cut do not move it
+            chain = lightcone_reduce(chain)
+            n = chain.n_qubits
         tensor = transfer_tensor(
             n, cycles, chain.params, chain.layer_order, threads=threads
         )

@@ -8,8 +8,8 @@ bitstring depends only on its per-half excitation counts (a, b), so exact
 enumeration factorizes: one mu-independent tensor T[t, a, b, r] accumulates
 the total probability that a word in block (a, b) evolves to a word with r
 excitations on the right after t cycles, and any imbalance is applied as a
-reweighting afterwards.  The tensor is built by evolving every basis word of
-every sector once, in batched columns.
+reweighting afterwards.  The tensor is built by evolving basis words in
+batched columns, one word per symmetry orbit.
 
 The evolution stores a sector as a direct sum of left (x) right blocks
 (a, k-a).  A cycle is then one dense cached operator per half chain,
@@ -19,12 +19,26 @@ updates slice views of neighbouring blocks in place.
 Left-right mirror symmetry of the brickwork (exact for even chain length)
 gives T[t, a, b, r] = T[t, b, a, a+b-r]; only blocks with a >= b are
 evolved and the rest are reflected.
+
+Particle-hole symmetry (every bit flipped) gives T[t, a, b, r] =
+T[t, h-a, h-b, h-r], h = n/2, so sectors k = a+b > h are copied from
+k < h.  With the mirror it maps each block (a, h-a) to itself: the halves
+are stored read outward from the center, so the mirror swaps the left and
+right words, and a complement reverses a word's rank in its sector.
+Column (iL, iR) therefore has the right-count distribution of column
+(C-1-iR, C-1-iL), C = C(h, a); one column per orbit is evolved, at weight
+2 (1 for the fixed points iL+iR = C-1).  `split` gates commute with the
+bit flip, so this holds at any depth.  `tail` gates differ by phases on
+the two edge sites one layer leaves idle, which break the orbit map per
+column but for t <= n/2 leave the tensor equal to the `split` one (checked
+against the every-column path and the dense oracle): such runs are evolved
+with `split` gates, deeper `tail` runs with the mirror alone.
 """
 
 import concurrent.futures
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -249,16 +263,18 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
     return left, right
 
 
-def _evolve_block(half, a0, b0, j0, m, cycles, params, operators):
-    """Right-count masses of columns j0..j0+m-1 of block (a0, b0) after each
-    cycle, indexed [t-1, r].
+def _evolve_block(half, a0, b0, columns, weights, cycles, params, operators):
+    """Weighted sum of the right-count masses of the in-block `columns` of
+    block (a0, b0) after each cycle, indexed [t-1, r].
 
     Sector k = a0 + b0 is stored as blocks (a, k-a), a ascending, each of
     C(half, a) * C(half, k-a) rows ordered left index major, with m columns.
     A cycle is W_L (x) W_R on every block followed by the center gate, which
     pairs |01> rows of block (a, b) with |10> rows of block (a+1, b-1).  The
     W before the first center gate and after the last readout are dropped:
-    summed over a whole initial block, T does not see them.  After s center
+    summed over a whole initial block, T does not see them.  W commutes with
+    the mirror and, for `split` gates, with the bit flip, so a weighted sum
+    over particle-hole orbits does not see them either.  After s center
     gates only blocks |a - a0| <= s are nonzero, and only they are touched.
     """
     k = a0 + b0
@@ -268,6 +284,7 @@ def _evolve_block(half, a0, b0, j0, m, cycles, params, operators):
     start = dict(zip(shape, itertools.accumulate(sizes, initial=0)))
     stop = {a: start[a] + size for a, size in zip(shape, sizes)}
     r_of = np.repeat([k - a for a in shape], sizes)
+    m = len(columns)
     amps = np.zeros((sum(sizes), m), dtype=np.complex128)
     # GEMM output, or the two products of the center gate
     scratch = np.empty(2 * max(sizes) * m, dtype=np.complex128)
@@ -275,8 +292,7 @@ def _evolve_block(half, a0, b0, j0, m, cycles, params, operators):
     def block(a):
         return amps[start[a] : stop[a]].reshape(*shape[a], m)
 
-    cols = np.arange(m)
-    amps[start[a0] + j0 + cols, cols] = 1.0
+    amps[start[a0] + columns, np.arange(m)] = 1.0
     w_left, w_right = operators
     cos = math.cos(params.theta)
     isin = 1j * math.sin(params.theta)
@@ -319,8 +335,24 @@ def _evolve_block(half, a0, b0, j0, m, cycles, params, operators):
         rows = slice(start[a_lo], stop[a_hi])
         acc[:] = 0.0
         _kernels.readout_accumulate(amps[rows], r_of[rows], acc)
-        part[t - 1] = acc.sum(axis=1)
+        # no BLAS call, so T does not depend on the BLAS thread count
+        part[t - 1] = np.einsum("rj,j->r", acc, weights)
     return part
+
+
+def _orbit_columns(half: int, a: int, b: int, orbits: bool):
+    """In-block columns of block (a, b) to evolve, and their weights: with
+    `orbits` and a + b = half one per orbit {(iL, iR), (C-1-iR, C-1-iL)},
+    iL + iR < C-1 at weight 2 and the fixed points iL + iR = C-1 at weight
+    1; otherwise every column at weight 1.
+    """
+    size_left, size_right = math.comb(half, a), math.comb(half, b)
+    columns = np.arange(size_left * size_right)
+    if not (orbits and a + b == half):
+        return columns, np.ones(columns.size)
+    rank_sum = np.add(*np.divmod(columns, size_right))  # iL + iR
+    keep = rank_sum <= size_left - 1
+    return columns[keep], np.where(rank_sum[keep] < size_left - 1, 2.0, 1.0)
 
 
 def transfer_tensor(
@@ -329,7 +361,7 @@ def transfer_tensor(
     params: FSimParams,
     layer_order: LayerOrder = LayerOrder.EVEN_FIRST,
     *,
-    mirror: bool = True,
+    symmetric: bool = True,
     threads: int = 1,
 ) -> np.ndarray:
     """Block-resolved transfer tensor T[t, a, b, r] for t = 0..cycles.
@@ -339,6 +371,13 @@ def transfer_tensor(
     right after t cycles.  It is independent of the imbalance; combine with
     `distribution_from_tensor` for any mu.  Output is bitwise independent of
     `threads` (fixed reduction order) and of the BLAS thread count.
+
+    `symmetric` evolves one column per symmetry orbit and copies the rest:
+    the mirror always, and particle hole, T[t, a, b, r] = T[t, h-a, h-b,
+    h-r] with orbits (iL, iR) -> (C-1-iR, C-1-iL) in the k = h sector, for
+    `split` gates or cycles <= h; a `tail` run there is evolved with `split`
+    gates, whose tensor is the same (module docstring).  `symmetric=False`
+    evolves every column, as a reference.
     """
     if n_qubits < 2 or n_qubits % 2 != 0:
         raise ValueError(f"n_qubits must be even and >= 2, got {n_qubits}")
@@ -351,30 +390,40 @@ def transfer_tensor(
             T[0, a, b, b] = math.comb(half, a) * math.comb(half, b)
     if cycles == 0:
         return T
+    split = params.convention is PhaseConvention.SPLIT
+    particle_hole = symmetric and (split or cycles <= half)
+    if particle_hole:
+        # the orbit map holds per column only for gates that commute with
+        # the bit flip; for cycles <= h the `split` tensor is the `tail` one
+        params = replace(params, convention=PhaseConvention.SPLIT)
     operators = _half_chain_operators(half, params, layer_order)
     tasks = [
-        (a, b, j0, min(CHUNK_COLUMNS, size - j0))
+        (a, b, columns[j0 : j0 + CHUNK_COLUMNS], weights[j0 : j0 + CHUNK_COLUMNS])
         for a in range(half + 1)
         for b in range(half + 1)
-        if a >= b or not mirror
-        for size in [math.comb(half, a) * math.comb(half, b)]
-        for j0 in range(0, size, CHUNK_COLUMNS)
+        if not symmetric or (a >= b and not (particle_hole and a + b > half))
+        for columns, weights in [_orbit_columns(half, a, b, particle_hole)]
+        for j0 in range(0, columns.size, CHUNK_COLUMNS)
     ]
 
     def run(task):
-        a, b, j0, m = task
-        return _evolve_block(half, a, b, j0, m, cycles, params, operators)
+        a, b, columns, weights = task
+        return _evolve_block(half, a, b, columns, weights, cycles, params, operators)
 
     parts = thread_map(run, tasks, threads)
     for (a, b, _, _), part in zip(tasks, parts):  # fixed order: deterministic sum
         T[1:, a, b] += part
-    if mirror:
+    if symmetric:
         for a in range(half + 1):
             for b in range(a + 1, half + 1):
                 k = a + b
                 for r in range(half + 1):
                     if 0 <= k - r <= half:
                         T[1:, a, b, r] = T[1:, b, a, k - r]
+    if particle_hole:
+        for a in range(half + 1):
+            for b in range(half + 1 - a, half + 1):
+                T[1:, a, b] = T[1:, half - a, half - b, ::-1]
     return T
 
 
@@ -471,7 +520,9 @@ def pure_domain_wall_distribution(config: ChainConfig) -> TransferDistribution:
     if t == 0:
         return TransferDistribution.point_mass(0)
     operators = _half_chain_operators(half, config.params, config.layer_order)
-    probs_by_r = _evolve_block(half, half, 0, 0, 1, t, config.params, operators)[-1]
+    probs_by_r = _evolve_block(
+        half, half, 0, np.array([0]), np.ones(1), t, config.params, operators
+    )[-1]
     probs = np.zeros(2 * t + 1)
     for r in range(half + 1):
         if probs_by_r[r] != 0.0:

@@ -10,6 +10,8 @@ from conftest import REFERENCE_KURTOSIS
 
 from spinfcs import cli
 from spinfcs.cli import main
+from spinfcs.ensemble import ImbalanceEnsemble, distribution_from_tensor
+from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.stats import fit_dynamical_exponent
 
 HEIS_THETA = 0.4 * math.pi
@@ -83,6 +85,45 @@ class TestRunExact:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: transfer mass not normalized")
+
+    @pytest.mark.parametrize("order", ["even_first", "odd_first"])
+    @pytest.mark.parametrize("convention", ["tail", "split"])
+    def test_exact_run_evolves_the_light_cone_only(
+        self, tmp_path, monkeypatch, convention, order
+    ):
+        # 12 sites reduce to 6, whose center bond has the other parity
+        exact_tensor = cli.transfer_tensor
+        sites = []
+
+        def spy(n_qubits, *args, **kwargs):
+            sites.append(n_qubits)
+            return exact_tensor(n_qubits, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "transfer_tensor", spy)
+        tags = {0.0: "0.0", 0.5: "0.5", math.inf: "inf"}
+        written = {}
+        for n in (12, 6):
+            cfg = write_config(
+                tmp_path / "cfg.json", n_qubits=n, cycles=3, mu=[0.0, 0.5, "inf"],
+                convention=convention, layer_order=order,
+            )
+            out = tmp_path / f"n{n}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            written[n] = {
+                mu: read_csv(out / f"distributions_mu{tag}.csv")[1]
+                for mu, tag in tags.items()
+            }
+        assert sites == [6, 6]
+        params = FSimParams(HEIS_THETA, HEIS_PHI, PhaseConvention(convention))
+        full_chain = exact_tensor(12, 3, params, LayerOrder(order))
+        for mu in tags:
+            assert len(written[12][mu]) == len(written[6][mu]) == 1 + 3 + 5 + 7
+            for (t, m, p), (_, _, p6) in zip(written[12][mu], written[6][mu]):
+                dist = distribution_from_tensor(
+                    full_chain, int(t), ImbalanceEnsemble(mu, 12)
+                )
+                assert abs(float(p) - dist.probability(int(m))) <= 1e-12
+                assert abs(float(p) - float(p6)) <= 1e-12
 
     def test_zero_cycles_single_row(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", cycles=0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_KURTOSIS, dense_cycle, dense_exact_pm, dense_right_ones
+from spinfcs import ensemble
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
@@ -243,17 +244,70 @@ class TestTransferTensor:
             n, cycles, theta, phi, convention.value, order.value
         )
         params = params_at(theta, phi, convention.value)
-        for mirror in (True, False):
+        for symmetric in (True, False):
             for t in (n // 2, cycles):
-                T = transfer_tensor(n, t, params, order, mirror=mirror)
+                T = transfer_tensor(n, t, params, order, symmetric=symmetric)
                 assert np.max(np.abs(T - oracle[: t + 1])) <= 1e-12
 
     def test_mirror_flag_is_an_optimization_only(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         params = params_at(theta, phi)
-        full = transfer_tensor(8, 4, params, mirror=False)
-        mirrored = transfer_tensor(8, 4, params, mirror=True)
+        full = transfer_tensor(8, 4, params, symmetric=False)
+        mirrored = transfer_tensor(8, 4, params, symmetric=True)
         assert np.max(np.abs(full - mirrored)) < 1e-11
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_symmetric_matches_every_column(self, n, order, convention):
+        # t = n/2 + 2 with `tail` falls back to the mirror alone
+        half = n // 2
+        params = params_at(0.37 * np.pi, -0.61 * np.pi, convention.value)
+        words = np.array([math.comb(half, a) for a in range(half + 1)])
+        tolerance = 1e-12 * np.multiply.outer(words, words)[None, :, :, None]
+        for t in (half - 1, half, half + 2):
+            reduced = transfer_tensor(n, t, params, order, symmetric=True)
+            every = transfer_tensor(n, t, params, order, symmetric=False)
+            assert np.all(np.abs(reduced - every) <= tolerance)
+
+    @pytest.mark.parametrize(
+        "convention, cycles, orbits",
+        [("tail", 3, True), ("tail", 5, False), ("split", 3, True), ("split", 5, True)],
+    )
+    def test_evolved_columns(self, monkeypatch, convention, cycles, orbits):
+        # n = 8: particle hole applies for t <= 4, or at any t with `split`
+        half = 4
+        evolved = []
+        engine = ensemble._evolve_block
+
+        def spy(h, a, b, columns, weights, *rest):
+            evolved.append((a, b, len(columns), weights.sum()))
+            return engine(h, a, b, columns, weights, *rest)
+
+        monkeypatch.setattr(ensemble, "_evolve_block", spy)
+        transfer_tensor(8, cycles, params_at(0.3, 0.7, convention))
+        size = {
+            (a, b): math.comb(half, a) * math.comb(half, b)
+            for a in range(5)
+            for b in range(5)
+        }
+        if orbits:
+            # one column of each orbit {(iL, iR), (C-1-iR, C-1-iL)} of a
+            # block (a, 4-a): C(C-1)/2 pairs plus C fixed points
+            expected = sum(
+                size[a, b] for a in range(5) for b in range(a + 1) if a + b < half
+            )
+            expected += sum(
+                (math.comb(half, a) ** 2 + math.comb(half, a)) // 2 for a in (2, 3, 4)
+            )
+        else:
+            expected = sum(size[a, b] for a in range(5) for b in range(a + 1))
+        assert sum(count for _, _, count, _ in evolved) == expected
+        # every evolved block carries the weight of all of its words
+        weight = {}
+        for a, b, _, w in evolved:
+            weight[a, b] = weight.get((a, b), 0.0) + w
+        assert weight == {block: size[block] for block in weight}
 
     def test_thread_count_does_not_change_bits(self, heisenberg_angles):
         theta, phi = heisenberg_angles
