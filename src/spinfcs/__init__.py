@@ -7,17 +7,15 @@ modeling, post-selection, and universality-class diagnostics.
 
 __version__ = "0.1.0"
 
-from .circuit import ChainConfig, anisotropy
+from .circuit import ChainConfig
 from .ensemble import (
     ImbalanceEnsemble,
     TransferDistribution,
     exact_distribution,
     exact_distributions,
     lightcone_reduce,
-    pure_domain_wall_distribution,
     transfer_tensor,
     distribution_from_tensor,
-    transferred_magnetization,
 )
 from .gates import FSimParams, LayerOrder, PhaseConvention
 from .noise import (
@@ -30,7 +28,6 @@ from .noise import (
 from .sampler import (
     SampleConfig,
     SampledRun,
-    estimate_powers,
     moment_report,
     relabel_if_overfull,
     run_sampled,
@@ -46,8 +43,6 @@ from .stats import (
     distribution_moments,
     fit_dynamical_exponent,
     jackknife_sigma,
-    skew_kurt,
-    symmetrize,
     weighted_cycle_average,
 )
 
@@ -65,7 +60,6 @@ __all__ = [
     "SectorBasis",
     "SectorState",
     "TransferDistribution",
-    "anisotropy",
     "causal_min_half_layers",
     "central_moments",
     "collapse_residual",
@@ -73,7 +67,6 @@ __all__ = [
     "disorder_and_dephasing",
     "distribution_from_tensor",
     "distribution_moments",
-    "estimate_powers",
     "exact_distribution",
     "exact_distributions",
     "fit_dynamical_exponent",
@@ -81,15 +74,11 @@ __all__ = [
     "lightcone_reduce",
     "moment_report",
     "postselect",
-    "pure_domain_wall_distribution",
     "readout_flip",
     "relabel_if_overfull",
     "run_sampled",
     "sample_initial",
     "sector_basis",
-    "skew_kurt",
-    "symmetrize",
     "transfer_tensor",
-    "transferred_magnetization",
     "weighted_cycle_average",
 ]

@@ -38,8 +38,3 @@ class ChainConfig:
                 f"{self.n_qubits} qubits cannot resolve {self.cycles} cycles "
                 f"exactly (need >= {self.lightcone_width})"
             )
-
-
-def anisotropy(params: FSimParams) -> float:
-    """Anisotropy ratio sin(phi/2)/sin(theta) of the gate parameters."""
-    return params.anisotropy()

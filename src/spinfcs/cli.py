@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, reference, sampler, stats
 from .circuit import ChainConfig
 from .ensemble import (
+    NORM_TOL,
     ImbalanceEnsemble,
     check_site_cap,
     distribution_from_tensor,
@@ -156,7 +157,7 @@ def _parse_config(cfg) -> dict:
     noisy = mode == "noisy-sampled"
     _check(noisy or noise is None, "noise", "only noisy-sampled mode takes it")
     analysis = _parse_analysis(_require(cfg, "analysis", dict))
-    _check_collapse(analysis, mus)
+    _check_analysis(analysis, mus, cycles)
     params = FSimParams(*angles, PhaseConvention(convention))
     sample = None
     if mode == "exact":
@@ -208,20 +209,35 @@ def _parse_analysis(raw) -> dict:
     if "exponent_window" in raw:
         window = raw["exponent_window"]
         _number_list(window, "analysis.exponent_window", 2, "integers", int)
+        message = f"lower bound {window[0]} exceeds upper bound {window[1]}"
+        _check(window[0] <= window[1], "analysis.exponent_window", message)
         out["exponent_window"] = tuple(window)
     if "collapse_gammas" in raw:
         gammas = _number_list(raw["collapse_gammas"], "analysis.collapse_gammas")
         out["collapse_gammas"] = [float(g) for g in gammas]
         for key, default in (("collapse_t_min", 8), ("collapse_knots", 12)):
             out[key] = _require(raw, f"analysis.{key}", int, default=default)
+        knots = out["collapse_knots"]
+        _check(knots >= 2, "analysis.collapse_knots", f"must be >= 2, got {knots}")
     return out
 
 
-def _check_collapse(analysis: dict, mus) -> None:
-    """Refuse a collapse scan over fewer than 2 distinct finite mu."""
+def _check_analysis(analysis: dict, mus, cycles=None) -> None:
+    """Refuse a collapse scan over < 2 finite mu and, for a run of `cycles`
+    cycles, a fit window or a collapse cut that leaves < 3 points."""
+    if cycles is not None and "exponent_window" in analysis:
+        lo, hi = analysis["exponent_window"]
+        inside = max(0, min(hi, cycles) - max(lo, 1) + 1)
+        message = f"holds {inside} of cycles 1..{cycles}, need >= 3"
+        _check(inside >= 3, "analysis.exponent_window", message)
     if "collapse_gammas" in analysis:
         finite = {mu for mu in mus if not math.isinf(mu)}
         _check(len(finite) >= 2, "analysis.collapse_gammas", "needs >= 2 finite mu")
+        if cycles is not None:
+            t_min = analysis["collapse_t_min"]
+            points = max(0, cycles - max(t_min, 1) + 1) * len(finite)
+            message = f"{t_min} leaves {points} (cycle, mu) points, need >= 3"
+            _check(points >= 3, "analysis.collapse_t_min", message)
 
 
 def _mu_tag(mu: float) -> str:
@@ -330,7 +346,7 @@ def _write_analysis(analysis, series, out_dir):
             lines.append(",".join([_mu_tag(mu), *map(_fmt, row)]))
         outputs.append(_write_lines(os.path.join(out_dir, "exponent_fit.csv"), lines))
     if "collapse_gammas" in analysis:
-        _check_collapse(analysis, series)
+        _check_analysis(analysis, series)
         finite = [mu for mu in series if not math.isinf(mu)]
         triples = [
             (mu, series[mu].cycles, series[mu].skewness) for mu in sorted(finite)
@@ -348,6 +364,12 @@ def _write_analysis(analysis, series, out_dir):
     return outputs
 
 
+def _error(message) -> int:
+    """Print `message` as an error; returns the exit status 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def _resolve_out(arg_out) -> str:
     return arg_out or os.environ.get("SPINFCS_OUT") or "spinfcs_out"
 
@@ -358,8 +380,7 @@ def cmd_run(args) -> int:
         with open(args.config) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
+        return _error(f"cannot read config: {exc}")
     try:
         cfg = raw
         if args.seed is not None and isinstance(raw, dict):
@@ -369,34 +390,35 @@ def cmd_run(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         outputs, series = _run(parsed, out_dir, args.threads)
         outputs.extend(_write_analysis(parsed["analysis"], series, out_dir))
+        manifest = {
+            "version": __version__,
+            "mode": parsed["mode"],
+            "seed": parsed["seed"],
+            "threads": args.threads,
+            "wall_time_s": round(time.time() - t_start, 3),
+            "config": {k: v for k, v in raw.items()},
+            "outputs": sorted(os.path.basename(p) for p in outputs),
+        }
+        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, default=str)
+            fh.write("\n")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    manifest = {
-        "version": __version__,
-        "mode": parsed["mode"],
-        "seed": parsed["seed"],
-        "threads": args.threads,
-        "wall_time_s": round(time.time() - t_start, 3),
-        "config": {k: v for k, v in raw.items()},
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+        return _error(exc)
+    except OSError as exc:
+        return _error(f"cannot write output: {exc}")
     print(f"wrote {len(outputs)} artifact(s) to {out_dir}")
     return 0
 
 
 def _read_distribution_csv(path):
-    """Parse one distributions CSV into {cycle: (values, probabilities)}."""
+    """Parse one distributions CSV into {cycle: (values, probabilities)}:
+    per cycle, distinct even M and non-negative mass that sums to 1."""
+    name = os.path.basename(path)
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != DIST_HEADER:
         got = lines[0] if lines else "<empty>"
-        raise SchemaError(
-            f"{os.path.basename(path)}: expected header '{DIST_HEADER}', got '{got}'"
-        )
+        raise SchemaError(f"{name}: expected header '{DIST_HEADER}', got '{got}'")
     columns = (
         ("cycle", int, "an integer"),
         ("M", int, "an integer"),
@@ -404,7 +426,7 @@ def _read_distribution_csv(path):
     )
     rows = {}
     for i, line in enumerate(lines[1:], start=2):
-        where = f"{os.path.basename(path)}:{i}"
+        where = f"{name}:{i}"
         parts = line.split(",")
         if len(parts) != 3:
             raise SchemaError(f"{where}: expected 3 columns, got {len(parts)}")
@@ -421,6 +443,16 @@ def _read_distribution_csv(path):
         pairs.sort()
         values = np.array([m for m, _ in pairs], dtype=np.int64)
         probs = np.array([p for _, p in pairs])
+        total = float(probs.sum())
+        for bad, problem in (
+            (values % 2 != 0, "odd M"),
+            (np.diff(values, prepend=values[0] - 1) == 0, "repeated M"),
+            (probs < 0.0, "negative mass at M"),
+        ):
+            if bad.any():
+                raise SchemaError(f"{name}: cycle {t}: {problem} {values[bad][0]}")
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise SchemaError(f"{name}: cycle {t}: mass sums to {total!r}, not 1")
         per_cycle[t] = (values, probs)
     return per_cycle
 
@@ -443,22 +475,13 @@ def cmd_analyze(args) -> int:
             raw = raw["analysis"]  # accept a full run config too
         analysis = _parse_analysis(raw)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read analysis config: {exc}", file=sys.stderr)
-        return 1
+        return _error(f"cannot read analysis config: {exc}")
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     paths = sorted(glob.glob(os.path.join(args.input, "distributions_mu*.csv")))
     if not paths:
-        print(
-            f"error: no distributions_mu*.csv files under {args.input}",
-            file=sys.stderr,
-        )
-        return 1
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-    series = {}
+        return _error(f"no distributions_mu*.csv files under {args.input}")
+    reports = {}  # file tag -> (mu, moment report)
     try:
         for path in paths:
             tag = os.path.basename(path)[len("distributions_mu") : -len(".csv")]
@@ -468,15 +491,20 @@ def cmd_analyze(args) -> int:
             rows = [
                 stats.moment_row(_symmetric_grid(*per_cycle[t])) for t in cycles
             ]
-            report = stats.MomentReport(cycles, rows)
-            series[mu] = report
-            mom_path = os.path.join(out_dir, f"moments_mu{tag}.csv")
-            _write_moments(mom_path, report)
-            outputs.append(mom_path)
-        outputs.extend(_write_analysis(analysis, series, out_dir))
+            reports[tag] = mu, stats.MomentReport(cycles, rows)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
+    out_dir = _resolve_out(args.out)
+    outputs = [os.path.join(out_dir, f"moments_mu{tag}.csv") for tag in reports]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, (_, report) in zip(outputs, reports.values()):
+            _write_moments(path, report)
+        outputs.extend(_write_analysis(analysis, dict(reports.values()), out_dir))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
+    except OSError as exc:
+        return _error(f"cannot write output: {exc}")
     print(f"wrote {len(outputs)} artifact(s) to {out_dir}")
     return 0
 
@@ -505,8 +533,7 @@ def cmd_oracle(args) -> int:
                 "variance_leading": var,
             }
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(json.dumps(payload))
     return 0
 

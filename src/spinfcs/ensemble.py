@@ -44,11 +44,12 @@ import numpy as np
 
 from . import _kernels
 from .circuit import ChainConfig
-from .errors import ConservationError, EnumerationCapError, InvariantError
+from .errors import EnumerationCapError, InvariantError
 from .gates import FSimParams, LayerOrder, PhaseConvention
 from .sector import brickwork_layers, sector_basis
 
 DEFAULT_SITE_CAP = 20
+NORM_TOL = 1e-10  # largest |total - 1| of a normalized mass
 
 
 def check_site_cap(n_sites: int) -> None:
@@ -166,53 +167,15 @@ class TransferDistribution:
         probs[cycles + value // 2] = 1.0
         return cls(cycles, probs)
 
-    @classmethod
-    def from_samples(cls, cycles: int, m_values) -> "TransferDistribution":
-        """Empirical distribution of sampled M values (all even, |M|<=2t)."""
-        m_values = np.asarray(m_values, dtype=np.int64)
-        if m_values.size == 0:
-            raise ValueError("no samples")
-        if np.any(m_values % 2 != 0) or np.any(np.abs(m_values) > 2 * cycles):
-            raise ValueError("samples must be even and within [-2t, 2t]")
-        counts = np.bincount(
-            (m_values // 2) + cycles, minlength=2 * cycles + 1
-        ).astype(float)
-        return cls(cycles, counts / counts.sum())
-
     def probability(self, m: int) -> float:
         if m % 2 != 0 or abs(m) > 2 * self.cycles:
             return 0.0
         return float(self.probabilities[self.cycles + m // 2])
 
-    def total(self) -> float:
-        return float(self.probabilities.sum())
-
-    def raw_moment(self, k: int) -> float:
-        """<M^k>, by `folded_raw_moment`."""
-        return folded_raw_moment(self.values, self.probabilities, k)
-
     def symmetrized(self) -> "TransferDistribution":
         """Average the masses of M and -M."""
         sym = 0.5 * (self.probabilities + self.probabilities[::-1])
         return TransferDistribution(self.cycles, sym)
-
-
-def transferred_magnetization(b_initial, b_final) -> int:
-    """Twice the net number of excitations that moved into the right half.
-
-    Raises:
-        ConservationError: if the popcounts differ.
-    """
-    bi = np.asarray(b_initial, dtype=np.int64)
-    bf = np.asarray(b_final, dtype=np.int64)
-    if bi.shape != bf.shape or bi.ndim != 1:
-        raise ValueError("bitstrings must be 1-D and of equal length")
-    if bi.sum() != bf.sum():
-        raise ConservationError(
-            f"popcount changed: {int(bi.sum())} -> {int(bf.sum())}"
-        )
-    half = bi.size // 2
-    return 2 * int(bf[half:].sum() - bi[half:].sum())
 
 
 def lightcone_reduce(config: ChainConfig) -> ChainConfig:
@@ -452,7 +415,7 @@ def distribution_from_tensor(
             for r in range(half + 1):
                 mass[r - b + half] += w * T[cycles, a, b, r]
     total = mass.sum()
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > NORM_TOL:
         raise InvariantError(f"transfer mass not normalized: {total!r}")
     # the light cone bounds |M| <= 2t exactly: no amplitude path reaches
     # further, so any mass outside the grid is an internal error
@@ -506,25 +469,3 @@ def exact_distributions(
     return [
         distribution_from_tensor(T, t, ens) for t in range(config.cycles + 1)
     ]
-
-
-def pure_domain_wall_distribution(config: ChainConfig) -> TransferDistribution:
-    """P(M) for the single initial word 1...10...0 (the mu = inf limit).
-
-    This is T[t, half, 0, :]: block (half, 0) holds the single word, so it
-    is evolved alone on the block engine of `transfer_tensor`.
-    """
-    check_site_cap(config.n_qubits)
-    half = config.n_qubits // 2
-    t = config.cycles
-    if t == 0:
-        return TransferDistribution.point_mass(0)
-    operators = _half_chain_operators(half, config.params, config.layer_order)
-    probs_by_r = _evolve_block(
-        half, half, 0, np.array([0]), np.ones(1), t, config.params, operators
-    )[-1]
-    probs = np.zeros(2 * t + 1)
-    for r in range(half + 1):
-        if probs_by_r[r] != 0.0:
-            probs[t + r] = probs_by_r[r]  # M = 2 r, never negative
-    return TransferDistribution(t, probs)

@@ -9,10 +9,6 @@ class SectorMismatchError(SpinFcsError):
     """A bitstring's excitation count does not match the sector's."""
 
 
-class ConservationError(SpinFcsError):
-    """An initial/final bitstring pair violates number conservation."""
-
-
 class UnderResolvedError(SpinFcsError):
     """The chain is shorter than the light cone (n_qubits < 2*cycles)."""
 

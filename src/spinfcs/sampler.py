@@ -165,19 +165,12 @@ class SampledRun:
     def dropped_states(self) -> list[int]:
         return [i for i, r in enumerate(self.records) if r.kept == 0]
 
-    def surviving_records(self) -> list[StateRecord]:
-        return [r for r in self.records if r.kept > 0]
-
     def per_state_distributions(self) -> np.ndarray:
         """Row-normalized per-state M histograms (surviving states only)."""
-        rows = [r.counts / r.kept for r in self.surviving_records()]
+        rows = [r.counts / r.kept for r in self.records if r.kept > 0]
         if not rows:
             raise ValueError("no surviving shots in any state")
         return np.array(rows)
-
-    def pooled_counts(self) -> np.ndarray:
-        """Raw surviving-shot counts summed over states (for count tests)."""
-        return np.sum([r.counts for r in self.records], axis=0)
 
     def distribution(self) -> TransferDistribution:
         """Uniform average of the per-state normalized histograms; moments
@@ -207,24 +200,6 @@ class SampledRun:
         kept = sum(r.kept for r in self.records)
         total = sum(r.shots for r in self.records)
         return kept / total
-
-
-def estimate_powers(run: SampledRun, k: int) -> float:
-    """<M^k>: uniform outer mean over initial states of the count-weighted
-    inner mean over that state's surviving shots.  States with no surviving
-    shots are dropped with a warning."""
-    if k == 0:
-        return 1.0
-    dropped = run.dropped_states
-    if dropped:
-        logger.warning(
-            "excluding %d initial state(s) with zero surviving shots: %s",
-            len(dropped),
-            dropped,
-        )
-    rows = run.per_state_distributions()
-    m_values = run.grid.astype(float)
-    return float(np.mean(rows @ (m_values**k)))
 
 
 def _measure_indices(probabilities, rng, shots):

@@ -114,12 +114,6 @@ class SectorBasis:
             )
         return int(np.searchsorted(self.words, np.uint64(word)))
 
-    def unrank(self, index: int) -> int:
-        """Inverse of `rank`; returns the integer word at a given rank."""
-        if not 0 <= index < self.dimension:
-            raise ValueError(f"rank {index} outside [0, {self.dimension})")
-        return int(self.words[index])
-
     def right_ones(self) -> np.ndarray:
         """Number of ones in the right half of each basis word."""
         half = self.n_sites // 2
@@ -227,12 +221,6 @@ class SectorState:
         amps = np.zeros((basis.dimension, words.size), dtype=np.complex128)
         amps[rows, np.arange(words.size)] = 1.0
         return cls(basis, amps)
-
-    def copy(self) -> "SectorState":
-        return SectorState(self.basis, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         a = self.amplitudes

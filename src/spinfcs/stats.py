@@ -24,22 +24,17 @@ def _power(x, exponent):
 def raw_moments(data, k_max: int = 4) -> np.ndarray:
     """<M^0>, ..., <M^k_max> of a distribution-like input, in the last axis.
 
-    Accepts a TransferDistribution, a (values, probabilities) grid pair, or
-    a 1-D array of samples.  The probabilities of a grid pair may be a stack
-    of histograms along their last axis, giving one row of moments each.
+    Accepts a TransferDistribution or a (values, probabilities) grid pair.
+    The probabilities of a grid pair may be a stack of histograms along
+    their last axis, giving one row of moments each.
     """
     if isinstance(data, TransferDistribution):
         data = (data.values, data.probabilities)
-    if isinstance(data, tuple) and len(data) == 2:
-        values = np.asarray(data[0], dtype=float)
-        probs = np.asarray(data[1], dtype=float)
-        return np.stack(
-            [folded_raw_moment(values, probs, k) for k in range(k_max + 1)], axis=-1
-        )
-    samples = np.asarray(data, dtype=float)
-    if samples.size == 0:
-        raise ValueError("empty sample array")
-    return np.array([np.mean(samples**k) for k in range(k_max + 1)])
+    values = np.asarray(data[0], dtype=float)
+    probs = np.asarray(data[1], dtype=float)
+    return np.stack(
+        [folded_raw_moment(values, probs, k) for k in range(k_max + 1)], axis=-1
+    )
 
 
 def central_moments(data, k_max: int = 4) -> np.ndarray:
@@ -65,56 +60,29 @@ def central_moments(data, k_max: int = 4) -> np.ndarray:
     return alpha
 
 
-def _shape_moments(alpha):
-    """Skewness and excess kurtosis from central moments alpha_0..alpha_4
-    in the last axis; NaN where the variance is not positive."""
-    var = alpha[..., 2]
-    defined = var > 0.0
-    scale = np.where(defined, var, 1.0)
-    skew = np.where(defined, alpha[..., 3] / _power(scale, 1.5), math.nan)
-    kurt = np.where(defined, alpha[..., 4] / _power(scale, 2) - 3.0, math.nan)
-    return skew, kurt
-
-
-def skew_kurt(alpha: np.ndarray) -> tuple[float, float]:
-    """Skewness and excess kurtosis from central moments alpha_0..alpha_4.
-
-    Raises:
-        UndefinedMomentsError: if the variance is not positive.
-    """
-    if len(alpha) < 5:
-        raise ValueError("need central moments through alpha_4")
-    alpha = np.asarray(alpha, dtype=float)
-    var = alpha[2]
-    if not var > 0.0:
-        raise UndefinedMomentsError(f"variance {var!r} is not positive")
-    skew, kurt = _shape_moments(alpha)
-    return float(skew), float(kurt)
-
-
-def distribution_moments(data) -> tuple[float, float, float, float]:
-    """(mean, variance, skewness, excess kurtosis) of a distribution/sample.
-
-    Raises:
-        UndefinedMomentsError: if the variance is not positive.
-    """
-    alpha = central_moments(data, 4)
-    s, q = skew_kurt(alpha)
-    return float(alpha[1]), float(alpha[2]), s, q
-
-
 def moment_row(data) -> np.ndarray:
     """[mean, variance, skewness, excess kurtosis] of a distribution-like
     input, as a report row: skewness and kurtosis are NaN when the variance
     is not positive.  A stack of histograms gives one row each."""
     alpha = central_moments(data, 4)
-    skew, kurt = _shape_moments(alpha)
-    return np.stack([alpha[..., 1], alpha[..., 2], skew, kurt], axis=-1)
+    var = alpha[..., 2]
+    defined = var > 0.0
+    scale = np.where(defined, var, 1.0)
+    skew = np.where(defined, alpha[..., 3] / _power(scale, 1.5), math.nan)
+    kurt = np.where(defined, alpha[..., 4] / _power(scale, 2) - 3.0, math.nan)
+    return np.stack([alpha[..., 1], var, skew, kurt], axis=-1)
 
 
-def symmetrize(dist: TransferDistribution) -> TransferDistribution:
-    """Mass-average M with -M; odd moments vanish exactly afterwards."""
-    return dist.symmetrized()
+def distribution_moments(data) -> tuple[float, float, float, float]:
+    """(mean, variance, skewness, excess kurtosis) of one distribution.
+
+    Raises:
+        UndefinedMomentsError: if the variance is not positive.
+    """
+    mean, var, skew, kurt = moment_row(data)
+    if not var > 0.0:
+        raise UndefinedMomentsError(f"variance {var!r} is not positive")
+    return float(mean), float(var), float(skew), float(kurt)
 
 
 def _columns(name: str, i: int):

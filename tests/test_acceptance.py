@@ -17,7 +17,7 @@ import scipy.stats
 from conftest import REFERENCE_KURTOSIS
 from test_noise import bfs_min_layers
 
-from spinfcs.circuit import ChainConfig, anisotropy
+from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
     distribution_from_tensor,
@@ -34,8 +34,6 @@ from spinfcs.stats import (
     distribution_moments,
     fit_dynamical_exponent,
     jackknife_sigma,
-    skew_kurt,
-    symmetrize,
 )
 
 THETA = 0.4 * np.pi
@@ -149,9 +147,9 @@ def test_criterion_04_convention_and_sign_invariance():
 
 def test_criterion_05_anisotropy_mapping():
     with criterion(5, "gate-angle to anisotropy mapping"):
-        assert anisotropy(FSimParams(0.4 * np.pi, 0.8 * np.pi)) == 1.0
-        assert abs(anisotropy(FSimParams(0.4 * np.pi, 0.1 * np.pi)) - 0.1645) < 0.0005
-        assert abs(anisotropy(FSimParams(0.17 * np.pi, 0.6 * np.pi)) - 1.589) < 0.002
+        assert FSimParams(0.4 * np.pi, 0.8 * np.pi).anisotropy() == 1.0
+        assert abs(FSimParams(0.4 * np.pi, 0.1 * np.pi).anisotropy() - 0.1645) < 0.0005
+        assert abs(FSimParams(0.17 * np.pi, 0.6 * np.pi).anisotropy() - 1.589) < 0.002
 
 
 def test_criterion_06_causal_filter():
@@ -183,8 +181,7 @@ def test_criterion_07_symmetry():
             ChainConfig(6, 3, HEIS),
             SampleConfig(50, 200, seed=17),
         )
-        sym = symmetrize(run.distribution())
-        skew, _ = skew_kurt(central_moments(sym))
+        skew = distribution_moments(run.distribution().symmetrized())[2]
         assert skew == 0.0
 
 
@@ -213,7 +210,7 @@ def test_criterion_08_noise_pipeline():
             noise=NoiseConfig(t1_cycles=3.0, e0=0.1, e1=0.0),
             postselect_mode="number_only",
         )
-        observed = noisy.pooled_counts().astype(float)
+        observed = np.sum([r.counts for r in noisy.records], axis=0).astype(float)
         kept = observed.sum()
         assert kept > 1000
         ideal = exact_distribution(ens, config)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinfcs.circuit import ChainConfig, anisotropy
+from spinfcs.circuit import ChainConfig
 from spinfcs.errors import UnderResolvedError
 from spinfcs.gates import FSimParams
 
@@ -25,18 +25,18 @@ class TestChainConfig:
 
 class TestAnisotropy:
     def test_heisenberg_point_exact(self):
-        assert anisotropy(FSimParams(0.4 * np.pi, 0.8 * np.pi)) == 1.0
+        assert FSimParams(0.4 * np.pi, 0.8 * np.pi).anisotropy() == 1.0
 
     def test_easy_plane_value(self):
-        delta = anisotropy(FSimParams(0.4 * np.pi, 0.1 * np.pi))
+        delta = FSimParams(0.4 * np.pi, 0.1 * np.pi).anisotropy()
         assert abs(delta - 0.1645) < 0.0005
 
     def test_easy_axis_value(self):
-        delta = anisotropy(FSimParams(0.17 * np.pi, 0.6 * np.pi))
+        delta = FSimParams(0.17 * np.pi, 0.6 * np.pi).anisotropy()
         assert abs(delta - 1.589) < 0.002
 
     def test_invariant_under_theta_reflection(self):
         # sin(pi - theta) = sin(theta): literal equality of the ratio
-        a = anisotropy(FSimParams(0.3 * np.pi, 0.5 * np.pi))
-        b = anisotropy(FSimParams(np.pi - 0.3 * np.pi, 0.5 * np.pi))
+        a = FSimParams(0.3 * np.pi, 0.5 * np.pi).anisotropy()
+        b = FSimParams(np.pi - 0.3 * np.pi, 0.5 * np.pi).anisotropy()
         assert a == b

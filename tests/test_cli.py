@@ -310,6 +310,45 @@ class TestConfigValidation:
         "collapse-over-one-mu": (
             "analysis.collapse_gammas", {"analysis": {"collapse_gammas": [0.5]}}
         ),
+        # analysis keys that could only fail once the run is done (no
+        # noise: every shot survives, so the run itself would succeed)
+        "reversed-exponent-window": (
+            "analysis.exponent_window",
+            {"cycles": 4, "noise": {}, "analysis": {"exponent_window": [4, 1]}},
+        ),
+        "exponent-window-past-the-run": (
+            "analysis.exponent_window",
+            {"cycles": 4, "noise": {}, "analysis": {"exponent_window": [10, 23]}},
+        ),
+        "collapse-cut-past-the-run": (
+            "analysis.collapse_t_min",
+            {
+                "cycles": 4,
+                "mu": [0.3, 0.6],
+                "noise": {},
+                "analysis": {"collapse_gammas": [0.5], "collapse_t_min": 8},
+            },
+        ),
+        "collapse-cut-at-the-last-cycle": (
+            "analysis.collapse_t_min",
+            {
+                "cycles": 4,
+                "mu": [0.3, 0.6],
+                "noise": {},
+                "analysis": {"collapse_gammas": [0.5], "collapse_t_min": 4},
+            },
+        ),
+        "collapse-with-one-knot": (
+            "analysis.collapse_knots",
+            {
+                "cycles": 4,
+                "mu": [0.3, 0.6],
+                "noise": {},
+                "analysis": {
+                    "collapse_gammas": [0.5], "collapse_t_min": 2, "collapse_knots": 1
+                },
+            },
+        ),
     }
 
     @pytest.mark.parametrize("key, overrides", REFUSED.values(), ids=list(REFUSED))
@@ -438,6 +477,29 @@ class TestAnalysisArtifacts:
             an_out / "exponent_fit.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("2,0,0.5\n2,1,0.5", "odd M 1"),
+            ("2,0,0.5\n2,2,0.25\n2,2,0.25", "repeated M 2"),
+            ("2,0,1.5\n2,2,1.5", "mass sums to 3.0"),
+            ("2,0,1.5\n2,2,-0.5", "negative mass at M 2"),
+        ],
+        ids=["odd-M", "repeated-M", "mass-3", "negative-mass"],
+    )
+    def test_malformed_table_is_refused(self, tmp_path, capsys, rows, problem):
+        src = tmp_path / "bad"
+        src.mkdir()
+        table = "cycle,M,probability\n1,0,0.5\n1,2,0.5\n" + rows + "\n"
+        (src / "distributions_mu0.5.csv").write_text(table)
+        (tmp_path / "an.json").write_text("{}")
+        argv = ["analyze", "--input", str(src), "--config", str(tmp_path / "an.json")]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: distributions_mu0.5.csv: cycle 2: ")
+        assert problem in err
+        assert not (tmp_path / "o").exists()
+
     def test_round_trip_serialization(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", cycles=2, mu=0.7)
         out = tmp_path / "out"
@@ -507,6 +569,27 @@ class TestAnalysisArtifacts:
         )
         assert code == 1
         assert "'analysis': expected an object" in capsys.readouterr().err
+
+
+class TestOutputErrors:
+    def test_run_into_a_file_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    def test_analyze_into_a_file_is_an_error(self, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        capsys.readouterr()
+        (tmp_path / "an.json").write_text("{}")
+        target = tmp_path / "taken"
+        target.write_text("")
+        argv = ["analyze", "--input", str(run_out), "--config", str(tmp_path / "an.json")]
+        assert main([*argv, "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
 class TestExponentFit:

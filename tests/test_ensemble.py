@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import REFERENCE_KURTOSIS, dense_cycle, dense_exact_pm, dense_right_ones
 from spinfcs import ensemble
@@ -14,51 +12,20 @@ from spinfcs.ensemble import (
     distribution_from_tensor,
     exact_distribution,
     lightcone_reduce,
-    pure_domain_wall_distribution,
     transfer_tensor,
-    transferred_magnetization,
 )
 from spinfcs.errors import (
-    ConservationError,
     EnumerationCapError,
     InvariantError,
     UnderResolvedError,
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.sector import SectorState
-from spinfcs.stats import distribution_moments
+from spinfcs.stats import distribution_moments, raw_moments
 
 
 def params_at(theta, phi, convention="tail"):
     return FSimParams(theta, phi, PhaseConvention(convention))
-
-
-class TestTransferredMagnetization:
-    def test_worked_example(self):
-        assert transferred_magnetization([1, 1, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0]) == 2
-
-    def test_identity(self):
-        bits = [1, 0, 1, 1, 0, 0]
-        assert transferred_magnetization(bits, bits) == 0
-
-    def test_conservation_violation(self):
-        with pytest.raises(ConservationError):
-            transferred_magnetization([1, 0, 0, 0], [1, 1, 0, 0])
-
-    @given(st.integers(min_value=0, max_value=2**8 - 1), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_against_left_count_oracle(self, word, data):
-        n = 8
-        bits_i = [(word >> (n - 1 - i)) & 1 for i in range(n)]
-        k = sum(bits_i)
-        ones = data.draw(
-            st.permutations(range(n)).map(lambda p: sorted(p[:k]))
-        )
-        bits_f = [1 if i in ones else 0 for i in range(n)]
-        m = transferred_magnetization(bits_i, bits_f)
-        # independent route: ones leaving the left half
-        left = sum(bits_i[: n // 2]) - sum(bits_f[: n // 2])
-        assert m == 2 * left
 
 
 class TestLightconeReduce:
@@ -105,7 +72,7 @@ class TestExactDistribution:
         theta, phi = heisenberg_angles
         config = ChainConfig(6, 3, params_at(theta, phi))
         dist = exact_distribution(ImbalanceEnsemble(0.3, 6), config)
-        assert abs(dist.total() - 1.0) < 1e-10
+        assert abs(dist.probabilities.sum() - 1.0) < 1e-10
 
     def test_mirror_symmetry_at_mu_zero(self, heisenberg_angles):
         theta, phi = heisenberg_angles
@@ -192,25 +159,27 @@ class TestExactDistribution:
 
 
 class TestPureDomainWall:
+    @staticmethod
+    def domain_wall(n, t, params):
+        """P(M) at mu = inf on the route of `spinfcs run`: the tensor,
+        reweighted onto the single word 1...10...0."""
+        tensor = transfer_tensor(n, t, params)
+        return distribution_from_tensor(tensor, t, ImbalanceEnsemble(math.inf, n))
+
     def test_cycle_one_mean(self):
         theta = 0.4 * np.pi
-        dist = pure_domain_wall_distribution(ChainConfig(2, 1, params_at(theta, 0.8 * np.pi)))
+        dist = self.domain_wall(2, 1, params_at(theta, 0.8 * np.pi))
         assert abs(distribution_moments(dist)[0] - 2 * math.sin(theta) ** 2) < 1e-14
 
     def test_frozen_chain(self):
-        dist = pure_domain_wall_distribution(ChainConfig(4, 2, params_at(0.0, 0.5)))
-        assert dist.probability(0) == 1.0
-
-    def test_matches_ensemble_at_mu_inf(self, heisenberg_angles):
-        theta, phi = heisenberg_angles
-        config = ChainConfig(4, 2, params_at(theta, phi))
-        direct = pure_domain_wall_distribution(config)
-        weighted = exact_distribution(ImbalanceEnsemble(math.inf, 4), config)
-        assert np.max(np.abs(direct.probabilities - weighted.probabilities)) < 1e-13
+        dist = self.domain_wall(4, 2, params_at(0.0, 0.5))
+        # no mass leaves M = 0; the mass there is a sum of |phase|^2 terms
+        assert np.all(dist.probabilities[dist.values != 0] == 0.0)
+        assert dist.probability(0) == pytest.approx(1.0, abs=1e-15)
 
     def test_no_negative_transfer(self, heisenberg_angles):
         theta, phi = heisenberg_angles
-        dist = pure_domain_wall_distribution(ChainConfig(6, 3, params_at(theta, phi)))
+        dist = self.domain_wall(6, 3, params_at(theta, phi))
         negative = dist.values < 0
         assert np.all(dist.probabilities[negative] == 0.0)
 
@@ -366,19 +335,12 @@ class TestTransferDistributionType:
         with pytest.raises(ValueError):
             TransferDistribution.point_mass(1, 3)
 
-    def test_from_samples(self):
-        dist = TransferDistribution.from_samples(2, [0, 2, 2, -4, 0, 0])
-        assert dist.probability(2) == pytest.approx(2 / 6)
-        assert dist.probability(-4) == pytest.approx(1 / 6)
-        with pytest.raises(ValueError):
-            TransferDistribution.from_samples(1, [3])
-
     def test_symmetrized_is_exactly_symmetric(self):
         dist = TransferDistribution(1, np.array([0.1, 0.2, 0.7]))
         sym = dist.symmetrized()
         assert np.array_equal(sym.probabilities, sym.probabilities[::-1])
-        assert sym.raw_moment(1) == 0.0
-        assert sym.raw_moment(3) == 0.0
+        raw = raw_moments(sym, 3)
+        assert raw[1] == raw[3] == 0.0
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):

@@ -185,7 +185,7 @@ class TestDamping:
         state.apply_cycle(FSimParams(0.4 * np.pi, 0.8 * np.pi))
         for _ in range(10):
             state = damping_step(state, 0.2, rng)
-            assert abs(state.norm() - 1.0) < 1e-10
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
 class TestReadout:

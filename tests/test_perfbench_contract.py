@@ -1,0 +1,38 @@
+"""The benchmark harness in perfbench/ reads spinfcs entry points by name:
+its tracer wraps every (module, attribute) of `spans.TARGETS`, and its own
+tests call `sector.cycle_bonds` and `SectorBasis.right_ones`.  Each of them
+must resolve, or `bench.py --trace` breaks with no other test failing."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _import_spans():
+    """perfbench/spans.py, imported without writing into perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("spans")
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
+
+
+NAMES = [(module, attr) for module, attr, _ in _import_spans().TARGETS] + [
+    ("sector", "cycle_bonds"),
+    ("sector", "SectorBasis.right_ones"),
+]
+
+
+@pytest.mark.parametrize("module, attr", NAMES, ids=[f"{m}.{a}" for m, a in NAMES])
+def test_harness_name_resolves(module, attr):
+    owner = importlib.import_module(f"spinfcs.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

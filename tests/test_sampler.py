@@ -44,7 +44,6 @@ from spinfcs.sampler import (
     _trajectory,
     _window_bounds,
     _window_chunks,
-    estimate_powers,
     moment_report,
     relabel_if_overfull,
     run_sampled,
@@ -145,33 +144,42 @@ class TestEstimator:
         )
 
     def test_constant_shots_power(self):
-        # every shot lands at M = +2 (grid -4,-2,0,2,4): <M^3> = 8
+        # every shot lands at M = +2 (grid -4,-2,0,2,4): mean 2, no spread
         run = self.fixed_run([[0, 0, 0, 5, 0], [0, 0, 0, 9, 0]])
-        assert estimate_powers(run, 3) == 8.0
-
-    def test_k_zero_is_exactly_one(self):
-        run = self.fixed_run([[1, 0, 2, 3, 0]])
-        assert estimate_powers(run, 0) == 1.0
+        report = moment_report([run])
+        assert report.mean[0] == 2.0
+        assert report.variance[0] == 0.0
+        assert report.sigma_mean[0] == 0.0
 
     def test_per_state_normalization(self):
         # state A: all shots at +2; state B: all at 0.  The outer mean is
         # uniform over states no matter how many shots each one kept.
         run = self.fixed_run([[0, 0, 0, 1000, 0], [0, 0, 10, 0, 0]])
-        assert estimate_powers(run, 1) == pytest.approx(1.0)
+        report = moment_report([run])
+        assert report.mean[0] == pytest.approx(1.0)
+        assert report.variance[0] == pytest.approx(1.0)
 
     def test_zero_survivor_state_dropped_with_warning(self, caplog):
         run = self.fixed_run([[0, 0, 0, 4, 0], [0, 0, 0, 0, 0]])
+        assert run.dropped_states == [1]
+        assert moment_report([run]).mean[0] == 2.0
+        # a run in which some state keeps no shot warns as it is made:
+        # with one shot per state, readout flips fail the number filter
+        ens = ImbalanceEnsemble(0.5, 4)
+        noise = NoiseConfig(e0=0.3, e1=0.3)
         with caplog.at_level(logging.WARNING, "spinfcs.sampler"):
-            value = estimate_powers(run, 1)
-        assert value == 2.0
+            noisy = run_sampled(
+                ens, ChainConfig(4, 1, HEIS), SampleConfig(20, 1, seed=5), noise=noise
+            )
+        assert noisy.dropped_states
         assert any("zero surviving shots" in rec.message for rec in caplog.records)
 
     def test_state_order_permutation_invariance(self):
         rows = [[1, 2, 3, 4, 0], [0, 5, 1, 0, 2], [2, 0, 0, 1, 1]]
         run_a = self.fixed_run(rows)
         run_b = self.fixed_run([rows[2], rows[0], rows[1]])
-        for k in (1, 2, 3, 4):
-            assert estimate_powers(run_a, k) == estimate_powers(run_b, k)
+        report_a, report_b = moment_report([run_a]), moment_report([run_b])
+        assert report_a.rows.tolist() == report_b.rows.tolist()
 
 
 class TestAgainstExact:
@@ -263,7 +271,7 @@ class TestLightConeWindow:
             ImbalanceEnsemble(0.0, n), ChainConfig(n, t, HEIS), SampleConfig(4, 50)
         )
         assert run.yield_fraction() == 1.0
-        assert abs(run.distribution().total() - 1.0) < 1e-12
+        assert abs(run.distribution().probabilities.sum() - 1.0) < 1e-12
 
 
 def dense_true_probabilities(word, sites, layers, t, p_decay):
@@ -696,7 +704,7 @@ class TestNoisyPipeline:
         noise = NoiseConfig(angle_jitter_sd=sd)
         shots = 20000
         run = run_sampled(ens, config, SampleConfig(1, shots, seed=21), noise=noise)
-        mean = estimate_powers(run, 1)
+        mean = moment_report([run]).mean[0]
 
         def integrand(x):
             g = math.exp(-0.5 * ((x - theta) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
@@ -765,7 +773,7 @@ class TestNoisyPipeline:
         for word, prob in enumerate(measured):
             if mode == "none" or word.bit_count() == wall.bit_count():
                 expected[n // 2 + dense_right_ones(word, n)] += prob
-        counts = run.pooled_counts()
+        counts = np.sum([r.counts for r in run.records], axis=0)
         expected *= counts.sum() / expected.sum()
         assert chi_square_p_value(counts, expected) > 1e-3
 
@@ -784,7 +792,7 @@ class TestNoisyPipeline:
         )
         assert 0.0 < run.yield_fraction() < 1.0
         with np.errstate(all="ignore"):
-            pooled = run.pooled_counts()
+            pooled = np.sum([r.counts for r in run.records], axis=0)
         assert pooled.sum() > 500
 
 

@@ -57,11 +57,11 @@ class TestRanking:
         n, k, raw = nki
         basis = sector_basis(n, k)
         i = raw % basis.dimension
-        assert basis.rank(basis.unrank(i)) == i
+        assert basis.rank(basis.words[i]) == i
 
     def test_unrank_strictly_increasing(self):
         basis = SectorBasis(8, 3)
-        words = [basis.unrank(i) for i in range(basis.dimension)]
+        words = [int(basis.words[i]) for i in range(basis.dimension)]
         assert all(a < b for a, b in zip(words, words[1:]))
 
     def test_words_equal_the_combinations_enumeration(self):
@@ -188,7 +188,7 @@ class TestCycle:
         params = FSimParams(0.4 * np.pi, 0.8 * np.pi)
         for _ in range(50):
             state.apply_cycle(params)
-        assert abs(state.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     def test_sector_dimension_never_changes(self):
         state = SectorState.from_bitstring([1, 0, 1, 0, 0, 1])

@@ -16,8 +16,6 @@ from spinfcs.stats import (
     fit_dynamical_exponent,
     jackknife_sigma,
     moment_row,
-    skew_kurt,
-    symmetrize,
     weighted_cycle_average,
 )
 
@@ -60,15 +58,6 @@ class TestCentralMoments:
             assert errors[mu] < 2 * mu**3  # next correction is O(mu^3)
         assert errors[0.02] / errors[0.01] == pytest.approx(8.0, rel=0.2)
 
-    def test_distribution_equals_exhaustive_weighted_samples(self):
-        # probabilities in eighths expand to an exact finite sample set
-        probs = np.array([1, 0, 2, 4, 1], dtype=float) / 8.0
-        dist = TransferDistribution(2, probs)
-        samples = np.repeat(dist.values, (probs * 8).astype(int))
-        a = central_moments(dist)
-        b = central_moments(samples)
-        assert np.max(np.abs(a - b)) < 1e-12
-
     def test_grid_tuple_requires_symmetry(self):
         with pytest.raises(ValueError):
             central_moments((np.array([0.0, 2.0]), np.array([0.5, 0.5])))
@@ -77,7 +66,7 @@ class TestCentralMoments:
 class TestSkewKurt:
     def test_two_point_symmetric(self):
         dist = TransferDistribution(1, np.array([0.5, 0.0, 0.5]))
-        s, q = skew_kurt(central_moments(dist))
+        _, _, s, q = distribution_moments(dist)
         assert s == 0.0
         assert q == -2.0
 
@@ -85,39 +74,38 @@ class TestSkewKurt:
         theta = 0.4 * np.pi
         config = ChainConfig(2, 1, FSimParams(theta, 0.8 * np.pi))
         dist = exact_distribution(ImbalanceEnsemble(0.0, 2), config)
-        _, q = skew_kurt(central_moments(dist))
+        q = distribution_moments(dist)[3]
         assert abs(q - (2 / math.sin(theta) ** 2 - 3)) < 1e-12
         assert abs(q - (-0.7888543819998315)) < 1e-12
 
     def test_four_qubit_two_cycle_imbalanced(self):
         config = ChainConfig(4, 2, FSimParams(0.4 * np.pi, 0.8 * np.pi))
         dist = exact_distribution(ImbalanceEnsemble(0.5, 4), config)
-        _, q = skew_kurt(central_moments(dist))
+        q = distribution_moments(dist)[3]
         assert abs(q - (-0.30867052)) < 1e-7
 
     def test_zero_variance_rejected(self):
         with pytest.raises(UndefinedMomentsError):
-            skew_kurt(central_moments(TransferDistribution.point_mass(1, 2)))
+            distribution_moments(TransferDistribution.point_mass(1, 2))
 
 
 class TestSymmetrize:
     def test_symmetric_input_unchanged(self):
         dist = TransferDistribution(1, np.array([0.25, 0.5, 0.25]))
-        assert np.array_equal(symmetrize(dist).probabilities, dist.probabilities)
+        assert np.array_equal(dist.symmetrized().probabilities, dist.probabilities)
 
     def test_point_mass_splits(self):
-        sym = symmetrize(TransferDistribution.point_mass(1, 2))
+        sym = TransferDistribution.point_mass(1, 2).symmetrized()
         assert sym.probability(2) == 0.5
         assert sym.probability(-2) == 0.5
-        s, _ = skew_kurt(central_moments(sym))
-        assert s == 0.0
+        assert distribution_moments(sym)[2] == 0.0
 
     def test_sampled_data_skewness_exactly_zero(self):
         rng = np.random.default_rng(42)
         samples = 2 * rng.integers(-3, 4, size=5001)
-        dist = TransferDistribution.from_samples(3, samples)
-        s, _ = skew_kurt(central_moments(symmetrize(dist)))
-        assert s == 0.0
+        counts = np.bincount(samples // 2 + 3, minlength=7)
+        dist = TransferDistribution(3, counts / counts.sum())
+        assert distribution_moments(dist.symmetrized())[2] == 0.0
 
     def test_every_distribution_symmetrizes_to_zero_skew(self):
         rng = np.random.default_rng(7)
@@ -126,9 +114,9 @@ class TestSymmetrize:
             probs = rng.random(2 * t + 1)
             probs /= probs.sum()
             dist = TransferDistribution(t, probs)
-            alpha = central_moments(symmetrize(dist))
-            if alpha[2] > 0:
-                assert skew_kurt(alpha)[0] == 0.0
+            _, var, skew, _ = moment_row(dist.symmetrized())
+            if var > 0:
+                assert skew == 0.0
 
 
 class TestJackknife:
