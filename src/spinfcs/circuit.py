@@ -1,4 +1,4 @@
-"""Chain-level configuration and the anisotropy of the gate parameters."""
+"""Chain-level configuration: chain length, cycle count, gate and layer order."""
 
 from dataclasses import dataclass
 

@@ -35,7 +35,7 @@ from .ensemble import (
 )
 from .errors import ConfigError, SchemaError
 from .gates import FSimParams, LayerOrder, PhaseConvention
-from .noise import NoiseConfig
+from .noise import POSTSELECT_MODES, NoiseConfig
 
 DIST_HEADER = "cycle,M,probability"
 MOMENT_HEADER = (
@@ -51,7 +51,6 @@ def _fmt(x) -> str:
 
 
 NUMBER = (int, float)
-POSTSELECT_MODES = ("none", "number_only", "causal")
 RUN_KEYS = {
     "mode", "theta", "phi", "convention", "layer_order", "cycles", "n_qubits",
     "mu", "seed", "initial_states", "shots_per_state", "relabel", "postselect",
@@ -157,7 +156,7 @@ def _parse_config(cfg) -> dict:
     noisy = mode == "noisy-sampled"
     _check(noisy or noise is None, "noise", "only noisy-sampled mode takes it")
     analysis = _parse_analysis(_require(cfg, "analysis", dict))
-    _check_analysis(analysis, mus, cycles)
+    _check_analysis(analysis, {mu: range(1, cycles + 1) for mu in mus})
     params = FSimParams(*angles, PhaseConvention(convention))
     sample = None
     if mode == "exact":
@@ -222,22 +221,26 @@ def _parse_analysis(raw) -> dict:
     return out
 
 
-def _check_analysis(analysis: dict, mus, cycles=None) -> None:
-    """Refuse a collapse scan over < 2 finite mu and, for a run of `cycles`
-    cycles, a fit window or a collapse cut that leaves < 3 points."""
-    if cycles is not None and "exponent_window" in analysis:
+def _check_analysis(analysis: dict, cycles_by_mu: dict) -> None:
+    """Refuse an analysis that the cycles of each mu, {mu: cycles}, cannot
+    satisfy: a fit window holding < 3 of some mu's cycles, a collapse scan
+    over < 2 finite mu, or a collapse cut that leaves < 3 (cycle, mu) points
+    or < 2 mu."""
+    if "exponent_window" in analysis:
         lo, hi = analysis["exponent_window"]
-        inside = max(0, min(hi, cycles) - max(lo, 1) + 1)
-        message = f"holds {inside} of cycles 1..{cycles}, need >= 3"
-        _check(inside >= 3, "analysis.exponent_window", message)
+        for mu, ts in cycles_by_mu.items():
+            inside = sum(lo <= t <= hi for t in ts)
+            message = f"holds {inside} of the cycles of mu {_mu_tag(mu)}, need >= 3"
+            _check(inside >= 3, "analysis.exponent_window", message)
     if "collapse_gammas" in analysis:
-        finite = {mu for mu in mus if not math.isinf(mu)}
+        finite = [ts for mu, ts in cycles_by_mu.items() if not math.isinf(mu)]
         _check(len(finite) >= 2, "analysis.collapse_gammas", "needs >= 2 finite mu")
-        if cycles is not None:
-            t_min = analysis["collapse_t_min"]
-            points = max(0, cycles - max(t_min, 1) + 1) * len(finite)
-            message = f"{t_min} leaves {points} (cycle, mu) points, need >= 3"
-            _check(points >= 3, "analysis.collapse_t_min", message)
+        t_min = analysis["collapse_t_min"]
+        kept = [sum(t >= t_min for t in ts) for ts in finite]
+        points, n_mu = sum(kept), len(kept) - kept.count(0)
+        message = f"{t_min} leaves {points} (cycle, mu) points of {n_mu} mu"
+        ok = points >= 3 and n_mu >= 2
+        _check(ok, "analysis.collapse_t_min", f"{message}, need >= 3 of >= 2 mu")
 
 
 def _mu_tag(mu: float) -> str:
@@ -346,7 +349,6 @@ def _write_analysis(analysis, series, out_dir):
             lines.append(",".join([_mu_tag(mu), *map(_fmt, row)]))
         outputs.append(_write_lines(os.path.join(out_dir, "exponent_fit.csv"), lines))
     if "collapse_gammas" in analysis:
-        _check_analysis(analysis, series)
         finite = [mu for mu in series if not math.isinf(mu)]
         triples = [
             (mu, series[mu].cycles, series[mu].skewness) for mu in sorted(finite)
@@ -492,6 +494,8 @@ def cmd_analyze(args) -> int:
                 stats.moment_row(_symmetric_grid(*per_cycle[t])) for t in cycles
             ]
             reports[tag] = mu, stats.MomentReport(cycles, rows)
+        series = dict(reports.values())
+        _check_analysis(analysis, {mu: report.cycles for mu, report in series.items()})
     except (OSError, ValueError) as exc:
         return _error(exc)
     out_dir = _resolve_out(args.out)
@@ -500,7 +504,7 @@ def cmd_analyze(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         for path, (_, report) in zip(outputs, reports.values()):
             _write_moments(path, report)
-        outputs.extend(_write_analysis(analysis, dict(reports.values()), out_dir))
+        outputs.extend(_write_analysis(analysis, series, out_dir))
     except ValueError as exc:
         return _error(exc)
     except OSError as exc:

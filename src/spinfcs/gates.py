@@ -96,24 +96,6 @@ class FSimParams:
             )
         return math.sin(self.phi / 2.0) / s
 
-    def matrix(self) -> np.ndarray:
-        """The 4x4 unitary on a bond, ordered |00>, |01>, |10>, |11>."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        u = np.array(
-            [
-                [1, 0, 0, 0],
-                [0, c, 1j * s, 0],
-                [0, 1j * s, c, 0],
-                [0, 0, 0, np.exp(-1j * self.phi)],
-            ],
-            dtype=np.complex128,
-        )
-        if self.convention is PhaseConvention.SPLIT:
-            half = np.exp(-1j * self.phi / 2.0)
-            u[0, 0] = half
-            u[3, 3] = half
-        return u
-
 
 @dataclass(frozen=True)
 class FSimColumns:

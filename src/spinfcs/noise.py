@@ -151,43 +151,48 @@ def causal_min_half_layers(
 ) -> float:
     """Minimum number of brickwork half-layers turning one word into another.
 
-    Excitations are identified left-to-right in both words (they cannot
-    cross), and each layer greedily moves an excitation across an active
-    bond when that strictly shortens its way to the target and the
-    destination is free; equal-distance moves stay put.  Returns math.inf
-    when the popcounts differ (the rearrangement is impossible).
+    Excitations cannot cross, so the k-th one of the initial word becomes
+    the k-th one of the final word, and each moves straight to its target,
+    one site per half-layer on which the bond it needs is active.  Rightward
+    movers are timed from the rightmost one leftward: a mover arrives at y
+    one half-layer after the later of its own arrival at y-1 and the arrival
+    at y+1 of the rightward mover directly ahead (at sites that one passed
+    through), plus one if that half-layer does not activate bond y-1.
+    Leftward movers follow the same rule on the mirrored chain.  The depth
+    is the latest arrival: 0 if nothing moves, and math.inf when the
+    popcounts differ (the rearrangement is impossible).
     """
     bi = np.asarray(b_initial, dtype=np.int64)
     bf = np.asarray(b_final, dtype=np.int64)
     if bi.shape != bf.shape or bi.ndim != 1:
         raise ValueError("bitstrings must be 1-D and of equal length")
     n = bi.size
-    src = np.flatnonzero(bi == 1)
-    tgt = np.flatnonzero(bf == 1)
-    if src.size != tgt.size:
+    src, tgt = (np.flatnonzero(bits == 1).tolist() for bits in (bi, bf))
+    if len(src) != len(tgt):
         return math.inf
-    if np.array_equal(src, tgt):
-        return 0
-    pos = list(src)
-    occ = [False] * n
-    for p in pos:
-        occ[p] = True
-    layers = brickwork_layers(n, 0, layer_order)
-    max_layers = 2 * (n + int(np.abs(src - tgt).sum())) + 4
-    for layer in range(max_layers):
-        for bond in layers[layer % 2]:
-            left, right = occ[bond], occ[bond + 1]
-            if left == right:
-                continue  # empty or blocked bond
-            site = bond if left else bond + 1
-            dest = bond + 1 if left else bond
-            j = pos.index(site)
-            if abs(dest - tgt[j]) < abs(site - tgt[j]):
-                occ[site], occ[dest] = False, True
-                pos[j] = dest
-        if pos == list(tgt):
-            return layer + 1
-    return math.inf
+    # half-layer L = 1, 2, ... activates the bonds of parity p + L - 1 (3
+    # sites have a bond in each layer); the mirror x -> n-1-x maps bond b to
+    # bond n-2-b, of parity n + b
+    p = brickwork_layers(3, 0, layer_order)[0][0]
+    right = list(zip(src, tgt))
+    left = [(n - 1 - s, n - 1 - d) for s, d in reversed(right)]
+    depth = 0
+    for moves, parity in ((right, p), (left, (p + n) % 2)):
+        # arrivals by site of the last rightward mover timed; one that is not
+        # directly ahead never passed y+1
+        ahead = {}
+        for s, d in reversed(moves):
+            if s < d:
+                arrival = {s: 0}
+                for y in range(s + 1, d + 1):
+                    at = max(arrival[y - 1], ahead.get(y + 1, 0)) + 1
+                    arrival[y] = at + (at + parity + y) % 2
+                ahead = arrival
+                depth = max(depth, arrival[d])
+    return depth
+
+
+POSTSELECT_MODES = ("none", "number_only", "causal")
 
 
 def postselect(
@@ -199,18 +204,21 @@ def postselect(
 ) -> bool:
     """Keep or discard a measured bitstring.
 
-    "number_only" keeps equal-popcount outcomes; "causal" additionally
-    requires the rearrangement to fit in the circuit's 2*cycles half-layers.
+    "none" keeps every outcome; "number_only" keeps equal-popcount outcomes;
+    "causal" additionally requires the rearrangement to fit in the
+    circuit's 2*cycles half-layers.
     """
+    if mode not in POSTSELECT_MODES:
+        raise ValueError(f"unknown post-selection mode {mode!r}")
+    if mode == "none":
+        return True
     bi = np.asarray(b_initial, dtype=np.int64)
     bm = np.asarray(b_measured, dtype=np.int64)
     if bi.sum() != bm.sum():
         return False
     if mode == "number_only":
         return True
-    if mode != "causal":
-        raise ValueError(f"unknown post-selection mode {mode!r}")
-    return causal_min_half_layers(bi, bm, layer_order) <= 2 * cycles
+    return bool(causal_min_half_layers(bi, bm, layer_order) <= 2 * cycles)
 
 
 @dataclass

@@ -60,6 +60,7 @@ from . import stats
 from .circuit import ChainConfig
 from .ensemble import ImbalanceEnsemble, TransferDistribution, thread_map
 from .noise import (
+    POSTSELECT_MODES,
     NoiseConfig,
     damp_bits,
     damp_columns,
@@ -431,7 +432,7 @@ def run_sampled(
         raise ValueError(
             f"ensemble on {ens.n_qubits} qubits, config on {config.n_qubits}"
         )
-    if postselect_mode not in ("none", "number_only", "causal"):
+    if postselect_mode not in POSTSELECT_MODES:
         raise ValueError(f"unknown post-selection mode {postselect_mode!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

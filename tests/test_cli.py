@@ -500,6 +500,26 @@ class TestAnalysisArtifacts:
         assert problem in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key, analysis",
+        [
+            ("analysis.exponent_window", {"exponent_window": [10, 23]}),
+            ("analysis.collapse_t_min", {"collapse_gammas": [0.5], "collapse_t_min": 3}),
+        ],
+        ids=["exponent-window-past-the-tables", "collapse-cut-at-the-last-cycle"],
+    )
+    def test_analysis_the_tables_cannot_satisfy_is_refused_before_any_write(
+        self, tmp_path, capsys, key, analysis
+    ):
+        run_out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", cycles=3, mu=[0.3, 0.6])
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        (tmp_path / "an.json").write_text(json.dumps(analysis))
+        argv = ["analyze", "--input", str(run_out), "--config", str(tmp_path / "an.json")]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+        assert not (tmp_path / "o").exists()
+
     def test_round_trip_serialization(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", cycles=2, mu=0.7)
         out = tmp_path / "out"

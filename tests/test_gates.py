@@ -55,24 +55,6 @@ def test_nonfinite_angle_rejected():
         FSimParams(0.0, math.inf)
 
 
-def test_matrix_tail_phase():
-    theta, phi = 0.4 * np.pi, 0.8 * np.pi
-    u = FSimParams(theta, phi).matrix()
-    assert u[0, 0] == 1.0
-    assert np.isclose(u[1, 1], np.cos(theta))
-    assert np.isclose(u[1, 2], 1j * np.sin(theta))
-    assert np.isclose(u[2, 1], 1j * np.sin(theta))
-    assert np.isclose(u[3, 3], np.exp(-1j * phi))
-    assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-14)
-
-
-def test_matrix_split_phase():
-    theta, phi = 0.3 * np.pi, 0.5 * np.pi
-    u = FSimParams(theta, phi, PhaseConvention.SPLIT).matrix()
-    assert np.isclose(u[0, 0], np.exp(-1j * phi / 2))
-    assert np.isclose(u[3, 3], np.exp(-1j * phi / 2))
-
-
 def test_convention_accepts_strings():
     p = FSimParams(0.1, 0.2, "split")
     assert p.convention is PhaseConvention.SPLIT

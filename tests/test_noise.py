@@ -33,20 +33,28 @@ def layer_successors(word, bonds):
     return out
 
 
-def bfs_min_layers(b_i, b_f, n, first_parity, cap=40):
-    """Breadth-first search over the brickwork reachability graph."""
-    start, goal = tuple(b_i), tuple(b_f)
-    if sum(start) != sum(goal):
-        return math.inf
-    if start == goal:
-        return 0
-    frontier = {start}
-    for layer in range(cap):
+def bfs_depths(word, n, first_parity):
+    """Half-layers after which each word is first reachable from `word`, by
+    breadth-first search over the brickwork reachability graph."""
+    word = tuple(word)
+    depths = {word: 0}
+    fresh, previous = {word}, set()
+    layer = 0
+    while fresh or previous:
         bonds = list(range((first_parity + layer) % 2, n - 1, 2))
-        frontier = set().union(*(layer_successors(w, bonds) for w in frontier))
-        if goal in frontier:
-            return layer + 1
-    return math.inf
+        layer += 1
+        # only the words new at the last two half-layers can move further:
+        # the start word has not met a half-layer yet, and every older word
+        # made its moves of this parity two half-layers ago
+        reached = set().union(*(layer_successors(w, bonds) for w in fresh | previous))
+        fresh, previous = reached - depths.keys(), fresh
+        depths.update(dict.fromkeys(fresh, layer))
+    return depths
+
+
+def bfs_min_layers(b_i, b_f, n, first_parity):
+    """Breadth-first depth of one pair of words."""
+    return bfs_depths(b_i, n, first_parity).get(tuple(b_f), math.inf)
 
 
 class TestCausalFilter:
@@ -63,16 +71,15 @@ class TestCausalFilter:
         assert causal_min_half_layers([1, 0], [1, 1]) == math.inf
 
     @pytest.mark.parametrize("order", list(LayerOrder))
-    def test_greedy_equals_bfs_exhaustively(self, order):
-        n = 6
+    def test_depth_equals_bfs_on_every_pair_up_to_8_sites(self, order):
         first = 0 if order is LayerOrder.EVEN_FIRST else 1
-        for k in range(0, 4):
-            for src in itertools.combinations(range(n), k):
-                b_i = [1 if i in src else 0 for i in range(n)]
-                for dst in itertools.combinations(range(n), k):
-                    b_f = [1 if i in dst else 0 for i in range(n)]
-                    greedy = causal_min_half_layers(b_i, b_f, order)
-                    assert greedy == bfs_min_layers(b_i, b_f, n, first)
+        for n in range(1, 9):
+            words = list(itertools.product((0, 1), repeat=n))
+            for b_i in words:
+                depths = bfs_depths(b_i, n, first)
+                for b_f in words:
+                    want = depths.get(b_f, math.inf)
+                    assert causal_min_half_layers(b_i, b_f, order) == want
 
 
 class TestPostselect:
@@ -86,6 +93,14 @@ class TestPostselect:
     def test_popcount_mismatch_discarded_everywhere(self):
         assert not postselect([1, 0], [1, 1], 5, "number_only")
         assert not postselect([1, 0], [1, 1], 5, "causal")
+
+    @pytest.mark.parametrize("b_f", [[1, 1], [0, 1], [1, 0]])
+    def test_none_keeps_everything(self, b_f):
+        assert postselect([1, 0], b_f, 3, "none") is True
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="unknown post-selection mode"):
+            postselect([1, 0], [1, 1], 3, "causl")
 
     def test_causal_never_looser_than_number(self):
         rng = np.random.default_rng(2)

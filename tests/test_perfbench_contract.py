@@ -1,13 +1,17 @@
 """The benchmark harness in perfbench/ reads spinfcs entry points by name:
 its tracer wraps every (module, attribute) of `spans.TARGETS`, and its own
 tests call `sector.cycle_bonds` and `SectorBasis.right_ones`.  Each of them
-must resolve, or `bench.py --trace` breaks with no other test failing."""
+must resolve, or `bench.py --trace` breaks with no other test failing.  Its
+observer of `noise.postselect` counts bool(result), which a returned array
+would break the same way."""
 
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from spinfcs import noise
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,3 +40,12 @@ def test_harness_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("mode", noise.POSTSELECT_MODES)
+def test_postselect_returns_a_python_bool(mode):
+    # the tracer's `_postselect` observer counts bool(result) per call
+    b_i = [1, 1, 0, 1, 1, 0, 0, 0]
+    for b_f in (b_i, [0, 1, 0, 1, 1, 0, 0, 1], [1, 1, 1, 1, 1, 0, 0, 0]):
+        for cycles in (1, 2):
+            assert type(noise.postselect(b_i, b_f, cycles, mode)) is bool
