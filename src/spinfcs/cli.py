@@ -128,8 +128,10 @@ def _refused_as(key: str):
 
 def _parse_config(cfg) -> dict:
     """Check a `spinfcs run` config and build the library objects of its
-    run once: the ChainConfig, and the SampleConfig of the sampled modes and
-    the NoiseConfig of noisy mode (None where unused)."""
+    run once: the ChainConfig (in exact mode reduced to the light cone of
+    the center cut, the chain the site cap is checked on), and the
+    SampleConfig of the sampled modes and the NoiseConfig of noisy mode
+    (None where unused)."""
     _table(cfg, "", RUN_KEYS)
     mode = _choice(cfg, "mode", ("exact", "sampled", "noisy-sampled"))
     angles = [_require(cfg, key, NUMBER, required=True) for key in ("theta", "phi")]
@@ -144,9 +146,11 @@ def _parse_config(cfg) -> dict:
     _check(even, "n_qubits", f"must be even and >= 2, got {n_qubits}")
     raw_mu = _require(cfg, "mu", (*NUMBER, str, list), required=True)
     mus = raw_mu if isinstance(raw_mu, list) else [raw_mu]
-    mus = [float(_number_or_inf(mu, "mu")) for mu in mus]
+    # + 0.0 turns -0.0 into 0.0, whose tag names the output files
+    mus = [float(_number_or_inf(mu, "mu")) + 0.0 for mu in mus]
     ok = mus and all(mu >= 0 for mu in mus)
     _check(ok, "mu", f"expected values >= 0, got {raw_mu!r}")
+    _check(len(set(mus)) == len(mus), "mu", f"lists a value twice: {raw_mu!r}")
     seed = _require(cfg, "seed", int, default=0)
     states = _require(cfg, "initial_states", int, default=100)
     shots = _require(cfg, "shots_per_state", int, default=1000)
@@ -158,17 +162,21 @@ def _parse_config(cfg) -> dict:
     analysis = _parse_analysis(_require(cfg, "analysis", dict))
     _check_analysis(analysis, {mu: range(1, cycles + 1) for mu in mus})
     params = FSimParams(*angles, PhaseConvention(convention))
+    chain = ChainConfig(n_qubits, cycles, params, LayerOrder(order))
     sample = None
     if mode == "exact":
+        if n_qubits >= chain.lightcone_width:
+            # sites outside the light cone of the center cut do not move it
+            chain = lightcone_reduce(chain)
         with _refused_as("n_qubits"):
-            check_site_cap(n_qubits)
+            check_site_cap(chain.n_qubits)
     else:
         _check(states >= 1, "initial_states", f"must be >= 1, got {states}")
         _check(shots >= 1, "shots_per_state", f"must be >= 1, got {shots}")
         sample = sampler.SampleConfig(states, shots, seed, relabel)
     return {
         "mode": mode,
-        "chain": ChainConfig(n_qubits, cycles, params, LayerOrder(order)),
+        "chain": chain,
         "mu": mus,
         "seed": seed,
         "sample": sample,
@@ -275,10 +283,6 @@ def _run(parsed, out_dir, threads):
     chain = parsed["chain"]
     n, cycles = chain.n_qubits, chain.cycles
     if parsed["mode"] == "exact":
-        if n >= chain.lightcone_width:
-            # sites outside the light cone of the center cut do not move it
-            chain = lightcone_reduce(chain)
-            n = chain.n_qubits
         tensor = transfer_tensor(
             n, cycles, chain.params, chain.layer_order, threads=threads
         )

@@ -16,23 +16,20 @@ The evolution stores a sector as a direct sum of left (x) right blocks
 applied to each block as matrix products, and the center-bond gate, which
 updates slice views of neighbouring blocks in place.
 
-Left-right mirror symmetry of the brickwork (exact for even chain length)
-gives T[t, a, b, r] = T[t, b, a, a+b-r]; only blocks with a >= b are
-evolved and the rest are reflected.
-
-Particle-hole symmetry (every bit flipped) gives T[t, a, b, r] =
-T[t, h-a, h-b, h-r], h = n/2, so sectors k = a+b > h are copied from
-k < h.  With the mirror it maps each block (a, h-a) to itself: the halves
-are stored read outward from the center, so the mirror swaps the left and
-right words, and a complement reverses a word's rank in its sector.
-Column (iL, iR) therefore has the right-count distribution of column
-(C-1-iR, C-1-iL), C = C(h, a); one column per orbit is evolved, at weight
-2 (1 for the fixed points iL+iR = C-1).  `split` gates commute with the
-bit flip, so this holds at any depth.  `tail` gates differ by phases on
-the two edge sites one layer leaves idle, which break the orbit map per
-column but for t <= n/2 leave the tensor equal to the `split` one (checked
-against the every-column path and the dense oracle): such runs are evolved
-with `split` gates, deeper `tail` runs with the mirror alone.
+Symmetry reduces the work by one rule.  The halves are stored read
+outward from the center, so an initial word is w = L << h | R, h = n/2,
+and the symmetries of the brickwork act on words: the left-right mirror
+(exact for even n) swaps L and R, the bit flip complements both, and
+their product does both.  Of each orbit of the symmetry group only the
+least word is evolved, at weight 1/|stabilizer|; the group's images of
+the summed masses, T[t, a, b, r] -> T[t, b, a, a+b-r] for the mirror and
+T[t, h-a, h-b, h-r] for the flip, then give the tensor of every word.
+The mirror always applies.  `split` gates commute with the bit flip, so
+it applies at any depth.  `tail` gates differ by phases on the two edge
+sites one layer leaves idle, which break the flip per word but for
+t <= h leave the tensor equal to the `split` one (checked against the
+every-column path and the dense oracle): such runs are evolved with
+`split` gates under both maps, deeper `tail` runs under the mirror alone.
 """
 
 import concurrent.futures
@@ -236,8 +233,9 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, params, operators):
     pairs |01> rows of block (a, b) with |10> rows of block (a+1, b-1).  The
     W before the first center gate and after the last readout are dropped:
     summed over a whole initial block, T does not see them.  W commutes with
-    the mirror and, for `split` gates, with the bit flip, so a weighted sum
-    over particle-hole orbits does not see them either.  After s center
+    every map of the symmetry group (the mirror always, the bit flip for
+    `split` gates), so neither does the sum over the group's images of the
+    weighted least words of its orbits.  After s center
     gates only blocks |a - a0| <= s are nonzero, and only they are touched.
     """
     k = a0 + b0
@@ -303,19 +301,24 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, params, operators):
     return part
 
 
-def _orbit_columns(half: int, a: int, b: int, orbits: bool):
-    """In-block columns of block (a, b) to evolve, and their weights: with
-    `orbits` and a + b = half one per orbit {(iL, iR), (C-1-iR, C-1-iL)},
-    iL + iR < C-1 at weight 2 and the fixed points iL + iR = C-1 at weight
-    1; otherwise every column at weight 1.
+def _orbit_columns(half: int, a: int, b: int, order: int):
+    """In-block columns of block (a, b) to evolve, and their weights, under
+    the symmetry group of `order` 1 (trivial), 2 (mirror) or 4 (mirror x
+    bit flip).  Column (iL, iR) is the word w = L << half | R of its half
+    words, both read outward from the center; it is evolved when w is the
+    least word of its orbit, at weight 1/|stabilizer of w|.
     """
-    size_left, size_right = math.comb(half, a), math.comb(half, b)
-    columns = np.arange(size_left * size_right)
-    if not (orbits and a + b == half):
-        return columns, np.ones(columns.size)
-    rank_sum = np.add(*np.divmod(columns, size_right))  # iL + iR
-    keep = rank_sum <= size_left - 1
-    return columns[keep], np.where(rank_sum[keep] < size_left - 1, 2.0, 1.0)
+    left = np.repeat(sector_basis(half, a).words, math.comb(half, b))
+    right = np.tile(sector_basis(half, b).words, math.comb(half, a))
+    shift, flip = np.uint64(half), np.uint64((1 << 2 * half) - 1)
+    word, mirror = left << shift | right, right << shift | left
+    keep = np.ones(word.size, dtype=bool)
+    stabilizer = np.ones(word.size)
+    for image in [mirror, word ^ flip, mirror ^ flip][: order - 1]:
+        keep &= word <= image
+        stabilizer += word == image
+    columns = np.flatnonzero(keep)
+    return columns, 1.0 / stabilizer[columns]
 
 
 def transfer_tensor(
@@ -335,12 +338,11 @@ def transfer_tensor(
     `distribution_from_tensor` for any mu.  Output is bitwise independent of
     `threads` (fixed reduction order) and of the BLAS thread count.
 
-    `symmetric` evolves one column per symmetry orbit and copies the rest:
-    the mirror always, and particle hole, T[t, a, b, r] = T[t, h-a, h-b,
-    h-r] with orbits (iL, iR) -> (C-1-iR, C-1-iL) in the k = h sector, for
-    `split` gates or cycles <= h; a `tail` run there is evolved with `split`
-    gates, whose tensor is the same (module docstring).  `symmetric=False`
-    evolves every column, as a reference.
+    `symmetric` evolves the least word of each orbit of the symmetry group
+    and adds the group's images (module docstring): the mirror alone for
+    `tail` gates with cycles > h, the mirror and the bit flip otherwise.
+    `symmetric=False` runs the same code with the trivial group, evolving
+    every column, as a reference.
     """
     if n_qubits < 2 or n_qubits % 2 != 0:
         raise ValueError(f"n_qubits must be even and >= 2, got {n_qubits}")
@@ -354,18 +356,17 @@ def transfer_tensor(
     if cycles == 0:
         return T
     split = params.convention is PhaseConvention.SPLIT
-    particle_hole = symmetric and (split or cycles <= half)
-    if particle_hole:
-        # the orbit map holds per column only for gates that commute with
-        # the bit flip; for cycles <= h the `split` tensor is the `tail` one
+    order = 1 if not symmetric else 2 if not split and cycles > half else 4
+    if order == 4:
+        # the bit flip commutes with `split` gates only; for cycles <= h
+        # the `split` tensor is the `tail` one
         params = replace(params, convention=PhaseConvention.SPLIT)
     operators = _half_chain_operators(half, params, layer_order)
     tasks = [
         (a, b, columns[j0 : j0 + CHUNK_COLUMNS], weights[j0 : j0 + CHUNK_COLUMNS])
         for a in range(half + 1)
         for b in range(half + 1)
-        if not symmetric or (a >= b and not (particle_hole and a + b > half))
-        for columns, weights in [_orbit_columns(half, a, b, particle_hole)]
+        for columns, weights in [_orbit_columns(half, a, b, order)]
         for j0 in range(0, columns.size, CHUNK_COLUMNS)
     ]
 
@@ -376,17 +377,15 @@ def transfer_tensor(
     parts = thread_map(run, tasks, threads)
     for (a, b, _, _), part in zip(tasks, parts):  # fixed order: deterministic sum
         T[1:, a, b] += part
-    if symmetric:
-        for a in range(half + 1):
-            for b in range(a + 1, half + 1):
-                k = a + b
-                for r in range(half + 1):
-                    if 0 <= k - r <= half:
-                        T[1:, a, b, r] = T[1:, b, a, k - r]
-    if particle_hole:
-        for a in range(half + 1):
-            for b in range(half + 1 - a, half + 1):
-                T[1:, a, b] = T[1:, half - a, half - b, ::-1]
+    if order > 1:
+        # mirror image: T[a, b, r] += T[b, a, s], s = a+b-r
+        a, b, r = np.indices((half + 1,) * 3)
+        s = a + b - r
+        inside = (0 <= s) & (s <= half)
+        T[1:, inside] += T[1:, b[inside], a[inside], s[inside]]
+    if order > 2:
+        # bit-flip image: T[a, b, r] += T[h-a, h-b, h-r]
+        T[1:] = T[1:] + T[1:, ::-1, ::-1, ::-1]
     return T
 
 

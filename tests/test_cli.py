@@ -125,6 +125,33 @@ class TestRunExact:
                 assert abs(float(p) - dist.probability(int(m))) <= 1e-12
                 assert abs(float(p) - float(p6)) <= 1e-12
 
+    def test_site_cap_applies_to_the_sites_evolved(self, tmp_path, capsys):
+        # 46 sites at t = 3 evolve the 6 of the light cone; at t = 11, 22
+        written = {}
+        for n in (46, 6):
+            cfg = write_config(tmp_path / "cfg.json", n_qubits=n, cycles=3, mu=[0.0, 0.5])
+            out = tmp_path / f"n{n}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            written[n] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        assert len(written[46]) == 4
+        assert written[46] == written[6]
+        cfg = write_config(tmp_path / "cfg.json", n_qubits=46, cycles=11)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'n_qubits'")
+        assert "22 sites exceeds the 20-site cap" in err
+
+    def test_negative_zero_mu_is_zero(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", mu=-0.0)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "distributions_mu0.0.csv", "moments_mu0.0.csv"
+        ]
+        cfg = write_config(tmp_path / "cfg.json", mu=[0.0, -0.0])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'mu'")
+
     def test_zero_cycles_single_row(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", cycles=0)
         out = tmp_path / "out"
@@ -297,6 +324,7 @@ class TestConfigValidation:
         ),
         "noise-in-exact-mode": ("noise", {"mode": "exact", "noise": {}}),
         "no-states": ("initial_states", {"initial_states": 0}),
+        "repeated-mu": ("mu", {"mu": [0.5, "inf", 0.5]}),
         "nan-angle": ("theta", {"theta": math.nan}),
         "nan-readout-rate": ("noise.e0", {"noise": {"e0": math.nan}}),
         "nan-per-qubit-rate": (
@@ -395,7 +423,7 @@ class TestAnalysisArtifacts:
         assert header == "gamma,residual"
         assert [r[0] for r in rows] == ["0.4", "0.6", "0.8"]
 
-    @pytest.mark.parametrize("mu", [0.0, [0.5, "inf"], [0.5, 0.5]])
+    @pytest.mark.parametrize("mu", [0.0, [0.5, "inf"]])
     def test_collapse_over_fewer_than_two_mu_is_refused_before_the_run(
         self, tmp_path, capsys, mu
     ):

@@ -20,7 +20,7 @@ from spinfcs.errors import (
     UnderResolvedError,
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
-from spinfcs.sector import SectorState
+from spinfcs.sector import SectorState, sector_basis
 from spinfcs.stats import distribution_moments, raw_moments
 
 
@@ -239,44 +239,61 @@ class TestTransferTensor:
             every = transfer_tensor(n, t, params, order, symmetric=False)
             assert np.all(np.abs(reduced - every) <= tolerance)
 
+    @pytest.mark.parametrize("order", [1, 2, 4], ids=["trivial", "mirror", "both"])
+    def test_orbit_columns_count_every_word_once(self, order):
+        for n in range(2, 21, 2):
+            half = n // 2
+            # Burnside: the mirror fixes the 2^h words with L = R, the bit
+            # flip none, and their product the 2^h words with R = ~L
+            fixed = {1: 0, 2: 2**half, 4: 2 * 2**half}[order]
+            blocks = {
+                (a, b): ensemble._orbit_columns(half, a, b, order)
+                for a in range(half + 1)
+                for b in range(half + 1)
+            }
+            assert sum(order * w.sum() for _, w in blocks.values()) == 2**n
+            evolved = sum(columns.size for columns, _ in blocks.values())
+            assert evolved == (2**n + fixed) // order
+            if n > 10:
+                continue
+            # the evolved words are the least images of all 2^n words
+            word = np.arange(2**n, dtype=np.uint64)
+            h, ones = np.uint64(half), np.uint64(2**half - 1)
+            mirror = (word & ones) << h | word >> h
+            flip = np.uint64(2**n - 1)
+            least = np.min([word, mirror, word ^ flip, mirror ^ flip][:order], axis=0)
+            chosen = [
+                sector_basis(half, a).words[columns // math.comb(half, b)] << h
+                | sector_basis(half, b).words[columns % math.comb(half, b)]
+                for (a, b), (columns, _) in blocks.items()
+            ]
+            assert np.array_equal(np.sort(np.concatenate(chosen)), np.unique(least))
+
     @pytest.mark.parametrize(
-        "convention, cycles, orbits",
-        [("tail", 3, True), ("tail", 5, False), ("split", 3, True), ("split", 5, True)],
+        "convention, cycles, symmetric, order, words",
+        [
+            ("tail", 4, True, 4, (256 + 32) // 4),
+            ("tail", 5, True, 2, (256 + 16) // 2),
+            ("split", 5, True, 4, (256 + 32) // 4),
+            ("tail", 5, False, 1, 256),
+        ],
     )
-    def test_evolved_columns(self, monkeypatch, convention, cycles, orbits):
-        # n = 8: particle hole applies for t <= 4, or at any t with `split`
-        half = 4
+    def test_tensor_evolves_one_word_per_orbit(
+        self, monkeypatch, convention, cycles, symmetric, order, words
+    ):
+        # n = 8: the bit flip applies for t <= 4, or at any t with `split`
         evolved = []
         engine = ensemble._evolve_block
 
         def spy(h, a, b, columns, weights, *rest):
-            evolved.append((a, b, len(columns), weights.sum()))
+            evolved.append((len(columns), weights.sum()))
             return engine(h, a, b, columns, weights, *rest)
 
         monkeypatch.setattr(ensemble, "_evolve_block", spy)
-        transfer_tensor(8, cycles, params_at(0.3, 0.7, convention))
-        size = {
-            (a, b): math.comb(half, a) * math.comb(half, b)
-            for a in range(5)
-            for b in range(5)
-        }
-        if orbits:
-            # one column of each orbit {(iL, iR), (C-1-iR, C-1-iL)} of a
-            # block (a, 4-a): C(C-1)/2 pairs plus C fixed points
-            expected = sum(
-                size[a, b] for a in range(5) for b in range(a + 1) if a + b < half
-            )
-            expected += sum(
-                (math.comb(half, a) ** 2 + math.comb(half, a)) // 2 for a in (2, 3, 4)
-            )
-        else:
-            expected = sum(size[a, b] for a in range(5) for b in range(a + 1))
-        assert sum(count for _, _, count, _ in evolved) == expected
-        # every evolved block carries the weight of all of its words
-        weight = {}
-        for a, b, _, w in evolved:
-            weight[a, b] = weight.get((a, b), 0.0) + w
-        assert weight == {block: size[block] for block in weight}
+        params = params_at(0.3, 0.7, convention)
+        transfer_tensor(8, cycles, params, symmetric=symmetric)
+        assert sum(count for count, _ in evolved) == words
+        assert order * sum(weight for _, weight in evolved) == 256
 
     def test_thread_count_does_not_change_bits(self, heisenberg_angles):
         theta, phi = heisenberg_angles

@@ -3,7 +3,9 @@ its tracer wraps every (module, attribute) of `spans.TARGETS`, and its own
 tests call `sector.cycle_bonds` and `SectorBasis.right_ones`.  Each of them
 must resolve, or `bench.py --trace` breaks with no other test failing.  Its
 observer of `noise.postselect` counts bool(result), which a returned array
-would break the same way."""
+would break the same way.  Its workloads are `spinfcs run` configs: a
+config check that refused one would fail every operation of it with no
+other test failing."""
 
 import importlib
 import sys
@@ -11,24 +13,25 @@ from pathlib import Path
 
 import pytest
 
-from spinfcs import noise
+from spinfcs import cli, noise
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _import_spans():
-    """perfbench/spans.py, imported without writing into perfbench/."""
+def _import_perfbench(name: str):
+    """perfbench/<name>.py, imported without writing into perfbench/."""
     sys.path.insert(0, str(PERFBENCH))
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        return importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = write_bytecode
         sys.path.remove(str(PERFBENCH))
 
 
-NAMES = [(module, attr) for module, attr, _ in _import_spans().TARGETS] + [
+workloads = _import_perfbench("workloads")
+NAMES = [(module, attr) for module, attr, _ in _import_perfbench("spans").TARGETS] + [
     ("sector", "cycle_bonds"),
     ("sector", "SectorBasis.right_ones"),
 ]
@@ -49,3 +52,9 @@ def test_postselect_returns_a_python_bool(mode):
     for b_f in (b_i, [0, 1, 0, 1, 1, 0, 0, 1], [1, 1, 1, 1, 1, 0, 0, 0]):
         for cycles in (1, 2):
             assert type(noise.postselect(b_i, b_f, cycles, mode)) is bool
+
+
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
+def test_workload_config_parses(workload):
+    config = workloads.make_config(workload, workloads.DEFAULT_SEED)
+    assert cli._parse_config(config)["mode"] == config["mode"]
