@@ -13,8 +13,10 @@ batched columns, one word per symmetry orbit.
 
 The evolution stores a sector as a direct sum of left (x) right blocks
 (a, k-a).  A cycle is then one dense cached operator per half chain,
-applied to each block as matrix products, and the center-bond gate, which
-updates slice views of neighbouring blocks in place.
+applied to each block as matrix products, and the center gate's |01>/|10>
+mix, which updates slice views of neighbouring blocks in place.  `split`'s
+phase on |00> and |11> is global, and `tail`'s boundary phase is folded
+into the half-chain operators (n = 2 too), so no phase pass remains.
 
 Symmetry reduces the work by one rule.  The halves are stored read
 outward from the center, so an initial word is w = L << h | R, h = n/2,
@@ -103,7 +105,7 @@ class ImbalanceEnsemble:
             [np.full(half, self.p), np.full(half, 1.0 - self.p)]
         )
 
-    def word_probability_by_counts(self, a: int, b: int) -> float:
+    def word_probability_by_counts(self, a, b):
         """Probability of any single word with a ones left, b ones right."""
         half = self.n_qubits // 2
         p = self.p
@@ -194,7 +196,9 @@ CHUNK_COLUMNS = 256
 
 
 def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder):
-    """Dense one-cycle operators (W_L, W_R) of the two half chains.
+    """Dense one-cycle operators (W_L, W_R) of the two half chains, and the
+    constants (c, s) = e^{i phi/2} (cos theta, i sin theta) of the center
+    gate's |01>/|10> mix M.
 
     W[c] is the C(half, c)-square matrix of all half-chain gates of one
     cycle, in cycle order, on the c-excitation sector of `half` sites with
@@ -202,8 +206,15 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
     mirrored, which maps its bond i to bond half-2-i; fSim is symmetric
     under swapping its two sites, so the gates are unchanged.  The right
     half's layout is anchored at its first physical site, `half`.
+
+    `split`'s center gate is e^{-i phi/2} M, a global phase.  `tail`'s is
+    M D, D = e^{-i phi/2 (n_{h-1} + n_h)}, which commutes with M and acts
+    on each half alone: each W is W diag(e^{-i phi/2 b}), b its boundary
+    bit (for half = 1 just that diagonal), and the last D is not read out.
     """
+    theta, phi = params.theta, params.phi
     split = params.convention is PhaseConvention.SPLIT
+    boundary_phase = 1.0 if split else complex(np.exp(-0.5j * phi))
 
     def operators(layers):
         ops = []
@@ -211,32 +222,36 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
             basis = sector_basis(half, c)
             w = np.eye(basis.dimension, dtype=np.complex128)
             for bond in itertools.chain(*layers):
-                _kernels.apply_fsim_tables(
-                    w, basis.bond_tables(bond), params.theta, params.phi, split
-                )
+                tables = basis.bond_tables(bond)
+                _kernels.apply_fsim_tables(w, tables, theta, phi, split)
+            w[:, math.comb(half - 1, c) :] *= boundary_phase
             ops.append(w)
         return ops
 
     left_layers = brickwork_layers(half, 0, layer_order)
     left = operators([[half - 2 - b for b in layer] for layer in left_layers])
     right = operators(brickwork_layers(half, half, layer_order))
-    return left, right
+    phase = complex(np.exp(0.5j * phi))
+    return left, right, (phase * math.cos(theta), phase * 1j * math.sin(theta))
 
 
-def _evolve_block(half, a0, b0, columns, weights, cycles, params, operators):
+def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
     """Weighted sum of the right-count masses of the in-block `columns` of
     block (a0, b0) after each cycle, indexed [t-1, r].
 
     Sector k = a0 + b0 is stored as blocks (a, k-a), a ascending, each of
     C(half, a) * C(half, k-a) rows ordered left index major, with m columns.
-    A cycle is W_L (x) W_R on every block followed by the center gate, which
-    pairs |01> rows of block (a, b) with |10> rows of block (a+1, b-1).  The
-    W before the first center gate and after the last readout are dropped:
-    summed over a whole initial block, T does not see them.  W commutes with
-    every map of the symmetry group (the mirror always, the bit flip for
-    `split` gates), so neither does the sum over the group's images of the
-    weighted least words of its orbits.  After s center
-    gates only blocks |a - a0| <= s are nonzero, and only they are touched.
+    A cycle is W_L (x) W_R on every block followed by the center mix M of
+    `operators` = (W_L, W_R, (c, s)), which pairs |01> rows of block (a, b)
+    with |10> rows of block (a+1, b-1).  There is no phase pass: `split`'s
+    |00>/|11> phase is global and `tail`'s boundary phase is in W (half = 1
+    included).  The W before the first center gate and after the last
+    readout are dropped: summed over a whole initial block, T does not see
+    them.  W commutes with every map of the symmetry group (the mirror
+    always, the bit flip for `split` gates), so neither does the sum over
+    the group's images of the weighted least words of its orbits.  After j
+    center gates only blocks |a - a0| <= j are nonzero, and only they are
+    touched.
     """
     k = a0 + b0
     lo, hi = max(0, k - half), min(half, k)
@@ -254,12 +269,7 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, params, operators):
         return amps[start[a] : stop[a]].reshape(*shape[a], m)
 
     amps[start[a0] + columns, np.arange(m)] = 1.0
-    w_left, w_right = operators
-    cos = math.cos(params.theta)
-    isin = 1j * math.sin(params.theta)
-    split = params.convention is PhaseConvention.SPLIT
-    phase11 = complex(np.exp(-1j * params.phi / (2.0 if split else 1.0)))
-    phase00 = complex(np.exp(-1j * params.phi / 2.0))
+    w_left, w_right, (c, s) = operators
     part = np.zeros((cycles, half + 1))
     acc = np.empty((half + 1, m))
     for t in range(1, cycles + 1):
@@ -278,22 +288,12 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, params, operators):
             # partner leads block (a+1, b-1) on the left, ends it on the right
             x = block(a)[: math.comb(half - 1, a), math.comb(half - 1, b) :]
             y = block(a + 1)[math.comb(half - 1, a + 1) :, : math.comb(half - 1, b - 1)]
-            isin_y = scratch[: x.size].reshape(x.shape)
-            isin_x = scratch[x.size : 2 * x.size].reshape(x.shape)
-            np.multiply(y, isin, out=isin_y)
-            np.multiply(x, isin, out=isin_x)
-            x *= cos
-            x += isin_y
-            y *= cos
-            y += isin_x
-        a_lo, a_hi = max(lo, a_lo - 1), min(hi, a_hi + 1)
-        for a in range(a_lo, a_hi + 1):
-            left0, right0 = math.comb(half - 1, a), math.comb(half - 1, k - a)
-            blk = block(a)
-            blk[left0:, right0:] *= phase11
-            if split:
-                blk[:left0, :right0] *= phase00
-        rows = slice(start[a_lo], stop[a_hi])
+            s_y = np.multiply(y, s, out=scratch[: x.size].reshape(x.shape))
+            y *= c
+            y += np.multiply(x, s, out=scratch[x.size : 2 * x.size].reshape(x.shape))
+            x *= c
+            x += s_y
+        rows = slice(start[max(lo, a_lo - 1)], stop[min(hi, a_hi + 1)])
         acc[:] = 0.0
         _kernels.readout_accumulate(amps[rows], r_of[rows], acc)
         # no BLAS call, so T does not depend on the BLAS thread count
@@ -346,6 +346,8 @@ def transfer_tensor(
     """
     if n_qubits < 2 or n_qubits % 2 != 0:
         raise ValueError(f"n_qubits must be even and >= 2, got {n_qubits}")
+    if cycles < 0:
+        raise ValueError(f"cycles must be >= 0, got {cycles}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     half = n_qubits // 2
@@ -372,7 +374,7 @@ def transfer_tensor(
 
     def run(task):
         a, b, columns, weights = task
-        return _evolve_block(half, a, b, columns, weights, cycles, params, operators)
+        return _evolve_block(half, a, b, columns, weights, cycles, operators)
 
     parts = thread_map(run, tasks, threads)
     for (a, b, _, _), part in zip(tasks, parts):  # fixed order: deterministic sum
@@ -405,28 +407,25 @@ def distribution_from_tensor(
         )
     if not 0 <= cycles < T.shape[0]:
         raise ValueError(f"cycle {cycles} not recorded in tensor")
-    mass = np.zeros(2 * half + 1)  # index r - b + half
-    for a in range(half + 1):
-        for b in range(half + 1):
-            w = ens.word_probability_by_counts(a, b)
-            if w == 0.0:
-                continue
-            for r in range(half + 1):
-                mass[r - b + half] += w * T[cycles, a, b, r]
+    counts = np.arange(half + 1)
+    w = ens.word_probability_by_counts(counts[:, None], counts)
+    by_b_r = np.einsum("ab,abr->br", w, T[cycles])  # no BLAS call
+    index = counts - counts[:, None] + half  # r - b + half
+    mass = np.bincount(index.ravel(), by_b_r.ravel(), 2 * half + 1)
     total = mass.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise InvariantError(f"transfer mass not normalized: {total!r}")
     # the light cone bounds |M| <= 2t exactly: no amplitude path reaches
     # further, so any mass outside the grid is an internal error
+    m_half = np.arange(-half, half + 1)
+    inside = np.abs(m_half) <= cycles
+    if np.any(mass[~inside]):
+        i = np.flatnonzero(mass * ~inside)[0]
+        raise InvariantError(
+            f"mass {mass[i]!r} outside the light cone at M={2 * m_half[i]}"
+        )
     probs = np.zeros(2 * cycles + 1)
-    for i, m_half in enumerate(range(-half, half + 1)):
-        if mass[i] == 0.0:
-            continue
-        if abs(m_half) > cycles:
-            raise InvariantError(
-                f"mass {mass[i]!r} outside the light cone at M={2 * m_half}"
-            )
-        probs[cycles + m_half] = mass[i]
+    probs[cycles + m_half[inside]] = mass[inside]
     return TransferDistribution(cycles, probs)
 
 

@@ -22,6 +22,10 @@ def bits_to_word(bits):
     """Pack a 0/1 sequence of at most 64 sites (site 0 first) into an
     integer word; a stack of them, one per row, gives a uint64 array."""
     bits = np.asarray(bits, dtype=np.uint64)
+    if bits.shape[-1] > 64:
+        raise ValueError(
+            f"a uint64 word holds at most 64 sites, got {bits.shape[-1]}"
+        )
     shifts = np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.uint64)
     words = np.bitwise_or.reduce(bits << shifts, axis=-1)
     return int(words) if bits.ndim == 1 else words
@@ -89,6 +93,8 @@ class SectorBasis:
             raise ValueError(
                 f"invalid sector ({n_sites} sites, {n_excitations} excitations)"
             )
+        if n_sites > 64:
+            raise ValueError(f"a uint64 word holds at most 64 sites, got {n_sites}")
         self.n_sites = int(n_sites)
         self.n_excitations = int(n_excitations)
         self.dimension = math.comb(self.n_sites, self.n_excitations)

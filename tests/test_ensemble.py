@@ -204,10 +204,15 @@ class TestTransferTensor:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("order", list(LayerOrder))
     @pytest.mark.parametrize("convention", list(PhaseConvention))
-    def test_matches_dense_oracle(self, n, order, convention):
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(0.37 * np.pi, -0.61 * np.pi), (np.pi / 2, np.pi), (0.8 * np.pi, 0.3 * np.pi)],
+        ids=["generic", "full-swap", "cos-negative"],
+    )
+    def test_matches_dense_oracle(self, n, order, convention, theta, phi):
         # t <= n/2 and t > n/2; n = 2 is the one-site half chain, and the
-        # center bond is odd for n = 4, 8 and even for n = 2, 6
-        theta, phi = 0.37 * np.pi, -0.61 * np.pi
+        # center bond is odd for n = 4, 8 and even for n = 2, 6.  The full
+        # swap stores phi = +pi, where the center mix's phase e^{i phi/2} is i
         cycles = n // 2 + 2
         oracle = dense_transfer_tensor(
             n, cycles, theta, phi, convention.value, order.value
@@ -306,6 +311,11 @@ class TestTransferTensor:
     def test_thread_count_below_one_is_refused(self, threads):
         with pytest.raises(ValueError, match="threads"):
             transfer_tensor(4, 1, params_at(0.2, 0.2), threads=threads)
+
+    @pytest.mark.parametrize("cycles", [-1, -2])
+    def test_negative_depth_is_refused(self, cycles):
+        with pytest.raises(ValueError, match="cycles"):
+            transfer_tensor(4, cycles, params_at(0.2, 0.2))
 
     def test_cycle_zero_block_counts(self):
         tensor = transfer_tensor(4, 0, params_at(0.2, 0.2))

@@ -86,6 +86,16 @@ class TestRanking:
         bits = [1, 0, 1, 1, 0, 0, 1]
         assert list(word_to_bits(bits_to_word(bits), 7)) == bits
 
+    def test_packing_past_64_sites_is_refused(self):
+        with pytest.raises(ValueError, match="at most 64 sites"):
+            bits_to_word([1] + [0] * 69)
+        assert bits_to_word([1] + [0] * 63) == 1 << 63
+
+    def test_basis_past_64_sites_is_refused(self):
+        with pytest.raises(ValueError, match="at most 64 sites"):
+            SectorBasis(65, 1)
+        assert SectorBasis(64, 1).words[-1] == np.uint64(1 << 63)
+
 
 class TestGateApplication:
     def test_full_swap_at_theta_half_pi(self):
