@@ -221,6 +221,8 @@ def _parse_analysis(raw) -> dict:
         out["exponent_window"] = tuple(window)
     if "collapse_gammas" in raw:
         gammas = _number_list(raw["collapse_gammas"], "analysis.collapse_gammas")
+        finite = all(math.isfinite(g) for g in gammas)
+        _check(finite, "analysis.collapse_gammas", f"must be finite, got {gammas}")
         out["collapse_gammas"] = [float(g) for g in gammas]
         for key, default in (("collapse_t_min", 8), ("collapse_knots", 12)):
             out[key] = _require(raw, f"analysis.{key}", int, default=default)

@@ -113,32 +113,6 @@ class ImbalanceEnsemble:
         return p**a * q ** (half - a) * q**b * p ** (half - b)
 
 
-def folded_raw_moment(values, probs, k: int):
-    """<M^k> on a grid symmetric about zero, folding +-M pairs first so an
-    exactly symmetric mass yields exactly zero odd moments.
-
-    `probs` is one histogram on the grid (the result is a float) or a stack
-    of them along its last axis (one moment per histogram); each histogram
-    of a stack gets the bits of its own single-histogram call.
-
-    Raises:
-        ValueError: if `values` is not symmetric about zero.
-    """
-    half = len(values) // 2
-    if not np.array_equal(values, -values[::-1]):
-        raise ValueError("grid must be symmetric about zero")
-    probs = np.asarray(probs, dtype=float)
-    acc = probs[..., half] * (1.0 if k == 0 else 0.0)
-    odd = k % 2 == 1
-    for d in range(half, 0, -1):
-        v = float(values[half + d]) ** k
-        if odd:
-            acc += probs[..., half + d] * v - probs[..., half - d] * v
-        else:
-            acc += probs[..., half + d] * v + probs[..., half - d] * v
-    return float(acc) if probs.ndim == 1 else acc
-
-
 class TransferDistribution:
     """Probability mass of the transferred magnetization after t cycles.
 

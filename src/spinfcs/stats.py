@@ -6,58 +6,53 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .ensemble import TransferDistribution, folded_raw_moment
+from .ensemble import TransferDistribution
 from .errors import DegenerateWeightError, UndefinedMomentsError
 
 
-_libm_pow = np.frompyfunc(pow, 2, 1)
+def central_moments(data, k_max: int = 4) -> np.ndarray:
+    """[1, mean, alpha_2, ..., alpha_k_max] of a distribution-like input, in
+    the last axis: a TransferDistribution or a (values, probabilities) pair
+    on a grid symmetric about zero, whose probabilities may be a stack of
+    histograms along their last axis (one row each).
 
+    The mean m folds the +-M pairs, p(d)*d - p(-d)*d, and each central
+    moment sums around it, alpha_k = p(0)*(-m)^k + sum_d [p(d)*(d-m)^k +
+    p(-d)*(-d-m)^k] over d = max..1, each pair added as one term and each
+    power a chain of products.  Every step is elementwise, so each row of a
+    stack gets the bits of its own call; a symmetric mass has a mean and
+    odd moments of exactly 0; alpha_2 and alpha_4 are sums of non-negative
+    terms, never negative.
 
-def _power(x, exponent):
-    """x**exponent per element, by the C library's `pow` as float scalar
-    arithmetic computes it.  numpy's vectorized power differs from it in the
-    last place for a few percent of inputs, so this keeps every histogram
-    of a stack bit-identical to its single-histogram evaluation."""
-    return np.asarray(_libm_pow(x, exponent), dtype=float)
-
-
-def raw_moments(data, k_max: int = 4) -> np.ndarray:
-    """<M^0>, ..., <M^k_max> of a distribution-like input, in the last axis.
-
-    Accepts a TransferDistribution or a (values, probabilities) grid pair.
-    The probabilities of a grid pair may be a stack of histograms along
-    their last axis, giving one row of moments each.
+    Raises:
+        ValueError: if the grid is not symmetric about zero.
     """
     if isinstance(data, TransferDistribution):
         data = (data.values, data.probabilities)
     values = np.asarray(data[0], dtype=float)
     probs = np.asarray(data[1], dtype=float)
-    return np.stack(
-        [folded_raw_moment(values, probs, k) for k in range(k_max + 1)], axis=-1
-    )
-
-
-def central_moments(data, k_max: int = 4) -> np.ndarray:
-    """Central moments alpha_0..alpha_k via the binomial expansion of raw
-    power averages (the same arithmetic path for exact and sampled input),
-    in the last axis; a stack of histograms gives one row each.
-
-    Slot 1 carries the mean (the first central moment is identically zero).
-    """
-    raw = raw_moments(data, k_max)
-    alpha = np.zeros(raw.shape)
-    alpha[..., 0] = 1.0
-    if k_max >= 1:
-        mean = raw[..., 1]
-        alpha[..., 1] = mean
-        # (-mean)**i as float scalar arithmetic computes it, row by row
-        shifts = [1.0, -mean] + [_power(-mean, i) for i in range(2, k_max + 1)]
-    for k in range(2, k_max + 1):
-        acc = 0.0
-        for i in range(k + 1):
-            acc += math.comb(k, i) * raw[..., k - i] * shifts[i]
-        alpha[..., k] = acc
-    return alpha
+    if not np.array_equal(values, -values[::-1]):
+        raise ValueError("grid must be symmetric about zero")
+    half = len(values) // 2
+    pairs = [
+        (values[half + d], probs[..., half + d], probs[..., half - d])
+        for d in range(half, 0, -1)
+    ]
+    mean = probs[..., half] * 0.0
+    for v, up, down in pairs:
+        mean += up * v - down * v
+    moments = [np.ones_like(mean), mean]
+    # running powers of the deviations from the mean at 0 and at each +-d
+    devs = [(v - mean, -v - mean) for v, _, _ in pairs]
+    pow0, pows = -mean, devs
+    for _ in range(2, k_max + 1):
+        pow0 = pow0 * -mean
+        pows = [(pu * du, pd * dd) for (pu, pd), (du, dd) in zip(pows, devs)]
+        acc = probs[..., half] * pow0
+        for (pu, pd), (_, up, down) in zip(pows, pairs):
+            acc = acc + (up * pu + down * pd)
+        moments.append(acc)
+    return np.stack(moments[: k_max + 1], axis=-1)
 
 
 def moment_row(data) -> np.ndarray:
@@ -68,8 +63,8 @@ def moment_row(data) -> np.ndarray:
     var = alpha[..., 2]
     defined = var > 0.0
     scale = np.where(defined, var, 1.0)
-    skew = np.where(defined, alpha[..., 3] / _power(scale, 1.5), math.nan)
-    kurt = np.where(defined, alpha[..., 4] / _power(scale, 2) - 3.0, math.nan)
+    skew = np.where(defined, alpha[..., 3] / (scale * np.sqrt(scale)), math.nan)
+    kurt = np.where(defined, alpha[..., 4] / (scale * scale) - 3.0, math.nan)
     return np.stack([alpha[..., 1], var, skew, kurt], axis=-1)
 
 
@@ -265,6 +260,7 @@ def _monotone_pl_residual(x, y, n_knots):
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ys = y[order]
+    n_knots = min(n_knots, xs.size)  # more knots than points repeat ranks
     idx = np.unique(np.round(np.linspace(0, xs.size - 1, n_knots)).astype(int))
     knots = np.unique(xs[idx])
     n_k = knots.size
@@ -317,7 +313,8 @@ def collapse_residual(
         mask = cycles >= t_min
         if mask.any():
             mus.add(float(mu))
-            xs.append(mu * cycles[mask] ** gamma)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                xs.append(mu * cycles[mask] ** gamma)
             ys.append(values[mask])
     if len(mus) < 2:
         raise ValueError("collapse needs >= 2 distinct mu series after the cut")
@@ -325,6 +322,8 @@ def collapse_residual(
     y = np.concatenate(ys)
     if x.size < 3:
         raise ValueError("not enough points for a collapse residual")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"gamma {float(gamma)!r} makes mu * t^gamma non-finite")
     return _monotone_pl_residual(x, y, n_knots)
 
 

@@ -366,6 +366,24 @@ class TestConfigValidation:
                 "analysis": {"collapse_gammas": [0.5], "collapse_t_min": 4},
             },
         ),
+        "nan-collapse-gamma": (
+            "analysis.collapse_gammas",
+            {
+                "cycles": 4,
+                "mu": [0.3, 0.6],
+                "noise": {},
+                "analysis": {"collapse_gammas": [0.5, math.nan], "collapse_t_min": 2},
+            },
+        ),
+        "infinite-collapse-gamma": (
+            "analysis.collapse_gammas",
+            {
+                "cycles": 4,
+                "mu": [0.3, 0.6],
+                "noise": {},
+                "analysis": {"collapse_gammas": [math.inf], "collapse_t_min": 2},
+            },
+        ),
         "collapse-with-one-knot": (
             "analysis.collapse_knots",
             {

@@ -21,7 +21,7 @@ from spinfcs.errors import (
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.sector import SectorState, sector_basis
-from spinfcs.stats import distribution_moments, raw_moments
+from spinfcs.stats import central_moments, distribution_moments, moment_row
 
 
 def params_at(theta, phi, convention="tail"):
@@ -243,6 +243,17 @@ class TestTransferTensor:
             reduced = transfer_tensor(n, t, params, order, symmetric=True)
             every = transfer_tensor(n, t, params, order, symmetric=False)
             assert np.all(np.abs(reduced - every) <= tolerance)
+            # their moments agree too, also at mu = inf, where the mean is far from 0
+            for mu in (0.0, 0.5, math.inf):
+                ens = ImbalanceEnsemble(mu, n)
+                rows = [
+                    [
+                        moment_row(distribution_from_tensor(T, s, ens))
+                        for s in range(t + 1)
+                    ]
+                    for T in (reduced, every)
+                ]
+                np.testing.assert_allclose(*rows, rtol=0.0, atol=2e-14)
 
     @pytest.mark.parametrize("order", [1, 2, 4], ids=["trivial", "mirror", "both"])
     def test_orbit_columns_count_every_word_once(self, order):
@@ -366,8 +377,8 @@ class TestTransferDistributionType:
         dist = TransferDistribution(1, np.array([0.1, 0.2, 0.7]))
         sym = dist.symmetrized()
         assert np.array_equal(sym.probabilities, sym.probabilities[::-1])
-        raw = raw_moments(sym, 3)
-        assert raw[1] == raw[3] == 0.0
+        alpha = central_moments(sym, 3)
+        assert alpha[1] == alpha[3] == 0.0
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,39 @@ class TestCentralMoments:
     def test_grid_tuple_requires_symmetry(self):
         with pytest.raises(ValueError):
             central_moments((np.array([0.0, 2.0]), np.array([0.5, 0.5])))
+
+    @staticmethod
+    def exact_row(grid, probs):
+        """[variance, skewness, excess kurtosis] of the float masses `probs`
+        by the same sums in rational arithmetic."""
+        ps = [Fraction(float(p)) for p in probs]
+        ms = [Fraction(int(v)) for v in grid]
+        mean = sum(p * v for p, v in zip(ps, ms))
+        var, a3, a4 = (
+            sum(p * (v - mean) ** k for p, v in zip(ps, ms)) for k in (2, 3, 4)
+        )
+        return [float(var), float(a3) / float(var) ** 1.5, float(a4 / var**2) - 3.0]
+
+    @pytest.mark.parametrize("case", ["shifted", "near-point"])
+    def test_moments_far_from_zero_do_not_cancel(self, case):
+        # a mean far from 0 must cost no cancellation: summed as raw powers,
+        # the shifted kurtoses lost up to 6e-10 and the near-point variance
+        # came out -2.8e-14
+        if case == "shifted":  # one histogram at every place on the grid
+            grid = 2.0 * np.arange(-24, 25)
+            stack = np.zeros((grid.size - 4, grid.size))
+            for s in range(grid.size - 4):
+                stack[s, s : s + 5] = [0.1, 0.25, 0.35, 0.2, 0.1]
+        else:  # mass 1e-15 one step away from a point
+            grid = 2.0 * np.arange(-7, 8)
+            stack = np.zeros((1, grid.size))
+            stack[0, grid == 12] = 1.0 - 1e-15
+            stack[0, grid == 14] = 1e-15
+        got = moment_row((grid, stack))[:, 1:]
+        if case == "near-point":
+            assert got[0, 0] == pytest.approx(4e-15 * (1.0 - 1e-15), rel=1e-12)
+        want = np.array([self.exact_row(grid, probs) for probs in stack])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestSkewKurt:
@@ -270,6 +304,22 @@ class TestCollapse:
         series = [(mu, t, 0.3 * mu * t**0.5 - 0.2) for mu in (0.25, 0.5, 1.0)]
         assert collapse_residual(series, 0.5, t_min=4) < 1e-12
 
+    @pytest.mark.parametrize("gamma", [400.0, math.nan, math.inf])
+    def test_non_finite_scaling_variable_is_refused(self, gamma):
+        # 8^400 overflows; NaN and inf would score a perfect residual of 0
+        series = self.synthetic_series(0.5)
+        with pytest.raises(ValueError, match=f"gamma {gamma!r} makes"):
+            collapse_residual(series, gamma, t_min=4)
+
+    def test_more_knots_than_points_change_nothing(self):
+        t = np.arange(4, 12)
+        series = [(mu, t, np.tanh(mu * t**0.5 - 1.0)) for mu in (0.3, 0.7)]
+        points = 2 * t.size
+        exact = collapse_residual(series, 0.5, t_min=4, n_knots=points)
+        assert exact < 1e-12  # one knot per point fits every monotone series
+        many = collapse_residual(series, 0.5, t_min=4, n_knots=50 * points)
+        assert many == exact
+
     def test_smooth_collapse_beats_wrong_exponent(self):
         series = self.synthetic_series(0.5)
         at_true = collapse_residual(series, 0.5, t_min=4)
@@ -301,8 +351,9 @@ class TestMomentReport:
             distribution_moments(dist)
 
     def test_a_stack_of_histograms_gives_each_row_its_scalar_bits(self):
-        # the reference is the scalar arithmetic of one histogram: a +-M fold,
-        # then the binomial expansion with float powers (C pow), row by row
+        # the reference is the scalar arithmetic of one histogram in Python
+        # floats: a +-M fold for the mean, then pair-folded sums of product
+        # chains (x - mean)^k, row by row
         rng = np.random.default_rng(11)
         grid = 2.0 * np.arange(-4, 5)
         stack = rng.random((300, grid.size))
@@ -310,25 +361,33 @@ class TestMomentReport:
         stack[7] = 0.0
         stack[7, 6] = 1.0  # zero variance: NaN skewness and kurtosis
 
-        def scalar_row(probs):
+        def power(x, k):
+            out = x
+            for _ in range(k - 1):
+                out = out * x
+            return out
+
+        def scalar_row(row):
+            probs = [float(p) for p in row]
             half = grid.size // 2
-            raw = []
-            for k in range(5):
-                acc = probs[half] * (1.0 if k == 0 else 0.0)
-                for d in range(half, 0, -1):
-                    v = float(grid[half + d]) ** k
-                    sign = -1.0 if k % 2 else 1.0
-                    acc += probs[half + d] * v + sign * probs[half - d] * v
-                raw.append(acc)
-            mean = raw[1]
-            alpha = [
-                sum(math.comb(k, i) * raw[k - i] * (-mean) ** i for i in range(k + 1))
-                for k in range(5)
-            ]
-            var = alpha[2]
+            ds = [float(v) for v in grid[half + 1 :]][::-1]  # d = max..1
+            mean = probs[half] * 0.0
+            for i, d in enumerate(ds):
+                mean += probs[-1 - i] * d - probs[i] * d
+            var, a3, a4 = (
+                sum(
+                    (
+                        probs[-1 - i] * power(d - mean, k)
+                        + probs[i] * power(-d - mean, k)
+                        for i, d in enumerate(ds)
+                    ),
+                    probs[half] * power(-mean, k),
+                )
+                for k in (2, 3, 4)
+            )
             if not var > 0.0:
                 return [mean, var, math.nan, math.nan]
-            return [mean, var, alpha[3] / var**1.5, alpha[4] / var**2 - 3.0]
+            return [mean, var, a3 / (var * math.sqrt(var)), a4 / (var * var) - 3.0]
 
         want = np.array([scalar_row(row) for row in stack])
         got = moment_row((grid, stack))
