@@ -234,8 +234,9 @@ def _parse_analysis(raw) -> dict:
 def _check_analysis(analysis: dict, cycles_by_mu: dict) -> None:
     """Refuse an analysis that the cycles of each mu, {mu: cycles}, cannot
     satisfy: a fit window holding < 3 of some mu's cycles, a collapse scan
-    over < 2 finite mu, or a collapse cut that leaves < 3 (cycle, mu) points
-    or < 2 mu."""
+    over < 2 finite mu, a collapse cut that leaves < 3 (cycle, mu) points
+    or < 2 mu, or a collapse gamma that makes some kept mu * t^gamma
+    non-finite."""
     if "exponent_window" in analysis:
         lo, hi = analysis["exponent_window"]
         for mu, ts in cycles_by_mu.items():
@@ -243,14 +244,25 @@ def _check_analysis(analysis: dict, cycles_by_mu: dict) -> None:
             message = f"holds {inside} of the cycles of mu {_mu_tag(mu)}, need >= 3"
             _check(inside >= 3, "analysis.exponent_window", message)
     if "collapse_gammas" in analysis:
-        finite = [ts for mu, ts in cycles_by_mu.items() if not math.isinf(mu)]
+        finite = {mu: ts for mu, ts in cycles_by_mu.items() if not math.isinf(mu)}
         _check(len(finite) >= 2, "analysis.collapse_gammas", "needs >= 2 finite mu")
         t_min = analysis["collapse_t_min"]
-        kept = [sum(t >= t_min for t in ts) for ts in finite]
-        points, n_mu = sum(kept), len(kept) - kept.count(0)
+        kept = {
+            mu: np.array([t for t in ts if t >= t_min], dtype=float)
+            for mu, ts in finite.items()
+        }
+        points = sum(ts.size for ts in kept.values())
+        n_mu = sum(ts.size > 0 for ts in kept.values())
         message = f"{t_min} leaves {points} (cycle, mu) points of {n_mu} mu"
         ok = points >= 3 and n_mu >= 2
         _check(ok, "analysis.collapse_t_min", f"{message}, need >= 3 of >= 2 mu")
+        for gamma in analysis["collapse_gammas"]:
+            # the arithmetic of stats.collapse_residual: float ** would raise
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = [mu * ts**gamma for mu, ts in kept.items()]
+            message = f"gamma {gamma!r} makes mu * t^gamma non-finite"
+            ok = all(np.isfinite(v).all() for v in x)
+            _check(ok, "analysis.collapse_gammas", message)
 
 
 def _mu_tag(mu: float) -> str:

@@ -101,11 +101,26 @@ class SampleConfig:
             raise ValueError("state and shot counts must be >= 1")
 
 
-def _philox(seed: int, substream: int, block: int):
-    """Generator on the counter block `block` of stream (seed, substream)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, substream], dtype=np.uint64)
-    counter = np.array([0, 0, block, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+def _philox(seed: int, substream: int, block: int, reuse=None):
+    """Generator on the counter block `block` of stream (seed, substream).
+
+    With `reuse`, a generator an earlier call returned, that generator is
+    reset to the stream and returned (the earlier stream ends there), which
+    costs a fraction of building a new one; it draws the same numbers."""
+    key = [seed & 0xFFFFFFFFFFFFFFFF, substream]
+    counter = [0, 0, block, 0]
+    if reuse is None:
+        bits = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=counter)
+        return np.random.Generator(bits)
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # empty: the next draw computes a fresh block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 def _substream(cycles: int, state_index: int) -> int:
@@ -289,8 +304,10 @@ def _prepare(ens, sample, cycles):
     block 0; the prepared bits after the relabeling; and which states were
     relabeled."""
     bits = np.empty((sample.n_initial_states, ens.n_qubits), dtype=np.int64)
+    rng = None  # one generator, reset to each state's stream
     for i, row in enumerate(bits):
-        row[:] = sample_initial(ens, _philox(sample.seed, _substream(cycles, i), 0))
+        rng = _philox(sample.seed, _substream(cycles, i), 0, rng)
+        row[:] = sample_initial(ens, rng)
     if sample.relabel_enabled:
         return bits, *relabel_if_overfull(bits)
     return bits, bits, np.zeros(len(bits), dtype=bool)
@@ -396,11 +413,12 @@ def _noiseless_chunk(chunk, prepared, config, sample, postselect_mode):
         [(state, _)] = _trajectory(state, lo, config, _NOISELESS, None)
         probabilities = state.probabilities()
     out = []
+    rng = None  # one generator per call (threads run calls side by side)
     for column, states in enumerate(members):
         for i in states:
             measured = np.tile(phys[i], (shots, 1))
             if hi > lo:
-                rng = _philox(sample.seed, _substream(t, i), 1)
+                rng = _philox(sample.seed, _substream(t, i), 1, rng)
                 outcomes = _measure_indices(probabilities[:, column], rng, shots)
                 measured[:, lo:hi] = word_to_bits(state.basis.words[outcomes], hi - lo)
             record = _tally(bits[i], flagged[i], measured, config, postselect_mode)

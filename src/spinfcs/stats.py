@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .ensemble import TransferDistribution
 from .errors import DegenerateWeightError, UndefinedMomentsError
@@ -264,9 +263,11 @@ def _monotone_pl_residual(x, y, n_knots):
     idx = np.unique(np.round(np.linspace(0, xs.size - 1, n_knots)).astype(int))
     knots = np.unique(xs[idx])
     n_k = knots.size
-    tss = float(np.sum((ys - ys.mean()) ** 2))
-    if n_k < 2 or tss == 0.0:
+    if n_k < 2 or np.ptp(ys) == 0.0:
         return 0.0
+    target = ys - ys.mean()
+    target -= target.mean()  # a second pass removes the rounding of the first
+    tss = float(target @ target)  # the SSR of the best constant
     seg = np.clip(np.searchsorted(knots, xs, side="right") - 1, 0, n_k - 2)
     width = knots[seg + 1] - knots[seg]
     frac = np.where(width > 0, (xs - knots[seg]) / np.where(width > 0, width, 1.0), 0.0)
@@ -274,17 +275,49 @@ def _monotone_pl_residual(x, y, n_knots):
     rows = np.arange(xs.size)
     hats[rows, seg] = 1.0 - frac
     hats[rows, seg + 1] += frac
-    # knot values v = v0 + cumulative nonnegative increments -> monotone
-    steps = np.tril(np.ones((n_k, n_k)), -1)[:, :-1]
-    design = np.hstack([np.ones((xs.size, 1)), hats @ steps])
-    lo = np.concatenate([[-np.inf], np.zeros(n_k - 1)])
-    hi = np.full(n_k, np.inf)
+    # knot values v = v0 + cumulative nonnegative increments -> monotone; the
+    # free offset v0 is the mean, so centring leaves an NNLS in the increments
+    design = hats @ np.tril(np.ones((n_k, n_k)), -1)[:, :-1]
+    design -= design.mean(axis=0)
     best = np.inf
     for sign in (1.0, -1.0):  # try increasing and decreasing references
-        fit = lsq_linear(design, sign * ys, bounds=(lo, hi))
-        ssr = float(np.sum((design @ fit.x - sign * ys) ** 2))
-        best = min(best, ssr)
+        steps = _nnls(design, sign * target)
+        best = min(best, float(np.sum((design @ steps - sign * target) ** 2)))
     return best / tss
+
+
+def _nnls(a, b):
+    """argmin ||a x - b|| over x >= 0, by the Lawson-Hanson active-set method
+    (Solving Least Squares Problems, 1974, ch. 23).
+
+    A variable enters while its gradient component exceeds a tolerance that
+    scales with ||a|| and ||b||, so a nearly constant target (b ~ 0) still
+    gets its fit."""
+    m, n = a.shape
+    scale = np.linalg.norm(a) * np.linalg.norm(b)
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * scale
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)  # the passive set: unconstrained variables
+    for _ in range(3 * n):  # a bound against cycling on rounding
+        grad = a.T @ (b - a @ x)
+        if free.all() or grad[~free].max() <= tol:
+            break
+        free[np.flatnonzero(~free)[np.argmax(grad[~free])]] = True
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            if np.all(z[free] > 0.0):
+                x = z
+                break
+            # step from x toward z until the first free variable reaches 0,
+            # and bind it (x >= 0 >= z on `hit`, so the ratios lie in [0, 1])
+            hit = np.flatnonzero(free & (z <= 0.0))
+            ratio = x[hit] / np.maximum(x[hit] - z[hit], np.finfo(float).tiny)
+            x = x + ratio.min() * (z - x)
+            x[hit[np.argmin(ratio)]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+    return x
 
 
 def collapse_residual(

@@ -384,6 +384,15 @@ class TestConfigValidation:
                 "analysis": {"collapse_gammas": [math.inf], "collapse_t_min": 2},
             },
         ),
+        "overflowing-collapse-gamma": (
+            "analysis.collapse_gammas",
+            {
+                "cycles": 4,
+                "mu": [0.3, 0.6],
+                "noise": {},
+                "analysis": {"collapse_gammas": [0.5, 600.0], "collapse_t_min": 2},
+            },
+        ),
         "collapse-with-one-knot": (
             "analysis.collapse_knots",
             {
@@ -551,8 +560,13 @@ class TestAnalysisArtifacts:
         [
             ("analysis.exponent_window", {"exponent_window": [10, 23]}),
             ("analysis.collapse_t_min", {"collapse_gammas": [0.5], "collapse_t_min": 3}),
+            ("analysis.collapse_gammas", {"collapse_gammas": [700.0], "collapse_t_min": 2}),
         ],
-        ids=["exponent-window-past-the-tables", "collapse-cut-at-the-last-cycle"],
+        ids=[
+            "exponent-window-past-the-tables",
+            "collapse-cut-at-the-last-cycle",
+            "overflowing-collapse-gamma",
+        ],
     )
     def test_analysis_the_tables_cannot_satisfy_is_refused_before_any_write(
         self, tmp_path, capsys, key, analysis
@@ -716,3 +730,20 @@ class TestOracle:
     def test_invalid_theta_reports_error(self, capsys):
         assert main(["oracle", "--theta", "0.0", "--mu", "0.5"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # SciPy is the tests' reference only; the program starts without it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, spinfcs, spinfcs.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -90,6 +90,28 @@ class TestSampleInitial:
         assert abs(right - (1 - p)) < 4 * sigma
 
 
+class TestPhilox:
+    STREAMS = [(0, 0, 0), (12345, _substream(6, 999), 1), (-1, 2**64 - 1, 7)]
+
+    DRAWS = [
+        lambda g: g.random(3, dtype=np.float32),  # odd: leaves half a 64-bit word
+        lambda g: g.random(5),
+        lambda g: g.integers(0, 9, size=7),
+    ]
+
+    def test_reset_generator_draws_as_a_new_one(self):
+        rng = None
+        for seed, sub, block in self.STREAMS * 2:
+            rng = _philox(seed, sub, block, rng)
+            fresh = _philox(seed, sub, block)
+            for draw in self.DRAWS:
+                assert draw(rng).tolist() == draw(fresh).tolist()
+
+    def test_reset_returns_the_generator_it_was_given(self):
+        rng = _philox(1, 2, 3)
+        assert _philox(4, 5, 6, rng) is rng
+
+
 class TestRelabel:
     def test_overfull_is_complemented(self):
         bits, flag = relabel_if_overfull([1, 1, 1, 0])

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
+from spinfcs import stats
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import ImbalanceEnsemble, TransferDistribution, exact_distribution
 from spinfcs.errors import DegenerateWeightError, UndefinedMomentsError
@@ -19,6 +21,7 @@ from spinfcs.stats import (
     moment_row,
     weighted_cycle_average,
 )
+from spinfcs.stats import _monotone_pl_residual
 
 
 class TestCentralMoments:
@@ -325,6 +328,92 @@ class TestCollapse:
         at_true = collapse_residual(series, 0.5, t_min=4)
         assert at_true < 1e-2
         assert at_true < 0.2 * collapse_residual(series, 0.9, t_min=4)
+
+
+def lsq_reference(x, y, n_knots):
+    """The normalized SSR of the monotone piecewise-linear fit by SciPy's
+    bounded least squares on the uncentred design [1, knot increments]."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    ranks = np.round(np.linspace(0, xs.size - 1, min(n_knots, xs.size))).astype(int)
+    knots = np.unique(xs[np.unique(ranks)])
+    tss = float(np.sum((ys - ys.mean()) ** 2))
+    if knots.size < 2 or tss == 0.0:
+        return 0.0
+    hats = np.stack([np.interp(xs, knots, unit) for unit in np.eye(knots.size)], axis=1)
+    increments = np.cumsum(hats[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    design = np.hstack([np.ones((xs.size, 1)), increments])
+    lo = np.concatenate([[-np.inf], np.zeros(knots.size - 1)])
+    ssr = []
+    for sign in (1.0, -1.0):
+        fit = lsq_linear(design, sign * ys, bounds=(lo, np.inf))
+        ssr.append(float(np.sum((design @ fit.x - sign * ys) ** 2)))
+    return min(ssr) / tss
+
+
+class TestMonotoneFitMatchesReference:
+    """The active-set fit against SciPy's lsq_linear: never a higher residual
+    (lsq_linear stops early, so it is often slightly lower)."""
+
+    @staticmethod
+    def case(kind, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        x = rng.normal(size=n)
+        n_knots = 2 if kind == "two-knots" else int(rng.integers(2, 14))
+        if kind == "ties":
+            x = np.round(x * 2) / 2
+        y = np.tanh(x) + rng.normal(scale=rng.choice([0.01, 0.3, 3.0]), size=n)
+        if kind == "decreasing":
+            y = -y
+        elif kind == "constant":
+            y = np.full(n, 0.7)
+        elif kind == "tiny":
+            # tss ~ 1e-30 from a tiny y; a tiny spread around a large offset
+            # would leave only the rounding of the mean to fit
+            y = 1e-15 * y
+        return x, y, n_knots
+
+    KINDS = ["increasing", "decreasing", "ties", "two-knots", "constant", "tiny"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_residual_never_above_the_reference(self, kind):
+        for seed in range(25):
+            x, y, n_knots = self.case(kind, seed)
+            got = _monotone_pl_residual(x, y, n_knots)
+            assert 0.0 <= got <= 1.0  # x = 0 is the best constant
+            assert got <= lsq_reference(x, y, n_knots) * (1 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e15])
+    def test_residual_ignores_the_scale_of_y(self, scale):
+        for seed in range(10):
+            x, y, n_knots = self.case("increasing", seed)
+            want = _monotone_pl_residual(x, y, n_knots)
+            assert _monotone_pl_residual(x, scale * y, n_knots) == pytest.approx(
+                want, rel=1e-9, abs=1e-15
+            )
+
+    def test_spread_around_an_offset_fits_as_the_spread_alone(self):
+        # y = 0.7 + j ulp has tss ~ 1e-30 and a mean that rounds by up to
+        # half a step of j, so a one-pass centring misfits it by percents
+        # (lsq_linear's own tss rounds so, and the reference is off here)
+        ulp = np.spacing(0.7)
+        for seed in range(25):
+            x, _, n_knots = self.case("increasing", seed)
+            j = np.random.default_rng(seed).integers(-20, 21, size=x.size) * 1.0
+            want = _monotone_pl_residual(x, j, n_knots)
+            got = _monotone_pl_residual(x, 0.7 + j * ulp, n_knots)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma_true", [2 / 3, 1 / 3, 0.5])
+    def test_scan_minimum_does_not_move(self, gamma_true, monkeypatch):
+        series = TestCollapse.synthetic_series(gamma_true)
+        gammas = np.round(np.arange(0.3, 1.0001, 1 / 30), 6)
+        _, got = collapse_scan(series, gammas, t_min=4, n_knots=6)
+        monkeypatch.setattr(stats, "_monotone_pl_residual", lsq_reference)
+        _, want = collapse_scan(series, gammas, t_min=4, n_knots=6)
+        assert np.argmin(got) == np.argmin(want)
+        assert np.all(got <= want * (1 + 1e-9) + 1e-12)
 
 
 class TestMomentReport:
