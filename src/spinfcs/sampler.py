@@ -10,14 +10,15 @@ counter blocks.  Results therefore depend only on (seed, configuration).
 Every initial state is drawn once, from its counter block 0, and
 relabeled.  Only the 2t-site light-cone window around the cut is evolved;
 sites outside it never see a gate and keep their prepared bits.  A state
-then takes one of two routes to its measured bitstrings:
+then takes one of two routes to its tally:
 
 * noiseless: the outcome distribution of the window depends only on the
   window word, so each distinct word of the run is evolved once.  Words of
   one popcount are evolved together, as the columns of one amplitude
   block, in chunks of at most max(1, 2^14 // dim) columns (the chunks are
   also the units of work for the threads).  Each state then draws all its
-  shots from its word's column with its own counter block 1;
+  shots from its word's column with its own counter block 1, as outcome
+  indices into the window basis;
 * noisy: each shot is its own trajectory on the window, drawing from its
   own counter block 1 + shot its disorder, then one damping step per
   half-layer, the measurement, the classical decay of the sites left and
@@ -29,11 +30,17 @@ then takes one of two routes to its measured bitstrings:
   shot draws exactly what it would draw alone.
 
 Both routes evolve through the same loop (the noiseless one is its special
-case: one block, the nominal gates, no damping), run the same brickwork
-layout, anchored to physical sites, and end in the same tail: undo the
-relabeling, post-select (the popcount must match the initial state's, and
-in causal mode the word must also pass the causal filter, evaluated once
-per distinct word), and tally.
+case: one block, the nominal gates, no damping) and run the same brickwork
+layout, anchored to physical sites.  They end differently.  A noisy shot's
+measured bitstring is relabeled back, post-selected (the popcount must
+match the initial state's, and in causal mode the word must also pass the
+causal filter, evaluated once per distinct word) and tallied.  A noiseless
+shot builds no bitstring: its right-count change is read from a table of
+the right-half count of every window basis word, less that of the prepared
+window word (the sites outside the window cancel), and negated for a
+relabeled state.  No filter runs there, since a noiseless circuit keeps
+the popcount and gives amplitude only to words inside the light cone, so
+every post-selection mode keeps every shot.
 
 The window is exact for the ensemble average, not for one initial state:
 a per-state histogram is that of the window, while the uniform average
@@ -183,10 +190,11 @@ class SampledRun:
 
     def per_state_distributions(self) -> np.ndarray:
         """Row-normalized per-state M histograms (surviving states only)."""
-        rows = [r.counts / r.kept for r in self.records if r.kept > 0]
-        if not rows:
+        kept = np.array([r.kept for r in self.records])
+        if not kept.any():
             raise ValueError("no surviving shots in any state")
-        return np.array(rows)
+        counts = np.array([r.counts for r in self.records])
+        return counts[kept > 0] / kept[kept > 0, None]
 
     def distribution(self) -> TransferDistribution:
         """Uniform average of the per-state normalized histograms; moments
@@ -218,11 +226,23 @@ class SampledRun:
         return kept / total
 
 
-def _measure_indices(probabilities, rng, shots):
-    cdf = np.cumsum(probabilities)
-    cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against rounding
-    u = rng.random(shots)
-    return np.searchsorted(cdf, u, side="right")
+def _cdf(probabilities):
+    """Outcome CDFs along the last axis, their top edge guarded against
+    rounding: each is at least 1 from its last outcome of nonzero mass on,
+    so a uniform u < 1 never lands on an outcome beyond it, whose
+    probability is 0."""
+    cdf = np.cumsum(probabilities, axis=-1)
+    nonzero = probabilities > 0
+    last = nonzero.shape[-1] - 1 - np.argmax(nonzero[..., ::-1], axis=-1)
+    top = np.arange(cdf.shape[-1]) >= np.expand_dims(last, -1)
+    np.maximum(cdf, 1.0, out=cdf, where=top)
+    return cdf
+
+
+def _measure_indices(cdf, rng, shots):
+    """Outcome indices of `shots` shots, one uniform each, from the CDF
+    `_cdf` gives."""
+    return np.searchsorted(cdf, rng.random(shots), side="right")
 
 
 def _window_bounds(n_qubits: int, cycles: int) -> tuple[int, int]:
@@ -303,11 +323,12 @@ def _prepare(ens, sample, cycles):
     """The initial bits of every state, one row each, drawn from its counter
     block 0; the prepared bits after the relabeling; and which states were
     relabeled."""
-    bits = np.empty((sample.n_initial_states, ens.n_qubits), dtype=np.int64)
+    u = np.empty((sample.n_initial_states, ens.n_qubits))
     rng = None  # one generator, reset to each state's stream
-    for i, row in enumerate(bits):
+    for i, row in enumerate(u):
         rng = _philox(sample.seed, _substream(cycles, i), 0, rng)
-        row[:] = sample_initial(ens, rng)
+        rng.random(out=row)  # the draws of `sample_initial`
+    bits = (u < ens.site_excitation_probabilities()).astype(np.int64)
     if sample.relabel_enabled:
         return bits, *relabel_if_overfull(bits)
     return bits, bits, np.zeros(len(bits), dtype=bool)
@@ -365,7 +386,8 @@ def _noisy_record(prepared, config, sample, noise, state_index, postselect_mode)
 def _noisy_window_words(word, lo, hi, config, noise, rngs):
     """The measured window word of each shot of a chunk, all prepared in
     `word`: shot j is column j of the evolved blocks and draws from rngs[j],
-    last one uniform for its measurement (as `_measure_indices` draws)."""
+    last one uniform for its measurement, compared with the guarded CDF of
+    its column (as `_measure_indices` draws)."""
     # the first block is built in the call, so that no name here keeps it
     # alive once damping has replaced it
     blocks = _trajectory(
@@ -373,10 +395,9 @@ def _noisy_window_words(word, lo, hi, config, noise, rngs):
     )
     out = np.empty(len(rngs), dtype=np.uint64)
     for block, columns in blocks:
-        cdf = np.cumsum(block.probabilities(), axis=0)
-        cdf[-1] = np.maximum(cdf[-1], 1.0)
+        cdf = _cdf(block.probabilities().T)
         u = np.array([rngs[c].random() for c in columns])
-        out[columns] = block.basis.words[np.count_nonzero(cdf <= u, axis=0)]
+        out[columns] = block.basis.words[np.count_nonzero(cdf <= u[:, None], axis=1)]
     return out
 
 
@@ -400,29 +421,37 @@ def _window_chunks(windows, width):
     return chunks
 
 
-def _noiseless_chunk(chunk, prepared, config, sample, postselect_mode):
+def _noiseless_chunk(chunk, prepared, config, sample):
     """Evolve a chunk of distinct window words as the columns of one block,
     then draw each of their states' shots from its word's column with the
-    state's own counter block 1.  Returns (state index, record) pairs."""
+    state's own counter block 1, and tally each shot's right-count change
+    from its outcome index, unfiltered (no mode can reject a noiseless
+    shot).  Returns (state index, record) pairs."""
     words, members = chunk
-    bits, phys, flagged = prepared
+    bits, _, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
+    half = n // 2
     lo, hi = _window_bounds(n, t)
     if hi > lo:
         state = SectorState.from_words(words, hi - lo)
         [(state, _)] = _trajectory(state, lo, config, _NOISELESS, None)
-        probabilities = state.probabilities()
+        cdf = _cdf(state.probabilities().T)
+        right = state.basis.right_ones()
+        before = right[np.searchsorted(state.basis.words, words)]
     out = []
     rng = None  # one generator per call (threads run calls side by side)
     for column, states in enumerate(members):
         for i in states:
-            measured = np.tile(phys[i], (shots, 1))
             if hi > lo:
                 rng = _philox(sample.seed, _substream(t, i), 1, rng)
-                outcomes = _measure_indices(probabilities[:, column], rng, shots)
-                measured[:, lo:hi] = word_to_bits(state.basis.words[outcomes], hi - lo)
-            record = _tally(bits[i], flagged[i], measured, config, postselect_mode)
-            out.append((i, record))
+                outcomes = _measure_indices(cdf[column], rng, shots)
+                delta_r = right[outcomes] - before[column]
+            else:  # no cycle: no shot moves
+                delta_r = np.zeros(shots, dtype=np.int64)
+            if flagged[i]:
+                delta_r = -delta_r
+            counts = np.bincount(half + delta_r, minlength=n + 1)
+            out.append((i, StateRecord(bits[i], counts, shots, shots)))
     return out
 
 
@@ -441,10 +470,13 @@ def run_sampled(
 
     With `noise=None` each distinct window word is evolved once, in blocks
     of columns, and every state draws its shots from the exact outcome
-    distribution of its word; with noise every shot is an independent
-    trajectory (disorder realizations included), and the shots of a state
-    evolve together as the columns of blocks.  Output is bitwise
-    independent of `threads`.
+    distribution of its word and tallies their right-count changes from
+    the outcome indices; `postselect_mode` has no effect there, because
+    every mode keeps every noiseless shot.  With noise every shot is an
+    independent trajectory (disorder realizations included), the shots of
+    a state evolve together as the columns of blocks, and their measured
+    bitstrings are post-selected under `postselect_mode`.  Output is
+    bitwise independent of `threads`.
     """
     if ens.n_qubits != config.n_qubits:
         raise ValueError(
@@ -463,7 +495,7 @@ def run_sampled(
         chunks = _window_chunks(bits_to_word(prepared[1][:, lo:hi]), hi - lo)
 
         def chunk_records(chunk):
-            return _noiseless_chunk(chunk, prepared, config, sample, postselect_mode)
+            return _noiseless_chunk(chunk, prepared, config, sample)
 
         records = [None] * n_states
         for part in thread_map(chunk_records, chunks, threads):

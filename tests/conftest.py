@@ -5,8 +5,10 @@ The oracle builds full 2^n statevectors from explicit 4x4 kron products and
 never touches the package's sector machinery, so it is an independent check
 of the evolution engine.  The density-matrix reference evolves rho on 2^n
 with the Kraus operators of amplitude damping and the readout channel, so it
-checks the noise trajectories against the channel they unravel.  Site 0 is
-the most significant bit, matching the package convention.
+checks the noise trajectories against the channel they unravel.  Breadth-
+first search over the brickwork's swap moves gives the depth the causal
+filter must reproduce.  Site 0 is the most significant bit, matching the
+package convention.
 """
 
 import math
@@ -125,6 +127,38 @@ def dense_noisy_measured_probabilities(word, n, t, theta, phi, p_decay, e0, e1):
     for _ in range(n):
         readout = np.kron(readout, flip)
     return readout @ np.real(np.diag(rho))
+
+
+def layer_successors(word, bonds):
+    """All words reachable from `word` by one layer of optional swaps."""
+    swappable = [b for b in bonds if word[b] != word[b + 1]]
+    out = set()
+    for mask in range(1 << len(swappable)):
+        w = list(word)
+        for i, b in enumerate(swappable):
+            if (mask >> i) & 1:
+                w[b], w[b + 1] = w[b + 1], w[b]
+        out.add(tuple(w))
+    return out
+
+
+def bfs_depths(word, n, first_parity):
+    """Half-layers after which each word is first reachable from `word`, by
+    breadth-first search over the brickwork reachability graph."""
+    word = tuple(word)
+    depths = {word: 0}
+    fresh, previous = {word}, set()
+    layer = 0
+    while fresh or previous:
+        bonds = list(range((first_parity + layer) % 2, n - 1, 2))
+        layer += 1
+        # only the words new at the last two half-layers can move further:
+        # the start word has not met a half-layer yet, and every older word
+        # made its moves of this parity two half-layers ago
+        reached = set().union(*(layer_successors(w, bonds) for w in fresh | previous))
+        fresh, previous = reached - depths.keys(), fresh
+        depths.update(dict.fromkeys(fresh, layer))
+    return depths
 
 
 def chi_square_p_value(observed, expected):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chi_square_p_value, dense_cycle, dense_damping
+from conftest import bfs_depths, chi_square_p_value, dense_cycle, dense_damping
 from scipy.optimize import curve_fit
 from scipy.stats import binom
 
@@ -18,38 +18,6 @@ from spinfcs.noise import (
     readout_flip,
 )
 from spinfcs.sector import SectorState, brickwork_layers
-
-
-def layer_successors(word, bonds):
-    """All words reachable from `word` by one layer of optional swaps."""
-    swappable = [b for b in bonds if word[b] != word[b + 1]]
-    out = set()
-    for mask in range(1 << len(swappable)):
-        w = list(word)
-        for i, b in enumerate(swappable):
-            if (mask >> i) & 1:
-                w[b], w[b + 1] = w[b + 1], w[b]
-        out.add(tuple(w))
-    return out
-
-
-def bfs_depths(word, n, first_parity):
-    """Half-layers after which each word is first reachable from `word`, by
-    breadth-first search over the brickwork reachability graph."""
-    word = tuple(word)
-    depths = {word: 0}
-    fresh, previous = {word}, set()
-    layer = 0
-    while fresh or previous:
-        bonds = list(range((first_parity + layer) % 2, n - 1, 2))
-        layer += 1
-        # only the words new at the last two half-layers can move further:
-        # the start word has not met a half-layer yet, and every older word
-        # made its moves of this parity two half-layers ago
-        reached = set().union(*(layer_successors(w, bonds) for w in fresh | previous))
-        fresh, previous = reached - depths.keys(), fresh
-        depths.update(dict.fromkeys(fresh, layer))
-    return depths
 
 
 def bfs_min_layers(b_i, b_f, n, first_parity):

@@ -2,10 +2,12 @@ import functools
 import itertools
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
 from conftest import (
+    bfs_depths,
     chi_square_p_value,
     dense_damping,
     dense_fsim,
@@ -36,6 +38,7 @@ from spinfcs.sampler import (
     SampleConfig,
     SampledRun,
     StateRecord,
+    _cdf,
     _measure_indices,
     _philox,
     _prepare,
@@ -49,7 +52,13 @@ from spinfcs.sampler import (
     run_sampled,
     sample_initial,
 )
-from spinfcs.sector import SectorState, bits_to_word, brickwork_layers, word_to_bits
+from spinfcs.sector import (
+    SectorState,
+    bits_to_word,
+    brickwork_layers,
+    sector_basis,
+    word_to_bits,
+)
 from spinfcs.stats import (
     MomentReport,
     distribution_moments,
@@ -110,6 +119,66 @@ class TestPhilox:
     def test_reset_returns_the_generator_it_was_given(self):
         rng = _philox(1, 2, 3)
         assert _philox(4, 5, 6, rng) is rng
+
+
+TOP = 1.0 - 2.0**-53  # the largest double below 1
+
+
+class TopGenerator:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        return TOP if size is None else np.full(size, TOP)
+
+
+class TestMeasurement:
+    # the mass sums to one ulp under 1 and the last outcome has none
+    P = np.array([0.3, 0.7 - 2.0**-53, 0.0])
+
+    def test_a_uniform_above_the_mass_lands_on_the_last_outcome_with_mass(self):
+        assert np.cumsum(self.P)[1] <= TOP
+        assert _measure_indices(_cdf(self.P), TopGenerator(), 4).tolist() == [1] * 4
+
+    def test_each_row_of_a_stack_is_guarded_on_its_own(self):
+        stack = np.array([self.P, [0.0, 0.0, TOP], [0.5, 0.0, 0.0]])
+        cdf = _cdf(stack)
+        assert cdf.tolist() == [[0.3, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+        for row, probabilities in zip(cdf, stack):
+            assert row.tolist() == _cdf(probabilities).tolist()
+            assert np.all(np.diff(row) >= 0)
+
+    def test_noisy_window_words_measure_only_outcomes_with_mass(self, monkeypatch):
+        # a 3-site window with one excitation: basis words 001, 010, 100
+        basis = sector_basis(3, 1)
+        block = types.SimpleNamespace(
+            basis=basis, probabilities=lambda: np.tile(self.P[:, None], (1, 2))
+        )
+        monkeypatch.setattr(
+            sampler, "_trajectory", lambda *args: [(block, np.arange(2))]
+        )
+        config = ChainConfig(4, 2, HEIS)
+        words = sampler._noisy_window_words(
+            0b001, 0, 3, config, NoiseConfig(), [TopGenerator()] * 2
+        )
+        assert words.tolist() == [int(basis.words[1])] * 2
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("mu", [0.0, 0.5, math.inf])
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_rows_are_the_draws_of_sample_initial(self, mu, relabel):
+        ens = ImbalanceEnsemble(mu, 10)
+        sample = SampleConfig(40, 1, seed=77, relabel_enabled=relabel)
+        bits, phys, flagged = _prepare(ens, sample, 3)
+        for i, row in enumerate(bits):
+            want = sample_initial(ens, _philox(77, _substream(3, i), 0))
+            assert row.tolist() == want.tolist()
+        if relabel:
+            want_phys, want_flags = relabel_if_overfull(bits)
+        else:
+            want_phys, want_flags = bits, np.zeros(len(bits), dtype=bool)
+        assert phys.tolist() == want_phys.tolist()
+        assert flagged.tolist() == want_flags.tolist()
 
 
 class TestRelabel:
@@ -195,6 +264,23 @@ class TestEstimator:
             )
         assert noisy.dropped_states
         assert any("zero surviving shots" in rec.message for rec in caplog.records)
+
+    def test_per_state_distributions_are_the_row_by_row_division(self):
+        # bit for bit r.counts / r.kept per surviving state, in state order
+        noisy = run_sampled(
+            ImbalanceEnsemble(0.5, 4),
+            ChainConfig(4, 1, HEIS),
+            SampleConfig(30, 3, seed=5),
+            noise=NoiseConfig(e0=0.3, e1=0.3),
+        )
+        assert noisy.dropped_states and len({r.kept for r in noisy.records}) > 2
+        for run in (noisy, self.fixed_run([[0, 3, 0, 1, 0], [7, 0, 2, 0, 1]])):
+            want = np.array([r.counts / r.kept for r in run.records if r.kept > 0])
+            got = run.per_state_distributions()
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="no surviving shots"):
+            self.fixed_run([[0, 0, 0, 0, 0]]).per_state_distributions()
 
     def test_state_order_permutation_invariance(self):
         rows = [[1, 2, 3, 4, 0], [0, 5, 1, 0, 2], [2, 0, 0, 1, 1]]
@@ -468,6 +554,106 @@ class TestBatchedWindow:
         assert len(run.records) == sample.n_initial_states
 
 
+def tiled_records(ens, config, sample, mode):
+    """A noiseless run's records as the route before the right-count tally
+    made them: the same chunks evolved, then for every state its shots drawn
+    from counter block 1, each shot an n-bit row tiled from the prepared
+    bits with its window outcome unpacked into it, and the rows relabeled
+    back, filtered and tallied by `_tally`."""
+    bits, phys, flagged = _prepare(ens, sample, config.cycles)
+    n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
+    lo, hi = _window_bounds(n, t)
+    records = [None] * sample.n_initial_states
+    for words, members in _window_chunks(bits_to_word(phys[:, lo:hi]), hi - lo):
+        block = SectorState.from_words(words, hi - lo)
+        [(block, _)] = _trajectory(block, lo, config, NoiseConfig(), None)
+        probabilities = block.probabilities()
+        for column, states in enumerate(members):
+            for i in states:
+                rng = _philox(sample.seed, _substream(t, i), 1)
+                outcomes = _measure_indices(_cdf(probabilities[:, column]), rng, shots)
+                measured = np.tile(phys[i], (shots, 1))
+                measured[:, lo:hi] = word_to_bits(block.basis.words[outcomes], hi - lo)
+                records[i] = _tally(bits[i], flagged[i], measured, config, mode)
+    return records
+
+
+class TestNoiselessRoute:
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_every_reachable_outcome_passes_the_causal_filter(self, n, order):
+        # the ground for running no filter without noise: every outcome of
+        # nonzero probability keeps the popcount and is causal, for the
+        # prepared word and, as relabeling sees it, for their complements
+        first = 0 if order is LayerOrder.EVEN_FIRST else 1
+        words = word_to_bits(np.arange(2**n), n)
+        depths = [bfs_depths(word, n, first) for word in words]
+        for t in range(1, n // 2 + 1):
+            lo, hi = _window_bounds(n, t)
+            pairs = set()  # (prepared, measured) word pairs, both conventions
+            for convention in PhaseConvention:
+                params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+                config = ChainConfig(n, t, params, order)
+                for x, phys in enumerate(words):
+                    window = SectorState.from_bitstring(phys[lo:hi])
+                    [(state, _)] = _trajectory(window, lo, config, NoiseConfig(), None)
+                    reached = state.basis.words[state.probabilities() > 0]
+                    measured = np.tile(phys, (len(reached), 1))
+                    measured[:, lo:hi] = word_to_bits(reached, hi - lo)
+                    pairs.update((x, int(y)) for y in bits_to_word(measured))
+            for x, y in pairs:
+                phys, measured = words[x], words[y]
+                assert measured.sum() == phys.sum()
+                assert depths[x][tuple(measured)] <= 2 * t
+                assert postselect(phys, measured, t, "causal", order)
+                assert postselect(1 - phys, 1 - measured, t, "causal", order)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("mode", ["none", "number_only", "causal"])
+    def test_records_equal_the_tiled_route(
+        self, mode, relabel, order, threads, monkeypatch
+    ):
+        # chunks of 64 amplitudes: the 6-site window's middle sector spans
+        # several chunks, which the threads share out
+        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 64)
+        ens = ImbalanceEnsemble(0.5, 8)
+        config = ChainConfig(8, 3, HEIS, order)
+        sample = SampleConfig(40, 30, seed=23, relabel_enabled=relabel)
+        _, _, flagged = _prepare(ens, sample, config.cycles)
+        assert flagged.any() == relabel
+        run = run_sampled(ens, config, sample, postselect_mode=mode, threads=threads)
+        want = tiled_records(ens, config, sample, mode)
+        for got, record in zip(run.records, want, strict=True):
+            assert np.array_equal(got.initial_bits, record.initial_bits)
+            assert np.array_equal(got.counts, record.counts)
+            assert (got.shots, got.kept) == (record.shots, record.kept)
+
+    def test_at_zero_cycles_every_shot_keeps_its_right_count(self):
+        # the window is empty: nothing is evolved and nothing is drawn
+        ens = ImbalanceEnsemble(0.5, 6)
+        sample = SampleConfig(7, 9, seed=3)
+        run = run_sampled(ens, ChainConfig(6, 0, HEIS), sample)
+        for record in run.records:
+            assert record.counts.tolist() == [0, 0, 0, 9, 0, 0, 0]
+            assert (record.shots, record.kept) == (9, 9)
+
+    @pytest.mark.parametrize("mode", ["none", "number_only", "causal"])
+    def test_the_route_neither_filters_nor_unpacks(self, mode, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the noiseless route called it")
+
+        monkeypatch.setattr(sampler, "postselect", refuse)
+        monkeypatch.setattr(sampler, "word_to_bits", refuse)
+        ens = ImbalanceEnsemble(0.5, 8)
+        run = run_sampled(
+            ens, ChainConfig(8, 3, HEIS), SampleConfig(20, 10, seed=4),
+            postselect_mode=mode,
+        )
+        assert run.yield_fraction() == 1.0
+
+
 def per_shot_record(ens, config, sample, noise, mode, i):
     """State i of a noisy run as the route before column blocks ran it:
     every shot its own single-state trajectory on counter block 1 + shot,
@@ -505,7 +691,7 @@ def per_shot_record(ens, config, sample, noise, mode, i):
                     state.apply_diagonal_phases(z)
                 if noise.half_layer_decay > 0:
                     state = damping_step(state, noise.half_layer_decay, rng)
-            index = _measure_indices(state.probabilities(), rng, 1)[0]
+            index = _measure_indices(_cdf(state.probabilities()), rng, 1)[0]
             row[lo:hi] = word_to_bits(state.basis.words[index], hi - lo)
         if lo > 0:
             row[:lo] = damp_bits(phys[:lo], float(t), noise, rng)
