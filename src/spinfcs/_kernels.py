@@ -1,7 +1,8 @@
 """Low-level gate kernels for batched sector-state evolution.
 
 Amplitude arrays are C-contiguous complex128 of shape (dim, m): one column
-per evolving state.  Index tables come from `sector.SectorBasis.bond_tables`.
+per evolving state.  Index tables come from `sector.SectorBasis.bond_tables`,
+which caches them per bond.
 All results are deterministic.
 """
 
@@ -11,23 +12,31 @@ import numpy as np
 def apply_fsim_tables(amps, tables, theta, phi, split_phase):
     """Apply one fSim gate, given the bond's index tables, in place.
 
-    `amps` has shape (dim, m).  `tables` is the (i01, i10, i11, i00) tuple.
-    `theta` and `phi` are scalars, or (m,) arrays giving each column its own
-    gate; either way every amplitude sees the same elementwise arithmetic.
+    `amps` has shape (dim, m).  `tables` is the bond's `BondTables`: the
+    (i01, i10, i11, i00) tuple plus `pairs`, the rows i01, i10, i11, i00
+    and then i10, i01 again, and `order`, which puts the first dim of
+    them back in place.  One gather of `pairs` gives the |01>/|10> rows
+    x = [a; b], the |11> and |00> rows, and the partners y = [b; a] of x;
+    x becomes c x + i s y in place (the products and sums of the two-row
+    form, term for term), the phase multiplies the |11> rows (and the
+    |00> rows when split), and one gather by `order` writes every row
+    back.  `theta` and `phi` are scalars, or (m,) arrays giving each
+    column its own gate; either way every amplitude sees the same
+    elementwise arithmetic.
     """
-    i01, i10, i11, i00 = tables
-    c = np.cos(theta)
-    js = 1j * np.sin(theta)
-    a = amps[i01]
-    b = amps[i10]
-    amps[i01] = c * a + js * b
-    amps[i10] = js * a + c * b
+    i01, _, i11, _ = tables
+    dim, h = amps.shape[0], 2 * i01.size
+    mixed = amps.take(tables.pairs, axis=0)
+    x, y = mixed[:h], mixed[dim:]
+    x *= np.cos(theta)
+    y *= 1j * np.sin(theta)
+    x += y
     if split_phase:
-        half = np.exp(-1j * phi / 2.0)
-        amps[i00] *= half
-        amps[i11] *= half
+        mixed[h:dim] *= np.exp(-1j * phi / 2.0)
     else:
-        amps[i11] *= np.exp(-1j * phi)
+        mixed[h : h + i11.size] *= np.exp(-1j * phi)
+    # `order` holds valid rows: "clip" skips the bounds pass and its buffer
+    mixed.take(tables.order, axis=0, out=amps, mode="clip")
 
 
 def readout_accumulate(amps, r_of, acc):

@@ -292,10 +292,12 @@ def _write_moments(path, report: stats.MomentReport) -> None:
 
 
 def _run(parsed, out_dir, threads):
-    """Distributions and moments CSVs of every mu; returns the paths written
-    and the moment report of each mu."""
+    """Distributions and moments CSVs of every mu; returns the paths written,
+    the moment report of each mu and, in the sampled modes, the yield and
+    dropped-state count of each (mu, cycle)."""
     chain = parsed["chain"]
     n, cycles = chain.n_qubits, chain.cycles
+    sampling = []
     if parsed["mode"] == "exact":
         tensor = transfer_tensor(
             n, cycles, chain.params, chain.layer_order, threads=threads
@@ -326,6 +328,15 @@ def _run(parsed, out_dir, threads):
                 run.cycles: (run.grid, run.per_state_distributions().mean(axis=0))
                 for run in runs
             }
+            sampling.extend(
+                {
+                    "mu": _mu_tag(ens.mu),
+                    "cycle": run.cycles,
+                    "yield_fraction": run.yield_fraction(),
+                    "dropped_states": len(run.dropped_states),
+                }
+                for run in runs
+            )
             return per_cycle, sampler.moment_report(runs)
 
     outputs = []
@@ -339,7 +350,7 @@ def _run(parsed, out_dir, threads):
         _write_moments(mom_path, report)
         outputs += [dist_path, mom_path]
         series[mu] = report
-    return outputs, series
+    return outputs, series, sampling
 
 
 def _write_analysis(analysis, series, out_dir):
@@ -408,7 +419,7 @@ def cmd_run(args) -> int:
         parsed = _parse_config(cfg)
         out_dir = _resolve_out(args.out)
         os.makedirs(out_dir, exist_ok=True)
-        outputs, series = _run(parsed, out_dir, args.threads)
+        outputs, series, sampling = _run(parsed, out_dir, args.threads)
         outputs.extend(_write_analysis(parsed["analysis"], series, out_dir))
         manifest = {
             "version": __version__,
@@ -419,6 +430,8 @@ def cmd_run(args) -> int:
             "config": {k: v for k, v in raw.items()},
             "outputs": sorted(os.path.basename(p) for p in outputs),
         }
+        if sampling:
+            manifest["sampling"] = sampling
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, default=str)
             fh.write("\n")

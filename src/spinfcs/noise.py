@@ -81,18 +81,52 @@ def damping_step(state: SectorState, p_decay: float, rng) -> SectorState:
 
 def damp_columns(state: SectorState, p_decay: float, rngs):
     """`damping_step` on every column j of a block, drawing from rngs[j]
-    exactly what it draws on that column alone.
+    exactly what it draws on that column alone: its jump count, then one
+    uniform per jump.
 
-    Returns (j, damped single state) for each column j that jumped; the
-    block itself is left unchanged.
+    The columns that jump are lowered together, in rounds: in round r each
+    column with more than r jumps sits in the sector with k - r ones.  It
+    draws its site as `Generator.choice(p=...)` would, searching the
+    normalized cumsum of its site occupations with one `random()`, and the
+    basis's `lowering` table moves its amplitudes to the sector below.
+    There they are divided by the square root of the site's occupation,
+    which is their norm.  Each column's arithmetic is its own, so its
+    result does not depend on the other columns of the block.
+
+    Returns (columns, block) pairs, one per excitation count that columns
+    ended in: the block holds the damped input columns `columns`
+    (ascending), in that order.  The input block is left unchanged.
     """
-    k = state.basis.n_excitations
-    jumps = [rng.binomial(k, p_decay) for rng in rngs]
-    columns = state.columns()
-    return [
-        (j, _jumps(SectorState(state.basis, columns[:, j]), jumps[j], rngs[j]))
-        for j in np.flatnonzero(jumps)
-    ]
+    basis = state.basis
+    counts = np.array([rng.binomial(basis.n_excitations, p_decay) for rng in rngs])
+    moved = np.flatnonzero(counts)
+    left = counts[moved]
+    amps = state.columns()[:, moved]
+    out = []
+    while moved.size:
+        source, target = basis.lowering()
+        probs = amps.real**2 + amps.imag**2
+        # (columns, sites): each sum runs along a contiguous row of the
+        # gathered probabilities, whatever the other columns
+        occupation = probs.T.take(source, axis=1).sum(axis=2)
+        cdf = np.cumsum(occupation / occupation.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rngs[j].random() for j in moved])
+        sites = np.count_nonzero(cdf <= u[:, None], axis=1)
+        basis = sector_basis(basis.n_sites, basis.n_excitations - 1)
+        every = np.arange(moved.size)
+        lowered = np.zeros((basis.dimension, moved.size), dtype=np.complex128)
+        lowered[target[sites].T, every] = amps[source[sites].T, every]
+        lowered /= np.sqrt(occupation[every, sites])
+        left = left - 1
+        done = left == 0
+        if done.all():
+            out.append((moved, SectorState(basis, lowered)))
+            break
+        if done.any():
+            out.append((moved[done], SectorState(basis, lowered[:, done])))
+        moved, left, amps = moved[~done], left[~done], lowered[:, ~done]
+    return out
 
 
 def _jumps(state: SectorState, count: int, rng) -> SectorState:
@@ -264,16 +298,22 @@ def disorder_and_dephasing(
     ]
     if sum(sizes):
         draws = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs], axis=1)
-        parts = np.split(draws, np.cumsum(sizes)[:-1])
+        starts = np.cumsum(sizes)[:-1]
+        parts = np.split(draws, starts)
+        if jitter > 0.0:
+            # every draw reduced as a theta and as a phi at once, then each
+            # layer's pairs picked out (elementwise, so the same numbers)
+            spread = jitter * draws
+            thetas, phis = (
+                np.split(wrap_angles(angle + spread), starts)
+                for angle in (params.theta, params.phi)
+            )
     realizations = []
     for i, bonds in enumerate(layers):
         angles = z_angles = None
         if jitter > 0.0:
-            pairs = parts[i][: 2 * len(bonds)]
-            angles = (
-                wrap_angles(params.theta + jitter * pairs[0::2]),
-                wrap_angles(params.phi + jitter * pairs[1::2]),
-            )
+            end = 2 * len(bonds)
+            angles = (thetas[i][0:end:2], phis[i][1:end:2])
         if dephasing > 0.0:
             z_angles = dephasing * parts[i][sizes[i] - n_sites :]
         realizations.append(LayerRealization(list(bonds), angles, z_angles))

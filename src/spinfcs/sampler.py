@@ -25,9 +25,12 @@ then takes one of two routes to its tally:
   right of the window, and the readout flips, in that order.  The shots of
   one state run together, as the columns of blocks: chunks of at most
   max(1, 2^14 // dim) shots of the prepared window's sector, each column
-  with its own gate angles and Z rotations.  A column that jumps moves to
-  a block of its new excitation count, under the same size rule.  Each
-  shot draws exactly what it would draw alone.
+  with its own gate angles and Z rotations.  The columns of a block that
+  jump are lowered together, one round per jump (`noise.damp_columns`),
+  and move to a block of their new excitation count, under the same size
+  rule.  Each worker thread keeps one generator per shot and resets it to
+  the streams of each state it runs.  Each shot draws exactly what it
+  would draw alone.
 
 Both routes evolve through the same loop (the noiseless one is its special
 case: one block, the nominal gates, no damping) and run the same brickwork
@@ -58,6 +61,7 @@ causal cone |M| <= 2t; causal filtering confines them again.
 
 import logging
 import math
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -285,9 +289,10 @@ def _trajectory(state, lo, config, noise, rngs):
 
 
 def _damp_blocks(blocks, p_decay, rngs):
-    """One damping step on every column of the (block, columns) pairs.  A
-    column that jumped joins the columns of its new excitation count; where
-    columns from several blocks meet, they are re-blocked, at most
+    """One damping step on every column of the (block, columns) pairs.  The
+    columns that jumped join the columns of their new excitation count;
+    where columns from several blocks meet, or a block of jumped columns
+    is wider than its sector allows, they are re-blocked, at most
     `_chunk_columns` to a block."""
     width = blocks[0][0].basis.n_sites
     pieces = defaultdict(list)  # excitation count -> [(state, columns)]
@@ -296,10 +301,10 @@ def _damp_blocks(blocks, p_decay, rngs):
         k = block.basis.n_excitations
         moved = damp_columns(block, p_decay, [rngs[c] for c in columns])
         stay = np.ones(columns.size, dtype=bool)
-        for j, single in moved:
-            stay[j] = False
-            pieces[single.basis.n_excitations].append((single, columns[j : j + 1]))
-            changed.add(single.basis.n_excitations)
+        for jumped, lowered in moved:
+            stay[jumped] = False
+            pieces[lowered.basis.n_excitations].append((lowered, columns[jumped]))
+            changed.add(lowered.basis.n_excitations)
         if not stay.all():
             changed.add(k)
             block = SectorState(block.basis, block.columns()[:, stay])
@@ -307,12 +312,14 @@ def _damp_blocks(blocks, p_decay, rngs):
             pieces[k].append((block, columns[stay]))
     out = []
     for k in sorted(pieces):
-        if k not in changed or len(pieces[k]) == 1:
+        size = _chunk_columns(width, k)
+        [(_, first), *rest] = pieces[k]
+        if k not in changed or (not rest and first.size <= size):
             out.extend(pieces[k])
             continue
         amps = np.concatenate([state.columns() for state, _ in pieces[k]], axis=1)
         columns = np.concatenate([c for _, c in pieces[k]])
-        basis, size = sector_basis(width, k), _chunk_columns(width, k)
+        basis = sector_basis(width, k)
         for j0 in range(0, columns.size, size):
             part = slice(j0, j0 + size)
             out.append((SectorState(basis, amps[:, part]), columns[part]))
@@ -357,15 +364,19 @@ def _tally(bits, flagged, measured, config, postselect_mode) -> StateRecord:
     return StateRecord(bits, counts, shots, int(np.count_nonzero(keep)))
 
 
-def _noisy_record(prepared, config, sample, noise, state_index, postselect_mode):
+def _noisy_record(prepared, config, sample, noise, state_index, postselect_mode, rngs):
     """One state's shots, shot s drawing from counter block 1 + s: evolved
     as the columns of blocks, in chunks of at most `_chunk_columns` shots,
-    measured, decayed outside the window, read out, filtered and tallied."""
+    measured, decayed outside the window, read out, filtered and tallied.
+
+    `rngs` is the calling thread's pool, one entry per shot: a generator
+    an earlier state used, reset here to this state's stream, or None."""
     bits, phys, flagged = (column[state_index] for column in prepared)
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     sub = _substream(t, state_index)
     lo, hi = _window_bounds(n, t)
-    rngs = [_philox(sample.seed, sub, 1 + shot) for shot in range(shots)]
+    for shot, rng in enumerate(rngs):
+        rngs[shot] = _philox(sample.seed, sub, 1 + shot, rng)
     measured = np.tile(phys, (shots, 1))
     if hi > lo:
         word = bits_to_word(phys[lo:hi])
@@ -503,9 +514,14 @@ def run_sampled(
                 records[i] = record
     else:
         mode = "noisy-sampled"
+        pools = threading.local()  # one generator per shot, per worker thread
 
         def state_record(i):
-            return _noisy_record(prepared, config, sample, noise, i, postselect_mode)
+            if not hasattr(pools, "rngs"):
+                pools.rngs = [None] * sample.shots_per_state
+            return _noisy_record(
+                prepared, config, sample, noise, i, postselect_mode, pools.rngs
+            )
 
         records = thread_map(state_record, range(n_states), threads)
     run = SampledRun(

@@ -100,7 +100,8 @@ class SectorBasis:
         self.dimension = math.comb(self.n_sites, self.n_excitations)
         self.words = _sector_words(self.n_sites, self.n_excitations)
         self._site_bits = None
-        self._occupied_sites = None
+        self._half_word_rows = None
+        self._lowering = None
         self._bond_tables = {}
 
     def rank(self, bitstring) -> int:
@@ -134,20 +135,54 @@ class SectorBasis:
             self._site_bits = bits
         return self._site_bits
 
-    def occupied_sites(self) -> np.ndarray:
-        """(dimension, n_excitations) matrix of the sites of the ones of
-        each basis word, ascending (cached, read-only)."""
-        if self._occupied_sites is None:
-            sites = np.nonzero(self.site_bits())[1].reshape(self.dimension, -1)
-            sites.setflags(write=False)
-            self._occupied_sites = sites
-        return self._occupied_sites
+    def half_word_rows(self) -> np.ndarray:
+        """(2, dimension) rows of each basis word in a table that stacks
+        every left half-word above every right one (cached, read-only).
 
-    def bond_tables(self, bond: int):
+        With s = n_sites - n_sites // 2, the left half-word is a word's
+        first s sites and the right one its last n_sites // 2 sites, each
+        read as an integer, its last site lowest.  Row 0 holds the left
+        half-words, row 1 the right ones plus 2^s."""
+        if self._half_word_rows is None:
+            right = self.n_sites // 2
+            split = self.n_sites - right
+            mask = np.uint64((1 << right) - 1)
+            rows = np.stack([self.words >> np.uint64(right), self.words & mask])
+            rows = rows.astype(np.intp)
+            rows[1] += 1 << split
+            rows.setflags(write=False)
+            self._half_word_rows = rows
+        return self._half_word_rows
+
+    def lowering(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tables (source, target) of sigma^-_q, each (n_sites, C(n-1, k-1))
+        (cached, read-only): row q of `source` lists, ascending, the rows of
+        the words with site q occupied, and row q of `target` the rows of
+        those words, site q emptied, in the sector with one excitation
+        fewer."""
+        if self.n_excitations == 0:
+            raise ValueError("the vacuum sector has no excitation to lower")
+        if self._lowering is None:
+            n = self.n_sites
+            sites, source = np.nonzero(self.site_bits().T)
+            bits = np.uint64(1) << (np.uint64(n - 1) - sites.astype(np.uint64))
+            lowered = sector_basis(n, self.n_excitations - 1)
+            target = np.searchsorted(lowered.words, self.words[source] & ~bits)
+            tables = (source.reshape(n, -1), target.reshape(n, -1))
+            for table in tables:
+                table.setflags(write=False)
+            self._lowering = tables
+        return self._lowering
+
+    def bond_tables(self, bond: int) -> "BondTables":
         """Index tables (i01, i10, i11, i00) for the bond (bond, bond+1).
 
         i01/i10 are aligned partner lists: word j of i01 has sites
-        (bond, bond+1) in state (0,1) and flips to word j of i10.
+        (bond, bond+1) in state (0,1) and flips to word j of i10.  The
+        tables are cached per bond as `BondTables`, whose `pairs` and
+        `order` let a gate read every row of the sector, and the partner
+        of each |01>/|10> row, in one gather, and put them back in
+        another.
         """
         if not 0 <= bond < self.n_sites - 1:
             raise ValueError(
@@ -164,8 +199,24 @@ class SectorBasis:
             i10 = np.searchsorted(self.words, partners).astype(np.int64)
             i11 = np.flatnonzero(has_hi & has_lo).astype(np.int64)
             i00 = np.flatnonzero(~has_hi & ~has_lo).astype(np.int64)
-            self._bond_tables[bond] = (i01, i10, i11, i00)
+            self._bond_tables[bond] = BondTables(i01, i10, i11, i00)
         return self._bond_tables[bond]
+
+
+class BondTables(tuple):
+    """The index tables (i01, i10, i11, i00) of one bond, a 4-tuple, with
+    two more.  `pairs` lists the rows of i01, i10, i11 and i00, which are
+    views of it, and then those of i10 and i01 again: the partner of each
+    |01>/|10> row.  `order` gives the position of each row of the sector
+    among the first `dimension` entries of `pairs`."""
+
+    def __new__(cls, i01, i10, i11, i00):
+        pairs = np.concatenate([i01, i10, i11, i00, i10, i01])
+        ends = np.cumsum([i01.size, i10.size, i11.size, i00.size])
+        tables = super().__new__(cls, np.split(pairs[: ends[-1]], ends[:-1]))
+        tables.pairs = pairs
+        tables.order = np.argsort(pairs[: ends[-1]])
+        return tables
 
 
 @lru_cache(maxsize=64)
@@ -258,20 +309,36 @@ class SectorState:
 
         `site_angles` holds one angle per site, shared by every column, or
         an (n_sites, m) array with a column of angles per column.  Each
-        word's phase is summed over its occupied sites in ascending order,
-        so a column's result does not depend on the block it sits in.  Used
-        for inter-layer Z-rotation noise; diagonal in the basis.
+        word's phase is the product of two table entries, one for its left
+        half-word and one for its right half-word
+        (`SectorBasis.half_word_rows`).  Each table holds every half-word:
+        the product of the factors exp(-i * angle_q) of its occupied sites,
+        taken from the half's last site towards its first by doubling the
+        table one site at a time.  That is elementwise arithmetic, with no
+        BLAS, so a column's result does not depend on the block it sits
+        in.  Used for inter-layer Z-rotation noise; diagonal in the basis.
         """
         columns = self.columns()
         n = self.basis.n_sites
         if np.shape(site_angles) not in ((n,), (n, columns.shape[1])):
             raise ValueError("one angle per site (and column) required")
         angles = np.asarray(site_angles, dtype=float).reshape(n, -1)
-        total = np.zeros((self.basis.dimension, angles.shape[1]))
-        for sites in self.basis.occupied_sites().T:
-            total += angles[sites]
-        phases = total * -1j
-        columns *= np.exp(phases, out=phases)
+        split = n - n // 2  # sites of the left half
+        if n % 2:  # lead the right half with a site its half-words never set
+            angles = np.insert(angles, split, 0.0, axis=0)
+        factors = angles.reshape(2, split, -1) * -1j
+        np.exp(factors, out=factors)
+        # tables[h, w]: the factors of the set bits of w in half h, bit 0
+        # the half's last site
+        tables = np.empty((2, 1 << split, factors.shape[2]), dtype=np.complex128)
+        tables[:, 0] = 1.0
+        for i in range(split):
+            lower, upper = tables[:, : 1 << i], tables[:, 1 << i : 2 << i]
+            np.multiply(lower, factors[:, split - 1 - i, None], out=upper)
+        tables = tables.reshape(-1, factors.shape[2])
+        left, right = tables.take(self.basis.half_word_rows(), axis=0)
+        left *= right
+        columns *= left
 
     def columns(self) -> np.ndarray:
         """The amplitudes as a (dim, m) view, m = 1 for a single state."""

@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 from conftest import REFERENCE_KURTOSIS
 
-from spinfcs import cli
+from spinfcs import cli, sampler
+from spinfcs.circuit import ChainConfig
 from spinfcs.cli import main
 from spinfcs.ensemble import ImbalanceEnsemble, distribution_from_tensor
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
+from spinfcs.noise import NoiseConfig
+from spinfcs.sampler import SampleConfig
 from spinfcs.stats import fit_dynamical_exponent
 
 HEIS_THETA = 0.4 * math.pi
@@ -280,6 +283,46 @@ class TestRunSampled:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mode"] == "noisy-sampled"
+
+    def test_manifest_records_yield_and_dropped_states(self, tmp_path):
+        # one shot per state: readout flips fail the number filter, so some
+        # states keep nothing
+        noise = {"e0": 0.3, "e1": 0.3}
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            mode="noisy-sampled",
+            cycles=2,
+            mu=[0.5, 1.0],
+            n_qubits=4,
+            seed=5,
+            initial_states=20,
+            shots_per_state=1,
+            noise=noise,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        entries = manifest["sampling"]
+        assert [(e["mu"], e["cycle"]) for e in entries] == [
+            ("0.5", 1), ("0.5", 2), ("1.0", 1), ("1.0", 2)
+        ]
+        for entry in entries:
+            mu, t = float(entry["mu"]), entry["cycle"]
+            run = sampler.run_sampled(
+                ImbalanceEnsemble(mu, 4),
+                ChainConfig(4, t, FSimParams(HEIS_THETA, HEIS_PHI)),
+                SampleConfig(20, 1, seed=5),
+                noise=NoiseConfig(**noise),
+            )
+            assert entry["yield_fraction"] == run.yield_fraction()
+            assert entry["dropped_states"] == len(run.dropped_states)
+        assert any(entry["dropped_states"] > 0 for entry in entries)
+
+    def test_exact_manifest_has_no_sampling_entries(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "sampling" not in json.loads((out / "manifest.json").read_text())
 
 
 class TestConfigValidation:

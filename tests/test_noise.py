@@ -12,12 +12,13 @@ from spinfcs.noise import (
     NoiseConfig,
     causal_min_half_layers,
     damp_bits,
+    damp_columns,
     damping_step,
     disorder_and_dephasing,
     postselect,
     readout_flip,
 )
-from spinfcs.sector import SectorState, brickwork_layers
+from spinfcs.sector import SectorState, brickwork_layers, sector_basis
 
 
 def bfs_min_layers(b_i, b_f, n, first_parity):
@@ -169,6 +170,100 @@ class TestDamping:
         for _ in range(10):
             state = damping_step(state, 0.2, rng)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
+
+
+def random_block(n, k, m, seed):
+    """m random normalized states of the sector (n, k), as one block."""
+    basis = sector_basis(n, k)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((basis.dimension, m, 2)) @ np.array([1.0, 1j])
+    return SectorState(basis, amps / np.linalg.norm(amps, axis=0))
+
+
+class TestBlockDamping:
+    """`damp_columns` against `damping_step` on each column alone."""
+
+    @staticmethod
+    def damp_both(block, p, seed):
+        """The block's damped (columns, block) pairs, and each column's
+        reference state, each column drawing from a twin of one stream;
+        returns both with the block's and the reference's streams."""
+        m = block.columns().shape[1]
+        streams = [np.random.default_rng([seed, j]) for j in range(m)]
+        twins = [np.random.default_rng([seed, j]) for j in range(m)]
+        before = block.amplitudes.copy()
+        moved = damp_columns(block, p, streams)
+        assert np.array_equal(block.amplitudes, before)  # input left unchanged
+        singles = [
+            damping_step(SectorState(block.basis, column.copy()), p, rng)
+            for column, rng in zip(block.columns().T, twins)
+        ]
+        return moved, singles, streams, twins
+
+    @staticmethod
+    def empty_sites(state):
+        """Sites whose occupation is exactly zero, per column."""
+        occupation = (np.abs(state.columns()) ** 2).T @ state.basis.site_bits()
+        return occupation == 0
+
+    @pytest.mark.parametrize("n, k, p", [(6, 3, 0.3), (8, 4, 0.35), (7, 5, 0.4)])
+    def test_each_column_is_the_single_state_step(self, n, k, p):
+        block = random_block(n, k, 40, seed=n)
+        assert not self.empty_sites(block).any()
+        moved, singles, streams, twins = self.damp_both(block, p, seed=k)
+        got = {}
+        for columns, lowered in moved:
+            assert np.all(np.diff(columns) > 0)
+            assert lowered.columns().shape == (lowered.basis.dimension, columns.size)
+            for j, amps, empty in zip(
+                columns, lowered.columns().T, self.empty_sites(lowered)
+            ):
+                got[j] = (lowered.basis.n_excitations, amps, empty)
+        jumps = [k - single.basis.n_excitations for single in singles]
+        assert max(jumps) >= 2 and 0 in jumps  # several jumps, and none
+        for j, single in enumerate(singles):
+            if jumps[j] == 0:
+                assert j not in got
+                continue
+            ones, amps, empty = got[j]
+            assert ones == single.basis.n_excitations
+            # the jump sites are the sites left empty
+            assert np.array_equal(empty, self.empty_sites(single)[0])
+            assert np.count_nonzero(empty) == (jumps[j] if ones else n)
+            assert np.max(np.abs(amps - single.amplitudes)) <= 1e-12
+        # each stream stands where the single-state step left it
+        for rng, twin in zip(streams, twins):
+            assert rng.random() == twin.random()
+
+    def test_a_column_does_not_depend_on_its_block(self):
+        block = random_block(8, 4, 30, seed=4)
+        moved, _, _, _ = self.damp_both(block, 0.35, seed=6)
+        assert len(moved) >= 2
+        for columns, lowered in moved:
+            for j, got in zip(columns, lowered.columns().T):
+                alone = SectorState(block.basis, block.columns()[:, j : j + 1].copy())
+                [(_, want)] = damp_columns(alone, 0.35, [np.random.default_rng([6, j])])
+                assert np.array_equal(got, want.columns()[:, 0])
+
+    def test_certain_decay_reaches_the_vacuum(self):
+        block = random_block(6, 4, 5, seed=3)
+        moved, singles, streams, twins = self.damp_both(block, 1.0, seed=9)
+        [(columns, vacuum)] = moved
+        assert columns.tolist() == list(range(5))
+        assert vacuum.basis.n_excitations == 0
+        for amps, single in zip(vacuum.columns().T, singles):
+            assert single.basis.n_excitations == 0
+            assert np.max(np.abs(amps - single.amplitudes)) <= 1e-12
+            assert abs(abs(amps[0]) - 1.0) <= 1e-12
+        for rng, twin in zip(streams, twins):
+            assert rng.random() == twin.random()
+
+    def test_no_decay_moves_nothing(self):
+        block = random_block(6, 3, 4, seed=1)
+        moved, _, streams, twins = self.damp_both(block, 0.0, seed=2)
+        assert moved == []
+        for rng, twin in zip(streams, twins):
+            assert rng.random() == twin.random()
 
 
 class TestReadout:

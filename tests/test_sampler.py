@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import itertools
 import logging
@@ -722,7 +723,7 @@ class TestBatchedNoisyRoute:
 
         def damping(*args):
             moved = damp_columns(*args)
-            jumps.extend(j for j, _ in moved)
+            jumps.extend(j for jumped, _ in moved for j in jumped)
             return moved
 
         monkeypatch.setattr(_kernels, "apply_fsim_tables", kernel)
@@ -805,6 +806,66 @@ class TestBatchedNoisyRoute:
         self.assert_records_are_the_per_shot_ones(
             run, ens, config, sample, self.NOISE, "causal"
         )
+
+
+class OneJump:
+    """A stream stub: every column jumps once, at the site the uniform 0.5
+    picks."""
+
+    def binomial(self, n, p):
+        return 1
+
+    def random(self):
+        return 0.5
+
+
+class TestDampBlocks:
+    def test_jumped_columns_are_reblocked_to_the_chunk_rule(self, monkeypatch):
+        # 4 columns of the 6-site sector with 4 ones (dimension 15: 4 to a
+        # block of 64 amplitudes) all jump into the one with 3 (dimension
+        # 20: 3 to a block)
+        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 64)
+        basis = sector_basis(6, 4)
+        amps = np.random.default_rng(3).standard_normal((basis.dimension, 4)) + 0j
+        amps /= np.linalg.norm(amps, axis=0)
+        block = (SectorState(basis, amps.copy()), np.arange(4))
+        blocks = sampler._damp_blocks([block], 0.5, [OneJump() for _ in range(4)])
+        assert [(b.basis.n_excitations, c.tolist()) for b, c in blocks] == [
+            (3, [0, 1, 2]),
+            (3, [3]),
+        ]
+        for lowered, columns in blocks:
+            for got, c in zip(lowered.columns().T, columns):
+                alone = SectorState(basis, amps[:, c : c + 1].copy())
+                [(_, want)] = sampler.damp_columns(alone, 0.5, [OneJump()])
+                assert np.array_equal(got, want.columns()[:, 0])
+
+
+class TestGeneratorPool:
+    NOISE = TestBatchedNoisyRoute.NOISE
+
+    def run(self, ens, config, sample, threads):
+        return run_sampled(
+            ens, config, sample, noise=self.NOISE, postselect_mode="causal",
+            threads=threads,
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_run_leaves_nothing_for_the_next(self, threads):
+        # run A then run B in one thread; B alone in a fresh thread; both
+        # must be the per-shot records of B (more shots in A than in B)
+        ens = ImbalanceEnsemble(0.5, 8)
+        config_a, sample_a = ChainConfig(8, 2, HEIS), SampleConfig(4, 9, seed=1)
+        config_b, sample_b = ChainConfig(8, 3, HEIS), SampleConfig(5, 6, seed=2)
+        self.run(ens, config_a, sample_a, threads)
+        after = self.run(ens, config_b, sample_b, threads)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as fresh:
+            alone = fresh.submit(self.run, ens, config_b, sample_b, threads).result()
+        for i, records in enumerate(zip(after.records, alone.records)):
+            want = per_shot_record(ens, config_b, sample_b, self.NOISE, "causal", i)
+            for got in records:
+                assert np.array_equal(got.counts, want.counts)
+                assert (got.shots, got.kept) == (want.shots, want.kept)
 
 
 class TestReproducibility:

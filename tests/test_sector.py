@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_cycle
+from spinfcs import _kernels
 from spinfcs.errors import SectorMismatchError
 from spinfcs.gates import FSimColumns, FSimParams, LayerOrder, PhaseConvention
 from spinfcs.sector import (
@@ -82,6 +83,47 @@ class TestRanking:
         assert not bits.flags.writeable
         assert [bits_to_word(row) for row in bits] == basis.words.tolist()
 
+    def test_half_word_rows_split_each_word(self):
+        for n in (1, 2, 5, 8):
+            for k in range(n + 1):
+                basis = SectorBasis(n, k)
+                rows = basis.half_word_rows()
+                assert basis.half_word_rows() is rows and not rows.flags.writeable
+                split = n - n // 2
+                left, right = rows[0], rows[1] - (1 << split)
+                assert np.all(left < 1 << split)
+                assert np.all((right >= 0) & (right < 1 << (n // 2)))
+                assert ((left << (n // 2)) | right).tolist() == basis.words.tolist()
+
+    def test_lowering_empties_each_site(self):
+        for n, k in ((1, 1), (5, 2), (6, 6), (7, 3)):
+            basis = SectorBasis(n, k)
+            source, target = basis.lowering()
+            assert basis.lowering()[0] is source and not target.flags.writeable
+            lowered = sector_basis(n, k - 1)
+            for q in range(n):
+                bit = 1 << (n - 1 - q)
+                rows = [i for i, w in enumerate(basis.words.tolist()) if w & bit]
+                assert source[q].tolist() == rows
+                expected = [int(basis.words[i]) & ~bit for i in rows]
+                assert lowered.words[target[q]].tolist() == expected
+        with pytest.raises(ValueError, match="vacuum"):
+            SectorBasis(4, 0).lowering()
+
+    def test_bond_tables_cache_the_pair_rows(self):
+        basis = SectorBasis(7, 3)
+        for bond in range(6):
+            tables = basis.bond_tables(bond)
+            i01, i10, i11, i00 = tables
+            assert basis.bond_tables(bond) is tables
+            rows = [*i01.tolist(), *i10.tolist(), *i11.tolist(), *i00.tolist()]
+            assert tables.pairs.tolist() == rows + [*i10.tolist(), *i01.tolist()]
+            assert tables.pairs[tables.order].tolist() == list(range(basis.dimension))
+            flip = np.uint64(0b11 << (5 - bond))
+            assert np.array_equal(basis.words[i01] ^ flip, basis.words[i10])
+            covered = np.concatenate([i01, i10, i11, i00])
+            assert sorted(covered.tolist()) == list(range(basis.dimension))
+
     def test_word_bits_roundtrip(self):
         bits = [1, 0, 1, 1, 0, 0, 1]
         assert list(word_to_bits(bits_to_word(bits), 7)) == bits
@@ -137,6 +179,73 @@ class TestGateApplication:
         a.apply_cycle(params)
         b.apply_fsim(0, params)
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def four_table_fsim(amps, tables, theta, phi, split_phase):
+    """The fSim kernel as it was before the pair table: two gathers and two
+    scatters of the |01>/|10> rows."""
+    i01, i10, i11, i00 = tables
+    c = np.cos(theta)
+    js = 1j * np.sin(theta)
+    a = amps[i01]
+    b = amps[i10]
+    amps[i01] = c * a + js * b
+    amps[i10] = js * a + c * b
+    if split_phase:
+        half = np.exp(-1j * phi / 2.0)
+        amps[i00] *= half
+        amps[i11] *= half
+    else:
+        amps[i11] *= np.exp(-1j * phi)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("per_column", [False, True])
+    def test_pair_table_kernel_equals_the_four_table_one(self, per_column, split):
+        rng = np.random.default_rng(11)
+        for n, k, m in ((2, 1, 1), (6, 3, 5), (9, 4, 3), (10, 7, 8)):
+            basis = sector_basis(n, k)
+            amps = rng.standard_normal((basis.dimension, m, 2)) @ np.array([1.0, 1j])
+            want = amps.copy()
+            for bond in rng.permutation(n - 1):
+                tables = basis.bond_tables(bond)
+                theta, phi = rng.uniform(-np.pi, np.pi, (2, m))
+                if not per_column:
+                    theta, phi = theta[0], phi[0]
+                _kernels.apply_fsim_tables(amps, tables, theta, phi, split)
+                four_table_fsim(want, tables, theta, phi, split)
+                assert np.array_equal(amps, want)
+
+
+def direct_phases(basis, angles):
+    """exp(-i * sum of the angles of the occupied sites) of every word, as
+    one (dim, m) table."""
+    bits = basis.site_bits()[:, :, None]
+    return np.exp(-1j * (bits * angles.reshape(basis.n_sites, -1)).sum(axis=1))
+
+
+class TestDiagonalPhases:
+    def test_half_word_phases_equal_the_per_site_sum(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 15):
+            for k in range(n + 1):
+                basis = sector_basis(n, k)
+                amps = rng.standard_normal((basis.dimension, 3, 2)) @ np.array([1, 1j])
+                for angles in (rng.normal(0, 2, n), rng.normal(0, 2, (n, 3))):
+                    state = SectorState(basis, amps.copy())
+                    state.apply_diagonal_phases(angles)
+                    want = amps * direct_phases(basis, angles)
+                    assert np.max(np.abs(state.amplitudes - want)) <= 1e-12, (n, k)
+
+    def test_a_single_state_takes_shared_angles(self):
+        basis = sector_basis(7, 3)
+        angles = np.linspace(-2.0, 3.0, 7)
+        state = SectorState(basis, np.full(basis.dimension, 0.5 + 0j))
+        state.apply_diagonal_phases(angles)
+        want = 0.5 * direct_phases(basis, angles)[:, 0]
+        assert state.amplitudes.shape == (basis.dimension,)
+        assert np.max(np.abs(state.amplitudes - want)) <= 1e-12
 
 
 def sector_cycle_matrix(n, k, params, order):
