@@ -17,6 +17,10 @@ applied to each block as matrix products, and the center gate's |01>/|10>
 mix, which updates slice views of neighbouring blocks in place.  `split`'s
 phase on |00> and |11> is global, and `tail`'s boundary phase is folded
 into the half-chain operators (n = 2 too), so no phase pass remains.
+This block engine has two ends: the tensor end reads out and weights the
+right counts after every cycle, and the word end (`word_probabilities`)
+returns the final outcome probabilities of single basis words, which the
+noiseless sampler draws its shots from.
 
 Symmetry reduces the work by one rule.  The halves are stored read
 outward from the center, so an initial word is w = L << h | R, h = n/2,
@@ -35,6 +39,9 @@ every-column path and the dense oracle): such runs are evolved with
 """
 
 import concurrent.futures
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -64,10 +71,52 @@ def check_site_cap(n_sites: int) -> None:
         )
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, reached
+    through `ctypes`, or None when numpy does not export them."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Cap OpenBLAS at `count` threads inside the block, then restore the
+    count it had, on an exception too; without numpy's bundled OpenBLAS,
+    do nothing."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_threads = calls
+    before = get()
+    set_threads(count)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def thread_map(task, items, threads: int) -> list:
-    """`task` over `items`, in order, on up to `threads` worker threads."""
+    """`task` over `items`, in order, on up to `threads` worker threads.
+
+    With more than one worker, OpenBLAS runs single-threaded meanwhile, so
+    the workers' matrix products do not each start a pool of BLAS threads
+    on the same cores."""
     if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        with (
+            _blas_threads(1),
+            concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool,
+        ):
             return list(pool.map(task, items))
     return [task(item) for item in items]
 
@@ -199,6 +248,7 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
                 tables = basis.bond_tables(bond)
                 _kernels.apply_fsim_tables(w, tables, theta, phi, split)
             w[:, math.comb(half - 1, c) :] *= boundary_phase
+            w.setflags(write=False)  # shared by every caller of a cache
             ops.append(w)
         return ops
 
@@ -209,70 +259,190 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
     return left, right, (phase * math.cos(theta), phase * 1j * math.sin(theta))
 
 
-def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
-    """Weighted sum of the right-count masses of the in-block `columns` of
-    block (a0, b0) after each cycle, indexed [t-1, r].
+def _block_layout(half, k):
+    """Shapes (C(half, a), C(half, k-a)) of the blocks (a, k-a) of sector k
+    of 2*half sites, a ascending, and the first row of each."""
+    shape = {
+        a: (math.comb(half, a), math.comb(half, k - a))
+        for a in range(max(0, k - half), min(half, k) + 1)
+    }
+    sizes = [dl * dr for dl, dr in shape.values()]
+    return shape, dict(zip(shape, itertools.accumulate(sizes, initial=0)))
 
-    Sector k = a0 + b0 is stored as blocks (a, k-a), a ascending, each of
-    C(half, a) * C(half, k-a) rows ordered left index major, with m columns.
+
+class _SectorBlocks:
+    """m columns of sector k = a0 + b0 of 2*half sites, each starting on one
+    word of block (a0, b0), stored as left (x) right blocks (a, k-a), a
+    ascending, each of C(half, a) * C(half, k-a) rows ordered left index
+    major (both halves read outward from the center).
+
     A cycle is W_L (x) W_R on every block followed by the center mix M of
     `operators` = (W_L, W_R, (c, s)), which pairs |01> rows of block (a, b)
     with |10> rows of block (a+1, b-1).  There is no phase pass: `split`'s
     |00>/|11> phase is global and `tail`'s boundary phase is in W (half = 1
-    included).  The W before the first center gate and after the last
-    readout are dropped: summed over a whole initial block, T does not see
-    them.  W commutes with every map of the symmetry group (the mirror
-    always, the bit flip for `split` gates), so neither does the sum over
-    the group's images of the weighted least words of its orbits.  After j
-    center gates only blocks |a - a0| <= j are nonzero, and only they are
-    touched.
+    included).  After j center gates only blocks |a - a0| <= j are nonzero,
+    and only they are touched.
     """
-    k = a0 + b0
-    lo, hi = max(0, k - half), min(half, k)
-    shape = {a: (math.comb(half, a), math.comb(half, k - a)) for a in range(lo, hi + 1)}
-    sizes = [dl * dr for dl, dr in shape.values()]
-    start = dict(zip(shape, itertools.accumulate(sizes, initial=0)))
-    stop = {a: start[a] + size for a, size in zip(shape, sizes)}
-    r_of = np.repeat([k - a for a in shape], sizes)
-    m = len(columns)
-    amps = np.zeros((sum(sizes), m), dtype=np.complex128)
-    # GEMM output, or the two products of the center gate
-    scratch = np.empty(2 * max(sizes) * m, dtype=np.complex128)
 
-    def block(a):
-        return amps[start[a] : stop[a]].reshape(*shape[a], m)
-
-    amps[start[a0] + columns, np.arange(m)] = 1.0
-    w_left, w_right, (c, s) = operators
-    part = np.zeros((cycles, half + 1))
-    acc = np.empty((half + 1, m))
-    for t in range(1, cycles + 1):
-        # t - 1 center gates applied so far
-        a_lo, a_hi = max(lo, a0 - t + 1), min(hi, a0 + t - 1)
-        if t > 1:
-            for a in range(a_lo, a_hi + 1):
-                dl, dr = shape[a]
-                x = block(a)
-                y = scratch[: dl * dr * m].reshape(dl, dr, m)
-                np.matmul(w_left[a], x.reshape(dl, dr * m), out=y.reshape(dl, dr * m))
-                np.matmul(w_right[k - a], y, out=x)
-        for a in range(max(lo, a_lo - 1), min(hi - 1, a_hi) + 1):
+    def __init__(self, half, a0, b0, columns):
+        k = a0 + b0
+        self.k, self.a0 = k, a0
+        self.lo, self.hi = max(0, k - half), min(half, k)
+        shape, start = _block_layout(half, k)
+        self.sizes = [dl * dr for dl, dr in shape.values()]
+        self.start = start
+        self.stop = {a: start[a] + size for a, size in zip(shape, self.sizes)}
+        m = len(columns)
+        self.amps = np.zeros((sum(self.sizes), m), dtype=np.complex128)
+        self.amps[start[a0] + columns, np.arange(m)] = 1.0
+        # GEMM output, or the two products of the center gate
+        scratch = np.empty(2 * max(self.sizes) * m, dtype=np.complex128)
+        # views, made once: block a as (dl, dr, m) and its GEMM output
+        self._halves = {}
+        for a, (dl, dr) in shape.items():
+            x = self.amps[start[a] : self.stop[a]].reshape(dl, dr, m)
+            self._halves[a] = (x, scratch[: dl * dr * m].reshape(dl, dr, m))
+        # the |01> rows of (a, b), left boundary 0 and right boundary 1, and
+        # their |10> partners, which lead block (a+1, b-1) on the left and
+        # end it on the right, with room for their products
+        self._pairs = {}
+        for a in range(self.lo, self.hi):
             b = k - a
-            # |01> of (a, b): left boundary 0, right boundary 1; its |10>
-            # partner leads block (a+1, b-1) on the left, ends it on the right
-            x = block(a)[: math.comb(half - 1, a), math.comb(half - 1, b) :]
-            y = block(a + 1)[math.comb(half - 1, a + 1) :, : math.comb(half - 1, b - 1)]
-            s_y = np.multiply(y, s, out=scratch[: x.size].reshape(x.shape))
-            y *= c
-            y += np.multiply(x, s, out=scratch[x.size : 2 * x.size].reshape(x.shape))
-            x *= c
-            x += s_y
-        rows = slice(start[max(lo, a_lo - 1)], stop[min(hi, a_hi + 1)])
+            x = self._halves[a][0][: math.comb(half - 1, a), math.comb(half - 1, b) :]
+            y = self._halves[a + 1][0][
+                math.comb(half - 1, a + 1) :, : math.comb(half - 1, b - 1)
+            ]
+            products = scratch[: 2 * x.size].reshape(2, *x.shape)
+            self._pairs[a] = (x, y, *products)
+
+    def apply_halves(self, w_left, w_right, a_lo, a_hi):
+        """W_L (x) W_R on blocks a_lo..a_hi, as two matrix products each."""
+        for a in range(a_lo, a_hi + 1):
+            x, y = self._halves[a]
+            dl = x.shape[0]
+            np.matmul(w_left[a], x.reshape(dl, -1), out=y.reshape(dl, -1))
+            np.matmul(w_right[self.k - a], y, out=x)
+
+    def run(self, cycles, operators, lead=False):
+        """Apply `cycles` cycles of W then M, yielding after each M the row
+        slice of the blocks it may have made nonzero.  The first cycle's W
+        is skipped unless `lead`: on a single basis word it is a change of
+        basis that T, summed over a whole initial block, does not see."""
+        lo, hi, a0 = self.lo, self.hi, self.a0
+        w_left, w_right, (c, s) = operators
+        for t in range(1, cycles + 1):
+            # t - 1 center gates applied so far
+            a_lo, a_hi = max(lo, a0 - t + 1), min(hi, a0 + t - 1)
+            if t > 1 or lead:
+                self.apply_halves(w_left, w_right, a_lo, a_hi)
+            for a in range(max(lo, a_lo - 1), min(hi - 1, a_hi) + 1):
+                x, y, s_y, s_x = self._pairs[a]
+                np.multiply(y, s, out=s_y)
+                y *= c
+                y += np.multiply(x, s, out=s_x)
+                x *= c
+                x += s_y
+            yield slice(self.start[max(lo, a_lo - 1)], self.stop[min(hi, a_hi + 1)])
+
+
+def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
+    """Weighted sum of the right-count masses of the in-block `columns` of
+    block (a0, b0) after each cycle, indexed [t-1, r]: the tensor end of
+    the block engine (`_SectorBlocks`).
+
+    The W before the first center gate and after the last readout are
+    dropped: summed over a whole initial block, T does not see them.  W
+    commutes with every map of the symmetry group (the mirror always, the
+    bit flip for `split` gates), so neither does the sum over the group's
+    images of the weighted least words of its orbits.
+    """
+    blocks = _SectorBlocks(half, a0, b0, columns)
+    r_of = np.repeat([blocks.k - a for a in blocks.start], blocks.sizes)
+    part = np.zeros((cycles, half + 1))
+    acc = np.empty((half + 1, len(columns)))
+    for t, rows in enumerate(blocks.run(cycles, operators), 1):
         acc[:] = 0.0
-        _kernels.readout_accumulate(amps[rows], r_of[rows], acc)
+        _kernels.readout_accumulate(blocks.amps[rows], r_of[rows], acc)
         # no BLAS call, so T does not depend on the BLAS thread count
         part[t - 1] = np.einsum("rj,j->r", acc, weights)
     return part
+
+
+@functools.lru_cache(maxsize=64)
+def _word_blocks(half: int, k: int):
+    """Block coordinates of every word of sector k of 2*half sites, in the
+    ascending order of `sector_basis(2 * half, k)` (site 0 the most
+    significant bit): its left count a, its in-block column and its row in
+    block layout (`_SectorBlocks`), one read-only array each (cached).  The
+    left half-word is read mirrored, outward from the center."""
+    words = sector_basis(2 * half, k).words
+    left = words >> np.uint64(half)
+    right = words & np.uint64((1 << half) - 1)
+    mirrored = np.zeros_like(left)
+    for i in range(half):
+        mirrored |= (left >> np.uint64(i) & np.uint64(1)) << np.uint64(half - 1 - i)
+    a_of = np.bitwise_count(left).astype(np.intp)
+    column = np.empty(words.size, dtype=np.intp)
+    row = np.empty(words.size, dtype=np.intp)
+    _, start = _block_layout(half, k)
+    for a in start:
+        mine = a_of == a
+        i_left = np.searchsorted(sector_basis(half, a).words, mirrored[mine])
+        i_right = np.searchsorted(sector_basis(half, k - a).words, right[mine])
+        column[mine] = i_left * math.comb(half, k - a) + i_right
+        row[mine] = start[a] + column[mine]
+    tables = (a_of, column, row)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_operators(half: int, params: FSimParams, layer_order: LayerOrder):
+    return _half_chain_operators(half, params, layer_order)
+
+
+def word_probabilities(words, n_sites, first_site, cycles, params, layer_order):
+    """Outcome probabilities of basis words after `cycles` brickwork cycles
+    on `n_sites` (even) sites, site 0 being physical site `first_site`: a
+    (C(n_sites, k), m) array, column j that of words[j], rows in
+    `sector_basis(n_sites, k)` order.  The words must share their number
+    of ones k and of left-half ones: the word end of the block engine.
+
+    A run from one word keeps the W that the tensor drops.  With the center
+    bond in the cycle's first half-layer a cycle is W M (M commutes with
+    the first half-layer's other gates), so a word sees t mixes with a W
+    after each; with it in the second, M W, so a W leads each mix.  Either
+    way `tail`'s boundary phase, folded into W, moves at most a global
+    phase of the word or a diagonal before the readout.  A window anchored
+    at an odd physical site runs the operators of the other layer order.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    half = n_sites // 2
+    ones = np.bitwise_count(words)
+    k = int(ones[0])
+    a_of, column, row = _word_blocks(half, k)
+    index = np.searchsorted(sector_basis(n_sites, k).words, words)
+    a0 = int(a_of[index[0]])
+    if np.any(ones != k) or np.any(a_of[index] != a0):
+        raise ValueError("the words differ in popcount or left-half count")
+    lead = half - 1 in brickwork_layers(n_sites, first_site, layer_order)[1]
+    if first_site % 2:
+        layer_order = next(order for order in LayerOrder if order is not layer_order)
+    operators = _cached_operators(half, params, layer_order)
+    blocks = _SectorBlocks(half, a0, k - a0, column[index])
+    for _ in blocks.run(cycles, operators, lead):
+        pass
+    if not lead:
+        w_left, w_right, _ = operators
+        a_lo, a_hi = max(blocks.lo, a0 - cycles), min(blocks.hi, a0 + cycles)
+        blocks.apply_halves(w_left, w_right, a_lo, a_hi)
+    amps = blocks.amps
+    del blocks  # and its scratch space
+    probabilities = amps.real**2
+    probabilities += amps.imag**2
+    del amps
+    return probabilities.take(row, axis=0)
 
 
 def _orbit_columns(half: int, a: int, b: int, order: int):

@@ -13,18 +13,21 @@ sites outside it never see a gate and keep their prepared bits.  A state
 then takes one of two routes to its tally:
 
 * noiseless: the outcome distribution of the window depends only on the
-  window word, so each distinct word of the run is evolved once.  Words of
-  one popcount are evolved together, as the columns of one amplitude
-  block, in chunks of at most max(1, 2^14 // dim) columns (the chunks are
-  also the units of work for the threads).  Each state then draws all its
-  shots from its word's column with its own counter block 1, as outcome
-  indices into the window basis;
+  window word, so each distinct word of the run is evolved once, on the
+  block engine of the exact tensor (`ensemble.word_probabilities`): dense
+  half-chain operators applied as matrix products, and the center mix.
+  Words of one popcount and one left-half count are evolved together, as
+  the columns of one initial block, in chunks of at most
+  max(1, 2^16 // dim) columns (the chunks are also the units of work for
+  the threads).  Each state then draws all its shots from its word's
+  outcome distribution, in window-basis order, with its own counter
+  block 1, as outcome indices into the window basis;
 * noisy: each shot is its own trajectory on the window, drawing from its
   own counter block 1 + shot its disorder, then one damping step per
   half-layer, the measurement, the classical decay of the sites left and
   right of the window, and the readout flips, in that order.  The shots of
   one state run together, as the columns of blocks: chunks of at most
-  max(1, 2^14 // dim) shots of the prepared window's sector, each column
+  max(1, 2^16 // dim) shots of the prepared window's sector, each column
   with its own gate angles and Z rotations.  The columns of a block that
   jump are lowered together, one round per jump (`noise.damp_columns`),
   and move to a block of their new excitation count, under the same size
@@ -32,18 +35,20 @@ then takes one of two routes to its tally:
   the streams of each state it runs.  Each shot draws exactly what it
   would draw alone.
 
-Both routes evolve through the same loop (the noiseless one is its special
-case: one block, the nominal gates, no damping) and run the same brickwork
-layout, anchored to physical sites.  They end differently.  A noisy shot's
-measured bitstring is relabeled back, post-selected (the popcount must
-match the initial state's, and in causal mode the word must also pass the
-causal filter, evaluated once per distinct word) and tallied.  A noiseless
-shot builds no bitstring: its right-count change is read from a table of
-the right-half count of every window basis word, less that of the prepared
-window word (the sites outside the window cancel), and negated for a
-relabeled state.  No filter runs there, since a noiseless circuit keeps
-the popcount and gives amplitude only to words inside the light cone, so
-every post-selection mode keeps every shot.
+The noisy route evolves gate by gate (`_trajectory`), since jittered
+per-column angles and damping jumps cannot use the engine's cached
+operators; the noiseless one needs neither.  Both run the same brickwork
+layout, anchored to physical sites, and a test checks every engine column
+against a single-column `_trajectory` run.  They end differently.  A
+noisy shot's measured bitstring is relabeled back, post-selected (the
+popcount must match the initial state's, and in causal mode the word must
+also pass the causal filter, evaluated once per distinct word) and
+tallied.  A noiseless shot builds no bitstring: its right-count change is
+read from a table of the right-half count of every window basis word,
+less that of the prepared window word (the sites outside the window
+cancel), and negated for a relabeled state.  No filter runs there, since
+a noiseless circuit keeps the popcount and gives amplitude only to words
+inside the light cone, so every post-selection mode keeps every shot.
 
 The window is exact for the ensemble average, not for one initial state:
 a per-state histogram is that of the window, while the uniform average
@@ -69,7 +74,12 @@ import numpy as np
 
 from . import stats
 from .circuit import ChainConfig
-from .ensemble import ImbalanceEnsemble, TransferDistribution, thread_map
+from .ensemble import (
+    ImbalanceEnsemble,
+    TransferDistribution,
+    thread_map,
+    word_probabilities,
+)
 from .noise import (
     POSTSELECT_MODES,
     NoiseConfig,
@@ -89,13 +99,12 @@ from .sector import (
 
 logger = logging.getLogger(__name__)
 
-_NOISELESS = NoiseConfig()
-
 # Amplitudes in one block of window columns: the noiseless route evolves
-# distinct window words of one popcount, and the noisy route the shots of
-# one state, in blocks of at most max(1, _CHUNK_AMPLITUDES // dim) columns,
-# so no probability table spans the whole run.
-_CHUNK_AMPLITUDES = 1 << 14
+# distinct window words of one popcount and one left-half count, and the
+# noisy route the shots of one state, in blocks of at most
+# max(1, _CHUNK_AMPLITUDES // dim) columns, so no probability table spans
+# the whole run.
+_CHUNK_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -243,12 +252,6 @@ def _cdf(probabilities):
     return cdf
 
 
-def _measure_indices(cdf, rng, shots):
-    """Outcome indices of `shots` shots, one uniform each, from the CDF
-    `_cdf` gives."""
-    return np.searchsorted(cdf, rng.random(shots), side="right")
-
-
 def _window_bounds(n_qubits: int, cycles: int) -> tuple[int, int]:
     width = min(n_qubits, 2 * cycles)
     lo = n_qubits // 2 - width // 2
@@ -293,9 +296,11 @@ def _damp_blocks(blocks, p_decay, rngs):
     columns that jumped join the columns of their new excitation count;
     where columns from several blocks meet, or a block of jumped columns
     is wider than its sector allows, they are re-blocked, at most
-    `_chunk_columns` to a block."""
+    `_chunk_columns` to a block.  The columns of a block that stay are
+    copied once, into the block they end up in."""
     width = blocks[0][0].basis.n_sites
-    pieces = defaultdict(list)  # excitation count -> [(state, columns)]
+    # excitation count -> [(state, columns, which of its columns; None: all)]
+    pieces = defaultdict(list)
     changed = set()
     for block, columns in blocks:
         k = block.basis.n_excitations
@@ -303,23 +308,37 @@ def _damp_blocks(blocks, p_decay, rngs):
         stay = np.ones(columns.size, dtype=bool)
         for jumped, lowered in moved:
             stay[jumped] = False
-            pieces[lowered.basis.n_excitations].append((lowered, columns[jumped]))
+            pieces[lowered.basis.n_excitations].append((lowered, columns[jumped], None))
             changed.add(lowered.basis.n_excitations)
-        if not stay.all():
-            changed.add(k)
-            block = SectorState(block.basis, block.columns()[:, stay])
+        if stay.all():
+            pieces[k].append((block, columns, None))
+            continue
+        changed.add(k)
         if stay.any():
-            pieces[k].append((block, columns[stay]))
+            pieces[k].append((block, columns[stay], stay))
     out = []
     for k in sorted(pieces):
         size = _chunk_columns(width, k)
-        [(_, first), *rest] = pieces[k]
-        if k not in changed or (not rest and first.size <= size):
-            out.extend(pieces[k])
+        [(state, first, kept), *rest] = pieces[k]
+        if k not in changed:
+            out.extend((state, columns) for state, columns, _ in pieces[k])
             continue
-        amps = np.concatenate([state.columns() for state, _ in pieces[k]], axis=1)
-        columns = np.concatenate([c for _, c in pieces[k]])
+        if not rest and first.size <= size:
+            if kept is not None:
+                state = SectorState(state.basis, state.columns()[:, kept])
+            out.append((state, first))
+            continue
+        columns = np.concatenate([c for _, c, _ in pieces[k]])
         basis = sector_basis(width, k)
+        amps = np.empty((basis.dimension, columns.size), dtype=np.complex128)
+        j0 = 0
+        for state, c, kept in pieces[k]:
+            part = amps[:, j0 : j0 + c.size]
+            if kept is None:
+                part[...] = state.columns()
+            else:
+                np.compress(kept, state.columns(), axis=1, out=part)
+            j0 += c.size
         for j0 in range(0, columns.size, size):
             part = slice(j0, j0 + size)
             out.append((SectorState(basis, amps[:, part]), columns[part]))
@@ -398,7 +417,7 @@ def _noisy_window_words(word, lo, hi, config, noise, rngs):
     """The measured window word of each shot of a chunk, all prepared in
     `word`: shot j is column j of the evolved blocks and draws from rngs[j],
     last one uniform for its measurement, compared with the guarded CDF of
-    its column (as `_measure_indices` draws)."""
+    its column: the index of the first CDF entry above it."""
     # the first block is built in the call, so that no name here keeps it
     # alive once damping has replaced it
     blocks = _trajectory(
@@ -416,54 +435,77 @@ def _window_chunks(windows, width):
     """Distinct window words in evolution chunks: (words, states) pairs,
     where states[j] lists, ascending, the states whose window is words[j].
 
-    Chunks run through the popcount sectors in ascending order, words
-    ascending, at most max(1, _CHUNK_AMPLITUDES // dim) words each."""
+    The words of a chunk share their popcount k and their left-half count,
+    as the block engine evolves them.  Chunks run through k, then the left
+    count, in ascending order, words ascending, at most
+    max(1, _CHUNK_AMPLITUDES // C(width, k)) words each."""
     words, inverse = np.unique(windows, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     members = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
     ones = np.bitwise_count(words)
+    left = np.bitwise_count(words >> np.uint64(width // 2))
     chunks = []
-    for k in np.unique(ones):
-        sector = np.flatnonzero(ones == k)
-        size = _chunk_columns(width, int(k))
-        for j0 in range(0, sector.size, size):
-            picked = sector[j0 : j0 + size]
+    for k, a in sorted(set(zip(ones.tolist(), left.tolist()))):
+        group = np.flatnonzero((ones == k) & (left == a))
+        size = _chunk_columns(width, k)
+        for j0 in range(0, group.size, size):
+            picked = group[j0 : j0 + size]
             chunks.append((words[picked], [members[j] for j in picked]))
     return chunks
 
 
 def _noiseless_chunk(chunk, prepared, config, sample):
-    """Evolve a chunk of distinct window words as the columns of one block,
-    then draw each of their states' shots from its word's column with the
-    state's own counter block 1, and tally each shot's right-count change
-    from its outcome index, unfiltered (no mode can reject a noiseless
-    shot).  Returns (state index, record) pairs."""
+    """Evolve a chunk of distinct window words on the block engine, then
+    draw each of their states' shots from its word's outcome distribution
+    with the state's own counter block 1, and tally each shot's right-count
+    change from its outcome index, unfiltered (no mode can reject a
+    noiseless shot).  Returns (state index, record) pairs.
+
+    The shots of at most max(1, _CHUNK_AMPLITUDES // shots) states are
+    drawn at a time, one row of uniforms per state, then looked up with
+    one `searchsorted` per word and tallied with one offset `bincount`."""
     words, members = chunk
     bits, _, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     half = n // 2
     lo, hi = _window_bounds(n, t)
-    if hi > lo:
-        state = SectorState.from_words(words, hi - lo)
-        [(state, _)] = _trajectory(state, lo, config, _NOISELESS, None)
-        cdf = _cdf(state.probabilities().T)
-        right = state.basis.right_ones()
-        before = right[np.searchsorted(state.basis.words, words)]
-    out = []
-    rng = None  # one generator per call (threads run calls side by side)
-    for column, states in enumerate(members):
-        for i in states:
-            if hi > lo:
+    states = np.concatenate(members)
+    counts = np.zeros((states.size, n + 1), dtype=np.int64)
+    if hi == lo:  # no cycle: no shot moves
+        counts[:, half] = shots
+    else:
+        probabilities = word_probabilities(
+            words, hi - lo, lo, t, config.params, config.layer_order
+        )
+        cdf = _cdf(probabilities.T)
+        basis = sector_basis(hi - lo, int(np.bitwise_count(words[0])))
+        right = basis.right_ones()
+        before = right[np.searchsorted(basis.words, words)]
+        word_of = np.repeat(np.arange(len(members)), [len(m) for m in members])
+        sign = np.where(flagged[states], -1, 1)
+        step = max(1, _CHUNK_AMPLITUDES // shots)
+        rng = None  # one generator per call (threads run calls side by side)
+        for r0 in range(0, states.size, step):
+            rows = slice(r0, r0 + step)
+            batch = states[rows]
+            u = np.empty((batch.size, shots))
+            for row, i in zip(u, batch):
                 rng = _philox(sample.seed, _substream(t, i), 1, rng)
-                outcomes = _measure_indices(cdf[column], rng, shots)
-                delta_r = right[outcomes] - before[column]
-            else:  # no cycle: no shot moves
-                delta_r = np.zeros(shots, dtype=np.int64)
-            if flagged[i]:
-                delta_r = -delta_r
-            counts = np.bincount(half + delta_r, minlength=n + 1)
-            out.append((i, StateRecord(bits[i], counts, shots, shots)))
-    return out
+                rng.random(out=row)
+            outcomes = np.empty(u.shape, dtype=np.intp)
+            column = word_of[rows]
+            edges = np.flatnonzero(np.diff(column)) + 1
+            for j0, j1 in zip(np.r_[0, edges], np.r_[edges, column.size]):
+                cdf_j = cdf[column[j0]]
+                outcomes[j0:j1] = np.searchsorted(cdf_j, u[j0:j1], side="right")
+            delta_r = (right[outcomes] - before[column, None]) * sign[rows, None]
+            offset = half + (n + 1) * np.arange(batch.size)[:, None]
+            tally = np.bincount((delta_r + offset).ravel(), minlength=counts[rows].size)
+            counts[rows] = tally.reshape(-1, n + 1)
+    return [
+        (i, StateRecord(bits[i], row, shots, shots))
+        for i, row in zip(states.tolist(), counts)
+    ]
 
 
 def run_sampled(
@@ -479,8 +521,8 @@ def run_sampled(
     light-cone windows, measure shots, filter, and tally per-state M
     histograms.
 
-    With `noise=None` each distinct window word is evolved once, in blocks
-    of columns, and every state draws its shots from the exact outcome
+    With `noise=None` each distinct window word is evolved once, on the
+    block engine, and every state draws its shots from the exact outcome
     distribution of its word and tallies their right-count changes from
     the outcome indices; `postselect_mode` has no effect there, because
     every mode keeps every noiseless shot.  With noise every shot is an

@@ -54,26 +54,42 @@ class TestRunExact:
         assert [int(r[0]) for r in rows] == [1, 2, 3, 4]
 
     def test_blas_thread_count_does_not_change_artifacts(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json", n_qubits=10, cycles=5, mu=[0.0, 0.5, "inf"]
+        # exact mode under OPENBLAS_NUM_THREADS 1 and 2; sampled mode, whose
+        # window words run matrix products in the worker threads, under
+        # both BLAS counts and --threads 1 and 2
+        exact = write_config(
+            tmp_path / "exact.json", n_qubits=10, cycles=5, mu=[0.0, 0.5, "inf"]
+        )
+        sampled = write_config(
+            tmp_path / "sampled.json", mode="sampled", n_qubits=12, cycles=6,
+            mu=[0.5], initial_states=300, shots_per_state=40, seed=7,
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
-        artifacts = []
-        for blas_threads in ("1", "2"):
-            out = tmp_path / f"blas{blas_threads}"
+
+        def artifacts(cfg, blas_threads, threads):
+            out = tmp_path / f"{cfg.stem}-blas{blas_threads}-threads{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
             env["PYTHONPATH"] = os.pathsep.join(
                 p for p in (src, env.get("PYTHONPATH")) if p
             )
             done = subprocess.run(
                 [sys.executable, "-m", "spinfcs.cli", "run",
-                 "--config", str(cfg), "--out", str(out)],
+                 "--config", str(cfg), "--out", str(out), "--threads", threads],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert done.returncode == 0, done.stderr
-            artifacts.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-        assert len(artifacts[0]) == 6
-        assert artifacts[0] == artifacts[1]
+            return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+        first, *others = (artifacts(exact, blas, "1") for blas in ("1", "2"))
+        assert len(first) == 6
+        assert others == [first]
+        first, *others = (
+            artifacts(sampled, blas, threads)
+            for blas in ("1", "2")
+            for threads in ("1", "2")
+        )
+        assert len(first) == 2
+        assert others == [first] * 3
 
     def test_broken_invariant_is_reported_as_an_error(self, tmp_path, monkeypatch, capsys):
         exact_tensor = cli.transfer_tensor

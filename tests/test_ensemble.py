@@ -334,6 +334,36 @@ class TestTransferTensor:
         assert tensor[0, 1, 1, 0] == 0.0
 
 
+class TestBlasThreadBudget:
+    @pytest.fixture
+    def openblas(self):
+        calls = ensemble._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy exports no OpenBLAS thread control")
+        get, set_threads = calls
+        before = get()
+        set_threads(2)
+        yield get
+        set_threads(before)
+
+    def test_workers_run_single_threaded_blas_then_the_count_is_restored(
+        self, openblas
+    ):
+        assert ensemble.thread_map(lambda _: openblas(), range(4), 2) == [1] * 4
+        assert openblas() == 2
+        # one worker runs in the calling thread and leaves BLAS alone
+        assert ensemble.thread_map(lambda _: openblas(), range(2), 1) == [2, 2]
+
+    def test_the_count_is_restored_when_a_task_raises(self, openblas):
+        def task(item):
+            assert openblas() == 1
+            raise RuntimeError(f"task {item} failed")
+
+        with pytest.raises(RuntimeError, match="failed"):
+            ensemble.thread_map(task, range(3), 2)
+        assert openblas() == 2
+
+
 class TestRelabelPipelineEquality:
     def test_exact_vs_relabeled_pipeline(self, heisenberg_angles):
         """Complementing over-half-full initial words (and un-complementing

@@ -24,6 +24,7 @@ from spinfcs.ensemble import (
     distribution_from_tensor,
     exact_distribution,
     transfer_tensor,
+    word_probabilities,
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import (
@@ -33,14 +34,13 @@ from spinfcs.noise import (
     postselect,
     readout_flip,
 )
-from spinfcs import _kernels, sampler
+from spinfcs import _kernels, ensemble, sampler
 from spinfcs.sampler import (
     _CHUNK_AMPLITUDES,
     SampleConfig,
     SampledRun,
     StateRecord,
     _cdf,
-    _measure_indices,
     _philox,
     _prepare,
     _substream,
@@ -69,6 +69,12 @@ from spinfcs.stats import (
 
 
 HEIS = FSimParams(0.4 * np.pi, 0.8 * np.pi)
+
+
+def _measure_indices(cdf, rng, shots):
+    """Outcome indices of `shots` shots, one uniform each, from the CDF
+    `_cdf` gives: the sampler's draws, one state at a time."""
+    return np.searchsorted(cdf, rng.random(shots), side="right")
 
 
 class TestSampleInitial:
@@ -540,19 +546,57 @@ class TestBatchedWindow:
         distinct = np.unique(window_words(ens, config, sample)).size
         assert distinct < sample.n_initial_states
         columns = []
-        apply_fsim_tables = _kernels.apply_fsim_tables
+        engine = ensemble._SectorBlocks
 
-        def counting(amps, *args):
-            # no block is larger than a chunk, or a single column
-            assert amps.size <= max(amps.shape[0], _CHUNK_AMPLITUDES)
-            columns.append(amps.shape[1])
-            return apply_fsim_tables(amps, *args)
+        class Counting(engine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                # no block is larger than a chunk, or a single column
+                amps = self.amps
+                assert amps.size <= max(amps.shape[0], _CHUNK_AMPLITUDES)
+                columns.append(amps.shape[1])
 
-        monkeypatch.setattr(_kernels, "apply_fsim_tables", counting)
+        monkeypatch.setattr(ensemble, "_SectorBlocks", Counting)
         run = run_sampled(ens, config, sample)
-        gates_per_column = t * (n - 1)  # the window is the whole chain
-        assert sum(columns) == distinct * gates_per_column
+        assert sum(columns) == distinct
         assert len(run.records) == sample.n_initial_states
+
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_engine_columns_match_single_column_trajectories(
+        self, n, convention, order
+    ):
+        # every word of every sector, in the chunks the sampler evolves, on
+        # windows anchored at odd and even sites (t < n/2), the whole chain
+        # (t = n/2) and a depth beyond it (t > n/2, the window is the chain)
+        params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+        anchors = set()
+        for t in range(1, n // 2 + 2):
+            config = ChainConfig(n, t, params, order)
+            lo, hi = _window_bounds(n, t)
+            anchors.add(lo % 2)
+            width = hi - lo
+            chunks = _window_chunks(np.arange(2**width, dtype=np.uint64), width)
+            assert sum(len(words) for words, _ in chunks) == 2**width
+            for words, _ in chunks:
+                got = word_probabilities(words, width, lo, t, params, order)
+                basis = sector_basis(width, int(np.bitwise_count(words[0])))
+                assert got.shape == (basis.dimension, len(words))
+                for column, word in enumerate(words):
+                    single = SectorState.from_bitstring(int(word), width)
+                    [(single, _)] = _trajectory(single, lo, config, NoiseConfig(), None)
+                    assert single.basis is basis
+                    diff = got[:, column] - single.probabilities()
+                    assert np.max(np.abs(diff)) <= 1e-12
+        assert anchors == ({0, 1} if n > 2 else {0})
+
+    def test_words_of_different_left_counts_are_refused(self):
+        with pytest.raises(ValueError, match="left-half count"):
+            word_probabilities(
+                np.array([0b0011, 0b1100], dtype=np.uint64), 4, 0, 1, HEIS,
+                LayerOrder.EVEN_FIRST,
+            )
 
 
 def tiled_records(ens, config, sample, mode):
@@ -786,16 +830,16 @@ class TestBatchedNoisyRoute:
         )
 
     def test_records_equal_the_per_shot_loop_at_the_real_chunk_size(self, monkeypatch):
-        # a 10-site window: 140 shots of a sector of dimension >= 120 span
+        # a 10-site window: 320 shots of a sector of dimension >= 210 span
         # two chunks or more
         n, t = 12, 5
         ens = ImbalanceEnsemble(0.5, n)
         config = ChainConfig(n, t, HEIS)
-        sample = SampleConfig(3, 140, seed=3)
+        sample = SampleConfig(3, 320, seed=3)
         lo, hi = _window_bounds(n, t)
         _, phys, _ = _prepare(ens, sample, t)
         chunks = [
-            math.ceil(140 / sampler._chunk_columns(hi - lo, int(row[lo:hi].sum())))
+            math.ceil(320 / sampler._chunk_columns(hi - lo, int(row[lo:hi].sum())))
             for row in phys
         ]
         assert max(chunks) >= 2
