@@ -11,8 +11,6 @@ from .circuit import ChainConfig
 from .ensemble import (
     ImbalanceEnsemble,
     TransferDistribution,
-    exact_distribution,
-    exact_distributions,
     lightcone_reduce,
     transfer_tensor,
     distribution_from_tensor,
@@ -40,7 +38,6 @@ from .stats import (
     central_moments,
     collapse_residual,
     collapse_scan,
-    distribution_moments,
     fit_dynamical_exponent,
     jackknife_sigma,
     weighted_cycle_average,
@@ -66,9 +63,6 @@ __all__ = [
     "collapse_scan",
     "disorder_and_dephasing",
     "distribution_from_tensor",
-    "distribution_moments",
-    "exact_distribution",
-    "exact_distributions",
     "fit_dynamical_exponent",
     "jackknife_sigma",
     "lightcone_reduce",

@@ -517,8 +517,16 @@ def cmd_analyze(args) -> int:
     reports = {}  # file tag -> (mu, moment report)
     try:
         for path in paths:
-            tag = os.path.basename(path)[len("distributions_mu") : -len(".csv")]
-            mu = math.inf if tag == "inf" else float(tag)
+            name = os.path.basename(path)
+            tag = name[len("distributions_mu") : -len(".csv")]
+            try:
+                mu = float(tag)
+            except ValueError:
+                mu = math.nan
+            if not mu >= 0.0:  # the mu values that `run` takes
+                raise SchemaError(f"{name}: mu {tag!r} is not >= 0 or inf")
+            if any(mu == other for other, _ in reports.values()):
+                raise SchemaError(f"{name}: mu {tag!r} repeats another file's mu")
             per_cycle = _read_distribution_csv(path)
             cycles = sorted(t for t in per_cycle if t >= 1)
             rows = [

@@ -181,23 +181,10 @@ class TransferDistribution:
             )
         self.probabilities = probabilities
 
-    @classmethod
-    def point_mass(cls, cycles: int, value: int = 0) -> "TransferDistribution":
-        if value % 2 != 0 or abs(value) > 2 * cycles:
-            raise ValueError(f"M={value} not on the even grid of t={cycles}")
-        probs = np.zeros(2 * cycles + 1)
-        probs[cycles + value // 2] = 1.0
-        return cls(cycles, probs)
-
     def probability(self, m: int) -> float:
         if m % 2 != 0 or abs(m) > 2 * self.cycles:
             return 0.0
         return float(self.probabilities[self.cycles + m // 2])
-
-    def symmetrized(self) -> "TransferDistribution":
-        """Average the masses of M and -M."""
-        sym = 0.5 * (self.probabilities + self.probabilities[::-1])
-        return TransferDistribution(self.cycles, sym)
 
 
 def lightcone_reduce(config: ChainConfig) -> ChainConfig:
@@ -572,42 +559,3 @@ def distribution_from_tensor(
     probs[cycles + m_half[inside]] = mass[inside]
     return TransferDistribution(cycles, probs)
 
-
-def exact_distribution(
-    ens: ImbalanceEnsemble, config: ChainConfig
-) -> TransferDistribution:
-    """Exact P(M) by weighted enumeration of every initial word.
-
-    The chain is simulated exactly as configured; results equal the
-    infinite-chain ones whenever n_qubits >= 2*cycles.  Use
-    `lightcone_reduce` first to simulate the minimal chain.
-
-    Raises:
-        EnumerationCapError: if n_qubits exceeds DEFAULT_SITE_CAP; use
-            the sampler for larger systems.
-    """
-    return exact_distributions(ens, config)[-1]
-
-
-def exact_distributions(
-    ens: ImbalanceEnsemble,
-    config: ChainConfig,
-    *,
-    threads: int = 1,
-) -> list[TransferDistribution]:
-    """Exact P(M) for every cycle 0..config.cycles (one enumeration pass)."""
-    if ens.n_qubits != config.n_qubits:
-        raise ValueError(
-            f"ensemble on {ens.n_qubits} qubits, config on {config.n_qubits}"
-        )
-    check_site_cap(config.n_qubits)
-    T = transfer_tensor(
-        config.n_qubits,
-        config.cycles,
-        config.params,
-        config.layer_order,
-        threads=threads,
-    )
-    return [
-        distribution_from_tensor(T, t, ens) for t in range(config.cycles + 1)
-    ]

@@ -76,7 +76,6 @@ from . import stats
 from .circuit import ChainConfig
 from .ensemble import (
     ImbalanceEnsemble,
-    TransferDistribution,
     thread_map,
     word_probabilities,
 )
@@ -208,30 +207,6 @@ class SampledRun:
             raise ValueError("no surviving shots in any state")
         counts = np.array([r.counts for r in self.records])
         return counts[kept > 0] / kept[kept > 0, None]
-
-    def distribution(self) -> TransferDistribution:
-        """Uniform average of the per-state normalized histograms; moments
-        of this distribution are exactly the double-average estimator.
-
-        Raises:
-            ValueError: if surviving mass lies outside the causal cone
-                |M| <= 2t (possible for noisy number-only runs; the causal
-                filter removes such outcomes).
-        """
-        mean_row = self.per_state_distributions().mean(axis=0)
-        half = self.n_qubits // 2
-        t = self.cycles
-        probs = np.zeros(2 * t + 1)
-        for i, m_half in enumerate(range(-half, half + 1)):
-            if mean_row[i] == 0.0:
-                continue
-            if abs(m_half) > t:
-                raise ValueError(
-                    f"acausal surviving mass at M={2 * m_half} (|M| > 2t); "
-                    "use the causal post-selection mode"
-                )
-            probs[t + m_half] = mean_row[i]
-        return TransferDistribution(t, probs)
 
     def yield_fraction(self) -> float:
         kept = sum(r.kept for r in self.records)

@@ -104,23 +104,6 @@ class SectorBasis:
         self._lowering = None
         self._bond_tables = {}
 
-    def rank(self, bitstring) -> int:
-        """Lexicographic rank of a word among all words of this sector.
-
-        Accepts an integer word or a 0/1 sequence.  Raises
-        SectorMismatchError when the popcount is wrong.
-        """
-        word = bitstring if isinstance(bitstring, (int, np.integer)) else bits_to_word(bitstring)
-        word = int(word)
-        n, k = self.n_sites, self.n_excitations
-        if word < 0 or word >> n:
-            raise ValueError(f"word {word:#x} does not fit in {n} sites")
-        if word.bit_count() != k:
-            raise SectorMismatchError(
-                f"word has {word.bit_count()} ones, sector expects {k}"
-            )
-        return int(np.searchsorted(self.words, np.uint64(word)))
-
     def right_ones(self) -> np.ndarray:
         """Number of ones in the right half of each basis word."""
         half = self.n_sites // 2
@@ -239,25 +222,6 @@ class SectorState:
             )
         self.basis = basis
         self.amplitudes = amplitudes
-
-    @classmethod
-    def from_bitstring(cls, bits, n_sites: int | None = None) -> "SectorState":
-        """Basis state |bits>.  `bits` is a 0/1 sequence or an integer word
-        (the latter requires `n_sites`)."""
-        if isinstance(bits, (int, np.integer)):
-            if n_sites is None:
-                raise ValueError("integer word requires n_sites")
-            word = int(bits)
-            n = int(n_sites)
-        else:
-            bits = list(bits)
-            word = bits_to_word(bits)
-            n = len(bits)
-        k = word.bit_count()
-        basis = sector_basis(n, k)
-        amps = np.zeros(basis.dimension, dtype=np.complex128)
-        amps[basis.rank(word)] = 1.0
-        return cls(basis, amps)
 
     @classmethod
     def from_words(cls, words, n_sites: int) -> "SectorState":

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import TransferDistribution
-from .errors import DegenerateWeightError, UndefinedMomentsError
+from .errors import DegenerateWeightError
 
 
 def central_moments(data, k_max: int = 4) -> np.ndarray:
@@ -65,18 +65,6 @@ def moment_row(data) -> np.ndarray:
     skew = np.where(defined, alpha[..., 3] / (scale * np.sqrt(scale)), math.nan)
     kurt = np.where(defined, alpha[..., 4] / (scale * scale) - 3.0, math.nan)
     return np.stack([alpha[..., 1], var, skew, kurt], axis=-1)
-
-
-def distribution_moments(data) -> tuple[float, float, float, float]:
-    """(mean, variance, skewness, excess kurtosis) of one distribution.
-
-    Raises:
-        UndefinedMomentsError: if the variance is not positive.
-    """
-    mean, var, skew, kurt = moment_row(data)
-    if not var > 0.0:
-        raise UndefinedMomentsError(f"variance {var!r} is not positive")
-    return float(mean), float(var), float(skew), float(kurt)
 
 
 def _columns(name: str, i: int):

@@ -17,6 +17,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spinfcs.ensemble import distribution_from_tensor, transfer_tensor
+from spinfcs.sector import SectorState, bits_to_word
+
+
+def exact_dists(ens, config):
+    """Exact P(M) of cycles 0..config.cycles, as `spinfcs run` computes it."""
+    tensor = transfer_tensor(
+        config.n_qubits, config.cycles, config.params, config.layer_order
+    )
+    return [distribution_from_tensor(tensor, t, ens) for t in range(config.cycles + 1)]
+
+
+def basis_state(bits):
+    """|bits> of a 0/1 sequence as one state: the column of `from_words`."""
+    block = SectorState.from_words([bits_to_word(bits)], len(bits))
+    return SectorState(block.basis, block.amplitudes[:, 0])
+
 
 def dense_fsim(theta, phi, convention="tail"):
     c, s = np.cos(theta), np.sin(theta)

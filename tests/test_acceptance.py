@@ -14,15 +14,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import REFERENCE_KURTOSIS
+from conftest import REFERENCE_KURTOSIS, exact_dists
 from test_noise import bfs_min_layers
 
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
     distribution_from_tensor,
-    exact_distribution,
-    exact_distributions,
     transfer_tensor,
 )
 from spinfcs.gates import FSimParams, PhaseConvention
@@ -31,9 +29,9 @@ from spinfcs.sampler import SampleConfig, moment_report, run_sampled
 from spinfcs.stats import (
     central_moments,
     collapse_scan,
-    distribution_moments,
     fit_dynamical_exponent,
     jackknife_sigma,
+    moment_row,
 )
 
 THETA = 0.4 * np.pi
@@ -66,7 +64,7 @@ def exact_t8_dataset():
         skew_series = []
         for t in cycles:
             dist = distribution_from_tensor(tensor, int(t), ens)
-            m, _, s, _ = distribution_moments(dist)
+            m, _, s, _ = moment_row(dist)
             mean_series.append(m)
             skew_series.append(s)
         means[mu] = np.array(mean_series)
@@ -77,11 +75,11 @@ def exact_t8_dataset():
 def test_criterion_01_reference_kurtosis_rows():
     with criterion(1, "exact kurtosis at cycles 1-4 within 1e-9, under 1 min"):
         start = time.perf_counter()
-        dists = exact_distributions(
+        dists = exact_dists(
             ImbalanceEnsemble(0.0, 8), ChainConfig(8, 4, HEIS)
         )
         for t in (1, 2, 3, 4):
-            q = distribution_moments(dists[t])[3]
+            q = moment_row(dists[t])[3]
             assert abs(q - REFERENCE_KURTOSIS[t]) < 1e-9
         assert time.perf_counter() - start < 60.0
 
@@ -91,9 +89,9 @@ def test_criterion_02_length_independence():
         for t in (1, 2, 3, 4):
             reference = None
             for n in (2 * t, 2 * t + 2, 2 * t + 4):
-                dist = exact_distribution(
+                dist = exact_dists(
                     ImbalanceEnsemble(0.0, n), ChainConfig(n, t, HEIS)
-                )
+                )[-1]
                 alpha = central_moments(dist)
                 moments = np.array(
                     [alpha[1], alpha[2], alpha[3], alpha[4]]
@@ -111,10 +109,10 @@ def test_criterion_03_cycle_one_oracle():
         for theta in thetas:
             params = FSimParams(theta, PHI)
             for mu in mus:
-                dist = exact_distribution(
+                dist = exact_dists(
                     ImbalanceEnsemble(mu, 2), ChainConfig(2, 1, params)
-                )
-                mean, var, _, q = distribution_moments(dist)
+                )[-1]
+                mean, var, _, q = moment_row(dist)
                 tm = math.tanh(mu)
                 assert abs(mean - 2 * math.sin(theta) ** 2 * tm) < 1e-12
                 expected_var = (
@@ -138,8 +136,8 @@ def test_criterion_04_convention_and_sign_invariance():
             ]
             kurtoses = []
             for params in variants:
-                dist = exact_distribution(ens, ChainConfig(n, t, params))
-                kurtoses.append(distribution_moments(dist)[3])
+                dist = exact_dists(ens, ChainConfig(n, t, params))[-1]
+                kurtoses.append(moment_row(dist)[3])
             for q in kurtoses:
                 assert abs(q - expected) < 1e-7
             assert max(kurtoses) - min(kurtoses) < 1e-12
@@ -172,16 +170,17 @@ def test_criterion_06_causal_filter():
 def test_criterion_07_symmetry():
     with criterion(7, "balanced-ensemble mirror symmetry and exact zero skew"):
         for t in (1, 2, 3, 4):
-            dist = exact_distribution(
+            dist = exact_dists(
                 ImbalanceEnsemble(0.0, 2 * t), ChainConfig(2 * t, t, HEIS)
-            )
+            )[-1]
             assert np.max(np.abs(dist.probabilities - dist.probabilities[::-1])) < 1e-14
         run = run_sampled(
             ImbalanceEnsemble(0.0, 6),
             ChainConfig(6, 3, HEIS),
             SampleConfig(50, 200, seed=17),
         )
-        skew = distribution_moments(run.distribution().symmetrized())[2]
+        probs = run.per_state_distributions().mean(axis=0)
+        skew = moment_row((run.grid, 0.5 * (probs + probs[::-1])))[2]
         assert skew == 0.0
 
 
@@ -213,7 +212,7 @@ def test_criterion_08_noise_pipeline():
         observed = np.sum([r.counts for r in noisy.records], axis=0).astype(float)
         kept = observed.sum()
         assert kept > 1000
-        ideal = exact_distribution(ens, config)
+        ideal = exact_dists(ens, config)[-1]
         expected = np.zeros_like(observed)
         half = 3
         for i, m_half in enumerate(range(-half, half + 1)):
@@ -230,7 +229,7 @@ def test_criterion_09_estimator_consistency():
     with criterion(9, "sampled estimator vs exact, jackknife vs scatter"):
         ens = ImbalanceEnsemble(0.5, 6)
         config = ChainConfig(6, 3, HEIS)
-        exact = distribution_moments(exact_distribution(ens, config))
+        exact = moment_row(exact_dists(ens, config)[-1])
         run = run_sampled(ens, config, SampleConfig(100, 10000, seed=808))
         report = moment_report([run])
         observed = (

@@ -639,6 +639,32 @@ class TestAnalysisArtifacts:
         assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "tag, problem",
+        [
+            ("nan", "is not >= 0 or inf"),
+            ("-1.0", "is not >= 0 or inf"),
+            ("-inf", "is not >= 0 or inf"),
+            ("x", "is not >= 0 or inf"),
+            ("0.30", "repeats another file's mu"),
+        ],
+        ids=["nan", "negative", "minus-inf", "not-a-number", "repeated"],
+    )
+    def test_mu_tag_that_run_refuses_is_refused_before_any_write(
+        self, tmp_path, capsys, tag, problem
+    ):
+        run_out = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", cycles=3, mu=0.3)
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        table = (run_out / "distributions_mu0.3.csv").read_bytes()
+        (run_out / f"distributions_mu{tag}.csv").write_bytes(table)
+        (tmp_path / "an.json").write_text(json.dumps({"exponent_window": [1, 3]}))
+        argv = ["analyze", "--input", str(run_out), "--config", str(tmp_path / "an.json")]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: distributions_mu{tag}.csv: mu '{tag}' {problem}")
+        assert not (tmp_path / "o").exists()
+
     def test_round_trip_serialization(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", cycles=2, mu=0.7)
         out = tmp_path / "out"

@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_KURTOSIS, dense_cycle, dense_exact_pm, dense_right_ones
+from conftest import (
+    REFERENCE_KURTOSIS,
+    basis_state,
+    dense_cycle,
+    dense_exact_pm,
+    dense_right_ones,
+    exact_dists,
+)
 from spinfcs import ensemble
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
     TransferDistribution,
+    check_site_cap,
     distribution_from_tensor,
-    exact_distribution,
     lightcone_reduce,
     transfer_tensor,
 )
@@ -20,8 +27,8 @@ from spinfcs.errors import (
     UnderResolvedError,
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
-from spinfcs.sector import SectorState, sector_basis
-from spinfcs.stats import central_moments, distribution_moments, moment_row
+from spinfcs.sector import sector_basis
+from spinfcs.stats import central_moments, moment_row
 
 
 def params_at(theta, phi, convention="tail"):
@@ -42,7 +49,7 @@ class TestLightconeReduce:
 
     def test_zero_cycles(self):
         reduced = lightcone_reduce(ChainConfig(6, 0, params_at(0.1, 0.1)))
-        dist = exact_distribution(ImbalanceEnsemble(0.7, reduced.n_qubits), reduced)
+        dist = exact_dists(ImbalanceEnsemble(0.7, reduced.n_qubits), reduced)[-1]
         assert dist.cycles == 0
         assert dist.probability(0) == 1.0
 
@@ -55,7 +62,7 @@ class TestExactDistribution:
         theta, phi = 0.3 * np.pi, 0.7 * np.pi
         n = 4
         config = ChainConfig(n, t, params_at(theta, phi, convention))
-        dist = exact_distribution(ImbalanceEnsemble(mu, n), config)
+        dist = exact_dists(ImbalanceEnsemble(mu, n), config)[-1]
         oracle = dense_exact_pm(n, t, theta, phi, mu, convention)
         for m in dist.values:
             assert abs(dist.probability(m) - oracle.get(int(m), 0.0)) < 1e-13
@@ -64,32 +71,32 @@ class TestExactDistribution:
         theta, phi = heisenberg_angles
         for t in (1, 2):
             config = ChainConfig(2 * t, t, params_at(theta, phi))
-            dist = exact_distribution(ImbalanceEnsemble(0.0, 2 * t), config)
-            q = distribution_moments(dist)[3]
+            dist = exact_dists(ImbalanceEnsemble(0.0, 2 * t), config)[-1]
+            q = moment_row(dist)[3]
             assert abs(q - REFERENCE_KURTOSIS[t]) < 1e-12
 
     def test_normalized(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         config = ChainConfig(6, 3, params_at(theta, phi))
-        dist = exact_distribution(ImbalanceEnsemble(0.3, 6), config)
+        dist = exact_dists(ImbalanceEnsemble(0.3, 6), config)[-1]
         assert abs(dist.probabilities.sum() - 1.0) < 1e-10
 
     def test_mirror_symmetry_at_mu_zero(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         for t in (1, 2, 3):
             config = ChainConfig(2 * t, t, params_at(theta, phi))
-            dist = exact_distribution(ImbalanceEnsemble(0.0, 2 * t), config)
+            dist = exact_dists(ImbalanceEnsemble(0.0, 2 * t), config)[-1]
             assert np.max(np.abs(dist.probabilities - dist.probabilities[::-1])) < 1e-14
 
     def test_sign_symmetry_of_angles(self):
         n, t = 4, 2
-        base = exact_distribution(
+        base = exact_dists(
             ImbalanceEnsemble(0.5, n), ChainConfig(n, t, params_at(0.4 * np.pi, 0.8 * np.pi))
-        )
+        )[-1]
         for theta, phi in [(-0.4 * np.pi, 0.8 * np.pi), (0.4 * np.pi, -0.8 * np.pi)]:
-            other = exact_distribution(
+            other = exact_dists(
                 ImbalanceEnsemble(0.5, n), ChainConfig(n, t, params_at(theta, phi))
-            )
+            )[-1]
             assert np.array_equal(base.probabilities, other.probabilities)
 
     def test_length_independence(self, heisenberg_angles):
@@ -98,8 +105,8 @@ class TestExactDistribution:
             reference = None
             for n in (2 * t, 2 * t + 2, 2 * t + 4):
                 config = ChainConfig(n, t, params_at(theta, phi))
-                dist = exact_distribution(ImbalanceEnsemble(0.4, n), config)
-                moments = np.array(distribution_moments(dist))
+                dist = exact_dists(ImbalanceEnsemble(0.4, n), config)[-1]
+                moments = moment_row(dist)
                 if reference is None:
                     reference = moments
                 else:
@@ -108,28 +115,28 @@ class TestExactDistribution:
     def test_convention_invariance(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         for n, t in [(4, 2), (6, 3)]:
-            tail = exact_distribution(
+            tail = exact_dists(
                 ImbalanceEnsemble(0.5, n),
                 ChainConfig(n, t, params_at(theta, phi, "tail")),
-            )
-            split = exact_distribution(
+            )[-1]
+            split = exact_dists(
                 ImbalanceEnsemble(0.5, n),
                 ChainConfig(n, t, params_at(theta, phi, "split")),
-            )
+            )[-1]
             assert np.max(np.abs(tail.probabilities - split.probabilities)) < 1e-13
 
     def test_layer_order_invariance_of_ensemble_statistics(self, heisenberg_angles):
         # both parity orderings give the same ensemble-averaged transfer
         theta, phi = heisenberg_angles
         n, t = 6, 3
-        a = exact_distribution(
+        a = exact_dists(
             ImbalanceEnsemble(0.5, n),
             ChainConfig(n, t, params_at(theta, phi), LayerOrder.EVEN_FIRST),
-        )
-        b = exact_distribution(
+        )[-1]
+        b = exact_dists(
             ImbalanceEnsemble(0.5, n),
             ChainConfig(n, t, params_at(theta, phi), LayerOrder.ODD_FIRST),
-        )
+        )[-1]
         assert np.max(np.abs(a.probabilities - b.probabilities)) < 1e-13
 
     def test_mu_monotonic_mean_at_cycle_one(self):
@@ -137,8 +144,8 @@ class TestExactDistribution:
         config = ChainConfig(2, 1, params_at(theta, 0.9 * np.pi))
         means = []
         for mu in (0.0, 0.2, 0.5, 1.0, 2.0, math.inf):
-            dist = exact_distribution(ImbalanceEnsemble(mu, 2), config)
-            mean = distribution_moments(dist)[0]
+            dist = exact_dists(ImbalanceEnsemble(mu, 2), config)[-1]
+            mean = moment_row(dist)[0]
             expected = 2 * math.sin(theta) ** 2 * (
                 1.0 if math.isinf(mu) else math.tanh(mu)
             )
@@ -147,15 +154,14 @@ class TestExactDistribution:
         assert all(a <= b + 1e-15 for a, b in zip(means, means[1:]))
 
     def test_cap_exceeded(self):
-        config = ChainConfig(22, 11, params_at(0.1, 0.1))
         with pytest.raises(EnumerationCapError):
-            exact_distribution(ImbalanceEnsemble(0.0, 22), config)
+            check_site_cap(22)
 
     def test_mu_zero_skewness_zero(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         config = ChainConfig(6, 3, params_at(theta, phi))
-        dist = exact_distribution(ImbalanceEnsemble(0.0, 6), config)
-        assert abs(distribution_moments(dist)[2]) < 1e-13
+        dist = exact_dists(ImbalanceEnsemble(0.0, 6), config)[-1]
+        assert abs(moment_row(dist)[2]) < 1e-13
 
 
 class TestPureDomainWall:
@@ -169,7 +175,7 @@ class TestPureDomainWall:
     def test_cycle_one_mean(self):
         theta = 0.4 * np.pi
         dist = self.domain_wall(2, 1, params_at(theta, 0.8 * np.pi))
-        assert abs(distribution_moments(dist)[0] - 2 * math.sin(theta) ** 2) < 1e-14
+        assert abs(moment_row(dist)[0] - 2 * math.sin(theta) ** 2) < 1e-14
 
     def test_frozen_chain(self):
         dist = self.domain_wall(4, 2, params_at(0.0, 0.5))
@@ -372,7 +378,7 @@ class TestRelabelPipelineEquality:
         n, t = 4, 2
         params = params_at(theta, phi)
         ens = ImbalanceEnsemble(0.5, n)
-        plain = exact_distribution(ens, ChainConfig(n, t, params))
+        plain = exact_dists(ens, ChainConfig(n, t, params))[-1]
         half = n // 2
         acc = np.zeros(2 * t + 1)
         for word in range(2**n):
@@ -384,7 +390,7 @@ class TestRelabelPipelineEquality:
                 continue
             flagged = sum(bits) > half
             phys = [1 - x for x in bits] if flagged else bits
-            state = SectorState.from_bitstring(phys)
+            state = basis_state(phys)
             for _ in range(t):
                 state.apply_cycle(params)
             r_phys = state.basis.right_ones()
@@ -396,16 +402,9 @@ class TestRelabelPipelineEquality:
 
 
 class TestTransferDistributionType:
-    def test_point_mass_and_grid(self):
-        dist = TransferDistribution.point_mass(0)
-        assert dist.values.tolist() == [0]
-        assert dist.probability(0) == 1.0
-        with pytest.raises(ValueError):
-            TransferDistribution.point_mass(1, 3)
-
     def test_symmetrized_is_exactly_symmetric(self):
-        dist = TransferDistribution(1, np.array([0.1, 0.2, 0.7]))
-        sym = dist.symmetrized()
+        probs = np.array([0.1, 0.2, 0.7])
+        sym = TransferDistribution(1, 0.5 * (probs + probs[::-1]))
         assert np.array_equal(sym.probabilities, sym.probabilities[::-1])
         alpha = central_moments(sym, 3)
         assert alpha[1] == alpha[3] == 0.0

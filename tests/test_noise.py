@@ -3,7 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bfs_depths, chi_square_p_value, dense_cycle, dense_damping
+from conftest import (
+    basis_state,
+    bfs_depths,
+    chi_square_p_value,
+    dense_cycle,
+    dense_damping,
+)
 from scipy.optimize import curve_fit
 from scipy.stats import binom
 
@@ -87,7 +93,7 @@ class TestDamping:
         noise = NoiseConfig()
         bits = np.array([1, 0, 1, 1])
         assert np.array_equal(damp_bits(bits, 5.0, noise, rng), bits)
-        state = SectorState.from_bitstring([1, 0, 1, 0])
+        state = basis_state([1, 0, 1, 0])
         before = state.amplitudes.copy()
         for _ in range(6):  # 3 cycles of half-layer steps
             state = damping_step(state, noise.half_layer_decay, rng)
@@ -114,7 +120,7 @@ class TestDamping:
         survived = 0
         n_traj = 3000
         for _ in range(n_traj):
-            state = SectorState.from_bitstring([1, 1, 0, 0])
+            state = basis_state([1, 1, 0, 0])
             for _ in range(int(2 * t)):
                 state = damping_step(state, noise.half_layer_decay, rng)
             survived += state.basis.n_excitations == 2
@@ -142,7 +148,7 @@ class TestDamping:
         # measured words follow the damped density matrix
         n, p, draws = 6, 0.3, 4000
         theta, phi = 0.4 * np.pi, 0.8 * np.pi
-        state = SectorState.from_bitstring([1, 1, 0, 1, 0, 0])
+        state = basis_state([1, 1, 0, 1, 0, 0])
         for _ in range(2):
             state.apply_cycle(FSimParams(theta, phi))
         before = state.amplitudes.copy()
@@ -165,7 +171,7 @@ class TestDamping:
 
     def test_damping_step_preserves_norm(self):
         rng = np.random.default_rng(21)
-        state = SectorState.from_bitstring([1, 0, 1, 1, 0, 0])
+        state = basis_state([1, 0, 1, 1, 0, 0])
         state.apply_cycle(FSimParams(0.4 * np.pi, 0.8 * np.pi))
         for _ in range(10):
             state = damping_step(state, 0.2, rng)

@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 from conftest import (
+    basis_state,
     bfs_depths,
     chi_square_p_value,
     dense_damping,
@@ -16,13 +17,14 @@ from conftest import (
     dense_noisy_measured_probabilities,
     dense_right_ones,
     dense_word_probability,
+    exact_dists,
 )
 
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
+    TransferDistribution,
     distribution_from_tensor,
-    exact_distribution,
     transfer_tensor,
     word_probabilities,
 )
@@ -62,7 +64,6 @@ from spinfcs.sector import (
 )
 from spinfcs.stats import (
     MomentReport,
-    distribution_moments,
     jackknife_sigma,
     moment_row,
 )
@@ -209,7 +210,7 @@ class TestRelabel:
     def test_sampled_moments_agree_with_exact_under_relabel(self):
         ens = ImbalanceEnsemble(0.0, 4)
         config = ChainConfig(4, 2, HEIS)
-        exact = distribution_moments(exact_distribution(ens, config))
+        exact = moment_row(exact_dists(ens, config)[-1])
         sample = SampleConfig(600, 300, seed=4, relabel_enabled=True)
         run = run_sampled(ens, config, sample)
         report = moment_report([run])
@@ -302,7 +303,7 @@ class TestAgainstExact:
         mu, n, t = 0.5, 6, 3
         ens = ImbalanceEnsemble(mu, n)
         config = ChainConfig(n, t, HEIS)
-        exact = distribution_moments(exact_distribution(ens, config))
+        exact = moment_row(exact_dists(ens, config)[-1])
         run = run_sampled(ens, config, SampleConfig(400, 500, seed=12))
         report = moment_report([run])
         assert abs(report.mean[0] - exact[0]) < 5 * report.sigma_mean[0]
@@ -342,7 +343,7 @@ class TestLightConeWindow:
             def right_ones(phys):
                 key = tuple(phys[lo:hi])
                 if key not in window_right:
-                    window = SectorState.from_bitstring(phys[lo:hi])
+                    window = basis_state(phys[lo:hi])
                     [(state, _)] = _trajectory(window, lo, config, NoiseConfig(), None)
                     window_right[key] = np.bincount(
                         state.basis.right_ones(),
@@ -373,7 +374,7 @@ class TestLightConeWindow:
         assert _window_bounds(n, t) == (4, 8)
         ens = ImbalanceEnsemble(0.5, n)
         config = ChainConfig(n, t, HEIS)
-        exact = distribution_moments(exact_distribution(ens, config))
+        exact = moment_row(exact_dists(ens, config)[-1])
         run = run_sampled(ens, config, SampleConfig(400, 200, seed=12))
         report = moment_report([run])
         got = report.rows[0]
@@ -386,7 +387,8 @@ class TestLightConeWindow:
             ImbalanceEnsemble(0.0, n), ChainConfig(n, t, HEIS), SampleConfig(4, 50)
         )
         assert run.yield_fraction() == 1.0
-        assert abs(run.distribution().probabilities.sum() - 1.0) < 1e-12
+        probs = run.per_state_distributions().mean(axis=0)
+        assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def dense_true_probabilities(word, sites, layers, t, p_decay):
@@ -532,7 +534,7 @@ class TestBatchedWindow:
             assert columns.tolist() == list(range(len(words)))
             assert block.amplitudes.shape == (block.basis.dimension, len(words))
             for column, word in enumerate(words):
-                single = SectorState.from_bitstring(int(word), width)
+                single = basis_state(word_to_bits(word, width))
                 [(single, _)] = _trajectory(single, lo, config, NoiseConfig(), None)
                 assert single.basis is block.basis
                 diff = block.probabilities()[:, column] - single.probabilities()
@@ -584,7 +586,7 @@ class TestBatchedWindow:
                 basis = sector_basis(width, int(np.bitwise_count(words[0])))
                 assert got.shape == (basis.dimension, len(words))
                 for column, word in enumerate(words):
-                    single = SectorState.from_bitstring(int(word), width)
+                    single = basis_state(word_to_bits(word, width))
                     [(single, _)] = _trajectory(single, lo, config, NoiseConfig(), None)
                     assert single.basis is basis
                     diff = got[:, column] - single.probabilities()
@@ -640,7 +642,7 @@ class TestNoiselessRoute:
                 params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
                 config = ChainConfig(n, t, params, order)
                 for x, phys in enumerate(words):
-                    window = SectorState.from_bitstring(phys[lo:hi])
+                    window = basis_state(phys[lo:hi])
                     [(state, _)] = _trajectory(window, lo, config, NoiseConfig(), None)
                     reached = state.basis.words[state.probabilities() > 0]
                     measured = np.tile(phys, (len(reached), 1))
@@ -728,7 +730,7 @@ def per_shot_record(ens, config, sample, noise, mode, i):
                     ]
                 z = dephasing * rng.standard_normal(hi - lo) if dephasing > 0 else None
                 circuit.append((bonds, gates, z))
-            state = SectorState.from_bitstring(phys[lo:hi])
+            state = basis_state(phys[lo:hi])
             for bonds, gates, z in circuit:
                 for bond, gate in zip(bonds, gates):
                     state.apply_fsim(bond, gate)
@@ -995,16 +997,16 @@ class TestNoisyPipeline:
         # single domain wall at one cycle: the phases are diagonal
         ens = ImbalanceEnsemble(math.inf, 4)
         config = ChainConfig(4, 1, HEIS)
-        exact = exact_distribution(ens, config)
+        exact = exact_dists(ens, config)[-1]
         noise = NoiseConfig(dephasing_sd=0.4)
         run = run_sampled(
             ens, config, SampleConfig(1, 4000, seed=13), noise=noise
         )
-        sampled = run.distribution()
-        for m in sampled.values:
+        sampled = run.per_state_distributions().mean(axis=0)
+        for m, got in zip(run.grid, sampled):
             p = exact.probability(int(m))
             sigma = math.sqrt(max(p * (1 - p) / 4000, 1e-12))
-            assert abs(sampled.probability(int(m)) - p) < 5 * sigma
+            assert abs(got - p) < 5 * sigma
 
     def test_theta_jitter_shifts_cycle_one_mean(self):
         # jittered swap angle: mean = <2 sin^2(theta')> averaged over jitter
@@ -1054,11 +1056,11 @@ class TestNoisyPipeline:
         rng = np.random.default_rng(3)
         for phys in itertools.product([0, 1], repeat=n):
             phys = np.array(phys)
-            want = SectorState.from_bitstring(phys[lo:hi])
+            want = basis_state(phys[lo:hi])
             for bonds in nominal:
                 for bond in bonds:
                     want.apply_fsim(bond, HEIS)
-            window = SectorState.from_bitstring(phys[lo:hi])
+            window = basis_state(phys[lo:hi])
             [(got, _)] = _trajectory(window, lo, config, noise, [rng])
             assert got.basis is want.basis
             diff = np.abs(got.probabilities() - want.probabilities())
@@ -1115,9 +1117,13 @@ class TestMomentReport:
         # sampled grid carries zero padding that the fold must not feel
         ens = ImbalanceEnsemble(0.5, 8)
         run = run_sampled(ens, ChainConfig(8, 2, HEIS), SampleConfig(30, 40, seed=2))
-        assert run.grid.size > run.distribution().values.size
+        probs = run.per_state_distributions().mean(axis=0)
+        cone = np.abs(run.grid) <= 4
+        assert not cone.all() and not probs[~cone].any()
         report = moment_report([run])
-        exact_path = MomentReport.from_distributions([run.distribution()])
+        exact_path = MomentReport.from_distributions(
+            [TransferDistribution(2, probs[cone])]
+        )
         assert report.cycles.tolist() == exact_path.cycles.tolist() == [2]
         assert report.rows.tobytes() == exact_path.rows.tobytes()
         assert np.all(report.sigmas > 0.0)

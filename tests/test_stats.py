@@ -7,15 +7,15 @@ from scipy.optimize import lsq_linear
 
 from spinfcs import stats
 from spinfcs.circuit import ChainConfig
-from spinfcs.ensemble import ImbalanceEnsemble, TransferDistribution, exact_distribution
-from spinfcs.errors import DegenerateWeightError, UndefinedMomentsError
+from conftest import exact_dists
+from spinfcs.ensemble import ImbalanceEnsemble, TransferDistribution
+from spinfcs.errors import DegenerateWeightError
 from spinfcs.gates import FSimParams
 from spinfcs.stats import (
     MomentReport,
     central_moments,
     collapse_residual,
     collapse_scan,
-    distribution_moments,
     fit_dynamical_exponent,
     jackknife_sigma,
     moment_row,
@@ -23,10 +23,18 @@ from spinfcs.stats import (
 )
 from spinfcs.stats import _monotone_pl_residual
 
+POINT_MASS = TransferDistribution(1, np.array([0.0, 0.0, 1.0]))  # all at M = 2
+
+
+def symmetrized(dist):
+    """`dist` with the masses of M and -M averaged."""
+    probs = dist.probabilities
+    return TransferDistribution(dist.cycles, 0.5 * (probs + probs[::-1]))
+
 
 class TestCentralMoments:
     def test_point_mass(self):
-        alpha = central_moments(TransferDistribution.point_mass(1, 2))
+        alpha = central_moments(POINT_MASS)
         assert alpha[1] == 2.0
         assert alpha[2] == alpha[3] == alpha[4] == 0.0
 
@@ -34,7 +42,7 @@ class TestCentralMoments:
         for theta in (0.1 * np.pi, 0.25 * np.pi, 0.4 * np.pi):
             for mu in (0.0, 0.4, 1.2):
                 config = ChainConfig(2, 1, FSimParams(theta, 0.8 * np.pi))
-                dist = exact_distribution(ImbalanceEnsemble(mu, 2), config)
+                dist = exact_dists(ImbalanceEnsemble(mu, 2), config)[-1]
                 alpha = central_moments(dist)
                 expected = (
                     2
@@ -57,8 +65,8 @@ class TestCentralMoments:
 
         errors = {}
         for mu in (0.01, 0.02):
-            dist = exact_distribution(ImbalanceEnsemble(mu, 4), config)
-            errors[mu] = abs(distribution_moments(dist)[0] - leading(mu))
+            dist = exact_dists(ImbalanceEnsemble(mu, 4), config)[-1]
+            errors[mu] = abs(moment_row(dist)[0] - leading(mu))
             assert errors[mu] < 2 * mu**3  # next correction is O(mu^3)
         assert errors[0.02] / errors[0.01] == pytest.approx(8.0, rel=0.2)
 
@@ -103,46 +111,42 @@ class TestCentralMoments:
 class TestSkewKurt:
     def test_two_point_symmetric(self):
         dist = TransferDistribution(1, np.array([0.5, 0.0, 0.5]))
-        _, _, s, q = distribution_moments(dist)
+        _, _, s, q = moment_row(dist)
         assert s == 0.0
         assert q == -2.0
 
     def test_reference_kurtosis_cycle_one(self):
         theta = 0.4 * np.pi
         config = ChainConfig(2, 1, FSimParams(theta, 0.8 * np.pi))
-        dist = exact_distribution(ImbalanceEnsemble(0.0, 2), config)
-        q = distribution_moments(dist)[3]
+        dist = exact_dists(ImbalanceEnsemble(0.0, 2), config)[-1]
+        q = moment_row(dist)[3]
         assert abs(q - (2 / math.sin(theta) ** 2 - 3)) < 1e-12
         assert abs(q - (-0.7888543819998315)) < 1e-12
 
     def test_four_qubit_two_cycle_imbalanced(self):
         config = ChainConfig(4, 2, FSimParams(0.4 * np.pi, 0.8 * np.pi))
-        dist = exact_distribution(ImbalanceEnsemble(0.5, 4), config)
-        q = distribution_moments(dist)[3]
+        dist = exact_dists(ImbalanceEnsemble(0.5, 4), config)[-1]
+        q = moment_row(dist)[3]
         assert abs(q - (-0.30867052)) < 1e-7
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(UndefinedMomentsError):
-            distribution_moments(TransferDistribution.point_mass(1, 2))
 
 
 class TestSymmetrize:
     def test_symmetric_input_unchanged(self):
         dist = TransferDistribution(1, np.array([0.25, 0.5, 0.25]))
-        assert np.array_equal(dist.symmetrized().probabilities, dist.probabilities)
+        assert np.array_equal(symmetrized(dist).probabilities, dist.probabilities)
 
     def test_point_mass_splits(self):
-        sym = TransferDistribution.point_mass(1, 2).symmetrized()
+        sym = symmetrized(POINT_MASS)
         assert sym.probability(2) == 0.5
         assert sym.probability(-2) == 0.5
-        assert distribution_moments(sym)[2] == 0.0
+        assert moment_row(sym)[2] == 0.0
 
     def test_sampled_data_skewness_exactly_zero(self):
         rng = np.random.default_rng(42)
         samples = 2 * rng.integers(-3, 4, size=5001)
         counts = np.bincount(samples // 2 + 3, minlength=7)
         dist = TransferDistribution(3, counts / counts.sum())
-        assert distribution_moments(dist.symmetrized())[2] == 0.0
+        assert moment_row(symmetrized(dist))[2] == 0.0
 
     def test_every_distribution_symmetrizes_to_zero_skew(self):
         rng = np.random.default_rng(7)
@@ -151,7 +155,7 @@ class TestSymmetrize:
             probs = rng.random(2 * t + 1)
             probs /= probs.sum()
             dist = TransferDistribution(t, probs)
-            _, var, skew, _ = moment_row(dist.symmetrized())
+            _, var, skew, _ = moment_row(symmetrized(dist))
             if var > 0:
                 assert skew == 0.0
 
@@ -420,24 +424,22 @@ class TestMomentReport:
     def test_from_distributions(self):
         config = ChainConfig(4, 2, FSimParams(0.4 * np.pi, 0.8 * np.pi))
         dists = [
-            exact_distribution(ImbalanceEnsemble(0.5, 4), ChainConfig(4, t, config.params))
+            exact_dists(ImbalanceEnsemble(0.5, 4), ChainConfig(4, t, config.params))[-1]
             for t in (1, 2)
         ]
         report = MomentReport.from_distributions(dists)
         assert report.cycles.tolist() == [1, 2]
         assert np.all(report.sigma_mean == 0.0)
         assert report.kurtosis[1] == pytest.approx(-0.30867052, abs=1e-7)
-        assert report.rows[1].tolist() == list(distribution_moments(dists[1]))
+        assert report.rows[1].tolist() == moment_row(dists[1]).tolist()
 
     def test_zero_variance_row_is_nan_not_an_error(self):
-        dist = TransferDistribution.point_mass(1, 2)
+        dist = POINT_MASS
         row = moment_row(dist)
         assert row[:2].tolist() == [2.0, 0.0]
         assert np.isnan(row[2]) and np.isnan(row[3])
         report = MomentReport.from_distributions([dist])
         assert np.isnan(report.skewness[0]) and np.isnan(report.kurtosis[0])
-        with pytest.raises(UndefinedMomentsError):
-            distribution_moments(dist)
 
     def test_a_stack_of_histograms_gives_each_row_its_scalar_bits(self):
         # the reference is the scalar arithmetic of one histogram in Python
