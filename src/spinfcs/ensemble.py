@@ -17,10 +17,10 @@ applied to each block as matrix products, and the center gate's |01>/|10>
 mix, which updates slice views of neighbouring blocks in place.  `split`'s
 phase on |00> and |11> is global, and `tail`'s boundary phase is folded
 into the half-chain operators (n = 2 too), so no phase pass remains.
-This block engine has two ends: the tensor end reads out and weights the
-right counts after every cycle, and the word end (`word_probabilities`)
-returns the final outcome probabilities of single basis words, which the
-noiseless sampler draws its shots from.
+This block engine has two ends, which read out alike: the tensor end
+weights the right-count masses of every cycle, and the word end
+(`word_right_masses`) returns the final right-count masses of single
+basis words, which the noiseless sampler draws its shots from.
 
 Symmetry reduces the work by one rule.  The halves are stored read
 outward from the center, so an initial word is w = L << h | R, h = n/2,
@@ -52,7 +52,7 @@ from . import _kernels
 from .circuit import ChainConfig
 from .errors import EnumerationCapError, InvariantError
 from .gates import FSimParams, LayerOrder, PhaseConvention
-from .sector import brickwork_layers, sector_basis
+from .sector import bits_to_word, brickwork_layers, sector_basis, word_to_bits
 
 DEFAULT_SITE_CAP = 20
 NORM_TOL = 1e-10  # largest |total - 1| of a normalized mass
@@ -246,17 +246,6 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
     return left, right, (phase * math.cos(theta), phase * 1j * math.sin(theta))
 
 
-def _block_layout(half, k):
-    """Shapes (C(half, a), C(half, k-a)) of the blocks (a, k-a) of sector k
-    of 2*half sites, a ascending, and the first row of each."""
-    shape = {
-        a: (math.comb(half, a), math.comb(half, k - a))
-        for a in range(max(0, k - half), min(half, k) + 1)
-    }
-    sizes = [dl * dr for dl, dr in shape.values()]
-    return shape, dict(zip(shape, itertools.accumulate(sizes, initial=0)))
-
-
 class _SectorBlocks:
     """m columns of sector k = a0 + b0 of 2*half sites, each starting on one
     word of block (a0, b0), stored as left (x) right blocks (a, k-a), a
@@ -273,21 +262,25 @@ class _SectorBlocks:
 
     def __init__(self, half, a0, b0, columns):
         k = a0 + b0
-        self.k, self.a0 = k, a0
+        self.half, self.k, self.a0 = half, k, a0
         self.lo, self.hi = max(0, k - half), min(half, k)
-        shape, start = _block_layout(half, k)
-        self.sizes = [dl * dr for dl, dr in shape.values()]
-        self.start = start
-        self.stop = {a: start[a] + size for a, size in zip(shape, self.sizes)}
+        shape = {
+            a: (math.comb(half, a), math.comb(half, k - a))
+            for a in range(self.lo, self.hi + 1)
+        }
+        sizes = [dl * dr for dl, dr in shape.values()]
+        edges = list(itertools.accumulate(sizes, initial=0))
+        self.start, self.stop = dict(zip(shape, edges)), dict(zip(shape, edges[1:]))
+        self.r_of = np.repeat([k - a for a in shape], sizes)  # right count of a row
         m = len(columns)
-        self.amps = np.zeros((sum(self.sizes), m), dtype=np.complex128)
-        self.amps[start[a0] + columns, np.arange(m)] = 1.0
+        self.amps = np.zeros((sum(sizes), m), dtype=np.complex128)
+        self.amps[self.start[a0] + columns, np.arange(m)] = 1.0
         # GEMM output, or the two products of the center gate
-        scratch = np.empty(2 * max(self.sizes) * m, dtype=np.complex128)
+        scratch = np.empty(2 * max(sizes) * m, dtype=np.complex128)
         # views, made once: block a as (dl, dr, m) and its GEMM output
         self._halves = {}
         for a, (dl, dr) in shape.items():
-            x = self.amps[start[a] : self.stop[a]].reshape(dl, dr, m)
+            x = self.amps[self.start[a] : self.stop[a]].reshape(dl, dr, m)
             self._halves[a] = (x, scratch[: dl * dr * m].reshape(dl, dr, m))
         # the |01> rows of (a, b), left boundary 0 and right boundary 1, and
         # their |10> partners, which lead block (a+1, b-1) on the left and
@@ -302,14 +295,6 @@ class _SectorBlocks:
             products = scratch[: 2 * x.size].reshape(2, *x.shape)
             self._pairs[a] = (x, y, *products)
 
-    def apply_halves(self, w_left, w_right, a_lo, a_hi):
-        """W_L (x) W_R on blocks a_lo..a_hi, as two matrix products each."""
-        for a in range(a_lo, a_hi + 1):
-            x, y = self._halves[a]
-            dl = x.shape[0]
-            np.matmul(w_left[a], x.reshape(dl, -1), out=y.reshape(dl, -1))
-            np.matmul(w_right[self.k - a], y, out=x)
-
     def run(self, cycles, operators, lead=False):
         """Apply `cycles` cycles of W then M, yielding after each M the row
         slice of the blocks it may have made nonzero.  The first cycle's W
@@ -320,8 +305,12 @@ class _SectorBlocks:
         for t in range(1, cycles + 1):
             # t - 1 center gates applied so far
             a_lo, a_hi = max(lo, a0 - t + 1), min(hi, a0 + t - 1)
-            if t > 1 or lead:
-                self.apply_halves(w_left, w_right, a_lo, a_hi)
+            if t > 1 or lead:  # W_L (x) W_R: two matrix products a block
+                for a in range(a_lo, a_hi + 1):
+                    x, y = self._halves[a]
+                    dl = x.shape[0]
+                    np.matmul(w_left[a], x.reshape(dl, -1), out=y.reshape(dl, -1))
+                    np.matmul(w_right[self.k - a], y, out=x)
             for a in range(max(lo, a_lo - 1), min(hi - 1, a_hi) + 1):
                 x, y, s_y, s_x = self._pairs[a]
                 np.multiply(y, s, out=s_y)
@@ -330,6 +319,13 @@ class _SectorBlocks:
                 x *= c
                 x += s_y
             yield slice(self.start[max(lo, a_lo - 1)], self.stop[min(hi, a_hi + 1)])
+
+    def right_masses(self, rows):
+        """(half + 1, m) probability mass of each column per right count r,
+        summed over `rows`, a slice that holds every nonzero row."""
+        masses = np.zeros((self.half + 1, self.amps.shape[1]))
+        _kernels.readout_accumulate(self.amps[rows], self.r_of[rows], masses)
+        return masses
 
 
 def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
@@ -344,44 +340,11 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
     images of the weighted least words of its orbits.
     """
     blocks = _SectorBlocks(half, a0, b0, columns)
-    r_of = np.repeat([blocks.k - a for a in blocks.start], blocks.sizes)
     part = np.zeros((cycles, half + 1))
-    acc = np.empty((half + 1, len(columns)))
     for t, rows in enumerate(blocks.run(cycles, operators), 1):
-        acc[:] = 0.0
-        _kernels.readout_accumulate(blocks.amps[rows], r_of[rows], acc)
         # no BLAS call, so T does not depend on the BLAS thread count
-        part[t - 1] = np.einsum("rj,j->r", acc, weights)
+        part[t - 1] = np.einsum("rj,j->r", blocks.right_masses(rows), weights)
     return part
-
-
-@functools.lru_cache(maxsize=64)
-def _word_blocks(half: int, k: int):
-    """Block coordinates of every word of sector k of 2*half sites, in the
-    ascending order of `sector_basis(2 * half, k)` (site 0 the most
-    significant bit): its left count a, its in-block column and its row in
-    block layout (`_SectorBlocks`), one read-only array each (cached).  The
-    left half-word is read mirrored, outward from the center."""
-    words = sector_basis(2 * half, k).words
-    left = words >> np.uint64(half)
-    right = words & np.uint64((1 << half) - 1)
-    mirrored = np.zeros_like(left)
-    for i in range(half):
-        mirrored |= (left >> np.uint64(i) & np.uint64(1)) << np.uint64(half - 1 - i)
-    a_of = np.bitwise_count(left).astype(np.intp)
-    column = np.empty(words.size, dtype=np.intp)
-    row = np.empty(words.size, dtype=np.intp)
-    _, start = _block_layout(half, k)
-    for a in start:
-        mine = a_of == a
-        i_left = np.searchsorted(sector_basis(half, a).words, mirrored[mine])
-        i_right = np.searchsorted(sector_basis(half, k - a).words, right[mine])
-        column[mine] = i_left * math.comb(half, k - a) + i_right
-        row[mine] = start[a] + column[mine]
-    tables = (a_of, column, row)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 @functools.lru_cache(maxsize=16)
@@ -389,47 +352,64 @@ def _cached_operators(half: int, params: FSimParams, layer_order: LayerOrder):
     return _half_chain_operators(half, params, layer_order)
 
 
-def word_probabilities(words, n_sites, first_site, cycles, params, layer_order):
-    """Outcome probabilities of basis words after `cycles` brickwork cycles
-    on `n_sites` (even) sites, site 0 being physical site `first_site`: a
-    (C(n_sites, k), m) array, column j that of words[j], rows in
-    `sector_basis(n_sites, k)` order.  The words must share their number
-    of ones k and of left-half ones: the word end of the block engine.
+def word_right_masses(words, n_sites, first_site, cycles, params, layer_order):
+    """Right-count masses of basis words after `cycles` brickwork cycles on
+    `n_sites` (even) sites, site 0 being physical site `first_site`: an
+    (n_sites/2 + 1, m) array whose column j is the probability that words[j]
+    ends with r ones in the right half, row r.  The words must share their
+    number of ones k and of left-half ones: the word end of the block
+    engine, read out as its tensor end is.
 
-    A run from one word keeps the W that the tensor drops.  With the center
-    bond in the cycle's first half-layer a cycle is W M (M commutes with
-    the first half-layer's other gates), so a word sees t mixes with a W
-    after each; with it in the second, M W, so a W leads each mix.  Either
-    way `tail`'s boundary phase, folded into W, moves at most a global
-    phase of the word or a diagonal before the readout.  A window anchored
-    at an odd physical site runs the operators of the other layer order.
+    A run from one word keeps the W that the tensor drops before the first
+    mix.  With the center bond in the cycle's first half-layer a cycle is
+    W M (M commutes with the first half-layer's other gates), so a word
+    sees t mixes with a W after each, and the last W, which keeps every
+    block, moves no right count; with it in the second, M W, so a W leads
+    each mix.  Either way `tail`'s boundary phase, folded into W, moves at
+    most a global phase of the word or a diagonal before the readout.  A
+    window anchored at an odd physical site runs the operators of the other
+    layer order.
+
+    Raises:
+        ValueError: if the words differ in popcount or left-half count.
+        InvariantError: if a word's mass is not normalized or lies outside
+            the light cone |r - b0| <= cycles, b0 its right count.
     """
     words = np.asarray(words, dtype=np.uint64)
     half = n_sites // 2
-    ones = np.bitwise_count(words)
-    k = int(ones[0])
-    a_of, column, row = _word_blocks(half, k)
-    index = np.searchsorted(sector_basis(n_sites, k).words, words)
-    a0 = int(a_of[index[0]])
-    if np.any(ones != k) or np.any(a_of[index] != a0):
+    left, right = words >> np.uint64(half), words & np.uint64((1 << half) - 1)
+    a_of, b_of = np.bitwise_count(left), np.bitwise_count(right)
+    a0, b0 = int(a_of[0]), int(b_of[0])
+    if np.any(a_of != a0) or np.any(b_of != b0):
         raise ValueError("the words differ in popcount or left-half count")
+    # in-block column: the left half-word read mirrored, outward from the center
+    mirrored = bits_to_word(word_to_bits(left, half)[:, ::-1])
+    i_left = np.searchsorted(sector_basis(half, a0).words, mirrored)
+    i_right = np.searchsorted(sector_basis(half, b0).words, right)
     lead = half - 1 in brickwork_layers(n_sites, first_site, layer_order)[1]
     if first_site % 2:
         layer_order = next(order for order in LayerOrder if order is not layer_order)
     operators = _cached_operators(half, params, layer_order)
-    blocks = _SectorBlocks(half, a0, k - a0, column[index])
-    for _ in blocks.run(cycles, operators, lead):
+    blocks = _SectorBlocks(half, a0, b0, i_left * math.comb(half, b0) + i_right)
+    rows = slice(None)  # the slice of the last mix, if any
+    for rows in blocks.run(cycles, operators, lead):
         pass
-    if not lead:
-        w_left, w_right, _ = operators
-        a_lo, a_hi = max(blocks.lo, a0 - cycles), min(blocks.hi, a0 + cycles)
-        blocks.apply_halves(w_left, w_right, a_lo, a_hi)
-    amps = blocks.amps
-    del blocks  # and its scratch space
-    probabilities = amps.real**2
-    probabilities += amps.imag**2
-    del amps
-    return probabilities.take(row, axis=0)
+    masses = blocks.right_masses(rows)
+    total = masses.sum(axis=0)
+    off = ~(np.abs(total - 1.0) <= NORM_TOL)  # NaN too
+    if off.any():
+        j = np.argmax(off)
+        raise InvariantError(
+            f"mass of word {int(words[j])} not normalized: {total[j]!r}"
+        )
+    outside = np.abs(np.arange(half + 1) - b0) > cycles
+    if np.any(masses[outside]):
+        r, j = np.argwhere(masses * outside[:, None])[0]
+        raise InvariantError(
+            f"mass {masses[r, j]!r} of word {int(words[j])} outside the light "
+            f"cone at r - b0 = {r - b0}"
+        )
+    return masses
 
 
 def _orbit_columns(half: int, a: int, b: int, order: int):

@@ -12,16 +12,16 @@ relabeled.  Only the 2t-site light-cone window around the cut is evolved;
 sites outside it never see a gate and keep their prepared bits.  A state
 then takes one of two routes to its tally:
 
-* noiseless: the outcome distribution of the window depends only on the
-  window word, so each distinct word of the run is evolved once, on the
-  block engine of the exact tensor (`ensemble.word_probabilities`): dense
-  half-chain operators applied as matrix products, and the center mix.
-  Words of one popcount and one left-half count are evolved together, as
-  the columns of one initial block, in chunks of at most
+* noiseless: a shot counts only through its right-half count, whose
+  distribution depends only on the window word, so each distinct word of
+  the run is evolved once, on the block engine of the exact tensor
+  (`ensemble.word_right_masses`): dense half-chain operators applied as
+  matrix products, and the center mix, read out per right count as the
+  tensor is.  Words of one popcount and one left-half count are evolved
+  together, as the columns of one initial block, in chunks of at most
   max(1, 2^16 // dim) columns (the chunks are also the units of work for
   the threads).  Each state then draws all its shots from its word's
-  outcome distribution, in window-basis order, with its own counter
-  block 1, as outcome indices into the window basis;
+  right-count masses, with its own counter block 1, as right counts;
 * noisy: each shot is its own trajectory on the window, drawing from its
   own counter block 1 + shot its disorder, then one damping step per
   half-layer, the measurement, the classical decay of the sites left and
@@ -38,17 +38,17 @@ then takes one of two routes to its tally:
 The noisy route evolves gate by gate (`_trajectory`), since jittered
 per-column angles and damping jumps cannot use the engine's cached
 operators; the noiseless one needs neither.  Both run the same brickwork
-layout, anchored to physical sites, and a test checks every engine column
-against a single-column `_trajectory` run.  They end differently.  A
-noisy shot's measured bitstring is relabeled back, post-selected (the
-popcount must match the initial state's, and in causal mode the word must
-also pass the causal filter, evaluated once per distinct word) and
-tallied.  A noiseless shot builds no bitstring: its right-count change is
-read from a table of the right-half count of every window basis word,
-less that of the prepared window word (the sites outside the window
-cancel), and negated for a relabeled state.  No filter runs there, since
-a noiseless circuit keeps the popcount and gives amplitude only to words
-inside the light cone, so every post-selection mode keeps every shot.
+layout, anchored to physical sites, and a test checks the right-count
+masses of every engine column against a single-column `_trajectory` run.
+They end differently.  A noisy shot's measured bitstring is relabeled
+back, post-selected (the popcount must match the initial state's, and in
+causal mode the word must also pass the causal filter, evaluated once per
+distinct word) and tallied.  A noiseless shot builds no bitstring: its
+right-count change is the right count it drew less that of the prepared
+window word (the sites outside the window cancel), negated for a
+relabeled state.  No filter runs there, since a noiseless circuit keeps
+the popcount and gives amplitude only to words inside the light cone, so
+every post-selection mode keeps every shot.
 
 The window is exact for the ensemble average, not for one initial state:
 a per-state histogram is that of the window, while the uniform average
@@ -74,11 +74,7 @@ import numpy as np
 
 from . import stats
 from .circuit import ChainConfig
-from .ensemble import (
-    ImbalanceEnsemble,
-    thread_map,
-    word_probabilities,
-)
+from .ensemble import ImbalanceEnsemble, thread_map, word_right_masses
 from .noise import (
     POSTSELECT_MODES,
     NoiseConfig,
@@ -101,8 +97,8 @@ logger = logging.getLogger(__name__)
 # Amplitudes in one block of window columns: the noiseless route evolves
 # distinct window words of one popcount and one left-half count, and the
 # noisy route the shots of one state, in blocks of at most
-# max(1, _CHUNK_AMPLITUDES // dim) columns, so no probability table spans
-# the whole run.
+# max(1, _CHUNK_AMPLITUDES // dim) columns, so the engines' amplitudes
+# never span the whole run.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -431,14 +427,13 @@ def _window_chunks(windows, width):
 
 def _noiseless_chunk(chunk, prepared, config, sample):
     """Evolve a chunk of distinct window words on the block engine, then
-    draw each of their states' shots from its word's outcome distribution
-    with the state's own counter block 1, and tally each shot's right-count
-    change from its outcome index, unfiltered (no mode can reject a
-    noiseless shot).  Returns (state index, record) pairs.
-
-    The shots of at most max(1, _CHUNK_AMPLITUDES // shots) states are
-    drawn at a time, one row of uniforms per state, then looked up with
-    one `searchsorted` per word and tallied with one offset `bincount`."""
+    draw each of their states' shots, as right counts r, from its word's
+    right-count masses with the state's own counter block 1, and tally
+    r - b0, b0 the right count the words share, negated for a relabeled
+    state; unfiltered, as no mode can reject a noiseless shot.  Returns
+    (state index, record) pairs.  The shots of at most
+    max(1, _CHUNK_AMPLITUDES // shots) states are drawn at a time, one row
+    of uniforms per state, and tallied with one offset `bincount`."""
     words, members = chunk
     bits, _, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
@@ -449,13 +444,12 @@ def _noiseless_chunk(chunk, prepared, config, sample):
     if hi == lo:  # no cycle: no shot moves
         counts[:, half] = shots
     else:
-        probabilities = word_probabilities(
-            words, hi - lo, lo, t, config.params, config.layer_order
+        width = hi - lo
+        masses = word_right_masses(
+            words, width, lo, t, config.params, config.layer_order
         )
-        cdf = _cdf(probabilities.T)
-        basis = sector_basis(hi - lo, int(np.bitwise_count(words[0])))
-        right = basis.right_ones()
-        before = right[np.searchsorted(basis.words, words)]
+        cdf = _cdf(masses.T)
+        b0 = int(np.bitwise_count(words[0] & np.uint64((1 << width // 2) - 1)))
         word_of = np.repeat(np.arange(len(members)), [len(m) for m in members])
         sign = np.where(flagged[states], -1, 1)
         step = max(1, _CHUNK_AMPLITUDES // shots)
@@ -467,13 +461,9 @@ def _noiseless_chunk(chunk, prepared, config, sample):
             for row, i in zip(u, batch):
                 rng = _philox(sample.seed, _substream(t, i), 1, rng)
                 rng.random(out=row)
-            outcomes = np.empty(u.shape, dtype=np.intp)
-            column = word_of[rows]
-            edges = np.flatnonzero(np.diff(column)) + 1
-            for j0, j1 in zip(np.r_[0, edges], np.r_[edges, column.size]):
-                cdf_j = cdf[column[j0]]
-                outcomes[j0:j1] = np.searchsorted(cdf_j, u[j0:j1], side="right")
-            delta_r = (right[outcomes] - before[column, None]) * sign[rows, None]
+            # the right count of a shot: the CDF entries of its word <= u
+            below = cdf[word_of[rows], None, :] <= u[:, :, None]
+            delta_r = (np.count_nonzero(below, axis=2) - b0) * sign[rows, None]
             offset = half + (n + 1) * np.arange(batch.size)[:, None]
             tally = np.bincount((delta_r + offset).ravel(), minlength=counts[rows].size)
             counts[rows] = tally.reshape(-1, n + 1)
@@ -497,10 +487,10 @@ def run_sampled(
     histograms.
 
     With `noise=None` each distinct window word is evolved once, on the
-    block engine, and every state draws its shots from the exact outcome
-    distribution of its word and tallies their right-count changes from
-    the outcome indices; `postselect_mode` has no effect there, because
-    every mode keeps every noiseless shot.  With noise every shot is an
+    block engine, and every state draws its shots' right counts from the
+    exact right-count masses of its word and tallies their changes;
+    `postselect_mode` has no effect there, because every mode keeps every
+    noiseless shot.  With noise every shot is an
     independent trajectory (disorder realizations included), the shots of
     a state evolve together as the columns of blocks, and their measured
     bitstrings are post-selected under `postselect_mode`.  Output is

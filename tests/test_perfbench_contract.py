@@ -4,10 +4,12 @@ tests call `sector.cycle_bonds` and `SectorBasis.right_ones`.  Each of them
 must resolve, or `bench.py --trace` breaks with no other test failing.  Its
 observer of `noise.postselect` counts bool(result), which a returned array
 would break the same way.  Its workloads are `spinfcs run` configs: a
-config check that refused one would fail every operation of it with no
-other test failing."""
+config check that refused one, or outputs that its checks reject (a
+change of the seeded sampled draws can move a moment past its z-score
+limit), would fail operations of it with no other test failing."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -58,3 +60,15 @@ def test_postselect_returns_a_python_bool(mode):
 def test_workload_config_parses(workload):
     config = workloads.make_config(workload, workloads.DEFAULT_SEED)
     assert cli._parse_config(config)["mode"] == config["mode"]
+
+
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
+def test_workload_outputs_pass_the_harness_checks(workload, tmp_path):
+    config = workloads.make_config(workload, workloads.DEFAULT_SEED)
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    args = ["run", "--config", str(path), "--out", str(out), "--threads", "1"]
+    assert cli.main(args) == 0
+    reference = workloads.MEAN_REFERENCES.get(workload)
+    problems = workloads.check_outputs(config, str(out), reference)
+    assert {op: found for op, found in problems.items() if found} == {}

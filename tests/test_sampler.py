@@ -21,12 +21,13 @@ from conftest import (
 )
 
 from spinfcs.circuit import ChainConfig
+from spinfcs.errors import InvariantError
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
     TransferDistribution,
     distribution_from_tensor,
     transfer_tensor,
-    word_probabilities,
+    word_right_masses,
 )
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import (
@@ -582,31 +583,65 @@ class TestBatchedWindow:
             chunks = _window_chunks(np.arange(2**width, dtype=np.uint64), width)
             assert sum(len(words) for words, _ in chunks) == 2**width
             for words, _ in chunks:
-                got = word_probabilities(words, width, lo, t, params, order)
+                got = word_right_masses(words, width, lo, t, params, order)
                 basis = sector_basis(width, int(np.bitwise_count(words[0])))
-                assert got.shape == (basis.dimension, len(words))
+                assert got.shape == (width // 2 + 1, len(words))
                 for column, word in enumerate(words):
                     single = basis_state(word_to_bits(word, width))
                     [(single, _)] = _trajectory(single, lo, config, NoiseConfig(), None)
                     assert single.basis is basis
-                    diff = got[:, column] - single.probabilities()
-                    assert np.max(np.abs(diff)) <= 1e-12
+                    want = np.bincount(
+                        basis.right_ones(), single.probabilities(), width // 2 + 1
+                    )
+                    assert np.max(np.abs(got[:, column] - want)) <= 1e-12
         assert anchors == ({0, 1} if n > 2 else {0})
 
     def test_words_of_different_left_counts_are_refused(self):
         with pytest.raises(ValueError, match="left-half count"):
-            word_probabilities(
+            word_right_masses(
                 np.array([0b0011, 0b1100], dtype=np.uint64), 4, 0, 1, HEIS,
                 LayerOrder.EVEN_FIRST,
             )
 
+    def test_a_word_mass_off_one_is_an_invariant_error(self, monkeypatch):
+        # half-chain operators 1% too large: every word's mass grows
+        cached = ensemble._cached_operators
+
+        def inflated(*args):
+            left, right, mix = cached(*args)
+            return [1.01 * w for w in left], [1.01 * w for w in right], mix
+
+        monkeypatch.setattr(ensemble, "_cached_operators", inflated)
+        ens = ImbalanceEnsemble(0.5, 8)
+        with pytest.raises(InvariantError, match="not normalized"):
+            run_sampled(ens, ChainConfig(8, 3, HEIS), SampleConfig(10, 10, seed=5))
+
+    def test_no_basis_spans_the_window(self, monkeypatch):
+        # the noiseless route builds bases of half the 12-site window only
+        sites = []
+
+        def recording(n_sites, n_excitations):
+            sites.append(n_sites)
+            return sector_basis(n_sites, n_excitations)
+
+        monkeypatch.setattr(ensemble, "sector_basis", recording)
+        monkeypatch.setattr(sampler, "sector_basis", recording)
+        n, t = 12, 6
+        run_sampled(
+            ImbalanceEnsemble(0.0, n), ChainConfig(n, t, HEIS),
+            SampleConfig(50, 10, seed=8),
+        )
+        assert sites and max(sites) <= n // 2
+
 
 def tiled_records(ens, config, sample, mode):
     """A noiseless run's records as the route before the right-count tally
-    made them: the same chunks evolved, then for every state its shots drawn
-    from counter block 1, each shot an n-bit row tiled from the prepared
-    bits with its window outcome unpacked into it, and the rows relabeled
-    back, filtered and tallied by `_tally`."""
+    made them: the same chunks evolved gate by gate, then for every state
+    its shots' right counts drawn from counter block 1 with the dense
+    right-count marginal of its word, each shot an n-bit row tiled from the
+    prepared bits with the likeliest window outcome of its right count
+    unpacked into it, and the rows relabeled back, filtered and tallied by
+    `_tally`."""
     bits, phys, flagged = _prepare(ens, sample, config.cycles)
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
@@ -615,12 +650,19 @@ def tiled_records(ens, config, sample, mode):
         block = SectorState.from_words(words, hi - lo)
         [(block, _)] = _trajectory(block, lo, config, NoiseConfig(), None)
         probabilities = block.probabilities()
+        right = block.basis.right_ones()
         for column, states in enumerate(members):
+            p = probabilities[:, column]
+            marginal = np.bincount(right, p, (hi - lo) // 2 + 1)
+            likeliest = [
+                np.argmax(np.where(right == r, p, -1.0)) for r in range(marginal.size)
+            ]
             for i in states:
                 rng = _philox(sample.seed, _substream(t, i), 1)
-                outcomes = _measure_indices(_cdf(probabilities[:, column]), rng, shots)
+                drawn = _measure_indices(_cdf(marginal), rng, shots)
+                outcomes = block.basis.words[np.take(likeliest, drawn)]
                 measured = np.tile(phys[i], (shots, 1))
-                measured[:, lo:hi] = word_to_bits(block.basis.words[outcomes], hi - lo)
+                measured[:, lo:hi] = word_to_bits(outcomes, hi - lo)
                 records[i] = _tally(bits[i], flagged[i], measured, config, mode)
     return records
 
