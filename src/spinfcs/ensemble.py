@@ -347,7 +347,7 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
     return part
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _cached_operators(half: int, params: FSimParams, layer_order: LayerOrder):
     return _half_chain_operators(half, params, layer_order)
 

@@ -20,8 +20,12 @@ then takes one of two routes to its tally:
   tensor is.  Words of one popcount and one left-half count are evolved
   together, as the columns of one initial block, in chunks of at most
   max(1, 2^16 // dim) columns (the chunks are also the units of work for
-  the threads).  Each state then draws all its shots from its word's
-  right-count masses, with its own counter block 1, as right counts;
+  the threads).  Each state then draws its whole tally of right counts,
+  with its own counter block 1, in one multinomial call over its word's
+  right-count masses, cut after the last right count of nonzero mass
+  (`multinomial` gives the last category whatever the draws before it
+  leave over) and renormalized: O(t) binomial draws per state, none per
+  shot;
 * noisy: each shot is its own trajectory on the window, drawing from its
   own counter block 1 + shot its disorder, then one damping step per
   half-layer, the measurement, the classical decay of the sites left and
@@ -30,8 +34,9 @@ then takes one of two routes to its tally:
   max(1, 2^16 // dim) shots of the prepared window's sector, each column
   with its own gate angles and Z rotations.  The columns of a block that
   jump are lowered together, one round per jump (`noise.damp_columns`),
-  and move to a block of their new excitation count, under the same size
-  rule.  Each worker thread keeps one generator per shot and resets it to
+  and join the columns of their new excitation count; the columns of a
+  count that are not one block within the size rule are re-blocked under
+  it.  Each worker thread keeps one generator per shot and resets it to
   the streams of each state it runs.  Each shot draws exactly what it
   would draw alone.
 
@@ -43,9 +48,9 @@ masses of every engine column against a single-column `_trajectory` run.
 They end differently.  A noisy shot's measured bitstring is relabeled
 back, post-selected (the popcount must match the initial state's, and in
 causal mode the word must also pass the causal filter, evaluated once per
-distinct word) and tallied.  A noiseless shot builds no bitstring: its
-right-count change is the right count it drew less that of the prepared
-window word (the sites outside the window cancel), negated for a
+distinct word) and tallied.  A noiseless state builds no bitstring: the
+right-count change of a shot is the right count it drew less that of the
+prepared window word (the sites outside the window cancel), negated for a
 relabeled state.  No filter runs there, since a noiseless circuit keeps
 the popcount and gives amplitude only to words inside the light cone, so
 every post-selection mode keeps every shot.
@@ -96,9 +101,10 @@ logger = logging.getLogger(__name__)
 
 # Amplitudes in one block of window columns: the noiseless route evolves
 # distinct window words of one popcount and one left-half count, and the
-# noisy route the shots of one state, in blocks of at most
-# max(1, _CHUNK_AMPLITUDES // dim) columns, so the engines' amplitudes
-# never span the whole run.
+# noisy route the shots of one state (after a damping step, those of one
+# excitation count), in blocks of at most max(1, _CHUNK_AMPLITUDES // dim)
+# columns, so the engines' amplitudes never span the whole run.  Only
+# evolution is blocked: each state draws its tally in one call.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -264,52 +270,31 @@ def _trajectory(state, lo, config, noise, rngs):
 
 def _damp_blocks(blocks, p_decay, rngs):
     """One damping step on every column of the (block, columns) pairs.  The
-    columns that jumped join the columns of their new excitation count;
-    where columns from several blocks meet, or a block of jumped columns
-    is wider than its sector allows, they are re-blocked, at most
-    `_chunk_columns` to a block.  The columns of a block that stay are
-    copied once, into the block they end up in."""
+    columns that jumped join the columns of their new excitation count.  A
+    count's lone block that fits `_chunk_columns` passes as it is; the
+    columns of any other count are concatenated and re-blocked, at most
+    `_chunk_columns` to a block."""
     width = blocks[0][0].basis.n_sites
-    # excitation count -> [(state, columns, which of its columns; None: all)]
-    pieces = defaultdict(list)
-    changed = set()
+    pieces = defaultdict(list)  # excitation count -> [(state, columns)]
     for block, columns in blocks:
-        k = block.basis.n_excitations
         moved = damp_columns(block, p_decay, [rngs[c] for c in columns])
         stay = np.ones(columns.size, dtype=bool)
         for jumped, lowered in moved:
             stay[jumped] = False
-            pieces[lowered.basis.n_excitations].append((lowered, columns[jumped], None))
-            changed.add(lowered.basis.n_excitations)
-        if stay.all():
-            pieces[k].append((block, columns, None))
-            continue
-        changed.add(k)
+            pieces[lowered.basis.n_excitations].append((lowered, columns[jumped]))
         if stay.any():
-            pieces[k].append((block, columns[stay], stay))
+            if not stay.all():
+                block = SectorState(block.basis, block.columns()[:, stay])
+            pieces[block.basis.n_excitations].append((block, columns[stay]))
     out = []
     for k in sorted(pieces):
         size = _chunk_columns(width, k)
-        [(state, first, kept), *rest] = pieces[k]
-        if k not in changed:
-            out.extend((state, columns) for state, columns, _ in pieces[k])
+        if len(pieces[k]) == 1 and pieces[k][0][1].size <= size:
+            out.extend(pieces[k])
             continue
-        if not rest and first.size <= size:
-            if kept is not None:
-                state = SectorState(state.basis, state.columns()[:, kept])
-            out.append((state, first))
-            continue
-        columns = np.concatenate([c for _, c, _ in pieces[k]])
         basis = sector_basis(width, k)
-        amps = np.empty((basis.dimension, columns.size), dtype=np.complex128)
-        j0 = 0
-        for state, c, kept in pieces[k]:
-            part = amps[:, j0 : j0 + c.size]
-            if kept is None:
-                part[...] = state.columns()
-            else:
-                np.compress(kept, state.columns(), axis=1, out=part)
-            j0 += c.size
+        amps = np.concatenate([state.columns() for state, _ in pieces[k]], axis=1)
+        columns = np.concatenate([c for _, c in pieces[k]])
         for j0 in range(0, columns.size, size):
             part = slice(j0, j0 + size)
             out.append((SectorState(basis, amps[:, part]), columns[part]))
@@ -402,75 +387,62 @@ def _noisy_window_words(word, lo, hi, config, noise, rngs):
     return out
 
 
-def _window_chunks(windows, width):
-    """Distinct window words in evolution chunks: (words, states) pairs,
-    where states[j] lists, ascending, the states whose window is words[j].
+def _window_chunks(words, width):
+    """Distinct window words in evolution chunks: index arrays into `words`.
 
     The words of a chunk share their popcount k and their left-half count,
     as the block engine evolves them.  Chunks run through k, then the left
-    count, in ascending order, words ascending, at most
+    count, in ascending order, indices ascending, at most
     max(1, _CHUNK_AMPLITUDES // C(width, k)) words each."""
-    words, inverse = np.unique(windows, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    members = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
     ones = np.bitwise_count(words)
     left = np.bitwise_count(words >> np.uint64(width // 2))
     chunks = []
     for k, a in sorted(set(zip(ones.tolist(), left.tolist()))):
         group = np.flatnonzero((ones == k) & (left == a))
         size = _chunk_columns(width, k)
-        for j0 in range(0, group.size, size):
-            picked = group[j0 : j0 + size]
-            chunks.append((words[picked], [members[j] for j in picked]))
+        chunks.extend(group[j0 : j0 + size] for j0 in range(0, group.size, size))
     return chunks
 
 
-def _noiseless_chunk(chunk, prepared, config, sample):
-    """Evolve a chunk of distinct window words on the block engine, then
-    draw each of their states' shots, as right counts r, from its word's
-    right-count masses with the state's own counter block 1, and tally
-    r - b0, b0 the right count the words share, negated for a relabeled
-    state; unfiltered, as no mode can reject a noiseless shot.  Returns
-    (state index, record) pairs.  The shots of at most
-    max(1, _CHUNK_AMPLITUDES // shots) states are drawn at a time, one row
-    of uniforms per state, and tallied with one offset `bincount`."""
-    words, members = chunk
-    bits, _, flagged = prepared
+def _noiseless_records(prepared, config, sample, threads):
+    """Every state's record without noise.  Each distinct window word is
+    evolved once on the block engine, in `_window_chunks`; then each state,
+    with its own counter block 1, draws its whole tally of right counts r
+    as one multinomial over its word's right-count masses, and tallies
+    r - b0, b0 its word's right count, negated for a relabeled state;
+    unfiltered, as no mode can reject a noiseless shot."""
+    bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
-    half = n // 2
     lo, hi = _window_bounds(n, t)
-    states = np.concatenate(members)
-    counts = np.zeros((states.size, n + 1), dtype=np.int64)
-    if hi == lo:  # no cycle: no shot moves
-        counts[:, half] = shots
-    else:
-        width = hi - lo
-        masses = word_right_masses(
-            words, width, lo, t, config.params, config.layer_order
-        )
-        cdf = _cdf(masses.T)
-        b0 = int(np.bitwise_count(words[0] & np.uint64((1 << width // 2) - 1)))
-        word_of = np.repeat(np.arange(len(members)), [len(m) for m in members])
-        sign = np.where(flagged[states], -1, 1)
-        step = max(1, _CHUNK_AMPLITUDES // shots)
-        rng = None  # one generator per call (threads run calls side by side)
-        for r0 in range(0, states.size, step):
-            rows = slice(r0, r0 + step)
-            batch = states[rows]
-            u = np.empty((batch.size, shots))
-            for row, i in zip(u, batch):
-                rng = _philox(sample.seed, _substream(t, i), 1, rng)
-                rng.random(out=row)
-            # the right count of a shot: the CDF entries of its word <= u
-            below = cdf[word_of[rows], None, :] <= u[:, :, None]
-            delta_r = (np.count_nonzero(below, axis=2) - b0) * sign[rows, None]
-            offset = half + (n + 1) * np.arange(batch.size)[:, None]
-            tally = np.bincount((delta_r + offset).ravel(), minlength=counts[rows].size)
-            counts[rows] = tally.reshape(-1, n + 1)
-    return [
-        (i, StateRecord(bits[i], row, shots, shots))
-        for i, row in zip(states.tolist(), counts)
-    ]
+    width = hi - lo
+    words, word_of = np.unique(bits_to_word(phys[:, lo:hi]), return_inverse=True)
+    masses = np.ones((words.size, 1))  # no cycle: the empty window stays put
+    if width:
+        chunks = _window_chunks(words, width)
+
+        def evolve(picked):
+            return word_right_masses(
+                words[picked], width, lo, t, config.params, config.layer_order
+            )
+
+        masses = np.empty((words.size, width // 2 + 1))
+        for picked, part in zip(chunks, thread_map(evolve, chunks, threads)):
+            masses[picked] = part.T
+    # Cut each word's masses after its last right count of nonzero mass,
+    # which `multinomial` gives whatever the draws before it leave over,
+    # and renormalize them to the sum `multinomial` checks.
+    pvals = [p / p.sum() for p in (np.trim_zeros(row, "b") for row in masses)]
+    right = np.zeros((word_of.size, masses.shape[1]), dtype=np.int64)
+    rng = None  # one generator, reset to each state's stream
+    for i, (row, w) in enumerate(zip(right, word_of.tolist())):
+        rng = _philox(sample.seed, _substream(t, i), 1, rng)
+        row[: pvals[w].size] = rng.multinomial(shots, pvals[w])
+    b0 = np.bitwise_count(words & np.uint64((1 << width // 2) - 1))
+    sign = np.where(flagged, -1, 1)[:, None]
+    delta_r = (np.arange(right.shape[1]) - b0[word_of, None]) * sign
+    counts = np.zeros((word_of.size, n + 1), dtype=np.int64)
+    np.put_along_axis(counts, n // 2 + delta_r, right, axis=1)
+    return [StateRecord(b, row, shots, shots) for b, row in zip(bits, counts)]
 
 
 def run_sampled(
@@ -487,8 +459,8 @@ def run_sampled(
     histograms.
 
     With `noise=None` each distinct window word is evolved once, on the
-    block engine, and every state draws its shots' right counts from the
-    exact right-count masses of its word and tallies their changes;
+    block engine, and every state draws its tally of right counts in one
+    multinomial call over the exact right-count masses of its word;
     `postselect_mode` has no effect there, because every mode keeps every
     noiseless shot.  With noise every shot is an
     independent trajectory (disorder realizations included), the shots of
@@ -506,19 +478,9 @@ def run_sampled(
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     prepared = _prepare(ens, sample, config.cycles)
-    n_states = sample.n_initial_states
     if noise is None:
         mode = "sampled"
-        lo, hi = _window_bounds(config.n_qubits, config.cycles)
-        chunks = _window_chunks(bits_to_word(prepared[1][:, lo:hi]), hi - lo)
-
-        def chunk_records(chunk):
-            return _noiseless_chunk(chunk, prepared, config, sample)
-
-        records = [None] * n_states
-        for part in thread_map(chunk_records, chunks, threads):
-            for i, record in part:
-                records[i] = record
+        records = _noiseless_records(prepared, config, sample, threads)
     else:
         mode = "noisy-sampled"
         pools = threading.local()  # one generator per shot, per worker thread
@@ -530,7 +492,7 @@ def run_sampled(
                 prepared, config, sample, noise, i, postselect_mode, pools.rngs
             )
 
-        records = thread_map(state_record, range(n_states), threads)
+        records = thread_map(state_record, range(sample.n_initial_states), threads)
     run = SampledRun(
         cycles=config.cycles,
         n_qubits=config.n_qubits,

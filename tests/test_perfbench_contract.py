@@ -62,9 +62,20 @@ def test_workload_config_parses(workload):
     assert cli._parse_config(config)["mode"] == config["mode"]
 
 
-@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
-def test_workload_outputs_pass_the_harness_checks(workload, tmp_path):
-    config = workloads.make_config(workload, workloads.DEFAULT_SEED)
+# The seeded workloads also run at the other seeds the harness has been
+# run at: a change of the draws must pass its checks at each of them.
+SEEDED_RUNS = [(w, workloads.DEFAULT_SEED) for w in workloads.WORKLOADS] + [
+    (w, seed) for w in ("sampled-n12", "noisy-n10") for seed in (27182, 31415)
+]
+
+
+@pytest.mark.parametrize(
+    "workload, seed",
+    SEEDED_RUNS,
+    ids=[w if s == workloads.DEFAULT_SEED else f"{w}-{s}" for w, s in SEEDED_RUNS],
+)
+def test_workload_outputs_pass_the_harness_checks(workload, seed, tmp_path):
+    config = workloads.make_config(workload, seed)
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(config))
     args = ["run", "--config", str(path), "--out", str(out), "--threads", "1"]

@@ -523,12 +523,13 @@ class TestBatchedWindow:
         config = ChainConfig(n, t, params, order)
         lo, hi = _window_bounds(n, t)
         width = hi - lo
-        chunks = _window_chunks(np.arange(2**width, dtype=np.uint64), width)
-        assert sum(len(words) for words, _ in chunks) == 2**width
+        every = np.arange(2**width, dtype=np.uint64)
+        chunks = [every[picked] for picked in _window_chunks(every, width)]
+        assert sum(len(words) for words in chunks) == 2**width
         if n == 12:  # the 10-site window's middle sectors span several chunks
-            sizes = np.bincount([np.bitwise_count(words[0]) for words, _ in chunks])
+            sizes = np.bincount([np.bitwise_count(words[0]) for words in chunks])
             assert sizes.max() >= 3
-        for words, _ in chunks:
+        for words in chunks:
             [(block, columns)] = _trajectory(
                 SectorState.from_words(words, width), lo, config, NoiseConfig(), None
             )
@@ -580,9 +581,10 @@ class TestBatchedWindow:
             lo, hi = _window_bounds(n, t)
             anchors.add(lo % 2)
             width = hi - lo
-            chunks = _window_chunks(np.arange(2**width, dtype=np.uint64), width)
-            assert sum(len(words) for words, _ in chunks) == 2**width
-            for words, _ in chunks:
+            every = np.arange(2**width, dtype=np.uint64)
+            chunks = [every[picked] for picked in _window_chunks(every, width)]
+            assert sum(len(words) for words in chunks) == 2**width
+            for words in chunks:
                 got = word_right_masses(words, width, lo, t, params, order)
                 basis = sector_basis(width, int(np.bitwise_count(words[0])))
                 assert got.shape == (width // 2 + 1, len(words))
@@ -633,33 +635,44 @@ class TestBatchedWindow:
         )
         assert sites and max(sites) <= n // 2
 
+    def test_one_operator_set_is_cached(self):
+        # every chunk of a run shares one key, so a run keeps one set alive
+        ens = ImbalanceEnsemble(0.5, 8)
+        for t in (1, 2, 3):
+            run_sampled(ens, ChainConfig(8, t, HEIS), SampleConfig(10, 10, seed=t))
+        assert ensemble._cached_operators.cache_info().currsize == 1
+
 
 def tiled_records(ens, config, sample, mode):
     """A noiseless run's records as the route before the right-count tally
     made them: the same chunks evolved gate by gate, then for every state
-    its shots' right counts drawn from counter block 1 with the dense
-    right-count marginal of its word, each shot an n-bit row tiled from the
+    its shots' right counts drawn from counter block 1 as one multinomial
+    over the dense right-count marginal of its word, cut after its last
+    right count of nonzero mass, each shot an n-bit row tiled from the
     prepared bits with the likeliest window outcome of its right count
     unpacked into it, and the rows relabeled back, filtered and tallied by
     `_tally`."""
     bits, phys, flagged = _prepare(ens, sample, config.cycles)
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
+    words, word_of = np.unique(bits_to_word(phys[:, lo:hi]), return_inverse=True)
     records = [None] * sample.n_initial_states
-    for words, members in _window_chunks(bits_to_word(phys[:, lo:hi]), hi - lo):
-        block = SectorState.from_words(words, hi - lo)
+    for picked in _window_chunks(words, hi - lo):
+        block = SectorState.from_words(words[picked], hi - lo)
         [(block, _)] = _trajectory(block, lo, config, NoiseConfig(), None)
         probabilities = block.probabilities()
         right = block.basis.right_ones()
-        for column, states in enumerate(members):
+        for column, w in enumerate(picked):
             p = probabilities[:, column]
             marginal = np.bincount(right, p, (hi - lo) // 2 + 1)
             likeliest = [
                 np.argmax(np.where(right == r, p, -1.0)) for r in range(marginal.size)
             ]
-            for i in states:
+            cut = np.trim_zeros(marginal, "b")
+            for i in np.flatnonzero(word_of == w):
                 rng = _philox(sample.seed, _substream(t, i), 1)
-                drawn = _measure_indices(_cdf(marginal), rng, shots)
+                tally = rng.multinomial(shots, cut / cut.sum())
+                drawn = np.repeat(np.arange(cut.size), tally)
                 outcomes = block.basis.words[np.take(likeliest, drawn)]
                 measured = np.tile(phys[i], (shots, 1))
                 measured[:, lo:hi] = word_to_bits(outcomes, hi - lo)
@@ -727,6 +740,30 @@ class TestNoiselessRoute:
         for record in run.records:
             assert record.counts.tolist() == [0, 0, 0, 9, 0, 0, 0]
             assert (record.shots, record.kept) == (9, 9)
+
+    def test_pooled_tally_follows_the_word_masses(self):
+        # at mu = inf every state is the domain wall, so all share one
+        # window word and the pooled tally of their shots is
+        # Multinomial(states x shots, p), p the word's right-count masses
+        n, t = 8, 3
+        config = ChainConfig(n, t, HEIS)
+        sample = SampleConfig(400, 50, seed=61)
+        run = run_sampled(ImbalanceEnsemble(math.inf, n), config, sample)
+        lo, hi = _window_bounds(n, t)
+        wall = np.repeat([1, 0], n // 2)
+        for record in run.records:
+            assert np.array_equal(record.initial_bits, wall)
+        word = bits_to_word(wall[lo:hi])
+        p = word_right_masses([word], hi - lo, lo, t, HEIS, config.layer_order)[:, 0]
+        b0 = int(wall[n // 2 : hi].sum())
+        counts = np.array([record.counts for record in run.records])
+        assert np.all(counts.sum(axis=1) == sample.shots_per_state)
+        delta = np.arange(n + 1) - n // 2
+        assert not counts[:, np.abs(delta) > t].any()
+        total = counts.sum()
+        frequency = counts.sum(axis=0)[n // 2 - b0 + np.arange(p.size)] / total
+        sigma = np.sqrt(p * (1 - p) / total)
+        assert np.all(np.abs(frequency - p) <= 5 * sigma)
 
     @pytest.mark.parametrize("mode", ["none", "number_only", "causal"])
     def test_the_route_neither_filters_nor_unpacks(self, mode, monkeypatch):
@@ -965,9 +1002,12 @@ class TestReproducibility:
                 sample = SampleConfig(states, shots, seed=999, relabel_enabled=relabel)
                 if n == 12:  # the largest window sector spans several chunks
                     width = 2 * t
-                    chunks = _window_chunks(window_words(ens, config, sample), width)
+                    words = np.unique(window_words(ens, config, sample))
                     per_sector = np.bincount(
-                        [np.bitwise_count(words[0]) for words, _ in chunks]
+                        [
+                            np.bitwise_count(words[picked[0]])
+                            for picked in _window_chunks(words, width)
+                        ]
                     )
                     assert per_sector[t] >= 2
                 runs = [
