@@ -20,6 +20,7 @@ from .noise import (
     NoiseConfig,
     causal_min_half_layers,
     disorder_and_dephasing,
+    disorder_draws,
     postselect,
     readout_flip,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "collapse_residual",
     "collapse_scan",
     "disorder_and_dephasing",
+    "disorder_draws",
     "distribution_from_tensor",
     "fit_dynamical_exponent",
     "jackknife_sigma",

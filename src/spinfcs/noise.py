@@ -4,9 +4,11 @@ Amplitude damping is unraveled as stochastic quantum jumps: between gate
 layers every qubit decays with a per-half-layer probability
 p = 1 - exp(-1/(2 T1)), uniform across qubits, so a state with N
 excitations makes Binomial(N, p) jumps per half-layer whatever its
-amplitudes; only which sites jump depends on them.  Qubits outside the
-light cone never see gates and reduce to classical bits decaying with
-1 - exp(-t/T1).
+amplitudes; only which sites jump depends on them.  The count is drawn by
+thinning, as the number of N uniforms below p, so that a block of states
+draws it from arrays, one column per state, exactly as one state draws it
+from its generator.  Qubits outside the light cone never see gates and
+reduce to classical bits decaying with 1 - exp(-t/T1).
 Readout errors flip measured bits at independent 0->1 and 1->0 rates.  The
 causal filter rejects measured bitstrings whose excitation rearrangement
 needs more half-layers than the circuit contained.
@@ -70,35 +72,39 @@ def damping_step(state: SectorState, p_decay: float, rng) -> SectorState:
 
     Damping is uniform, so on a sector with N excitations the no-jump Kraus
     product is the scalar (1 - p_decay)^(N/2): the step makes
-    j ~ Binomial(N, p_decay) jumps whatever the state.  Which sites S jump
-    has probability proportional to ||sigma^-_S psi||^2; lowering one site
-    at a time, each drawn with probability <n_q>/N of the current state,
-    samples exactly that law.  Returns a new state; the input is unchanged.
-    This is the single-state reference of `damp_columns`.
+    j ~ Binomial(N, p_decay) jumps whatever the state, drawn as the number
+    of N uniforms below p_decay.  Which sites S jump has probability
+    proportional to ||sigma^-_S psi||^2; lowering one site at a time, each
+    drawn with probability <n_q>/N of the current state, samples exactly
+    that law.  Returns a new state; the input is unchanged.  This is the
+    single-state reference of `damp_columns`.
     """
-    return _jumps(state, rng.binomial(state.basis.n_excitations, p_decay), rng)
+    jumps = np.count_nonzero(rng.random(state.basis.n_excitations) < p_decay)
+    return _jumps(state, jumps, rng)
 
 
-def damp_columns(state: SectorState, p_decay: float, rngs):
-    """`damping_step` on every column j of a block, drawing from rngs[j]
-    exactly what it draws on that column alone: its jump count, then one
-    uniform per jump.
+def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
+    """`damping_step` on every column j of a block, reading from `uniforms`
+    (2, K, m), K at least the block's excitation count k, what that step
+    draws from a generator whose first 2k uniforms, as (2, k), are
+    uniforms[:, :k, j]: its jump count from uniforms[0, :k, j], then its
+    r-th site from uniforms[1, r, j].
 
     The columns that jump are lowered together, in rounds: in round r each
     column with more than r jumps sits in the sector with k - r ones.  It
     draws its site as `Generator.choice(p=...)` would, searching the
-    normalized cumsum of its site occupations with one `random()`, and the
+    normalized cumsum of its site occupations with its uniform, and the
     basis's `lowering` table moves its amplitudes to the sector below.
     There they are divided by the square root of the site's occupation,
     which is their norm.  Each column's arithmetic is its own, so its
     result does not depend on the other columns of the block.
 
-    Returns (columns, block) pairs, one per excitation count that columns
+    Returns (block, columns) pairs, one per excitation count that columns
     ended in: the block holds the damped input columns `columns`
     (ascending), in that order.  The input block is left unchanged.
     """
-    basis = state.basis
-    counts = np.array([rng.binomial(basis.n_excitations, p_decay) for rng in rngs])
+    basis, k = state.basis, state.basis.n_excitations
+    counts = np.count_nonzero(uniforms[0, :k] < p_decay, axis=0)
     moved = np.flatnonzero(counts)
     left = counts[moved]
     amps = state.columns()[:, moved]
@@ -111,7 +117,7 @@ def damp_columns(state: SectorState, p_decay: float, rngs):
         occupation = probs.T.take(source, axis=1).sum(axis=2)
         cdf = np.cumsum(occupation / occupation.sum(axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
-        u = np.array([rngs[j].random() for j in moved])
+        u = uniforms[1, k - basis.n_excitations, moved]  # round r = k - ones
         sites = np.count_nonzero(cdf <= u[:, None], axis=1)
         basis = sector_basis(basis.n_sites, basis.n_excitations - 1)
         every = np.arange(moved.size)
@@ -121,10 +127,10 @@ def damp_columns(state: SectorState, p_decay: float, rngs):
         left = left - 1
         done = left == 0
         if done.all():
-            out.append((moved, SectorState(basis, lowered)))
+            out.append((SectorState(basis, lowered), moved))
             break
         if done.any():
-            out.append((moved[done], SectorState(basis, lowered[:, done])))
+            out.append((SectorState(basis, lowered[:, done]), moved[done]))
         moved, left, amps = moved[~done], left[~done], lowered[:, ~done]
     return out
 
@@ -148,10 +154,9 @@ def _jumps(state: SectorState, count: int, rng) -> SectorState:
 
 def damp_bits(bits: np.ndarray, duration_cycles: float, noise: NoiseConfig, rng):
     """Classical damping of idle qubits: each 1 flips to 0 with probability
-    1 - exp(-t/T1).  Draws one random number per bit, from `rng`, or for a
-    stack of rows from rng[i] for row i."""
+    1 - exp(-t/T1).  Draws one uniform per bit from `rng`, in one call."""
     bits = np.asarray(bits)
-    u = _uniforms(bits.shape, rng)
+    u = rng.random(bits.shape)
     p = noise.bit_decay(duration_cycles)
     out = bits.copy()
     out[(bits == 1) & (u < p)] = 0
@@ -160,22 +165,13 @@ def damp_bits(bits: np.ndarray, duration_cycles: float, noise: NoiseConfig, rng)
 
 def readout_flip(bits: np.ndarray, noise: NoiseConfig, rng) -> np.ndarray:
     """Independent per-qubit readout flips: 0->1 at e0, 1->0 at e1.  Draws
-    one random number per bit, from `rng`, or for a stack of rows from
-    rng[i] for row i."""
+    one uniform per bit from `rng`, in one call."""
     bits = np.asarray(bits)
-    u = _uniforms(bits.shape, rng)
+    u = rng.random(bits.shape)
     out = bits.copy()
     out[(bits == 0) & (u < noise.e0)] = 1
     out[(bits == 1) & (u < noise.e1)] = 0
     return out
-
-
-def _uniforms(shape, rng) -> np.ndarray:
-    """Uniforms of `shape` from one generator, or row i of a stack of rows
-    from rng[i] (one generator per shot)."""
-    if isinstance(rng, np.random.Generator):
-        return rng.random(shape)
-    return np.array([r.random(shape[1]) for r in rng]).reshape(shape)
 
 
 def causal_min_half_layers(
@@ -273,37 +269,42 @@ class LayerRealization:
         return [FSimColumns(*pair, params.convention) for pair in zip(theta, phi)]
 
 
+def disorder_draws(noise: NoiseConfig, n_sites: int, layers) -> list[int]:
+    """Standard normals per shot on each half-layer that
+    `disorder_and_dephasing` reads: a (theta, phi) pair per gate with angle
+    jitter, then one Z angle per site with dephasing."""
+    jitter, dephasing = noise.angle_jitter_sd > 0.0, noise.dephasing_sd > 0.0
+    return [2 * len(bonds) * jitter + n_sites * dephasing for bonds in layers]
+
+
 def disorder_and_dephasing(
     params: FSimParams,
     noise: NoiseConfig,
-    rngs,
+    normals: np.ndarray | None,
     n_sites: int,
     layers: Sequence[list[int]],
 ) -> list[LayerRealization]:
-    """Draw the noisy circuits of a block of shots over the given
-    half-layers (bond lists, as `sector.brickwork_layers` lays them out):
-    per-gate Gaussian (theta, phi) jitter plus random Z rotations of the
-    `n_sites` sites after each layer.
+    """The noisy circuits of a block of shots over the given half-layers
+    (bond lists, as `sector.brickwork_layers` lays them out): per-gate
+    Gaussian (theta, phi) jitter plus random Z rotations of the `n_sites`
+    sites after each layer.
 
-    Shot j draws from rngs[j], in one `standard_normal` call, the same
-    numbers in the same order as one scalar draw at a time: per half-layer,
-    a (theta, phi) pair per gate, then one Z angle per site.  Jittered
-    angles are reduced exactly as `FSimParams` reduces them.  Zero widths
-    reproduce the nominal circuit exactly and draw nothing.
+    Column j of `normals` holds shot j's standard normals, in the order of
+    one scalar draw at a time: per half-layer, a (theta, phi) pair per
+    gate, then one Z angle per site, sum(`disorder_draws`) in all.
+    Jittered angles are reduced exactly as `FSimParams` reduces them.  Zero
+    widths reproduce the nominal circuit exactly and read nothing (then
+    `normals` may be None).
     """
     jitter, dephasing = noise.angle_jitter_sd, noise.dephasing_sd
-    sizes = [
-        2 * len(bonds) * (jitter > 0.0) + n_sites * (dephasing > 0.0)
-        for bonds in layers
-    ]
+    sizes = disorder_draws(noise, n_sites, layers)
     if sum(sizes):
-        draws = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs], axis=1)
         starts = np.cumsum(sizes)[:-1]
-        parts = np.split(draws, starts)
+        parts = np.split(normals, starts)
         if jitter > 0.0:
-            # every draw reduced as a theta and as a phi at once, then each
+            # every normal reduced as a theta and as a phi at once, then each
             # layer's pairs picked out (elementwise, so the same numbers)
-            spread = jitter * draws
+            spread = jitter * normals
             thetas, phis = (
                 np.split(wrap_angles(angle + spread), starts)
                 for angle in (params.theta, params.phi)

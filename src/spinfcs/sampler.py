@@ -4,8 +4,9 @@ trajectories, post-selection, and the per-state-normalized power estimator.
 
 Randomness is counter-based for thread-count-independent reproducibility:
 every (cycle, initial state) owns a Philox stream keyed by the master seed,
-and within a state the initial-bit draw and each shot live in disjoint
-counter blocks.  Results therefore depend only on (seed, configuration).
+and within a state the initial-bit draw (counter block 0) and the draws of
+its shots (counter block 1) live in disjoint counter blocks.  Results
+therefore depend only on (seed, configuration).
 
 Every initial state is drawn once, from its counter block 0, and
 relabeled.  Only the 2t-site light-cone window around the cut is evolved;
@@ -26,19 +27,19 @@ then takes one of two routes to its tally:
   (`multinomial` gives the last category whatever the draws before it
   leave over) and renormalized: O(t) binomial draws per state, none per
   shot;
-* noisy: each shot is its own trajectory on the window, drawing from its
-  own counter block 1 + shot its disorder, then one damping step per
-  half-layer, the measurement, the classical decay of the sites left and
-  right of the window, and the readout flips, in that order.  The shots of
-  one state run together, as the columns of blocks: chunks of at most
+* noisy: each shot is its own trajectory on the window.  Before any runs,
+  the state draws, with its counter block 1, its shots' numbers as arrays
+  with one column per shot: disorder normals; per half-layer, k0 uniforms
+  that thin the jumps and k0 that pick their sites (k0 the window's
+  popcount); one measurement uniform.  The decay of the sites outside the
+  window and the readout flips follow, one call each.  The shots of one
+  state run together, as the columns of blocks: chunks of at most
   max(1, 2^16 // dim) shots of the prepared window's sector, each column
   with its own gate angles and Z rotations.  The columns of a block that
   jump are lowered together, one round per jump (`noise.damp_columns`),
   and join the columns of their new excitation count; the columns of a
   count that are not one block within the size rule are re-blocked under
-  it.  Each worker thread keeps one generator per shot and resets it to
-  the streams of each state it runs.  Each shot draws exactly what it
-  would draw alone.
+  it.  A shot reads its own columns, whatever its block, chunk or thread.
 
 The noisy route evolves gate by gate (`_trajectory`), since jittered
 per-column angles and damping jumps cannot use the engine's cached
@@ -71,7 +72,6 @@ causal cone |M| <= 2t; causal filtering confines them again.
 
 import logging
 import math
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -86,6 +86,7 @@ from .noise import (
     damp_bits,
     damp_columns,
     disorder_and_dephasing,
+    disorder_draws,
     postselect,
     readout_flip,
 )
@@ -240,23 +241,26 @@ def _chunk_columns(width: int, k: int) -> int:
     return max(1, _CHUNK_AMPLITUDES // math.comb(width, k))
 
 
-def _trajectory(state, lo, config, noise, rngs):
+def _trajectory(state, lo, config, noise, numbers):
     """The columns of `state`, on the window of sites lo.. of the chain,
     after the circuit: every half-layer of the brickwork, anchored at
     physical site `lo`, with its disorder realization, Z rotations and
-    damping step.  Column j is one shot and draws from rngs[j] (None
-    without noise).  Gates and phases act on every column of a block in
-    place; a column that jumps moves to a block of its new excitation count.
+    damping step.  Column j is one shot and reads column j of `numbers`
+    (None without noise): the normals of `disorder_and_dephasing` and, per
+    half-layer l, the uniforms[l] of `damp_columns`.  Gates and phases act
+    on every column of a block in place; a column that jumps moves to a
+    block of its new excitation count.
 
     Returns (block, columns) pairs: column i of the block is input column
     columns[i].  Without damping that is the input block, whole."""
     width = state.basis.n_sites
     layers = brickwork_layers(width, lo, config.layer_order) * config.cycles
-    realizations = disorder_and_dephasing(config.params, noise, rngs, width, layers)
+    normals, uniforms = (None, None) if numbers is None else numbers
+    realizations = disorder_and_dephasing(config.params, noise, normals, width, layers)
     p_half = noise.half_layer_decay
     blocks = [(state, np.arange(state.columns().shape[1]))]
     del state  # the blocks own the columns: damping may replace them
-    for layer in realizations:
+    for l, layer in enumerate(realizations):
         for block, columns in blocks:
             gates = layer.gate_params(config.params, columns)
             for bond, gate_params in zip(layer.bonds, gates):
@@ -264,22 +268,22 @@ def _trajectory(state, lo, config, noise, rngs):
             if layer.z_angles is not None:
                 block.apply_diagonal_phases(layer.z_angles[:, columns])
         if p_half > 0.0:
-            blocks = _damp_blocks(blocks, p_half, rngs)
+            blocks = _damp_blocks(blocks, p_half, uniforms[l])
     return blocks
 
 
-def _damp_blocks(blocks, p_decay, rngs):
-    """One damping step on every column of the (block, columns) pairs.  The
-    columns that jumped join the columns of their new excitation count.  A
-    count's lone block that fits `_chunk_columns` passes as it is; the
-    columns of any other count are concatenated and re-blocked, at most
-    `_chunk_columns` to a block."""
+def _damp_blocks(blocks, p_decay, uniforms):
+    """One damping step on every column of the (block, columns) pairs,
+    column c reading uniforms[..., c].  The columns that jumped join the
+    columns of their new excitation count.  A count's lone block that fits
+    `_chunk_columns` passes as it is; the columns of any other count are
+    concatenated and re-blocked, at most `_chunk_columns` to a block."""
     width = blocks[0][0].basis.n_sites
     pieces = defaultdict(list)  # excitation count -> [(state, columns)]
     for block, columns in blocks:
-        moved = damp_columns(block, p_decay, [rngs[c] for c in columns])
+        moved = damp_columns(block, p_decay, uniforms[..., columns])
         stay = np.ones(columns.size, dtype=bool)
-        for jumped, lowered in moved:
+        for lowered, jumped in moved:
             stay[jumped] = False
             pieces[lowered.basis.n_excitations].append((lowered, columns[jumped]))
         if stay.any():
@@ -339,52 +343,47 @@ def _tally(bits, flagged, measured, config, postselect_mode) -> StateRecord:
     return StateRecord(bits, counts, shots, int(np.count_nonzero(keep)))
 
 
-def _noisy_record(prepared, config, sample, noise, state_index, postselect_mode, rngs):
-    """One state's shots, shot s drawing from counter block 1 + s: evolved
-    as the columns of blocks, in chunks of at most `_chunk_columns` shots,
-    measured, decayed outside the window, read out, filtered and tallied.
-
-    `rngs` is the calling thread's pool, one entry per shot: a generator
-    an earlier state used, reset here to this state's stream, or None."""
+def _noisy_record(prepared, config, sample, noise, state_index, postselect_mode):
+    """One state's shots, every number drawn from its counter block 1: the
+    window's first, as arrays with one column per shot, then the decay
+    outside the window and the readout flips.  The shots are evolved as
+    the columns of blocks, in chunks of at most `_chunk_columns` shots that
+    read their own columns; each measures the first outcome of its column's
+    guarded CDF above its uniform.  The rows are filtered and tallied."""
     bits, phys, flagged = (column[state_index] for column in prepared)
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
-    sub = _substream(t, state_index)
     lo, hi = _window_bounds(n, t)
-    for shot, rng in enumerate(rngs):
-        rngs[shot] = _philox(sample.seed, sub, 1 + shot, rng)
+    width = hi - lo
+    rng = _philox(sample.seed, _substream(t, state_index), 1)
     measured = np.tile(phys, (shots, 1))
-    if hi > lo:
+    if width:
         word = bits_to_word(phys[lo:hi])
-        size = _chunk_columns(hi - lo, word.bit_count())
-        words = [
-            _noisy_window_words(word, lo, hi, config, noise, rngs[s0 : s0 + size])
-            for s0 in range(0, shots, size)
-        ]
-        measured[:, lo:hi] = word_to_bits(np.concatenate(words), hi - lo)
-    if lo > 0:
-        measured[:, :lo] = damp_bits(measured[:, :lo], float(t), noise, rngs)
-    if hi < n:
-        measured[:, hi:] = damp_bits(measured[:, hi:], float(t), noise, rngs)
-    measured = readout_flip(measured, noise, rngs)
+        k0 = word.bit_count()
+        layers = brickwork_layers(width, lo, config.layer_order) * t
+        draws = sum(disorder_draws(noise, width, layers))
+        normals = rng.standard_normal((draws, shots))
+        damped = len(layers) if noise.half_layer_decay > 0.0 else 0
+        uniforms = rng.random((damped, 2, k0, shots))
+        u = rng.random(shots)
+        size = _chunk_columns(width, k0)
+        for s0 in range(0, shots, size):
+            part = slice(s0, s0 + size)
+            numbers = (normals[:, part], uniforms[..., part])
+            # no name holds a block once damping has replaced it, or into
+            # the next chunk
+            for block, columns in _trajectory(
+                SectorState.from_words([word] * len(u[part]), width),
+                lo, config, noise, numbers,
+            ):
+                cdf = _cdf(block.probabilities().T)
+                found = np.count_nonzero(cdf <= u[part][columns, None], axis=1)
+                words = block.basis.words[found]
+                measured[s0 + columns, lo:hi] = word_to_bits(words, width)
+            del block
+    outside = np.r_[:lo, hi:n]
+    measured[:, outside] = damp_bits(measured[:, outside], float(t), noise, rng)
+    measured = readout_flip(measured, noise, rng)
     return _tally(bits, flagged, measured, config, postselect_mode)
-
-
-def _noisy_window_words(word, lo, hi, config, noise, rngs):
-    """The measured window word of each shot of a chunk, all prepared in
-    `word`: shot j is column j of the evolved blocks and draws from rngs[j],
-    last one uniform for its measurement, compared with the guarded CDF of
-    its column: the index of the first CDF entry above it."""
-    # the first block is built in the call, so that no name here keeps it
-    # alive once damping has replaced it
-    blocks = _trajectory(
-        SectorState.from_words([word] * len(rngs), hi - lo), lo, config, noise, rngs
-    )
-    out = np.empty(len(rngs), dtype=np.uint64)
-    for block, columns in blocks:
-        cdf = _cdf(block.probabilities().T)
-        u = np.array([rngs[c].random() for c in columns])
-        out[columns] = block.basis.words[np.count_nonzero(cdf <= u[:, None], axis=1)]
-    return out
 
 
 def _window_chunks(words, width):
@@ -483,14 +482,9 @@ def run_sampled(
         records = _noiseless_records(prepared, config, sample, threads)
     else:
         mode = "noisy-sampled"
-        pools = threading.local()  # one generator per shot, per worker thread
 
         def state_record(i):
-            if not hasattr(pools, "rngs"):
-                pools.rngs = [None] * sample.shots_per_state
-            return _noisy_record(
-                prepared, config, sample, noise, i, postselect_mode, pools.rngs
-            )
+            return _noisy_record(prepared, config, sample, noise, i, postselect_mode)
 
         records = thread_map(state_record, range(sample.n_initial_states), threads)
     run = SampledRun(

@@ -21,6 +21,7 @@ from spinfcs.noise import (
     damp_columns,
     damping_step,
     disorder_and_dephasing,
+    disorder_draws,
     postselect,
     readout_flip,
 )
@@ -169,6 +170,19 @@ class TestDamping:
         observed = np.bincount(np.array(words, dtype=np.int64), minlength=2**n)
         assert chi_square_p_value(observed, expected) > 1e-3
 
+    @pytest.mark.parametrize("k, p", [(1, 0.3), (3, 0.1), (5, 0.45)])
+    def test_thinned_jump_counts_are_binomial(self, k, p):
+        # the step draws its jump count as the number of k uniforms below p
+        rng = np.random.default_rng(2718)
+        state = basis_state([1] * k + [0] * (8 - k))
+        draws = 10000
+        jumps = [
+            k - damping_step(state, p, rng).basis.n_excitations for _ in range(draws)
+        ]
+        expected = draws * binom.pmf(np.arange(k + 1), k, p)
+        observed = np.bincount(jumps, minlength=k + 1)
+        assert chi_square_p_value(observed, expected) > 1e-3
+
     def test_damping_step_preserves_norm(self):
         rng = np.random.default_rng(21)
         state = basis_state([1, 0, 1, 1, 0, 0])
@@ -186,25 +200,36 @@ def random_block(n, k, m, seed):
     return SectorState(basis, amps / np.linalg.norm(amps, axis=0))
 
 
+def stream_uniforms(seed, k, m):
+    """Damping uniforms of m columns of a sector with k ones, column j the
+    first 2k uniforms of the stream [seed, j] laid out as (2, k)."""
+    return np.stack(
+        [np.random.default_rng([seed, j]).random((2, k)) for j in range(m)], axis=-1
+    )
+
+
 class TestBlockDamping:
     """`damp_columns` against `damping_step` on each column alone."""
 
     @staticmethod
     def damp_both(block, p, seed):
-        """The block's damped (columns, block) pairs, and each column's
-        reference state, each column drawing from a twin of one stream;
-        returns both with the block's and the reference's streams."""
-        m = block.columns().shape[1]
-        streams = [np.random.default_rng([seed, j]) for j in range(m)]
-        twins = [np.random.default_rng([seed, j]) for j in range(m)]
+        """The block's damped (block, columns) pairs, reading the uniforms
+        of `stream_uniforms`, and each column's reference state, drawing
+        from its stream [seed, j]; checks that the reference drew k
+        thinning uniforms then one per jump."""
+        k, m = block.basis.n_excitations, block.columns().shape[1]
         before = block.amplitudes.copy()
-        moved = damp_columns(block, p, streams)
+        moved = damp_columns(block, p, stream_uniforms(seed, k, m))
         assert np.array_equal(block.amplitudes, before)  # input left unchanged
-        singles = [
-            damping_step(SectorState(block.basis, column.copy()), p, rng)
-            for column, rng in zip(block.columns().T, twins)
-        ]
-        return moved, singles, streams, twins
+        singles = []
+        for j, column in enumerate(block.columns().T):
+            rng = np.random.default_rng([seed, j])
+            single = damping_step(SectorState(block.basis, column.copy()), p, rng)
+            used = k + (k - single.basis.n_excitations)  # thinning, then sites
+            after = np.random.default_rng([seed, j]).random(used + 1)[-1]
+            assert rng.random() == after
+            singles.append(single)
+        return moved, singles
 
     @staticmethod
     def empty_sites(state):
@@ -216,9 +241,9 @@ class TestBlockDamping:
     def test_each_column_is_the_single_state_step(self, n, k, p):
         block = random_block(n, k, 40, seed=n)
         assert not self.empty_sites(block).any()
-        moved, singles, streams, twins = self.damp_both(block, p, seed=k)
+        moved, singles = self.damp_both(block, p, seed=k)
         got = {}
-        for columns, lowered in moved:
+        for lowered, columns in moved:
             assert np.all(np.diff(columns) > 0)
             assert lowered.columns().shape == (lowered.basis.dimension, columns.size)
             for j, amps, empty in zip(
@@ -237,39 +262,33 @@ class TestBlockDamping:
             assert np.array_equal(empty, self.empty_sites(single)[0])
             assert np.count_nonzero(empty) == (jumps[j] if ones else n)
             assert np.max(np.abs(amps - single.amplitudes)) <= 1e-12
-        # each stream stands where the single-state step left it
-        for rng, twin in zip(streams, twins):
-            assert rng.random() == twin.random()
 
     def test_a_column_does_not_depend_on_its_block(self):
         block = random_block(8, 4, 30, seed=4)
-        moved, _, _, _ = self.damp_both(block, 0.35, seed=6)
+        moved, _ = self.damp_both(block, 0.35, seed=6)
+        uniforms = stream_uniforms(6, 4, 30)
         assert len(moved) >= 2
-        for columns, lowered in moved:
+        for lowered, columns in moved:
             for j, got in zip(columns, lowered.columns().T):
                 alone = SectorState(block.basis, block.columns()[:, j : j + 1].copy())
-                [(_, want)] = damp_columns(alone, 0.35, [np.random.default_rng([6, j])])
+                [(want, _)] = damp_columns(alone, 0.35, uniforms[..., j : j + 1])
                 assert np.array_equal(got, want.columns()[:, 0])
 
     def test_certain_decay_reaches_the_vacuum(self):
         block = random_block(6, 4, 5, seed=3)
-        moved, singles, streams, twins = self.damp_both(block, 1.0, seed=9)
-        [(columns, vacuum)] = moved
+        moved, singles = self.damp_both(block, 1.0, seed=9)
+        [(vacuum, columns)] = moved
         assert columns.tolist() == list(range(5))
         assert vacuum.basis.n_excitations == 0
         for amps, single in zip(vacuum.columns().T, singles):
             assert single.basis.n_excitations == 0
             assert np.max(np.abs(amps - single.amplitudes)) <= 1e-12
             assert abs(abs(amps[0]) - 1.0) <= 1e-12
-        for rng, twin in zip(streams, twins):
-            assert rng.random() == twin.random()
 
     def test_no_decay_moves_nothing(self):
         block = random_block(6, 3, 4, seed=1)
-        moved, _, streams, twins = self.damp_both(block, 0.0, seed=2)
+        moved, _ = self.damp_both(block, 0.0, seed=2)
         assert moved == []
-        for rng, twin in zip(streams, twins):
-            assert rng.random() == twin.random()
 
 
 class TestReadout:
@@ -327,10 +346,10 @@ class TestReadout:
 
 class TestDisorder:
     def test_zero_widths_give_nominal_circuit(self):
-        rng = np.random.default_rng(0)
         params = FSimParams(0.3, 0.4)
         layers = brickwork_layers(6, 0, LayerOrder.EVEN_FIRST) * 2
-        realizations = disorder_and_dephasing(params, NoiseConfig(), [rng], 6, layers)
+        assert disorder_draws(NoiseConfig(), 6, layers) == [0] * 4
+        realizations = disorder_and_dephasing(params, NoiseConfig(), None, 6, layers)
         assert len(realizations) == 4
         for layer in realizations:
             assert layer.z_angles is None
@@ -338,14 +357,14 @@ class TestDisorder:
             gates = layer.gate_params(params, [0])
             assert len(gates) == len(layer.bonds)
             assert all(gp is params for gp in gates)
-        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
     def test_jitter_draws_fresh_angles_per_gate(self):
         rng = np.random.default_rng(0)
         params = FSimParams(0.3, 0.4)
         noise = NoiseConfig(angle_jitter_sd=0.05)
         layers = brickwork_layers(6, 0, LayerOrder.EVEN_FIRST)
-        realizations = disorder_and_dephasing(params, noise, [rng], 6, layers)
+        normals = rng.standard_normal((sum(disorder_draws(noise, 6, layers)), 1))
+        realizations = disorder_and_dephasing(params, noise, normals, 6, layers)
         angles = [
             float(gp.theta[0])
             for layer in realizations
@@ -355,17 +374,23 @@ class TestDisorder:
 
     @pytest.mark.parametrize("convention", list(PhaseConvention))
     @pytest.mark.parametrize("jitter, dephasing", [(0.3, 0.0), (0.0, 0.2), (2.5, 0.2)])
-    def test_a_block_draws_what_each_shot_draws_alone(self, jitter, dephasing, convention):
-        # shot j of a block, against one scalar draw at a time from its own
-        # stream: per layer a (theta, phi) pair per gate, then the Z angles;
-        # a wide jitter sends angles round the circle, where they must be
-        # reduced exactly as FSimParams reduces them
+    def test_a_block_draws_what_each_shot_draws_alone(
+        self, jitter, dephasing, convention
+    ):
+        # shot j of a block, its column the normals of its own stream,
+        # against one scalar draw at a time from that stream: per layer a
+        # (theta, phi) pair per gate, then the Z angles; a wide jitter
+        # sends angles round the circle, where they must be reduced exactly
+        # as FSimParams reduces them
         params = FSimParams(0.9 * np.pi, -0.7 * np.pi, convention)
         noise = NoiseConfig(angle_jitter_sd=jitter, dephasing_sd=dephasing)
         layers = brickwork_layers(7, 1, LayerOrder.ODD_FIRST) * 3
-        block = disorder_and_dephasing(
-            params, noise, [np.random.default_rng(s) for s in range(4)], 7, layers
+        draws = sum(disorder_draws(noise, 7, layers))
+        assert draws == 2 * 18 * (jitter > 0) + 6 * 7 * (dephasing > 0)  # 6 layers
+        normals = np.stack(
+            [np.random.default_rng(s).standard_normal(draws) for s in range(4)], axis=1
         )
+        block = disorder_and_dephasing(params, noise, normals, 7, layers)
         columns = np.array([3, 0, 2])
         for j, shot in enumerate(columns):
             rng = np.random.default_rng(shot)
@@ -399,11 +424,10 @@ class TestDisorder:
         ],
     )
     def test_brickwork_layout(self, first_site, order, first, second):
-        rng = np.random.default_rng(0)
         realizations = disorder_and_dephasing(
             FSimParams(0.3, 0.4),
             NoiseConfig(),
-            [rng],
+            None,
             6,
             brickwork_layers(6, first_site, order),
         )

@@ -1,7 +1,9 @@
 """The benchmark harness in perfbench/ reads spinfcs entry points by name:
 its tracer wraps every (module, attribute) of `spans.TARGETS`, and its own
 tests call `sector.cycle_bonds` and `SectorBasis.right_ones`.  Each of them
-must resolve, or `bench.py --trace` breaks with no other test failing.  Its
+must resolve, or `bench.py --trace` breaks with no other test failing; a
+traced run of the noisy workload also checks that the wrapped calls still
+go through with the arguments the package passes.  Its
 observer of `noise.postselect` counts bool(result), which a returned array
 would break the same way.  Its workloads are `spinfcs run` configs: a
 config check that refused one, or outputs that its checks reject (a
@@ -10,6 +12,8 @@ limit), would fail operations of it with no other test failing."""
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,7 +37,8 @@ def _import_perfbench(name: str):
 
 
 workloads = _import_perfbench("workloads")
-NAMES = [(module, attr) for module, attr, _ in _import_perfbench("spans").TARGETS] + [
+spans = _import_perfbench("spans")
+NAMES = [(module, attr) for module, attr, _ in spans.TARGETS] + [
     ("sector", "cycle_bonds"),
     ("sector", "SectorBasis.right_ones"),
 ]
@@ -83,3 +88,26 @@ def test_workload_outputs_pass_the_harness_checks(workload, seed, tmp_path):
     reference = workloads.MEAN_REFERENCES.get(workload)
     problems = workloads.check_outputs(config, str(out), reference)
     assert {op: found for op, found in problems.items() if found} == {}
+
+
+def test_a_traced_noisy_run_records_the_noise_spans(tmp_path):
+    # what `bench.py --trace 1` runs: child.py in a fresh interpreter, with
+    # every entry point of `spans.TARGETS` wrapped
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    noisy = workloads.make_config("noisy-n10", workloads.DEFAULT_SEED)
+    config.write_text(json.dumps(noisy))
+    saved = tmp_path / "spans.npz"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(PERFBENCH.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    args = [str(report), str(config), str(tmp_path / "out"), "--spans", str(saved), "r"]
+    child = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(report.read_text())
+    assert "error" not in result and result["exit_code"] == 0
+    traced = spans.load(str(saved))
+    called = {traced["names"][i] for i in set(traced["name"].tolist())}
+    assert {"noise.disorder_and_dephasing", "noise.readout_flip"} <= called

@@ -34,6 +34,7 @@ from spinfcs.noise import (
     NoiseConfig,
     damp_bits,
     damping_step,
+    disorder_draws,
     postselect,
     readout_flip,
 )
@@ -139,6 +140,8 @@ class TopGenerator:
     def random(self, size=None):
         return TOP if size is None else np.full(size, TOP)
 
+    standard_normal = random
+
 
 class TestMeasurement:
     # the mass sums to one ulp under 1 and the last outcome has none
@@ -156,20 +159,25 @@ class TestMeasurement:
             assert row.tolist() == _cdf(probabilities).tolist()
             assert np.all(np.diff(row) >= 0)
 
-    def test_noisy_window_words_measure_only_outcomes_with_mass(self, monkeypatch):
-        # a 3-site window with one excitation: basis words 001, 010, 100
-        basis = sector_basis(3, 1)
+    def test_noisy_shots_measure_only_outcomes_with_mass(self, monkeypatch):
+        # a 4-site window with one excitation: basis words 0001 .. 1000
+        basis = sector_basis(4, 1)
+        p = np.append(self.P, 0.0)
         block = types.SimpleNamespace(
-            basis=basis, probabilities=lambda: np.tile(self.P[:, None], (1, 2))
+            basis=basis, probabilities=lambda: np.tile(p[:, None], (1, 2))
         )
+        measured = []
+        monkeypatch.setattr(sampler, "_philox", lambda *args: TopGenerator())
         monkeypatch.setattr(
             sampler, "_trajectory", lambda *args: [(block, np.arange(2))]
         )
-        config = ChainConfig(4, 2, HEIS)
-        words = sampler._noisy_window_words(
-            0b001, 0, 3, config, NoiseConfig(), [TopGenerator()] * 2
-        )
-        assert words.tolist() == [int(basis.words[1])] * 2
+        monkeypatch.setattr(sampler, "_tally", lambda *args: measured.append(args[2]))
+        bits = np.array([[0, 0, 0, 1]])
+        prepared = (bits, bits, np.zeros(1, dtype=bool))
+        config, sample = ChainConfig(4, 2, HEIS), SampleConfig(1, 2)
+        sampler._noisy_record(prepared, config, sample, NoiseConfig(), 0, "none")
+        want = word_to_bits(basis.words[1], 4).tolist()
+        assert measured[0].tolist() == [want] * 2
 
 
 class TestPrepare:
@@ -780,50 +788,98 @@ class TestNoiselessRoute:
         assert run.yield_fraction() == 1.0
 
 
-def per_shot_record(ens, config, sample, noise, mode, i):
-    """State i of a noisy run as the route before column blocks ran it:
-    every shot its own single-state trajectory on counter block 1 + shot,
-    drawing its disorder one number at a time, then one damping step per
-    half-layer, the measurement, the decay outside the window and the
+class Served:
+    """A stream stub that serves given numbers in order: `random` and
+    `standard_normal` the next ones, and `choice` the next one searched in
+    the normalized cumsum of p, as `Generator.choice` does."""
+
+    def __init__(self, *values):
+        self.values = np.concatenate([np.ravel(v) for v in values])
+        self.used = 0
+
+    def random(self, size=None):
+        end = self.used + (1 if size is None else math.prod(np.atleast_1d(size)))
+        out, self.used = self.values[self.used : end], end
+        return out[0] if size is None else out.reshape(size)
+
+    standard_normal = random
+
+    def choice(self, a, p):
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, self.random(), side="right"))
+
+
+def per_shot_measured(ens, config, sample, noise, i):
+    """The measured rows of state i of a noisy run, before the relabeling
+    is undone, as the route before column blocks ran them: every shot its
+    own single-state trajectory, reading its own column of the arrays the
+    state draws from counter block 1 (disorder normals, per half-layer k0
+    thinning and k0 site uniforms, a measurement uniform), its disorder
+    one number at a time, then one `damping_step` per half-layer, the
+    measurement, then its row of the decay outside the window and of the
     readout flips."""
-    bits, phys, flagged = (column[i] for column in _prepare(ens, sample, config.cycles))
+    phys = _prepare(ens, sample, config.cycles)[1][i]
     n, t, params = config.n_qubits, config.cycles, config.params
+    shots = sample.shots_per_state
     lo, hi = _window_bounds(n, t)
     layers = brickwork_layers(hi - lo, lo, config.layer_order) * t
     jitter, dephasing = noise.angle_jitter_sd, noise.dephasing_sd
-    measured = np.tile(phys, (sample.shots_per_state, 1))
+    rng = _philox(sample.seed, _substream(t, i), 1)
+    if hi > lo:
+        pairs = 2 * sum(map(len, layers)) if jitter > 0 else 0
+        z_angles = len(layers) * (hi - lo) if dephasing > 0 else 0
+        normals = rng.standard_normal((pairs + z_angles, shots))
+        damped = len(layers) if noise.half_layer_decay > 0 else 0
+        k0 = int(phys[lo:hi].sum())
+        uniforms = rng.random((damped, 2, k0, shots))
+        u = rng.random(shots)
+    decay = rng.random((shots, n - (hi - lo)))
+    flips = rng.random((shots, n))
+    measured = np.tile(phys, (shots, 1))
     for shot, row in enumerate(measured):
-        rng = _philox(sample.seed, _substream(t, i), 1 + shot)
         if hi > lo:
+            disorder = Served(normals[:, shot])
             circuit = []
             for bonds in layers:
                 gates = [params] * len(bonds)
                 if jitter > 0:
                     gates = [
                         FSimParams(
-                            params.theta + jitter * rng.standard_normal(),
-                            params.phi + jitter * rng.standard_normal(),
+                            params.theta + jitter * disorder.standard_normal(),
+                            params.phi + jitter * disorder.standard_normal(),
                             params.convention,
                         )
                         for _ in bonds
                     ]
-                z = dephasing * rng.standard_normal(hi - lo) if dephasing > 0 else None
+                z = None
+                if dephasing > 0:
+                    z = dephasing * disorder.standard_normal(hi - lo)
                 circuit.append((bonds, gates, z))
             state = basis_state(phys[lo:hi])
-            for bonds, gates, z in circuit:
+            for l, (bonds, gates, z) in enumerate(circuit):
                 for bond, gate in zip(bonds, gates):
                     state.apply_fsim(bond, gate)
                 if z is not None:
                     state.apply_diagonal_phases(z)
-                if noise.half_layer_decay > 0:
-                    state = damping_step(state, noise.half_layer_decay, rng)
-            index = _measure_indices(_cdf(state.probabilities()), rng, 1)[0]
+                if damped:
+                    thin, sites = uniforms[l, :, :, shot]
+                    k = state.basis.n_excitations
+                    state = damping_step(
+                        state, noise.half_layer_decay, Served(thin[:k], sites)
+                    )
+            index = _measure_indices(_cdf(state.probabilities()), Served(u[shot]), 1)[0]
             row[lo:hi] = word_to_bits(state.basis.words[index], hi - lo)
-        if lo > 0:
-            row[:lo] = damp_bits(phys[:lo], float(t), noise, rng)
-        if hi < n:
-            row[hi:] = damp_bits(phys[hi:], float(t), noise, rng)
-        row[:] = readout_flip(row, noise, rng)
+        outside = np.r_[:lo, hi:n]
+        row[outside] = damp_bits(phys[outside], float(t), noise, Served(decay[shot]))
+        row[:] = readout_flip(row, noise, Served(flips[shot]))
+    return measured
+
+
+def per_shot_record(ens, config, sample, noise, mode, i):
+    """State i's record, tallied from `per_shot_measured`'s rows."""
+    bits, _, flagged = (column[i] for column in _prepare(ens, sample, config.cycles))
+    measured = per_shot_measured(ens, config, sample, noise, i)
     return _tally(bits, flagged, measured, config, mode)
 
 
@@ -835,10 +891,12 @@ class TestBatchedNoisyRoute:
     @staticmethod
     def traced_run(monkeypatch, ens, config, sample, noise, mode):
         """run_sampled, checking that no block is wider than the chunk rule
-        allows; returns the run, the block widths and the number of jumps."""
-        widths, jumps = [], []
+        allows; returns the run, the block widths, the number of jumps and
+        each state's measured rows, as `_tally` receives them."""
+        widths, jumps, rows = [], [], []
         apply_fsim_tables = _kernels.apply_fsim_tables
         damp_columns = sampler.damp_columns
+        tally = sampler._tally
 
         def kernel(amps, *args):
             dim, m = amps.shape
@@ -848,18 +906,28 @@ class TestBatchedNoisyRoute:
 
         def damping(*args):
             moved = damp_columns(*args)
-            jumps.extend(j for jumped, _ in moved for j in jumped)
+            jumps.extend(j for _, jumped in moved for j in jumped)
             return moved
+
+        def tallying(bits, flagged, measured, *args):
+            rows.append(measured)
+            return tally(bits, flagged, measured, *args)
 
         monkeypatch.setattr(_kernels, "apply_fsim_tables", kernel)
         monkeypatch.setattr(sampler, "damp_columns", damping)
+        monkeypatch.setattr(sampler, "_tally", tallying)
         run = run_sampled(ens, config, sample, noise=noise, postselect_mode=mode)
-        return run, widths, len(jumps)
+        return run, widths, len(jumps), rows
 
     @staticmethod
-    def assert_records_are_the_per_shot_ones(run, ens, config, sample, noise, mode):
-        assert len(run.records) == sample.n_initial_states
+    def assert_records_are_the_per_shot_ones(
+        run, rows, ens, config, sample, noise, mode
+    ):
+        # every measured bit, before any filter, then the records
+        assert len(run.records) == len(rows) == sample.n_initial_states
         for i, got in enumerate(run.records):
+            measured = per_shot_measured(ens, config, sample, noise, i)
+            assert np.array_equal(rows[i], measured)
             want = per_shot_record(ens, config, sample, noise, mode, i)
             assert np.array_equal(got.initial_bits, want.initial_bits)
             assert np.array_equal(got.counts, want.counts)
@@ -880,12 +948,12 @@ class TestBatchedNoisyRoute:
         ens = ImbalanceEnsemble(0.5, 8)
         config = ChainConfig(8, 3, params, order)
         sample = SampleConfig(5, 14, seed=41, relabel_enabled=relabel)
-        run, widths, jumps = self.traced_run(
+        run, widths, jumps, rows = self.traced_run(
             monkeypatch, ens, config, sample, self.NOISE, mode
         )
         assert max(widths) > 1 and jumps > 0
         self.assert_records_are_the_per_shot_ones(
-            run, ens, config, sample, self.NOISE, mode
+            run, rows, ens, config, sample, self.NOISE, mode
         )
 
     @pytest.mark.parametrize(
@@ -901,13 +969,13 @@ class TestBatchedNoisyRoute:
         config = ChainConfig(10, 2, HEIS)  # window sites 3..6, decay outside
         sample = SampleConfig(6, 40, seed=8)
         monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 32)
-        run, widths, jumps = self.traced_run(
+        run, widths, jumps, rows = self.traced_run(
             monkeypatch, ens, config, sample, noise, "number_only"
         )
         assert max(widths) > 1
         assert (jumps > 0) == (noise.half_layer_decay > 0)
         self.assert_records_are_the_per_shot_ones(
-            run, ens, config, sample, noise, "number_only"
+            run, rows, ens, config, sample, noise, "number_only"
         )
 
     def test_records_equal_the_per_shot_loop_at_the_real_chunk_size(self, monkeypatch):
@@ -924,24 +992,23 @@ class TestBatchedNoisyRoute:
             for row in phys
         ]
         assert max(chunks) >= 2
-        run, widths, jumps = self.traced_run(
+        run, widths, jumps, rows = self.traced_run(
             monkeypatch, ens, config, sample, self.NOISE, "causal"
         )
         assert jumps > 0
         self.assert_records_are_the_per_shot_ones(
-            run, ens, config, sample, self.NOISE, "causal"
+            run, rows, ens, config, sample, self.NOISE, "causal"
         )
 
 
-class OneJump:
-    """A stream stub: every column jumps once, at the site the uniform 0.5
-    picks."""
-
-    def binomial(self, n, p):
-        return 1
-
-    def random(self):
-        return 0.5
+def one_jump(m):
+    """Damping uniforms of m columns of a sector with 4 ones: each column
+    jumps once (only its first thinning uniform lies below 0.5), at the
+    site the uniform 0.5 picks."""
+    uniforms = np.full((2, 4, m), 0.9)
+    uniforms[0, 0] = 0.1
+    uniforms[1, 0] = 0.5
+    return uniforms
 
 
 class TestDampBlocks:
@@ -954,7 +1021,7 @@ class TestDampBlocks:
         amps = np.random.default_rng(3).standard_normal((basis.dimension, 4)) + 0j
         amps /= np.linalg.norm(amps, axis=0)
         block = (SectorState(basis, amps.copy()), np.arange(4))
-        blocks = sampler._damp_blocks([block], 0.5, [OneJump() for _ in range(4)])
+        blocks = sampler._damp_blocks([block], 0.5, one_jump(4))
         assert [(b.basis.n_excitations, c.tolist()) for b, c in blocks] == [
             (3, [0, 1, 2]),
             (3, [3]),
@@ -962,11 +1029,11 @@ class TestDampBlocks:
         for lowered, columns in blocks:
             for got, c in zip(lowered.columns().T, columns):
                 alone = SectorState(basis, amps[:, c : c + 1].copy())
-                [(_, want)] = sampler.damp_columns(alone, 0.5, [OneJump()])
+                [(want, _)] = sampler.damp_columns(alone, 0.5, one_jump(1))
                 assert np.array_equal(got, want.columns()[:, 0])
 
 
-class TestGeneratorPool:
+class TestNoStateAcrossRuns:
     NOISE = TestBatchedNoisyRoute.NOISE
 
     def run(self, ens, config, sample, threads):
@@ -978,7 +1045,8 @@ class TestGeneratorPool:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_run_leaves_nothing_for_the_next(self, threads):
         # run A then run B in one thread; B alone in a fresh thread; both
-        # must be the per-shot records of B (more shots in A than in B)
+        # must be the per-shot records of B (more shots in A than in B), so
+        # no per-thread state carries over from one run to the next
         ens = ImbalanceEnsemble(0.5, 8)
         config_a, sample_a = ChainConfig(8, 2, HEIS), SampleConfig(4, 9, seed=1)
         config_b, sample_b = ChainConfig(8, 3, HEIS), SampleConfig(5, 6, seed=2)
@@ -1143,7 +1211,9 @@ class TestNoisyPipeline:
                 for bond in bonds:
                     want.apply_fsim(bond, HEIS)
             window = basis_state(phys[lo:hi])
-            [(got, _)] = _trajectory(window, lo, config, noise, [rng])
+            draws = sum(disorder_draws(noise, hi - lo, nominal))
+            normals = rng.standard_normal((draws, 1))
+            [(got, _)] = _trajectory(window, lo, config, noise, (normals, None))
             assert got.basis is want.basis
             diff = np.abs(got.probabilities() - want.probabilities())
             assert np.max(diff) < 1e-12
@@ -1228,8 +1298,9 @@ class TestMomentReport:
             np.testing.assert_allclose(sigma, want, rtol=1e-12, atol=0.0)
 
     def test_zero_variance_jackknife_subset_gives_nan_sigmas(self):
-        # at T1 = 1 cycle the causal filter keeps few shots, and at t=3 some
-        # delete-one subsets have zero variance: their skewness and kurtosis
+        # at T1 = 1 cycle the causal filter keeps few shots; at t=3 two
+        # states survive, one with every kept shot at M = 0, so deleting the
+        # other leaves a subset of zero variance: its skewness and kurtosis
         # are NaN, which propagates to the sigmas instead of aborting
         ens = ImbalanceEnsemble(0.5, 6)
         runs = [
@@ -1240,8 +1311,12 @@ class TestMomentReport:
                 noise=NoiseConfig(t1_cycles=1),
                 postselect_mode="causal",
             )
-            for t in (1, 2, 3)
+            for t in (1, 2)
         ]
+        survivors = [[0, 0, 0, 3, 0, 0, 0], [0, 0, 1, 1, 1, 0, 0]]
+        runs.append(
+            TestEstimator.fixed_run([[0] * 7] * 8 + survivors, cycles=3, n_qubits=6)
+        )
         report = moment_report(runs)
         assert report.cycles.tolist() == [1, 2, 3]
         assert math.isnan(report.sigma_skewness[2])
