@@ -32,14 +32,19 @@ then takes one of two routes to its tally:
   with one column per shot: disorder normals; per half-layer, k0 uniforms
   that thin the jumps and k0 that pick their sites (k0 the window's
   popcount); one measurement uniform.  The decay of the sites outside the
-  window and the readout flips follow, one call each.  The shots of one
-  state run together, as the columns of blocks: chunks of at most
-  max(1, 2^16 // dim) shots of the prepared window's sector, each column
-  with its own gate angles and Z rotations.  The columns of a block that
-  jump are lowered together, one round per jump (`noise.damp_columns`),
-  and join the columns of their new excitation count; the columns of a
-  count that are not one block within the size rule are re-blocked under
-  it.  A shot reads its own columns, whatever its block, chunk or thread.
+  window and the readout flips follow, one call each.  The shots run as
+  the columns of blocks, each column with its own gate angles and
+  Z rotations, and the shots of many states share a block: the states of
+  one k0 are packed, in index order and side by side, into batches of as
+  many whole states as keep their shots' amplitudes and numbers within
+  2^16, one block each.  A state over that budget runs alone, in chunks of
+  at most max(1, 2^16 // dim) shots of the prepared window's sector.  The
+  batches are the units of work for the threads.  The columns
+  of a block that jump are lowered together, one round per jump
+  (`noise.damp_columns`), and join the columns of their new excitation
+  count; the columns of a count that are not one block within the size
+  rule are re-blocked under it.  A shot reads its own columns, whatever
+  its block, batch or thread.
 
 The noisy route evolves gate by gate (`_trajectory`), since jittered
 per-column angles and damping jumps cannot use the engine's cached
@@ -101,11 +106,16 @@ from .sector import (
 logger = logging.getLogger(__name__)
 
 # Amplitudes in one block of window columns: the noiseless route evolves
-# distinct window words of one popcount and one left-half count, and the
-# noisy route the shots of one state (after a damping step, those of one
-# excitation count), in blocks of at most max(1, _CHUNK_AMPLITUDES // dim)
-# columns, so the engines' amplitudes never span the whole run.  Only
-# evolution is blocked: each state draws its tally in one call.
+# distinct window words of one popcount and one left-half count in blocks
+# of at most max(1, _CHUNK_AMPLITUDES // dim) columns, so the engines'
+# amplitudes never span the whole run.  The noisy route packs the whole
+# states of one window popcount into a block while its columns times their
+# amplitudes and numbers fit it: a noisy block's peak memory is set by its
+# per-shot numbers and their transients (disorder angles, gate gathers)
+# more than by its amplitudes.  A state over it runs alone, in blocks of
+# the same column rule, as do the columns of one excitation count after a
+# damping step.  Only evolution is blocked: each state draws its tally in
+# one call.
 _CHUNK_AMPLITUDES = 1 << 16
 
 
@@ -343,47 +353,85 @@ def _tally(bits, flagged, measured, config, postselect_mode) -> StateRecord:
     return StateRecord(bits, counts, shots, int(np.count_nonzero(keep)))
 
 
-def _noisy_record(prepared, config, sample, noise, state_index, postselect_mode):
-    """One state's shots, every number drawn from its counter block 1: the
-    window's first, as arrays with one column per shot, then the decay
-    outside the window and the readout flips.  The shots are evolved as
-    the columns of blocks, in chunks of at most `_chunk_columns` shots that
-    read their own columns; each measures the first outcome of its column's
-    guarded CDF above its uniform.  The rows are filtered and tallied."""
-    bits, phys, flagged = (column[state_index] for column in prepared)
+def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
+    """Every state's record with noise, in state order.  The states of one
+    window popcount k0 are packed, in index order, into batches of as many
+    whole states (at least one) as keep the batch's columns times
+    C(width, k0) plus the numbers of a shot (the disorder normals, 2 k0 per
+    damped half-layer, 1) within `_CHUNK_AMPLITUDES`.  A batch is the
+    threads' unit of work and runs in three passes.
+
+    Draw: each state opens its counter block 1 and draws its shots' numbers
+    as arrays with one column per shot: the disorder normals, per
+    half-layer k0 thinning and k0 site uniforms, one measurement uniform.
+    Evolve: the states' arrays are placed side by side, so column j of the
+    batch's block is one shot and reads its own numbers; the block runs in
+    chunks of at most `_chunk_columns` columns (more than one only for a
+    state over the budget alone), and each shot measures the first outcome
+    of its column's guarded CDF above its uniform.  Tally: each state, with
+    its own generator, decays its sites outside the window, flips its
+    readouts, and filters and tallies its rows."""
+    bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
     width = hi - lo
-    rng = _philox(sample.seed, _substream(t, state_index), 1)
-    measured = np.tile(phys, (shots, 1))
-    if width:
-        word = bits_to_word(phys[lo:hi])
-        k0 = word.bit_count()
-        layers = brickwork_layers(width, lo, config.layer_order) * t
-        draws = sum(disorder_draws(noise, width, layers))
-        normals = rng.standard_normal((draws, shots))
-        damped = len(layers) if noise.half_layer_decay > 0.0 else 0
-        uniforms = rng.random((damped, 2, k0, shots))
-        u = rng.random(shots)
-        size = _chunk_columns(width, k0)
-        for s0 in range(0, shots, size):
-            part = slice(s0, s0 + size)
-            numbers = (normals[:, part], uniforms[..., part])
-            # no name holds a block once damping has replaced it, or into
-            # the next chunk
-            for block, columns in _trajectory(
-                SectorState.from_words([word] * len(u[part]), width),
-                lo, config, noise, numbers,
-            ):
-                cdf = _cdf(block.probabilities().T)
-                found = np.count_nonzero(cdf <= u[part][columns, None], axis=1)
-                words = block.basis.words[found]
-                measured[s0 + columns, lo:hi] = word_to_bits(words, width)
-            del block
+    layers = brickwork_layers(width, lo, config.layer_order) * t
+    draws = sum(disorder_draws(noise, width, layers))
+    damped = len(layers) if noise.half_layer_decay > 0.0 else 0
+    words = bits_to_word(phys[:, lo:hi])
+    ones = np.bitwise_count(words).tolist()
     outside = np.r_[:lo, hi:n]
-    measured[:, outside] = damp_bits(measured[:, outside], float(t), noise, rng)
-    measured = readout_flip(measured, noise, rng)
-    return _tally(bits, flagged, measured, config, postselect_mode)
+
+    def batch_records(batch):
+        k = ones[batch[0]]
+        rngs = [_philox(sample.seed, _substream(t, i), 1) for i in batch]
+        # the shots of batch[b] are rows b * shots .. of `measured` and the
+        # same columns of the block
+        measured = np.repeat(phys[batch], shots, axis=0)
+        if width:
+            m = len(rngs) * shots
+            normals, uniforms, u = (
+                np.empty((*shape, m)) for shape in ((draws,), (damped, 2, k), ())
+            )
+            for b, rng in enumerate(rngs):
+                cols = slice(b * shots, (b + 1) * shots)
+                normals[:, cols] = rng.standard_normal((draws, shots))
+                uniforms[..., cols] = rng.random((damped, 2, k, shots))
+                u[cols] = rng.random(shots)
+            start = words[batch].repeat(shots)
+            size = _chunk_columns(width, k)
+            for s0 in range(0, start.size, size):
+                part = slice(s0, s0 + size)
+                # no name holds a block once damping has replaced it, or
+                # into the next chunk
+                for block, columns in _trajectory(
+                    SectorState.from_words(start[part], width),
+                    lo, config, noise, (normals[:, part], uniforms[..., part]),
+                ):
+                    cdf = _cdf(block.probabilities().T)
+                    found = np.count_nonzero(cdf <= u[part][columns, None], axis=1)
+                    found = block.basis.words[found]
+                    measured[s0 + columns, lo:hi] = word_to_bits(found, width)
+                del block
+        records = []
+        for b, (i, rng) in enumerate(zip(batch, rngs)):
+            own = measured[b * shots : (b + 1) * shots]
+            own[:, outside] = damp_bits(own[:, outside], float(t), noise, rng)
+            own = readout_flip(own, noise, rng)
+            records.append(_tally(bits[i], flagged[i], own, config, postselect_mode))
+        return records
+
+    batches = []
+    for k in sorted(set(ones)):
+        group = [i for i, count in enumerate(ones) if count == k]
+        numbers = draws + 2 * k * damped + 1
+        per = max(1, _CHUNK_AMPLITUDES // (shots * (math.comb(width, k) + numbers)))
+        batches += [group[j : j + per] for j in range(0, len(group), per)]
+    records = [None] * len(ones)
+    for batch, part in zip(batches, thread_map(batch_records, batches, threads)):
+        for i, record in zip(batch, part):
+            records[i] = record
+    return records
 
 
 def _window_chunks(words, width):
@@ -430,7 +478,8 @@ def _noiseless_records(prepared, config, sample, threads):
     # Cut each word's masses after its last right count of nonzero mass,
     # which `multinomial` gives whatever the draws before it leave over,
     # and renormalize them to the sum `multinomial` checks.
-    pvals = [p / p.sum() for p in (np.trim_zeros(row, "b") for row in masses)]
+    ends = masses.shape[1] - np.argmax(masses[:, ::-1] != 0, axis=1)
+    pvals = [row[:end] / row[:end].sum() for row, end in zip(masses, ends.tolist())]
     right = np.zeros((word_of.size, masses.shape[1]), dtype=np.int64)
     rng = None  # one generator, reset to each state's stream
     for i, (row, w) in enumerate(zip(right, word_of.tolist())):
@@ -463,9 +512,9 @@ def run_sampled(
     `postselect_mode` has no effect there, because every mode keeps every
     noiseless shot.  With noise every shot is an
     independent trajectory (disorder realizations included), the shots of
-    a state evolve together as the columns of blocks, and their measured
-    bitstrings are post-selected under `postselect_mode`.  Output is
-    bitwise independent of `threads`.
+    batches of states evolve together as the columns of blocks, and their
+    measured bitstrings are post-selected under `postselect_mode`.  Output
+    is bitwise independent of `threads`.
     """
     if ens.n_qubits != config.n_qubits:
         raise ValueError(
@@ -482,11 +531,9 @@ def run_sampled(
         records = _noiseless_records(prepared, config, sample, threads)
     else:
         mode = "noisy-sampled"
-
-        def state_record(i):
-            return _noisy_record(prepared, config, sample, noise, i, postselect_mode)
-
-        records = thread_map(state_record, range(sample.n_initial_states), threads)
+        records = _noisy_records(
+            prepared, config, sample, noise, postselect_mode, threads
+        )
     run = SampledRun(
         cycles=config.cycles,
         n_qubits=config.n_qubits,

@@ -175,7 +175,7 @@ class TestMeasurement:
         bits = np.array([[0, 0, 0, 1]])
         prepared = (bits, bits, np.zeros(1, dtype=bool))
         config, sample = ChainConfig(4, 2, HEIS), SampleConfig(1, 2)
-        sampler._noisy_record(prepared, config, sample, NoiseConfig(), 0, "none")
+        sampler._noisy_records(prepared, config, sample, NoiseConfig(), "none", 1)
         want = word_to_bits(basis.words[1], 4).tolist()
         assert measured[0].tolist() == [want] * 2
 
@@ -890,10 +890,12 @@ class TestBatchedNoisyRoute:
 
     @staticmethod
     def traced_run(monkeypatch, ens, config, sample, noise, mode):
-        """run_sampled, checking that no block is wider than the chunk rule
-        allows; returns the run, the block widths, the number of jumps and
-        each state's measured rows, as `_tally` receives them."""
-        widths, jumps, rows = [], [], []
+        """`_noisy_records`, checking that no block is wider than the chunk
+        rule allows; returns the records, the block widths, the number of
+        jumps and each state's measured rows, as `_tally` receives them, by
+        state."""
+        widths, jumps, rows = [], [], {}
+        prepared = _prepare(ens, sample, config.cycles)
         apply_fsim_tables = _kernels.apply_fsim_tables
         damp_columns = sampler.damp_columns
         tally = sampler._tally
@@ -910,22 +912,27 @@ class TestBatchedNoisyRoute:
             return moved
 
         def tallying(bits, flagged, measured, *args):
-            rows.append(measured)
+            # batches run by popcount: the state is the prepared row that
+            # `bits` views
+            [i] = [
+                i for i, row in enumerate(prepared[0]) if np.shares_memory(row, bits)
+            ]
+            rows[i] = measured
             return tally(bits, flagged, measured, *args)
 
         monkeypatch.setattr(_kernels, "apply_fsim_tables", kernel)
         monkeypatch.setattr(sampler, "damp_columns", damping)
         monkeypatch.setattr(sampler, "_tally", tallying)
-        run = run_sampled(ens, config, sample, noise=noise, postselect_mode=mode)
-        return run, widths, len(jumps), rows
+        records = sampler._noisy_records(prepared, config, sample, noise, mode, 1)
+        return records, widths, len(jumps), rows
 
     @staticmethod
     def assert_records_are_the_per_shot_ones(
-        run, rows, ens, config, sample, noise, mode
+        records, rows, ens, config, sample, noise, mode
     ):
         # every measured bit, before any filter, then the records
-        assert len(run.records) == len(rows) == sample.n_initial_states
-        for i, got in enumerate(run.records):
+        assert len(records) == len(rows) == sample.n_initial_states
+        for i, got in enumerate(records):
             measured = per_shot_measured(ens, config, sample, noise, i)
             assert np.array_equal(rows[i], measured)
             want = per_shot_record(ens, config, sample, noise, mode, i)
@@ -948,12 +955,12 @@ class TestBatchedNoisyRoute:
         ens = ImbalanceEnsemble(0.5, 8)
         config = ChainConfig(8, 3, params, order)
         sample = SampleConfig(5, 14, seed=41, relabel_enabled=relabel)
-        run, widths, jumps, rows = self.traced_run(
+        records, widths, jumps, rows = self.traced_run(
             monkeypatch, ens, config, sample, self.NOISE, mode
         )
         assert max(widths) > 1 and jumps > 0
         self.assert_records_are_the_per_shot_ones(
-            run, rows, ens, config, sample, self.NOISE, mode
+            records, rows, ens, config, sample, self.NOISE, mode
         )
 
     @pytest.mark.parametrize(
@@ -969,13 +976,13 @@ class TestBatchedNoisyRoute:
         config = ChainConfig(10, 2, HEIS)  # window sites 3..6, decay outside
         sample = SampleConfig(6, 40, seed=8)
         monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 32)
-        run, widths, jumps, rows = self.traced_run(
+        records, widths, jumps, rows = self.traced_run(
             monkeypatch, ens, config, sample, noise, "number_only"
         )
         assert max(widths) > 1
         assert (jumps > 0) == (noise.half_layer_decay > 0)
         self.assert_records_are_the_per_shot_ones(
-            run, rows, ens, config, sample, noise, "number_only"
+            records, rows, ens, config, sample, noise, "number_only"
         )
 
     def test_records_equal_the_per_shot_loop_at_the_real_chunk_size(self, monkeypatch):
@@ -992,13 +999,99 @@ class TestBatchedNoisyRoute:
             for row in phys
         ]
         assert max(chunks) >= 2
-        run, widths, jumps, rows = self.traced_run(
+        records, widths, jumps, rows = self.traced_run(
             monkeypatch, ens, config, sample, self.NOISE, "causal"
         )
         assert jumps > 0
         self.assert_records_are_the_per_shot_ones(
-            run, rows, ens, config, sample, self.NOISE, "causal"
+            records, rows, ens, config, sample, self.NOISE, "causal"
         )
+
+
+class TestStatePacking:
+    NOISE = TestBatchedNoisyRoute.NOISE
+
+    @staticmethod
+    def rule_blocks(ens, config, sample, noise):
+        """The first blocks of a noisy run by the batch rule, written out,
+        each as the state of each of its columns.  The states of one window
+        popcount k0 join a block in index order while its columns times
+        C(width, k0) plus the numbers of a shot (disorder normals, 2 k0 per
+        damped half-layer, one measurement uniform) stay within
+        `_CHUNK_AMPLITUDES`; a state over that alone runs in chunks of
+        `_chunk_columns`."""
+        n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
+        lo, hi = _window_bounds(n, t)
+        width = hi - lo
+        layers = brickwork_layers(width, lo, config.layer_order) * t
+        normals = sum(disorder_draws(noise, width, layers))
+        damped = len(layers) if noise.half_layer_decay > 0 else 0
+        ones = _prepare(ens, sample, t)[1][:, lo:hi].sum(axis=1).tolist()
+        blocks = []
+        for k in sorted(set(ones)):
+            per_shot = math.comb(width, k) + normals + 2 * k * damped + 1
+            batches = [[]]
+            for i in (i for i, o in enumerate(ones) if o == k):
+                if batches[-1] and (len(batches[-1]) + 1) * shots * per_shot > (
+                    sampler._CHUNK_AMPLITUDES
+                ):
+                    batches.append([])
+                batches[-1].append(i)
+            for batch in batches:
+                columns = [i for i in batch for _ in range(shots)]
+                size = len(columns)
+                if len(batch) == 1:
+                    size = sampler._chunk_columns(width, k)
+                blocks += [columns[j : j + size] for j in range(0, len(columns), size)]
+        return blocks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("budget", [128, 2048])
+    def test_a_record_does_not_depend_on_its_batch_mates(
+        self, budget, threads, monkeypatch
+    ):
+        # at 128 amplitudes most states run alone, some in two chunks or
+        # more; at 2048 the shots of several states share blocks at every t
+        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", budget)
+        blocks = []
+        trajectory = sampler._trajectory
+
+        def spy(state, *args):
+            rows = np.argmax(np.abs(state.columns()), axis=0)
+            blocks.append(tuple(state.basis.words[rows].tolist()))
+            return trajectory(state, *args)
+
+        monkeypatch.setattr(sampler, "_trajectory", spy)
+        ens = ImbalanceEnsemble(0.5, 8)
+        many, few = (SampleConfig(states, 8, seed=2) for states in (7, 3))
+        shared = chunked = 0
+        for t in (1, 2, 3):
+            config = ChainConfig(8, t, HEIS)
+
+            def run(sample):
+                return run_sampled(
+                    ens, config, sample, noise=self.NOISE,
+                    postselect_mode="causal", threads=threads,
+                ).records
+
+            blocks.clear()
+            records = run(many)
+            lo, hi = _window_bounds(8, t)
+            words = bits_to_word(_prepare(ens, many, t)[1][:, lo:hi])
+            rule = self.rule_blocks(ens, config, many, self.NOISE)
+            assert sorted(blocks) == sorted(tuple(words[b].tolist()) for b in rule)
+            shared += sum(len(set(b)) > 1 for b in rule)
+            chunked += sum(len(b) < 8 for b in rule)
+            for got, alone in zip(records[:3], run(few), strict=True):
+                assert np.array_equal(got.counts, alone.counts)
+                assert (got.shots, got.kept) == (alone.shots, alone.kept)
+            for i, got in enumerate(records):
+                want = per_shot_record(ens, config, many, self.NOISE, "causal", i)
+                assert np.array_equal(got.counts, want.counts)
+                assert (got.shots, got.kept) == (want.shots, want.kept)
+        assert shared > 0
+        if budget == 128:
+            assert chunked > 0
 
 
 def one_jump(m):
