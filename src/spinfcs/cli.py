@@ -152,6 +152,7 @@ def _parse_config(cfg) -> dict:
     _check(ok, "mu", f"expected values >= 0, got {raw_mu!r}")
     _check(len(set(mus)) == len(mus), "mu", f"lists a value twice: {raw_mu!r}")
     seed = _require(cfg, "seed", int, default=0)
+    _check(0 <= seed < 2**64, "seed", f"must be in 0 .. 2^64 - 1, got {seed}")
     states = _require(cfg, "initial_states", int, default=100)
     shots = _require(cfg, "shots_per_state", int, default=1000)
     relabel = _require(cfg, "relabel", bool, default=True)

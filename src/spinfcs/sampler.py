@@ -3,15 +3,20 @@ samples it: random initial bitstrings, per-state measurement shots, noise
 trajectories, post-selection, and the per-state-normalized power estimator.
 
 Randomness is counter-based for thread-count-independent reproducibility:
-every (cycle, initial state) owns a Philox stream keyed by the master seed,
-and within a state the initial-bit draw (counter block 0) and the draws of
-its shots (counter block 1) live in disjoint counter blocks.  Results
-therefore depend only on (seed, configuration).
+every stream is a Philox counter block on a key of the master seed and a
+substream.  Per cycle count, one generator draws every state's initial
+bits, row i state i's, in one call, and, without noise, one more draws
+every state's tally in one call; with noise, each state draws its shots'
+numbers from its own stream, a counter block of its own key.  The
+per-cycle generators draw in state order on the calling thread, and a
+state's own stream depends on nothing else, so results depend only on
+(seed, configuration), and the first N' states of an N-state run are
+those of an N'-state run.
 
-Every initial state is drawn once, from its counter block 0, and
-relabeled.  Only the 2t-site light-cone window around the cut is evolved;
-sites outside it never see a gate and keep their prepared bits.  A state
-then takes one of two routes to its tally:
+Every initial state is relabeled once it is drawn.  Only the 2t-site
+light-cone window around the cut is evolved; sites outside it never see a
+gate and keep their prepared bits.  A state then takes one of two routes
+to its tally:
 
 * noiseless: a shot counts only through its right-half count, whose
   distribution depends only on the window word, so each distinct word of
@@ -21,12 +26,13 @@ then takes one of two routes to its tally:
   tensor is.  Words of one popcount and one left-half count are evolved
   together, as the columns of one initial block, in chunks of at most
   max(1, 2^16 // dim) columns (the chunks are also the units of work for
-  the threads).  Each state then draws its whole tally of right counts,
-  with its own counter block 1, in one multinomial call over its word's
-  right-count masses, cut after the last right count of nonzero mass
-  (`multinomial` gives the last category whatever the draws before it
-  leave over) and renormalized: O(t) binomial draws per state, none per
-  shot;
+  the threads).  Every state's whole tally of right counts is then drawn
+  in one multinomial call, one row per state: the right-count masses of
+  its word, renormalized and rolled to make its last right count of
+  nonzero mass the last category (`multinomial` gives the last category
+  whatever the draws before it leave over, and a zero-mass one draws
+  nothing).  That is each state's own multinomial, drawn in state
+  order: O(t) binomial draws per state, none per shot;
 * noisy: each shot is its own trajectory on the window.  Before any runs,
   the state draws, with its counter block 1, its shots' numbers as arrays
   with one column per shot: disorder normals; per half-layer, k0 uniforms
@@ -118,6 +124,12 @@ logger = logging.getLogger(__name__)
 # one call.
 _CHUNK_AMPLITUDES = 1 << 16
 
+# The counter blocks of the generators built once per cycle count t, on the
+# key (seed, _substream(t, 0)).  A noisy state i's shots draw from block 1
+# of the key (seed, _substream(t, i)), so no state's stream reaches these.
+_INITIAL_BITS_BLOCK = 2
+_TALLY_BLOCK = 3
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -131,28 +143,14 @@ class SampleConfig:
     def __post_init__(self):
         if self.n_initial_states < 1 or self.shots_per_state < 1:
             raise ValueError("state and shot counts must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in 0 .. 2^64 - 1, got {self.seed}")
 
 
-def _philox(seed: int, substream: int, block: int, reuse=None):
-    """Generator on the counter block `block` of stream (seed, substream).
-
-    With `reuse`, a generator an earlier call returned, that generator is
-    reset to the stream and returned (the earlier stream ends there), which
-    costs a fraction of building a new one; it draws the same numbers."""
-    key = [seed & 0xFFFFFFFFFFFFFFFF, substream]
-    counter = [0, 0, block, 0]
-    if reuse is None:
-        bits = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=counter)
-        return np.random.Generator(bits)
-    reuse.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,  # empty: the next draw computes a fresh block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return reuse
+def _philox(seed: int, substream: int, block: int):
+    """Generator on the counter block `block` of stream (seed, substream)."""
+    key = np.array([seed, substream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
 
 
 def _substream(cycles: int, state_index: int) -> int:
@@ -316,14 +314,12 @@ def _damp_blocks(blocks, p_decay, uniforms):
 
 
 def _prepare(ens, sample, cycles):
-    """The initial bits of every state, one row each, drawn from its counter
-    block 0; the prepared bits after the relabeling; and which states were
-    relabeled."""
-    u = np.empty((sample.n_initial_states, ens.n_qubits))
-    rng = None  # one generator, reset to each state's stream
-    for i, row in enumerate(u):
-        rng = _philox(sample.seed, _substream(cycles, i), 0, rng)
-        rng.random(out=row)  # the draws of `sample_initial`
+    """The initial bits of every state, one row each, all drawn in one call
+    from the cycle count's initial-bit generator: row i is its i-th
+    `sample_initial` draw.  Then the prepared bits after the relabeling,
+    and which states were relabeled."""
+    rng = _philox(sample.seed, _substream(cycles, 0), _INITIAL_BITS_BLOCK)
+    u = rng.random((sample.n_initial_states, ens.n_qubits))
     bits = (u < ens.site_excitation_probabilities()).astype(np.int64)
     if sample.relabel_enabled:
         return bits, *relabel_if_overfull(bits)
@@ -453,11 +449,12 @@ def _window_chunks(words, width):
 
 def _noiseless_records(prepared, config, sample, threads):
     """Every state's record without noise.  Each distinct window word is
-    evolved once on the block engine, in `_window_chunks`; then each state,
-    with its own counter block 1, draws its whole tally of right counts r
-    as one multinomial over its word's right-count masses, and tallies
-    r - b0, b0 its word's right count, negated for a relabeled state;
-    unfiltered, as no mode can reject a noiseless shot."""
+    evolved once on the block engine, in `_window_chunks`; then every
+    state's whole tally of right counts r is drawn, in state order, in one
+    multinomial call on the cycle count's tally generator, one row of
+    right-count masses per state, and each state tallies r - b0, b0 its
+    word's right count, negated for a relabeled state; unfiltered, as no
+    mode can reject a noiseless shot."""
     bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
@@ -475,19 +472,20 @@ def _noiseless_records(prepared, config, sample, threads):
         masses = np.empty((words.size, width // 2 + 1))
         for picked, part in zip(chunks, thread_map(evolve, chunks, threads)):
             masses[picked] = part.T
-    # Cut each word's masses after its last right count of nonzero mass,
-    # which `multinomial` gives whatever the draws before it leave over,
-    # and renormalize them to the sum `multinomial` checks.
-    ends = masses.shape[1] - np.argmax(masses[:, ::-1] != 0, axis=1)
-    pvals = [row[:end] / row[:end].sum() for row, end in zip(masses, ends.tolist())]
-    right = np.zeros((word_of.size, masses.shape[1]), dtype=np.int64)
-    rng = None  # one generator, reset to each state's stream
-    for i, (row, w) in enumerate(zip(right, word_of.tolist())):
-        rng = _philox(sample.seed, _substream(t, i), 1, rng)
-        row[: pvals[w].size] = rng.multinomial(shots, pvals[w])
+    # Each word's right counts are rolled so that its last one of nonzero
+    # mass is the last category, which `multinomial` gives whatever the
+    # draws before it leave over; the zero-mass ones rolled ahead of the
+    # others draw nothing.  The masses are renormalized to the sum
+    # `multinomial` checks.
+    size = masses.shape[1]
+    ends = size - np.argmax(masses[:, ::-1] != 0, axis=1)
+    order = (np.arange(size) + ends[:, None]) % size  # category -> right count
+    pvals = np.take_along_axis(masses / masses.sum(axis=1, keepdims=True), order, 1)
+    rng = _philox(sample.seed, _substream(t, 0), _TALLY_BLOCK)
+    right = rng.multinomial(shots, pvals[word_of])
     b0 = np.bitwise_count(words & np.uint64((1 << width // 2) - 1))
     sign = np.where(flagged, -1, 1)[:, None]
-    delta_r = (np.arange(right.shape[1]) - b0[word_of, None]) * sign
+    delta_r = (order[word_of] - b0[word_of, None]) * sign
     counts = np.zeros((word_of.size, n + 1), dtype=np.int64)
     np.put_along_axis(counts, n // 2 + delta_r, right, axis=1)
     return [StateRecord(b, row, shots, shots) for b, row in zip(bits, counts)]

@@ -242,14 +242,21 @@ def fit_dynamical_exponent(
     )
 
 
+def _distinct(ascending):
+    """The distinct values of an ascending array, as `np.unique` gives them;
+    `np.unique` itself imports `numpy.ma` to look for a mask."""
+    rises = ascending[1:] != ascending[:-1]
+    return np.concatenate((ascending[:1], ascending[1:][rises]))
+
+
 def _monotone_pl_residual(x, y, n_knots):
     """Normalized SSR of the best monotone piecewise-linear fit y(x)."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ys = y[order]
     n_knots = min(n_knots, xs.size)  # more knots than points repeat ranks
-    idx = np.unique(np.round(np.linspace(0, xs.size - 1, n_knots)).astype(int))
-    knots = np.unique(xs[idx])
+    idx = _distinct(np.round(np.linspace(0, xs.size - 1, n_knots)).astype(int))
+    knots = _distinct(xs[idx])
     n_k = knots.size
     if n_k < 2 or np.ptp(ys) == 0.0:
         return 0.0

@@ -383,6 +383,8 @@ class TestConfigValidation:
         ),
         "noise-in-exact-mode": ("noise", {"mode": "exact", "noise": {}}),
         "no-states": ("initial_states", {"initial_states": 0}),
+        "negative-seed": ("seed", {"seed": -1}),
+        "seed-past-64-bits": ("seed", {"seed": 2**64 + 5}),
         "repeated-mu": ("mu", {"mu": [0.5, "inf", 0.5]}),
         "nan-angle": ("theta", {"theta": math.nan}),
         "nan-readout-rate": ("noise.e0", {"noise": {"e0": math.nan}}),
@@ -471,6 +473,23 @@ class TestConfigValidation:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
         assert not (tmp_path / "o").exists()  # refused before any work
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_a_seed_outside_64_bits_is_refused_from_the_command_line(
+        self, tmp_path, capsys, seed, mode
+    ):
+        # 2^64 + 5 would otherwise draw what seed 5 draws
+        cfg = write_config(
+            tmp_path / "cfg.json", mode=mode, initial_states=2, shots_per_state=10
+        )
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'seed'")
+        assert not out.exists()  # refused before any work
+        assert main([*argv[:-1], str(2**64 - 1)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("key", ["e0", "e1"])
     def test_per_qubit_rates_need_one_rate_per_qubit(self, tmp_path, capsys, key):
@@ -832,3 +851,29 @@ class TestImport:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_a_run_with_a_collapse_scan_loads_no_masked_arrays(self, tmp_path):
+        # numpy.ma costs about 1 MB of memory; no step of a run needs it
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            cycles=5,
+            n_qubits=10,
+            mu=[0.4, 0.8],
+            analysis={"collapse_gammas": [0.4, 0.6, 0.8], "collapse_t_min": 3},
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        code = (
+            "import sys\n"
+            "from spinfcs.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "o" / "collapse_scan.csv").exists()
+        assert done.stdout.splitlines()[-1] == "False"

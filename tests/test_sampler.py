@@ -110,25 +110,33 @@ class TestSampleInitial:
 
 
 class TestPhilox:
-    STREAMS = [(0, 0, 0), (12345, _substream(6, 999), 1), (-1, 2**64 - 1, 7)]
+    @pytest.mark.parametrize("states", [1, 7, 300])
+    def test_a_noiseless_run_builds_two_generators_per_cycle_count(
+        self, states, monkeypatch
+    ):
+        # the initial bits and the tallies of every state, one draw each
+        built = []
 
-    DRAWS = [
-        lambda g: g.random(3, dtype=np.float32),  # odd: leaves half a 64-bit word
-        lambda g: g.random(5),
-        lambda g: g.integers(0, 9, size=7),
-    ]
+        def spy(*args):
+            built.append(args)
+            return _philox(*args)
 
-    def test_reset_generator_draws_as_a_new_one(self):
-        rng = None
-        for seed, sub, block in self.STREAMS * 2:
-            rng = _philox(seed, sub, block, rng)
-            fresh = _philox(seed, sub, block)
-            for draw in self.DRAWS:
-                assert draw(rng).tolist() == draw(fresh).tolist()
+        monkeypatch.setattr(sampler, "_philox", spy)
+        ens = ImbalanceEnsemble(0.5, 8)
+        sample = SampleConfig(states, 5, seed=9)
+        for t in (0, 1, 3):
+            built.clear()
+            run_sampled(ens, ChainConfig(8, t, HEIS), sample)
+            assert sorted(built) == [
+                (9, _substream(t, 0), sampler._INITIAL_BITS_BLOCK),
+                (9, _substream(t, 0), sampler._TALLY_BLOCK),
+            ]
 
-    def test_reset_returns_the_generator_it_was_given(self):
-        rng = _philox(1, 2, 3)
-        assert _philox(4, 5, 6, rng) is rng
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SampleConfig(2, 2, seed=seed)
+
 
 
 TOP = 1.0 - 2.0**-53  # the largest double below 1
@@ -187,9 +195,9 @@ class TestPrepare:
         ens = ImbalanceEnsemble(mu, 10)
         sample = SampleConfig(40, 1, seed=77, relabel_enabled=relabel)
         bits, phys, flagged = _prepare(ens, sample, 3)
-        for i, row in enumerate(bits):
-            want = sample_initial(ens, _philox(77, _substream(3, i), 0))
-            assert row.tolist() == want.tolist()
+        rng = _philox(77, _substream(3, 0), sampler._INITIAL_BITS_BLOCK)
+        for row in bits:
+            assert row.tolist() == sample_initial(ens, rng).tolist()
         if relabel:
             want_phys, want_flags = relabel_if_overfull(bits)
         else:
@@ -653,18 +661,18 @@ class TestBatchedWindow:
 
 def tiled_records(ens, config, sample, mode):
     """A noiseless run's records as the route before the right-count tally
-    made them: the same chunks evolved gate by gate, then for every state
-    its shots' right counts drawn from counter block 1 as one multinomial
-    over the dense right-count marginal of its word, cut after its last
-    right count of nonzero mass, each shot an n-bit row tiled from the
-    prepared bits with the likeliest window outcome of its right count
-    unpacked into it, and the rows relabeled back, filtered and tallied by
-    `_tally`."""
+    made them: the same chunks evolved gate by gate, then for every state,
+    in state order, its shots' right counts drawn from the cycle count's
+    tally generator as one multinomial over the dense right-count marginal
+    of its word, cut after its last right count of nonzero mass, each shot
+    an n-bit row tiled from the prepared bits with the likeliest window
+    outcome of its right count unpacked into it, and the rows relabeled
+    back, filtered and tallied by `_tally`."""
     bits, phys, flagged = _prepare(ens, sample, config.cycles)
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
     words, word_of = np.unique(bits_to_word(phys[:, lo:hi]), return_inverse=True)
-    records = [None] * sample.n_initial_states
+    evolved = {}  # word index -> (basis words, marginal, likeliest)
     for picked in _window_chunks(words, hi - lo):
         block = SectorState.from_words(words[picked], hi - lo)
         [(block, _)] = _trajectory(block, lo, config, NoiseConfig(), None)
@@ -676,15 +684,18 @@ def tiled_records(ens, config, sample, mode):
             likeliest = [
                 np.argmax(np.where(right == r, p, -1.0)) for r in range(marginal.size)
             ]
-            cut = np.trim_zeros(marginal, "b")
-            for i in np.flatnonzero(word_of == w):
-                rng = _philox(sample.seed, _substream(t, i), 1)
-                tally = rng.multinomial(shots, cut / cut.sum())
-                drawn = np.repeat(np.arange(cut.size), tally)
-                outcomes = block.basis.words[np.take(likeliest, drawn)]
-                measured = np.tile(phys[i], (shots, 1))
-                measured[:, lo:hi] = word_to_bits(outcomes, hi - lo)
-                records[i] = _tally(bits[i], flagged[i], measured, config, mode)
+            evolved[w] = block.basis.words, marginal, likeliest
+    rng = _philox(sample.seed, _substream(t, 0), sampler._TALLY_BLOCK)
+    records = []
+    for i, w in enumerate(word_of):
+        basis_words, marginal, likeliest = evolved[w]
+        cut = np.trim_zeros(marginal, "b")
+        tally = rng.multinomial(shots, cut / cut.sum())
+        drawn = np.repeat(np.arange(cut.size), tally)
+        outcomes = basis_words[np.take(likeliest, drawn)]
+        measured = np.tile(phys[i], (shots, 1))
+        measured[:, lo:hi] = word_to_bits(outcomes, hi - lo)
+        records.append(_tally(bits[i], flagged[i], measured, config, mode))
     return records
 
 
@@ -1063,7 +1074,7 @@ class TestStatePacking:
 
         monkeypatch.setattr(sampler, "_trajectory", spy)
         ens = ImbalanceEnsemble(0.5, 8)
-        many, few = (SampleConfig(states, 8, seed=2) for states in (7, 3))
+        many, few = (SampleConfig(states, 8, seed=4) for states in (7, 3))
         shared = chunked = 0
         for t in (1, 2, 3):
             config = ChainConfig(8, t, HEIS)
@@ -1179,6 +1190,29 @@ class TestReproducibility:
                     for a, b in zip(runs[0].records, other.records):
                         assert np.array_equal(a.counts, b.counts)
                         assert np.array_equal(a.initial_bits, b.initial_bits)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("noise", [None, TestBatchedNoisyRoute.NOISE])
+    def test_the_first_states_of_a_run_are_the_shorter_run(self, noise, threads):
+        # a state's initial bits and record do not depend on how many
+        # states the run draws after it
+        ens = ImbalanceEnsemble(0.5, 8)
+        many, few = (SampleConfig(states, 12, seed=31) for states in (40, 13))
+        for t in (1, 2, 3):
+            config = ChainConfig(8, t, HEIS)
+            for got, want in zip(_prepare(ens, many, t), _prepare(ens, few, t)):
+                assert np.array_equal(got[:13], want)
+            longer, shorter = (
+                run_sampled(
+                    ens, config, sample, noise=noise, postselect_mode="causal",
+                    threads=threads,
+                ).records
+                for sample in (many, few)
+            )
+            for got, want in zip(longer[:13], shorter, strict=True):
+                assert np.array_equal(got.initial_bits, want.initial_bits)
+                assert np.array_equal(got.counts, want.counts)
+                assert (got.shots, got.kept) == (want.shots, want.kept)
 
     @pytest.mark.parametrize("threads", [0, -3])
     @pytest.mark.parametrize("noise", [None, NoiseConfig(e0=0.01)])
