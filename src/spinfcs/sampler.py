@@ -76,9 +76,10 @@ average with the "none" and "number_only" filters.  With the causal filter
 the per-state-normalized average is not exact: it differs from the whole
 chain's by up to about 1e-4 (even-first) and 5e-3 (odd-first) at n = 6.
 
-Per-state tallies live on the full grid of right-half count changes,
--n/2..n/2, because noisy number-only-filtered outcomes can land outside the
-causal cone |M| <= 2t; causal filtering confines them again.
+Per-state tallies, the rows of a run's `counts`, live on the full grid of
+right-half count changes, -n/2..n/2, because noisy number-only-filtered
+outcomes can land outside the causal cone |M| <= 2t; causal filtering
+confines them again.
 """
 
 import logging
@@ -177,29 +178,20 @@ def relabel_if_overfull(bits) -> tuple[np.ndarray, bool | np.ndarray]:
 
 
 @dataclass
-class StateRecord:
-    """Per-initial-state tally of surviving right-count changes.
-
-    `counts[i]` counts shots with N_R(final) - N_R(initial) = i - n/2,
-    i.e. M = 2*(i - n/2).
-    """
-
-    initial_bits: np.ndarray
-    counts: np.ndarray
-    shots: int
-    kept: int
-
-
-@dataclass
 class SampledRun:
-    """Aggregated output of a sampled experiment at one cycle count."""
+    """A sampled experiment at one cycle count, one row per initial state in
+    state order: `initial_bits`, as drawn, before the relabeling; `counts`,
+    kept shots by column j, N_R(final) - N_R(initial) = j - n/2, i.e.
+    M = 2*(j - n/2); `kept`, their number, of `sample.shots_per_state`."""
 
     cycles: int
     n_qubits: int
     mu: float
     mode: str
     sample: SampleConfig
-    records: list[StateRecord] = field(repr=False)
+    initial_bits: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    kept: np.ndarray = field(repr=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -209,20 +201,24 @@ class SampledRun:
 
     @property
     def dropped_states(self) -> list[int]:
-        return [i for i, r in enumerate(self.records) if r.kept == 0]
+        return np.flatnonzero(self.kept == 0).tolist()
+
+    @property
+    def records(self) -> np.recarray:
+        """Only `perfbench/spans.py`'s `_sampled` observer reads this: it sums
+        `r.kept` over it into JSON (so Python ints), and a traced run raises
+        without it.  One record per state; ROADMAP item 2 retires it."""
+        return np.rec.fromarrays([self.kept.astype(object)], names="kept")
 
     def per_state_distributions(self) -> np.ndarray:
         """Row-normalized per-state M histograms (surviving states only)."""
-        kept = np.array([r.kept for r in self.records])
-        if not kept.any():
+        survived = self.kept > 0
+        if not survived.any():
             raise ValueError("no surviving shots in any state")
-        counts = np.array([r.counts for r in self.records])
-        return counts[kept > 0] / kept[kept > 0, None]
+        return self.counts[survived] / self.kept[survived, None]
 
     def yield_fraction(self) -> float:
-        kept = sum(r.kept for r in self.records)
-        total = sum(r.shots for r in self.records)
-        return kept / total
+        return int(self.kept.sum()) / (self.kept.size * self.sample.shots_per_state)
 
 
 def _cdf(probabilities):
@@ -326,9 +322,10 @@ def _prepare(ens, sample, cycles):
     return bits, bits, np.zeros(len(bits), dtype=bool)
 
 
-def _tally(bits, flagged, measured, config, postselect_mode) -> StateRecord:
+def _tally(bits, flagged, measured, config, postselect_mode):
     """Undo the relabeling of one state's measured bitstrings (shots x n),
-    post-select them and tally their right-count changes."""
+    post-select them and tally their right-count changes: the state's
+    `counts` row and its kept-shot count."""
     n, t, shots = config.n_qubits, config.cycles, len(measured)
     half = n // 2
     if flagged:
@@ -345,17 +342,17 @@ def _tally(bits, flagged, measured, config, postselect_mode) -> StateRecord:
         )
         keep[keep] = causal[inverse.reshape(-1)]
     delta_r = measured[keep, half:].sum(axis=1) - bits[half:].sum()
-    counts = np.bincount(half + delta_r, minlength=n + 1)
-    return StateRecord(bits, counts, shots, int(np.count_nonzero(keep)))
+    return np.bincount(half + delta_r, minlength=n + 1), np.count_nonzero(keep)
 
 
 def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
-    """Every state's record with noise, in state order.  The states of one
-    window popcount k0 are packed, in index order, into batches of as many
-    whole states (at least one) as keep the batch's columns times
-    C(width, k0) plus the numbers of a shot (the disorder normals, 2 k0 per
-    damped half-layer, 1) within `_CHUNK_AMPLITUDES`.  A batch is the
-    threads' unit of work and runs in three passes.
+    """Every state's `counts` row and kept-shot count with noise, as two
+    arrays in state order.  The states of one window popcount k0 are
+    packed, in index order, into batches of as many whole states (at least
+    one) as keep the batch's columns times C(width, k0) plus the numbers of
+    a shot (the disorder normals, 2 k0 per damped half-layer, 1) within
+    `_CHUNK_AMPLITUDES`.  A batch is the threads' unit of work and runs in
+    three passes.
 
     Draw: each state opens its counter block 1 and draws its shots' numbers
     as arrays with one column per shot: the disorder normals, per
@@ -366,7 +363,8 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     state over the budget alone), and each shot measures the first outcome
     of its column's guarded CDF above its uniform.  Tally: each state, with
     its own generator, decays its sites outside the window, flips its
-    readouts, and filters and tallies its rows."""
+    readouts, and filters and tallies its measured rows into its own row
+    of the two arrays."""
     bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
@@ -377,8 +375,10 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     words = bits_to_word(phys[:, lo:hi])
     ones = np.bitwise_count(words).tolist()
     outside = np.r_[:lo, hi:n]
+    counts = np.empty((len(ones), n + 1), dtype=np.int64)
+    kept = np.empty(len(ones), dtype=np.int64)
 
-    def batch_records(batch):
+    def tally_batch(batch):
         k = ones[batch[0]]
         rngs = [_philox(sample.seed, _substream(t, i), 1) for i in batch]
         # the shots of batch[b] are rows b * shots .. of `measured` and the
@@ -409,13 +409,13 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
                     found = block.basis.words[found]
                     measured[s0 + columns, lo:hi] = word_to_bits(found, width)
                 del block
-        records = []
         for b, (i, rng) in enumerate(zip(batch, rngs)):
             own = measured[b * shots : (b + 1) * shots]
             own[:, outside] = damp_bits(own[:, outside], float(t), noise, rng)
             own = readout_flip(own, noise, rng)
-            records.append(_tally(bits[i], flagged[i], own, config, postselect_mode))
-        return records
+            counts[i], kept[i] = _tally(
+                bits[i], flagged[i], own, config, postselect_mode
+            )
 
     batches = []
     for k in sorted(set(ones)):
@@ -423,11 +423,8 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
         numbers = draws + 2 * k * damped + 1
         per = max(1, _CHUNK_AMPLITUDES // (shots * (math.comb(width, k) + numbers)))
         batches += [group[j : j + per] for j in range(0, len(group), per)]
-    records = [None] * len(ones)
-    for batch, part in zip(batches, thread_map(batch_records, batches, threads)):
-        for i, record in zip(batch, part):
-            records[i] = record
-    return records
+    thread_map(tally_batch, batches, threads)
+    return counts, kept
 
 
 def _window_chunks(words, width):
@@ -448,14 +445,14 @@ def _window_chunks(words, width):
 
 
 def _noiseless_records(prepared, config, sample, threads):
-    """Every state's record without noise.  Each distinct window word is
-    evolved once on the block engine, in `_window_chunks`; then every
-    state's whole tally of right counts r is drawn, in state order, in one
-    multinomial call on the cycle count's tally generator, one row of
-    right-count masses per state, and each state tallies r - b0, b0 its
-    word's right count, negated for a relabeled state; unfiltered, as no
-    mode can reject a noiseless shot."""
-    bits, phys, flagged = prepared
+    """Every state's `counts` row and kept-shot count without noise, as two
+    arrays.  Each distinct window word is evolved once on the block engine,
+    in `_window_chunks`; then every state's whole tally of right counts r
+    is drawn, in state order, in one multinomial call on the cycle count's
+    tally generator, one row of right-count masses per state, and each
+    state tallies r - b0, b0 its word's right count, negated for a
+    relabeled state; unfiltered, as no mode can reject a noiseless shot."""
+    _, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
     width = hi - lo
@@ -488,7 +485,7 @@ def _noiseless_records(prepared, config, sample, threads):
     delta_r = (order[word_of] - b0[word_of, None]) * sign
     counts = np.zeros((word_of.size, n + 1), dtype=np.int64)
     np.put_along_axis(counts, n // 2 + delta_r, right, axis=1)
-    return [StateRecord(b, row, shots, shots) for b, row in zip(bits, counts)]
+    return counts, np.full(word_of.size, shots, dtype=np.int64)
 
 
 def run_sampled(
@@ -526,10 +523,10 @@ def run_sampled(
     prepared = _prepare(ens, sample, config.cycles)
     if noise is None:
         mode = "sampled"
-        records = _noiseless_records(prepared, config, sample, threads)
+        counts, kept = _noiseless_records(prepared, config, sample, threads)
     else:
         mode = "noisy-sampled"
-        records = _noisy_records(
+        counts, kept = _noisy_records(
             prepared, config, sample, noise, postselect_mode, threads
         )
     run = SampledRun(
@@ -538,7 +535,9 @@ def run_sampled(
         mu=ens.mu,
         mode=mode,
         sample=sample,
-        records=records,
+        initial_bits=prepared[0],
+        counts=counts,
+        kept=kept,
     )
     if run.dropped_states:
         logger.warning(

@@ -209,7 +209,7 @@ def test_criterion_08_noise_pipeline():
             noise=NoiseConfig(t1_cycles=3.0, e0=0.1, e1=0.0),
             postselect_mode="number_only",
         )
-        observed = np.sum([r.counts for r in noisy.records], axis=0).astype(float)
+        observed = noisy.counts.sum(axis=0).astype(float)
         kept = observed.sum()
         assert kept > 1000
         ideal = exact_dists(ens, config)[-1]

@@ -1,11 +1,13 @@
 """The benchmark harness in perfbench/ reads spinfcs entry points by name:
 its tracer wraps every (module, attribute) of `spans.TARGETS`, and its own
 tests call `sector.cycle_bonds` and `SectorBasis.right_ones`.  Each of them
-must resolve, or `bench.py --trace` breaks with no other test failing; a
-traced run of the noisy workload also checks that the wrapped calls still
-go through with the arguments the package passes.  Its
-observer of `noise.postselect` counts bool(result), which a returned array
-would break the same way.  Its workloads are `spinfcs run` configs: a
+must resolve, or `bench.py --trace` breaks with no other test failing;
+traced runs of the noisy and the noiseless sampled workloads also check
+that the wrapped calls still go through with the arguments the package
+passes.  Its observer of `noise.postselect` counts bool(result), which a
+returned array would break the same way, and its observer of
+`sampler.run_sampled` sums `r.kept` over the `SampledRun.records` of the
+result, a name it alone reads.  Its workloads are `spinfcs run` configs: a
 config check that refused one, or outputs that its checks reject (a
 change of the seeded sampled draws can move a moment past its z-score
 limit), would fail operations of it with no other test failing."""
@@ -90,12 +92,13 @@ def test_workload_outputs_pass_the_harness_checks(workload, seed, tmp_path):
     assert {op: found for op, found in problems.items() if found} == {}
 
 
-def test_a_traced_noisy_run_records_the_noise_spans(tmp_path):
+@pytest.mark.parametrize("workload", ["noisy-n10", "sampled-n12"])
+def test_a_traced_noisy_run_records_the_noise_spans(workload, tmp_path):
     # what `bench.py --trace 1` runs: child.py in a fresh interpreter, with
     # every entry point of `spans.TARGETS` wrapped
     config, report = tmp_path / "config.json", tmp_path / "report.json"
-    noisy = workloads.make_config("noisy-n10", workloads.DEFAULT_SEED)
-    config.write_text(json.dumps(noisy))
+    spec = workloads.make_config(workload, workloads.DEFAULT_SEED)
+    config.write_text(json.dumps(spec))
     saved = tmp_path / "spans.npz"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = str(PERFBENCH.parent / "src")
@@ -109,5 +112,12 @@ def test_a_traced_noisy_run_records_the_noise_spans(tmp_path):
     result = json.loads(report.read_text())
     assert "error" not in result and result["exit_code"] == 0
     traced = spans.load(str(saved))
-    called = {traced["names"][i] for i in set(traced["name"].tolist())}
-    assert {"noise.disorder_and_dephasing", "noise.readout_flip"} <= called
+    counts = traced["counts"]
+    # the kept-shot counter sums `r.kept` over `SampledRun.records`
+    if workload == "sampled-n12":
+        assert counts["sampler.kept_shots"] == counts["sampler.shots"]
+        assert counts["sampler.dropped_states"] == 0
+    else:
+        assert 0 < counts["sampler.kept_shots"] <= counts["sampler.shots"]
+        called = {traced["names"][i] for i in set(traced["name"].tolist())}
+        assert {"noise.disorder_and_dephasing", "noise.readout_flip"} <= called
