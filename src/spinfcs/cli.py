@@ -175,6 +175,8 @@ def _parse_config(cfg) -> dict:
         _check(states >= 1, "initial_states", f"must be >= 1, got {states}")
         _check(shots >= 1, "shots_per_state", f"must be >= 1, got {shots}")
         sample = sampler.SampleConfig(states, shots, seed, relabel)
+        with _refused_as("cycles"):
+            sampler.check_window(n_qubits, cycles, noisy)
     return {
         "mode": mode,
         "chain": chain,

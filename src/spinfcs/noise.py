@@ -9,9 +9,10 @@ thinning, as the number of N uniforms below p, so that a block of states
 draws it from arrays, one column per state, exactly as one state draws it
 from its generator.  Qubits outside the light cone never see gates and
 reduce to classical bits decaying with 1 - exp(-t/T1).
-Readout errors flip measured bits at independent 0->1 and 1->0 rates.  The
-causal filter rejects measured bitstrings whose excitation rearrangement
-needs more half-layers than the circuit contained.
+Readout errors flip measured bits at independent 0->1 and 1->0 rates.
+Both channels read uniforms that their caller drew.  The causal filter
+rejects measured bitstrings whose excitation rearrangement needs more
+half-layers than the circuit contained.
 """
 
 import math
@@ -100,15 +101,18 @@ def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
     result does not depend on the other columns of the block.
 
     Returns (block, columns) pairs, one per excitation count that columns
-    ended in: the block holds the damped input columns `columns`
+    ended in, those that did not jump first (the input block itself when
+    none did): the block holds the damped input columns `columns`
     (ascending), in that order.  The input block is left unchanged.
     """
     basis, k = state.basis, state.basis.n_excitations
     counts = np.count_nonzero(uniforms[0, :k] < p_decay, axis=0)
-    moved = np.flatnonzero(counts)
+    moved, stay = np.flatnonzero(counts), np.flatnonzero(counts == 0)
+    if not moved.size:
+        return [(state, stay)]
     left = counts[moved]
     amps = state.columns()[:, moved]
-    out = []
+    out = [(SectorState(basis, state.columns()[:, stay]), stay)] if stay.size else []
     while moved.size:
         source, target = basis.lowering()
         probs = amps.real**2 + amps.imag**2
@@ -152,22 +156,20 @@ def _jumps(state: SectorState, count: int, rng) -> SectorState:
     return state
 
 
-def damp_bits(bits: np.ndarray, duration_cycles: float, noise: NoiseConfig, rng):
+def damp_bits(bits: np.ndarray, duration_cycles: float, noise: NoiseConfig, u):
     """Classical damping of idle qubits: each 1 flips to 0 with probability
-    1 - exp(-t/T1).  Draws one uniform per bit from `rng`, in one call."""
+    1 - exp(-t/T1), bit b when its uniform u[b] lies below it."""
     bits = np.asarray(bits)
-    u = rng.random(bits.shape)
     p = noise.bit_decay(duration_cycles)
     out = bits.copy()
     out[(bits == 1) & (u < p)] = 0
     return out
 
 
-def readout_flip(bits: np.ndarray, noise: NoiseConfig, rng) -> np.ndarray:
-    """Independent per-qubit readout flips: 0->1 at e0, 1->0 at e1.  Draws
-    one uniform per bit from `rng`, in one call."""
+def readout_flip(bits: np.ndarray, noise: NoiseConfig, u) -> np.ndarray:
+    """Independent per-qubit readout flips, bit b reading its uniform u[b]:
+    0->1 below e0, 1->0 below e1."""
     bits = np.asarray(bits)
-    u = rng.random(bits.shape)
     out = bits.copy()
     out[(bits == 0) & (u < noise.e0)] = 1
     out[(bits == 1) & (u < noise.e1)] = 0

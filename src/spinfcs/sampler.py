@@ -37,8 +37,9 @@ to its tally:
   the state draws, with its counter block 1, its shots' numbers as arrays
   with one column per shot: disorder normals; per half-layer, k0 uniforms
   that thin the jumps and k0 that pick their sites (k0 the window's
-  popcount); one measurement uniform.  The decay of the sites outside the
-  window and the readout flips follow, one call each.  The shots run as
+  popcount); one measurement uniform; then one uniform per site outside
+  the window, for its decay, and one per site, for its readout flip,
+  which read them once per batch, after the evolution.  The shots run as
   the columns of blocks, each column with its own gate angles and
   Z rotations, and the shots of many states share a block: the states of
   one k0 are packed, in index order and side by side, into batches of as
@@ -92,6 +93,7 @@ import numpy as np
 from . import stats
 from .circuit import ChainConfig
 from .ensemble import ImbalanceEnsemble, thread_map, word_right_masses
+from .errors import EnumerationCapError
 from .noise import (
     POSTSELECT_MODES,
     NoiseConfig,
@@ -122,7 +124,8 @@ logger = logging.getLogger(__name__)
 # more than by its amplitudes.  A state over it runs alone, in blocks of
 # the same column rule, as do the columns of one excitation count after a
 # damping step.  Only evolution is blocked: each state draws its tally in
-# one call.
+# one call.  The rule does not count the O(n)-per-shot arrays of a noisy
+# batch: its measured bits and its decay and readout uniforms.
 _CHUNK_AMPLITUDES = 1 << 16
 
 # The counter blocks of the generators built once per cycle count t, on the
@@ -130,6 +133,9 @@ _CHUNK_AMPLITUDES = 1 << 16
 # of the key (seed, _substream(t, i)), so no state's stream reaches these.
 _INITIAL_BITS_BLOCK = 2
 _TALLY_BLOCK = 3
+
+# Bytes of the largest table family a window may need (`check_window`).
+_WINDOW_TABLE_CAP = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -240,6 +246,29 @@ def _window_bounds(n_qubits: int, cycles: int) -> tuple[int, int]:
     return lo, lo + width
 
 
+def check_window(n_qubits: int, cycles: int, noisy: bool) -> None:
+    """Refuse a sampled run whose light-cone window, w = min(n, 2 cycles)
+    sites, needs a table family over `_WINDOW_TABLE_CAP` bytes.  Without
+    noise that is both sets of the block engine's half-chain operators plus
+    one word's sector block, 48 C(w, w/2) bytes; with noise, the middle
+    sector's bond tables, about 20 (w - 1) C(w, w/2) bytes.  A window that
+    passes fits those tables; its run may still take too long.
+
+    Raises:
+        EnumerationCapError: if the estimate exceeds the cap.
+    """
+    width = min(n_qubits, 2 * cycles)
+    middle = math.comb(width, width // 2)
+    need = 20 * (width - 1) * middle if noisy else 48 * middle
+    if need > _WINDOW_TABLE_CAP:
+        route = "noisy" if noisy else "noiseless"
+        raise EnumerationCapError(
+            f"the {width}-site window of {cycles} cycles needs about "
+            f"{need / 1e9:.1f} GB of {route} tables, over the "
+            f"{_WINDOW_TABLE_CAP / 2**30:.0f} GiB cap"
+        )
+
+
 def _chunk_columns(width: int, k: int) -> int:
     """Columns per block of the window sector with k ones."""
     return max(1, _CHUNK_AMPLITUDES // math.comb(width, k))
@@ -285,15 +314,8 @@ def _damp_blocks(blocks, p_decay, uniforms):
     width = blocks[0][0].basis.n_sites
     pieces = defaultdict(list)  # excitation count -> [(state, columns)]
     for block, columns in blocks:
-        moved = damp_columns(block, p_decay, uniforms[..., columns])
-        stay = np.ones(columns.size, dtype=bool)
-        for lowered, jumped in moved:
-            stay[jumped] = False
-            pieces[lowered.basis.n_excitations].append((lowered, columns[jumped]))
-        if stay.any():
-            if not stay.all():
-                block = SectorState(block.basis, block.columns()[:, stay])
-            pieces[block.basis.n_excitations].append((block, columns[stay]))
+        for piece, picked in damp_columns(block, p_decay, uniforms[..., columns]):
+            pieces[piece.basis.n_excitations].append((piece, columns[picked]))
     out = []
     for k in sorted(pieces):
         size = _chunk_columns(width, k)
@@ -355,16 +377,17 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     three passes.
 
     Draw: each state opens its counter block 1 and draws its shots' numbers
-    as arrays with one column per shot: the disorder normals, per
-    half-layer k0 thinning and k0 site uniforms, one measurement uniform.
+    as arrays, one column per shot: the disorder normals, per half-layer k0
+    thinning and k0 site uniforms, one measurement uniform, then one decay
+    uniform per site outside the window and one readout uniform per site.
     Evolve: the states' arrays are placed side by side, so column j of the
     batch's block is one shot and reads its own numbers; the block runs in
     chunks of at most `_chunk_columns` columns (more than one only for a
     state over the budget alone), and each shot measures the first outcome
-    of its column's guarded CDF above its uniform.  Tally: each state, with
-    its own generator, decays its sites outside the window, flips its
-    readouts, and filters and tallies its measured rows into its own row
-    of the two arrays."""
+    of its column's guarded CDF above its uniform.  Tally: the batch's
+    outside sites decay and its readouts flip, one call each, reading the
+    drawn uniforms, not a generator; each state then filters and tallies
+    its measured rows into its own row of the two arrays."""
     bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = _window_bounds(n, t)
@@ -379,21 +402,24 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     kept = np.empty(len(ones), dtype=np.int64)
 
     def tally_batch(batch):
-        k = ones[batch[0]]
-        rngs = [_philox(sample.seed, _substream(t, i), 1) for i in batch]
-        # the shots of batch[b] are rows b * shots .. of `measured` and the
-        # same columns of the block
+        k, m = ones[batch[0]], len(batch) * shots
+        # the shots of batch[b] are rows b * shots .. of `measured`, `decay`
+        # and `flips`, and the same columns of the block and its numbers
         measured = np.repeat(phys[batch], shots, axis=0)
+        normals, uniforms, u = (
+            np.empty((*shape, m)) for shape in ((draws,), (damped, 2, k), ())
+        )
+        decay, flips = np.empty((m, n - width)), np.empty((m, n))
+        for b, i in enumerate(batch):
+            rng = _philox(sample.seed, _substream(t, i), 1)
+            rows = slice(b * shots, (b + 1) * shots)
+            if width:
+                normals[:, rows] = rng.standard_normal((draws, shots))
+                uniforms[..., rows] = rng.random((damped, 2, k, shots))
+                u[rows] = rng.random(shots)
+            decay[rows] = rng.random((shots, n - width))
+            flips[rows] = rng.random((shots, n))
         if width:
-            m = len(rngs) * shots
-            normals, uniforms, u = (
-                np.empty((*shape, m)) for shape in ((draws,), (damped, 2, k), ())
-            )
-            for b, rng in enumerate(rngs):
-                cols = slice(b * shots, (b + 1) * shots)
-                normals[:, cols] = rng.standard_normal((draws, shots))
-                uniforms[..., cols] = rng.random((damped, 2, k, shots))
-                u[cols] = rng.random(shots)
             start = words[batch].repeat(shots)
             size = _chunk_columns(width, k)
             for s0 in range(0, start.size, size):
@@ -409,10 +435,9 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
                     found = block.basis.words[found]
                     measured[s0 + columns, lo:hi] = word_to_bits(found, width)
                 del block
-        for b, (i, rng) in enumerate(zip(batch, rngs)):
-            own = measured[b * shots : (b + 1) * shots]
-            own[:, outside] = damp_bits(own[:, outside], float(t), noise, rng)
-            own = readout_flip(own, noise, rng)
+        measured[:, outside] = damp_bits(measured[:, outside], float(t), noise, decay)
+        measured = readout_flip(measured, noise, flips)
+        for i, own in zip(batch, np.split(measured, len(batch))):
             counts[i], kept[i] = _tally(
                 bits[i], flagged[i], own, config, postselect_mode
             )
@@ -519,6 +544,7 @@ def run_sampled(
         raise ValueError(f"unknown post-selection mode {postselect_mode!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    check_window(config.n_qubits, config.cycles, noise is not None)
 
     prepared = _prepare(ens, sample, config.cycles)
     if noise is None:

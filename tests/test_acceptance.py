@@ -191,7 +191,7 @@ def test_criterion_08_noise_pipeline():
         rng = np.random.default_rng(2024)
         n_traj = 100000
         bits = np.tile(np.array([1, 0, 1, 0, 1, 0]), (n_traj, 1))
-        damped = damp_bits(bits, 6.0, noise, rng)
+        damped = damp_bits(bits, 6.0, noise, rng.random(bits.shape))
         survived = damped.sum(axis=1) == 3
         for row in damped[:50]:
             assert postselect(bits[0], row, 6, "number_only") == (row.sum() == 3)

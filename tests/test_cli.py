@@ -12,6 +12,7 @@ from spinfcs import cli, sampler
 from spinfcs.circuit import ChainConfig
 from spinfcs.cli import main
 from spinfcs.ensemble import ImbalanceEnsemble, distribution_from_tensor
+from spinfcs.errors import ConfigError
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import NoiseConfig
 from spinfcs.sampler import SampleConfig
@@ -504,6 +505,41 @@ class TestConfigValidation:
         noise[key] = [0.01, 0.02, 0.03, 0.04]
         cfg = write_config(tmp_path / "cfg.json", **{**self.NOISY, "noise": noise})
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+class TestWindowCheck:
+    """A sampled window whose tables cannot fit is refused under `cycles`;
+    the configs at both edges are parsed only."""
+
+    @staticmethod
+    def config(mode, n_qubits, cycles):
+        cfg = dict(
+            mode=mode, theta=HEIS_THETA, phi=HEIS_PHI, mu=0.0,
+            n_qubits=n_qubits, cycles=cycles,
+        )
+        if mode == "noisy-sampled":
+            cfg["noise"] = {"t1_cycles": 20.0, "e0": 0.01}
+        return cfg
+
+    @pytest.mark.parametrize("mode, width", [("sampled", 28), ("noisy-sampled", 24)])
+    def test_the_widest_admitted_window_parses(self, mode, width):
+        for n_qubits, cycles in ((46, width // 2), (width, 40)):
+            parsed = cli._parse_config(self.config(mode, n_qubits, cycles))
+            assert parsed["chain"].cycles == cycles
+
+    @pytest.mark.parametrize("mode, width", [("sampled", 30), ("noisy-sampled", 26)])
+    def test_the_next_window_is_refused(self, mode, width):
+        with pytest.raises(ConfigError, match="config key 'cycles'"):
+            cli._parse_config(self.config(mode, 46, width // 2))
+
+    def test_a_paper_length_chain_at_20_cycles_is_refused_before_any_write(
+        self, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path / "cfg.json", **self.config("sampled", 46, 20))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'cycles'")
+        assert not out.exists()
 
 
 class TestAnalysisArtifacts:

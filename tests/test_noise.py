@@ -93,7 +93,8 @@ class TestDamping:
         rng = np.random.default_rng(0)
         noise = NoiseConfig()
         bits = np.array([1, 0, 1, 1])
-        assert np.array_equal(damp_bits(bits, 5.0, noise, rng), bits)
+        u = rng.random(bits.shape)
+        assert np.array_equal(damp_bits(bits, 5.0, noise, u), bits)
         state = basis_state([1, 0, 1, 0])
         before = state.amplitudes.copy()
         for _ in range(6):  # 3 cycles of half-layer steps
@@ -107,7 +108,7 @@ class TestDamping:
         t = 2.0
         n_traj = 20000
         bits = np.tile(np.array([1, 1, 1, 0, 0, 0]), (n_traj, 1))
-        out = damp_bits(bits, t, noise, rng)
+        out = damp_bits(bits, t, noise, rng.random(bits.shape))
         survived = np.mean(out.sum(axis=1) == 3)
         p = math.exp(-3 * t / 3.0)
         sigma = math.sqrt(p * (1 - p) / n_traj)
@@ -138,7 +139,7 @@ class TestDamping:
         yields = []
         for t in ts:
             bits = np.tile(np.array([1] * n_ones + [0] * 4), (n_traj, 1))
-            out = damp_bits(bits, t, noise, rng)
+            out = damp_bits(bits, t, noise, rng.random(bits.shape))
             yields.append(np.mean(out.sum(axis=1) == n_ones))
         popt, _ = curve_fit(lambda t, tau: np.exp(-n_ones * t / tau), ts, yields)
         assert abs(popt[0] - 4.0) / 4.0 < 0.1
@@ -254,7 +255,10 @@ class TestBlockDamping:
         assert max(jumps) >= 2 and 0 in jumps  # several jumps, and none
         for j, single in enumerate(singles):
             if jumps[j] == 0:
-                assert j not in got
+                # a column that did not jump comes back as it was
+                ones, amps, _ = got[j]
+                assert ones == k
+                assert np.array_equal(amps, block.columns()[:, j])
                 continue
             ones, amps, empty = got[j]
             assert ones == single.basis.n_excitations
@@ -288,19 +292,31 @@ class TestBlockDamping:
     def test_no_decay_moves_nothing(self):
         block = random_block(6, 3, 4, seed=1)
         moved, _ = self.damp_both(block, 0.0, seed=2)
-        assert moved == []
+        [(same, columns)] = moved
+        assert same is block
+        assert columns.tolist() == list(range(4))
+
+    def test_each_column_comes_back_once_the_stayers_first(self):
+        block = random_block(8, 4, 30, seed=5)
+        moved, _ = self.damp_both(block, 0.35, seed=7)
+        [stayers, *lowered] = moved
+        assert stayers[0].basis.n_excitations == 4
+        assert all(piece.basis.n_excitations < 4 for piece, _ in lowered)
+        every = np.concatenate([columns for _, columns in moved])
+        assert sorted(every.tolist()) == list(range(30))
+        assert np.array_equal(stayers[0].columns(), block.columns()[:, stayers[1]])
 
 
 class TestReadout:
     def test_zero_rates_identity(self):
         rng = np.random.default_rng(0)
         bits = np.array([1, 0, 1, 1, 0])
-        out = readout_flip(bits, NoiseConfig(), rng)
+        out = readout_flip(bits, NoiseConfig(), rng.random(bits.shape))
         assert np.array_equal(out, bits)
 
     def test_certain_flips(self):
         rng = np.random.default_rng(0)
-        out = readout_flip(np.array([1, 1, 1, 1]), NoiseConfig(e1=1.0), rng)
+        out = readout_flip(np.array([1, 1, 1, 1]), NoiseConfig(e1=1.0), rng.random(4))
         assert np.array_equal(out, np.zeros(4, dtype=np.int64))
 
     def test_flip_rate_statistics(self):
@@ -308,7 +324,7 @@ class TestReadout:
         noise = NoiseConfig(e0=0.01)
         n_trials = 100000
         zeros = np.zeros((n_trials, 46), dtype=np.int64)
-        flips = readout_flip(zeros, noise, rng).sum(axis=1)
+        flips = readout_flip(zeros, noise, rng.random(zeros.shape)).sum(axis=1)
         expected = 0.46
         sigma = math.sqrt(46 * 0.01 * 0.99 / n_trials)
         assert abs(flips.mean() - expected) < 5 * sigma
@@ -316,7 +332,8 @@ class TestReadout:
     def test_per_qubit_rate_vectors(self):
         rng = np.random.default_rng(1)
         e0 = np.array([0.0, 1.0, 0.0, 0.0])
-        out = readout_flip(np.zeros(4, dtype=np.int64), NoiseConfig(e0=e0), rng)
+        zeros = np.zeros(4, dtype=np.int64)
+        out = readout_flip(zeros, NoiseConfig(e0=e0), rng.random(4))
         assert np.array_equal(out, np.array([0, 1, 0, 0]))
 
     def test_rate_validation(self):
@@ -342,6 +359,43 @@ class TestReadout:
         # a NaN rate fails no range comparison; it used to pass and never flip
         with pytest.raises(ValueError, match=key):
             NoiseConfig(**{key: value})
+
+
+class TestChannelUniforms:
+    """`damp_bits` and `readout_flip` as pure functions of the uniforms
+    they are given: bit b flips when u[b] lies strictly below its rate."""
+
+    def test_a_uniform_equal_to_the_rate_flips_nothing(self):
+        noise = NoiseConfig(t1_cycles=2.0, e0=0.25, e1=0.5)
+        p = noise.bit_decay(3.0)
+        ones = np.ones((2, 3), dtype=np.int64)
+        kept = damp_bits(ones, 3.0, noise, np.full((2, 3), p))
+        assert kept.tolist() == ones.tolist()
+        below = np.nextafter(p, 0.0)
+        assert damp_bits(ones, 3.0, noise, np.full((2, 3), below)).sum() == 0
+        bits = np.array([[0, 1], [1, 0]])
+        at_rate = np.array([[0.25, 0.5], [0.5, 0.25]])
+        assert readout_flip(bits, noise, at_rate).tolist() == bits.tolist()
+        flipped = readout_flip(bits, noise, np.nextafter(at_rate, 0.0))
+        assert flipped.tolist() == (1 - bits).tolist()
+
+    def test_per_qubit_rates_broadcast_over_a_block_of_shots(self):
+        e0, e1 = np.array([0.0, 1.0, 0.5, 0.0]), np.array([1.0, 0.0, 0.0, 0.5])
+        noise = NoiseConfig(e0=e0, e1=e1)
+        u = np.tile([0.3, 0.3, 0.7, 0.7], (3, 1))
+        zeros, ones = np.zeros((3, 4), dtype=np.int64), np.ones((3, 4), dtype=np.int64)
+        assert readout_flip(zeros, noise, u).tolist() == [[0, 1, 0, 0]] * 3
+        assert readout_flip(ones, noise, u).tolist() == [[0, 1, 1, 1]] * 3
+
+    def test_the_inputs_are_not_modified(self):
+        noise = NoiseConfig(t1_cycles=1.0, e0=0.5, e1=0.5)
+        bits = np.array([[1, 0, 1], [0, 1, 1]])
+        u = np.array([[0.1, 0.2, 0.9], [0.3, 0.05, 0.6]])
+        before = bits.copy(), u.copy()
+        for out in (damp_bits(bits, 2.0, noise, u), readout_flip(bits, noise, u)):
+            assert not np.shares_memory(out, bits)
+            assert not np.array_equal(out, bits)
+        assert np.array_equal(bits, before[0]) and np.array_equal(u, before[1])
 
 
 class TestDisorder:

@@ -120,4 +120,7 @@ def test_a_traced_noisy_run_records_the_noise_spans(workload, tmp_path):
     else:
         assert 0 < counts["sampler.kept_shots"] <= counts["sampler.shots"]
         called = {traced["names"][i] for i in set(traced["name"].tolist())}
-        assert {"noise.disorder_and_dephasing", "noise.readout_flip"} <= called
+        # `noise.damping_s` of the harness reads the self time of damp_bits
+        assert {
+            "noise.disorder_and_dephasing", "noise.readout_flip", "noise.damp_bits"
+        } <= called

@@ -21,7 +21,7 @@ from conftest import (
 )
 
 from spinfcs.circuit import ChainConfig
-from spinfcs.errors import InvariantError
+from spinfcs.errors import EnumerationCapError, InvariantError
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
     TransferDistribution,
@@ -130,6 +130,31 @@ class TestPhilox:
                 (9, _substream(t, 0), sampler._INITIAL_BITS_BLOCK),
                 (9, _substream(t, 0), sampler._TALLY_BLOCK),
             ]
+
+    @pytest.mark.parametrize("states", [1, 7])
+    def test_a_noisy_run_builds_one_generator_per_state(self, states, monkeypatch):
+        # the initial bits from the cycle count's generator; every number of
+        # state i's shots from one generator on counter block 1 of its key
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return _philox(*args)
+
+        monkeypatch.setattr(sampler, "_philox", spy)
+        ens = ImbalanceEnsemble(0.5, 8)
+        sample = SampleConfig(states, 5, seed=9)
+        noise = NoiseConfig(t1_cycles=2.0, e0=0.05, e1=0.1, dephasing_sd=0.2)
+        for t in (1, 3):
+            built.clear()
+            run_sampled(
+                ens, ChainConfig(8, t, HEIS), sample, noise=noise,
+                postselect_mode="causal",
+            )
+            assert sorted(built) == sorted(
+                [(9, _substream(t, 0), sampler._INITIAL_BITS_BLOCK)]
+                + [(9, _substream(t, i), 1) for i in range(states)]
+            )
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_a_seed_outside_64_bits_is_refused(self, seed):
@@ -885,8 +910,8 @@ def per_shot_measured(ens, config, sample, noise, i):
             index = _measure_indices(_cdf(state.probabilities()), Served(u[shot]), 1)[0]
             row[lo:hi] = word_to_bits(state.basis.words[index], hi - lo)
         outside = np.r_[:lo, hi:n]
-        row[outside] = damp_bits(phys[outside], float(t), noise, Served(decay[shot]))
-        row[:] = readout_flip(row, noise, Served(flips[shot]))
+        row[outside] = damp_bits(phys[outside], float(t), noise, decay[shot])
+        row[:] = readout_flip(row, noise, flips[shot])
     return measured
 
 
@@ -921,9 +946,13 @@ class TestBatchedNoisyRoute:
             widths.append(m)
             return apply_fsim_tables(amps, *args)
 
-        def damping(*args):
-            moved = damp_columns(*args)
-            jumps.extend(j for _, jumped in moved for j in jumped)
+        def damping(block, *args):
+            moved = damp_columns(block, *args)
+            k = block.basis.n_excitations
+            jumps.extend(
+                j for lowered, picked in moved
+                if lowered.basis.n_excitations < k for j in picked
+            )
             return moved
 
         def tallying(bits, flagged, measured, *args):
@@ -1114,6 +1143,75 @@ class TestStatePacking:
         assert shared > 0
         if budget == 128:
             assert chunked > 0
+
+
+class TestNoisyChannels:
+    """The decay outside the window and the readout flips read uniforms
+    the states drew, in one call each per batch."""
+
+    NOISE = NoiseConfig(t1_cycles=1.5, e0=0.05, e1=0.1, dephasing_sd=0.2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_channel_runs_once_per_batch_on_drawn_uniforms(
+        self, threads, monkeypatch
+    ):
+        # a small budget splits the states of a popcount into several batches
+        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 512)
+        batches, calls = [], {"damp_bits": [], "readout_flip": []}
+        thread_map = sampler.thread_map
+
+        def mapping(fn, items, threads):
+            batches.extend(items)
+            return thread_map(fn, items, threads)
+
+        def spying(name):
+            channel = getattr(sampler, name)
+
+            def spy(bits, *args):
+                u = args[-1]
+                assert isinstance(u, np.ndarray) and u.shape == bits.shape
+                calls[name].append(len(bits))
+                return channel(bits, *args)
+
+            return spy
+
+        monkeypatch.setattr(sampler, "thread_map", mapping)
+        for name in calls:
+            monkeypatch.setattr(sampler, name, spying(name))
+        shots = 6
+        run_sampled(
+            ImbalanceEnsemble(0.5, 10), ChainConfig(10, 2, HEIS),
+            SampleConfig(12, shots, seed=4), noise=self.NOISE,
+            postselect_mode="causal", threads=threads,
+        )
+        assert len(batches) > 2 and max(map(len, batches)) > 1
+        rows = sorted(len(batch) * shots for batch in batches)
+        for name, sizes in calls.items():
+            assert sorted(sizes) == rows, name
+
+
+class TestWindowCheck:
+    # (noisy, widest admitted window): the next even width is refused
+    EDGES = [(False, 28), (True, 24)]
+
+    @pytest.mark.parametrize("noisy, width", EDGES)
+    def test_the_edges_of_the_table_cap(self, noisy, width):
+        sampler.check_window(46, width // 2, noisy)
+        sampler.check_window(width, 40, noisy)  # the chain bounds the window
+        with pytest.raises(EnumerationCapError, match=f"{width + 2}-site window"):
+            sampler.check_window(46, width // 2 + 1, noisy)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_run_sampled_refuses_before_drawing(self, noisy, monkeypatch):
+        def drawing(*args):
+            raise AssertionError("drew before the window check")
+
+        monkeypatch.setattr(sampler, "_prepare", drawing)
+        with pytest.raises(EnumerationCapError):
+            run_sampled(
+                ImbalanceEnsemble(0.5, 46), ChainConfig(46, 20, HEIS),
+                SampleConfig(1, 1), noise=NoiseConfig() if noisy else None,
+            )
 
 
 def one_jump(m):
