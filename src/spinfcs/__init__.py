@@ -30,7 +30,6 @@ from .sampler import (
     moment_report,
     relabel_if_overfull,
     run_sampled,
-    sample_initial,
 )
 from .sector import SectorBasis, SectorState, sector_basis
 from .stats import (
@@ -73,7 +72,6 @@ __all__ = [
     "readout_flip",
     "relabel_if_overfull",
     "run_sampled",
-    "sample_initial",
     "sector_basis",
     "transfer_tensor",
     "weighted_cycle_average",

@@ -12,15 +12,15 @@ reweighting afterwards.  The tensor is built by evolving basis words in
 batched columns, one word per symmetry orbit.
 
 The evolution stores a sector as a direct sum of left (x) right blocks
-(a, k-a).  A cycle is then one dense cached operator per half chain,
-applied to each block as matrix products, and the center gate's |01>/|10>
-mix, which updates slice views of neighbouring blocks in place.  `split`'s
-phase on |00> and |11> is global, and `tail`'s boundary phase is folded
-into the half-chain operators (n = 2 too), so no phase pass remains.
+(a, k-a).  A cycle is then one dense operator per half chain, built once
+per call, applied to each block as matrix products, and the center gate's
+|01>/|10> mix, which updates slice views of neighbouring blocks in place.
+`split`'s phase on |00> and |11> is global, and `tail`'s boundary phase is
+folded into the half-chain operators (n = 2 too), so no phase pass remains.
 This block engine has two ends, which read out alike: the tensor end
 weights the right-count masses of every cycle, and the word end
-(`word_right_masses`) returns the final right-count masses of single
-basis words, which the noiseless sampler draws its shots from.
+(`word_right_masses`) returns the final right-count masses of any basis
+words, the noiseless sampler's, grouped into initial blocks by itself.
 
 Symmetry reduces the work by one rule.  The halves are stored read
 outward from the center, so an initial word is w = L << h | R, h = n/2,
@@ -235,7 +235,7 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
                 tables = basis.bond_tables(bond)
                 _kernels.apply_fsim_tables(w, tables, theta, phi, split)
             w[:, math.comb(half - 1, c) :] *= boundary_phase
-            w.setflags(write=False)  # shared by every caller of a cache
+            w.setflags(write=False)  # shared by the threads of a call
             ops.append(w)
         return ops
 
@@ -347,18 +347,45 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
     return part
 
 
-@functools.lru_cache(maxsize=1)
-def _cached_operators(half: int, params: FSimParams, layer_order: LayerOrder):
-    return _half_chain_operators(half, params, layer_order)
+# Amplitudes in one block of window columns, both sampled routes' bound,
+# read at call time.  The word end evolves its initial blocks in chunks of
+# `_chunk_columns` columns.  The noisy route packs the whole states of one
+# window popcount into a block while its columns times (amplitudes + numbers
+# per shot) fit; a state over that runs alone, in chunks of the column rule,
+# as do the columns of one excitation count after a damping step.  The
+# O(n)-per-shot arrays of a noisy batch (measured bits, decay and readout
+# uniforms) are not counted.
+_CHUNK_AMPLITUDES = 1 << 16
 
 
-def word_right_masses(words, n_sites, first_site, cycles, params, layer_order):
+def _chunk_columns(n_sites: int, k: int) -> int:
+    """Columns per block of the `n_sites` sector with k ones."""
+    return max(1, _CHUNK_AMPLITUDES // math.comb(n_sites, k))
+
+
+def _word_chunks(words, n_sites):
+    """Index arrays into `words`, each of one popcount k and one left-half
+    count, by k then that count, indices ascending, `_chunk_columns` long."""
+    left = np.bitwise_count(words >> np.uint64(n_sites // 2))
+    ones = np.bitwise_count(words)
+    chunks = []
+    for k, a in sorted(set(zip(ones.tolist(), left.tolist()))):
+        group = np.flatnonzero((ones == k) & (left == a))
+        size = _chunk_columns(n_sites, k)
+        chunks.extend(group[j0 : j0 + size] for j0 in range(0, group.size, size))
+    return chunks
+
+
+def word_right_masses(
+    words, n_sites, first_site, cycles, params, layer_order, threads=1
+):
     """Right-count masses of basis words after `cycles` brickwork cycles on
     `n_sites` (even) sites, site 0 being physical site `first_site`: an
     (n_sites/2 + 1, m) array whose column j is the probability that words[j]
-    ends with r ones in the right half, row r.  The words must share their
-    number of ones k and of left-half ones: the word end of the block
-    engine, read out as its tensor end is.
+    ends with r ones in the right half, row r: the word end of the block
+    engine, read out as its tensor end is.  The words are evolved in
+    `_word_chunks` on up to `threads` threads, all on one operator set
+    built for the call; the masses are bitwise alike for any `threads`.
 
     A run from one word keeps the W that the tensor drops before the first
     mix.  With the center bond in the cycle's first half-layer a cycle is
@@ -371,7 +398,6 @@ def word_right_masses(words, n_sites, first_site, cycles, params, layer_order):
     layer order.
 
     Raises:
-        ValueError: if the words differ in popcount or left-half count.
         InvariantError: if a word's mass is not normalized or lies outside
             the light cone |r - b0| <= cycles, b0 its right count.
     """
@@ -379,35 +405,41 @@ def word_right_masses(words, n_sites, first_site, cycles, params, layer_order):
     half = n_sites // 2
     left, right = words >> np.uint64(half), words & np.uint64((1 << half) - 1)
     a_of, b_of = np.bitwise_count(left), np.bitwise_count(right)
-    a0, b0 = int(a_of[0]), int(b_of[0])
-    if np.any(a_of != a0) or np.any(b_of != b0):
-        raise ValueError("the words differ in popcount or left-half count")
     # in-block column: the left half-word read mirrored, outward from the center
     mirrored = bits_to_word(word_to_bits(left, half)[:, ::-1])
-    i_left = np.searchsorted(sector_basis(half, a0).words, mirrored)
-    i_right = np.searchsorted(sector_basis(half, b0).words, right)
     lead = half - 1 in brickwork_layers(n_sites, first_site, layer_order)[1]
     if first_site % 2:
         layer_order = next(order for order in LayerOrder if order is not layer_order)
-    operators = _cached_operators(half, params, layer_order)
-    blocks = _SectorBlocks(half, a0, b0, i_left * math.comb(half, b0) + i_right)
-    rows = slice(None)  # the slice of the last mix, if any
-    for rows in blocks.run(cycles, operators, lead):
-        pass
-    masses = blocks.right_masses(rows)
+    operators = _half_chain_operators(half, params, layer_order)
+
+    def evolve(picked):
+        a0, b0 = int(a_of[picked[0]]), int(b_of[picked[0]])
+        i_left = np.searchsorted(sector_basis(half, a0).words, mirrored[picked])
+        i_right = np.searchsorted(sector_basis(half, b0).words, right[picked])
+        blocks = _SectorBlocks(half, a0, b0, i_left * math.comb(half, b0) + i_right)
+        rows = slice(None)  # the slice of the last mix, if any
+        for rows in blocks.run(cycles, operators, lead):
+            pass
+        return blocks.right_masses(rows)
+
+    chunks = _word_chunks(words, n_sites)
+    masses = np.empty((words.size, half + 1))  # the sampler's rows contiguous
+    for picked, part in zip(chunks, thread_map(evolve, chunks, threads)):
+        masses[picked] = part.T
+    masses = masses.T
     total = masses.sum(axis=0)
     off = ~(np.abs(total - 1.0) <= NORM_TOL)  # NaN too
     if off.any():
         j = np.argmax(off)
         raise InvariantError(
-            f"mass of word {int(words[j])} not normalized: {total[j]!r}"
+            f"mass of word {int(words[j])} not normalized: {float(total[j])}"
         )
-    outside = np.abs(np.arange(half + 1) - b0) > cycles
+    outside = np.abs(np.arange(half + 1)[:, None] - b_of) > cycles
     if np.any(masses[outside]):
-        r, j = np.argwhere(masses * outside[:, None])[0]
+        r, j = np.argwhere(masses * outside)[0]
         raise InvariantError(
-            f"mass {masses[r, j]!r} of word {int(words[j])} outside the light "
-            f"cone at r - b0 = {r - b0}"
+            f"mass {float(masses[r, j])} of word {int(words[j])} outside the "
+            f"light cone at r - b0 = {r - int(b_of[j])}"
         )
     return masses
 
@@ -525,7 +557,7 @@ def distribution_from_tensor(
     mass = np.bincount(index.ravel(), by_b_r.ravel(), 2 * half + 1)
     total = mass.sum()
     if abs(total - 1.0) > NORM_TOL:
-        raise InvariantError(f"transfer mass not normalized: {total!r}")
+        raise InvariantError(f"transfer mass not normalized: {float(total)}")
     # the light cone bounds |M| <= 2t exactly: no amplitude path reaches
     # further, so any mass outside the grid is an internal error
     m_half = np.arange(-half, half + 1)
@@ -533,7 +565,7 @@ def distribution_from_tensor(
     if np.any(mass[~inside]):
         i = np.flatnonzero(mass * ~inside)[0]
         raise InvariantError(
-            f"mass {mass[i]!r} outside the light cone at M={2 * m_half[i]}"
+            f"mass {float(mass[i])} outside the light cone at M={2 * m_half[i]}"
         )
     probs = np.zeros(2 * cycles + 1)
     probs[cycles + m_half[inside]] = mass[inside]

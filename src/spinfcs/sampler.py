@@ -23,11 +23,10 @@ to its tally:
   the run is evolved once, on the block engine of the exact tensor
   (`ensemble.word_right_masses`): dense half-chain operators applied as
   matrix products, and the center mix, read out per right count as the
-  tensor is.  Words of one popcount and one left-half count are evolved
-  together, as the columns of one initial block, in chunks of at most
-  max(1, 2^16 // dim) columns (the chunks are also the units of work for
-  the threads).  Every state's whole tally of right counts is then drawn
-  in one multinomial call, one row per state: the right-count masses of
+  tensor is.  The run's distinct words go to it in one call, which
+  groups them into initial blocks, chunks and threads them itself.  Every
+  state's whole tally of right counts is then drawn in one multinomial
+  call, one row per state: the right-count masses of
   its word, renormalized and rolled to make its last right count of
   nonzero mass the last category (`multinomial` gives the last category
   whatever the draws before it leave over, and a zero-mass one draws
@@ -54,7 +53,7 @@ to its tally:
   its block, batch or thread.
 
 The noisy route evolves gate by gate (`_trajectory`), since jittered
-per-column angles and damping jumps cannot use the engine's cached
+per-column angles and damping jumps cannot use the engine's dense
 operators; the noiseless one needs neither.  Both run the same brickwork
 layout, anchored to physical sites, and a test checks the right-count
 masses of every engine column against a single-column `_trajectory` run.
@@ -90,7 +89,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stats
+from . import ensemble, stats
 from .circuit import ChainConfig
 from .ensemble import ImbalanceEnsemble, thread_map, word_right_masses
 from .errors import EnumerationCapError
@@ -113,20 +112,6 @@ from .sector import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Amplitudes in one block of window columns: the noiseless route evolves
-# distinct window words of one popcount and one left-half count in blocks
-# of at most max(1, _CHUNK_AMPLITUDES // dim) columns, so the engines'
-# amplitudes never span the whole run.  The noisy route packs the whole
-# states of one window popcount into a block while its columns times their
-# amplitudes and numbers fit it: a noisy block's peak memory is set by its
-# per-shot numbers and their transients (disorder angles, gate gathers)
-# more than by its amplitudes.  A state over it runs alone, in blocks of
-# the same column rule, as do the columns of one excitation count after a
-# damping step.  Only evolution is blocked: each state draws its tally in
-# one call.  The rule does not count the O(n)-per-shot arrays of a noisy
-# batch: its measured bits and its decay and readout uniforms.
-_CHUNK_AMPLITUDES = 1 << 16
 
 # The counter blocks of the generators built once per cycle count t, on the
 # key (seed, _substream(t, 0)).  A noisy state i's shots draw from block 1
@@ -162,13 +147,6 @@ def _philox(seed: int, substream: int, block: int):
 
 def _substream(cycles: int, state_index: int) -> int:
     return ((cycles & 0xFFFFFFFF) << 32) | (state_index & 0xFFFFFFFF)
-
-
-def sample_initial(ens: ImbalanceEnsemble, rng) -> np.ndarray:
-    """Draw one initial bitstring: left sites are 1 with probability p,
-    right sites are 0 with probability p, independently."""
-    u = rng.random(ens.n_qubits)
-    return (u < ens.site_excitation_probabilities()).astype(np.int64)
 
 
 def relabel_if_overfull(bits) -> tuple[np.ndarray, bool | np.ndarray]:
@@ -269,11 +247,6 @@ def check_window(n_qubits: int, cycles: int, noisy: bool) -> None:
         )
 
 
-def _chunk_columns(width: int, k: int) -> int:
-    """Columns per block of the window sector with k ones."""
-    return max(1, _CHUNK_AMPLITUDES // math.comb(width, k))
-
-
 def _trajectory(state, lo, config, noise, numbers):
     """The columns of `state`, on the window of sites lo.. of the chain,
     after the circuit: every half-layer of the brickwork, anchored at
@@ -318,7 +291,7 @@ def _damp_blocks(blocks, p_decay, uniforms):
             pieces[piece.basis.n_excitations].append((piece, columns[picked]))
     out = []
     for k in sorted(pieces):
-        size = _chunk_columns(width, k)
+        size = ensemble._chunk_columns(width, k)
         if len(pieces[k]) == 1 and pieces[k][0][1].size <= size:
             out.extend(pieces[k])
             continue
@@ -333,9 +306,10 @@ def _damp_blocks(blocks, p_decay, uniforms):
 
 def _prepare(ens, sample, cycles):
     """The initial bits of every state, one row each, all drawn in one call
-    from the cycle count's initial-bit generator: row i is its i-th
-    `sample_initial` draw.  Then the prepared bits after the relabeling,
-    and which states were relabeled."""
+    from the cycle count's initial-bit generator, row i state i's: left
+    sites are 1 with probability p, right sites are 0 with probability p,
+    independently.  Then the prepared bits after the relabeling, and which
+    states were relabeled."""
     rng = _philox(sample.seed, _substream(cycles, 0), _INITIAL_BITS_BLOCK)
     u = rng.random((sample.n_initial_states, ens.n_qubits))
     bits = (u < ens.site_excitation_probabilities()).astype(np.int64)
@@ -373,8 +347,8 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     packed, in index order, into batches of as many whole states (at least
     one) as keep the batch's columns times C(width, k0) plus the numbers of
     a shot (the disorder normals, 2 k0 per damped half-layer, 1) within
-    `_CHUNK_AMPLITUDES`.  A batch is the threads' unit of work and runs in
-    three passes.
+    `ensemble._CHUNK_AMPLITUDES`.  A batch is the threads' unit of work and
+    runs in three passes.
 
     Draw: each state opens its counter block 1 and draws its shots' numbers
     as arrays, one column per shot: the disorder normals, per half-layer k0
@@ -421,7 +395,7 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
             flips[rows] = rng.random((shots, n))
         if width:
             start = words[batch].repeat(shots)
-            size = _chunk_columns(width, k)
+            size = ensemble._chunk_columns(width, k)
             for s0 in range(0, start.size, size):
                 part = slice(s0, s0 + size)
                 # no name holds a block once damping has replaced it, or
@@ -445,34 +419,17 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     batches = []
     for k in sorted(set(ones)):
         group = [i for i, count in enumerate(ones) if count == k]
-        numbers = draws + 2 * k * damped + 1
-        per = max(1, _CHUNK_AMPLITUDES // (shots * (math.comb(width, k) + numbers)))
+        per_state = shots * (math.comb(width, k) + draws + 2 * k * damped + 1)
+        per = max(1, ensemble._CHUNK_AMPLITUDES // per_state)
         batches += [group[j : j + per] for j in range(0, len(group), per)]
     thread_map(tally_batch, batches, threads)
     return counts, kept
 
 
-def _window_chunks(words, width):
-    """Distinct window words in evolution chunks: index arrays into `words`.
-
-    The words of a chunk share their popcount k and their left-half count,
-    as the block engine evolves them.  Chunks run through k, then the left
-    count, in ascending order, indices ascending, at most
-    max(1, _CHUNK_AMPLITUDES // C(width, k)) words each."""
-    ones = np.bitwise_count(words)
-    left = np.bitwise_count(words >> np.uint64(width // 2))
-    chunks = []
-    for k, a in sorted(set(zip(ones.tolist(), left.tolist()))):
-        group = np.flatnonzero((ones == k) & (left == a))
-        size = _chunk_columns(width, k)
-        chunks.extend(group[j0 : j0 + size] for j0 in range(0, group.size, size))
-    return chunks
-
-
 def _noiseless_records(prepared, config, sample, threads):
     """Every state's `counts` row and kept-shot count without noise, as two
-    arrays.  Each distinct window word is evolved once on the block engine,
-    in `_window_chunks`; then every state's whole tally of right counts r
+    arrays.  Each distinct window word is evolved once, in one call of the
+    block engine's word end; then every state's whole tally of right counts r
     is drawn, in state order, in one multinomial call on the cycle count's
     tally generator, one row of right-count masses per state, and each
     state tallies r - b0, b0 its word's right count, negated for a
@@ -484,16 +441,9 @@ def _noiseless_records(prepared, config, sample, threads):
     words, word_of = np.unique(bits_to_word(phys[:, lo:hi]), return_inverse=True)
     masses = np.ones((words.size, 1))  # no cycle: the empty window stays put
     if width:
-        chunks = _window_chunks(words, width)
-
-        def evolve(picked):
-            return word_right_masses(
-                words[picked], width, lo, t, config.params, config.layer_order
-            )
-
-        masses = np.empty((words.size, width // 2 + 1))
-        for picked, part in zip(chunks, thread_map(evolve, chunks, threads)):
-            masses[picked] = part.T
+        masses = word_right_masses(
+            words, width, lo, t, config.params, config.layer_order, threads
+        ).T
     # Each word's right counts are rolled so that its last one of nonzero
     # mass is the last category, which `multinomial` gives whatever the
     # draws before it leave over; the zero-mass ones rolled ahead of the

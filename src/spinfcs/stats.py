@@ -224,7 +224,7 @@ def fit_dynamical_exponent(
     sxx = np.sum(w * (x - xm) ** 2)
     slope = np.sum(w * (x - xm) * (y - ym)) / sxx
     if slope <= 0.0:
-        raise ValueError(f"fitted slope {slope!r} is not positive")
+        raise ValueError(f"fitted slope {float(slope)} is not positive")
     if sigmas is not None:
         var_slope = 1.0 / sxx
     else:

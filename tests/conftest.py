@@ -29,6 +29,14 @@ def exact_dists(ens, config):
     return [distribution_from_tensor(tensor, t, ens) for t in range(config.cycles + 1)]
 
 
+def sample_initial(ens, rng):
+    """Draw one initial bitstring: left sites are 1 with probability p,
+    right sites are 0 with probability p, independently.  The reference for
+    the rows of the sampler's `_prepare`."""
+    u = rng.random(ens.n_qubits)
+    return (u < ens.site_excitation_probabilities()).astype(np.int64)
+
+
 def basis_state(bits):
     """|bits> of a 0/1 sequence as one state: the column of `from_words`."""
     block = SectorState.from_words([bits_to_word(bits)], len(bits))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,17 @@ class TestRunExact:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: transfer mass not normalized")
+
+    def test_a_failed_exponent_fit_prints_a_plain_number(self, tmp_path, capsys):
+        # on 4 sites the fitted slope over cycles 1..5 is negative
+        cfg = write_config(
+            tmp_path / "cfg.json", n_qubits=4, cycles=5, mu=[0, 1],
+            analysis={"exponent_window": [1, 5]},
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        plain = r"error: fitted slope -0\.1047862\d* is not positive\n"
+        assert re.fullmatch(plain, err)  # not np.float64(...)
 
     @pytest.mark.parametrize("order", ["even_first", "odd_first"])
     @pytest.mark.parametrize("convention", ["tail", "split"])

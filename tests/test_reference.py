@@ -11,12 +11,29 @@ from spinfcs.gates import FSimParams
 from spinfcs.reference import (
     REFERENCE_DISTRIBUTIONS,
     compare_to_references,
-    cycle1_kurtosis_mu0,
     cycle1_moments,
-    cycle1_small_mu_skew_slope,
     cycle2_small_mu,
 )
 from spinfcs.stats import moment_row
+
+
+def cycle1_small_mu_skew_slope(theta: float) -> float:
+    """d(skewness)/d(mu) at mu = 0: sqrt(2)(2 csc(theta) - 3 sin(theta)).
+
+    Changes sign at theta = arcsin(sqrt(2/3)).
+    """
+    st = math.sin(theta)
+    if st == 0.0:
+        raise UndefinedMomentsError("undefined at theta=0")
+    return math.sqrt(2.0) * (2.0 / st - 3.0 * st)
+
+
+def cycle1_kurtosis_mu0(theta: float) -> float:
+    """Excess kurtosis at mu = 0 after one cycle: 2 csc^2(theta) - 3."""
+    st = math.sin(theta)
+    if st == 0.0:
+        raise UndefinedMomentsError("undefined at theta=0")
+    return 2.0 / st**2 - 3.0
 
 
 class TestCycleOne:

@@ -1,9 +1,12 @@
 import concurrent.futures
 import functools
+import gc
 import itertools
 import logging
 import math
+import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from conftest import (
     dense_right_ones,
     dense_word_probability,
     exact_dists,
+    sample_initial,
 )
 
 from spinfcs.circuit import ChainConfig
@@ -40,7 +44,6 @@ from spinfcs.noise import (
 )
 from spinfcs import _kernels, ensemble, sampler
 from spinfcs.sampler import (
-    _CHUNK_AMPLITUDES,
     SampleConfig,
     SampledRun,
     _cdf,
@@ -50,11 +53,9 @@ from spinfcs.sampler import (
     _tally,
     _trajectory,
     _window_bounds,
-    _window_chunks,
     moment_report,
     relabel_if_overfull,
     run_sampled,
-    sample_initial,
 )
 from spinfcs.sector import (
     SectorState,
@@ -567,7 +568,7 @@ class TestBatchedWindow:
         lo, hi = _window_bounds(n, t)
         width = hi - lo
         every = np.arange(2**width, dtype=np.uint64)
-        chunks = [every[picked] for picked in _window_chunks(every, width)]
+        chunks = [every[picked] for picked in ensemble._word_chunks(every, width)]
         assert sum(len(words) for words in chunks) == 2**width
         if n == 12:  # the 10-site window's middle sectors span several chunks
             sizes = np.bincount([np.bitwise_count(words[0]) for words in chunks])
@@ -600,7 +601,7 @@ class TestBatchedWindow:
                 super().__init__(*args)
                 # no block is larger than a chunk, or a single column
                 amps = self.amps
-                assert amps.size <= max(amps.shape[0], _CHUNK_AMPLITUDES)
+                assert amps.size <= max(amps.shape[0], ensemble._CHUNK_AMPLITUDES)
                 columns.append(amps.shape[1])
 
         monkeypatch.setattr(ensemble, "_SectorBlocks", Counting)
@@ -625,7 +626,7 @@ class TestBatchedWindow:
             anchors.add(lo % 2)
             width = hi - lo
             every = np.arange(2**width, dtype=np.uint64)
-            chunks = [every[picked] for picked in _window_chunks(every, width)]
+            chunks = [every[picked] for picked in ensemble._word_chunks(every, width)]
             assert sum(len(words) for words in chunks) == 2**width
             for words in chunks:
                 got = word_right_masses(words, width, lo, t, params, order)
@@ -641,22 +642,15 @@ class TestBatchedWindow:
                     assert np.max(np.abs(got[:, column] - want)) <= 1e-12
         assert anchors == ({0, 1} if n > 2 else {0})
 
-    def test_words_of_different_left_counts_are_refused(self):
-        with pytest.raises(ValueError, match="left-half count"):
-            word_right_masses(
-                np.array([0b0011, 0b1100], dtype=np.uint64), 4, 0, 1, HEIS,
-                LayerOrder.EVEN_FIRST,
-            )
-
     def test_a_word_mass_off_one_is_an_invariant_error(self, monkeypatch):
         # half-chain operators 1% too large: every word's mass grows
-        cached = ensemble._cached_operators
+        built = ensemble._half_chain_operators
 
         def inflated(*args):
-            left, right, mix = cached(*args)
+            left, right, mix = built(*args)
             return [1.01 * w for w in left], [1.01 * w for w in right], mix
 
-        monkeypatch.setattr(ensemble, "_cached_operators", inflated)
+        monkeypatch.setattr(ensemble, "_half_chain_operators", inflated)
         ens = ImbalanceEnsemble(0.5, 8)
         with pytest.raises(InvariantError, match="not normalized"):
             run_sampled(ens, ChainConfig(8, 3, HEIS), SampleConfig(10, 10, seed=5))
@@ -678,12 +672,82 @@ class TestBatchedWindow:
         )
         assert sites and max(sites) <= n // 2
 
-    def test_one_operator_set_is_cached(self):
-        # every chunk of a run shares one key, so a run keeps one set alive
+    @staticmethod
+    def spy_operators(monkeypatch, delay=0.0):
+        """Record each call of `ensemble._half_chain_operators`, with weak
+        references to the operator arrays it returns; each call first
+        sleeps `delay` seconds, which frees the GIL for other threads."""
+        calls, refs = [], []
+        built = ensemble._half_chain_operators
+
+        def spy(*args):
+            time.sleep(delay)
+            left, right, mix = built(*args)
+            calls.append(args)
+            refs.extend(weakref.ref(w) for w in left + right)
+            return left, right, mix
+
+        monkeypatch.setattr(ensemble, "_half_chain_operators", spy)
+        return calls, refs
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_operator_set_is_built_per_run(self, threads, monkeypatch):
+        # the word end builds its operators before its pool starts, so no
+        # worker builds them again, however many chunks the run has and
+        # however slow the build is
+        calls, _ = self.spy_operators(monkeypatch, delay=0.02)
+        ens = ImbalanceEnsemble(0.0, 46)
+        for t in (4, 5, 6):
+            config, sample = ChainConfig(46, t, HEIS), SampleConfig(40, 10, seed=t)
+            words = np.unique(window_words(ens, config, sample))
+            assert len(ensemble._word_chunks(words, 2 * t)) > 2 * threads
+            calls.clear()
+            run_sampled(ens, config, sample, threads=threads)
+            assert len(calls) == 1
+
+    def test_no_operator_outlives_a_run(self, monkeypatch):
+        _, refs = self.spy_operators(monkeypatch)
         ens = ImbalanceEnsemble(0.5, 8)
         for t in (1, 2, 3):
             run_sampled(ens, ChainConfig(8, t, HEIS), SampleConfig(10, 10, seed=t))
-        assert ensemble._cached_operators.cache_info().currsize == 1
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    def test_every_window_word_at_once_equals_the_calls_per_group(
+        self, order, monkeypatch
+    ):
+        # every word of an 8-site window anchored at an odd site, shuffled
+        # so that the (popcount, left count) groups interleave; at 256
+        # amplitudes the middle groups span several chunks of 3 columns
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 256)
+        width, lo, t = 8, 1, 3
+        every = np.arange(2**width, dtype=np.uint64)
+        words = np.random.default_rng(11).permutation(every)
+        got = word_right_masses(words, width, lo, t, HEIS, order)
+        assert got.shape == (width // 2 + 1, words.size)
+        ones = np.bitwise_count(words)
+        left = np.bitwise_count(words >> np.uint64(width // 2))
+        groups = sorted(set(zip(ones.tolist(), left.tolist())))
+        chunks = ensemble._word_chunks(words, width)
+        assert len(chunks) > len(groups) and max(map(len, chunks)) > 1
+        for k, a in groups:
+            picked = np.flatnonzero((ones == k) & (left == a))
+            alone = word_right_masses(words[picked], width, lo, t, HEIS, order)
+            assert np.array_equal(got[:, picked], alone)
+        threaded = word_right_masses(words, width, lo, t, HEIS, order, threads=2)
+        assert np.array_equal(threaded, got)
+
+    def test_a_word_mass_off_one_prints_a_plain_number(self, monkeypatch):
+        built = ensemble._half_chain_operators
+
+        def inflated(*args):
+            left, right, mix = built(*args)
+            return [1.01 * w for w in left], [1.01 * w for w in right], mix
+
+        monkeypatch.setattr(ensemble, "_half_chain_operators", inflated)
+        with pytest.raises(InvariantError, match=r"not normalized: 1\.\d+$"):
+            word_right_masses([0b0110], 4, 0, 1, HEIS, LayerOrder.EVEN_FIRST)
 
 
 def tiled_records(ens, config, sample, mode):
@@ -700,7 +764,7 @@ def tiled_records(ens, config, sample, mode):
     lo, hi = _window_bounds(n, t)
     words, word_of = np.unique(bits_to_word(phys[:, lo:hi]), return_inverse=True)
     evolved = {}  # word index -> (basis words, marginal, likeliest)
-    for picked in _window_chunks(words, hi - lo):
+    for picked in ensemble._word_chunks(words, hi - lo):
         block = SectorState.from_words(words[picked], hi - lo)
         [(block, _)] = _trajectory(block, lo, config, NoiseConfig(), None)
         probabilities = block.probabilities()
@@ -765,7 +829,7 @@ class TestNoiselessRoute:
     ):
         # chunks of 64 amplitudes: the 6-site window's middle sector spans
         # several chunks, which the threads share out
-        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 64)
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 64)
         ens = ImbalanceEnsemble(0.5, 8)
         config = ChainConfig(8, 3, HEIS, order)
         sample = SampleConfig(40, 30, seed=23, relabel_enabled=relabel)
@@ -942,7 +1006,7 @@ class TestBatchedNoisyRoute:
 
         def kernel(amps, *args):
             dim, m = amps.shape
-            assert m <= max(1, sampler._CHUNK_AMPLITUDES // dim)
+            assert m <= max(1, ensemble._CHUNK_AMPLITUDES // dim)
             widths.append(m)
             return apply_fsim_tables(amps, *args)
 
@@ -997,7 +1061,7 @@ class TestBatchedNoisyRoute:
         # chunks of 64 amplitudes: 3 columns of the 6-site window's middle
         # sector, so 14 shots span several chunks, and the columns that
         # jump are re-blocked under the same rule
-        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 64)
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 64)
         params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
         ens = ImbalanceEnsemble(0.5, 8)
         config = ChainConfig(8, 3, params, order)
@@ -1022,7 +1086,7 @@ class TestBatchedNoisyRoute:
         ens = ImbalanceEnsemble(0.5, 10)
         config = ChainConfig(10, 2, HEIS)  # window sites 3..6, decay outside
         sample = SampleConfig(6, 40, seed=8)
-        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 32)
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 32)
         run, widths, jumps, rows = self.traced_run(
             monkeypatch, ens, config, sample, noise, "number_only"
         )
@@ -1042,7 +1106,7 @@ class TestBatchedNoisyRoute:
         lo, hi = _window_bounds(n, t)
         _, phys, _ = _prepare(ens, sample, t)
         chunks = [
-            math.ceil(320 / sampler._chunk_columns(hi - lo, int(row[lo:hi].sum())))
+            math.ceil(320 / ensemble._chunk_columns(hi - lo, int(row[lo:hi].sum())))
             for row in phys
         ]
         assert max(chunks) >= 2
@@ -1080,7 +1144,7 @@ class TestStatePacking:
             batches = [[]]
             for i in (i for i, o in enumerate(ones) if o == k):
                 if batches[-1] and (len(batches[-1]) + 1) * shots * per_shot > (
-                    sampler._CHUNK_AMPLITUDES
+                    ensemble._CHUNK_AMPLITUDES
                 ):
                     batches.append([])
                 batches[-1].append(i)
@@ -1088,7 +1152,7 @@ class TestStatePacking:
                 columns = [i for i in batch for _ in range(shots)]
                 size = len(columns)
                 if len(batch) == 1:
-                    size = sampler._chunk_columns(width, k)
+                    size = ensemble._chunk_columns(width, k)
                 blocks += [columns[j : j + size] for j in range(0, len(columns), size)]
         return blocks
 
@@ -1099,7 +1163,7 @@ class TestStatePacking:
     ):
         # at 128 amplitudes most states run alone, some in two chunks or
         # more; at 2048 the shots of several states share blocks at every t
-        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", budget)
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", budget)
         blocks = []
         trajectory = sampler._trajectory
 
@@ -1156,7 +1220,7 @@ class TestNoisyChannels:
         self, threads, monkeypatch
     ):
         # a small budget splits the states of a popcount into several batches
-        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 512)
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 512)
         batches, calls = [], {"damp_bits": [], "readout_flip": []}
         thread_map = sampler.thread_map
 
@@ -1229,7 +1293,7 @@ class TestDampBlocks:
         # 4 columns of the 6-site sector with 4 ones (dimension 15: 4 to a
         # block of 64 amplitudes) all jump into the one with 3 (dimension
         # 20: 3 to a block)
-        monkeypatch.setattr(sampler, "_CHUNK_AMPLITUDES", 64)
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 64)
         basis = sector_basis(6, 4)
         amps = np.random.default_rng(3).standard_normal((basis.dimension, 4)) + 0j
         amps /= np.linalg.norm(amps, axis=0)
@@ -1289,7 +1353,7 @@ class TestReproducibility:
                     per_sector = np.bincount(
                         [
                             np.bitwise_count(words[picked[0]])
-                            for picked in _window_chunks(words, width)
+                            for picked in ensemble._word_chunks(words, width)
                         ]
                     )
                     assert per_sector[t] >= 2
