@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .circuit import ChainConfig
 from .ensemble import (
     ImbalanceEnsemble,
-    TransferDistribution,
     lightcone_reduce,
     transfer_tensor,
     distribution_from_tensor,
@@ -56,7 +55,6 @@ __all__ = [
     "SampledRun",
     "SectorBasis",
     "SectorState",
-    "TransferDistribution",
     "causal_min_half_layers",
     "central_moments",
     "collapse_residual",

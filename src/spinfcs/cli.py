@@ -307,11 +307,11 @@ def _run(parsed, out_dir, threads):
         )
 
         def per_mu(ens):
-            dists = [
-                distribution_from_tensor(tensor, t, ens) for t in range(cycles + 1)
-            ]
-            per_cycle = {d.cycles: (d.values, d.probabilities) for d in dists}
-            return per_cycle, stats.MomentReport.from_distributions(dists[1:])
+            per_cycle = {
+                t: distribution_from_tensor(tensor, t, ens) for t in range(cycles + 1)
+            }
+            rows = [stats.moment_row(per_cycle[t]) for t in range(1, cycles + 1)]
+            return per_cycle, stats.MomentReport(range(1, cycles + 1), rows)
 
     else:
 
@@ -371,12 +371,15 @@ def _write_analysis(analysis, series, out_dir):
                 values, sigmas = report.mean, report.sigma_mean
             mask = values > 0
             weighted = bool(np.all(sigmas[mask] > 0))
-            fit = stats.fit_dynamical_exponent(
-                report.cycles[mask],
-                values[mask],
-                sigmas[mask] if weighted else None,
-                window=analysis["exponent_window"],
-            )
+            try:
+                fit = stats.fit_dynamical_exponent(
+                    report.cycles[mask],
+                    values[mask],
+                    sigmas[mask] if weighted else None,
+                    window=analysis["exponent_window"],
+                )
+            except ValueError as exc:
+                raise ValueError(f"mu={_mu_tag(mu)}: {exc}") from exc
             row = (fit.z, fit.sigma_z, fit.t_min, fit.t_max, fit.n_points)
             lines.append(",".join([_mu_tag(mu), *map(_fmt, row)]))
         outputs.append(_write_lines(os.path.join(out_dir, "exponent_fit.csv"), lines))

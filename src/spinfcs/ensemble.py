@@ -162,31 +162,6 @@ class ImbalanceEnsemble:
         return p**a * q ** (half - a) * q**b * p ** (half - b)
 
 
-class TransferDistribution:
-    """Probability mass of the transferred magnetization after t cycles.
-
-    The support is the even grid -2t, ..., 2t (a single 0 for t = 0).
-    """
-
-    def __init__(self, cycles: int, probabilities: np.ndarray):
-        if cycles < 0:
-            raise ValueError("cycles must be >= 0")
-        self.cycles = int(cycles)
-        self.values = 2 * np.arange(-self.cycles, self.cycles + 1)
-        probabilities = np.asarray(probabilities, dtype=float)
-        if probabilities.shape != self.values.shape:
-            raise ValueError(
-                f"expected {self.values.size} masses for t={cycles}, "
-                f"got {probabilities.shape}"
-            )
-        self.probabilities = probabilities
-
-    def probability(self, m: int) -> float:
-        if m % 2 != 0 or abs(m) > 2 * self.cycles:
-            return 0.0
-        return float(self.probabilities[self.cycles + m // 2])
-
-
 def lightcone_reduce(config: ChainConfig) -> ChainConfig:
     """Equivalent configuration on the central light-cone sites.
 
@@ -536,8 +511,10 @@ def transfer_tensor(
 
 def distribution_from_tensor(
     T: np.ndarray, cycles: int, ens: ImbalanceEnsemble
-) -> TransferDistribution:
-    """Reweight a transfer tensor into P(M) at a given cycle and imbalance.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reweight a transfer tensor into P(M) at a given cycle and imbalance:
+    the pair (M grid -2t, ..., 2t in steps of 2, probabilities), zero where
+    |M| exceeds the chain's n.
 
     Raises:
         InvariantError: if the mass is not normalized or lies outside the
@@ -556,7 +533,7 @@ def distribution_from_tensor(
     index = counts - counts[:, None] + half  # r - b + half
     mass = np.bincount(index.ravel(), by_b_r.ravel(), 2 * half + 1)
     total = mass.sum()
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise InvariantError(f"transfer mass not normalized: {float(total)}")
     # the light cone bounds |M| <= 2t exactly: no amplitude path reaches
     # further, so any mass outside the grid is an internal error
@@ -569,5 +546,5 @@ def distribution_from_tensor(
         )
     probs = np.zeros(2 * cycles + 1)
     probs[cycles + m_half[inside]] = mass[inside]
-    return TransferDistribution(cycles, probs)
+    return 2 * np.arange(-cycles, cycles + 1), probs
 

@@ -198,7 +198,10 @@ class SampledRun:
         """Row-normalized per-state M histograms (surviving states only)."""
         survived = self.kept > 0
         if not survived.any():
-            raise ValueError("no surviving shots in any state")
+            raise ValueError(
+                f"no surviving shots in any state at t={self.cycles}, "
+                f"mu={float(self.mu)!r}"
+            )
         return self.counts[survived] / self.kept[survived, None]
 
     def yield_fraction(self) -> float:

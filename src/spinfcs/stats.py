@@ -5,15 +5,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import TransferDistribution
 from .errors import DegenerateWeightError
 
 
 def central_moments(data, k_max: int = 4) -> np.ndarray:
-    """[1, mean, alpha_2, ..., alpha_k_max] of a distribution-like input, in
-    the last axis: a TransferDistribution or a (values, probabilities) pair
-    on a grid symmetric about zero, whose probabilities may be a stack of
-    histograms along their last axis (one row each).
+    """[1, mean, alpha_2, ..., alpha_k_max] of a P(M) pair (values,
+    probabilities), in the last axis: the grid of M values must be symmetric
+    about zero, and the probabilities may be a stack of histograms along
+    their last axis (one row each).
 
     The mean m folds the +-M pairs, p(d)*d - p(-d)*d, and each central
     moment sums around it, alpha_k = p(0)*(-m)^k + sum_d [p(d)*(d-m)^k +
@@ -26,8 +25,6 @@ def central_moments(data, k_max: int = 4) -> np.ndarray:
     Raises:
         ValueError: if the grid is not symmetric about zero.
     """
-    if isinstance(data, TransferDistribution):
-        data = (data.values, data.probabilities)
     values = np.asarray(data[0], dtype=float)
     probs = np.asarray(data[1], dtype=float)
     if not np.array_equal(values, -values[::-1]):
@@ -55,9 +52,9 @@ def central_moments(data, k_max: int = 4) -> np.ndarray:
 
 
 def moment_row(data) -> np.ndarray:
-    """[mean, variance, skewness, excess kurtosis] of a distribution-like
-    input, as a report row: skewness and kurtosis are NaN when the variance
-    is not positive.  A stack of histograms gives one row each."""
+    """[mean, variance, skewness, excess kurtosis] of a P(M) pair (values,
+    probabilities), as a report row: skewness and kurtosis are NaN when the
+    variance is not positive.  A stack of histograms gives one row each."""
     alpha = central_moments(data, 4)
     var = alpha[..., 2]
     defined = var > 0.0
@@ -98,11 +95,6 @@ class MomentReport:
     sigma_variance = _columns("sigmas", 1)
     sigma_skewness = _columns("sigmas", 2)
     sigma_kurtosis = _columns("sigmas", 3)
-
-    @classmethod
-    def from_distributions(cls, dists) -> "MomentReport":
-        """Zero-uncertainty report from exact per-cycle distributions."""
-        return cls([d.cycles for d in dists], [moment_row(d) for d in dists])
 
 
 @dataclass

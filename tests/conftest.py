@@ -29,6 +29,12 @@ def exact_dists(ens, config):
     return [distribution_from_tensor(tensor, t, ens) for t in range(config.cycles + 1)]
 
 
+def mass_at(dist, m):
+    """P(M = m) of a (values, probabilities) pair: 0 off its grid."""
+    values, probs = dist
+    return float(probs[values == m].sum())
+
+
 def sample_initial(ens, rng):
     """Draw one initial bitstring: left sites are 1 with probability p,
     right sites are 0 with probability p, independently.  The reference for

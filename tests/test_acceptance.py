@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import REFERENCE_KURTOSIS, exact_dists
+from conftest import REFERENCE_KURTOSIS, exact_dists, mass_at
 from test_noise import bfs_min_layers
 
 from spinfcs.circuit import ChainConfig
@@ -173,7 +173,7 @@ def test_criterion_07_symmetry():
             dist = exact_dists(
                 ImbalanceEnsemble(0.0, 2 * t), ChainConfig(2 * t, t, HEIS)
             )[-1]
-            assert np.max(np.abs(dist.probabilities - dist.probabilities[::-1])) < 1e-14
+            assert np.max(np.abs(dist[1] - dist[1][::-1])) < 1e-14
         run = run_sampled(
             ImbalanceEnsemble(0.0, 6),
             ChainConfig(6, 3, HEIS),
@@ -216,7 +216,7 @@ def test_criterion_08_noise_pipeline():
         expected = np.zeros_like(observed)
         half = 3
         for i, m_half in enumerate(range(-half, half + 1)):
-            expected[i] = kept * ideal.probability(2 * m_half)
+            expected[i] = kept * mass_at(ideal, 2 * m_half)
         in_cone = expected > 0
         chi2 = float(np.sum((observed[in_cone] - expected[in_cone]) ** 2 / expected[in_cone]))
         p_value = scipy.stats.chi2.sf(chi2, df=int(in_cone.sum()) - 1)

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import REFERENCE_KURTOSIS
+from conftest import REFERENCE_KURTOSIS, mass_at
 
 from spinfcs import cli, sampler
 from spinfcs.circuit import ChainConfig
@@ -115,8 +115,22 @@ class TestRunExact:
         )
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        plain = r"error: fitted slope -0\.1047862\d* is not positive\n"
+        plain = r"error: mu=0\.0: fitted slope -0\.1047862\d* is not positive\n"
         assert re.fullmatch(plain, err)  # not np.float64(...)
+
+    def test_a_chain_shorter_than_the_light_cone_keeps_the_full_grid(self, tmp_path):
+        # 4 sites at t = 3: M runs over -6..6, zero beyond the chain's 4
+        cfg = write_config(
+            tmp_path / "cfg.json", n_qubits=4, cycles=3, mu=[0, 0.5, "inf"],
+            convention="split", layer_order="odd_first",
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for tag in ("0.0", "0.5", "inf"):
+            _, rows = read_csv(out / f"distributions_mu{tag}.csv")
+            last = [(int(m), p) for t, m, p in rows if t == "3"]
+            assert [m for m, _ in last] == list(range(-6, 7, 2))
+            assert last[0][1] == last[-1][1] == "0.0"
 
     @pytest.mark.parametrize("order", ["even_first", "odd_first"])
     @pytest.mark.parametrize("convention", ["tail", "split"])
@@ -154,7 +168,7 @@ class TestRunExact:
                 dist = distribution_from_tensor(
                     full_chain, int(t), ImbalanceEnsemble(mu, 12)
                 )
-                assert abs(float(p) - dist.probability(int(m))) <= 1e-12
+                assert abs(float(p) - mass_at(dist, int(m))) <= 1e-12
                 assert abs(float(p) - float(p6)) <= 1e-12
 
     def test_site_cap_applies_to_the_sites_evolved(self, tmp_path, capsys):
@@ -346,6 +360,17 @@ class TestRunSampled:
             assert entry["yield_fraction"] == run.yield_fraction()
             assert entry["dropped_states"] == len(run.dropped_states)
         assert any(entry["dropped_states"] > 0 for entry in entries)
+
+    def test_no_surviving_shots_names_the_cycle_and_mu(self, tmp_path, capsys):
+        # T1 of 0.01 cycles damps every excitation: no shot passes the filter
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="noisy-sampled", n_qubits=4, cycles=2,
+            mu="inf", initial_states=3, shots_per_state=5,
+            noise={"t1_cycles": 0.01},
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: no surviving shots in any state at t=1, mu=inf\n")
 
     def test_exact_manifest_has_no_sampling_entries(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -825,6 +850,17 @@ class TestOutputErrors:
 
 
 class TestExponentFit:
+    def test_a_failed_fit_names_its_mu(self, tmp_path, capsys):
+        # at theta = 0 no mass moves: every mean and variance is 0, so the
+        # window keeps no point
+        cfg = write_config(
+            tmp_path / "cfg.json", theta=0.0, n_qubits=6, cycles=3,
+            mu=[0, 0.5, "inf"], analysis={"exponent_window": [1, 3]},
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: mu=0.0: need >= 3 points in window [1, 3], have 0\n"
+
     def test_mu_zero_row_is_fitted_to_the_variance(self, tmp_path):
         # the mu=0 mean vanishes to rounding and used to abort the run
         cfg = write_config(

@@ -10,12 +10,12 @@ from conftest import (
     dense_exact_pm,
     dense_right_ones,
     exact_dists,
+    mass_at,
 )
 from spinfcs import ensemble
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
-    TransferDistribution,
     check_site_cap,
     distribution_from_tensor,
     lightcone_reduce,
@@ -49,23 +49,26 @@ class TestLightconeReduce:
 
     def test_zero_cycles(self):
         reduced = lightcone_reduce(ChainConfig(6, 0, params_at(0.1, 0.1)))
-        dist = exact_dists(ImbalanceEnsemble(0.7, reduced.n_qubits), reduced)[-1]
-        assert dist.cycles == 0
-        assert dist.probability(0) == 1.0
+        values, probs = exact_dists(ImbalanceEnsemble(0.7, reduced.n_qubits), reduced)[-1]
+        assert values.tolist() == [0]
+        assert probs.tolist() == [1.0]
 
 
 class TestExactDistribution:
     @pytest.mark.parametrize("mu", [0.0, 0.5, math.inf])
     @pytest.mark.parametrize("convention", ["tail", "split"])
-    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("t", [1, 2, 3])
     def test_matches_dense_oracle(self, mu, convention, t):
+        # t = 3 outgrows the 4-site chain: the grid still spans -2t..2t
         theta, phi = 0.3 * np.pi, 0.7 * np.pi
         n = 4
         config = ChainConfig(n, t, params_at(theta, phi, convention))
-        dist = exact_dists(ImbalanceEnsemble(mu, n), config)[-1]
+        values, probs = exact_dists(ImbalanceEnsemble(mu, n), config)[-1]
+        assert values.tolist() == list(range(-2 * t, 2 * t + 1, 2))
+        assert np.all(probs[np.abs(values) > n] == 0.0)
         oracle = dense_exact_pm(n, t, theta, phi, mu, convention)
-        for m in dist.values:
-            assert abs(dist.probability(m) - oracle.get(int(m), 0.0)) < 1e-13
+        for m, p in zip(values, probs):
+            assert abs(p - oracle.get(int(m), 0.0)) < 1e-13
 
     def test_reference_kurtosis_rows(self, heisenberg_angles):
         theta, phi = heisenberg_angles
@@ -78,15 +81,15 @@ class TestExactDistribution:
     def test_normalized(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         config = ChainConfig(6, 3, params_at(theta, phi))
-        dist = exact_dists(ImbalanceEnsemble(0.3, 6), config)[-1]
-        assert abs(dist.probabilities.sum() - 1.0) < 1e-10
+        _, probs = exact_dists(ImbalanceEnsemble(0.3, 6), config)[-1]
+        assert abs(probs.sum() - 1.0) < 1e-10
 
     def test_mirror_symmetry_at_mu_zero(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         for t in (1, 2, 3):
             config = ChainConfig(2 * t, t, params_at(theta, phi))
-            dist = exact_dists(ImbalanceEnsemble(0.0, 2 * t), config)[-1]
-            assert np.max(np.abs(dist.probabilities - dist.probabilities[::-1])) < 1e-14
+            _, probs = exact_dists(ImbalanceEnsemble(0.0, 2 * t), config)[-1]
+            assert np.max(np.abs(probs - probs[::-1])) < 1e-14
 
     def test_sign_symmetry_of_angles(self):
         n, t = 4, 2
@@ -97,7 +100,7 @@ class TestExactDistribution:
             other = exact_dists(
                 ImbalanceEnsemble(0.5, n), ChainConfig(n, t, params_at(theta, phi))
             )[-1]
-            assert np.array_equal(base.probabilities, other.probabilities)
+            assert np.array_equal(base[1], other[1])
 
     def test_length_independence(self, heisenberg_angles):
         theta, phi = heisenberg_angles
@@ -123,7 +126,7 @@ class TestExactDistribution:
                 ImbalanceEnsemble(0.5, n),
                 ChainConfig(n, t, params_at(theta, phi, "split")),
             )[-1]
-            assert np.max(np.abs(tail.probabilities - split.probabilities)) < 1e-13
+            assert np.max(np.abs(tail[1] - split[1])) < 1e-13
 
     def test_layer_order_invariance_of_ensemble_statistics(self, heisenberg_angles):
         # both parity orderings give the same ensemble-averaged transfer
@@ -137,7 +140,7 @@ class TestExactDistribution:
             ImbalanceEnsemble(0.5, n),
             ChainConfig(n, t, params_at(theta, phi), LayerOrder.ODD_FIRST),
         )[-1]
-        assert np.max(np.abs(a.probabilities - b.probabilities)) < 1e-13
+        assert np.max(np.abs(a[1] - b[1])) < 1e-13
 
     def test_mu_monotonic_mean_at_cycle_one(self):
         theta = 0.35 * np.pi
@@ -179,15 +182,15 @@ class TestPureDomainWall:
 
     def test_frozen_chain(self):
         dist = self.domain_wall(4, 2, params_at(0.0, 0.5))
+        values, probs = dist
         # no mass leaves M = 0; the mass there is a sum of |phase|^2 terms
-        assert np.all(dist.probabilities[dist.values != 0] == 0.0)
-        assert dist.probability(0) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(probs[values != 0] == 0.0)
+        assert mass_at(dist, 0) == pytest.approx(1.0, abs=1e-15)
 
     def test_no_negative_transfer(self, heisenberg_angles):
         theta, phi = heisenberg_angles
-        dist = self.domain_wall(6, 3, params_at(theta, phi))
-        negative = dist.values < 0
-        assert np.all(dist.probabilities[negative] == 0.0)
+        values, probs = self.domain_wall(6, 3, params_at(theta, phi))
+        assert np.all(probs[values < 0] == 0.0)
 
 
 def dense_transfer_tensor(n, cycles, theta, phi, convention, order):
@@ -398,15 +401,15 @@ class TestRelabelPipelineEquality:
             probs = state.probabilities()
             for r, p in zip(r_logical, probs):
                 acc[t + (int(r) - b)] += weight * p
-        assert np.max(np.abs(acc - plain.probabilities)) < 1e-13
+        assert np.max(np.abs(acc - plain[1])) < 1e-13
 
 
 class TestTransferDistributionType:
     def test_symmetrized_is_exactly_symmetric(self):
         probs = np.array([0.1, 0.2, 0.7])
-        sym = TransferDistribution(1, 0.5 * (probs + probs[::-1]))
-        assert np.array_equal(sym.probabilities, sym.probabilities[::-1])
-        alpha = central_moments(sym, 3)
+        sym = 0.5 * (probs + probs[::-1])
+        assert np.array_equal(sym, sym[::-1])
+        alpha = central_moments((np.array([-2, 0, 2]), sym), 3)
         assert alpha[1] == alpha[3] == 0.0
 
     def test_ensemble_validation(self):
@@ -417,11 +420,16 @@ class TestTransferDistributionType:
         assert ImbalanceEnsemble(math.inf, 4).p == 1.0
         assert ImbalanceEnsemble(0.0, 4).p == 0.5
 
-    def test_unnormalized_tensor_raises_invariant_error(self):
+    @pytest.mark.parametrize(
+        "mass, message",
+        # a plain number, not np.float64(...); a NaN total is not normalized either
+        [(0.5, r"not normalized: 1\.03\d*$"), (math.nan, r"not normalized: nan$")],
+        ids=["off_one", "nan"],
+    )
+    def test_unnormalized_tensor_raises_invariant_error(self, mass, message):
         tensor = transfer_tensor(4, 1, FSimParams(0.2, 0.3))
-        tensor[1, 1, 1, 1] += 0.5
-        # a plain number, not np.float64(...)
-        with pytest.raises(InvariantError, match=r"not normalized: 1\.03\d*$"):
+        tensor[1, 1, 1, 1] += mass
+        with pytest.raises(InvariantError, match=message):
             distribution_from_tensor(tensor, 1, ImbalanceEnsemble(0.0, 4))
 
     def test_mass_outside_the_light_cone_raises_invariant_error(self):

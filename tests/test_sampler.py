@@ -21,6 +21,7 @@ from conftest import (
     dense_right_ones,
     dense_word_probability,
     exact_dists,
+    mass_at,
     sample_initial,
 )
 
@@ -28,7 +29,6 @@ from spinfcs.circuit import ChainConfig
 from spinfcs.errors import EnumerationCapError, InvariantError
 from spinfcs.ensemble import (
     ImbalanceEnsemble,
-    TransferDistribution,
     distribution_from_tensor,
     transfer_tensor,
     word_right_masses,
@@ -399,7 +399,7 @@ class TestLightConeWindow:
 
             for mu in (0.0, 0.5):
                 ens = ImbalanceEnsemble(mu, n)
-                want = distribution_from_tensor(T, t, ens).probabilities
+                _, want = distribution_from_tensor(T, t, ens)
                 for relabel in (False, True):
                     got = np.zeros(2 * t + 1)
                     for bits, a, b in zip(words, *counts):
@@ -1460,7 +1460,7 @@ class TestNoisyPipeline:
         )
         sampled = run.per_state_distributions().mean(axis=0)
         for m, got in zip(run.grid, sampled):
-            p = exact.probability(int(m))
+            p = mass_at(exact, m)
             sigma = math.sqrt(max(p * (1 - p) / 4000, 1e-12))
             assert abs(got - p) < 5 * sigma
 
@@ -1579,9 +1579,7 @@ class TestMomentReport:
         cone = np.abs(run.grid) <= 4
         assert not cone.all() and not probs[~cone].any()
         report = moment_report([run])
-        exact_path = MomentReport.from_distributions(
-            [TransferDistribution(2, probs[cone])]
-        )
+        exact_path = MomentReport([2], [moment_row((run.grid[cone], probs[cone]))])
         assert report.cycles.tolist() == exact_path.cycles.tolist() == [2]
         assert report.rows.tobytes() == exact_path.rows.tobytes()
         assert np.all(report.sigmas > 0.0)

@@ -7,8 +7,8 @@ from scipy.optimize import lsq_linear
 
 from spinfcs import stats
 from spinfcs.circuit import ChainConfig
-from conftest import exact_dists
-from spinfcs.ensemble import ImbalanceEnsemble, TransferDistribution
+from conftest import exact_dists, mass_at
+from spinfcs.ensemble import ImbalanceEnsemble
 from spinfcs.errors import DegenerateWeightError
 from spinfcs.gates import FSimParams
 from spinfcs.stats import (
@@ -23,13 +23,20 @@ from spinfcs.stats import (
 )
 from spinfcs.stats import _monotone_pl_residual
 
-POINT_MASS = TransferDistribution(1, np.array([0.0, 0.0, 1.0]))  # all at M = 2
+
+def on_grid(probs):
+    """(M grid -2t..2t, probs) of the 2t+1 masses `probs`."""
+    t = len(probs) // 2
+    return 2 * np.arange(-t, t + 1), np.asarray(probs, dtype=float)
+
+
+POINT_MASS = on_grid([0.0, 0.0, 1.0])  # all at M = 2
 
 
 def symmetrized(dist):
     """`dist` with the masses of M and -M averaged."""
-    probs = dist.probabilities
-    return TransferDistribution(dist.cycles, 0.5 * (probs + probs[::-1]))
+    values, probs = dist
+    return values, 0.5 * (probs + probs[::-1])
 
 
 class TestCentralMoments:
@@ -110,7 +117,7 @@ class TestCentralMoments:
 
 class TestSkewKurt:
     def test_two_point_symmetric(self):
-        dist = TransferDistribution(1, np.array([0.5, 0.0, 0.5]))
+        dist = on_grid([0.5, 0.0, 0.5])
         _, _, s, q = moment_row(dist)
         assert s == 0.0
         assert q == -2.0
@@ -132,20 +139,20 @@ class TestSkewKurt:
 
 class TestSymmetrize:
     def test_symmetric_input_unchanged(self):
-        dist = TransferDistribution(1, np.array([0.25, 0.5, 0.25]))
-        assert np.array_equal(symmetrized(dist).probabilities, dist.probabilities)
+        dist = on_grid([0.25, 0.5, 0.25])
+        assert np.array_equal(symmetrized(dist)[1], dist[1])
 
     def test_point_mass_splits(self):
         sym = symmetrized(POINT_MASS)
-        assert sym.probability(2) == 0.5
-        assert sym.probability(-2) == 0.5
+        assert mass_at(sym, 2) == 0.5
+        assert mass_at(sym, -2) == 0.5
         assert moment_row(sym)[2] == 0.0
 
     def test_sampled_data_skewness_exactly_zero(self):
         rng = np.random.default_rng(42)
         samples = 2 * rng.integers(-3, 4, size=5001)
         counts = np.bincount(samples // 2 + 3, minlength=7)
-        dist = TransferDistribution(3, counts / counts.sum())
+        dist = on_grid(counts / counts.sum())
         assert moment_row(symmetrized(dist))[2] == 0.0
 
     def test_every_distribution_symmetrizes_to_zero_skew(self):
@@ -154,7 +161,7 @@ class TestSymmetrize:
             t = int(rng.integers(1, 6))
             probs = rng.random(2 * t + 1)
             probs /= probs.sum()
-            dist = TransferDistribution(t, probs)
+            dist = on_grid(probs)
             _, var, skew, _ = moment_row(symmetrized(dist))
             if var > 0:
                 assert skew == 0.0
@@ -421,13 +428,14 @@ class TestMonotoneFitMatchesReference:
 
 
 class TestMomentReport:
-    def test_from_distributions(self):
+    def test_rows_without_sigmas(self):
+        # an exact report, as `spinfcs run` builds it: rows and no sigmas
         config = ChainConfig(4, 2, FSimParams(0.4 * np.pi, 0.8 * np.pi))
         dists = [
             exact_dists(ImbalanceEnsemble(0.5, 4), ChainConfig(4, t, config.params))[-1]
             for t in (1, 2)
         ]
-        report = MomentReport.from_distributions(dists)
+        report = MomentReport(range(1, 3), [moment_row(d) for d in dists])
         assert report.cycles.tolist() == [1, 2]
         assert np.all(report.sigma_mean == 0.0)
         assert report.kurtosis[1] == pytest.approx(-0.30867052, abs=1e-7)
@@ -438,7 +446,7 @@ class TestMomentReport:
         row = moment_row(dist)
         assert row[:2].tolist() == [2.0, 0.0]
         assert np.isnan(row[2]) and np.isnan(row[3])
-        report = MomentReport.from_distributions([dist])
+        report = MomentReport([1], [row])
         assert np.isnan(report.skewness[0]) and np.isnan(report.kurtosis[0])
 
     def test_a_stack_of_histograms_gives_each_row_its_scalar_bits(self):
