@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass
 
-from .errors import UnderResolvedError
 from .gates import FSimParams, LayerOrder
 
 
@@ -10,8 +9,8 @@ from .gates import FSimParams, LayerOrder
 class ChainConfig:
     """An even-length chain evolved for a number of brickwork cycles.
 
-    Center-cut transfer statistics are exact (length-independent) whenever
-    n_qubits >= 2*cycles, the light-cone width.
+    Center-cut transfer statistics depend only on the sites of `window`,
+    the light cone of the center cut.
     """
 
     n_qubits: int
@@ -28,13 +27,10 @@ class ChainConfig:
             raise ValueError(f"cycles must be >= 0, got {self.cycles}")
 
     @property
-    def lightcone_width(self) -> int:
-        return 2 * self.cycles
-
-    def require_exact(self) -> None:
-        """Raise unless the chain covers the light cone of the center cut."""
-        if self.n_qubits < self.lightcone_width:
-            raise UnderResolvedError(
-                f"{self.n_qubits} qubits cannot resolve {self.cycles} cycles "
-                f"exactly (need >= {self.lightcone_width})"
-            )
+    def window(self) -> tuple[int, int]:
+        """Sites lo..hi-1 of the light cone of the center cut: the
+        min(n_qubits, 2*cycles) sites centered on it.  A chain shorter than
+        its light cone is its own window."""
+        width = min(self.n_qubits, 2 * self.cycles)
+        lo = self.n_qubits // 2 - width // 2
+        return lo, lo + width

@@ -166,9 +166,8 @@ def _parse_config(cfg) -> dict:
     chain = ChainConfig(n_qubits, cycles, params, LayerOrder(order))
     sample = None
     if mode == "exact":
-        if n_qubits >= chain.lightcone_width:
-            # sites outside the light cone of the center cut do not move it
-            chain = lightcone_reduce(chain)
+        # sites outside the light cone of the center cut do not move it
+        chain = lightcone_reduce(chain)
         with _refused_as("n_qubits"):
             check_site_cap(chain.n_qubits)
     else:
@@ -176,7 +175,7 @@ def _parse_config(cfg) -> dict:
         _check(shots >= 1, "shots_per_state", f"must be >= 1, got {shots}")
         sample = sampler.SampleConfig(states, shots, seed, relabel)
         with _refused_as("cycles"):
-            sampler.check_window(n_qubits, cycles, noisy)
+            sampler.check_window(chain, noisy)
     return {
         "mode": mode,
         "chain": chain,
@@ -316,8 +315,10 @@ def _run(parsed, out_dir, threads):
     else:
 
         def per_mu(ens):
-            runs = [
-                sampler.run_sampled(
+            runs = []
+            per_cycle = {}
+            for t in range(1, cycles + 1):
+                run = sampler.run_sampled(
                     ens,
                     dataclasses.replace(chain, cycles=t),
                     parsed["sample"],
@@ -325,12 +326,9 @@ def _run(parsed, out_dir, threads):
                     postselect_mode=parsed["postselect"],
                     threads=threads,
                 )
-                for t in range(1, cycles + 1)
-            ]
-            per_cycle = {
-                run.cycles: (run.grid, run.per_state_distributions().mean(axis=0))
-                for run in runs
-            }
+                # a cycle with no surviving shot stops the run before the next
+                per_cycle[t] = (run.grid, run.per_state_distributions().mean(axis=0))
+                runs.append(run)
             sampling.extend(
                 {
                     "mu": _mu_tag(ens.mu),
@@ -510,13 +508,17 @@ def cmd_analyze(args) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-        if isinstance(raw, dict) and "analysis" in raw:
-            raw = raw["analysis"]  # accept a full run config too
+        if isinstance(raw, dict) and "mode" in raw:
+            raw = raw.get("analysis")  # a run config: its analysis table, if any
         analysis = _parse_analysis(raw)
     except (OSError, json.JSONDecodeError) as exc:
         return _error(f"cannot read analysis config: {exc}")
     except ConfigError as exc:
         return _error(exc)
+    out_dir = _resolve_out(args.out)
+    if os.path.realpath(out_dir) == os.path.realpath(args.input):
+        # the moments CSVs written here would replace the run's, sigmas and all
+        return _error(f"--out {out_dir} is the --input directory; give another --out")
     paths = sorted(glob.glob(os.path.join(args.input, "distributions_mu*.csv")))
     if not paths:
         return _error(f"no distributions_mu*.csv files under {args.input}")
@@ -543,7 +545,6 @@ def cmd_analyze(args) -> int:
         _check_analysis(analysis, {mu: report.cycles for mu, report in series.items()})
     except (OSError, ValueError) as exc:
         return _error(exc)
-    out_dir = _resolve_out(args.out)
     outputs = [os.path.join(out_dir, f"moments_mu{tag}.csv") for tag in reports]
     try:
         os.makedirs(out_dir, exist_ok=True)

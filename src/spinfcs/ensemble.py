@@ -163,18 +163,13 @@ class ImbalanceEnsemble:
 
 
 def lightcone_reduce(config: ChainConfig) -> ChainConfig:
-    """Equivalent configuration on the central light-cone sites.
+    """Equivalent configuration on the sites of `config.window`, at least 2.
 
-    Ensemble-averaged center-cut statistics are unchanged for any chain with
-    n_qubits >= 2*cycles, so the chain is shrunk to exactly that width (a
-    minimum of 2 sites).
-
-    Raises:
-        UnderResolvedError: if the chain is shorter than the light cone.
-    """
-    config.require_exact()
-    reduced = max(2, config.lightcone_width)
-    return ChainConfig(reduced, config.cycles, config.params, config.layer_order)
+    Ensemble-averaged center-cut statistics depend only on the window, so
+    the chain shrinks to it; a chain shorter than its light cone is its own
+    window and is left as it is."""
+    lo, hi = config.window
+    return replace(config, n_qubits=max(2, hi - lo))
 
 
 CHUNK_COLUMNS = 256

@@ -9,10 +9,6 @@ class SectorMismatchError(SpinFcsError):
     """A bitstring's excitation count does not match the sector's."""
 
 
-class UnderResolvedError(SpinFcsError):
-    """The chain is shorter than the light cone (n_qubits < 2*cycles)."""
-
-
 class EnumerationCapError(SpinFcsError):
     """The exact enumeration would exceed the configured site cap."""
 

@@ -13,10 +13,10 @@ state's own stream depends on nothing else, so results depend only on
 (seed, configuration), and the first N' states of an N-state run are
 those of an N'-state run.
 
-Every initial state is relabeled once it is drawn.  Only the 2t-site
-light-cone window around the cut is evolved; sites outside it never see a
-gate and keep their prepared bits.  A state then takes one of two routes
-to its tally:
+Every initial state is relabeled once it is drawn.  Only the light-cone
+window around the cut, `ChainConfig.window`, is evolved; sites outside it
+never see a gate and keep their prepared bits.  A state then takes one of
+two routes to its tally:
 
 * noiseless: a shot counts only through its right-half count, whose
   distribution depends only on the window word, so each distinct word of
@@ -221,30 +221,25 @@ def _cdf(probabilities):
     return cdf
 
 
-def _window_bounds(n_qubits: int, cycles: int) -> tuple[int, int]:
-    width = min(n_qubits, 2 * cycles)
-    lo = n_qubits // 2 - width // 2
-    return lo, lo + width
-
-
-def check_window(n_qubits: int, cycles: int, noisy: bool) -> None:
-    """Refuse a sampled run whose light-cone window, w = min(n, 2 cycles)
-    sites, needs a table family over `_WINDOW_TABLE_CAP` bytes.  Without
-    noise that is both sets of the block engine's half-chain operators plus
-    one word's sector block, 48 C(w, w/2) bytes; with noise, the middle
-    sector's bond tables, about 20 (w - 1) C(w, w/2) bytes.  A window that
-    passes fits those tables; its run may still take too long.
+def check_window(config: ChainConfig, noisy: bool) -> None:
+    """Refuse a sampled run whose light-cone window, the w sites of
+    `config.window`, needs a table family over `_WINDOW_TABLE_CAP` bytes.
+    Without noise that is both sets of the block engine's half-chain
+    operators plus one word's sector block, 48 C(w, w/2) bytes; with noise,
+    the middle sector's bond tables, about 20 (w - 1) C(w, w/2) bytes.  A
+    window that passes fits those tables; its run may still take too long.
 
     Raises:
         EnumerationCapError: if the estimate exceeds the cap.
     """
-    width = min(n_qubits, 2 * cycles)
+    lo, hi = config.window
+    width = hi - lo
     middle = math.comb(width, width // 2)
     need = 20 * (width - 1) * middle if noisy else 48 * middle
     if need > _WINDOW_TABLE_CAP:
         route = "noisy" if noisy else "noiseless"
         raise EnumerationCapError(
-            f"the {width}-site window of {cycles} cycles needs about "
+            f"the {width}-site window of {config.cycles} cycles needs about "
             f"{need / 1e9:.1f} GB of {route} tables, over the "
             f"{_WINDOW_TABLE_CAP / 2**30:.0f} GiB cap"
         )
@@ -367,7 +362,7 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     its measured rows into its own row of the two arrays."""
     bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
-    lo, hi = _window_bounds(n, t)
+    lo, hi = config.window
     width = hi - lo
     layers = brickwork_layers(width, lo, config.layer_order) * t
     draws = sum(disorder_draws(noise, width, layers))
@@ -439,7 +434,7 @@ def _noiseless_records(prepared, config, sample, threads):
     relabeled state; unfiltered, as no mode can reject a noiseless shot."""
     _, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
-    lo, hi = _window_bounds(n, t)
+    lo, hi = config.window
     width = hi - lo
     words, word_of = np.unique(bits_to_word(phys[:, lo:hi]), return_inverse=True)
     masses = np.ones((words.size, 1))  # no cycle: the empty window stays put
@@ -475,8 +470,8 @@ def run_sampled(
     postselect_mode: str = "number_only",
     threads: int = 1,
 ) -> SampledRun:
-    """Sample the experiment: draw initial states, evolve their 2t-site
-    light-cone windows, measure shots, filter, and tally per-state M
+    """Sample the experiment: draw initial states, evolve their light-cone
+    windows (`config.window`), measure shots, filter, and tally per-state M
     histograms.
 
     With `noise=None` each distinct window word is evolved once, on the
@@ -497,7 +492,7 @@ def run_sampled(
         raise ValueError(f"unknown post-selection mode {postselect_mode!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    check_window(config.n_qubits, config.cycles, noise is not None)
+    check_window(config, noise is not None)
 
     prepared = _prepare(ens, sample, config.cycles)
     if noise is None:

@@ -322,7 +322,8 @@ def collapse_residual(
     piecewise-linear reference with `n_knots` knots placed uniformly in rank
     of x is fit; the result is the sum of squared residuals normalized by
     the pooled variance.  Only the location of the minimum over gamma is
-    meaningful, not its value.
+    meaningful, not its value.  A non-finite value among the kept points
+    (the NaN skewness of a zero variance) is refused with its mu and cycle.
     """
     xs = []
     ys = []
@@ -331,6 +332,13 @@ def collapse_residual(
         cycles = np.asarray(cycles, dtype=float)
         values = np.asarray(values, dtype=float)
         mask = cycles >= t_min
+        bad = mask & ~np.isfinite(values)
+        if bad.any():
+            i = np.argmax(bad)
+            raise ValueError(
+                f"collapse value {float(values[i])!r} of mu {float(mu)!r} at cycle "
+                f"{cycles[i]:g} is not finite"
+            )
         if mask.any():
             mus.add(float(mu))
             with np.errstate(over="ignore", invalid="ignore"):  # refused below

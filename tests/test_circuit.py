@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spinfcs.circuit import ChainConfig
-from spinfcs.errors import UnderResolvedError
 from spinfcs.gates import FSimParams
 
 
@@ -16,11 +15,11 @@ class TestChainConfig:
         with pytest.raises(ValueError):
             ChainConfig(4, -1, params)
 
-    def test_lightcone_exactness_guard(self):
-        config = ChainConfig(4, 3, FSimParams(0.1, 0.1))
-        with pytest.raises(UnderResolvedError):
-            config.require_exact()
-        ChainConfig(6, 3, FSimParams(0.1, 0.1)).require_exact()
+    def test_window_is_the_light_cone_of_the_center_cut(self):
+        params = FSimParams(0.1, 0.1)
+        assert ChainConfig(6, 0, params).window == (3, 3)  # no cycle, no site
+        assert ChainConfig(4, 3, params).window == (0, 4)  # the whole chain
+        assert ChainConfig(46, 4, params).window == (19, 27)
 
 
 class TestAnisotropy:

@@ -372,6 +372,26 @@ class TestRunSampled:
         err = capsys.readouterr().err
         assert err.endswith("error: no surviving shots in any state at t=1, mu=inf\n")
 
+    def test_a_cycle_without_surviving_shots_stops_the_run(
+        self, tmp_path, monkeypatch
+    ):
+        # t = 1 keeps no shot, so t = 2 is never evolved
+        cycles = []
+        run_sampled = sampler.run_sampled
+
+        def spy(ens, config, *args, **kwargs):
+            cycles.append(config.cycles)
+            return run_sampled(ens, config, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "run_sampled", spy)
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="noisy-sampled", n_qubits=4, cycles=2,
+            mu="inf", initial_states=3, shots_per_state=5,
+            noise={"t1_cycles": 0.01},
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert cycles == [1]
+
     def test_exact_manifest_has_no_sampling_entries(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
@@ -620,6 +640,61 @@ class TestAnalysisArtifacts:
         argv = ["analyze", "--input", str(run_out), "--config", str(tmp_path / "an.json")]
         assert main([*argv, "--out", str(tmp_path / "an")]) == 1
         assert "analysis.collapse_gammas" in capsys.readouterr().err
+
+    def test_a_collapse_over_nan_skewness_names_its_mu_and_cycle(
+        self, tmp_path, capsys
+    ):
+        # at theta = 0 no mass moves: the variance is 0, the skewness NaN
+        analysis = {
+            "collapse_gammas": [0.5, 0.7], "collapse_t_min": 1, "collapse_knots": 3
+        }
+        cfg = write_config(
+            tmp_path / "cfg.json", theta=0, phi=0.5, n_qubits=8, cycles=4,
+            mu=[0.5, 1.0, 2.0], analysis=analysis,
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: collapse value nan of mu 0.5 at cycle 1 is not finite\n"
+
+    def test_analyze_into_its_input_is_refused_before_any_write(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # run and analyze both default to ./spinfcs_out; moments rewritten
+        # there from the distributions alone lose a sampled run's sigmas
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPINFCS_OUT", raising=False)
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="sampled", n_qubits=6, cycles=3, mu=0.5,
+            initial_states=10, shots_per_state=20,
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        run_out = tmp_path / "spinfcs_out"
+        before = {path.name: path.read_bytes() for path in run_out.iterdir()}
+        (tmp_path / "an.json").write_text("{}")
+        capsys.readouterr()
+        assert main(["analyze", "--input", "spinfcs_out", "--config", "an.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --out spinfcs_out is the --input directory; give another --out\n"
+        )
+        other_path = str(run_out / ".." / "spinfcs_out")
+        argv = ["analyze", "--input", str(run_out), "--config", "an.json"]
+        assert main([*argv, "--out", other_path]) == 1
+        assert {path.name: path.read_bytes() for path in run_out.iterdir()} == before
+
+    def test_analyze_takes_a_run_config_without_an_analysis_table(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", cycles=3, mu=[0.3, 0.9])
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        an_out = tmp_path / "an"
+        argv = ["analyze", "--input", str(run_out), "--config", str(cfg)]
+        assert main([*argv, "--out", str(an_out)]) == 0
+        tags = ("0.3", "0.9")
+        assert sorted(path.name for path in an_out.iterdir()) == [
+            f"moments_mu{tag}.csv" for tag in tags
+        ]
+        for tag in tags:
+            name = f"moments_mu{tag}.csv"
+            assert (an_out / name).read_bytes() == (run_out / name).read_bytes()
 
     def test_synthetic_power_law_recovers_z(self, tmp_path):
         # hand-written distribution tables with mean exactly c * t^(2/3)

@@ -21,11 +21,7 @@ from spinfcs.ensemble import (
     lightcone_reduce,
     transfer_tensor,
 )
-from spinfcs.errors import (
-    EnumerationCapError,
-    InvariantError,
-    UnderResolvedError,
-)
+from spinfcs.errors import EnumerationCapError, InvariantError
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.sector import sector_basis
 from spinfcs.stats import central_moments, moment_row
@@ -43,9 +39,9 @@ class TestLightconeReduce:
             assert reduced.n_qubits == 8
             assert reduced.cycles == 4
 
-    def test_under_resolved(self):
-        with pytest.raises(UnderResolvedError):
-            lightcone_reduce(ChainConfig(4, 3, params_at(0.1, 0.1)))
+    def test_a_chain_shorter_than_its_light_cone_is_kept(self):
+        config = ChainConfig(4, 3, params_at(0.1, 0.1))
+        assert lightcone_reduce(config) == config
 
     def test_zero_cycles(self):
         reduced = lightcone_reduce(ChainConfig(6, 0, params_at(0.1, 0.1)))

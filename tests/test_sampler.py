@@ -52,7 +52,6 @@ from spinfcs.sampler import (
     _substream,
     _tally,
     _trajectory,
-    _window_bounds,
     moment_report,
     relabel_if_overfull,
     run_sampled,
@@ -381,7 +380,7 @@ class TestLightConeWindow:
         for t in range(1, half):
             config = ChainConfig(n, t, params, order)
             T = transfer_tensor(n, t, params, order)
-            lo, hi = _window_bounds(n, t)
+            lo, hi = config.window
             assert hi - lo == 2 * t < n
             window_right = {}  # P(r ones in the window's right half) per word
 
@@ -416,7 +415,7 @@ class TestLightConeWindow:
 
     def test_sampled_moments_on_a_window_smaller_than_the_chain(self):
         n, t = 12, 2
-        assert _window_bounds(n, t) == (4, 8)
+        assert ChainConfig(n, t, HEIS).window == (4, 8)
         ens = ImbalanceEnsemble(0.5, n)
         config = ChainConfig(n, t, HEIS)
         exact = moment_row(exact_dists(ens, config)[-1])
@@ -524,7 +523,7 @@ class TestWindowUnderNoise:
     @pytest.mark.parametrize("order", list(LayerOrder))
     @pytest.mark.parametrize("t", [1, 2])
     def test_window_model_equals_the_chain(self, t, order):
-        lo, hi = _window_bounds(self.n, t)
+        lo, hi = ChainConfig(self.n, t, HEIS, order).window
         assert hi - lo == 2 * t < self.n
         models = self.measured_given(t, order, lo, hi)
         for mu, relabel, mode in itertools.product(
@@ -540,7 +539,7 @@ class TestWindowUnderNoise:
 
     def test_a_shifted_window_is_told_apart(self):
         n, t, order = self.n, 2, LayerOrder.EVEN_FIRST
-        lo, hi = _window_bounds(n, t)
+        lo, hi = ChainConfig(n, t, HEIS, order).window
         chain = self.measured_given(t, order, lo, hi)["chain"]
         shifted = self.measured_given(t, order, lo + 1, hi + 1)["window"]
         want, _ = self.targets(chain, t, order, 0.5, True, "number_only")
@@ -550,7 +549,7 @@ class TestWindowUnderNoise:
 
 def window_words(ens, config, sample):
     """Integer window word of every prepared state of a run."""
-    lo, hi = _window_bounds(config.n_qubits, config.cycles)
+    lo, hi = config.window
     _, prepared, _ = _prepare(ens, sample, config.cycles)
     return np.array([bits_to_word(row[lo:hi]) for row in prepared], dtype=np.uint64)
 
@@ -565,7 +564,7 @@ class TestBatchedWindow:
         params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
         t = n // 2 - 1
         config = ChainConfig(n, t, params, order)
-        lo, hi = _window_bounds(n, t)
+        lo, hi = config.window
         width = hi - lo
         every = np.arange(2**width, dtype=np.uint64)
         chunks = [every[picked] for picked in ensemble._word_chunks(every, width)]
@@ -622,7 +621,7 @@ class TestBatchedWindow:
         anchors = set()
         for t in range(1, n // 2 + 2):
             config = ChainConfig(n, t, params, order)
-            lo, hi = _window_bounds(n, t)
+            lo, hi = config.window
             anchors.add(lo % 2)
             width = hi - lo
             every = np.arange(2**width, dtype=np.uint64)
@@ -761,7 +760,7 @@ def tiled_records(ens, config, sample, mode):
     the rows relabeled back, filtered and tallied by `_tally`."""
     bits, phys, flagged = _prepare(ens, sample, config.cycles)
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
-    lo, hi = _window_bounds(n, t)
+    lo, hi = config.window
     words, word_of = np.unique(bits_to_word(phys[:, lo:hi]), return_inverse=True)
     evolved = {}  # word index -> (basis words, marginal, likeliest)
     for picked in ensemble._word_chunks(words, hi - lo):
@@ -801,7 +800,7 @@ class TestNoiselessRoute:
         words = word_to_bits(np.arange(2**n), n)
         depths = [bfs_depths(word, n, first) for word in words]
         for t in range(1, n // 2 + 1):
-            lo, hi = _window_bounds(n, t)
+            lo, hi = ChainConfig(n, t, HEIS, order).window
             pairs = set()  # (prepared, measured) word pairs, both conventions
             for convention in PhaseConvention:
                 params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
@@ -860,7 +859,7 @@ class TestNoiselessRoute:
         config = ChainConfig(n, t, HEIS)
         sample = SampleConfig(400, 50, seed=61)
         run = run_sampled(ImbalanceEnsemble(math.inf, n), config, sample)
-        lo, hi = _window_bounds(n, t)
+        lo, hi = config.window
         wall = np.repeat([1, 0], n // 2)
         for bits in run.initial_bits:
             assert np.array_equal(bits, wall)
@@ -925,7 +924,7 @@ def per_shot_measured(ens, config, sample, noise, i):
     phys = _prepare(ens, sample, config.cycles)[1][i]
     n, t, params = config.n_qubits, config.cycles, config.params
     shots = sample.shots_per_state
-    lo, hi = _window_bounds(n, t)
+    lo, hi = config.window
     layers = brickwork_layers(hi - lo, lo, config.layer_order) * t
     jitter, dephasing = noise.angle_jitter_sd, noise.dephasing_sd
     rng = _philox(sample.seed, _substream(t, i), 1)
@@ -1103,7 +1102,7 @@ class TestBatchedNoisyRoute:
         ens = ImbalanceEnsemble(0.5, n)
         config = ChainConfig(n, t, HEIS)
         sample = SampleConfig(3, 320, seed=3)
-        lo, hi = _window_bounds(n, t)
+        lo, hi = config.window
         _, phys, _ = _prepare(ens, sample, t)
         chunks = [
             math.ceil(320 / ensemble._chunk_columns(hi - lo, int(row[lo:hi].sum())))
@@ -1132,7 +1131,7 @@ class TestStatePacking:
         `_CHUNK_AMPLITUDES`; a state over that alone runs in chunks of
         `_chunk_columns`."""
         n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
-        lo, hi = _window_bounds(n, t)
+        lo, hi = config.window
         width = hi - lo
         layers = brickwork_layers(width, lo, config.layer_order) * t
         normals = sum(disorder_draws(noise, width, layers))
@@ -1187,7 +1186,7 @@ class TestStatePacking:
 
             blocks.clear()
             got = run(many)
-            lo, hi = _window_bounds(8, t)
+            lo, hi = config.window
             words = bits_to_word(_prepare(ens, many, t)[1][:, lo:hi])
             rule = self.rule_blocks(ens, config, many, self.NOISE)
             assert sorted(blocks) == sorted(tuple(words[b].tolist()) for b in rule)
@@ -1260,10 +1259,11 @@ class TestWindowCheck:
 
     @pytest.mark.parametrize("noisy, width", EDGES)
     def test_the_edges_of_the_table_cap(self, noisy, width):
-        sampler.check_window(46, width // 2, noisy)
-        sampler.check_window(width, 40, noisy)  # the chain bounds the window
+        sampler.check_window(ChainConfig(46, width // 2, HEIS), noisy)
+        # the chain bounds the window
+        sampler.check_window(ChainConfig(width, 40, HEIS), noisy)
         with pytest.raises(EnumerationCapError, match=f"{width + 2}-site window"):
-            sampler.check_window(46, width // 2 + 1, noisy)
+            sampler.check_window(ChainConfig(46, width // 2 + 1, HEIS), noisy)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_run_sampled_refuses_before_drawing(self, noisy, monkeypatch):
@@ -1502,7 +1502,7 @@ class TestNoisyPipeline:
         # physical odd bond (1, 2), so parity must follow physical sites
         n, t = 6, 2
         config = ChainConfig(n, t, HEIS, order)
-        lo, hi = _window_bounds(n, t)
+        lo, hi = config.window
         assert (lo, hi) == (1, 5)
         first = 0 if order is LayerOrder.EVEN_FIRST else 1
         nominal = [
@@ -1528,7 +1528,7 @@ class TestNoisyPipeline:
     def test_domain_wall_counts_match_the_density_matrix(self, mode):
         # damping and readout trajectories against the channel they unravel
         n, t = 6, 3
-        assert _window_bounds(n, t) == (0, n)  # the window is the whole chain
+        assert ChainConfig(n, t, HEIS).window == (0, n)  # the window is the whole chain
         noise = NoiseConfig(t1_cycles=2.0, e0=0.05, e1=0.1)
         run = run_sampled(
             ImbalanceEnsemble(math.inf, n),

@@ -325,6 +325,16 @@ class TestCollapse:
         with pytest.raises(ValueError, match=f"gamma {gamma!r} makes"):
             collapse_residual(series, gamma, t_min=4)
 
+    def test_non_finite_value_is_refused_with_its_mu_and_cycle(self):
+        # the skewness of a zero variance is NaN, which left the fit's
+        # active-set solver with no variable to bind
+        series = self.synthetic_series(0.5)
+        mu, t, values = series[1]
+        series[1] = (mu, t, np.where(t == 6, math.nan, values))
+        with pytest.raises(ValueError, match=r"nan of mu 0\.4 at cycle 6 is not"):
+            collapse_residual(series, 0.5, t_min=4)
+        assert np.isfinite(collapse_residual(series, 0.5, t_min=7))  # cut away
+
     def test_more_knots_than_points_change_nothing(self):
         t = np.arange(4, 12)
         series = [(mu, t, np.tanh(mu * t**0.5 - 1.0)) for mu in (0.3, 0.7)]
