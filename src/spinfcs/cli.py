@@ -293,10 +293,10 @@ def _write_moments(path, report: stats.MomentReport) -> None:
     _write_lines(path, lines)
 
 
-def _run(parsed, out_dir, threads):
-    """Distributions and moments CSVs of every mu; returns the paths written,
-    the moment report of each mu and, in the sampled modes, the yield and
-    dropped-state count of each (mu, cycle)."""
+def _run(parsed, threads):
+    """The distributions and moment report of every mu, {mu: (per_cycle,
+    report)}, and, in the sampled modes, the yield and dropped-state count
+    of each (mu, cycle).  Writes nothing."""
     chain = parsed["chain"]
     n, cycles = chain.n_qubits, chain.cycles
     sampling = []
@@ -340,24 +340,14 @@ def _run(parsed, out_dir, threads):
             )
             return per_cycle, sampler.moment_report(runs)
 
-    outputs = []
-    series = {}
-    for mu in parsed["mu"]:
-        per_cycle, report = per_mu(ImbalanceEnsemble(mu, n))
-        tag = _mu_tag(mu)
-        dist_path = os.path.join(out_dir, f"distributions_mu{tag}.csv")
-        _write_distributions(dist_path, per_cycle)
-        mom_path = os.path.join(out_dir, f"moments_mu{tag}.csv")
-        _write_moments(mom_path, report)
-        outputs += [dist_path, mom_path]
-        series[mu] = report
-    return outputs, series, sampling
+    return {mu: per_mu(ImbalanceEnsemble(mu, n)) for mu in parsed["mu"]}, sampling
 
 
-def _write_analysis(analysis, series, out_dir):
+def _analysis_tables(analysis, series):
     """Exponent fits and the collapse scan of an analysis table from per-mu
-    moment reports."""
-    outputs = []
+    moment reports, as (file name, CSV lines) pairs; writes nothing, so a
+    fit or scan that fails leaves no file behind."""
+    tables = []
     if "exponent_window" in analysis:
         lines = ["mu,z,sigma_z,t_min,t_max,n_points"]
         for mu in sorted(series, key=lambda m: (math.isinf(m), m)):
@@ -380,7 +370,7 @@ def _write_analysis(analysis, series, out_dir):
                 raise ValueError(f"mu={_mu_tag(mu)}: {exc}") from exc
             row = (fit.z, fit.sigma_z, fit.t_min, fit.t_max, fit.n_points)
             lines.append(",".join([_mu_tag(mu), *map(_fmt, row)]))
-        outputs.append(_write_lines(os.path.join(out_dir, "exponent_fit.csv"), lines))
+        tables.append(("exponent_fit.csv", lines))
     if "collapse_gammas" in analysis:
         finite = [mu for mu in series if not math.isinf(mu)]
         triples = [
@@ -395,8 +385,13 @@ def _write_analysis(analysis, series, out_dir):
         lines = ["gamma,residual"]
         for g, r in zip(gammas, residuals):
             lines.append(f"{_fmt(g)},{_fmt(r)}")
-        outputs.append(_write_lines(os.path.join(out_dir, "collapse_scan.csv"), lines))
-    return outputs
+        tables.append(("collapse_scan.csv", lines))
+    return tables
+
+
+def _write_tables(out_dir, tables) -> list[str]:
+    """Write (file name, CSV lines) pairs under `out_dir`; returns the paths."""
+    return [_write_lines(os.path.join(out_dir, name), lines) for name, lines in tables]
 
 
 def _error(message) -> int:
@@ -423,8 +418,19 @@ def cmd_run(args) -> int:
         parsed = _parse_config(cfg)
         out_dir = _resolve_out(args.out)
         os.makedirs(out_dir, exist_ok=True)
-        outputs, series, sampling = _run(parsed, out_dir, args.threads)
-        outputs.extend(_write_analysis(parsed["analysis"], series, out_dir))
+        results, sampling = _run(parsed, args.threads)
+        series = {mu: report for mu, (_, report) in results.items()}
+        tables = _analysis_tables(parsed["analysis"], series)
+        # everything is computed: a run that fails writes no file, and the
+        # manifest is written last
+        outputs = []
+        for mu, (per_cycle, report) in results.items():
+            tag = _mu_tag(mu)
+            outputs.append(os.path.join(out_dir, f"distributions_mu{tag}.csv"))
+            _write_distributions(outputs[-1], per_cycle)
+            outputs.append(os.path.join(out_dir, f"moments_mu{tag}.csv"))
+            _write_moments(outputs[-1], report)
+        outputs += _write_tables(out_dir, tables)
         manifest = {
             "version": __version__,
             "mode": parsed["mode"],
@@ -543,6 +549,7 @@ def cmd_analyze(args) -> int:
             reports[tag] = mu, stats.MomentReport(cycles, rows)
         series = dict(reports.values())
         _check_analysis(analysis, {mu: report.cycles for mu, report in series.items()})
+        tables = _analysis_tables(analysis, series)
     except (OSError, ValueError) as exc:
         return _error(exc)
     outputs = [os.path.join(out_dir, f"moments_mu{tag}.csv") for tag in reports]
@@ -550,9 +557,7 @@ def cmd_analyze(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         for path, (_, report) in zip(outputs, reports.values()):
             _write_moments(path, report)
-        outputs.extend(_write_analysis(analysis, series, out_dir))
-    except ValueError as exc:
-        return _error(exc)
+        outputs += _write_tables(out_dir, tables)
     except OSError as exc:
         return _error(f"cannot write output: {exc}")
     print(f"wrote {len(outputs)} artifact(s) to {out_dir}")

@@ -51,7 +51,7 @@ import numpy as np
 from . import _kernels
 from .circuit import ChainConfig
 from .errors import EnumerationCapError, InvariantError
-from .gates import FSimParams, LayerOrder, PhaseConvention
+from .gates import FSimParams, LayerOrder, PhaseConvention, fsim_coefficients
 from .sector import bits_to_word, brickwork_layers, sector_basis, word_to_bits
 
 DEFAULT_SITE_CAP = 20
@@ -195,6 +195,7 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
     theta, phi = params.theta, params.phi
     split = params.convention is PhaseConvention.SPLIT
     boundary_phase = 1.0 if split else complex(np.exp(-0.5j * phi))
+    hop, gate_phase = fsim_coefficients(theta, phi, params.convention)
 
     def operators(layers):
         ops = []
@@ -203,7 +204,7 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
             w = np.eye(basis.dimension, dtype=np.complex128)
             for bond in itertools.chain(*layers):
                 tables = basis.bond_tables(bond)
-                _kernels.apply_fsim_tables(w, tables, theta, phi, split)
+                _kernels.apply_fsim_tables(w, tables, hop, gate_phase, split)
             w[:, math.comb(half - 1, c) :] *= boundary_phase
             w.setflags(write=False)  # shared by the threads of a call
             ops.append(w)

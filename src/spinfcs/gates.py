@@ -105,3 +105,28 @@ class FSimColumns:
     theta: np.ndarray
     phi: np.ndarray
     convention: PhaseConvention
+
+
+def fsim_coefficients(theta, phi, convention: PhaseConvention, twist=0.0):
+    """The complex numbers `_kernels.apply_fsim_tables` multiplies by, for
+    angles of any shape, elementwise: ((c, s01, s10), phase).
+
+    c = cos(theta) scales the |01> and |10> rows.  s01 = i sin(theta)
+    e^{i twist} carries the |10> amplitude into the |01> row and
+    s10 = i sin(theta) e^{-i twist} the |01> amplitude into the |10> row.
+    `phase` multiplies the |11> rows, e^{-i phi} (``TAIL``), or the |11>
+    and |00> rows, e^{-i phi/2} (``SPLIT``).
+
+    A twist delta = A_{b+1} - A_b makes the gate on bond b act on psi as
+    the plain gate acts on D_A psi, D_A = exp(-i sum_q A_q n_q), up to D_A
+    on the left: a Z rotation by A that is never applied ("virtual Z").
+    With twist 0 every product the kernel forms equals the one it formed
+    from cos(theta) and i sin(theta), up to the sign of a zero."""
+    c = np.cos(theta) + 0j
+    s = 1j * np.sin(theta)
+    turn = np.exp(1j * twist)
+    if convention is PhaseConvention.SPLIT:
+        phase = np.exp(-1j * phi / 2.0)
+    else:
+        phase = np.exp(-1j * phi)
+    return (c, s * turn, s * turn.conj()), phase

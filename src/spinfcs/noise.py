@@ -300,24 +300,25 @@ def disorder_and_dephasing(
     """
     jitter, dephasing = noise.angle_jitter_sd, noise.dephasing_sd
     sizes = disorder_draws(noise, n_sites, layers)
-    if sum(sizes):
-        starts = np.cumsum(sizes)[:-1]
-        parts = np.split(normals, starts)
-        if jitter > 0.0:
-            # every normal reduced as a theta and as a phi at once, then each
-            # layer's pairs picked out (elementwise, so the same numbers)
-            spread = jitter * normals
-            thetas, phis = (
-                np.split(wrap_angles(angle + spread), starts)
-                for angle in (params.theta, params.phi)
-            )
+    ends = np.cumsum(sizes)
+    if jitter > 0.0 and layers:
+        # gate g of a layer reads row 2g of the layer's normals for its theta
+        # and row 2g + 1 for its phi: only those rows are reduced, each once
+        # (elementwise, so the same numbers as one angle at a time)
+        gates = [len(bonds) for bonds in layers]
+        firsts = zip(ends - sizes, gates)  # each layer's first row, its gates
+        rows = np.concatenate([f + np.arange(0, 2 * g, 2) for f, g in firsts])
+        splits = np.cumsum(gates)[:-1]
+        thetas, phis = (
+            np.split(wrap_angles(angle + jitter * normals[rows + shift]), splits)
+            for angle, shift in ((params.theta, 0), (params.phi, 1))
+        )
     realizations = []
     for i, bonds in enumerate(layers):
         angles = z_angles = None
         if jitter > 0.0:
-            end = 2 * len(bonds)
-            angles = (thetas[i][0:end:2], phis[i][1:end:2])
+            angles = (thetas[i], phis[i])
         if dephasing > 0.0:
-            z_angles = dephasing * parts[i][sizes[i] - n_sites :]
+            z_angles = dephasing * normals[ends[i] - n_sites : ends[i]]
         realizations.append(LayerRealization(list(bonds), angles, z_angles))
     return realizations

@@ -40,7 +40,10 @@ two routes to its tally:
   the window, for its decay, and one per site, for its readout flip,
   which read them once per batch, after the evolution.  The shots run as
   the columns of blocks, each column with its own gate angles and
-  Z rotations, and the shots of many states share a block: the states of
+  Z rotations, and the shots of many states share a block.  The
+  Z rotations are never applied: each column's angles so far twist the
+  hops of its next gates ("virtual Z"), which leaves every |amplitude|^2,
+  and so every jump and measurement, as the rotations would.  The states of
   one k0 are packed, in index order and side by side, into batches of as
   many whole states as keep their shots' amplitudes and numbers within
   2^16, one block each.  A state over that budget runs alone, in chunks of
@@ -82,6 +85,7 @@ outcomes can land outside the causal cone |M| <= 2t; causal filtering
 confines them again.
 """
 
+import itertools
 import logging
 import math
 from collections import defaultdict
@@ -89,10 +93,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ensemble, stats
+from . import _kernels, ensemble, stats
 from .circuit import ChainConfig
 from .ensemble import ImbalanceEnsemble, thread_map, word_right_masses
 from .errors import EnumerationCapError
+from .gates import PhaseConvention, fsim_coefficients
 from .noise import (
     POSTSELECT_MODES,
     NoiseConfig,
@@ -247,30 +252,52 @@ def check_window(config: ChainConfig, noisy: bool) -> None:
 
 def _trajectory(state, lo, config, noise, numbers):
     """The columns of `state`, on the window of sites lo.. of the chain,
-    after the circuit: every half-layer of the brickwork, anchored at
-    physical site `lo`, with its disorder realization, Z rotations and
-    damping step.  Column j is one shot and reads column j of `numbers`
-    (None without noise): the normals of `disorder_and_dephasing` and, per
-    half-layer l, the uniforms[l] of `damp_columns`.  Gates and phases act
-    on every column of a block in place; a column that jumps moves to a
-    block of its new excitation count.
+    after the circuit, up to a phase per basis word that no measurement
+    sees: every half-layer of the brickwork, anchored at physical site
+    `lo`, with its disorder realization, Z rotations and damping step.
+    Column j is one shot and reads column j of `numbers` (None without
+    noise): the normals of `disorder_and_dephasing` and, per half-layer l,
+    the uniforms[l] of `damp_columns`.  Gates act on every column of a
+    block in place; a column that jumps moves to a block of its new
+    excitation count.
+
+    The Z rotations are never applied.  Each column sums its Z angles so
+    far per site, A, and its true state is D_A psi, D_A =
+    exp(-i sum_q A_q n_q): a gate on bond (b, b+1) acting on D_A psi is D_A
+    times the gate with hops twisted by A_{b+1} - A_b acting on psi
+    (`gates.fsim_coefficients`), a jump lowers D_A psi into D_A times the
+    jump of psi, up to a phase per column, and the site law and norm of a
+    jump, like the measurement, read only |amp|^2.  Each half-layer's gate
+    coefficients are built once, for every bond and column.
 
     Returns (block, columns) pairs: column i of the block is input column
     columns[i].  Without damping that is the input block, whole."""
     width = state.basis.n_sites
     layers = brickwork_layers(width, lo, config.layer_order) * config.cycles
     normals, uniforms = (None, None) if numbers is None else numbers
-    realizations = disorder_and_dephasing(config.params, noise, normals, width, layers)
-    p_half = noise.half_layer_decay
+    params, p_half = config.params, noise.half_layer_decay
+    realizations = disorder_and_dephasing(params, noise, normals, width, layers)
+    split = params.convention is PhaseConvention.SPLIT
     blocks = [(state, np.arange(state.columns().shape[1]))]
     del state  # the blocks own the columns: damping may replace them
+    turns = None  # (width, m): each column's Z angle per site so far
     for l, layer in enumerate(realizations):
+        bonds = np.array(layer.bonds, dtype=np.intp)
+        twist = 0.0 if turns is None else turns[bonds + 1] - turns[bonds]
+        angles = (params.theta, params.phi) if layer.angles is None else layer.angles
+        hop, phase = fsim_coefficients(*angles, params.convention, twist)
         for block, columns in blocks:
-            gates = layer.gate_params(config.params, columns)
-            for bond, gate_params in zip(layer.bonds, gates):
-                block.apply_fsim(bond, gate_params)
-            if layer.z_angles is not None:
-                block.apply_diagonal_phases(layer.z_angles[:, columns])
+            # per-bond rows of the (bonds, m) coefficients; a scalar serves all
+            rows = (
+                value[:, columns] if np.ndim(value) else itertools.repeat(value)
+                for value in (*hop, phase)
+            )
+            amps = block.columns()
+            for bond, c, s01, s10, ph in zip(layer.bonds, *rows):
+                tables = block.basis.bond_tables(bond)
+                _kernels.apply_fsim_tables(amps, tables, (c, s01, s10), ph, split)
+        if layer.z_angles is not None:
+            turns = layer.z_angles if turns is None else turns + layer.z_angles
         if p_half > 0.0:
             blocks = _damp_blocks(blocks, p_half, uniforms[l])
     return blocks

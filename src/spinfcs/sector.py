@@ -15,7 +15,13 @@ import numpy as np
 
 from . import _kernels
 from .errors import SectorMismatchError
-from .gates import FSimColumns, FSimParams, LayerOrder, PhaseConvention
+from .gates import (
+    FSimColumns,
+    FSimParams,
+    LayerOrder,
+    PhaseConvention,
+    fsim_coefficients,
+)
 
 
 def bits_to_word(bits):
@@ -250,12 +256,12 @@ class SectorState:
     def apply_fsim(self, bond: int, params: FSimParams | FSimColumns) -> None:
         """Apply one fSim gate on sites (bond, bond+1) of every column, in
         place; `FSimColumns` gives each column its own angles."""
-        tables = self.basis.bond_tables(bond)
+        hop, phase = fsim_coefficients(params.theta, params.phi, params.convention)
         _kernels.apply_fsim_tables(
             self.columns(),
-            tables,
-            params.theta,
-            params.phi,
+            self.basis.bond_tables(bond),
+            hop,
+            phase,
             params.convention is PhaseConvention.SPLIT,
         )
 
@@ -280,7 +286,9 @@ class SectorState:
         taken from the half's last site towards its first by doubling the
         table one site at a time.  That is elementwise arithmetic, with no
         BLAS, so a column's result does not depend on the block it sits
-        in.  Used for inter-layer Z-rotation noise; diagonal in the basis.
+        in.  Diagonal in the basis.  The noisy route never calls it (its
+        Z rotations ride on the next gates' hops, `gates.fsim_coefficients`);
+        it is their reference.
         """
         columns = self.columns()
         n = self.basis.n_sites

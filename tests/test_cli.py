@@ -656,6 +656,26 @@ class TestAnalysisArtifacts:
         err = capsys.readouterr().err
         assert err == "error: collapse value nan of mu 0.5 at cycle 1 is not finite\n"
 
+    def test_a_failed_analysis_leaves_no_artifact(self, tmp_path, capsys):
+        # the scan fails after every mu has run: neither `run` nor `analyze`
+        # may leave a CSV or a manifest that looks like a finished run
+        analysis = {
+            "collapse_gammas": [0.5, 0.7], "collapse_t_min": 1, "collapse_knots": 3
+        }
+        chain = dict(theta=0, phi=0.5, n_qubits=8, cycles=4, mu=[0.5, 1.0, 2.0])
+        cfg = write_config(tmp_path / "cfg.json", **chain, analysis=analysis)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert list(out.glob("*")) == []
+        run_out = tmp_path / "run"
+        cfg = write_config(tmp_path / "plain.json", **chain)
+        assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+        (tmp_path / "an.json").write_text(json.dumps(analysis))
+        argv = ["analyze", "--input", str(run_out), "--config", str(tmp_path / "an.json")]
+        assert main([*argv, "--out", str(tmp_path / "an")]) == 1
+        assert list((tmp_path / "an").glob("*")) == []
+        assert "collapse value nan" in capsys.readouterr().err
+
     def test_analyze_into_its_input_is_refused_before_any_write(
         self, tmp_path, monkeypatch, capsys
     ):

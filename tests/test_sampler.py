@@ -38,6 +38,7 @@ from spinfcs.noise import (
     NoiseConfig,
     damp_bits,
     damping_step,
+    disorder_and_dephasing,
     disorder_draws,
     postselect,
     readout_flip,
@@ -1308,6 +1309,138 @@ class TestDampBlocks:
                 alone = SectorState(basis, amps[:, c : c + 1].copy())
                 [(want, _)] = sampler.damp_columns(alone, 0.5, one_jump(1))
                 assert np.array_equal(got, want.columns()[:, 0])
+
+
+def phased_trajectory(state, lo, config, noise, numbers):
+    """`_trajectory` with its Z rotations applied: per half-layer, each
+    gate by `apply_fsim` with the layer's `gate_params`, then the layer's
+    `apply_diagonal_phases`, then its damping step."""
+    width = state.basis.n_sites
+    layers = brickwork_layers(width, lo, config.layer_order) * config.cycles
+    normals, uniforms = numbers
+    realizations = disorder_and_dephasing(config.params, noise, normals, width, layers)
+    blocks = [(state, np.arange(state.columns().shape[1]))]
+    for l, layer in enumerate(realizations):
+        for block, columns in blocks:
+            gates = layer.gate_params(config.params, columns)
+            for bond, gate in zip(layer.bonds, gates):
+                block.apply_fsim(bond, gate)
+            if layer.z_angles is not None:
+                block.apply_diagonal_phases(layer.z_angles[:, columns])
+        if noise.half_layer_decay > 0.0:
+            blocks = sampler._damp_blocks(blocks, noise.half_layer_decay, uniforms[l])
+    return blocks
+
+
+def by_column(blocks):
+    """{input column: (sector basis, amplitudes)} of (block, columns) pairs."""
+    return {
+        c: (block.basis, amps)
+        for block, columns in blocks
+        for c, amps in zip(columns.tolist(), block.columns().T)
+    }
+
+
+class TestVirtualZ:
+    """The noisy route never applies a Z rotation: the angles A summed so
+    far ride on the hops of the next gates, and each column ends as psi
+    with D_A psi, D_A = exp(-i sum_q A_q n_q), the state the applied
+    rotations give, up to a phase per column that jumped."""
+
+    @staticmethod
+    def inputs(config, noise, m, seed):
+        """m columns of the middle sector of `config`'s window, and their
+        disorder normals and damping uniforms."""
+        lo, hi = config.window
+        width, k = hi - lo, (hi - lo) // 2
+        layers = brickwork_layers(width, lo, config.layer_order) * config.cycles
+        rng = np.random.default_rng(seed)
+        words = rng.choice(sector_basis(width, k).words, m)
+        normals = rng.standard_normal((sum(disorder_draws(noise, width, layers)), m))
+        damped = len(layers) if noise.half_layer_decay > 0.0 else 0
+        uniforms = rng.random((damped, 2, k, m))
+        return words, width, lo, (normals, uniforms), layers
+
+    @pytest.mark.parametrize(
+        "jitter, dephasing", [(0.3, 0.0), (0.0, 0.4), (0.3, 0.4)]
+    )
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_columns_are_the_phased_ones_up_to_the_accumulated_z(
+        self, convention, order, jitter, dephasing
+    ):
+        # the 8-site chain's 3-cycle window is sites 1..6: anchored at an
+        # odd site
+        noise = NoiseConfig(
+            t1_cycles=1.5, angle_jitter_sd=jitter, dephasing_sd=dephasing
+        )
+        params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+        config = ChainConfig(8, 3, params, order)
+        words, width, lo, numbers, layers = self.inputs(config, noise, 12, 5)
+        assert lo % 2 == 1
+        states = [SectorState.from_words(words, width) for _ in range(2)]
+        got, want = (
+            by_column(trajectory(state, lo, config, noise, numbers))
+            for trajectory, state in zip((_trajectory, phased_trajectory), states)
+        )
+        realizations = disorder_and_dephasing(
+            config.params, noise, numbers[0], width, layers
+        )
+        turns = sum(
+            (layer.z_angles for layer in realizations if layer.z_angles is not None),
+            np.zeros((width, len(words))),
+        )
+        k0 = width // 2
+        assert sorted(got) == sorted(want) == list(range(len(words)))
+        assert any(basis.n_excitations < k0 for basis, _ in got.values())
+        for c, (basis, psi) in got.items():
+            assert want[c][0] is basis
+            ref = want[c][1]
+            assert np.max(np.abs(np.abs(psi) ** 2 - np.abs(ref) ** 2)) <= 1e-12
+            rotated = SectorState(basis, psi.copy())
+            rotated.apply_diagonal_phases(turns[:, c])
+            # a jump lowers D_A psi into D_A times the lowered psi, up to a phase
+            overlap = np.vdot(rotated.amplitudes, ref)
+            phase = overlap / abs(overlap)
+            if basis.n_excitations == k0:
+                assert abs(phase - 1.0) <= 1e-12
+            assert np.max(np.abs(phase * rotated.amplitudes - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_without_dephasing_the_columns_are_bitwise_the_phased_ones(
+        self, convention, order
+    ):
+        for jitter in (0.0, 0.3):
+            noise = NoiseConfig(t1_cycles=1.5, angle_jitter_sd=jitter)
+            params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+            config = ChainConfig(8, 3, params, order)
+            words, width, lo, numbers, _ = self.inputs(config, noise, 12, 6)
+            states = [SectorState.from_words(words, width) for _ in range(2)]
+            runs = [
+                trajectory(state, lo, config, noise, numbers)
+                for trajectory, state in zip((_trajectory, phased_trajectory), states)
+            ]
+            got, want = map(by_column, runs)
+            assert [c.tolist() for _, c in runs[0]] == [c.tolist() for _, c in runs[1]]
+            for c, (basis, psi) in got.items():
+                assert want[c][0] is basis and np.array_equal(psi, want[c][1])
+
+    def test_a_noisy_run_applies_no_diagonal_phases(self, monkeypatch):
+        calls = []
+        apply = SectorState.apply_diagonal_phases
+
+        def spy(self, angles):
+            calls.append(np.shape(angles))
+            return apply(self, angles)
+
+        monkeypatch.setattr(SectorState, "apply_diagonal_phases", spy)
+        noise = NoiseConfig(t1_cycles=10.0, angle_jitter_sd=0.1, dephasing_sd=0.3)
+        ens = ImbalanceEnsemble(0.5, 8)
+        run = run_sampled(
+            ens, ChainConfig(8, 3, HEIS), SampleConfig(4, 20, seed=2), noise=noise
+        )
+        assert run.kept.sum() > 0 and calls == []
 
 
 class TestNoStateAcrossRuns:

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from conftest import basis_state, dense_cycle
 from spinfcs import _kernels
 from spinfcs.errors import SectorMismatchError
-from spinfcs.gates import FSimColumns, FSimParams, LayerOrder, PhaseConvention
+from spinfcs.gates import (
+    FSimColumns,
+    FSimParams,
+    LayerOrder,
+    PhaseConvention,
+    fsim_coefficients,
+)
 from spinfcs.sector import (
     SectorBasis,
     SectorState,
@@ -199,6 +205,7 @@ class TestKernel:
     @pytest.mark.parametrize("per_column", [False, True])
     def test_pair_table_kernel_equals_the_four_table_one(self, per_column, split):
         rng = np.random.default_rng(11)
+        convention = PhaseConvention.SPLIT if split else PhaseConvention.TAIL
         for n, k, m in ((2, 1, 1), (6, 3, 5), (9, 4, 3), (10, 7, 8)):
             basis = sector_basis(n, k)
             amps = rng.standard_normal((basis.dimension, m, 2)) @ np.array([1.0, 1j])
@@ -208,9 +215,33 @@ class TestKernel:
                 theta, phi = rng.uniform(-np.pi, np.pi, (2, m))
                 if not per_column:
                     theta, phi = theta[0], phi[0]
-                _kernels.apply_fsim_tables(amps, tables, theta, phi, split)
+                hop, phase = fsim_coefficients(theta, phi, convention)
+                _kernels.apply_fsim_tables(amps, tables, hop, phase, split)
                 four_table_fsim(want, tables, theta, phi, split)
                 assert np.array_equal(amps, want)
+
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_a_twisted_gate_is_the_gate_on_the_z_rotated_state(self, convention):
+        # G D_A psi = D_A G' psi: G' is G with its hops twisted by
+        # A_{b+1} - A_b, D_A = exp(-i sum_q A_q n_q)
+        rng = np.random.default_rng(12)
+        split = convention is PhaseConvention.SPLIT
+        for n, k, m in ((2, 1, 3), (7, 3, 4), (10, 5, 2)):
+            basis = sector_basis(n, k)
+            amps = rng.standard_normal((basis.dimension, m, 2)) @ np.array([1.0, 1j])
+            turns = rng.uniform(-7.0, 7.0, (n, m))
+            theta, phi = rng.uniform(-np.pi, np.pi, (2, m))
+            for bond in range(n - 1):
+                want = SectorState(basis, amps.copy())
+                want.apply_diagonal_phases(turns)
+                want.apply_fsim(bond, FSimColumns(theta, phi, convention))
+                got = SectorState(basis, amps.copy())
+                twist = turns[bond + 1] - turns[bond]
+                hop, phase = fsim_coefficients(theta, phi, convention, twist)
+                tables = basis.bond_tables(bond)
+                _kernels.apply_fsim_tables(got.columns(), tables, hop, phase, split)
+                got.apply_diagonal_phases(turns)
+                assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
 
 
 def direct_phases(basis, angles):
