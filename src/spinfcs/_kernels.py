@@ -43,18 +43,14 @@ def apply_fsim_tables(amps, tables, hop, phase, split_phase):
     mixed.take(tables.order, axis=0, out=amps, mode="clip")
 
 
-def readout_accumulate(amps, r_of, acc):
-    """Add each column's probability mass per right-half count r to acc[r].
+def readout_accumulate(amps, r, acc):
+    """Add each column's probability mass in `amps`, rows whose right-half
+    count is r, to acc[r].
 
-    `r_of` is the right count of each row of `amps`.  Adjacent rows of one
-    count are summed as a slice, so a block-ordered layout needs no gather.
-    The sums of squares are numpy elementwise reductions (`einsum` without
+    The sum of squares is a numpy elementwise reduction (`einsum` without
     path optimization never calls BLAS), so the result does not depend on
     the BLAS thread count.
     """
-    m = amps.shape[1]
-    edges = np.flatnonzero(np.diff(r_of)) + 1
-    for lo, hi in zip(np.r_[0, edges], np.r_[edges, r_of.size]):
-        parts = amps[lo:hi].view(np.float64)  # interleaved (real, imag)
-        squares = np.einsum("ij,ij->j", parts, parts)
-        acc[r_of[lo]] += squares.reshape(m, 2).sum(axis=1)
+    parts = amps.view(np.float64)  # interleaved (real, imag)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    acc[r] += squares.reshape(amps.shape[1], 2).sum(axis=1)

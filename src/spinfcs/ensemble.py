@@ -233,26 +233,24 @@ class _SectorBlocks:
 
     def __init__(self, half, a0, b0, columns):
         k = a0 + b0
-        self.half, self.k, self.a0 = half, k, a0
+        self.half, self.k, self.a0, self.mixes = half, k, a0, 0
         self.lo, self.hi = max(0, k - half), min(half, k)
         shape = {
             a: (math.comb(half, a), math.comb(half, k - a))
             for a in range(self.lo, self.hi + 1)
         }
         sizes = [dl * dr for dl, dr in shape.values()]
-        edges = list(itertools.accumulate(sizes, initial=0))
-        self.start, self.stop = dict(zip(shape, edges)), dict(zip(shape, edges[1:]))
-        self.r_of = np.repeat([k - a for a in shape], sizes)  # right count of a row
+        edges = itertools.accumulate(sizes, initial=0)
         m = len(columns)
         self.amps = np.zeros((sum(sizes), m), dtype=np.complex128)
-        self.amps[self.start[a0] + columns, np.arange(m)] = 1.0
         # GEMM output, or the two products of the center gate
         scratch = np.empty(2 * max(sizes) * m, dtype=np.complex128)
         # views, made once: block a as (dl, dr, m) and its GEMM output
         self._halves = {}
-        for a, (dl, dr) in shape.items():
-            x = self.amps[self.start[a] : self.stop[a]].reshape(dl, dr, m)
+        for (a, (dl, dr)), start in zip(shape.items(), edges):
+            x = self.amps[start : start + dl * dr].reshape(dl, dr, m)
             self._halves[a] = (x, scratch[: dl * dr * m].reshape(dl, dr, m))
+        self._halves[a0][0].reshape(-1, m)[columns, np.arange(m)] = 1.0
         # the |01> rows of (a, b), left boundary 0 and right boundary 1, and
         # their |10> partners, which lead block (a+1, b-1) on the left and
         # end it on the right, with room for their products
@@ -266,36 +264,42 @@ class _SectorBlocks:
             products = scratch[: 2 * x.size].reshape(2, *x.shape)
             self._pairs[a] = (x, y, *products)
 
-    def run(self, cycles, operators, lead=False):
-        """Apply `cycles` cycles of W then M, yielding after each M the row
-        slice of the blocks it may have made nonzero.  The first cycle's W
-        is skipped unless `lead`: on a single basis word it is a change of
-        basis that T, summed over a whole initial block, does not see."""
-        lo, hi, a0 = self.lo, self.hi, self.a0
-        w_left, w_right, (c, s) = operators
-        for t in range(1, cycles + 1):
-            # t - 1 center gates applied so far
-            a_lo, a_hi = max(lo, a0 - t + 1), min(hi, a0 + t - 1)
-            if t > 1 or lead:  # W_L (x) W_R: two matrix products a block
-                for a in range(a_lo, a_hi + 1):
-                    x, y = self._halves[a]
-                    dl = x.shape[0]
-                    np.matmul(w_left[a], x.reshape(dl, -1), out=y.reshape(dl, -1))
-                    np.matmul(w_right[self.k - a], y, out=x)
-            for a in range(max(lo, a_lo - 1), min(hi - 1, a_hi) + 1):
-                x, y, s_y, s_x = self._pairs[a]
-                np.multiply(y, s, out=s_y)
-                y *= c
-                y += np.multiply(x, s, out=s_x)
-                x *= c
-                x += s_y
-            yield slice(self.start[max(lo, a_lo - 1)], self.stop[min(hi, a_hi + 1)])
+    def _nonzero(self):
+        """The blocks a that the center gates so far may have made nonzero."""
+        return range(
+            max(self.lo, self.a0 - self.mixes), min(self.hi, self.a0 + self.mixes) + 1
+        )
 
-    def right_masses(self, rows):
+    def cycle(self, operators, w=True):
+        """Apply one cycle, W then M, or M alone without `w`: on a single
+        basis word the first cycle's W is a change of basis that T, summed
+        over a whole initial block, does not see."""
+        w_left, w_right, (c, s) = operators
+        nonzero = self._nonzero()
+        if w:  # W_L (x) W_R: two matrix products a block
+            for a in nonzero:
+                x, y = self._halves[a]
+                dl = x.shape[0]
+                np.matmul(w_left[a], x.reshape(dl, -1), out=y.reshape(dl, -1))
+                np.matmul(w_right[self.k - a], y, out=x)
+        for a in range(max(self.lo, nonzero.start - 1), min(self.hi, nonzero.stop)):
+            x, y, s_y, s_x = self._pairs[a]
+            np.multiply(y, s, out=s_y)
+            y *= c
+            y += np.multiply(x, s, out=s_x)
+            x *= c
+            x += s_y
+        self.mixes += 1
+
+    def right_masses(self):
         """(half + 1, m) probability mass of each column per right count r,
-        summed over `rows`, a slice that holds every nonzero row."""
-        masses = np.zeros((self.half + 1, self.amps.shape[1]))
-        _kernels.readout_accumulate(self.amps[rows], self.r_of[rows], masses)
+        read block by block: block (a, k-a) holds r = k-a alone."""
+        m = self.amps.shape[1]
+        masses = np.zeros((self.half + 1, m))
+        for a in self._nonzero():
+            block = self._halves[a][0].reshape(-1, m)
+            # an array scalar: perfbench's readout observer reads its .size
+            _kernels.readout_accumulate(block, np.intp(self.k - a), masses)
         return masses
 
 
@@ -312,9 +316,10 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
     """
     blocks = _SectorBlocks(half, a0, b0, columns)
     part = np.zeros((cycles, half + 1))
-    for t, rows in enumerate(blocks.run(cycles, operators), 1):
+    for t in range(cycles):
+        blocks.cycle(operators, w=t > 0)
         # no BLAS call, so T does not depend on the BLAS thread count
-        part[t - 1] = np.einsum("rj,j->r", blocks.right_masses(rows), weights)
+        part[t] = np.einsum("rj,j->r", blocks.right_masses(), weights)
     return part
 
 
@@ -388,10 +393,9 @@ def word_right_masses(
         i_left = np.searchsorted(sector_basis(half, a0).words, mirrored[picked])
         i_right = np.searchsorted(sector_basis(half, b0).words, right[picked])
         blocks = _SectorBlocks(half, a0, b0, i_left * math.comb(half, b0) + i_right)
-        rows = slice(None)  # the slice of the last mix, if any
-        for rows in blocks.run(cycles, operators, lead):
-            pass
-        return blocks.right_masses(rows)
+        for t in range(cycles):
+            blocks.cycle(operators, w=t > 0 or lead)
+        return blocks.right_masses()
 
     chunks = _word_chunks(words, n_sites)
     masses = np.empty((words.size, half + 1))  # the sampler's rows contiguous

@@ -97,16 +97,6 @@ class FSimParams:
         return math.sin(self.phi / 2.0) / s
 
 
-@dataclass(frozen=True)
-class FSimColumns:
-    """One fSim gate with its own angles on each column of a state block:
-    `theta` and `phi` are (m,) arrays, already reduced to (-pi, pi]."""
-
-    theta: np.ndarray
-    phi: np.ndarray
-    convention: PhaseConvention
-
-
 def fsim_coefficients(theta, phi, convention: PhaseConvention, twist=0.0):
     """The complex numbers `_kernels.apply_fsim_tables` multiplies by, for
     angles of any shape, elementwise: ((c, s01, s10), phase).

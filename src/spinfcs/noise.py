@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import FSimColumns, FSimParams, LayerOrder, wrap_angles
+from .gates import FSimParams, LayerOrder, wrap_angles
 from .sector import SectorState, brickwork_layers, sector_basis
 
 
@@ -261,14 +261,6 @@ class LayerRealization:
     # jittered (theta, phi), each (len(bonds), m); None for the nominal gate
     angles: tuple[np.ndarray, np.ndarray] | None
     z_angles: np.ndarray | None  # (n_sites, m), applied after the layer when present
-
-    def gate_params(self, params: FSimParams, columns) -> list:
-        """The gate on each bond for the shots `columns`: the nominal
-        `params`, or `FSimColumns` with each shot's own angles."""
-        if self.angles is None:
-            return [params] * len(self.bonds)
-        theta, phi = (angles[:, columns] for angles in self.angles)
-        return [FSimColumns(*pair, params.convention) for pair in zip(theta, phi)]
 
 
 def disorder_draws(noise: NoiseConfig, n_sites: int, layers) -> list[int]:

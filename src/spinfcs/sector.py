@@ -15,13 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SectorMismatchError
-from .gates import (
-    FSimColumns,
-    FSimParams,
-    LayerOrder,
-    PhaseConvention,
-    fsim_coefficients,
-)
+from .gates import FSimParams, LayerOrder, PhaseConvention, fsim_coefficients
 
 
 def bits_to_word(bits):
@@ -106,7 +100,6 @@ class SectorBasis:
         self.dimension = math.comb(self.n_sites, self.n_excitations)
         self.words = _sector_words(self.n_sites, self.n_excitations)
         self._site_bits = None
-        self._half_word_rows = None
         self._lowering = None
         self._bond_tables = {}
 
@@ -123,25 +116,6 @@ class SectorBasis:
             bits.setflags(write=False)
             self._site_bits = bits
         return self._site_bits
-
-    def half_word_rows(self) -> np.ndarray:
-        """(2, dimension) rows of each basis word in a table that stacks
-        every left half-word above every right one (cached, read-only).
-
-        With s = n_sites - n_sites // 2, the left half-word is a word's
-        first s sites and the right one its last n_sites // 2 sites, each
-        read as an integer, its last site lowest.  Row 0 holds the left
-        half-words, row 1 the right ones plus 2^s."""
-        if self._half_word_rows is None:
-            right = self.n_sites // 2
-            split = self.n_sites - right
-            mask = np.uint64((1 << right) - 1)
-            rows = np.stack([self.words >> np.uint64(right), self.words & mask])
-            rows = rows.astype(np.intp)
-            rows[1] += 1 << split
-            rows.setflags(write=False)
-            self._half_word_rows = rows
-        return self._half_word_rows
 
     def lowering(self) -> tuple[np.ndarray, np.ndarray]:
         """Tables (source, target) of sigma^-_q, each (n_sites, C(n-1, k-1))
@@ -253,9 +227,10 @@ class SectorState:
         a = self.amplitudes
         return a.real**2 + a.imag**2
 
-    def apply_fsim(self, bond: int, params: FSimParams | FSimColumns) -> None:
+    def apply_fsim(self, bond: int, params: FSimParams) -> None:
         """Apply one fSim gate on sites (bond, bond+1) of every column, in
-        place; `FSimColumns` gives each column its own angles."""
+        place; `params` with (m,) arrays of angles gives each column its
+        own gate."""
         hop, phase = fsim_coefficients(params.theta, params.phi, params.convention)
         _kernels.apply_fsim_tables(
             self.columns(),
@@ -279,38 +254,22 @@ class SectorState:
 
         `site_angles` holds one angle per site, shared by every column, or
         an (n_sites, m) array with a column of angles per column.  Each
-        word's phase is the product of two table entries, one for its left
-        half-word and one for its right half-word
-        (`SectorBasis.half_word_rows`).  Each table holds every half-word:
-        the product of the factors exp(-i * angle_q) of its occupied sites,
-        taken from the half's last site towards its first by doubling the
-        table one site at a time.  That is elementwise arithmetic, with no
-        BLAS, so a column's result does not depend on the block it sits
-        in.  Diagonal in the basis.  The noisy route never calls it (its
-        Z rotations ride on the next gates' hops, `gates.fsim_coefficients`);
-        it is their reference.
+        word's phase is exp(-i * the sum of the angles of its occupied
+        sites), read off `SectorBasis.site_bits` and added one site at a
+        time: elementwise arithmetic, with no BLAS, so a column's result
+        does not depend on the block it sits in.  Diagonal in the basis.
+        The noisy route never calls it (its Z rotations ride on the next
+        gates' hops, `gates.fsim_coefficients`); it is their reference.
         """
         columns = self.columns()
         n = self.basis.n_sites
         if np.shape(site_angles) not in ((n,), (n, columns.shape[1])):
             raise ValueError("one angle per site (and column) required")
         angles = np.asarray(site_angles, dtype=float).reshape(n, -1)
-        split = n - n // 2  # sites of the left half
-        if n % 2:  # lead the right half with a site its half-words never set
-            angles = np.insert(angles, split, 0.0, axis=0)
-        factors = angles.reshape(2, split, -1) * -1j
-        np.exp(factors, out=factors)
-        # tables[h, w]: the factors of the set bits of w in half h, bit 0
-        # the half's last site
-        tables = np.empty((2, 1 << split, factors.shape[2]), dtype=np.complex128)
-        tables[:, 0] = 1.0
-        for i in range(split):
-            lower, upper = tables[:, : 1 << i], tables[:, 1 << i : 2 << i]
-            np.multiply(lower, factors[:, split - 1 - i, None], out=upper)
-        tables = tables.reshape(-1, factors.shape[2])
-        left, right = tables.take(self.basis.half_word_rows(), axis=0)
-        left *= right
-        columns *= left
+        total = np.zeros(columns.shape)
+        for occupied, angle in zip(self.basis.site_bits().T, angles):
+            total += occupied[:, None] * angle
+        columns *= np.exp(-1j * total)
 
     def columns(self) -> np.ndarray:
         """The amplitudes as a (dim, m) view, m = 1 for a single state."""

@@ -12,12 +12,14 @@ package convention.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from spinfcs.ensemble import distribution_from_tensor, transfer_tensor
+from spinfcs.gates import PhaseConvention
 from spinfcs.sector import SectorState, bits_to_word
 
 
@@ -47,6 +49,27 @@ def basis_state(bits):
     """|bits> of a 0/1 sequence as one state: the column of `from_words`."""
     block = SectorState.from_words([bits_to_word(bits)], len(bits))
     return SectorState(block.basis, block.amplitudes[:, 0])
+
+
+@dataclass(frozen=True)
+class FSimColumns:
+    """One fSim gate with its own angles on each column of a state block:
+    `theta` and `phi` are (m,) arrays, already reduced to (-pi, pi].
+    `SectorState.apply_fsim` takes it as it takes `FSimParams`."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    convention: PhaseConvention
+
+
+def gate_params(layer, params, columns):
+    """The gate on each bond of the `noise.LayerRealization` `layer` for
+    the shots `columns`: the nominal `params`, or `FSimColumns` with each
+    shot's own angles."""
+    if layer.angles is None:
+        return [params] * len(layer.bonds)
+    theta, phi = (angles[:, columns] for angles in layer.angles)
+    return [FSimColumns(*pair, params.convention) for pair in zip(theta, phi)]
 
 
 def dense_fsim(theta, phi, convention="tail"):

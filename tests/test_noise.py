@@ -9,6 +9,7 @@ from conftest import (
     chi_square_p_value,
     dense_cycle,
     dense_damping,
+    gate_params,
 )
 from scipy.optimize import curve_fit
 from scipy.stats import binom
@@ -408,7 +409,7 @@ class TestDisorder:
         for layer in realizations:
             assert layer.z_angles is None
             assert layer.angles is None
-            gates = layer.gate_params(params, [0])
+            gates = gate_params(layer, params, [0])
             assert len(gates) == len(layer.bonds)
             assert all(gp is params for gp in gates)
 
@@ -422,7 +423,7 @@ class TestDisorder:
         angles = [
             float(gp.theta[0])
             for layer in realizations
-            for gp in layer.gate_params(params, [0])
+            for gp in gate_params(layer, params, [0])
         ]
         assert len(set(angles)) == len(angles) == 5
 
@@ -449,7 +450,7 @@ class TestDisorder:
         for j, shot in enumerate(columns):
             rng = np.random.default_rng(shot)
             for layer, bonds in zip(block, layers):
-                gates = layer.gate_params(params, columns)
+                gates = gate_params(layer, params, columns)
                 assert layer.bonds == bonds and len(gates) == len(bonds)
                 for gp in gates:
                     if jitter > 0:

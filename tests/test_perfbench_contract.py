@@ -2,10 +2,10 @@
 its tracer wraps every (module, attribute) of `spans.TARGETS`, and its own
 tests call `sector.cycle_bonds` and `SectorBasis.right_ones`.  Each of them
 must resolve, or `bench.py --trace` breaks with no other test failing;
-traced runs of the noisy and the noiseless sampled workloads also check
-that the wrapped calls still go through with the arguments the package
-passes.  Its observer of `noise.postselect` counts bool(result), which a
-returned array would break the same way, and its observer of
+traced runs of the exact, the noisy and the noiseless sampled workloads
+also check that the wrapped calls still go through with the arguments the
+package passes.  Its observer of `noise.postselect` counts bool(result),
+which a returned array would break the same way, and its observer of
 `sampler.run_sampled` sums `r.kept` over the `SampledRun.records` of the
 result, a name it alone reads.  Its workloads are `spinfcs run` configs: a
 config check that refused one, or outputs that its checks reject (a
@@ -92,8 +92,8 @@ def test_workload_outputs_pass_the_harness_checks(workload, seed, tmp_path):
     assert {op: found for op, found in problems.items() if found} == {}
 
 
-@pytest.mark.parametrize("workload", ["noisy-n10", "sampled-n12"])
-def test_a_traced_noisy_run_records_the_noise_spans(workload, tmp_path):
+@pytest.mark.parametrize("workload", ["noisy-n10", "sampled-n12", "exact-n14"])
+def test_a_traced_run_records_its_layer_spans(workload, tmp_path):
     # what `bench.py --trace 1` runs: child.py in a fresh interpreter, with
     # every entry point of `spans.TARGETS` wrapped
     config, report = tmp_path / "config.json", tmp_path / "report.json"
@@ -113,14 +113,18 @@ def test_a_traced_noisy_run_records_the_noise_spans(workload, tmp_path):
     assert "error" not in result and result["exit_code"] == 0
     traced = spans.load(str(saved))
     counts = traced["counts"]
+    called = {traced["names"][i] for i in set(traced["name"].tolist())}
     # the kept-shot counter sums `r.kept` over `SampledRun.records`
     if workload == "sampled-n12":
         assert counts["sampler.kept_shots"] == counts["sampler.shots"]
         assert counts["sampler.dropped_states"] == 0
-    else:
+    elif workload == "noisy-n10":
         assert 0 < counts["sampler.kept_shots"] <= counts["sampler.shots"]
-        called = {traced["names"][i] for i in set(traced["name"].tolist())}
         # `noise.damping_s` of the harness reads the self time of damp_bits
         assert {
             "noise.disorder_and_dephasing", "noise.readout_flip", "noise.damp_bits"
         } <= called
+    if workload != "noisy-n10":
+        # both ends of the block engine read out through the kernel, whose
+        # observer reads the size of its second argument
+        assert "_kernels.readout_accumulate" in called

@@ -21,6 +21,7 @@ from conftest import (
     dense_right_ones,
     dense_word_probability,
     exact_dists,
+    gate_params,
     mass_at,
     sample_initial,
 )
@@ -1322,7 +1323,7 @@ def phased_trajectory(state, lo, config, noise, numbers):
     blocks = [(state, np.arange(state.columns().shape[1]))]
     for l, layer in enumerate(realizations):
         for block, columns in blocks:
-            gates = layer.gate_params(config.params, columns)
+            gates = gate_params(layer, config.params, columns)
             for bond, gate in zip(layer.bonds, gates):
                 block.apply_fsim(bond, gate)
             if layer.z_angles is not None:
