@@ -12,9 +12,11 @@ reweighting afterwards.  The tensor is built by evolving basis words in
 batched columns, one word per symmetry orbit.
 
 The evolution stores a sector as a direct sum of left (x) right blocks
-(a, k-a).  A cycle is then one dense operator per half chain, built once
-per call, applied to each block as matrix products, and the center gate's
-|01>/|10> mix, which updates slice views of neighbouring blocks in place.
+(a, k-a), both halves read outward from the center.  Read so, the two half
+chains run the same gates, so a cycle is one set of dense half-chain
+operators, built once per call and applied to each block's left and right
+factor as matrix products, and the center gate's |01>/|10> mix, which
+updates slice views of neighbouring blocks in place.
 `split`'s phase on |00> and |11> is global, and `tail`'s boundary phase is
 folded into the half-chain operators (n = 2 too), so no phase pass remains.
 This block engine has two ends, which read out alike: the tensor end
@@ -175,17 +177,22 @@ def lightcone_reduce(config: ChainConfig) -> ChainConfig:
 CHUNK_COLUMNS = 256
 
 
-def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder):
-    """Dense one-cycle operators (W_L, W_R) of the two half chains, and the
-    constants (c, s) = e^{i phi/2} (cos theta, i sin theta) of the center
-    gate's |01>/|10> mix M.
+def _half_chain_operators(
+    half: int, params: FSimParams, layer_order: LayerOrder, first_site: int
+):
+    """Dense one-cycle operators W of a half chain, and the constants
+    (c, s) = e^{i phi/2} (cos theta, i sin theta) of the center gate's
+    |01>/|10> mix M, for a chain of 2*half sites whose site 0 is physical
+    site `first_site`.
 
     W[c] is the C(half, c)-square matrix of all half-chain gates of one
     cycle, in cycle order, on the c-excitation sector of `half` sites with
-    the boundary site as the most significant bit.  The left half is read
-    mirrored, which maps its bond i to bond half-2-i; fSim is symmetric
-    under swapping its two sites, so the gates are unchanged.  The right
-    half's layout is anchored at its first physical site, `half`.
+    the boundary site as the most significant bit.  Read outward from the
+    center, bond j of the right half is chain bond half + j and bond j of
+    the left half is chain bond half - 2 - j, of the same parity; fSim is
+    symmetric under swapping its two sites, so one W serves both halves.
+    Its layout is `brickwork_layers` anchored at the right half's first
+    physical site, first_site + half.
 
     `split`'s center gate is e^{-i phi/2} M, a global phase.  `tail`'s is
     M D, D = e^{-i phi/2 (n_{h-1} + n_h)}, which commutes with M and acts
@@ -196,25 +203,19 @@ def _half_chain_operators(half: int, params: FSimParams, layer_order: LayerOrder
     split = params.convention is PhaseConvention.SPLIT
     boundary_phase = 1.0 if split else complex(np.exp(-0.5j * phi))
     hop, gate_phase = fsim_coefficients(theta, phi, params.convention)
-
-    def operators(layers):
-        ops = []
-        for c in range(half + 1):
-            basis = sector_basis(half, c)
-            w = np.eye(basis.dimension, dtype=np.complex128)
-            for bond in itertools.chain(*layers):
-                tables = basis.bond_tables(bond)
-                _kernels.apply_fsim_tables(w, tables, hop, gate_phase, split)
-            w[:, math.comb(half - 1, c) :] *= boundary_phase
-            w.setflags(write=False)  # shared by the threads of a call
-            ops.append(w)
-        return ops
-
-    left_layers = brickwork_layers(half, 0, layer_order)
-    left = operators([[half - 2 - b for b in layer] for layer in left_layers])
-    right = operators(brickwork_layers(half, half, layer_order))
+    layers = brickwork_layers(half, first_site + half, layer_order)
+    ops = []
+    for c in range(half + 1):
+        basis = sector_basis(half, c)
+        w = np.eye(basis.dimension, dtype=np.complex128)
+        for bond in itertools.chain(*layers):
+            tables = basis.bond_tables(bond)
+            _kernels.apply_fsim_tables(w, tables, hop, gate_phase, split)
+        w[:, math.comb(half - 1, c) :] *= boundary_phase
+        w.setflags(write=False)  # shared by the threads of a call
+        ops.append(w)
     phase = complex(np.exp(0.5j * phi))
-    return left, right, (phase * math.cos(theta), phase * 1j * math.sin(theta))
+    return ops, (phase * math.cos(theta), phase * 1j * math.sin(theta))
 
 
 class _SectorBlocks:
@@ -223,12 +224,13 @@ class _SectorBlocks:
     ascending, each of C(half, a) * C(half, k-a) rows ordered left index
     major (both halves read outward from the center).
 
-    A cycle is W_L (x) W_R on every block followed by the center mix M of
-    `operators` = (W_L, W_R, (c, s)), which pairs |01> rows of block (a, b)
-    with |10> rows of block (a+1, b-1).  There is no phase pass: `split`'s
-    |00>/|11> phase is global and `tail`'s boundary phase is in W (half = 1
-    included).  After j center gates only blocks |a - a0| <= j are nonzero,
-    and only they are touched.
+    A cycle is W[a] (x) W[k-a] on every block (a, k-a), one operator set W
+    for both halves, followed by the center mix M of `operators` =
+    (W, (c, s)), which pairs |01> rows of block (a, b) with |10> rows of
+    block (a+1, b-1).  There is no phase pass: `split`'s |00>/|11> phase is
+    global and `tail`'s boundary phase is in W (half = 1 included).  After
+    j center gates only blocks |a - a0| <= j are nonzero, and only they are
+    touched.
     """
 
     def __init__(self, half, a0, b0, columns):
@@ -274,14 +276,14 @@ class _SectorBlocks:
         """Apply one cycle, W then M, or M alone without `w`: on a single
         basis word the first cycle's W is a change of basis that T, summed
         over a whole initial block, does not see."""
-        w_left, w_right, (c, s) = operators
+        ops, (c, s) = operators
         nonzero = self._nonzero()
-        if w:  # W_L (x) W_R: two matrix products a block
+        if w:  # W[a] (x) W[k-a]: two matrix products a block
             for a in nonzero:
                 x, y = self._halves[a]
                 dl = x.shape[0]
-                np.matmul(w_left[a], x.reshape(dl, -1), out=y.reshape(dl, -1))
-                np.matmul(w_right[self.k - a], y, out=x)
+                np.matmul(ops[a], x.reshape(dl, -1), out=y.reshape(dl, -1))
+                np.matmul(ops[self.k - a], y, out=x)
         for a in range(max(self.lo, nonzero.start - 1), min(self.hi, nonzero.stop)):
             x, y, s_y, s_x = self._pairs[a]
             np.multiply(y, s, out=s_y)
@@ -369,9 +371,9 @@ def word_right_masses(
     sees t mixes with a W after each, and the last W, which keeps every
     block, moves no right count; with it in the second, M W, so a W leads
     each mix.  Either way `tail`'s boundary phase, folded into W, moves at
-    most a global phase of the word or a diagonal before the readout.  A
-    window anchored at an odd physical site runs the operators of the other
-    layer order.
+    most a global phase of the word or a diagonal before the readout.  The
+    operators are laid out from the anchor `first_site` by
+    `brickwork_layers`, as the window's own layers are.
 
     Raises:
         InvariantError: if a word's mass is not normalized or lies outside
@@ -384,9 +386,7 @@ def word_right_masses(
     # in-block column: the left half-word read mirrored, outward from the center
     mirrored = bits_to_word(word_to_bits(left, half)[:, ::-1])
     lead = half - 1 in brickwork_layers(n_sites, first_site, layer_order)[1]
-    if first_site % 2:
-        layer_order = next(order for order in LayerOrder if order is not layer_order)
-    operators = _half_chain_operators(half, params, layer_order)
+    operators = _half_chain_operators(half, params, layer_order, first_site)
 
     def evolve(picked):
         a0, b0 = int(a_of[picked[0]]), int(b_of[picked[0]])
@@ -481,7 +481,7 @@ def transfer_tensor(
         # the bit flip commutes with `split` gates only; for cycles <= h
         # the `split` tensor is the `tail` one
         params = replace(params, convention=PhaseConvention.SPLIT)
-    operators = _half_chain_operators(half, params, layer_order)
+    operators = _half_chain_operators(half, params, layer_order, 0)
     tasks = [
         (a, b, columns[j0 : j0 + CHUNK_COLUMNS], weights[j0 : j0 + CHUNK_COLUMNS])
         for a in range(half + 1)

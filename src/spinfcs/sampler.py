@@ -176,7 +176,6 @@ class SampledRun:
     cycles: int
     n_qubits: int
     mu: float
-    mode: str
     sample: SampleConfig
     initial_bits: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
@@ -229,10 +228,12 @@ def _cdf(probabilities):
 def check_window(config: ChainConfig, noisy: bool) -> None:
     """Refuse a sampled run whose light-cone window, the w sites of
     `config.window`, needs a table family over `_WINDOW_TABLE_CAP` bytes.
-    Without noise that is both sets of the block engine's half-chain
-    operators plus one word's sector block, 48 C(w, w/2) bytes; with noise,
-    the middle sector's bond tables, about 20 (w - 1) C(w, w/2) bytes.  A
-    window that passes fits those tables; its run may still take too long.
+    Without noise that is the block engine's one half-chain operator set,
+    16 C(w, w/2) bytes of complex128 (the sum over c of C(w/2, c)^2), and
+    one word's amplitudes in the middle sector, as many: 32 C(w, w/2)
+    bytes; with noise, the middle sector's bond tables, about
+    20 (w - 1) C(w, w/2) bytes.  A window that passes fits those tables;
+    its run may still take too long.
 
     Raises:
         EnumerationCapError: if the estimate exceeds the cap.
@@ -240,7 +241,7 @@ def check_window(config: ChainConfig, noisy: bool) -> None:
     lo, hi = config.window
     width = hi - lo
     middle = math.comb(width, width // 2)
-    need = 20 * (width - 1) * middle if noisy else 48 * middle
+    need = 20 * (width - 1) * middle if noisy else 32 * middle
     if need > _WINDOW_TABLE_CAP:
         route = "noisy" if noisy else "noiseless"
         raise EnumerationCapError(
@@ -523,10 +524,8 @@ def run_sampled(
 
     prepared = _prepare(ens, sample, config.cycles)
     if noise is None:
-        mode = "sampled"
         counts, kept = _noiseless_records(prepared, config, sample, threads)
     else:
-        mode = "noisy-sampled"
         counts, kept = _noisy_records(
             prepared, config, sample, noise, postselect_mode, threads
         )
@@ -534,7 +533,6 @@ def run_sampled(
         cycles=config.cycles,
         n_qubits=config.n_qubits,
         mu=ens.mu,
-        mode=mode,
         sample=sample,
         initial_bits=prepared[0],
         counts=counts,

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spinfcs import _kernels
 from spinfcs.ensemble import distribution_from_tensor, transfer_tensor
-from spinfcs.gates import PhaseConvention
-from spinfcs.sector import SectorState, bits_to_word
+from spinfcs.gates import LayerOrder, PhaseConvention, fsim_coefficients
+from spinfcs.sector import SectorState, bits_to_word, brickwork_layers, sector_basis
 
 
 def exact_dists(ens, config):
@@ -70,6 +71,38 @@ def gate_params(layer, params, columns):
         return [params] * len(layer.bonds)
     theta, phi = (angles[:, columns] for angles in layer.angles)
     return [FSimColumns(*pair, params.convention) for pair in zip(theta, phi)]
+
+
+def mirrored_half_chain_operators(half, params, layer_order, first_site):
+    """The block engine's operators as two sets, (W_L, W_R, (c, s)): the
+    reference for its one set W.  W_L runs the left half's own layers from
+    site 0, each bond b mirrored to half - 2 - b; W_R runs the right half's
+    from site `half`; an odd `first_site` swaps the layer order of both."""
+    if first_site % 2:
+        layer_order = next(order for order in LayerOrder if order is not layer_order)
+    theta, phi = params.theta, params.phi
+    split = params.convention is PhaseConvention.SPLIT
+    boundary_phase = 1.0 if split else complex(np.exp(-0.5j * phi))
+    hop, gate_phase = fsim_coefficients(theta, phi, params.convention)
+
+    def operators(layers):
+        ops = []
+        for c in range(half + 1):
+            basis = sector_basis(half, c)
+            w = np.eye(basis.dimension, dtype=np.complex128)
+            for layer in layers:
+                for bond in layer:
+                    tables = basis.bond_tables(bond)
+                    _kernels.apply_fsim_tables(w, tables, hop, gate_phase, split)
+            w[:, math.comb(half - 1, c) :] *= boundary_phase
+            ops.append(w)
+        return ops
+
+    left_layers = brickwork_layers(half, 0, layer_order)
+    left = operators([[half - 2 - b for b in layer] for layer in left_layers])
+    right = operators(brickwork_layers(half, half, layer_order))
+    phase = complex(np.exp(0.5j * phi))
+    return left, right, (phase * math.cos(theta), phase * 1j * math.sin(theta))
 
 
 def dense_fsim(theta, phi, convention="tail"):

@@ -11,6 +11,7 @@ from conftest import (
     dense_right_ones,
     exact_dists,
     mass_at,
+    mirrored_half_chain_operators,
 )
 from spinfcs import ensemble
 from spinfcs.circuit import ChainConfig
@@ -337,6 +338,27 @@ class TestTransferTensor:
         tensor = transfer_tensor(4, 0, params_at(0.2, 0.2))
         assert tensor[0, 1, 1, 1] == 4.0  # C(2,1)*C(2,1) words stay put
         assert tensor[0, 1, 1, 0] == 0.0
+
+
+class TestHalfChainOperators:
+    @pytest.mark.parametrize("first_site", [0, 1])
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_one_set_serves_both_halves(self, convention, order, first_site):
+        # read outward from the cut, left bond j is chain bond h - 2 - j and
+        # right bond j is h + j, of the same parity: W is the right half's own
+        # set bit for bit, and the mirrored left half's up to the order of
+        # the commuting gates within a half-layer
+        params = params_at(0.37 * np.pi, -0.61 * np.pi, convention.value)
+        for half in range(1, 11):
+            ops, mix = ensemble._half_chain_operators(half, params, order, first_site)
+            left, right, want_mix = mirrored_half_chain_operators(
+                half, params, order, first_site
+            )
+            assert mix == want_mix and len(ops) == half + 1
+            for w, w_left, w_right in zip(ops, left, right):
+                assert np.array_equal(w, w_right)
+                assert np.max(np.abs(w - w_left)) <= 1e-15
 
 
 class TestBlasThreadBudget:

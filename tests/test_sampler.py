@@ -280,7 +280,6 @@ class TestEstimator:
             cycles=cycles,
             n_qubits=n_qubits,
             mu=0.0,
-            mode="sampled",
             sample=SampleConfig(len(counts), max(1, int(kept.max())), seed=0),
             initial_bits=np.zeros((len(counts), n_qubits), dtype=np.int64),
             counts=counts,
@@ -648,8 +647,8 @@ class TestBatchedWindow:
         built = ensemble._half_chain_operators
 
         def inflated(*args):
-            left, right, mix = built(*args)
-            return [1.01 * w for w in left], [1.01 * w for w in right], mix
+            ops, mix = built(*args)
+            return [1.01 * w for w in ops], mix
 
         monkeypatch.setattr(ensemble, "_half_chain_operators", inflated)
         ens = ImbalanceEnsemble(0.5, 8)
@@ -683,10 +682,10 @@ class TestBatchedWindow:
 
         def spy(*args):
             time.sleep(delay)
-            left, right, mix = built(*args)
+            ops, mix = built(*args)
             calls.append(args)
-            refs.extend(weakref.ref(w) for w in left + right)
-            return left, right, mix
+            refs.extend(weakref.ref(w) for w in ops)
+            return ops, mix
 
         monkeypatch.setattr(ensemble, "_half_chain_operators", spy)
         return calls, refs
@@ -743,8 +742,8 @@ class TestBatchedWindow:
         built = ensemble._half_chain_operators
 
         def inflated(*args):
-            left, right, mix = built(*args)
-            return [1.01 * w for w in left], [1.01 * w for w in right], mix
+            ops, mix = built(*args)
+            return [1.01 * w for w in ops], mix
 
         monkeypatch.setattr(ensemble, "_half_chain_operators", inflated)
         with pytest.raises(InvariantError, match=r"not normalized: 1\.\d+$"):
@@ -1266,6 +1265,23 @@ class TestWindowCheck:
         sampler.check_window(ChainConfig(width, 40, HEIS), noisy)
         with pytest.raises(EnumerationCapError, match=f"{width + 2}-site window"):
             sampler.check_window(ChainConfig(46, width // 2 + 1, HEIS), noisy)
+
+    @pytest.mark.parametrize("width", range(4, 15, 2))
+    def test_the_noiseless_estimate_is_what_the_engine_allocates(
+        self, width, monkeypatch
+    ):
+        # one operator set and one word of the middle sector, in bytes: the
+        # cap set to exactly that admits the window, one byte less refuses it
+        half = width // 2
+        ops, _ = ensemble._half_chain_operators(half, HEIS, LayerOrder.EVEN_FIRST, 0)
+        word = ensemble._SectorBlocks(half, half // 2, half - half // 2, [0])
+        need = sum(w.nbytes for w in ops) + word.amps.nbytes
+        config = ChainConfig(46, half, HEIS)
+        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need)
+        sampler.check_window(config, noisy=False)
+        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need - 1)
+        with pytest.raises(EnumerationCapError, match=f"{width}-site window"):
+            sampler.check_window(config, noisy=False)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_run_sampled_refuses_before_drawing(self, noisy, monkeypatch):
