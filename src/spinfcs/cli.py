@@ -8,7 +8,9 @@ Subcommands:
 Artifacts are deterministic: rerunning the same config (and seed) gives
 byte-identical CSVs regardless of --threads.  Floats are written as their
 shortest round-trip decimal.  The output directory comes from --out, else
-the SPINFCS_OUT environment variable, else ./spinfcs_out.
+the SPINFCS_OUT environment variable, else ./spinfcs_out.  Every file is a
+(name, lines) table, written by `_write_tables` once all are computed, so
+a command that fails leaves no file and no directory.
 """
 
 import argparse
@@ -119,10 +121,12 @@ def _number_list(value, key: str, length=None, noun="numbers", kind=NUMBER):
 
 @contextlib.contextmanager
 def _refused_as(key: str):
-    """Report the ValueError of a library check as a refusal of `key`."""
+    """Report the ValueError of a library check as a refusal of `key`, and
+    its OverflowError: a config integer past the float range, compared
+    with float cycles."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{key}': {exc}") from exc
 
 
@@ -235,62 +239,54 @@ def _parse_analysis(raw) -> dict:
 
 def _check_analysis(analysis: dict, cycles_by_mu: dict) -> None:
     """Refuse an analysis that the cycles of each mu, {mu: cycles}, cannot
-    satisfy: a fit window holding < 3 of some mu's cycles, a collapse scan
-    over < 2 finite mu, a collapse cut that leaves < 3 (cycle, mu) points
-    or < 2 mu, or a collapse gamma that makes some kept mu * t^gamma
-    non-finite."""
+    satisfy, by the library's own refusals on stand-in values, as those
+    read only the cycles, mu and gamma: `stats.fit_dynamical_exponent` of
+    each mu on values t (a log-log slope of exactly 1), and, over >= 2
+    finite mu, `stats.collapse_residual` on zeros, once at gamma 0 for the
+    cut `collapse_t_min` (x = mu, never overflowing), then per gamma."""
     if "exponent_window" in analysis:
-        lo, hi = analysis["exponent_window"]
+        window = analysis["exponent_window"]
         for mu, ts in cycles_by_mu.items():
-            inside = sum(lo <= t <= hi for t in ts)
-            message = f"holds {inside} of the cycles of mu {_mu_tag(mu)}, need >= 3"
-            _check(inside >= 3, "analysis.exponent_window", message)
+            with _refused_as("analysis.exponent_window"), _of_mu(mu):
+                stats.fit_dynamical_exponent(ts, ts, window=window)
     if "collapse_gammas" in analysis:
         finite = {mu: ts for mu, ts in cycles_by_mu.items() if not math.isinf(mu)}
         _check(len(finite) >= 2, "analysis.collapse_gammas", "needs >= 2 finite mu")
-        t_min = analysis["collapse_t_min"]
-        kept = {
-            mu: np.array([t for t in ts if t >= t_min], dtype=float)
-            for mu, ts in finite.items()
-        }
-        points = sum(ts.size for ts in kept.values())
-        n_mu = sum(ts.size > 0 for ts in kept.values())
-        message = f"{t_min} leaves {points} (cycle, mu) points of {n_mu} mu"
-        ok = points >= 3 and n_mu >= 2
-        _check(ok, "analysis.collapse_t_min", f"{message}, need >= 3 of >= 2 mu")
-        for gamma in analysis["collapse_gammas"]:
-            # the arithmetic of stats.collapse_residual: float ** would raise
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = [mu * ts**gamma for mu, ts in kept.items()]
-            message = f"gamma {gamma!r} makes mu * t^gamma non-finite"
-            ok = all(np.isfinite(v).all() for v in x)
-            _check(ok, "analysis.collapse_gammas", message)
+        zeros = [(mu, ts, np.zeros(len(ts))) for mu, ts in finite.items()]
+        scan = [("analysis.collapse_gammas", g) for g in analysis["collapse_gammas"]]
+        for key, gamma in [("analysis.collapse_t_min", 0.0), *scan]:
+            with _refused_as(key):
+                stats.collapse_residual(zeros, gamma, t_min=analysis["collapse_t_min"])
 
 
 def _mu_tag(mu: float) -> str:
     return "inf" if math.isinf(mu) else repr(float(mu))
 
 
-def _write_lines(path: str, lines: list[str]) -> str:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+@contextlib.contextmanager
+def _of_mu(mu: float):
+    """Prefix the ValueError of a per-mu library call with its mu."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"mu={_mu_tag(mu)}: {exc}") from exc
 
 
-def _write_distributions(path, per_cycle):
-    lines = [DIST_HEADER]
-    for t in sorted(per_cycle):
-        values, probs = per_cycle[t]
-        for m, p in zip(values, probs):
-            lines.append(f"{int(t)},{int(m)},{_fmt(p)}")
-    _write_lines(path, lines)
+def _distribution_lines(per_cycle) -> list[str]:
+    """The distributions CSV of {cycle: (values, probabilities)}."""
+    return [DIST_HEADER] + [
+        f"{int(t)},{int(m)},{_fmt(p)}"
+        for t in sorted(per_cycle)
+        for m, p in zip(*per_cycle[t])
+    ]
 
 
-def _write_moments(path, report: stats.MomentReport) -> None:
-    lines = [MOMENT_HEADER]
-    for t, row, sigmas in zip(report.cycles, report.rows, report.sigmas):
-        lines.append(",".join([_fmt(t), *map(_fmt, row), *map(_fmt, sigmas)]))
-    _write_lines(path, lines)
+def _moment_lines(report: stats.MomentReport) -> list[str]:
+    """The moments CSV of a moment report."""
+    return [MOMENT_HEADER] + [
+        ",".join(map(_fmt, [t, *row, *sigmas]))
+        for t, row, sigmas in zip(report.cycles, report.rows, report.sigmas)
+    ]
 
 
 def _run(parsed, threads):
@@ -359,15 +355,13 @@ def _analysis_tables(analysis, series):
                 values, sigmas = report.mean, report.sigma_mean
             mask = values > 0
             weighted = bool(np.all(sigmas[mask] > 0))
-            try:
+            with _of_mu(mu):
                 fit = stats.fit_dynamical_exponent(
                     report.cycles[mask],
                     values[mask],
                     sigmas[mask] if weighted else None,
                     window=analysis["exponent_window"],
                 )
-            except ValueError as exc:
-                raise ValueError(f"mu={_mu_tag(mu)}: {exc}") from exc
             row = (fit.z, fit.sigma_z, fit.t_min, fit.t_max, fit.n_points)
             lines.append(",".join([_mu_tag(mu), *map(_fmt, row)]))
         tables.append(("exponent_fit.csv", lines))
@@ -389,9 +383,13 @@ def _analysis_tables(analysis, series):
     return tables
 
 
-def _write_tables(out_dir, tables) -> list[str]:
-    """Write (file name, CSV lines) pairs under `out_dir`; returns the paths."""
-    return [_write_lines(os.path.join(out_dir, name), lines) for name, lines in tables]
+def _write_tables(out_dir, tables) -> None:
+    """Create `out_dir` and write each (file name, lines) pair under it, in
+    order: every file of `run` and `analyze` goes through here."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, lines in tables:
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _error(message) -> int:
@@ -416,21 +414,16 @@ def cmd_run(args) -> int:
         if args.seed is not None and isinstance(raw, dict):
             cfg = {**raw, "seed": args.seed}
         parsed = _parse_config(cfg)
-        out_dir = _resolve_out(args.out)
-        os.makedirs(out_dir, exist_ok=True)
         results, sampling = _run(parsed, args.threads)
-        series = {mu: report for mu, (_, report) in results.items()}
-        tables = _analysis_tables(parsed["analysis"], series)
-        # everything is computed: a run that fails writes no file, and the
-        # manifest is written last
-        outputs = []
+        tables = []
         for mu, (per_cycle, report) in results.items():
             tag = _mu_tag(mu)
-            outputs.append(os.path.join(out_dir, f"distributions_mu{tag}.csv"))
-            _write_distributions(outputs[-1], per_cycle)
-            outputs.append(os.path.join(out_dir, f"moments_mu{tag}.csv"))
-            _write_moments(outputs[-1], report)
-        outputs += _write_tables(out_dir, tables)
+            tables += [
+                (f"distributions_mu{tag}.csv", _distribution_lines(per_cycle)),
+                (f"moments_mu{tag}.csv", _moment_lines(report)),
+            ]
+        series = {mu: report for mu, (_, report) in results.items()}
+        tables += _analysis_tables(parsed["analysis"], series)
         manifest = {
             "version": __version__,
             "mode": parsed["mode"],
@@ -438,18 +431,20 @@ def cmd_run(args) -> int:
             "threads": args.threads,
             "wall_time_s": round(time.time() - t_start, 3),
             "config": {k: v for k, v in raw.items()},
-            "outputs": sorted(os.path.basename(p) for p in outputs),
+            "outputs": sorted(name for name, _ in tables),
         }
         if sampling:
             manifest["sampling"] = sampling
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-            fh.write("\n")
+        # everything is computed: a run that fails writes nothing, not even
+        # its directory, and the manifest is written last
+        out_dir = _resolve_out(args.out)
+        text = json.dumps(manifest, indent=2, default=str)
+        _write_tables(out_dir, [*tables, ("manifest.json", [text])])
     except ValueError as exc:
         return _error(exc)
     except OSError as exc:
         return _error(f"cannot write output: {exc}")
-    print(f"wrote {len(outputs)} artifact(s) to {out_dir}")
+    print(f"wrote {len(tables)} artifact(s) to {out_dir}")
     return 0
 
 
@@ -549,18 +544,18 @@ def cmd_analyze(args) -> int:
             reports[tag] = mu, stats.MomentReport(cycles, rows)
         series = dict(reports.values())
         _check_analysis(analysis, {mu: report.cycles for mu, report in series.items()})
-        tables = _analysis_tables(analysis, series)
+        tables = [
+            (f"moments_mu{tag}.csv", _moment_lines(report))
+            for tag, (_, report) in reports.items()
+        ]
+        tables += _analysis_tables(analysis, series)
     except (OSError, ValueError) as exc:
         return _error(exc)
-    outputs = [os.path.join(out_dir, f"moments_mu{tag}.csv") for tag in reports]
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        for path, (_, report) in zip(outputs, reports.values()):
-            _write_moments(path, report)
-        outputs += _write_tables(out_dir, tables)
+        _write_tables(out_dir, tables)
     except OSError as exc:
         return _error(f"cannot write output: {exc}")
-    print(f"wrote {len(outputs)} artifact(s) to {out_dir}")
+    print(f"wrote {len(tables)} artifact(s) to {out_dir}")
     return 0
 
 

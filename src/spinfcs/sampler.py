@@ -124,7 +124,9 @@ logger = logging.getLogger(__name__)
 _INITIAL_BITS_BLOCK = 2
 _TALLY_BLOCK = 3
 
-# Bytes of the largest table family a window may need (`check_window`).
+# Bytes of the tables a sampled window may hold at once (`check_window`):
+# the noiseless edge is a 28-site window (1.66 GB), the noisy one 22 sites
+# (3.24 GB; 24 sites would hold 14.2 GB).
 _WINDOW_TABLE_CAP = 4 << 30
 
 
@@ -228,20 +230,32 @@ def _cdf(probabilities):
 def check_window(config: ChainConfig, noisy: bool) -> None:
     """Refuse a sampled run whose light-cone window, the w sites of
     `config.window`, needs a table family over `_WINDOW_TABLE_CAP` bytes.
-    Without noise that is the block engine's one half-chain operator set,
-    16 C(w, w/2) bytes of complex128 (the sum over c of C(w/2, c)^2), and
-    one word's amplitudes in the middle sector, as many: 32 C(w, w/2)
-    bytes; with noise, the middle sector's bond tables, about
-    20 (w - 1) C(w, w/2) bytes.  A window that passes fits those tables;
-    its run may still take too long.
+
+    Without noise that is what the block engine holds for one word, in
+    complex128: its one half-chain operator set, 16 C(w, w/2) bytes (the
+    sum over c of C(w/2, c)^2), the word's amplitudes in the middle
+    sector, as many, and the scratch of `_SectorBlocks`, two of that
+    sector's largest blocks, 32 C(w/2, w/4)^2 bytes (w/4 rounded down).
+
+    With noise it is what `sector_basis` keeps for the whole run, in
+    int64, summed over every sector k of the window: per bond, the
+    `BondTables` rows and order, 16 (C(w, k) + C(w - 2, k - 1)) bytes, and
+    the `site_bits` and `lowering` tables, 8 w C(w, k) and
+    16 w C(w - 1, k - 1) bytes; (36 w - 20) 2^w bytes in all.
+
+    A window that passes fits those tables; its run may still take too
+    long.
 
     Raises:
         EnumerationCapError: if the estimate exceeds the cap.
     """
     lo, hi = config.window
     width = hi - lo
-    middle = math.comb(width, width // 2)
-    need = 20 * (width - 1) * middle if noisy else 32 * middle
+    half = width // 2
+    if noisy:
+        need = (36 * width - 20) * 2**width
+    else:
+        need = 32 * math.comb(width, half) + 32 * math.comb(half, half // 2) ** 2
     if need > _WINDOW_TABLE_CAP:
         route = "noisy" if noisy else "noiseless"
         raise EnumerationCapError(

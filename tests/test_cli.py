@@ -512,6 +512,15 @@ class TestConfigValidation:
                 "analysis": {"collapse_gammas": [0.5, 600.0], "collapse_t_min": 2},
             },
         ),
+        "collapse-cut-past-the-float-range": (
+            "analysis.collapse_t_min",
+            {
+                "cycles": 4,
+                "mu": [0.3, 0.6],
+                "noise": {},
+                "analysis": {"collapse_gammas": [0.5], "collapse_t_min": 10**400},
+            },
+        ),
         "collapse-with-one-knot": (
             "analysis.collapse_knots",
             {
@@ -578,13 +587,13 @@ class TestWindowCheck:
             cfg["noise"] = {"t1_cycles": 20.0, "e0": 0.01}
         return cfg
 
-    @pytest.mark.parametrize("mode, width", [("sampled", 28), ("noisy-sampled", 24)])
+    @pytest.mark.parametrize("mode, width", [("sampled", 28), ("noisy-sampled", 22)])
     def test_the_widest_admitted_window_parses(self, mode, width):
         for n_qubits, cycles in ((46, width // 2), (width, 40)):
             parsed = cli._parse_config(self.config(mode, n_qubits, cycles))
             assert parsed["chain"].cycles == cycles
 
-    @pytest.mark.parametrize("mode, width", [("sampled", 30), ("noisy-sampled", 26)])
+    @pytest.mark.parametrize("mode, width", [("sampled", 30), ("noisy-sampled", 24)])
     def test_the_next_window_is_refused(self, mode, width):
         with pytest.raises(ConfigError, match="config key 'cycles'"):
             cli._parse_config(self.config(mode, 46, width // 2))
@@ -666,14 +675,14 @@ class TestAnalysisArtifacts:
         cfg = write_config(tmp_path / "cfg.json", **chain, analysis=analysis)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert list(out.glob("*")) == []
+        assert not out.exists()
         run_out = tmp_path / "run"
         cfg = write_config(tmp_path / "plain.json", **chain)
         assert main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
         (tmp_path / "an.json").write_text(json.dumps(analysis))
         argv = ["analyze", "--input", str(run_out), "--config", str(tmp_path / "an.json")]
         assert main([*argv, "--out", str(tmp_path / "an")]) == 1
-        assert list((tmp_path / "an").glob("*")) == []
+        assert not (tmp_path / "an").exists()
         assert "collapse value nan" in capsys.readouterr().err
 
     def test_analyze_into_its_input_is_refused_before_any_write(
@@ -856,13 +865,12 @@ class TestAnalysisArtifacts:
         cfg = write_config(tmp_path / "cfg.json", cycles=2, mu=0.7)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        from spinfcs.cli import _read_distribution_csv, _write_distributions
-
         path = out / "distributions_mu0.7.csv"
         original = path.read_bytes()
-        per_cycle = _read_distribution_csv(str(path))
+        per_cycle = cli._read_distribution_csv(str(path))
         rewritten = tmp_path / "rewritten.csv"
-        _write_distributions(str(rewritten), per_cycle)
+        table = (rewritten.name, cli._distribution_lines(per_cycle))
+        cli._write_tables(str(tmp_path), [table])
         assert rewritten.read_bytes() == original
 
     def test_schema_mismatch_names_column(self, tmp_path, capsys):
@@ -921,6 +929,45 @@ class TestAnalysisArtifacts:
         )
         assert code == 1
         assert "'analysis': expected an object" in capsys.readouterr().err
+
+
+class TestAnalysisRefusals:
+    """`_check_analysis` refuses from the cycles alone exactly the analyses
+    that `_analysis_tables` fails on the finished reports."""
+
+    WINDOWS = [(lo, hi) for lo in range(0, 6) for hi in range(lo, 7)]
+    CUTS = range(0, 6)
+    GAMMAS = [0.5, 600.0, math.nan, math.inf]
+
+    def test_refused_exactly_when_the_finished_analysis_fails(self):
+        cfg = dict(
+            mode="exact", theta=HEIS_THETA, phi=HEIS_PHI, n_qubits=8, cycles=4,
+            mu=[0.3, 0.6],
+        )
+        results, _ = cli._run(cli._parse_config(cfg), threads=1)
+        series = {mu: report for mu, (_, report) in results.items()}
+        analyses = [{"exponent_window": window} for window in self.WINDOWS] + [
+            {"collapse_gammas": [gamma], "collapse_t_min": t_min, "collapse_knots": 12}
+            for gamma in self.GAMMAS
+            for t_min in self.CUTS
+        ]
+        outcomes = set()
+        for analysis in analyses:
+            try:
+                cli._analysis_tables(analysis, series)
+                failed = False
+            except ValueError:
+                failed = True
+            # the cycles as `run` gives them, and as `analyze` reads them
+            for cycles in (range(1, 5), series[0.3].cycles):
+                try:
+                    cli._check_analysis(analysis, dict.fromkeys(series, cycles))
+                    refused = False
+                except ConfigError:
+                    refused = True
+                assert refused == failed, analysis
+            outcomes.add(failed)
+        assert outcomes == {False, True}  # the grid holds both
 
 
 class TestOutputErrors:

@@ -59,6 +59,7 @@ from spinfcs.sampler import (
     run_sampled,
 )
 from spinfcs.sector import (
+    SectorBasis,
     SectorState,
     bits_to_word,
     brickwork_layers,
@@ -1256,7 +1257,7 @@ class TestNoisyChannels:
 
 class TestWindowCheck:
     # (noisy, widest admitted window): the next even width is refused
-    EDGES = [(False, 28), (True, 24)]
+    EDGES = [(False, 28), (True, 22)]
 
     @pytest.mark.parametrize("noisy, width", EDGES)
     def test_the_edges_of_the_table_cap(self, noisy, width):
@@ -1270,18 +1271,43 @@ class TestWindowCheck:
     def test_the_noiseless_estimate_is_what_the_engine_allocates(
         self, width, monkeypatch
     ):
-        # one operator set and one word of the middle sector, in bytes: the
-        # cap set to exactly that admits the window, one byte less refuses it
+        # one operator set, and one word of the middle sector with its
+        # scratch, in bytes: the cap set to exactly that admits the window,
+        # one byte less refuses it
         half = width // 2
         ops, _ = ensemble._half_chain_operators(half, HEIS, LayerOrder.EVEN_FIRST, 0)
         word = ensemble._SectorBlocks(half, half // 2, half - half // 2, [0])
-        need = sum(w.nbytes for w in ops) + word.amps.nbytes
+        scratch = word._halves[word.lo][1].base
+        need = sum(w.nbytes for w in ops) + word.amps.nbytes + scratch.nbytes
         config = ChainConfig(46, half, HEIS)
         monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need)
         sampler.check_window(config, noisy=False)
         monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need - 1)
         with pytest.raises(EnumerationCapError, match=f"{width}-site window"):
             sampler.check_window(config, noisy=False)
+
+    @pytest.mark.parametrize("width", range(4, 15, 2))
+    def test_the_noisy_estimate_is_what_the_sector_bases_keep(
+        self, width, monkeypatch
+    ):
+        # every sector's bond tables, site bits and lowering tables, in
+        # bytes: the cap set to exactly that admits the window, one byte
+        # less refuses it
+        need = 0
+        for k in range(width + 1):
+            basis = SectorBasis(width, k)
+            for bond in range(width - 1):
+                tables = basis.bond_tables(bond)
+                need += tables.pairs.nbytes + tables.order.nbytes
+            need += basis.site_bits().nbytes
+            if k > 0:
+                need += sum(table.nbytes for table in basis.lowering())
+        config = ChainConfig(46, width // 2, HEIS)
+        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need)
+        sampler.check_window(config, noisy=True)
+        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need - 1)
+        with pytest.raises(EnumerationCapError, match=f"{width}-site window"):
+            sampler.check_window(config, noisy=True)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_run_sampled_refuses_before_drawing(self, noisy, monkeypatch):
