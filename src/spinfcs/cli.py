@@ -30,7 +30,7 @@ from .circuit import ChainConfig
 from .ensemble import (
     NORM_TOL,
     ImbalanceEnsemble,
-    check_site_cap,
+    check_memory,
     distribution_from_tensor,
     lightcone_reduce,
     transfer_tensor,
@@ -133,9 +133,10 @@ def _refused_as(key: str):
 def _parse_config(cfg) -> dict:
     """Check a `spinfcs run` config and build the library objects of its
     run once: the ChainConfig (in exact mode reduced to the light cone of
-    the center cut, the chain the site cap is checked on), and the
-    SampleConfig of the sampled modes and the NoiseConfig of noisy mode
-    (None where unused)."""
+    the center cut), and the SampleConfig of the sampled modes and the
+    NoiseConfig of noisy mode (None where unused).  In every mode, a
+    `ChainConfig.window` that `ensemble.check_memory` refuses is a refusal
+    of `cycles`."""
     _table(cfg, "", RUN_KEYS)
     mode = _choice(cfg, "mode", ("exact", "sampled", "noisy-sampled"))
     angles = [_require(cfg, key, NUMBER, required=True) for key in ("theta", "phi")]
@@ -172,14 +173,13 @@ def _parse_config(cfg) -> dict:
     if mode == "exact":
         # sites outside the light cone of the center cut do not move it
         chain = lightcone_reduce(chain)
-        with _refused_as("n_qubits"):
-            check_site_cap(chain.n_qubits)
     else:
         _check(states >= 1, "initial_states", f"must be >= 1, got {states}")
         _check(shots >= 1, "shots_per_state", f"must be >= 1, got {shots}")
         sample = sampler.SampleConfig(states, shots, seed, relabel)
-        with _refused_as("cycles"):
-            sampler.check_window(chain, noisy)
+    lo, hi = chain.window
+    with _refused_as("cycles"):  # fewer cycles, a narrower window
+        check_memory(hi - lo, mode)
     return {
         "mode": mode,
         "chain": chain,
@@ -475,6 +475,10 @@ def _read_distribution_csv(path):
             except ValueError:
                 raise SchemaError(f"{where}: column '{column}' is not {noun}") from None
         t, m, p = values
+        # cycles and M go into int64 arrays, and -M into M's grid too
+        for column, ok in (("cycle", 0 <= t < 2**63), ("M", abs(m) < 2**63)):
+            if not ok:
+                raise SchemaError(f"{where}: column '{column}' is out of range")
         rows.setdefault(t, []).append((m, p))
     per_cycle = {}
     for t, pairs in rows.items():
@@ -496,12 +500,12 @@ def _read_distribution_csv(path):
 
 
 def _symmetric_grid(values, probs):
-    """CSV rows padded with zero mass onto a grid symmetric about zero."""
-    top = int(max(values.max(), -values.min(), 2))
-    grid = np.arange(-top, top + 2, 2)
+    """CSV rows padded with zero mass onto a grid symmetric about zero: their
+    M, its negatives and 0.  A zero-mass M adds exact zeros to the moment
+    sums, so any wider grid gives the same bits."""
+    grid = np.union1d(values, np.append(-values, 0))
     padded = np.zeros(grid.size)
-    for m, p in zip(values, probs):
-        padded[(int(m) + top) // 2] = p
+    padded[np.searchsorted(grid, values)] = probs
     return grid.astype(float), padded
 
 

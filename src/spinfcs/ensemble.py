@@ -56,21 +56,7 @@ from .errors import EnumerationCapError, InvariantError
 from .gates import FSimParams, LayerOrder, PhaseConvention, fsim_coefficients
 from .sector import bits_to_word, brickwork_layers, sector_basis, word_to_bits
 
-DEFAULT_SITE_CAP = 20
 NORM_TOL = 1e-10  # largest |total - 1| of a normalized mass
-
-
-def check_site_cap(n_sites: int) -> None:
-    """Refuse exact evolution of more than DEFAULT_SITE_CAP sites.
-
-    Raises:
-        EnumerationCapError: if n_sites exceeds the cap.
-    """
-    if n_sites > DEFAULT_SITE_CAP:
-        raise EnumerationCapError(
-            f"exact evolution of {n_sites} sites exceeds the "
-            f"{DEFAULT_SITE_CAP}-site cap; use sampled mode instead"
-        )
 
 
 @functools.cache
@@ -175,6 +161,51 @@ def lightcone_reduce(config: ChainConfig) -> ChainConfig:
 
 
 CHUNK_COLUMNS = 256
+
+MEMORY_CAP = 4 << 30  # bytes a run may hold at once, in every mode
+
+
+def check_memory(n_sites: int, mode: str) -> None:
+    """Refuse to evolve `n_sites` sites, a chain or a light-cone window, in
+    `mode` ("exact", "sampled" or "noisy-sampled") when the arrays the run
+    holds at once exceed `MEMORY_CAP` bytes: the one size rule, which the
+    CLI, `transfer_tensor` and `sampler.run_sampled` apply before they
+    allocate.  It admits exact chains up to 20 sites (1.28 GB), sampled
+    windows up to 28 (1.66 GB) and noisy-sampled ones up to 22 (3.24 GB).
+
+    Exact and sampled runs hold, in complex128, the block engine's one
+    half-chain operator set, 16 C(w, w/2) bytes, and one `_SectorBlocks` of
+    m columns of the middle sector, the widest: amplitudes, 16 m C(w, w/2)
+    bytes, and scratch, two of its largest blocks, 32 m C(w/2, w/4)^2 bytes
+    (w/4 rounded down).  The tensor's widest task has m = `CHUNK_COLUMNS`, a
+    word m = 1, as every chunk of the word end has once the middle sector
+    outgrows `_CHUNK_AMPLITUDES`.  Noisy runs hold the int64 tables that
+    `sector_basis` keeps, summed over every sector k of the window: per
+    bond the `BondTables` rows and order, 16 (C(w, k) + C(w - 2, k - 1))
+    bytes, and the `site_bits` and `lowering` tables, 8 w C(w, k) and
+    16 w C(w - 1, k - 1) bytes; (36 w - 20) 2^w bytes in all.  Each worker
+    thread holds a block of its own; that multiple is not counted.  A run
+    that passes may still take too long.
+
+    Raises:
+        EnumerationCapError: if the estimate exceeds the cap.
+    """
+    w = min(n_sites, 64)  # far over the cap already; wider binomials cost seconds
+    half = w // 2
+    if mode == "noisy-sampled":
+        need = (36 * w - 20) * 2**w
+    else:
+        m = CHUNK_COLUMNS if mode == "exact" else 1
+        middle = math.comb(w, half)
+        need = 16 * middle * (1 + m) + 32 * m * math.comb(half, half // 2) ** 2
+    if need > MEMORY_CAP:
+        raise EnumerationCapError(
+            f"{mode} evolution of {n_sites} sites needs "
+            f"{'about' if w == n_sites else 'more than'} {need / 1e9:.3g} GB, "
+            f"over the {MEMORY_CAP / 2**30:.0f} GiB cap, which admits exact "
+            "chains up to 20 sites, sampled windows up to 28 and noisy-sampled "
+            "ones up to 22"
+        )
 
 
 def _half_chain_operators(
@@ -468,6 +499,7 @@ def transfer_tensor(
         raise ValueError(f"cycles must be >= 0, got {cycles}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    check_memory(n_qubits, "exact")
     half = n_qubits // 2
     T = np.zeros((cycles + 1, half + 1, half + 1, half + 1))
     for a in range(half + 1):

@@ -10,7 +10,8 @@ class SectorMismatchError(SpinFcsError):
 
 
 class EnumerationCapError(SpinFcsError):
-    """The exact enumeration would exceed the configured site cap."""
+    """A run would hold more bytes than `ensemble.check_memory` admits, on
+    the exact, noiseless or noisy route."""
 
 
 class UndefinedAnisotropyError(SpinFcsError):

@@ -96,7 +96,6 @@ import numpy as np
 from . import _kernels, ensemble, stats
 from .circuit import ChainConfig
 from .ensemble import ImbalanceEnsemble, thread_map, word_right_masses
-from .errors import EnumerationCapError
 from .gates import PhaseConvention, fsim_coefficients
 from .noise import (
     POSTSELECT_MODES,
@@ -124,10 +123,7 @@ logger = logging.getLogger(__name__)
 _INITIAL_BITS_BLOCK = 2
 _TALLY_BLOCK = 3
 
-# Bytes of the tables a sampled window may hold at once (`check_window`):
-# the noiseless edge is a 28-site window (1.66 GB), the noisy one 22 sites
-# (3.24 GB; 24 sites would hold 14.2 GB).
-_WINDOW_TABLE_CAP = 4 << 30
+_clear_bases = sector_basis.cache_clear  # a wrapped `sector_basis` has none
 
 
 @dataclass(frozen=True)
@@ -225,44 +221,6 @@ def _cdf(probabilities):
     top = np.arange(cdf.shape[-1]) >= np.expand_dims(last, -1)
     np.maximum(cdf, 1.0, out=cdf, where=top)
     return cdf
-
-
-def check_window(config: ChainConfig, noisy: bool) -> None:
-    """Refuse a sampled run whose light-cone window, the w sites of
-    `config.window`, needs a table family over `_WINDOW_TABLE_CAP` bytes.
-
-    Without noise that is what the block engine holds for one word, in
-    complex128: its one half-chain operator set, 16 C(w, w/2) bytes (the
-    sum over c of C(w/2, c)^2), the word's amplitudes in the middle
-    sector, as many, and the scratch of `_SectorBlocks`, two of that
-    sector's largest blocks, 32 C(w/2, w/4)^2 bytes (w/4 rounded down).
-
-    With noise it is what `sector_basis` keeps for the whole run, in
-    int64, summed over every sector k of the window: per bond, the
-    `BondTables` rows and order, 16 (C(w, k) + C(w - 2, k - 1)) bytes, and
-    the `site_bits` and `lowering` tables, 8 w C(w, k) and
-    16 w C(w - 1, k - 1) bytes; (36 w - 20) 2^w bytes in all.
-
-    A window that passes fits those tables; its run may still take too
-    long.
-
-    Raises:
-        EnumerationCapError: if the estimate exceeds the cap.
-    """
-    lo, hi = config.window
-    width = hi - lo
-    half = width // 2
-    if noisy:
-        need = (36 * width - 20) * 2**width
-    else:
-        need = 32 * math.comb(width, half) + 32 * math.comb(half, half // 2) ** 2
-    if need > _WINDOW_TABLE_CAP:
-        route = "noisy" if noisy else "noiseless"
-        raise EnumerationCapError(
-            f"the {width}-site window of {config.cycles} cycles needs about "
-            f"{need / 1e9:.1f} GB of {route} tables, over the "
-            f"{_WINDOW_TABLE_CAP / 2**30:.0f} GiB cap"
-        )
 
 
 def _trajectory(state, lo, config, noise, numbers):
@@ -524,7 +482,8 @@ def run_sampled(
     independent trajectory (disorder realizations included), the shots of
     batches of states evolve together as the columns of blocks, and their
     measured bitstrings are post-selected under `postselect_mode`.  Output
-    is bitwise independent of `threads`.
+    is bitwise independent of `threads`.  Before anything is drawn, the
+    window must pass `ensemble.check_memory` (else EnumerationCapError).
     """
     if ens.n_qubits != config.n_qubits:
         raise ValueError(
@@ -534,7 +493,9 @@ def run_sampled(
         raise ValueError(f"unknown post-selection mode {postselect_mode!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    check_window(config, noise is not None)
+    lo, hi = config.window
+    ensemble.check_memory(hi - lo, "sampled" if noise is None else "noisy-sampled")
+    _clear_bases()  # `check_memory` counts this window's bases, not earlier ones
 
     prepared = _prepare(ens, sample, config.cycles)
     if noise is None:

@@ -23,12 +23,12 @@ def central_moments(data, k_max: int = 4) -> np.ndarray:
     terms, never negative.
 
     Raises:
-        ValueError: if the grid is not symmetric about zero.
+        ValueError: if the grid is not symmetric about zero or has no 0.
     """
     values = np.asarray(data[0], dtype=float)
     probs = np.asarray(data[1], dtype=float)
-    if not np.array_equal(values, -values[::-1]):
-        raise ValueError("grid must be symmetric about zero")
+    if not np.array_equal(values, -values[::-1]) or values.size % 2 == 0:
+        raise ValueError("grid must be symmetric about zero and hold 0")
     half = len(values) // 2
     pairs = [
         (values[half + d], probs[..., half + d], probs[..., half - d])

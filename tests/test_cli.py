@@ -4,8 +4,10 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import REFERENCE_KURTOSIS, mass_at
 
@@ -17,7 +19,7 @@ from spinfcs.errors import ConfigError
 from spinfcs.gates import FSimParams, LayerOrder, PhaseConvention
 from spinfcs.noise import NoiseConfig
 from spinfcs.sampler import SampleConfig
-from spinfcs.stats import fit_dynamical_exponent
+from spinfcs.stats import fit_dynamical_exponent, moment_row
 
 HEIS_THETA = 0.4 * math.pi
 HEIS_PHI = 0.8 * math.pi
@@ -184,8 +186,7 @@ class TestRunExact:
         cfg = write_config(tmp_path / "cfg.json", n_qubits=46, cycles=11)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config key 'n_qubits'")
-        assert "22 sites exceeds the 20-site cap" in err
+        assert err.startswith("error: config key 'cycles': exact evolution of 22 sites")
 
     def test_negative_zero_mu_is_zero(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -860,6 +861,68 @@ class TestAnalysisArtifacts:
         err = capsys.readouterr().err
         assert err.startswith(f"error: distributions_mu{tag}.csv: mu '{tag}' {problem}")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("1,100000000000000000000000000000,1.0", "M"),
+            (f"1,{-(2**63)},1.0", "M"),
+            ("-3,0,1.0", "cycle"),
+            (f"{2**63},0,1.0", "cycle"),
+        ],
+        ids=["M-past-int64", "M-whose-negative-is-past-int64", "negative-cycle",
+             "cycle-past-int64"],
+    )
+    def test_an_integer_out_of_range_is_refused(self, tmp_path, capsys, row, column):
+        src = tmp_path / "bad"
+        src.mkdir()
+        table = "cycle,M,probability\n1,0,0.5\n1,2,0.5\n" + row + "\n"
+        (src / "distributions_mu0.5.csv").write_text(table)
+        (tmp_path / "an.json").write_text("{}")
+        argv = ["analyze", "--input", str(src), "--config", str(tmp_path / "an.json")]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: distributions_mu0.5.csv:4: column '{column}' is out of range\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_the_grid_holds_the_rows_m_alone(self, tmp_path):
+        # two rows 4e10 apart: a grid of every even M between them would
+        # hold 2e10 entries
+        src = tmp_path / "wide"
+        src.mkdir()
+        table = "cycle,M,probability\n1,-20000000000,0.5\n1,20000000000,0.5\n"
+        (src / "distributions_mu0.5.csv").write_text(table)
+        (tmp_path / "an.json").write_text("{}")
+        argv = ["analyze", "--input", str(src), "--config", str(tmp_path / "an.json")]
+        start = time.perf_counter()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert time.perf_counter() - start < 1.0
+        _, rows = read_csv(tmp_path / "o" / "moments_mu0.5.csv")
+        assert [float(v) for v in rows[0][1:3]] == [0.0, 4e20]
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_moments_of_a_sparse_grid_are_those_of_the_full_grid(self, tmp_path, mode):
+        # zero-mass M add exact zeros to the moment sums: the rows' M of
+        # nonzero mass, their negatives and 0 give the bits of every even M
+        # up to the largest |M| of the table, the grid a run's moments and
+        # earlier `analyze` grids are taken on
+        cfg = write_config(
+            tmp_path / "cfg.json", mode=mode, n_qubits=8, cycles=4, mu=[0.0, 0.7],
+            initial_states=30, shots_per_state=20, seed=11,
+        )
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for path in sorted(out.glob("distributions_mu*.csv")):
+            for t, (values, probs) in cli._read_distribution_csv(str(path)).items():
+                kept = probs > 0
+                sparse = cli._symmetric_grid(values[kept], probs[kept])
+                top = np.abs(values).max()
+                full = np.zeros(top + 1)
+                full[(values + top) // 2] = probs
+                row = moment_row((np.arange(-top, top + 1, 2.0), full))
+                assert moment_row(sparse).tobytes() == row.tobytes()
 
     def test_round_trip_serialization(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", cycles=2, mu=0.7)

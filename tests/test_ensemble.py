@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from conftest import (
 from spinfcs import ensemble
 from spinfcs.circuit import ChainConfig
 from spinfcs.ensemble import (
+    CHUNK_COLUMNS,
     ImbalanceEnsemble,
-    check_site_cap,
+    check_memory,
     distribution_from_tensor,
     lightcone_reduce,
     transfer_tensor,
@@ -155,13 +157,100 @@ class TestExactDistribution:
 
     def test_cap_exceeded(self):
         with pytest.raises(EnumerationCapError):
-            check_site_cap(22)
+            check_memory(22, "exact")
 
     def test_mu_zero_skewness_zero(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         config = ChainConfig(6, 3, params_at(theta, phi))
         dist = exact_dists(ImbalanceEnsemble(0.0, 6), config)[-1]
         assert abs(moment_row(dist)[2]) < 1e-13
+
+
+class TestMemoryCheck:
+    # mode: its widest admitted chain or window; the next even width is refused
+    EDGES = {"exact": 20, "sampled": 28, "noisy-sampled": 22}
+    HEIS = params_at(0.4 * np.pi, 0.8 * np.pi)
+
+    @pytest.mark.parametrize("mode", EDGES)
+    def test_the_edge_of_each_mode(self, mode):
+        width = self.EDGES[mode]
+        check_memory(width, mode)
+        with pytest.raises(EnumerationCapError) as refused:
+            check_memory(width + 2, mode)
+        # the refusal states every mode's edge
+        edges = (
+            f"exact chains up to {self.EDGES['exact']} sites, sampled windows "
+            f"up to {self.EDGES['sampled']} and noisy-sampled ones up to "
+            f"{self.EDGES['noisy-sampled']}"
+        )
+        assert str(refused.value).startswith(f"{mode} evolution of {width + 2} sites")
+        assert str(refused.value).endswith(edges)
+
+    @pytest.mark.parametrize("mode", EDGES)
+    def test_a_width_past_64_sites_is_refused_without_its_binomials(self, mode):
+        # C(10^6, 5 10^5) alone takes seconds to compute
+        with pytest.raises(EnumerationCapError, match="sites needs more than"):
+            check_memory(10**6, mode)
+
+    @classmethod
+    def operator_bytes(cls, half):
+        """Bytes of the one half-chain operator set."""
+        ops, _ = ensemble._half_chain_operators(half, cls.HEIS, LayerOrder.EVEN_FIRST, 0)
+        return sum(w.nbytes for w in ops)
+
+    @staticmethod
+    def block_bytes(half, a, b, m):
+        """Bytes of a `_SectorBlocks` of m columns of block (a, b)."""
+        blocks = ensemble._SectorBlocks(half, a, b, np.arange(m))
+        return blocks.amps.nbytes + blocks._halves[blocks.lo][1].base.nbytes
+
+    @pytest.mark.parametrize("n, need", [(14, 24_147_584), (16, 93_062_240)])
+    def test_the_exact_estimate_is_what_the_widest_task_holds(
+        self, n, need, monkeypatch
+    ):
+        # one operator set and a task of CHUNK_COLUMNS middle-sector
+        # columns, in bytes: the cap set to exactly that admits the chain,
+        # one byte less refuses it
+        half = n // 2
+        widest = self.block_bytes(half, half // 2, half - half // 2, CHUNK_COLUMNS)
+        assert self.operator_bytes(half) + widest == need
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", need)
+        check_memory(n, "exact")
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", need - 1)
+        with pytest.raises(EnumerationCapError, match=f"exact evolution of {n} sites"):
+            check_memory(n, "exact")
+
+    @pytest.mark.parametrize("n", range(2, 14, 2))
+    def test_the_exact_estimate_bounds_every_task_of_a_short_chain(
+        self, n, monkeypatch
+    ):
+        # a task holds at most CHUNK_COLUMNS columns of one initial block
+        half = n // 2
+        widest = max(
+            self.block_bytes(
+                half, a, b, min(CHUNK_COLUMNS, math.comb(half, a) * math.comb(half, b))
+            )
+            for a in range(half + 1)
+            for b in range(half + 1)
+        )
+        held = self.operator_bytes(half) + widest
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", held - 1)
+        with pytest.raises(EnumerationCapError):
+            check_memory(n, "exact")
+
+    def test_transfer_tensor_refuses_before_it_allocates(self, monkeypatch):
+        def building(*args):
+            raise AssertionError("built operators before the memory check")
+
+        monkeypatch.setattr(ensemble, "_half_chain_operators", building)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="exact evolution of 22"):
+                transfer_tensor(22, 1, self.HEIS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestPureDomainWall:

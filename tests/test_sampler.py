@@ -1256,17 +1256,6 @@ class TestNoisyChannels:
 
 
 class TestWindowCheck:
-    # (noisy, widest admitted window): the next even width is refused
-    EDGES = [(False, 28), (True, 22)]
-
-    @pytest.mark.parametrize("noisy, width", EDGES)
-    def test_the_edges_of_the_table_cap(self, noisy, width):
-        sampler.check_window(ChainConfig(46, width // 2, HEIS), noisy)
-        # the chain bounds the window
-        sampler.check_window(ChainConfig(width, 40, HEIS), noisy)
-        with pytest.raises(EnumerationCapError, match=f"{width + 2}-site window"):
-            sampler.check_window(ChainConfig(46, width // 2 + 1, HEIS), noisy)
-
     @pytest.mark.parametrize("width", range(4, 15, 2))
     def test_the_noiseless_estimate_is_what_the_engine_allocates(
         self, width, monkeypatch
@@ -1279,12 +1268,11 @@ class TestWindowCheck:
         word = ensemble._SectorBlocks(half, half // 2, half - half // 2, [0])
         scratch = word._halves[word.lo][1].base
         need = sum(w.nbytes for w in ops) + word.amps.nbytes + scratch.nbytes
-        config = ChainConfig(46, half, HEIS)
-        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need)
-        sampler.check_window(config, noisy=False)
-        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need - 1)
-        with pytest.raises(EnumerationCapError, match=f"{width}-site window"):
-            sampler.check_window(config, noisy=False)
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", need)
+        ensemble.check_memory(width, "sampled")
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", need - 1)
+        with pytest.raises(EnumerationCapError, match=f"of {width} sites"):
+            ensemble.check_memory(width, "sampled")
 
     @pytest.mark.parametrize("width", range(4, 15, 2))
     def test_the_noisy_estimate_is_what_the_sector_bases_keep(
@@ -1302,12 +1290,36 @@ class TestWindowCheck:
             need += basis.site_bits().nbytes
             if k > 0:
                 need += sum(table.nbytes for table in basis.lowering())
-        config = ChainConfig(46, width // 2, HEIS)
-        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need)
-        sampler.check_window(config, noisy=True)
-        monkeypatch.setattr(sampler, "_WINDOW_TABLE_CAP", need - 1)
-        with pytest.raises(EnumerationCapError, match=f"{width}-site window"):
-            sampler.check_window(config, noisy=True)
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", need)
+        ensemble.check_memory(width, "noisy-sampled")
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", need - 1)
+        with pytest.raises(EnumerationCapError, match=f"of {width} sites"):
+            ensemble.check_memory(width, "noisy-sampled")
+
+    def test_a_run_holds_the_bases_of_its_own_window_alone(self, monkeypatch):
+        # after the runs of t = 1..7 on 46 sites, as `spinfcs run` makes
+        # them, the live sector bases hold no more than the 14-site
+        # window's noisy count, which the bases of the earlier windows,
+        # left in the cache, exceeded (9.21 MB against 7.93 MB)
+        noise = NoiseConfig(
+            t1_cycles=20, e0=0.01, e1=0.02, angle_jitter_sd=0.02, dephasing_sd=0.05
+        )
+        for t in range(1, 8):
+            run_sampled(
+                ImbalanceEnsemble(0.5, 46), ChainConfig(46, t, HEIS),
+                SampleConfig(10, 20, seed=3), noise=noise,
+            )
+        gc.collect()
+        held = 0
+        for basis in (o for o in gc.get_objects() if isinstance(o, SectorBasis)):
+            arrays = [basis.words, basis._site_bits, *(basis._lowering or ())]
+            for tables in basis._bond_tables.values():
+                arrays += [tables.pairs, tables.order]
+            held += sum(a.nbytes for a in arrays if a is not None)
+        # the count is at least what is held: a cap one byte below refuses
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", held - 1)
+        with pytest.raises(EnumerationCapError):
+            ensemble.check_memory(14, "noisy-sampled")
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_run_sampled_refuses_before_drawing(self, noisy, monkeypatch):

@@ -81,6 +81,12 @@ class TestCentralMoments:
         with pytest.raises(ValueError):
             central_moments((np.array([0.0, 2.0]), np.array([0.5, 0.5])))
 
+    @pytest.mark.parametrize("grid", [[-2, 2], [-3, -1, 1, 3], []])
+    def test_a_symmetric_grid_without_zero_is_refused(self, grid):
+        probs = np.full(len(grid), 1.0 / max(1, len(grid)))
+        with pytest.raises(ValueError, match="hold 0"):
+            central_moments((np.array(grid, dtype=float), probs))
+
     @staticmethod
     def exact_row(grid, probs):
         """[variance, skewness, excess kurtosis] of the float masses `probs`
