@@ -136,7 +136,8 @@ def _parse_config(cfg) -> dict:
     the center cut), and the SampleConfig of the sampled modes and the
     NoiseConfig of noisy mode (None where unused).  In every mode, a
     `ChainConfig.window` that `ensemble.check_memory` refuses is a refusal
-    of `cycles`."""
+    of `cycles`; in noisy mode, one it refuses with a batch's per-shot
+    arrays (`sampler.shot_bytes`) is a refusal of `shots_per_state`."""
     _table(cfg, "", RUN_KEYS)
     mode = _choice(cfg, "mode", ("exact", "sampled", "noisy-sampled"))
     angles = [_require(cfg, key, NUMBER, required=True) for key in ("theta", "phi")]
@@ -180,13 +181,17 @@ def _parse_config(cfg) -> dict:
     lo, hi = chain.window
     with _refused_as("cycles"):  # fewer cycles, a narrower window
         check_memory(hi - lo, mode)
+    noise = _parse_noise(noise or {}, n_qubits) if noisy else None
+    if noisy:
+        with _refused_as("shots_per_state"):  # fewer shots, a smaller batch
+            check_memory(hi - lo, mode, sampler.shot_bytes(chain, shots, noise))
     return {
         "mode": mode,
         "chain": chain,
         "mu": mus,
         "seed": seed,
         "sample": sample,
-        "noise": _parse_noise(noise or {}, n_qubits) if noisy else None,
+        "noise": noise,
         "postselect": postselect,
         "analysis": analysis,
     }

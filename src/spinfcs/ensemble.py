@@ -24,20 +24,39 @@ weights the right-count masses of every cycle, and the word end
 (`word_right_masses`) returns the final right-count masses of any basis
 words, the noiseless sampler's, grouped into initial blocks by itself.
 
-Symmetry reduces the work by one rule.  The halves are stored read
-outward from the center, so an initial word is w = L << h | R, h = n/2,
-and the symmetries of the brickwork act on words: the left-right mirror
-(exact for even n) swaps L and R, the bit flip complements both, and
-their product does both.  Of each orbit of the symmetry group only the
-least word is evolved, at weight 1/|stabilizer|; the group's images of
-the summed masses, T[t, a, b, r] -> T[t, b, a, a+b-r] for the mirror and
-T[t, h-a, h-b, h-r] for the flip, then give the tensor of every word.
-The mirror always applies.  `split` gates commute with the bit flip, so
-it applies at any depth.  `tail` gates differ by phases on the two edge
-sites one layer leaves idle, which break the flip per word but for
-t <= h leave the tensor equal to the `split` one (checked against the
-every-column path and the dense oracle): such runs are evolved with
-`split` gates under both maps, deeper `tail` runs under the mirror alone.
+Three exact identities cut the work of the reduced tensor.  First,
+symmetry.  The halves are stored read outward from the center, so an
+initial word is w = L << h | R, h = n/2, and the symmetries of the
+brickwork act on words: the left-right mirror (exact for even n) swaps L
+and R, the bit flip complements both, and their product does both.  Of
+each orbit of the symmetry group only the least word is evolved, at
+weight 1/|stabilizer|; the group's images of the summed masses,
+T[t, a, b, r] -> T[t, b, a, a+b-r] for the mirror and T[t, h-a, h-b, h-r]
+for the flip, then give the tensor of every word.  The mirror always
+applies.  `split` gates commute with the bit flip, so it applies at any
+depth.  `tail` gates differ by phases on the two edge sites one layer
+leaves idle, which break the flip per word but for t <= h leave the
+tensor equal to the `split` one (checked against the every-column path
+and the dense oracle): such runs are evolved with `split` gates under both
+maps, deeper `tail` runs under the mirror alone.
+
+Second, reciprocity: T[t, a, b, r] = T[t, a+b-r, r, b], in both
+conventions and at any depth.  Every fSim gate, `tail` phases included,
+is a symmetric matrix, so with A the half-layer that holds the center
+gate and B the other, the transpose of t cycles (BA)^t is
+B^-1 (BA)^t B; B keeps every block, so the mass from block (a, b) to
+right count r is the mass from block (a+b-r, r) to right count b.  The
+self-mirror blocks (a, a), whose orbits stay inside
+{(a, a), (h-a, h-a)}, are not evolved: their rows are copies
+T[t, a, a, r] = T[t, 2a-r, r, a], exact zeros included, and their
+diagonal is C(h, a)^2 less the rest of the row.
+
+Third, causality.  Summed over its initial block, a state does not see a
+gate outside the forward light cone of the center (`_evolve_block`), so
+while that cone reaches fewer than h sites of each half
+(`_forward_window`), a task runs on the 2f sites it has reached, f < h,
+with the outer sites of each column as spectators, and then goes on on
+the whole chain from the state it places there.
 """
 
 import concurrent.futures
@@ -165,42 +184,56 @@ CHUNK_COLUMNS = 256
 MEMORY_CAP = 4 << 30  # bytes a run may hold at once, in every mode
 
 
-def check_memory(n_sites: int, mode: str) -> None:
+def _engine_bytes(w: int, m: int) -> int:
+    """Bytes of the block engine on w sites: its one half-chain operator set
+    and one `_SectorBlocks` of m columns of the middle sector."""
+    half = w // 2
+    middle = math.comb(w, half)
+    return 16 * middle * (1 + m) + 32 * m * math.comb(half, half // 2) ** 2
+
+
+def check_memory(n_sites: int, mode: str, shot_bytes: int = 0) -> None:
     """Refuse to evolve `n_sites` sites, a chain or a light-cone window, in
     `mode` ("exact", "sampled" or "noisy-sampled") when the arrays the run
     holds at once exceed `MEMORY_CAP` bytes: the one size rule, which the
     CLI, `transfer_tensor` and `sampler.run_sampled` apply before they
-    allocate.  It admits exact chains up to 20 sites (1.28 GB), sampled
-    windows up to 28 (1.66 GB) and noisy-sampled ones up to 22 (3.24 GB).
+    allocate.  It admits exact chains up to 20 sites (1.61 GB), sampled
+    windows up to 28 (1.66 GB) and noisy-sampled ones up to 22 (3.24 GB,
+    and a noisy batch's `shot_bytes`).
 
     Exact and sampled runs hold, in complex128, the block engine's one
     half-chain operator set, 16 C(w, w/2) bytes, and one `_SectorBlocks` of
     m columns of the middle sector, the widest: amplitudes, 16 m C(w, w/2)
     bytes, and scratch, two of its largest blocks, 32 m C(w/2, w/4)^2 bytes
-    (w/4 rounded down).  The tensor's widest task has m = `CHUNK_COLUMNS`, a
-    word m = 1, as every chunk of the word end has once the middle sector
+    (w/4 rounded down).  The tensor's widest task has m = `CHUNK_COLUMNS`
+    and, beside its full engine, the engine of its forward window, at most
+    w - 2 sites, one at a time, with the window's operator set; a word has
+    m = 1, as every chunk of the word end has once the middle sector
     outgrows `_CHUNK_AMPLITUDES`.  Noisy runs hold the int64 tables that
     `sector_basis` keeps, summed over every sector k of the window: per
     bond the `BondTables` rows and order, 16 (C(w, k) + C(w - 2, k - 1))
     bytes, and the `site_bits` and `lowering` tables, 8 w C(w, k) and
-    16 w C(w - 1, k - 1) bytes; (36 w - 20) 2^w bytes in all.  Each worker
-    thread holds a block of its own; that multiple is not counted.  A run
-    that passes may still take too long.
+    16 w C(w - 1, k - 1) bytes; (36 w - 20) 2^w bytes in all, plus
+    `shot_bytes`, the per-shot arrays of one batch (`sampler.shot_bytes`).
+    Each worker thread holds a block and a batch of its own; that multiple
+    is not counted.  A run that passes may still take too long.
 
     Raises:
         EnumerationCapError: if the estimate exceeds the cap.
     """
     w = min(n_sites, 64)  # far over the cap already; wider binomials cost seconds
-    half = w // 2
     if mode == "noisy-sampled":
-        need = (36 * w - 20) * 2**w
+        need = (36 * w - 20) * 2**w + shot_bytes
+    elif mode == "exact":
+        need = _engine_bytes(w, CHUNK_COLUMNS)
+        if w > 2:  # the forward window, at most w - 2 sites
+            need += _engine_bytes(w - 2, CHUNK_COLUMNS)
     else:
-        m = CHUNK_COLUMNS if mode == "exact" else 1
-        middle = math.comb(w, half)
-        need = 16 * middle * (1 + m) + 32 * m * math.comb(half, half // 2) ** 2
+        need = _engine_bytes(w, 1)
     if need > MEMORY_CAP:
         raise EnumerationCapError(
-            f"{mode} evolution of {n_sites} sites needs "
+            f"{mode} evolution of {n_sites} sites"
+            f"{' and a batch of shots' if shot_bytes else ''} needs "
             f"{'about' if w == n_sites else 'more than'} {need / 1e9:.3g} GB, "
             f"over the {MEMORY_CAP / 2**30:.0f} GiB cap, which admits exact "
             "chains up to 20 sites, sampled windows up to 28 and noisy-sampled "
@@ -335,23 +368,125 @@ class _SectorBlocks:
             _kernels.readout_accumulate(block, np.intp(self.k - a), masses)
         return masses
 
+    def place(self, window, outer_left, outer_right, picked):
+        """Write the amplitudes of `window`, the engine of the inner sites of
+        columns `picked`, into those columns, each with its own outer half
+        words (`outer_left`, `outer_right`, of s = half - window.half
+        sites), and take the window's count of center gates.  A half word
+        is inner << s | outer, so its rank among the words of its count is
+        the number of them with a smaller inner part, the rank of
+        inner << s, plus the rank of its outer part among the outer words
+        of its count.  Every row a column's inner state can reach is
+        written."""
+        s = self.half - window.half
+        halves = []  # (outer count, rank of each column's outer word)
+        for outer in (outer_left, outer_right):
+            extra = int(np.bitwise_count(outer[0]))
+            halves.append((extra, np.searchsorted(sector_basis(s, extra).words, outer)))
+        for a in window._nonzero():
+            rows = []  # per half: (window rows, columns) rows of the full block
+            for count, (extra, rank) in zip((a, window.k - a), halves):
+                inner = sector_basis(window.half, count).words << np.uint64(s)
+                words = sector_basis(self.half, count + extra).words
+                rows.append(np.searchsorted(words, inner)[:, None] + rank)
+            block = self._halves[a + halves[0][0]][0]
+            block[rows[0][:, None], rows[1][None], picked] = window._halves[a][0]
+        self.mixes = window.mixes
 
-def _evolve_block(half, a0, b0, columns, weights, cycles, operators):
+
+def _forward_window(half: int, cycles: int, layer_order: LayerOrder):
+    """(f, spent): the first `spent` cycles of the tensor end move nothing
+    beyond the f sites of each half next to the center, f < half; (0, 0)
+    when even the first reaches a whole half.
+
+    The first center mix reaches the boundary site 0 of each half; each
+    later cycle's W grows that reach bond by bond, in cycle order, over
+    `brickwork_layers(half, half, layer_order)`.  `spent` counts the
+    cycles, at most `cycles`, at whose end the reach is below `half`
+    sites, and f is the reach at the end of the last of them."""
+    bonds = list(itertools.chain(*brickwork_layers(half, half, layer_order)))
+    f = spent = 0
+    reach = 1
+    while spent < cycles and reach < half:
+        f, spent = reach, spent + 1
+        for bond in bonds:  # ascending: one bond at most joins the reach
+            reach += bond == reach - 1
+    return f, spent
+
+
+def _window_start(half, a0, b0, columns, cycles, window):
+    """Run the first cycles of the in-block `columns` of block (a0, b0) on
+    the inner sites alone: `window` = (f, spent, window operators) of
+    `_forward_window` and `_half_chain_operators(f, ..., half - f)`.
+
+    A column's outer half words (the half - f sites past the window) are
+    spectators; its inner words start on window block (a0 - cL, b0 - cR),
+    cL and cR its outer counts, and a window right count r' reads out at
+    r' + cR.  The columns of one (cL, cR) share one window engine, freed
+    once placed.  Returns the (spent, half + 1, m) masses of every column
+    after each window cycle and, when cycles > spent, the full engine
+    holding their state after the last of them (None otherwise)."""
+    f, spent, operators = window
+    shift, outer_mask = np.uint64(half - f), np.uint64((1 << half - f) - 1)
+    stride = math.comb(half, b0)
+    left = sector_basis(half, a0).words[columns // stride]
+    right = sector_basis(half, b0).words[columns % stride]
+    outer_left, outer_right = left & outer_mask, right & outer_mask
+    extra_l, extra_r = np.bitwise_count(outer_left), np.bitwise_count(outer_right)
+    masses = np.zeros((spent, half + 1, len(columns)))
+    # placing overwrites each column's starting one
+    full = _SectorBlocks(half, a0, b0, columns) if cycles > spent else None
+    for cl, cr in sorted(set(zip(extra_l.tolist(), extra_r.tolist()))):
+        picked = np.flatnonzero((extra_l == cl) & (extra_r == cr))
+        a, b = a0 - cl, b0 - cr
+        i_left = np.searchsorted(sector_basis(f, a).words, left[picked] >> shift)
+        i_right = np.searchsorted(sector_basis(f, b).words, right[picked] >> shift)
+        blocks = _SectorBlocks(f, a, b, i_left * math.comb(f, b) + i_right)
+        for t in range(spent):
+            blocks.cycle(operators, w=t > 0)
+            masses[t, cr : cr + f + 1][:, picked] = blocks.right_masses()
+        if full is not None:
+            full.place(blocks, outer_left[picked], outer_right[picked], picked)
+        del blocks  # one window engine at a time
+    return masses, full
+
+
+def _evolve_block(half, a0, b0, columns, weights, cycles, operators, window):
     """Weighted sum of the right-count masses of the in-block `columns` of
     block (a0, b0) after each cycle, indexed [t-1, r]: the tensor end of
-    the block engine (`_SectorBlocks`).
+    the block engine (`_SectorBlocks`).  With a `window` (`_window_start`;
+    None for the whole chain) the first cycles run on the sites of the
+    forward light cone alone.
 
     The W before the first center gate and after the last readout are
-    dropped: summed over a whole initial block, T does not see them.  W
-    commutes with every map of the symmetry group (the mirror always, the
+    dropped: summed over a whole initial block, T does not see them.  Nor
+    does it see a gate outside the forward light cone of the center: the
+    block sum of the initial words, a sum over the outer counts c of
+    (inner projector) (x) (outer count-c projector), is left alone by any
+    number-conserving gate on the outer sites.  W and the window's W
+    commute with every map of the symmetry group (the mirror always, the
     bit flip for `split` gates), so neither does the sum over the group's
     images of the weighted least words of its orbits.
+
+    No readout may be filled by subtraction, as "total - rest": a mass
+    that the light cone or a zero angle makes exactly 0.0 must stay 0.0,
+    and the subtraction leaves a rounding residue there instead (filling
+    each task's largest block so put 3.5e-19 outside |M| <= 2t and broke
+    the frozen chain).  `transfer_tensor` subtracts only for the diagonal
+    T[t, a, a, a] of a self-mirror block, its initial right count, which
+    every light cone holds.
     """
-    blocks = _SectorBlocks(half, a0, b0, columns)
     part = np.zeros((cycles, half + 1))
-    for t in range(cycles):
-        blocks.cycle(operators, w=t > 0)
+    start = 0
+    if window is None:
+        blocks = _SectorBlocks(half, a0, b0, columns)
+    else:
+        masses, blocks = _window_start(half, a0, b0, columns, cycles, window)
+        start = len(masses)
         # no BLAS call, so T does not depend on the BLAS thread count
+        part[:start] = np.einsum("trj,j->tr", masses, weights)
+    for t in range(start, cycles):
+        blocks.cycle(operators, w=t > 0)
         part[t] = np.einsum("rj,j->r", blocks.right_masses(), weights)
     return part
 
@@ -490,8 +625,11 @@ def transfer_tensor(
     `symmetric` evolves the least word of each orbit of the symmetry group
     and adds the group's images (module docstring): the mirror alone for
     `tail` gates with cycles > h, the mirror and the bit flip otherwise.
-    `symmetric=False` runs the same code with the trivial group, evolving
-    every column, as a reference.
+    It skips the self-mirror blocks (a, a), whose rows reciprocity fills,
+    and runs each task's first cycles on the forward light cone's window
+    (`_forward_window`).  `symmetric=False` runs the same engine with the
+    trivial group, on every column and the whole chain, and fills nothing,
+    as a reference.
     """
     if n_qubits < 2 or n_qubits % 2 != 0:
         raise ValueError(f"n_qubits must be even and >= 2, got {n_qubits}")
@@ -514,17 +652,22 @@ def transfer_tensor(
         # the `split` tensor is the `tail` one
         params = replace(params, convention=PhaseConvention.SPLIT)
     operators = _half_chain_operators(half, params, layer_order, 0)
+    window = None
+    f, spent = _forward_window(half, cycles, layer_order)
+    if symmetric and spent:
+        window = (f, spent, _half_chain_operators(f, params, layer_order, half - f))
     tasks = [
         (a, b, columns[j0 : j0 + CHUNK_COLUMNS], weights[j0 : j0 + CHUNK_COLUMNS])
         for a in range(half + 1)
         for b in range(half + 1)
+        if not (symmetric and a == b)  # reciprocity fills them below
         for columns, weights in [_orbit_columns(half, a, b, order)]
         for j0 in range(0, columns.size, CHUNK_COLUMNS)
     ]
 
     def run(task):
         a, b, columns, weights = task
-        return _evolve_block(half, a, b, columns, weights, cycles, operators)
+        return _evolve_block(half, a, b, columns, weights, cycles, operators, window)
 
     parts = thread_map(run, tasks, threads)
     for (a, b, _, _), part in zip(tasks, parts):  # fixed order: deterministic sum
@@ -538,6 +681,17 @@ def transfer_tensor(
     if order > 2:
         # bit-flip image: T[a, b, r] += T[h-a, h-b, h-r]
         T[1:] = T[1:] + T[1:, ::-1, ::-1, ::-1]
+    if symmetric:
+        # reciprocity: T[a, b, r] = T[a+b-r, r, b], so off its diagonal the
+        # row of a self-mirror block is a copy, exact zeros included; its
+        # diagonal, on the initial block, is what the row's C(h, a)^2 leaves
+        a, r = np.indices((half + 1,) * 2)
+        s = 2 * a - r
+        off = (0 <= s) & (s <= half) & (r != a)
+        T[1:, a[off], a[off], r[off]] = T[1:, s[off], r[off], a[off]]
+        diagonal = np.arange(half + 1)
+        rest = T[1:, diagonal, diagonal].sum(axis=-1)
+        T[1:, diagonal, diagonal, diagonal] = T[0, diagonal, diagonal, diagonal] - rest
     return T
 
 

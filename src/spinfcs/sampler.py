@@ -339,6 +339,31 @@ def _tally(bits, flagged, measured, config, postselect_mode):
     return np.bincount(half + delta_r, minlength=n + 1), np.count_nonzero(keep)
 
 
+def _shot_draws(config, noise):
+    """(disorder normals, damped half-layers) of one noisy shot on the
+    window of `config`."""
+    lo, hi = config.window
+    layers = brickwork_layers(hi - lo, lo, config.layer_order) * config.cycles
+    draws = sum(disorder_draws(noise, hi - lo, layers))
+    return draws, len(layers) if noise.half_layer_decay > 0.0 else 0
+
+
+def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
+    """Bytes of the per-shot arrays of the largest batch a noisy run of
+    `shots` shots a state holds at once, for `ensemble.check_memory`.  A
+    shot holds, 8 bytes each, its measured bits and readout uniforms (n
+    each), its decay uniforms (n - w) and its drawn numbers: the disorder
+    normals, 2 k0 <= 2 w damping uniforms per damped half-layer and one
+    measurement uniform.  A batch is one state, or whole states whose shots
+    times (amplitudes + numbers), at least 2 + normals a shot, fit
+    `ensemble._CHUNK_AMPLITUDES`."""
+    n = config.n_qubits
+    lo, hi = config.window
+    draws, damped = _shot_draws(config, noise)
+    per_shot = 3 * n - (hi - lo) + draws + 2 * (hi - lo) * damped + 1
+    return 8 * per_shot * max(shots, ensemble._CHUNK_AMPLITUDES // (2 + draws))
+
+
 def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     """Every state's `counts` row and kept-shot count with noise, as two
     arrays in state order.  The states of one window popcount k0 are
@@ -364,9 +389,7 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = config.window
     width = hi - lo
-    layers = brickwork_layers(width, lo, config.layer_order) * t
-    draws = sum(disorder_draws(noise, width, layers))
-    damped = len(layers) if noise.half_layer_decay > 0.0 else 0
+    draws, damped = _shot_draws(config, noise)
     words = bits_to_word(phys[:, lo:hi])
     ones = np.bitwise_count(words).tolist()
     outside = np.r_[:lo, hi:n]
@@ -483,7 +506,8 @@ def run_sampled(
     batches of states evolve together as the columns of blocks, and their
     measured bitstrings are post-selected under `postselect_mode`.  Output
     is bitwise independent of `threads`.  Before anything is drawn, the
-    window must pass `ensemble.check_memory` (else EnumerationCapError).
+    window must pass `ensemble.check_memory`, with noise together with its
+    `shot_bytes` (else EnumerationCapError).
     """
     if ens.n_qubits != config.n_qubits:
         raise ValueError(
@@ -494,7 +518,11 @@ def run_sampled(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     lo, hi = config.window
-    ensemble.check_memory(hi - lo, "sampled" if noise is None else "noisy-sampled")
+    if noise is None:
+        ensemble.check_memory(hi - lo, "sampled")
+    else:
+        held = shot_bytes(config, sample.shots_per_state, noise)
+        ensemble.check_memory(hi - lo, "noisy-sampled", held)
     _clear_bases()  # `check_memory` counts this window's bases, not earlier ones
 
     prepared = _prepare(ens, sample, config.cycles)

@@ -599,6 +599,12 @@ class TestWindowCheck:
         with pytest.raises(ConfigError, match="config key 'cycles'"):
             cli._parse_config(self.config(mode, 46, width // 2))
 
+    def test_a_noisy_batch_of_too_many_shots_is_refused_under_its_key(self):
+        cfg = self.config("noisy-sampled", 46, 1)
+        cli._parse_config({**cfg, "shots_per_state": 10**5})
+        with pytest.raises(ConfigError, match="config key 'shots_per_state'"):
+            cli._parse_config({**cfg, "shots_per_state": 10**7})
+
     def test_a_paper_length_chain_at_20_cycles_is_refused_before_any_write(
         self, tmp_path, capsys
     ):

@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -204,37 +206,58 @@ class TestMemoryCheck:
         blocks = ensemble._SectorBlocks(half, a, b, np.arange(m))
         return blocks.amps.nbytes + blocks._halves[blocks.lo][1].base.nbytes
 
-    @pytest.mark.parametrize("n, need", [(14, 24_147_584), (16, 93_062_240)])
+    @pytest.mark.parametrize("n, need", [(14, 31_223_872), (16, 117_209_824)])
     def test_the_exact_estimate_is_what_the_widest_task_holds(
         self, n, need, monkeypatch
     ):
-        # one operator set and a task of CHUNK_COLUMNS middle-sector
-        # columns, in bytes: the cap set to exactly that admits the chain,
-        # one byte less refuses it
-        half = n // 2
-        widest = self.block_bytes(half, half // 2, half - half // 2, CHUNK_COLUMNS)
-        assert self.operator_bytes(half) + widest == need
+        # the chain's and its widest forward window's (n - 2 sites)
+        # operator sets and tasks of CHUNK_COLUMNS middle-sector columns,
+        # in bytes: the cap set to exactly that admits the chain, one byte
+        # less refuses it
+        held = 0
+        for half in (n // 2, n // 2 - 1):
+            widest = self.block_bytes(half, half // 2, half - half // 2, CHUNK_COLUMNS)
+            held += self.operator_bytes(half) + widest
+        assert held == need
         monkeypatch.setattr(ensemble, "MEMORY_CAP", need)
         check_memory(n, "exact")
         monkeypatch.setattr(ensemble, "MEMORY_CAP", need - 1)
         with pytest.raises(EnumerationCapError, match=f"exact evolution of {n} sites"):
             check_memory(n, "exact")
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("order", list(LayerOrder))
     @pytest.mark.parametrize("n", range(2, 14, 2))
-    def test_the_exact_estimate_bounds_every_task_of_a_short_chain(
-        self, n, monkeypatch
+    def test_the_exact_estimate_bounds_what_a_tensor_holds(
+        self, n, order, symmetric, monkeypatch
     ):
-        # a task holds at most CHUNK_COLUMNS columns of one initial block
-        half = n // 2
-        widest = max(
-            self.block_bytes(
-                half, a, b, min(CHUNK_COLUMNS, math.comb(half, a) * math.comb(half, b))
-            )
-            for a in range(half + 1)
-            for b in range(half + 1)
-        )
-        held = self.operator_bytes(half) + widest
-        monkeypatch.setattr(ensemble, "MEMORY_CAP", held - 1)
+        # the operator sets of a call and the most bytes of engines alive
+        # at once (the full one and a window one), counted by their
+        # nbytes as they are built and freed
+        live, peak, operators = [0], [0], []
+        engine, build = ensemble._SectorBlocks, ensemble._half_chain_operators
+
+        def free(size):
+            live[0] -= size
+
+        class Counted(engine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                size = self.amps.nbytes + self._halves[self.lo][1].base.nbytes
+                live[0] += size
+                peak[0] = max(peak[0], live[0])
+                weakref.finalize(self, free, size)
+
+        def counted(*args):
+            ops = build(*args)
+            operators.append(sum(w.nbytes for w in ops[0]))
+            return ops
+
+        monkeypatch.setattr(ensemble, "_SectorBlocks", Counted)
+        monkeypatch.setattr(ensemble, "_half_chain_operators", counted)
+        transfer_tensor(n, n // 2 + 2, self.HEIS, order, symmetric=symmetric)
+        assert live[0] == 0 and len(operators) == 1 + (symmetric and n > 2)
+        monkeypatch.setattr(ensemble, "MEMORY_CAP", sum(operators) + peak[0] - 1)
         with pytest.raises(EnumerationCapError):
             check_memory(n, "exact")
 
@@ -277,6 +300,25 @@ class TestPureDomainWall:
         theta, phi = heisenberg_angles
         values, probs = self.domain_wall(6, 3, params_at(theta, phi))
         assert np.all(probs[values < 0] == 0.0)
+
+
+GENERIC = (0.37 * np.pi, -0.61 * np.pi)
+
+
+@functools.cache
+def every_column(n, t, order, convention, angles=GENERIC):
+    """The unreduced reference tensor (`symmetric=False`), read-only and
+    shared by the tests that compare with it."""
+    params = params_at(*angles, convention.value)
+    T = transfer_tensor(n, t, params, order, symmetric=False)
+    T.setflags(write=False)
+    return T
+
+
+def block_words(half):
+    """C(h, a) C(h, b), the words of block (a, b), indexed [a, b]."""
+    words = np.array([math.comb(half, a) for a in range(half + 1)])
+    return np.multiply.outer(words, words)
 
 
 def dense_transfer_tensor(n, cycles, theta, phi, convention, order):
@@ -331,12 +373,11 @@ class TestTransferTensor:
     def test_symmetric_matches_every_column(self, n, order, convention):
         # t = n/2 + 2 with `tail` falls back to the mirror alone
         half = n // 2
-        params = params_at(0.37 * np.pi, -0.61 * np.pi, convention.value)
-        words = np.array([math.comb(half, a) for a in range(half + 1)])
-        tolerance = 1e-12 * np.multiply.outer(words, words)[None, :, :, None]
+        params = params_at(*GENERIC, convention.value)
+        tolerance = 1e-12 * block_words(half)[None, :, :, None]
         for t in (half - 1, half, half + 2):
             reduced = transfer_tensor(n, t, params, order, symmetric=True)
-            every = transfer_tensor(n, t, params, order, symmetric=False)
+            every = every_column(n, t, order, convention)
             assert np.all(np.abs(reduced - every) <= tolerance)
             # their moments agree too, also at mu = inf, where the mean is far from 0
             for mu in (0.0, 0.5, math.inf):
@@ -349,6 +390,53 @@ class TestTransferTensor:
                     for T in (reduced, every)
                 ]
                 np.testing.assert_allclose(*rows, rtol=0.0, atol=2e-14)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    def test_the_unreduced_tensor_is_reciprocal(self, n, order, convention):
+        # T[t, a, b, r] = T[t, a+b-r, r, b], the identity by which the
+        # reduced tensor fills its self-mirror blocks: every gate, the
+        # center mix and the boundary phases are symmetric matrices, so the
+        # evolution's transpose is the evolution conjugated by a half-layer
+        # that keeps every block.  t = h + 2 runs `tail` past the bit flip
+        half = n // 2
+        a, b, r = np.indices((half + 1,) * 3)
+        s = a + b - r
+        inside = (0 <= s) & (s <= half)
+        tolerance = 1e-12 * block_words(half)[a[inside], b[inside]]
+        for t in (half - 1, half, half + 2):
+            T = every_column(n, t, order, convention)
+            reciprocal = T[:, s[inside], r[inside], b[inside]]
+            assert np.all(np.abs(T[:, inside] - reciprocal) <= tolerance)
+            assert np.all(T[:, ~inside] == 0.0)  # no left count a+b-r
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("order", list(LayerOrder))
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    @pytest.mark.parametrize(
+        "angles", [GENERIC, (0.0, 0.5), (np.pi / 2, np.pi)],
+        ids=["generic", "frozen", "full-swap"],
+    )
+    def test_the_reduced_tensor_keeps_every_exact_zero(
+        self, n, order, convention, angles
+    ):
+        # no reduced mass is a rounding residue where the unreduced one is
+        # 0.0: outside the light cone |r - b| <= t, which
+        # `distribution_from_tensor` checks exactly, and at theta = 0 off
+        # the initial block, r != b, which `test_frozen_chain` reads
+        half = n // 2
+        b, r = np.indices((half + 1,) * 2)
+        params = params_at(*angles, convention.value)
+        for t in (half - 1, half, half + 2):
+            every = every_column(n, t, order, convention, angles)
+            reduced = transfer_tensor(n, t, params, order)
+            zero = every == 0.0
+            assert np.all(reduced[zero] == 0.0)
+            cycle = np.arange(t + 1)[:, None, None, None]
+            assert np.all(zero[np.broadcast_to(abs(r - b) > cycle, zero.shape)])
+            if angles[0] == 0.0:
+                assert np.all(zero[:, :, r != b])
 
     @pytest.mark.parametrize("order", [1, 2, 4], ids=["trivial", "mirror", "both"])
     def test_orbit_columns_count_every_word_once(self, order):
@@ -383,9 +471,13 @@ class TestTransferTensor:
     @pytest.mark.parametrize(
         "convention, cycles, symmetric, order, words",
         [
-            ("tail", 4, True, 4, (256 + 32) // 4),
-            ("tail", 5, True, 2, (256 + 16) // 2),
-            ("split", 5, True, 4, (256 + 32) // 4),
+            # reciprocity fills the self-mirror blocks (a, a): their 70
+            # words make 23 orbits under both maps and 43 under the mirror
+            # (Burnside: the mirror fixes 16, the bit flip none and their
+            # product 6), which are not evolved
+            ("tail", 4, True, 4, (256 + 32) // 4 - 23),
+            ("tail", 5, True, 2, (256 + 16) // 2 - 43),
+            ("split", 5, True, 4, (256 + 32) // 4 - 23),
             ("tail", 5, False, 1, 256),
         ],
     )
@@ -393,18 +485,27 @@ class TestTransferTensor:
         self, monkeypatch, convention, cycles, symmetric, order, words
     ):
         # n = 8: the bit flip applies for t <= 4, or at any t with `split`
-        evolved = []
-        engine = ensemble._evolve_block
+        evolved, engine_columns = [], {3: 0, 4: 0}
+        engine, blocks = ensemble._evolve_block, ensemble._SectorBlocks
 
         def spy(h, a, b, columns, weights, *rest):
             evolved.append((len(columns), weights.sum()))
             return engine(h, a, b, columns, weights, *rest)
 
+        class Counted(blocks):
+            def __init__(self, half, a0, b0, columns):
+                super().__init__(half, a0, b0, columns)
+                engine_columns[half] += len(columns)
+
         monkeypatch.setattr(ensemble, "_evolve_block", spy)
+        monkeypatch.setattr(ensemble, "_SectorBlocks", Counted)
         params = params_at(0.3, 0.7, convention)
         transfer_tensor(8, cycles, params, symmetric=symmetric)
         assert sum(count for count, _ in evolved) == words
-        assert order * sum(weight for _, weight in evolved) == 256
+        assert order * sum(weight for _, weight in evolved) == 256 - 70 * symmetric
+        # even-first, the first two cycles reach 3 sites of each half: with
+        # `symmetric` every word runs them on that window, then the chain
+        assert engine_columns == {3: words * symmetric, 4: words}
 
     def test_thread_count_does_not_change_bits(self, heisenberg_angles):
         theta, phi = heisenberg_angles

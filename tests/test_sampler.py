@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import time
+import tracemalloc
 import types
 import weakref
 
@@ -1320,6 +1321,71 @@ class TestWindowCheck:
         monkeypatch.setattr(ensemble, "MEMORY_CAP", held - 1)
         with pytest.raises(EnumerationCapError):
             ensemble.check_memory(14, "noisy-sampled")
+
+    # the rates of the noisy benchmark workload
+    RATES = NoiseConfig(
+        t1_cycles=20, e0=0.01, e1=0.02, angle_jitter_sd=0.02, dephasing_sd=0.05
+    )
+
+    def test_the_shot_estimate_is_what_a_batch_allocates(self, monkeypatch):
+        # one state of more shots than a batch of several holds, its
+        # 2-site window all ones (k0 = w): the nbytes of its measured bits,
+        # readout, decay and damping uniforms and disorder normals, and 8
+        # bytes a shot of measurement uniforms, which no call takes whole
+        config, shots = ChainConfig(46, 1, HEIS), 40_000
+        bits = np.zeros((1, 46), dtype=np.int64)
+        bits[0, 22:24] = 1
+        held = {}
+
+        def spy(name, keep):
+            call = getattr(sampler, name)
+
+            def wrapped(*args):
+                held.update(keep(*args))
+                return call(*args)
+
+            monkeypatch.setattr(sampler, name, wrapped)
+
+        spy("damp_bits", lambda bits, t, noise, u: {"decay": u.nbytes})
+        spy("readout_flip", lambda bits, noise, u: {
+            "bits": bits.nbytes, "flips": u.nbytes,
+        })
+        spy("_trajectory", lambda state, lo, config, noise, numbers: {
+            "normals": numbers[0].base.nbytes, "uniforms": numbers[1].base.nbytes,
+        })
+        sampler._noisy_records(
+            (bits, bits, np.zeros(1, dtype=bool)), config,
+            SampleConfig(1, shots, seed=5), self.RATES, "none", 1,
+        )
+        assert len(held) == 5
+        need = sampler.shot_bytes(config, shots, self.RATES)
+        assert sum(held.values()) + 8 * shots == need
+
+    def test_a_noisy_state_of_too_many_shots_is_refused_before_drawing(
+        self, monkeypatch
+    ):
+        # 10^7 shots of a 2-site window on 46 sites hold about 12 GB of
+        # per-shot arrays; 10^5 of them fit
+        def drawing(*args):
+            raise AssertionError("drew before the memory check")
+
+        monkeypatch.setattr(sampler, "_prepare", drawing)
+        config = ChainConfig(46, 1, HEIS)
+        fits = sampler.shot_bytes(config, 10**5, self.RATES)
+        ensemble.check_memory(2, "noisy-sampled", fits)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                EnumerationCapError, match="of 2 sites and a batch of shots needs"
+            ):
+                run_sampled(
+                    ImbalanceEnsemble(0.5, 46), config, SampleConfig(1, 10**7),
+                    noise=self.RATES,
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_run_sampled_refuses_before_drawing(self, noisy, monkeypatch):
