@@ -10,7 +10,9 @@ draws it from arrays, one column per state, exactly as one state draws it
 from its generator.  Qubits outside the light cone never see gates and
 reduce to classical bits decaying with 1 - exp(-t/T1).
 Readout errors flip measured bits at independent 0->1 and 1->0 rates.
-Both channels read uniforms that their caller drew.  The causal filter
+Both channels read uniforms that their caller drew, so a shot's jumps and
+outside decays, and a bound on its readout's 0->1 flips, are known before
+it evolves (`may_keep_popcount`).  The causal filter
 rejects measured bitstrings whose excitation rearrangement needs more
 half-layers than the circuit contained.
 """
@@ -137,6 +139,24 @@ def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
             out.append((SectorState(basis, lowered[:, done]), moved[done]))
         moved, left, amps = moved[~done], left[~done], lowered[:, ~done]
     return out
+
+
+def may_keep_popcount(k, p_decay, uniforms, decayed, flips, e0) -> np.ndarray:
+    """Which of m shots can still read out the popcount they were prepared
+    with, from the numbers they drew before evolving.  A shot whose window
+    starts with k ones makes J jumps whatever its amplitudes, counted as
+    `damp_columns` counts them from its damping uniforms (half-layers, 2,
+    k, m): on each half-layer, its first k' thinning uniforms below
+    p_decay, k' the ones it has left.  It loses `decayed` (m,) ones outside
+    the window, and its readout adds at most U ones, one per site whose
+    readout uniform in `flips` (m, n) lies below e0.  So a shot with
+    U < J + decayed reads out fewer ones than it was prepared with, and
+    every post-selection mode but "none" rejects it."""
+    left = np.full(flips.shape[0], k)
+    ranks = np.arange(k)[:, None]
+    for thinning in uniforms[:, 0]:
+        left -= np.count_nonzero((thinning < p_decay) & (ranks < left), axis=0)
+    return np.count_nonzero(flips < e0, axis=1) >= k - left + decayed
 
 
 def _jumps(state: SectorState, count: int, rng) -> SectorState:

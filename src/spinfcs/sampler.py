@@ -37,8 +37,15 @@ two routes to its tally:
   with one column per shot: disorder normals; per half-layer, k0 uniforms
   that thin the jumps and k0 that pick their sites (k0 the window's
   popcount); one measurement uniform; then one uniform per site outside
-  the window, for its decay, and one per site, for its readout flip,
-  which read them once per batch, after the evolution.  The shots run as
+  the window, for its decay, and one per site, for its readout flip.  The
+  sites outside the window decay, once per batch, before anything
+  evolves.  The numbers then fix, before a shot evolves, its jumps J (its
+  thinning uniforms give them whatever its amplitudes), its decays D
+  outside the window and a bound U on its readout's 0->1 flips, the sites
+  whose readout uniform lies below e0.  A shot with U < J + D reads out
+  fewer ones than it was prepared with, so under the "number_only" and
+  "causal" filters it is rejected unevolved (`noise.may_keep_popcount`);
+  without a filter every shot evolves.  The shots that evolve run as
   the columns of blocks, each column with its own gate angles and
   Z rotations, and the shots of many states share a block.  The
   Z rotations are never applied: each column's angles so far twist the
@@ -47,13 +54,15 @@ two routes to its tally:
   one k0 are packed, in index order and side by side, into batches of as
   many whole states as keep their shots' amplitudes and numbers within
   2^16, one block each.  A state over that budget runs alone, in chunks of
-  at most max(1, 2^16 // dim) shots of the prepared window's sector.  The
+  at most max(1, 2^16 // dim) of its evolving shots, dim the prepared
+  window's sector's.  The
   batches are the units of work for the threads.  The columns
   of a block that jump are lowered together, one round per jump
   (`noise.damp_columns`), and join the columns of their new excitation
   count; the columns of a count that are not one block within the size
   rule are re-blocked under it.  A shot reads its own columns, whatever
-  its block, batch or thread.
+  its block, batch or thread.  The readout flips read their uniforms once
+  per batch, after the evolution.
 
 The noisy route evolves gate by gate (`_trajectory`), since jittered
 per-column angles and damping jumps cannot use the engine's dense
@@ -104,6 +113,7 @@ from .noise import (
     damp_columns,
     disorder_and_dephasing,
     disorder_draws,
+    may_keep_popcount,
     postselect,
     readout_flip,
 )
@@ -316,18 +326,20 @@ def _prepare(ens, sample, cycles):
     return bits, bits, np.zeros(len(bits), dtype=bool)
 
 
-def _tally(bits, flagged, measured, config, postselect_mode):
+def _tally(bits, flagged, measured, config, postselect_mode, alive):
     """Undo the relabeling of one state's measured bitstrings (shots x n),
     post-select them and tally their right-count changes: the state's
-    `counts` row and its kept-shot count."""
-    n, t, shots = config.n_qubits, config.cycles, len(measured)
+    `counts` row and its kept-shot count.  The popcount test keeps only
+    the shots that `alive` marks: the others were not evolved, as their
+    numbers already ruled out their popcount (`noise.may_keep_popcount`)."""
+    n, t = config.n_qubits, config.cycles
     half = n // 2
     if flagged:
         measured = 1 - measured
     if postselect_mode == "none":
-        keep = np.ones(shots, dtype=bool)
+        keep = np.ones(len(measured), dtype=bool)
     else:
-        keep = measured.sum(axis=1) == bits.sum()
+        keep = (measured.sum(axis=1) == bits.sum()) & alive
     if postselect_mode == "causal":
         words, inverse = np.unique(measured[keep], axis=0, return_inverse=True)
         causal = np.array(
@@ -350,18 +362,41 @@ def _shot_draws(config, noise):
 
 def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
     """Bytes of the per-shot arrays of the largest batch a noisy run of
-    `shots` shots a state holds at once, for `ensemble.check_memory`.  A
-    shot holds, 8 bytes each, its measured bits and readout uniforms (n
-    each), its decay uniforms (n - w) and its drawn numbers: the disorder
-    normals, 2 k0 <= 2 w damping uniforms per damped half-layer and one
-    measurement uniform.  A batch is one state, or whole states whose shots
-    times (amplitudes + numbers), at least 2 + normals a shot, fit
-    `ensemble._CHUNK_AMPLITUDES`."""
+    `shots` shots a state holds at once, for `ensemble.check_memory`: the
+    most over the window popcounts k0, whose batches hold as many states
+    as the batch rule of `_noisy_records` packs.  A shot keeps its
+    measured bits, one byte a site, throughout, and its numbers, R = the
+    disorder normals, 2 k0 damping uniforms per damped half-layer and one
+    measurement uniform, 8 bytes each, until it is measured.  Beside these
+    the batch holds the larger of two phases, 8 bytes a number:
+
+    * drawing: each shot's decay (n - w) and readout (n) uniforms, and the
+      largest single draw of one state (its normals, damping uniforms or
+      readout uniforms) before it is copied into place;
+    * evolving: each shot's readout uniforms, its numbers again (a
+      surviving shot's are gathered when others were rejected), three per
+      disorder normal for the realized circuit as it is built, and 48
+      bytes of masks, jump counts and indices.
+
+    The copies of the measured bits that the decay, the readout and the
+    tally make, 5 n bytes a shot at most at once, stay below the drawing
+    phase.  Amplitudes are not counted: the chunk rule bounds a chunk's
+    columns by its initial sector, whatever damping moves them into."""
     n = config.n_qubits
     lo, hi = config.window
+    w = hi - lo
     draws, damped = _shot_draws(config, noise)
-    per_shot = 3 * n - (hi - lo) + draws + 2 * (hi - lo) * damped + 1
-    return 8 * per_shot * max(shots, ensemble._CHUNK_AMPLITUDES // (2 + draws))
+    most = 0
+    for k in range(w + 1):
+        numbers = draws + 2 * k * damped + 1
+        states = ensemble._CHUNK_AMPLITUDES // (shots * (math.comb(w, k) + numbers))
+        columns = shots * max(1, states)
+        largest = shots * max(n, draws, 2 * k * damped)
+        drawing = columns * (2 * n - w) + largest
+        evolving = columns * (n + numbers + 3 * draws)
+        held = columns * (n + 8 * numbers)
+        most = max(most, held + max(8 * drawing, 8 * evolving + 48 * columns))
+    return most
 
 
 def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
@@ -371,20 +406,25 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     one) as keep the batch's columns times C(width, k0) plus the numbers of
     a shot (the disorder normals, 2 k0 per damped half-layer, 1) within
     `ensemble._CHUNK_AMPLITUDES`.  A batch is the threads' unit of work and
-    runs in three passes.
+    runs in four passes.
 
     Draw: each state opens its counter block 1 and draws its shots' numbers
     as arrays, one column per shot: the disorder normals, per half-layer k0
     thinning and k0 site uniforms, one measurement uniform, then one decay
     uniform per site outside the window and one readout uniform per site.
-    Evolve: the states' arrays are placed side by side, so column j of the
-    batch's block is one shot and reads its own numbers; the block runs in
-    chunks of at most `_chunk_columns` columns (more than one only for a
-    state over the budget alone), and each shot measures the first outcome
-    of its column's guarded CDF above its uniform.  Tally: the batch's
-    outside sites decay and its readouts flip, one call each, reading the
-    drawn uniforms, not a generator; each state then filters and tallies
-    its measured rows into its own row of the two arrays."""
+    Reject: the batch's outside sites decay, in one call reading the drawn
+    uniforms; then, under the "number_only" and "causal" filters, the
+    shots whose jumps and decays outnumber the readout uniforms below e0
+    are rejected (`noise.may_keep_popcount`): they cannot read out their
+    prepared popcount.  Evolve: the states' arrays are placed side by side,
+    and the shots not rejected, in order, are the columns of the batch's
+    block, each reading its own numbers; the block runs in chunks of at
+    most `_chunk_columns` columns (more than one only for a state over the
+    budget alone), and each shot measures the first outcome of its
+    column's guarded CDF above its uniform.  Tally: the batch's readouts
+    flip, in one call reading the drawn uniforms; each state then filters
+    its measured rows, the rejected ones failing the popcount test, and
+    tallies them into its own row of the two arrays."""
     bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = config.window
@@ -399,8 +439,8 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     def tally_batch(batch):
         k, m = ones[batch[0]], len(batch) * shots
         # the shots of batch[b] are rows b * shots .. of `measured`, `decay`
-        # and `flips`, and the same columns of the block and its numbers
-        measured = np.repeat(phys[batch], shots, axis=0)
+        # and `flips`, and the same columns of their numbers
+        measured = np.repeat(phys[batch].astype(np.int8), shots, axis=0)  # 1 B a site
         normals, uniforms, u = (
             np.empty((*shape, m)) for shape in ((draws,), (damped, 2, k), ())
         )
@@ -414,27 +454,41 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
                 u[rows] = rng.random(shots)
             decay[rows] = rng.random((shots, n - width))
             flips[rows] = rng.random((shots, n))
+        measured[:, outside] = damp_bits(measured[:, outside], float(t), noise, decay)
+        del decay
+        alive = np.ones(m, dtype=bool)
+        if postselect_mode != "none":
+            decayed = np.repeat(phys[batch].sum(axis=1), shots) - measured.sum(axis=1)
+            p_half = noise.half_layer_decay
+            alive = may_keep_popcount(k, p_half, uniforms, decayed, flips, noise.e0)
         if width:
-            start = words[batch].repeat(shots)
+            # the block's column j is shot evolved[j]; when every shot
+            # evolves, each chunk reads its numbers in place
+            evolved = np.flatnonzero(alive)
+            start = words[batch].repeat(shots)[evolved]
             size = ensemble._chunk_columns(width, k)
-            for s0 in range(0, start.size, size):
-                part = slice(s0, s0 + size)
+            for s0 in range(0, evolved.size, size):
+                part = evolved[s0 : s0 + size]
+                read = slice(s0, s0 + size) if evolved.size == m else part
                 # no name holds a block once damping has replaced it, or
                 # into the next chunk
                 for block, columns in _trajectory(
-                    SectorState.from_words(start[part], width),
-                    lo, config, noise, (normals[:, part], uniforms[..., part]),
+                    SectorState.from_words(start[s0 : s0 + size], width),
+                    lo, config, noise, (normals[:, read], uniforms[..., read]),
                 ):
                     cdf = _cdf(block.probabilities().T)
                     found = np.count_nonzero(cdf <= u[part][columns, None], axis=1)
                     found = block.basis.words[found]
-                    measured[s0 + columns, lo:hi] = word_to_bits(found, width)
+                    measured[part[columns], lo:hi] = word_to_bits(found, width)
                 del block
-        measured[:, outside] = damp_bits(measured[:, outside], float(t), noise, decay)
+        del normals, uniforms, u
         measured = readout_flip(measured, noise, flips)
-        for i, own in zip(batch, np.split(measured, len(batch))):
+        del flips
+        for i, own, mask in zip(
+            batch, np.split(measured, len(batch)), np.split(alive, len(batch))
+        ):
             counts[i], kept[i] = _tally(
-                bits[i], flagged[i], own, config, postselect_mode
+                bits[i], flagged[i], own, config, postselect_mode, mask
             )
 
     batches = []
