@@ -373,10 +373,11 @@ def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
     * drawing: each shot's decay (n - w) and readout (n) uniforms, and the
       largest single draw of one state (its normals, damping uniforms or
       readout uniforms) before it is copied into place;
-    * evolving: each shot's readout uniforms, its numbers again (a
-      surviving shot's are gathered when others were rejected), three per
-      disorder normal for the realized circuit as it is built, and 48
-      bytes of masks, jump counts and indices.
+    * evolving: each shot's readout uniforms and 48 bytes of masks, jump
+      counts and indices; and, for the columns of one chunk (at most
+      `ensemble._chunk_columns` of the window's k0 sector), their
+      gathered numbers and three per disorder normal for the realized
+      circuit as it is built.
 
     The copies of the measured bits that the decay, the readout and the
     tally make, 5 n bytes a shot at most at once, stay below the drawing
@@ -393,7 +394,8 @@ def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
         columns = shots * max(1, states)
         largest = shots * max(n, draws, 2 * k * damped)
         drawing = columns * (2 * n - w) + largest
-        evolving = columns * (n + numbers + 3 * draws)
+        chunk = min(columns, ensemble._chunk_columns(w, k))
+        evolving = columns * n + chunk * (numbers + 3 * draws)
         held = columns * (n + 8 * numbers)
         most = max(most, held + max(8 * drawing, 8 * evolving + 48 * columns))
     return most
@@ -462,19 +464,18 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
             p_half = noise.half_layer_decay
             alive = may_keep_popcount(k, p_half, uniforms, decayed, flips, noise.e0)
         if width:
-            # the block's column j is shot evolved[j]; when every shot
-            # evolves, each chunk reads its numbers in place
+            # the block's column j is shot evolved[j]; each chunk gathers
+            # the numbers of its shots
             evolved = np.flatnonzero(alive)
             start = words[batch].repeat(shots)[evolved]
             size = ensemble._chunk_columns(width, k)
             for s0 in range(0, evolved.size, size):
                 part = evolved[s0 : s0 + size]
-                read = slice(s0, s0 + size) if evolved.size == m else part
                 # no name holds a block once damping has replaced it, or
                 # into the next chunk
                 for block, columns in _trajectory(
                     SectorState.from_words(start[s0 : s0 + size], width),
-                    lo, config, noise, (normals[:, read], uniforms[..., read]),
+                    lo, config, noise, (normals[:, part], uniforms[..., part]),
                 ):
                     cdf = _cdf(block.probabilities().T)
                     found = np.count_nonzero(cdf <= u[part][columns, None], axis=1)
