@@ -45,12 +45,17 @@ def apply_fsim_tables(amps, tables, hop, phase, split_phase):
 
 def readout_accumulate(amps, r, acc):
     """Add each column's probability mass in `amps`, rows whose right-half
-    count is r, to acc[r].
+    count is r, to acc[r], float64.  `amps` is complex128 or complex64; the
+    squares of complex64 parts are summed in float64.
 
     The sum of squares is a numpy elementwise reduction (`einsum` without
     path optimization never calls BLAS), so the result does not depend on
     the BLAS thread count.
     """
-    parts = amps.view(np.float64)  # interleaved (real, imag)
-    squares = np.einsum("ij,ij->j", parts, parts)
+    if amps.dtype == np.complex64:
+        parts = amps.view(np.float32)  # interleaved (real, imag)
+        squares = np.einsum("ij,ij->j", parts, parts, dtype=np.float64)
+    else:
+        parts = amps.view(np.float64)
+        squares = np.einsum("ij,ij->j", parts, parts)
     acc[r] += squares.reshape(amps.shape[1], 2).sum(axis=1)

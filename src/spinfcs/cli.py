@@ -137,7 +137,9 @@ def _parse_config(cfg) -> dict:
     NoiseConfig of noisy mode (None where unused).  In every mode, a
     `ChainConfig.window` that `ensemble.check_memory` refuses is a refusal
     of `cycles`; in noisy mode, one it refuses with a batch's per-shot
-    arrays (`sampler.shot_bytes`) is a refusal of `shots_per_state`."""
+    arrays (`sampler.shot_bytes`) is a refusal of `shots_per_state`, and in
+    sampled mode one it refuses with the per-state arrays
+    (`sampler.state_bytes`) a refusal of `initial_states`."""
     _table(cfg, "", RUN_KEYS)
     mode = _choice(cfg, "mode", ("exact", "sampled", "noisy-sampled"))
     angles = [_require(cfg, key, NUMBER, required=True) for key in ("theta", "phi")]
@@ -185,6 +187,9 @@ def _parse_config(cfg) -> dict:
     if noisy:
         with _refused_as("shots_per_state"):  # fewer shots, a smaller batch
             check_memory(hi - lo, mode, sampler.shot_bytes(chain, shots, noise))
+    elif mode == "sampled":
+        with _refused_as("initial_states"):  # fewer states, fewer tallies
+            check_memory(hi - lo, mode, sampler.state_bytes(chain, states))
     return {
         "mode": mode,
         "chain": chain,

@@ -22,7 +22,10 @@ folded into the half-chain operators (n = 2 too), so no phase pass remains.
 This block engine has two ends, which read out alike: the tensor end
 weights the right-count masses of every cycle, and the word end
 (`word_right_masses`) returns the final right-count masses of any basis
-words, the noiseless sampler's, grouped into initial blocks by itself.
+words, the noiseless sampler's.  It groups them by popcount alone into
+chunks of one sector, whose columns start in neighbouring blocks, and
+runs in complex128, the exact reference, or, for the sampler, complex64;
+the tensor end runs one initial block a task, in complex128.
 
 Three exact identities cut the work of the reduced tensor.  First,
 symmetry.  The halves are stored read outward from the center, so an
@@ -76,6 +79,9 @@ from .gates import FSimParams, LayerOrder, PhaseConvention, fsim_coefficients
 from .sector import bits_to_word, brickwork_layers, sector_basis, word_to_bits
 
 NORM_TOL = 1e-10  # largest |total - 1| of a normalized mass
+# the same for the complex64 word end: 10x the largest error measured on
+# every word up to 12 sites, 1.05e-6
+SINGLE_NORM_TOL = 1e-5
 
 
 @functools.cache
@@ -184,70 +190,82 @@ CHUNK_COLUMNS = 256
 MEMORY_CAP = 4 << 30  # bytes a run may hold at once, in every mode
 
 
-def _engine_bytes(w: int, m: int) -> int:
-    """Bytes of the block engine on w sites: its one half-chain operator set
-    and one `_SectorBlocks` of m columns of the middle sector."""
+def _engine_bytes(w: int, m: int, size: int = 16) -> int:
+    """Bytes of the block engine on w sites, in complex numbers of `size`
+    bytes: its one half-chain operator set and one `_SectorBlocks` of m
+    columns of the middle sector."""
     half = w // 2
     middle = math.comb(w, half)
-    return 16 * middle * (1 + m) + 32 * m * math.comb(half, half // 2) ** 2
+    return size * middle * (1 + m) + 2 * size * m * math.comb(half, half // 2) ** 2
 
 
-def check_memory(n_sites: int, mode: str, shot_bytes: int = 0) -> None:
+def check_memory(n_sites: int, mode: str, extra_bytes: int = 0) -> None:
     """Refuse to evolve `n_sites` sites, a chain or a light-cone window, in
     `mode` ("exact", "sampled" or "noisy-sampled") when the arrays the run
     holds at once exceed `MEMORY_CAP` bytes: the one size rule, which the
     CLI, `transfer_tensor` and `sampler.run_sampled` apply before they
     allocate.  It admits exact chains up to 20 sites (1.61 GB), sampled
-    windows up to 28 (1.66 GB) and noisy-sampled ones up to 22 (3.24 GB,
-    and a noisy batch's `shot_bytes`).
+    windows up to 30 (3.81 GB, and the per-state arrays) and noisy-sampled
+    ones up to 22 (3.24 GB, and a noisy batch's per-shot arrays).
 
-    Exact and sampled runs hold, in complex128, the block engine's one
-    half-chain operator set, 16 C(w, w/2) bytes, and one `_SectorBlocks` of
-    m columns of the middle sector, the widest: amplitudes, 16 m C(w, w/2)
-    bytes, and scratch, two of its largest blocks, 32 m C(w/2, w/4)^2 bytes
-    (w/4 rounded down).  The tensor's widest task has m = `CHUNK_COLUMNS`
-    and, beside its full engine, the engine of its forward window, at most
-    w - 2 sites, one at a time, with the window's operator set; a word has
-    m = 1, as every chunk of the word end has once the middle sector
-    outgrows `_CHUNK_AMPLITUDES`.  Noisy runs hold the int64 tables that
-    `sector_basis` keeps, summed over every sector k of the window: per
-    bond the `BondTables` rows and order, 16 (C(w, k) + C(w - 2, k - 1))
-    bytes, and the `site_bits` and `lowering` tables, 8 w C(w, k) and
-    16 w C(w - 1, k - 1) bytes; (36 w - 20) 2^w bytes in all, plus
-    `shot_bytes`, the per-shot arrays of one batch (`sampler.shot_bytes`).
-    Each worker thread holds a block and a batch of its own; that multiple
-    is not counted.  A run that passes may still take too long.
+    Exact runs hold, in complex128, the block engine's one half-chain
+    operator set, 16 C(w, w/2) bytes, and one `_SectorBlocks` of m columns
+    of the middle sector, the widest: amplitudes, 16 m C(w, w/2) bytes, and
+    scratch, two of its largest blocks, 32 m C(w/2, w/4)^2 bytes (w/4
+    rounded down).  The tensor's widest task has m = `CHUNK_COLUMNS` and,
+    beside its full engine, the engine of its forward window, at most
+    w - 2 sites, one at a time, with the window's operator set.  Sampled
+    runs hold the same engine in complex64, half those bytes, with m = 1,
+    as every chunk of the word end has once the middle sector outgrows
+    `_CHUNK_AMPLITUDES`, and the complex128 copy of the largest operator,
+    16 C(w/2, w/4)^2 bytes, that the build rounds down, plus
+    `extra_bytes`, the per-state arrays (`sampler.state_bytes`).  Noisy
+    runs hold the int64 tables that `sector_basis` keeps, summed over every
+    sector k of the window: per bond the `BondTables` rows and order,
+    16 (C(w, k) + C(w - 2, k - 1)) bytes, and the `site_bits` and
+    `lowering` tables, 8 w C(w, k) and 16 w C(w - 1, k - 1) bytes;
+    (36 w - 20) 2^w bytes in all, plus `extra_bytes`, the per-shot arrays
+    of one batch (`sampler.shot_bytes`).  Each worker thread holds a block
+    and a batch of its own; that multiple is not counted.  A run that
+    passes may still take too long.
 
     Raises:
         EnumerationCapError: if the estimate exceeds the cap.
     """
     w = min(n_sites, 64)  # far over the cap already; wider binomials cost seconds
+    need = extra_bytes
     if mode == "noisy-sampled":
-        need = (36 * w - 20) * 2**w + shot_bytes
+        need += (36 * w - 20) * 2**w
     elif mode == "exact":
-        need = _engine_bytes(w, CHUNK_COLUMNS)
+        need += _engine_bytes(w, CHUNK_COLUMNS)
         if w > 2:  # the forward window, at most w - 2 sites
             need += _engine_bytes(w - 2, CHUNK_COLUMNS)
-    else:
-        need = _engine_bytes(w, 1)
+    else:  # complex64, beside the complex128 build of the largest operator
+        need += _engine_bytes(w, 1, 8) + 16 * math.comb(w // 2, w // 4) ** 2
     if need > MEMORY_CAP:
+        held = {"sampled": " and its states", "noisy-sampled": " and a batch of shots"}
         raise EnumerationCapError(
             f"{mode} evolution of {n_sites} sites"
-            f"{' and a batch of shots' if shot_bytes else ''} needs "
+            f"{held[mode] if extra_bytes else ''} needs "
             f"{'about' if w == n_sites else 'more than'} {need / 1e9:.3g} GB, "
             f"over the {MEMORY_CAP / 2**30:.0f} GiB cap, which admits exact "
-            "chains up to 20 sites, sampled windows up to 28 and noisy-sampled "
+            "chains up to 20 sites, sampled windows up to 30 and noisy-sampled "
             "ones up to 22"
         )
 
 
 def _half_chain_operators(
-    half: int, params: FSimParams, layer_order: LayerOrder, first_site: int
+    half: int,
+    params: FSimParams,
+    layer_order: LayerOrder,
+    first_site: int,
+    dtype=np.complex128,
 ):
     """Dense one-cycle operators W of a half chain, and the constants
     (c, s) = e^{i phi/2} (cos theta, i sin theta) of the center gate's
     |01>/|10> mix M, for a chain of 2*half sites whose site 0 is physical
-    site `first_site`.
+    site `first_site`.  Each W is built in complex128 and then, one at a
+    time, rounded to `dtype`.
 
     W[c] is the C(half, c)-square matrix of all half-chain gates of one
     cycle, in cycle order, on the c-excitation sector of `half` sites with
@@ -276,6 +294,7 @@ def _half_chain_operators(
             tables = basis.bond_tables(bond)
             _kernels.apply_fsim_tables(w, tables, hop, gate_phase, split)
         w[:, math.comb(half - 1, c) :] *= boundary_phase
+        w = w.astype(dtype, copy=False)
         w.setflags(write=False)  # shared by the threads of a call
         ops.append(w)
     phase = complex(np.exp(0.5j * phi))
@@ -283,40 +302,44 @@ def _half_chain_operators(
 
 
 class _SectorBlocks:
-    """m columns of sector k = a0 + b0 of 2*half sites, each starting on one
-    word of block (a0, b0), stored as left (x) right blocks (a, k-a), a
+    """m columns of sector k of 2*half sites, column j starting on word
+    columns[j] of block (lefts[j], k - lefts[j]) (`lefts` one count for
+    every column, or one each), stored as left (x) right blocks (a, k-a), a
     ascending, each of C(half, a) * C(half, k-a) rows ordered left index
-    major (both halves read outward from the center).
+    major (both halves read outward from the center), in `dtype`.
 
     A cycle is W[a] (x) W[k-a] on every block (a, k-a), one operator set W
     for both halves, followed by the center mix M of `operators` =
     (W, (c, s)), which pairs |01> rows of block (a, b) with |10> rows of
     block (a+1, b-1).  There is no phase pass: `split`'s |00>/|11> phase is
     global and `tail`'s boundary phase is in W (half = 1 included).  After
-    j center gates only blocks |a - a0| <= j are nonzero, and only they are
-    touched.
+    j center gates only blocks within j of a starting left count are
+    nonzero, and only they are touched; a column's blocks farther than j
+    from its own are exactly 0.0, as nothing but the mix moves amplitude
+    between blocks.
     """
 
-    def __init__(self, half, a0, b0, columns):
-        k = a0 + b0
-        self.half, self.k, self.a0, self.mixes = half, k, a0, 0
+    def __init__(self, half, k, lefts, columns, dtype=np.complex128):
+        self.half, self.k, self.mixes = half, k, 0
         self.lo, self.hi = max(0, k - half), min(half, k)
+        self.first, self.last = int(np.min(lefts)), int(np.max(lefts))
         shape = {
             a: (math.comb(half, a), math.comb(half, k - a))
             for a in range(self.lo, self.hi + 1)
         }
         sizes = [dl * dr for dl, dr in shape.values()]
-        edges = itertools.accumulate(sizes, initial=0)
+        edges = list(itertools.accumulate(sizes, initial=0))
         m = len(columns)
-        self.amps = np.zeros((sum(sizes), m), dtype=np.complex128)
+        self.amps = np.zeros((sum(sizes), m), dtype=dtype)
+        starts = np.take(edges, np.subtract(lefts, self.lo)) + columns
+        self.amps[starts, np.arange(m)] = 1.0
         # GEMM output, or the two products of the center gate
-        scratch = np.empty(2 * max(sizes) * m, dtype=np.complex128)
+        scratch = np.empty(2 * max(sizes) * m, dtype=dtype)
         # views, made once: block a as (dl, dr, m) and its GEMM output
         self._halves = {}
         for (a, (dl, dr)), start in zip(shape.items(), edges):
             x = self.amps[start : start + dl * dr].reshape(dl, dr, m)
             self._halves[a] = (x, scratch[: dl * dr * m].reshape(dl, dr, m))
-        self._halves[a0][0].reshape(-1, m)[columns, np.arange(m)] = 1.0
         # the |01> rows of (a, b), left boundary 0 and right boundary 1, and
         # their |10> partners, which lead block (a+1, b-1) on the left and
         # end it on the right, with room for their products
@@ -333,7 +356,8 @@ class _SectorBlocks:
     def _nonzero(self):
         """The blocks a that the center gates so far may have made nonzero."""
         return range(
-            max(self.lo, self.a0 - self.mixes), min(self.hi, self.a0 + self.mixes) + 1
+            max(self.lo, self.first - self.mixes),
+            min(self.hi, self.last + self.mixes) + 1,
         )
 
     def cycle(self, operators, w=True):
@@ -435,13 +459,13 @@ def _window_start(half, a0, b0, columns, cycles, window):
     extra_l, extra_r = np.bitwise_count(outer_left), np.bitwise_count(outer_right)
     masses = np.zeros((spent, half + 1, len(columns)))
     # placing overwrites each column's starting one
-    full = _SectorBlocks(half, a0, b0, columns) if cycles > spent else None
+    full = _SectorBlocks(half, a0 + b0, a0, columns) if cycles > spent else None
     for cl, cr in sorted(set(zip(extra_l.tolist(), extra_r.tolist()))):
         picked = np.flatnonzero((extra_l == cl) & (extra_r == cr))
         a, b = a0 - cl, b0 - cr
         i_left = np.searchsorted(sector_basis(f, a).words, left[picked] >> shift)
         i_right = np.searchsorted(sector_basis(f, b).words, right[picked] >> shift)
-        blocks = _SectorBlocks(f, a, b, i_left * math.comb(f, b) + i_right)
+        blocks = _SectorBlocks(f, a + b, a, i_left * math.comb(f, b) + i_right)
         for t in range(spent):
             blocks.cycle(operators, w=t > 0)
             masses[t, cr : cr + f + 1][:, picked] = blocks.right_masses()
@@ -479,7 +503,7 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, operators, window):
     part = np.zeros((cycles, half + 1))
     start = 0
     if window is None:
-        blocks = _SectorBlocks(half, a0, b0, columns)
+        blocks = _SectorBlocks(half, a0 + b0, a0, columns)
     else:
         masses, blocks = _window_start(half, a0, b0, columns, cycles, window)
         start = len(masses)
@@ -508,28 +532,44 @@ def _chunk_columns(n_sites: int, k: int) -> int:
 
 
 def _word_chunks(words, n_sites):
-    """Index arrays into `words`, each of one popcount k and one left-half
-    count, by k then that count, indices ascending, `_chunk_columns` long."""
+    """Index arrays into `words`, each of one popcount k, by k, then by
+    left-half count, then ascending, `_chunk_columns` long: a chunk's words
+    start in neighbouring blocks of one sector."""
     left = np.bitwise_count(words >> np.uint64(n_sites // 2))
     ones = np.bitwise_count(words)
     chunks = []
-    for k, a in sorted(set(zip(ones.tolist(), left.tolist()))):
-        group = np.flatnonzero((ones == k) & (left == a))
+    for k in sorted(set(ones.tolist())):
+        group = np.flatnonzero(ones == k)
+        group = group[np.argsort(left[group], kind="stable")]
         size = _chunk_columns(n_sites, k)
         chunks.extend(group[j0 : j0 + size] for j0 in range(0, group.size, size))
     return chunks
 
 
 def word_right_masses(
-    words, n_sites, first_site, cycles, params, layer_order, threads=1
+    words,
+    n_sites,
+    first_site,
+    cycles,
+    params,
+    layer_order,
+    threads=1,
+    dtype=np.complex128,
 ):
     """Right-count masses of basis words after `cycles` brickwork cycles on
     `n_sites` (even) sites, site 0 being physical site `first_site`: an
-    (n_sites/2 + 1, m) array whose column j is the probability that words[j]
-    ends with r ones in the right half, row r: the word end of the block
-    engine, read out as its tensor end is.  The words are evolved in
-    `_word_chunks` on up to `threads` threads, all on one operator set
-    built for the call; the masses are bitwise alike for any `threads`.
+    (n_sites/2 + 1, m) float64 array whose column j is the probability that
+    words[j] ends with r ones in the right half, row r: the word end of the
+    block engine, read out as its tensor end is.  The words are evolved in
+    `_word_chunks`, one engine a chunk, on up to `threads` threads, all on
+    one operator set built for the call; the masses are bitwise alike for
+    any `threads`.
+
+    The operators and engines hold `dtype`, complex128 or complex64; the
+    readout sums squares in float64 either way.  complex128 is the exact
+    reference, its masses normalized to `NORM_TOL`; complex64, which the
+    noiseless sampler draws from, to `SINGLE_NORM_TOL`.  Either way a mass
+    outside the light cone is exactly 0.0.
 
     A run from one word keeps the W that the tensor drops before the first
     mix.  With the center bond in the cycle's first half-layer a cycle is
@@ -545,20 +585,30 @@ def word_right_masses(
         InvariantError: if a word's mass is not normalized or lies outside
             the light cone |r - b0| <= cycles, b0 its right count.
     """
+    dtype = np.dtype(dtype)
+    if dtype not in (np.complex64, np.complex128):
+        raise ValueError(f"dtype must be complex64 or complex128, got {dtype}")
     words = np.asarray(words, dtype=np.uint64)
     half = n_sites // 2
     left, right = words >> np.uint64(half), words & np.uint64((1 << half) - 1)
-    a_of, b_of = np.bitwise_count(left), np.bitwise_count(right)
-    # in-block column: the left half-word read mirrored, outward from the center
+    a_of, b_of = np.bitwise_count(left).astype(np.intp), np.bitwise_count(right)
+    # in-block column: the rank of the left half-word, read mirrored, outward
+    # from the center, among those of its count, times C(half, b0), plus the
+    # rank of the right half-word
     mirrored = bits_to_word(word_to_bits(left, half)[:, ::-1])
+    rank = np.empty((2, words.size), dtype=np.intp)
+    for row, halves, counts in ((0, mirrored, a_of), (1, right, b_of)):
+        for c in set(counts.tolist()):  # np.unique would import numpy.ma
+            sel = counts == c
+            rank[row, sel] = np.searchsorted(sector_basis(half, c).words, halves[sel])
+    widths = np.array([math.comb(half, b) for b in range(half + 1)])
+    column = rank[0] * widths[b_of] + rank[1]
     lead = half - 1 in brickwork_layers(n_sites, first_site, layer_order)[1]
-    operators = _half_chain_operators(half, params, layer_order, first_site)
+    operators = _half_chain_operators(half, params, layer_order, first_site, dtype)
 
     def evolve(picked):
-        a0, b0 = int(a_of[picked[0]]), int(b_of[picked[0]])
-        i_left = np.searchsorted(sector_basis(half, a0).words, mirrored[picked])
-        i_right = np.searchsorted(sector_basis(half, b0).words, right[picked])
-        blocks = _SectorBlocks(half, a0, b0, i_left * math.comb(half, b0) + i_right)
+        k = int(a_of[picked[0]] + b_of[picked[0]])
+        blocks = _SectorBlocks(half, k, a_of[picked], column[picked], dtype)
         for t in range(cycles):
             blocks.cycle(operators, w=t > 0 or lead)
         return blocks.right_masses()
@@ -569,7 +619,8 @@ def word_right_masses(
         masses[picked] = part.T
     masses = masses.T
     total = masses.sum(axis=0)
-    off = ~(np.abs(total - 1.0) <= NORM_TOL)  # NaN too
+    tol = NORM_TOL if dtype == np.complex128 else SINGLE_NORM_TOL
+    off = ~(np.abs(total - 1.0) <= tol)  # NaN too
     if off.any():
         j = np.argmax(off)
         raise InvariantError(

@@ -24,7 +24,11 @@ two routes to its tally:
   (`ensemble.word_right_masses`): dense half-chain operators applied as
   matrix products, and the center mix, read out per right count as the
   tensor is.  The run's distinct words go to it in one call, which
-  groups them into initial blocks, chunks and threads them itself.  Every
+  groups them by popcount into chunks of one sector and threads them
+  itself.  It runs in complex64: the masses, summed in float64, are
+  within total-variation distance 1e-6 of the complex128 reference and
+  normalized to `ensemble.SINGLE_NORM_TOL`, far below what a run's shots
+  resolve, and outside the light cone they are exactly 0.0.  Every
   state's whole tally of right counts is then drawn in one multinomial
   call, one row per state: the right-count masses of
   its word, renormalized and rolled to make its last right count of
@@ -379,10 +383,14 @@ def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
       gathered numbers and three per disorder normal for the realized
       circuit as it is built.
 
-    The copies of the measured bits that the decay, the readout and the
-    tally make, 5 n bytes a shot at most at once, stay below the drawing
-    phase.  Amplitudes are not counted: the chunk rule bounds a chunk's
-    columns by its initial sector, whatever damping moves them into."""
+    The evolving phase also holds one chunk's amplitudes, 16 bytes each:
+    the chunk rule sizes a chunk by its initial sector, but damping moves
+    its columns into sectors of fewer ones, so each column is counted at
+    the largest sector it can reach, C(w, k) over k <= k0 (k0's own
+    without damping), once for the block and once for the copy
+    `noise.damp_columns` lowers it into.  The copies of the measured bits
+    that the decay, the readout and the tally make, 5 n bytes a shot at
+    most at once, stay below the drawing phase."""
     n = config.n_qubits
     lo, hi = config.window
     w = hi - lo
@@ -395,10 +403,27 @@ def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
         largest = shots * max(n, draws, 2 * k * damped)
         drawing = columns * (2 * n - w) + largest
         chunk = min(columns, ensemble._chunk_columns(w, k))
-        evolving = columns * n + chunk * (numbers + 3 * draws)
+        # the largest sector a chunk's columns can reach
+        widest = math.comb(w, min(k, w // 2) if damped else k)
+        evolving = columns * n + chunk * (numbers + 3 * draws + 4 * widest)
         held = columns * (n + 8 * numbers)
         most = max(most, held + max(8 * drawing, 8 * evolving + 48 * columns))
     return most
+
+
+def state_bytes(config: ChainConfig, states: int) -> int:
+    """Bytes of the per-state arrays a noiseless run of `states` states
+    holds, for `ensemble.check_memory`, a bound from the sum of its
+    phases: drawing the initial bits, 32 n a state (the uniforms, the
+    drawn bits, their complement and the relabeled bits, 8 bytes a site);
+    the tallies, 8 (n + 1); seven rows of R = w/2 + 1 numbers, 8 bytes
+    each, a distinct word or a state (the masses, their renormalized and
+    rolled rows and the order that rolls them, each state's row of them,
+    its draws and its right-count changes); and 64 bytes of words,
+    indices and flags."""
+    n = config.n_qubits
+    lo, hi = config.window
+    return states * (32 * n + 8 * (n + 1) + 56 * ((hi - lo) // 2 + 1) + 64)
 
 
 def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
@@ -505,11 +530,12 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
 def _noiseless_records(prepared, config, sample, threads):
     """Every state's `counts` row and kept-shot count without noise, as two
     arrays.  Each distinct window word is evolved once, in one call of the
-    block engine's word end; then every state's whole tally of right counts r
-    is drawn, in state order, in one multinomial call on the cycle count's
-    tally generator, one row of right-count masses per state, and each
-    state tallies r - b0, b0 its word's right count, negated for a
-    relabeled state; unfiltered, as no mode can reject a noiseless shot."""
+    block engine's word end, in complex64; then every state's whole tally
+    of right counts r is drawn, in state order, in one multinomial call on
+    the cycle count's tally generator, one row of right-count masses per
+    state, and each state tallies r - b0, b0 its word's right count,
+    negated for a relabeled state; unfiltered, as no mode can reject a
+    noiseless shot."""
     _, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = config.window
@@ -518,7 +544,8 @@ def _noiseless_records(prepared, config, sample, threads):
     masses = np.ones((words.size, 1))  # no cycle: the empty window stays put
     if width:
         masses = word_right_masses(
-            words, width, lo, t, config.params, config.layer_order, threads
+            words, width, lo, t, config.params, config.layer_order, threads,
+            dtype=np.complex64,
         ).T
     # Each word's right counts are rolled so that its last one of nonzero
     # mass is the last category, which `multinomial` gives whatever the
@@ -561,8 +588,9 @@ def run_sampled(
     batches of states evolve together as the columns of blocks, and their
     measured bitstrings are post-selected under `postselect_mode`.  Output
     is bitwise independent of `threads`.  Before anything is drawn, the
-    window must pass `ensemble.check_memory`, with noise together with its
-    `shot_bytes` (else EnumerationCapError).
+    window must pass `ensemble.check_memory` together with the run's
+    `state_bytes`, or with noise its `shot_bytes` (else
+    EnumerationCapError).
     """
     if ens.n_qubits != config.n_qubits:
         raise ValueError(
@@ -574,7 +602,8 @@ def run_sampled(
         raise ValueError(f"threads must be >= 1, got {threads}")
     lo, hi = config.window
     if noise is None:
-        ensemble.check_memory(hi - lo, "sampled")
+        held = state_bytes(config, sample.n_initial_states)
+        ensemble.check_memory(hi - lo, "sampled", held)
     else:
         held = shot_bytes(config, sample.shots_per_state, noise)
         ensemble.check_memory(hi - lo, "noisy-sampled", held)

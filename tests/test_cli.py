@@ -584,17 +584,17 @@ class TestWindowCheck:
             mode=mode, theta=HEIS_THETA, phi=HEIS_PHI, mu=0.0,
             n_qubits=n_qubits, cycles=cycles,
         )
-        if mode == "noisy-sampled":
-            cfg["noise"] = {"t1_cycles": 20.0, "e0": 0.01}
+        if mode == "noisy-sampled":  # no damping: its sectors decide `cycles`
+            cfg["noise"] = {"e0": 0.01}
         return cfg
 
-    @pytest.mark.parametrize("mode, width", [("sampled", 28), ("noisy-sampled", 22)])
+    @pytest.mark.parametrize("mode, width", [("sampled", 30), ("noisy-sampled", 22)])
     def test_the_widest_admitted_window_parses(self, mode, width):
         for n_qubits, cycles in ((46, width // 2), (width, 40)):
             parsed = cli._parse_config(self.config(mode, n_qubits, cycles))
             assert parsed["chain"].cycles == cycles
 
-    @pytest.mark.parametrize("mode, width", [("sampled", 30), ("noisy-sampled", 24)])
+    @pytest.mark.parametrize("mode, width", [("sampled", 32), ("noisy-sampled", 24)])
     def test_the_next_window_is_refused(self, mode, width):
         with pytest.raises(ConfigError, match="config key 'cycles'"):
             cli._parse_config(self.config(mode, 46, width // 2))
@@ -604,6 +604,28 @@ class TestWindowCheck:
         cli._parse_config({**cfg, "shots_per_state": 10**5})
         with pytest.raises(ConfigError, match="config key 'shots_per_state'"):
             cli._parse_config({**cfg, "shots_per_state": 10**7})
+
+    def test_damping_narrows_the_noisy_window_a_batch_fits(self):
+        # damping moves a chunk's columns from the window's sector into
+        # larger ones, up to C(w, w/2) amplitudes a column: an 18-site
+        # window takes 1000 shots a state, while beside the tables of a
+        # 22-site window (C(22, 11) = 705432) not one shot fits
+        def config(cycles, shots):
+            cfg = self.config("noisy-sampled", 46, cycles)
+            noise = {"t1_cycles": 20.0, "e0": 0.01}
+            return {**cfg, "noise": noise, "shots_per_state": shots}
+
+        cli._parse_config(config(9, 1000))
+        with pytest.raises(ConfigError, match="config key 'shots_per_state'"):
+            cli._parse_config(config(11, 1))
+
+    def test_a_noiseless_run_of_too_many_states_is_refused_under_its_key(self):
+        # 10^6 states of a 2-site window on 46 sites hold about 2 GB of
+        # per-state arrays, 10^7 about 20 GB
+        cfg = self.config("sampled", 46, 1)
+        cli._parse_config({**cfg, "initial_states": 10**6})
+        with pytest.raises(ConfigError, match="config key 'initial_states'"):
+            cli._parse_config({**cfg, "initial_states": 10**7})
 
     def test_a_paper_length_chain_at_20_cycles_is_refused_before_any_write(
         self, tmp_path, capsys

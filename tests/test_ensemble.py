@@ -170,7 +170,7 @@ class TestExactDistribution:
 
 class TestMemoryCheck:
     # mode: its widest admitted chain or window; the next even width is refused
-    EDGES = {"exact": 20, "sampled": 28, "noisy-sampled": 22}
+    EDGES = {"exact": 20, "sampled": 30, "noisy-sampled": 22}
     HEIS = params_at(0.4 * np.pi, 0.8 * np.pi)
 
     @pytest.mark.parametrize("mode", EDGES)
@@ -203,7 +203,7 @@ class TestMemoryCheck:
     @staticmethod
     def block_bytes(half, a, b, m):
         """Bytes of a `_SectorBlocks` of m columns of block (a, b)."""
-        blocks = ensemble._SectorBlocks(half, a, b, np.arange(m))
+        blocks = ensemble._SectorBlocks(half, a + b, a, np.arange(m))
         return blocks.amps.nbytes + blocks._halves[blocks.lo][1].base.nbytes
 
     @pytest.mark.parametrize("n, need", [(14, 31_223_872), (16, 117_209_824)])
@@ -493,8 +493,8 @@ class TestTransferTensor:
             return engine(h, a, b, columns, weights, *rest)
 
         class Counted(blocks):
-            def __init__(self, half, a0, b0, columns):
-                super().__init__(half, a0, b0, columns)
+            def __init__(self, half, k, lefts, columns):
+                super().__init__(half, k, lefts, columns)
                 engine_columns[half] += len(columns)
 
         monkeypatch.setattr(ensemble, "_evolve_block", spy)

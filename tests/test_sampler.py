@@ -562,9 +562,14 @@ class TestBatchedWindow:
     @pytest.mark.parametrize("order", list(LayerOrder))
     @pytest.mark.parametrize("convention", list(PhaseConvention))
     @pytest.mark.parametrize("n", [6, 8, 10, 12])
-    def test_block_columns_match_single_column_runs(self, n, convention, order):
+    def test_block_columns_match_single_column_runs(
+        self, n, convention, order, monkeypatch
+    ):
         # every word of every sector of the window (sites 1..n-2, an odd
-        # anchor), in the chunks the sampler evolves, against one column each
+        # anchor), in the chunks the sampler evolves, against one column
+        # each; at 2^13 amplitudes a chunk of the 10-site window's middle
+        # sectors holds at most 39 columns
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 1 << 13)
         params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
         t = n // 2 - 1
         config = ChainConfig(n, t, params, order)
@@ -721,8 +726,9 @@ class TestBatchedWindow:
         self, order, monkeypatch
     ):
         # every word of an 8-site window anchored at an odd site, shuffled
-        # so that the (popcount, left count) groups interleave; at 256
-        # amplitudes the middle groups span several chunks of 3 columns
+        # so that the popcount groups interleave; at 256 amplitudes the
+        # middle groups span several chunks of 3 columns, some of which
+        # start in more than one block
         monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 256)
         width, lo, t = 8, 1, 3
         every = np.arange(2**width, dtype=np.uint64)
@@ -731,11 +737,11 @@ class TestBatchedWindow:
         assert got.shape == (width // 2 + 1, words.size)
         ones = np.bitwise_count(words)
         left = np.bitwise_count(words >> np.uint64(width // 2))
-        groups = sorted(set(zip(ones.tolist(), left.tolist())))
         chunks = ensemble._word_chunks(words, width)
-        assert len(chunks) > len(groups) and max(map(len, chunks)) > 1
-        for k, a in groups:
-            picked = np.flatnonzero((ones == k) & (left == a))
+        assert len(chunks) > width + 1 and max(map(len, chunks)) > 1
+        assert any(len(set(left[picked].tolist())) > 1 for picked in chunks)
+        for k in range(width + 1):
+            picked = np.flatnonzero(ones == k)
             alone = word_right_masses(words[picked], width, lo, t, HEIS, order)
             assert np.array_equal(got[:, picked], alone)
         threaded = word_right_masses(words, width, lo, t, HEIS, order, threads=2)
@@ -794,6 +800,79 @@ def tiled_records(ens, config, sample, mode):
             (bits[i], *_tally(bits[i], flagged[i], measured, config, mode, every))
         )
     return rows
+
+
+class TestSinglePrecision:
+    @pytest.mark.parametrize("convention", list(PhaseConvention))
+    @pytest.mark.parametrize("width", range(2, 13, 2))
+    def test_every_word_is_near_its_exact_masses_and_in_its_light_cone(
+        self, width, convention
+    ):
+        # every word of the window, anchored at 0 and 1, in both layer
+        # orders, at t = 1, w/2 and w/2 + 2: total-variation distance at
+        # most 1e-6 from complex128, and masses outside the light cone
+        # |r - b0| <= t exactly 0.0
+        params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
+        every = np.arange(2**width, dtype=np.uint64)
+        b0 = np.bitwise_count(every & np.uint64((1 << width // 2) - 1))
+        r = np.arange(width // 2 + 1)[:, None]
+        for lo, order, t in itertools.product(
+            (0, 1), LayerOrder, sorted({1, width // 2, width // 2 + 2})
+        ):
+            args = (every, width, lo, t, params, order)
+            exact = word_right_masses(*args)
+            single = word_right_masses(*args, dtype=np.complex64)
+            assert single.dtype == np.float64
+            assert np.abs(single - exact).sum(axis=0).max() / 2 <= 1e-6
+            assert np.all(single[np.abs(r - b0) > t] == 0.0)
+
+    def test_masses_are_bitwise_alike_for_any_thread_count(self, monkeypatch):
+        # chunks of a few columns, several spanning more than one block
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 256)
+        every = np.arange(2**8, dtype=np.uint64)
+        args = (every, 8, 1, 3, HEIS, LayerOrder.EVEN_FIRST)
+        one = word_right_masses(*args, dtype=np.complex64)
+        two = word_right_masses(*args, threads=2, dtype=np.complex64)
+        assert np.array_equal(one, two)
+
+    def test_its_own_normalization_bound_is_checked(self, monkeypatch):
+        # complex64 masses are off 1 by about 1e-7, within SINGLE_NORM_TOL
+        # (1e-5) but not within complex128's 1e-12
+        every = np.arange(2**10, dtype=np.uint64)
+        args = (every, 10, 0, 5, HEIS, LayerOrder.EVEN_FIRST)
+        word_right_masses(*args, dtype=np.complex64)
+        monkeypatch.setattr(ensemble, "SINGLE_NORM_TOL", 1e-12)
+        word_right_masses(*args)
+        with pytest.raises(InvariantError, match="not normalized"):
+            word_right_masses(*args, dtype=np.complex64)
+
+    def test_only_the_two_complex_widths_are_taken(self):
+        with pytest.raises(ValueError, match="complex64 or complex128"):
+            word_right_masses([0], 2, 0, 1, HEIS, LayerOrder.EVEN_FIRST, 1, np.float64)
+
+    def test_the_sampler_draws_from_complex64_masses(self, monkeypatch):
+        widths = []
+
+        def spy(*args, dtype):
+            widths.append(np.dtype(dtype))
+            return word_right_masses(*args, dtype=dtype)
+
+        monkeypatch.setattr(sampler, "word_right_masses", spy)
+        config = ChainConfig(8, 3, HEIS)
+        run_sampled(ImbalanceEnsemble(0.5, 8), config, SampleConfig(9, 9))
+        assert widths == [np.complex64]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_sampled_moments_agree_with_the_exact_tensor(self, n, seed):
+        # z-scores of the four moments of a noiseless run, drawn from
+        # complex64 masses, against the complex128 tensor at n = 2t
+        ens = ImbalanceEnsemble(0.5, n)
+        config = ChainConfig(n, n // 2, HEIS)
+        exact = moment_row(exact_dists(ens, config)[-1])
+        run = run_sampled(ens, config, SampleConfig(400, 500, seed=seed))
+        report = moment_report([run])
+        assert np.all(np.abs(report.rows[0] - exact) < 5 * report.sigmas[0])
 
 
 class TestNoiselessRoute:
@@ -1468,14 +1547,21 @@ class TestWindowCheck:
     def test_the_noiseless_estimate_is_what_the_engine_allocates(
         self, width, monkeypatch
     ):
-        # one operator set, and one word of the middle sector with its
+        # one complex64 operator set, the complex128 build of its largest
+        # operator, and one complex64 word of the middle sector with its
         # scratch, in bytes: the cap set to exactly that admits the window,
         # one byte less refuses it
-        half = width // 2
-        ops, _ = ensemble._half_chain_operators(half, HEIS, LayerOrder.EVEN_FIRST, 0)
-        word = ensemble._SectorBlocks(half, half // 2, half - half // 2, [0])
+        half, single = width // 2, np.complex64
+        order = LayerOrder.EVEN_FIRST
+        ops, _ = ensemble._half_chain_operators(half, HEIS, order, 0, single)
+        built, _ = ensemble._half_chain_operators(half, HEIS, order, 0)
+        word = ensemble._SectorBlocks(half, half, half // 2, [0], single)
         scratch = word._halves[word.lo][1].base
+        assert {w.dtype for w in ops} == {word.amps.dtype, scratch.dtype} == {
+            np.dtype(single)
+        }
         need = sum(w.nbytes for w in ops) + word.amps.nbytes + scratch.nbytes
+        need += max(w.nbytes for w in built)
         monkeypatch.setattr(ensemble, "MEMORY_CAP", need)
         ensemble.check_memory(width, "sampled")
         monkeypatch.setattr(ensemble, "MEMORY_CAP", need - 1)
@@ -1536,7 +1622,8 @@ class TestWindowCheck:
 
     @pytest.mark.parametrize("relabeled", [False, True])
     @pytest.mark.parametrize(
-        "t, mode", [(1, "none"), (1, "causal"), (3, "none"), (3, "causal"), (7, "causal")]
+        "t, mode",
+        [(t, mode) for t in (1, 3, 7) for mode in ("none", "causal")],
     )
     def test_the_shot_estimate_bounds_what_a_batch_holds(
         self, t, mode, relabeled, monkeypatch
@@ -1545,14 +1632,16 @@ class TestWindowCheck:
         # its window all ones (k0 = w, the most damping uniforms) and 10
         # ones outside: the traced peak of its run is at most `shot_bytes`
         # plus what a run of 8 shots peaks at (its generator, tables and
-        # bookkeeping), and more than half of `shot_bytes`.  Under "none"
-        # every shot evolves; under "causal" the filter rejects most.  At
+        # bookkeeping).  Under "none" every shot evolves, and the peak is
+        # more than half of `shot_bytes`; under "causal" the filter rejects
+        # most unevolved, and at t = 3, where one chunk takes every shot,
+        # the peak is the drawing phase, more than a third of it.  At
         # t = 7 the chunk budget is lowered from 2^16 to 2^8, so that, as at
         # the refusal edge there, the shots outnumber a chunk's columns:
         # the numbers gathered for a chunk and its realized circuit are
-        # charged for one chunk, not for every shot.  Under "none" the
-        # amplitudes of the sectors damping moves a chunk into, which
-        # `shot_bytes` does not count, would exceed it at t = 7
+        # charged for one chunk, not for every shot.  Under "none" at
+        # t = 7 damping moves a chunk's columns from the one-word sector
+        # into sectors of up to C(14, 7) words, which `shot_bytes` charges
         shots = 20_000
         if t == 7:
             monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 1 << 8)
@@ -1576,7 +1665,8 @@ class TestWindowCheck:
         peak(8)  # the sector bases, which `check_memory` counts apart
         base, held = peak(8), peak(shots)
         need = sampler.shot_bytes(config, shots, self.RATES)
-        assert need / 2 < held <= need + base
+        # the estimate charges every shot's evolution; "causal" evolves few
+        assert need / (2 if mode == "none" else 3) < held <= need + base
 
     def test_a_noisy_state_of_too_many_shots_is_refused_before_drawing(
         self, monkeypatch
@@ -1603,6 +1693,46 @@ class TestWindowCheck:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("n, t", [(46, 1), (46, 3), (12, 6)])
+    def test_the_state_estimate_bounds_what_a_noiseless_run_holds(
+        self, n, t, relabel
+    ):
+        # the traced peak of a noiseless run of many states is at most
+        # `state_bytes` plus what a run of 10 states peaks at (its
+        # generators, operators and bookkeeping), and more than a third of
+        # `state_bytes`
+        config = ChainConfig(n, t, HEIS)
+
+        def peak(states):
+            sample = SampleConfig(states, 100, seed=3, relabel_enabled=relabel)
+            tracemalloc.start()
+            try:
+                run_sampled(ImbalanceEnsemble(0.5, n), config, sample)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # the sector bases, which `check_memory` counts apart
+        base, held = peak(10), peak(20_000)
+        need = sampler.state_bytes(config, 20_000)
+        assert need / 3 < held <= need + base
+
+    def test_a_noiseless_run_of_too_many_states_is_refused_before_drawing(
+        self, monkeypatch
+    ):
+        # 10^7 states of a 2-site window on 46 sites hold about 20 GB of
+        # per-state arrays; 10^5 of them fit
+        def drawing(*args):
+            raise AssertionError("drew before the memory check")
+
+        monkeypatch.setattr(sampler, "_prepare", drawing)
+        config = ChainConfig(46, 1, HEIS)
+        ensemble.check_memory(2, "sampled", sampler.state_bytes(config, 10**5))
+        sample = SampleConfig(10**7, 100)
+        with pytest.raises(EnumerationCapError, match="of 2 sites and its states"):
+            run_sampled(ImbalanceEnsemble(0.5, 46), config, sample)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_run_sampled_refuses_before_drawing(self, noisy, monkeypatch):
@@ -1813,7 +1943,7 @@ class TestNoStateAcrossRuns:
 
 class TestReproducibility:
     def test_bitwise_identical_across_thread_counts(self):
-        for n, t, states, shots in ((6, 2, 24, 64), (12, 6, 300, 40)):
+        for n, t, states, shots in ((6, 2, 24, 64), (12, 6, 1000, 40)):
             ens = ImbalanceEnsemble(0.5, n)
             config = ChainConfig(n, t, HEIS)
             for relabel in (True, False):
