@@ -52,10 +52,6 @@ def readout_accumulate(amps, r, acc):
     path optimization never calls BLAS), so the result does not depend on
     the BLAS thread count.
     """
-    if amps.dtype == np.complex64:
-        parts = amps.view(np.float32)  # interleaved (real, imag)
-        squares = np.einsum("ij,ij->j", parts, parts, dtype=np.float64)
-    else:
-        parts = amps.view(np.float64)
-        squares = np.einsum("ij,ij->j", parts, parts)
+    parts = amps.view(amps.real.dtype)  # interleaved (real, imag)
+    squares = np.einsum("ij,ij->j", parts, parts, dtype=np.float64)
     acc[r] += squares.reshape(amps.shape[1], 2).sum(axis=1)

@@ -137,7 +137,8 @@ def _parse_config(cfg) -> dict:
     NoiseConfig of noisy mode (None where unused).  In every mode, a
     `ChainConfig.window` that `ensemble.check_memory` refuses is a refusal
     of `cycles`; in noisy mode, one it refuses with a batch's per-shot
-    arrays (`sampler.shot_bytes`) is a refusal of `shots_per_state`, and in
+    arrays (`sampler.shot_bytes`) is a refusal of `shots_per_state`, or of
+    `cycles` if it refuses them at one shot a state, and in
     sampled mode one it refuses with the per-state arrays
     (`sampler.state_bytes`) a refusal of `initial_states`."""
     _table(cfg, "", RUN_KEYS)
@@ -185,8 +186,11 @@ def _parse_config(cfg) -> dict:
         check_memory(hi - lo, mode)
     noise = _parse_noise(noise or {}, n_qubits) if noisy else None
     if noisy:
-        with _refused_as("shots_per_state"):  # fewer shots, a smaller batch
-            check_memory(hi - lo, mode, sampler.shot_bytes(chain, shots, noise))
+        # a batch of one shot a state that cannot fit needs a narrower window
+        for key, per_state in (("cycles", 1), ("shots_per_state", shots)):
+            with _refused_as(key):
+                held = sampler.shot_bytes(chain, per_state, noise, postselect)
+                check_memory(hi - lo, mode, held)
     elif mode == "sampled":
         with _refused_as("initial_states"):  # fewer states, fewer tallies
             check_memory(hi - lo, mode, sampler.state_bytes(chain, states))

@@ -585,9 +585,6 @@ def word_right_masses(
         InvariantError: if a word's mass is not normalized or lies outside
             the light cone |r - b0| <= cycles, b0 its right count.
     """
-    dtype = np.dtype(dtype)
-    if dtype not in (np.complex64, np.complex128):
-        raise ValueError(f"dtype must be complex64 or complex128, got {dtype}")
     words = np.asarray(words, dtype=np.uint64)
     half = n_sites // 2
     left, right = words >> np.uint64(half), words & np.uint64((1 << half) - 1)

@@ -26,9 +26,11 @@ two routes to its tally:
   tensor is.  The run's distinct words go to it in one call, which
   groups them by popcount into chunks of one sector and threads them
   itself.  It runs in complex64: the masses, summed in float64, are
-  within total-variation distance 1e-6 of the complex128 reference and
   normalized to `ensemble.SINGLE_NORM_TOL`, far below what a run's shots
-  resolve, and outside the light cone they are exactly 0.0.  Every
+  resolve, and outside the light cone they are exactly 0.0.  Tests hold
+  them within total-variation distance 1e-6 of the complex128 reference
+  for every word up to width 12 and for words of width 16 at t = 8;
+  wider windows were measured, not tested (2.8e-7 at width 24).  Every
   state's whole tally of right counts is then drawn in one multinomial
   call, one row per state: the right-count masses of
   its word, renormalized and rolled to make its last right count of
@@ -364,7 +366,9 @@ def _shot_draws(config, noise):
     return draws, len(layers) if noise.half_layer_decay > 0.0 else 0
 
 
-def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
+def shot_bytes(
+    config: ChainConfig, shots: int, noise: NoiseConfig, postselect_mode: str = "none"
+) -> int:
     """Bytes of the per-shot arrays of the largest batch a noisy run of
     `shots` shots a state holds at once, for `ensemble.check_memory`: the
     most over the window popcounts k0, whose batches hold as many states
@@ -383,29 +387,45 @@ def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
       gathered numbers and three per disorder normal for the realized
       circuit as it is built.
 
-    The evolving phase also holds one chunk's amplitudes, 16 bytes each:
-    the chunk rule sizes a chunk by its initial sector, but damping moves
-    its columns into sectors of fewer ones, so each column is counted at
-    the largest sector it can reach, C(w, k) over k <= k0 (k0's own
-    without damping), once for the block and once for the copy
-    `noise.damp_columns` lowers it into.  The copies of the measured bits
-    that the decay, the readout and the tally make, 5 n bytes a shot at
-    most at once, stay below the drawing phase."""
+    The evolving phase also holds one chunk's amplitudes, 16 bytes each,
+    once for the block and once for the copy `noise.damp_columns` lowers
+    it into.  The chunk rule sizes a chunk by its initial sector, C(w, k0),
+    but damping moves the columns that jump into sectors of fewer ones, so
+    those are counted at the largest sector they can reach, C(w, k) over
+    k <= k0.  Under `postselect_mode` "none", the default, every column
+    may jump.  Under a filter a shot that jumps evolves only if one of its
+    readout uniforms lies below e0 (`noise.may_keep_popcount`), so the
+    batch's columns that jump are at most its shots with such a uniform,
+    counted at their mean plus three times its square root: more than
+    three standard deviations of their binomial count.
+
+    The copies of the measured bits that the decay, the readout and the
+    tally make, 5 n bytes a shot at most at once, stay below the drawing
+    phase."""
     n = config.n_qubits
     lo, hi = config.window
     w = hi - lo
     draws, damped = _shot_draws(config, noise)
+    # the chance that a shot has a readout uniform below e0: at least
+    # that of a shot which jumps evolving
+    evolves = 1.0
+    if postselect_mode != "none":
+        evolves = 1.0 - float(np.prod(1.0 - np.broadcast_to(noise.e0, n)))
     most = 0
     for k in range(w + 1):
+        own = math.comb(w, k)
         numbers = draws + 2 * k * damped + 1
-        states = ensemble._CHUNK_AMPLITUDES // (shots * (math.comb(w, k) + numbers))
+        states = ensemble._CHUNK_AMPLITUDES // (shots * (own + numbers))
         columns = shots * max(1, states)
         largest = shots * max(n, draws, 2 * k * damped)
         drawing = columns * (2 * n - w) + largest
         chunk = min(columns, ensemble._chunk_columns(w, k))
-        # the largest sector a chunk's columns can reach
-        widest = math.comb(w, min(k, w // 2) if damped else k)
-        evolving = columns * n + chunk * (numbers + 3 * draws + 4 * widest)
+        # the largest sector a column that jumps can reach, and how many do
+        widest = math.comb(w, min(k, w // 2)) if damped else own
+        mean = evolves * columns
+        jumping = min(chunk, math.ceil(mean + 3 * math.sqrt(mean)))
+        evolving = columns * n + chunk * (numbers + 3 * draws + 4 * own)
+        evolving += 4 * jumping * (widest - own)
         held = columns * (n + 8 * numbers)
         most = max(most, held + max(8 * drawing, 8 * evolving + 48 * columns))
     return most
@@ -605,7 +625,7 @@ def run_sampled(
         held = state_bytes(config, sample.n_initial_states)
         ensemble.check_memory(hi - lo, "sampled", held)
     else:
-        held = shot_bytes(config, sample.shots_per_state, noise)
+        held = shot_bytes(config, sample.shots_per_state, noise, postselect_mode)
         ensemble.check_memory(hi - lo, "noisy-sampled", held)
     _clear_bases()  # `check_memory` counts this window's bases, not earlier ones
 

@@ -584,7 +584,9 @@ class TestWindowCheck:
             mode=mode, theta=HEIS_THETA, phi=HEIS_PHI, mu=0.0,
             n_qubits=n_qubits, cycles=cycles,
         )
-        if mode == "noisy-sampled":  # no damping: its sectors decide `cycles`
+        # no damping: the window's sectors decide `cycles`; damped and
+        # unfiltered, the shots' amplitudes stop it at 20 sites (below)
+        if mode == "noisy-sampled":
             cfg["noise"] = {"e0": 0.01}
         return cfg
 
@@ -606,18 +608,27 @@ class TestWindowCheck:
             cli._parse_config({**cfg, "shots_per_state": 10**7})
 
     def test_damping_narrows_the_noisy_window_a_batch_fits(self):
-        # damping moves a chunk's columns from the window's sector into
-        # larger ones, up to C(w, w/2) amplitudes a column: an 18-site
-        # window takes 1000 shots a state, while beside the tables of a
-        # 22-site window (C(22, 11) = 705432) not one shot fits
-        def config(cycles, shots):
+        # damping moves a chunk's columns that jump from the window's sector
+        # into larger ones, up to C(w, w/2) amplitudes a column.  Unfiltered,
+        # every column may jump: an 18-site window takes 1000 shots a
+        # state, while beside the tables of a 22-site window (C(22, 11) =
+        # 705432) not one shot fits, which only fewer cycles mend.  A filter
+        # evolves a shot after a jump only if its readout may restore the
+        # one lost (e0 = 0.01), and the 22-site window takes 80 shots
+        def config(cycles, shots, postselect):
             cfg = self.config("noisy-sampled", 46, cycles)
             noise = {"t1_cycles": 20.0, "e0": 0.01}
-            return {**cfg, "noise": noise, "shots_per_state": shots}
+            return {
+                **cfg, "noise": noise, "shots_per_state": shots,
+                "postselect": postselect,
+            }
 
-        cli._parse_config(config(9, 1000))
+        cli._parse_config(config(9, 1000, "none"))
+        with pytest.raises(ConfigError, match="config key 'cycles'"):
+            cli._parse_config(config(11, 1, "none"))
+        cli._parse_config(config(11, 80, "number_only"))
         with pytest.raises(ConfigError, match="config key 'shots_per_state'"):
-            cli._parse_config(config(11, 1))
+            cli._parse_config(config(11, 1000, "number_only"))
 
     def test_a_noiseless_run_of_too_many_states_is_refused_under_its_key(self):
         # 10^6 states of a 2-site window on 46 sites hold about 2 GB of
