@@ -189,7 +189,7 @@ def _parse_config(cfg) -> dict:
         # a batch of one shot a state that cannot fit needs a narrower window
         for key, per_state in (("cycles", 1), ("shots_per_state", shots)):
             with _refused_as(key):
-                held = sampler.shot_bytes(chain, per_state, noise, postselect)
+                held = sampler.shot_bytes(chain, per_state, noise)
                 check_memory(hi - lo, mode, held)
     elif mode == "sampled":
         with _refused_as("initial_states"):  # fewer states, fewer tallies

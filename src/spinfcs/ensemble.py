@@ -225,9 +225,10 @@ def check_memory(n_sites: int, mode: str, extra_bytes: int = 0) -> None:
     16 (C(w, k) + C(w - 2, k - 1)) bytes, and the `site_bits` and
     `lowering` tables, 8 w C(w, k) and 16 w C(w - 1, k - 1) bytes;
     (36 w - 20) 2^w bytes in all, plus `extra_bytes`, the per-shot arrays
-    of one batch (`sampler.shot_bytes`).  Each worker thread holds a block
-    and a batch of its own; that multiple is not counted.  A run that
-    passes may still take too long.
+    of one batch and the amplitudes of one chunk, which the noisy chunk
+    rule bounds whichever columns jump (`sampler.shot_bytes`).  Each
+    worker thread holds a block and a batch of its own; that multiple is
+    not counted.  A run that passes may still take too long.
 
     Raises:
         EnumerationCapError: if the estimate exceeds the cap.
@@ -515,14 +516,9 @@ def _evolve_block(half, a0, b0, columns, weights, cycles, operators, window):
     return part
 
 
-# Amplitudes in one block of window columns, both sampled routes' bound,
-# read at call time.  The word end evolves its initial blocks in chunks of
-# `_chunk_columns` columns.  The noisy route packs the whole states of one
-# window popcount into a block while its columns times (amplitudes + numbers
-# per shot) fit; a state over that runs alone, in chunks of the column rule,
-# as do the columns of one excitation count after a damping step.  The
-# O(n)-per-shot arrays of a noisy batch (measured bits, decay and readout
-# uniforms) are not counted.
+# Amplitudes in one block of window columns, read at call time.  The word
+# end evolves its words in chunks of `_chunk_columns` columns; the noisy
+# route sizes its batches and chunks by the same budget (`sampler`).
 _CHUNK_AMPLITUDES = 1 << 16
 
 

@@ -117,10 +117,14 @@ def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
     out = [(SectorState(basis, state.columns()[:, stay]), stay)] if stay.size else []
     while moved.size:
         source, target = basis.lowering()
-        probs = amps.real**2 + amps.imag**2
-        # (columns, sites): each sum runs along a contiguous row of the
-        # gathered probabilities, whatever the other columns
-        occupation = probs.T.take(source, axis=1).sum(axis=2)
+        rows = np.ascontiguousarray((amps.real**2 + amps.imag**2).T)
+        # (columns, sites), gathered a few sites at a time, at most 2^16
+        # numbers: each sum runs along a contiguous row of the gathered
+        # probabilities, whatever the other columns
+        step = max(1, (1 << 16) // (len(rows) * source.shape[1]))
+        occupation = np.empty((len(rows), len(source)))
+        for q in range(0, len(source), step):
+            occupation[:, q : q + step] = rows.take(source[q : q + step], axis=1).sum(axis=2)
         cdf = np.cumsum(occupation / occupation.sum(axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
         u = uniforms[1, k - basis.n_excitations, moved]  # round r = k - ones

@@ -59,15 +59,15 @@ two routes to its tally:
   and so every jump and measurement, as the rotations would.  The states of
   one k0 are packed, in index order and side by side, into batches of as
   many whole states as keep their shots' amplitudes and numbers within
-  2^16, one block each.  A state over that budget runs alone, in chunks of
-  at most max(1, 2^16 // dim) of its evolving shots, dim the prepared
-  window's sector's.  The
-  batches are the units of work for the threads.  The columns
-  of a block that jump are lowered together, one round per jump
+  2^16, the units of work for the threads.  A batch's evolving shots run
+  in chunks of at most max(1, 2^16 // dim) columns, dim that of the
+  largest sector they can reach: the prepared window's sector, or with
+  damping, which only lowers the count, C(w, min(k0, w/2)).  The columns
+  of a chunk that jump are lowered together, one round per jump
   (`noise.damp_columns`), and join the columns of their new excitation
-  count; the columns of a count that are not one block within the size
-  rule are re-blocked under it.  A shot reads its own columns, whatever
-  its block, batch or thread.  The readout flips read their uniforms once
+  count in one block, which the chunk rule keeps within the size rule of
+  its sector.  A shot reads its own columns, whatever its block, batch
+  or thread.  The readout flips read their uniforms once
   per batch, after the evolution.
 
 The noisy route evolves gate by gate (`_trajectory`), since jittered
@@ -294,10 +294,9 @@ def _trajectory(state, lo, config, noise, numbers):
 
 def _damp_blocks(blocks, p_decay, uniforms):
     """One damping step on every column of the (block, columns) pairs,
-    column c reading uniforms[..., c].  The columns that jumped join the
-    columns of their new excitation count.  A count's lone block that fits
-    `_chunk_columns` passes as it is; the columns of any other count are
-    concatenated and re-blocked, at most `_chunk_columns` to a block."""
+    column c reading uniforms[..., c].  The columns that jumped join those
+    of their new excitation count in one block, which the chunk rule of
+    `_noisy_records` keeps within `ensemble._chunk_columns`."""
     width = blocks[0][0].basis.n_sites
     pieces = defaultdict(list)  # excitation count -> [(state, columns)]
     for block, columns in blocks:
@@ -305,16 +304,12 @@ def _damp_blocks(blocks, p_decay, uniforms):
             pieces[piece.basis.n_excitations].append((piece, columns[picked]))
     out = []
     for k in sorted(pieces):
-        size = ensemble._chunk_columns(width, k)
-        if len(pieces[k]) == 1 and pieces[k][0][1].size <= size:
+        if len(pieces[k]) == 1:
             out.extend(pieces[k])
             continue
-        basis = sector_basis(width, k)
         amps = np.concatenate([state.columns() for state, _ in pieces[k]], axis=1)
         columns = np.concatenate([c for _, c in pieces[k]])
-        for j0 in range(0, columns.size, size):
-            part = slice(j0, j0 + size)
-            out.append((SectorState(basis, amps[:, part]), columns[part]))
+        out.append((SectorState(sector_basis(width, k), amps), columns))
     return out
 
 
@@ -366,38 +361,46 @@ def _shot_draws(config, noise):
     return draws, len(layers) if noise.half_layer_decay > 0.0 else 0
 
 
-def shot_bytes(
-    config: ChainConfig, shots: int, noise: NoiseConfig, postselect_mode: str = "none"
-) -> int:
+def _reach(width, k, damped):
+    """Excitation count of the largest sector a noisy column whose window
+    starts with k ones can reach: damping only lowers the count."""
+    return min(k, width // 2) if damped else k
+
+
+def _batch_states(width, k, shots, numbers):
+    """States of window popcount k in a noisy batch: as many as keep their
+    shots' C(width, k) amplitudes and `numbers` within the budget, >= 1."""
+    per_state = shots * (math.comb(width, k) + numbers)
+    return max(1, ensemble._CHUNK_AMPLITUDES // per_state)
+
+
+# Bytes per amplitude of a noisy chunk, what a damping step peaks at (the
+# block, its moved columns, their probabilities and index rows, the lowered
+# copy; traced at most 72), beside a gather of at most 2^16 probabilities.
+_AMPLITUDE_BYTES = 80
+
+
+def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
     """Bytes of the per-shot arrays of the largest batch a noisy run of
     `shots` shots a state holds at once, for `ensemble.check_memory`: the
     most over the window popcounts k0, whose batches hold as many states
-    as the batch rule of `_noisy_records` packs.  A shot keeps its
-    measured bits, one byte a site, throughout, and its numbers, R = the
-    disorder normals, 2 k0 damping uniforms per damped half-layer and one
-    measurement uniform, 8 bytes each, until it is measured.  Beside these
-    the batch holds the larger of two phases, 8 bytes a number:
+    as `_batch_states` packs.  A shot keeps its measured bits, one byte a
+    site, throughout, and its numbers, R = the disorder normals, 2 k0
+    damping uniforms per damped half-layer and one measurement uniform,
+    8 bytes each, until it is measured.  Beside these the batch holds the
+    larger of two phases, 8 bytes a number:
 
     * drawing: each shot's decay (n - w) and readout (n) uniforms, and the
       largest single draw of one state (its normals, damping uniforms or
       readout uniforms) before it is copied into place;
     * evolving: each shot's readout uniforms and 48 bytes of masks, jump
-      counts and indices; and, for the columns of one chunk (at most
-      `ensemble._chunk_columns` of the window's k0 sector), their
+      counts and indices; and, for the columns of one chunk, their
       gathered numbers and three per disorder normal for the realized
       circuit as it is built.
 
-    The evolving phase also holds one chunk's amplitudes, 16 bytes each,
-    once for the block and once for the copy `noise.damp_columns` lowers
-    it into.  The chunk rule sizes a chunk by its initial sector, C(w, k0),
-    but damping moves the columns that jump into sectors of fewer ones, so
-    those are counted at the largest sector they can reach, C(w, k) over
-    k <= k0.  Under `postselect_mode` "none", the default, every column
-    may jump.  Under a filter a shot that jumps evolves only if one of its
-    readout uniforms lies below e0 (`noise.may_keep_popcount`), so the
-    batch's columns that jump are at most its shots with such a uniform,
-    counted at their mean plus three times its square root: more than
-    three standard deviations of their binomial count.
+    The evolving phase also holds one chunk's amplitudes, whichever of its
+    columns jump at most `ensemble._chunk_columns` times C(w, reach), the
+    largest sector they can reach (`_reach`), at `_AMPLITUDE_BYTES` each.
 
     The copies of the measured bits that the decay, the readout and the
     tally make, 5 n bytes a shot at most at once, stay below the drawing
@@ -406,28 +409,18 @@ def shot_bytes(
     lo, hi = config.window
     w = hi - lo
     draws, damped = _shot_draws(config, noise)
-    # the chance that a shot has a readout uniform below e0: at least
-    # that of a shot which jumps evolving
-    evolves = 1.0
-    if postselect_mode != "none":
-        evolves = 1.0 - float(np.prod(1.0 - np.broadcast_to(noise.e0, n)))
     most = 0
     for k in range(w + 1):
-        own = math.comb(w, k)
         numbers = draws + 2 * k * damped + 1
-        states = ensemble._CHUNK_AMPLITUDES // (shots * (own + numbers))
-        columns = shots * max(1, states)
+        columns = shots * _batch_states(w, k, shots, numbers)
         largest = shots * max(n, draws, 2 * k * damped)
         drawing = columns * (2 * n - w) + largest
-        chunk = min(columns, ensemble._chunk_columns(w, k))
-        # the largest sector a column that jumps can reach, and how many do
-        widest = math.comb(w, min(k, w // 2)) if damped else own
-        mean = evolves * columns
-        jumping = min(chunk, math.ceil(mean + 3 * math.sqrt(mean)))
-        evolving = columns * n + chunk * (numbers + 3 * draws + 4 * own)
-        evolving += 4 * jumping * (widest - own)
+        reach = _reach(w, k, damped)
+        chunk = min(columns, ensemble._chunk_columns(w, reach))
+        evolving = 8 * (columns * n + chunk * (numbers + 3 * draws)) + 48 * columns
+        evolving += chunk * math.comb(w, reach) * _AMPLITUDE_BYTES
         held = columns * (n + 8 * numbers)
-        most = max(most, held + max(8 * drawing, 8 * evolving + 48 * columns))
+        most = max(most, held + max(8 * drawing, evolving))
     return most
 
 
@@ -449,11 +442,10 @@ def state_bytes(config: ChainConfig, states: int) -> int:
 def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     """Every state's `counts` row and kept-shot count with noise, as two
     arrays in state order.  The states of one window popcount k0 are
-    packed, in index order, into batches of as many whole states (at least
-    one) as keep the batch's columns times C(width, k0) plus the numbers of
-    a shot (the disorder normals, 2 k0 per damped half-layer, 1) within
-    `ensemble._CHUNK_AMPLITUDES`.  A batch is the threads' unit of work and
-    runs in four passes.
+    packed, in index order, into batches of `_batch_states` each: their
+    shots' C(width, k0) amplitudes and numbers (the disorder normals, 2 k0
+    per damped half-layer, 1) stay within `ensemble._CHUNK_AMPLITUDES`.  A
+    batch is the threads' unit of work and runs in four passes.
 
     Draw: each state opens its counter block 1 and draws its shots' numbers
     as arrays, one column per shot: the disorder normals, per half-layer k0
@@ -466,9 +458,10 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     prepared popcount.  Evolve: the states' arrays are placed side by side,
     and the shots not rejected, in order, are the columns of the batch's
     block, each reading its own numbers; the block runs in chunks of at
-    most `_chunk_columns` columns (more than one only for a state over the
-    budget alone), and each shot measures the first outcome of its
-    column's guarded CDF above its uniform.  Tally: the batch's readouts
+    most `_chunk_columns` of the largest sector its columns can reach
+    (`_reach`), so that damping never gathers more columns of a count
+    than one block of its sector holds, and each shot measures the first
+    outcome of its column's guarded CDF above its uniform.  Tally: the batch's readouts
     flip, in one call reading the drawn uniforms; each state then filters
     its measured rows, the rejected ones failing the popcount test, and
     tallies them into its own row of the two arrays."""
@@ -513,7 +506,7 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
             # the numbers of its shots
             evolved = np.flatnonzero(alive)
             start = words[batch].repeat(shots)[evolved]
-            size = ensemble._chunk_columns(width, k)
+            size = ensemble._chunk_columns(width, _reach(width, k, damped))
             for s0 in range(0, evolved.size, size):
                 part = evolved[s0 : s0 + size]
                 # no name holds a block once damping has replaced it, or
@@ -540,8 +533,7 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     batches = []
     for k in sorted(set(ones)):
         group = [i for i, count in enumerate(ones) if count == k]
-        per_state = shots * (math.comb(width, k) + draws + 2 * k * damped + 1)
-        per = max(1, ensemble._CHUNK_AMPLITUDES // per_state)
+        per = _batch_states(width, k, shots, draws + 2 * k * damped + 1)
         batches += [group[j : j + per] for j in range(0, len(group), per)]
     thread_map(tally_batch, batches, threads)
     return counts, kept
@@ -625,7 +617,7 @@ def run_sampled(
         held = state_bytes(config, sample.n_initial_states)
         ensemble.check_memory(hi - lo, "sampled", held)
     else:
-        held = shot_bytes(config, sample.shots_per_state, noise, postselect_mode)
+        held = shot_bytes(config, sample.shots_per_state, noise)
         ensemble.check_memory(hi - lo, "noisy-sampled", held)
     _clear_bases()  # `check_memory` counts this window's bases, not earlier ones
 

@@ -584,10 +584,8 @@ class TestWindowCheck:
             mode=mode, theta=HEIS_THETA, phi=HEIS_PHI, mu=0.0,
             n_qubits=n_qubits, cycles=cycles,
         )
-        # no damping: the window's sectors decide `cycles`; damped and
-        # unfiltered, the shots' amplitudes stop it at 20 sites (below)
         if mode == "noisy-sampled":
-            cfg["noise"] = {"e0": 0.01}
+            cfg["noise"] = {"t1_cycles": 20.0, "e0": 0.01}
         return cfg
 
     @pytest.mark.parametrize("mode, width", [("sampled", 30), ("noisy-sampled", 22)])
@@ -607,28 +605,17 @@ class TestWindowCheck:
         with pytest.raises(ConfigError, match="config key 'shots_per_state'"):
             cli._parse_config({**cfg, "shots_per_state": 10**7})
 
-    def test_damping_narrows_the_noisy_window_a_batch_fits(self):
-        # damping moves a chunk's columns that jump from the window's sector
-        # into larger ones, up to C(w, w/2) amplitudes a column.  Unfiltered,
-        # every column may jump: an 18-site window takes 1000 shots a
-        # state, while beside the tables of a 22-site window (C(22, 11) =
-        # 705432) not one shot fits, which only fewer cycles mend.  A filter
-        # evolves a shot after a jump only if its readout may restore the
-        # one lost (e0 = 0.01), and the 22-site window takes 80 shots
-        def config(cycles, shots, postselect):
-            cfg = self.config("noisy-sampled", 46, cycles)
-            noise = {"t1_cycles": 20.0, "e0": 0.01}
-            return {
-                **cfg, "noise": noise, "shots_per_state": shots,
-                "postselect": postselect,
-            }
-
-        cli._parse_config(config(9, 1000, "none"))
-        with pytest.raises(ConfigError, match="config key 'cycles'"):
-            cli._parse_config(config(11, 1, "none"))
-        cli._parse_config(config(11, 80, "number_only"))
+    @pytest.mark.parametrize("postselect", ["none", "number_only", "causal"])
+    def test_a_damped_22_site_window_takes_shots_up_to_its_edge(self, postselect):
+        # damping lowers a column into sectors of up to C(22, 11) = 705432
+        # amplitudes, and a chunk holds only as many columns as fit that
+        # sector, one here, whichever of them jump and whatever the
+        # filter: beside the window's tables 65,641 shots a state fit,
+        # and one more is refused under `shots_per_state`
+        cfg = {**self.config("noisy-sampled", 46, 11), "postselect": postselect}
+        cli._parse_config({**cfg, "shots_per_state": 65_641})
         with pytest.raises(ConfigError, match="config key 'shots_per_state'"):
-            cli._parse_config(config(11, 1000, "number_only"))
+            cli._parse_config({**cfg, "shots_per_state": 65_642})
 
     def test_a_noiseless_run_of_too_many_states_is_refused_under_its_key(self):
         # 10^6 states of a 2-site window on 46 sites hold about 2 GB of

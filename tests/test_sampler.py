@@ -1214,7 +1214,7 @@ class TestBatchedNoisyRoute:
     ):
         # chunks of 64 amplitudes: 3 columns of the 6-site window's middle
         # sector, so 14 shots span several chunks, and the columns that
-        # jump are re-blocked under the same rule; a filter rejects every
+        # jump stay within the same rule; a filter rejects every
         # shot that jumps here before it evolves, so the jumps are covered
         # without one
         monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 64)
@@ -1298,8 +1298,8 @@ class TestStatePacking:
         C(width, k0) plus the numbers of a shot (disorder normals, 2 k0 per
         damped half-layer, one measurement uniform) stay within
         `_CHUNK_AMPLITUDES`.  The shots of a batch that evolve, those of
-        `drawn_survivors` under a filter, form its block; a state over that
-        alone runs them in chunks of `_chunk_columns`."""
+        `drawn_survivors` under a filter, run in chunks of `_chunk_columns`
+        of the largest sector damping can lower them into."""
         n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
         lo, hi = config.window
         width = hi - lo
@@ -1323,11 +1323,10 @@ class TestStatePacking:
                 ):
                     batches.append([])
                 batches[-1].append(i)
+            # a chunk fits the largest sector damping can lower it into
+            size = ensemble._chunk_columns(width, min(k, width // 2))
             for batch in batches:
                 columns = [i for i in batch for _ in range(evolved[i].sum())]
-                size = max(1, len(columns))
-                if len(batch) == 1:
-                    size = ensemble._chunk_columns(width, k)
                 blocks += [columns[j : j + size] for j in range(0, len(columns), size)]
         return blocks
 
@@ -1636,25 +1635,36 @@ class TestWindowCheck:
         # one 46-site state of more shots than a batch of several holds,
         # its window all ones (k0 = w, the most damping uniforms) and 10
         # ones outside: the traced peak of its run is at most `shot_bytes`
-        # plus what a run of 8 shots peaks at (its generator, tables and
-        # bookkeeping), and more than half of it.  At t = 7 the chunk
+        # plus what a run of 8 shots peaks at (its generator and
+        # bookkeeping), and more than half of it.  Every sector's tables,
+        # which `check_memory` counts apart, are built first: 8 shots do
+        # not jump into every sector that 1000 reach.  At t = 7 the chunk
         # budget is lowered from 2^16 to 2^8, so that, as at the refusal
-        # edge there, the shots outnumber a chunk's columns: the numbers
-        # gathered for a chunk and its realized circuit are charged for one
-        # chunk, not for every shot.  Under "none" at t = 7 damping moves a
-        # chunk's columns from the one-word sector into sectors of up to
-        # C(14, 7) words, which `shot_bytes` charges; under "causal" it
-        # charges that only for the shots that may evolve after a jump
+        # edge there, the shots outnumber a chunk's columns at every k0:
+        # the numbers gathered for a chunk and its realized circuit are
+        # charged for one chunk, not for every shot.  Damping moves a
+        # column from the one-word sector into sectors of up to C(14, 7)
+        # words, so a chunk holds one column here, in every mode.  The
+        # 8-shot base already holds one chunk's damping transient, so this
+        # cannot tell whether `shot_bytes` covers that transient;
+        # `TestDampBlocks` ties it to a traced peak
         shots = 20_000
         if t == 7:
             monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 1 << 8)
-            shots = 4_000
+            shots = 1_000
         config = ChainConfig(46, t, HEIS)
         lo, hi = config.window
         phys = np.zeros((1, 46), dtype=np.int64)
         phys[0, :10] = phys[0, lo:hi] = 1
         bits = 1 - phys if relabeled else phys
         prepared = (bits, phys, np.array([relabeled]))
+        for k in range(hi - lo + 1):
+            basis = sector_basis(hi - lo, k)
+            basis.site_bits()
+            for bond in range(hi - lo - 1):
+                basis.bond_tables(bond)
+            if k:
+                basis.lowering()
 
         def peak(shots):
             sample = SampleConfig(1, shots, seed=5)
@@ -1665,26 +1675,9 @@ class TestWindowCheck:
             finally:
                 tracemalloc.stop()
 
-        peak(8)  # the sector bases, which `check_memory` counts apart
         base, held = peak(8), peak(shots)
-        need = sampler.shot_bytes(config, shots, self.RATES, mode)
+        need = sampler.shot_bytes(config, shots, self.RATES)
         assert need / 2 < held <= need + base
-
-    def test_a_filter_charges_the_jumps_of_the_shots_it_may_keep(self):
-        # a shot a filter keeps after a jump has a readout uniform below e0:
-        # at e0 = 0.01 (per qubit or not) a filter charges fewer columns at
-        # the widest sector than "none", and at e0 = 0.5, where nearly
-        # every shot has one, as many
-        config = ChainConfig(46, 7, HEIS)
-        rare, per_qubit, often = (
-            NoiseConfig(t1_cycles=20, e0=e0) for e0 in (0.01, np.full(46, 0.01), 0.5)
-        )
-        for mode in ("number_only", "causal"):
-            fewer = sampler.shot_bytes(config, 4000, rare, mode)
-            assert fewer < sampler.shot_bytes(config, 4000, rare, "none")
-            assert sampler.shot_bytes(config, 4000, per_qubit, mode) == fewer
-            alike = sampler.shot_bytes(config, 4000, often, mode)
-            assert alike == sampler.shot_bytes(config, 4000, often, "none")
 
     def test_a_noisy_state_of_too_many_shots_is_refused_before_drawing(
         self, monkeypatch
@@ -1776,25 +1769,103 @@ def one_jump(m):
 
 
 class TestDampBlocks:
-    def test_jumped_columns_are_reblocked_to_the_chunk_rule(self, monkeypatch):
-        # 4 columns of the 6-site sector with 4 ones (dimension 15: 4 to a
-        # block of 64 amplitudes) all jump into the one with 3 (dimension
-        # 20: 3 to a block)
-        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 64)
+    def test_jumped_columns_join_one_block_of_their_count(self):
+        # 4 columns of the 6-site sector with 4 ones, two blocks of 2, all
+        # jump into the one with 3: one block, in input order, each column
+        # as it would be alone
         basis = sector_basis(6, 4)
         amps = np.random.default_rng(3).standard_normal((basis.dimension, 4)) + 0j
         amps /= np.linalg.norm(amps, axis=0)
-        block = (SectorState(basis, amps.copy()), np.arange(4))
-        blocks = sampler._damp_blocks([block], 0.5, one_jump(4))
-        assert [(b.basis.n_excitations, c.tolist()) for b, c in blocks] == [
-            (3, [0, 1, 2]),
-            (3, [3]),
+        blocks = [
+            (SectorState(basis, amps[:, part].copy()), np.arange(4)[part])
+            for part in (slice(0, 2), slice(2, 4))
         ]
-        for lowered, columns in blocks:
-            for got, c in zip(lowered.columns().T, columns):
-                alone = SectorState(basis, amps[:, c : c + 1].copy())
-                [(want, _)] = sampler.damp_columns(alone, 0.5, one_jump(1))
-                assert np.array_equal(got, want.columns()[:, 0])
+        blocks = sampler._damp_blocks(blocks, 0.5, one_jump(4))
+        assert [(b.basis.n_excitations, c.tolist()) for b, c in blocks] == [
+            (3, [0, 1, 2, 3])
+        ]
+        [(lowered, columns)] = blocks
+        for got, c in zip(lowered.columns().T, columns):
+            alone = SectorState(basis, amps[:, c : c + 1].copy())
+            [(want, _)] = sampler.damp_columns(alone, 0.5, one_jump(1))
+            assert np.array_equal(got, want.columns()[:, 0])
+
+    @pytest.mark.parametrize("width", [10, 14, 18])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_a_damping_step_peaks_within_the_charged_amplitudes(self, width, full):
+        # one chunk as `_noisy_records` cuts it, `_chunk_columns` of the
+        # middle sector, whose windows start with k0 = w/2 or w ones, and
+        # every column making k0 jumps in one step, down through every
+        # sector: the traced peak, the input block included, lies between
+        # half and all of what `shot_bytes` charges for the chunk's
+        # amplitudes, `_AMPLITUDE_BYTES` each of the middle sector's
+        k0 = width if full else width // 2
+        columns = ensemble._chunk_columns(width, width // 2)
+        basis = sector_basis(width, k0)
+        rng = np.random.default_rng(width)
+        uniforms = np.zeros((2, k0, columns))
+        uniforms[1] = rng.random((k0, columns))
+
+        def chunk():
+            shape = (basis.dimension, columns)
+            amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            amps /= np.linalg.norm(amps, axis=0)
+            return [(SectorState(basis, amps), np.arange(columns))]
+
+        sampler._damp_blocks(chunk(), 0.5, uniforms)  # the sector tables
+        tracemalloc.start()
+        try:
+            blocks = sampler._damp_blocks(chunk(), 0.5, uniforms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [b.basis.n_excitations for b, _ in blocks] == [0]
+        charged = columns * math.comb(width, width // 2) * sampler._AMPLITUDE_BYTES
+        assert charged / 2 < peak <= charged
+
+    @pytest.mark.parametrize("mode", ["none", "number_only", "causal"])
+    @pytest.mark.parametrize(
+        "n, t, budget", [(8, 3, 1 << 8), (10, 4, 1 << 10), (46, 4, 1 << 12)]
+    )
+    def test_the_chunk_rule_keeps_each_count_in_one_block(
+        self, n, t, budget, mode, monkeypatch
+    ):
+        # two states of each window popcount k0 = 0..w, 8 times as many
+        # shots as a chunk of the middle sector holds, strong damping:
+        # after every damping step each excitation count's columns are
+        # one block, some merged from several, within `_chunk_columns` of
+        # their sector.  Nothing splits them, so the chunk rule alone must
+        # keep them there (chunks sized by k0 fail here under "none", and
+        # under every mode at n = 46)
+        monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", budget)
+        config = ChainConfig(n, t, HEIS)
+        lo, hi = config.window
+        width = hi - lo
+        shots = 8 * ensemble._chunk_columns(width, width // 2)
+        phys = np.zeros((2 * (width + 1), n), dtype=np.int64)
+        for r, row in enumerate(phys):
+            row[:lo] = row[lo : lo + r // 2] = 1
+        prepared = (phys, phys, np.zeros(len(phys), dtype=bool))
+        noise = NoiseConfig(t1_cycles=1.5, e0=0.5, e1=0.1)
+        damp_blocks = sampler._damp_blocks
+        merged = []
+
+        def damping(blocks, *args):
+            out = damp_blocks(blocks, *args)
+            counts = [b.basis.n_excitations for b, _ in out]
+            assert counts == sorted(set(counts))
+            for block, columns in out:
+                k = block.basis.n_excitations
+                assert columns.size <= ensemble._chunk_columns(width, k)
+            # which input block each column came from
+            source = {c: i for i, (_, cs) in enumerate(blocks) for c in cs.tolist()}
+            merged.extend(len({source[c] for c in cs.tolist()}) > 1 for _, cs in out)
+            return out
+
+        monkeypatch.setattr(sampler, "_damp_blocks", damping)
+        sample = SampleConfig(len(phys), shots, seed=n + t)
+        sampler._noisy_records(prepared, config, sample, noise, mode, 1)
+        assert any(merged)
 
 
 def phased_trajectory(state, lo, config, noise, numbers):
