@@ -134,13 +134,11 @@ def _parse_config(cfg) -> dict:
     """Check a `spinfcs run` config and build the library objects of its
     run once: the ChainConfig (in exact mode reduced to the light cone of
     the center cut), and the SampleConfig of the sampled modes and the
-    NoiseConfig of noisy mode (None where unused).  In every mode, a
-    `ChainConfig.window` that `ensemble.check_memory` refuses is a refusal
-    of `cycles`; in noisy mode, one it refuses with a batch's per-shot
-    arrays (`sampler.shot_bytes`) is a refusal of `shots_per_state`, or of
-    `cycles` if it refuses them at one shot a state, and in
-    sampled mode one it refuses with the per-state arrays
-    (`sampler.state_bytes`) a refusal of `initial_states`."""
+    NoiseConfig of noisy mode (None where unused).  A `ChainConfig.window`
+    that `ensemble.check_memory` refuses is a refusal of `cycles`, and one
+    it refuses with `sampler.shot_bytes` a refusal of `shots_per_state`
+    (of `cycles` at one shot a state), or with `sampler.state_bytes` of
+    `initial_states`."""
     _table(cfg, "", RUN_KEYS)
     mode = _choice(cfg, "mode", ("exact", "sampled", "noisy-sampled"))
     angles = [_require(cfg, key, NUMBER, required=True) for key in ("theta", "phi")]

@@ -204,31 +204,18 @@ def check_memory(n_sites: int, mode: str, extra_bytes: int = 0) -> None:
     `mode` ("exact", "sampled" or "noisy-sampled") when the arrays the run
     holds at once exceed `MEMORY_CAP` bytes: the one size rule, which the
     CLI, `transfer_tensor` and `sampler.run_sampled` apply before they
-    allocate.  It admits exact chains up to 20 sites (1.61 GB), sampled
-    windows up to 30 (3.81 GB, and the per-state arrays) and noisy-sampled
-    ones up to 22 (3.24 GB, and a noisy batch's per-shot arrays).
+    allocate.  It admits exact chains up to 20 sites, sampled windows up
+    to 30 and noisy-sampled ones up to 22.
 
-    Exact runs hold, in complex128, the block engine's one half-chain
-    operator set, 16 C(w, w/2) bytes, and one `_SectorBlocks` of m columns
-    of the middle sector, the widest: amplitudes, 16 m C(w, w/2) bytes, and
-    scratch, two of its largest blocks, 32 m C(w/2, w/4)^2 bytes (w/4
-    rounded down).  The tensor's widest task has m = `CHUNK_COLUMNS` and,
-    beside its full engine, the engine of its forward window, at most
-    w - 2 sites, one at a time, with the window's operator set.  Sampled
-    runs hold the same engine in complex64, half those bytes, with m = 1,
-    as every chunk of the word end has once the middle sector outgrows
-    `_CHUNK_AMPLITUDES`, and the complex128 copy of the largest operator,
-    16 C(w/2, w/4)^2 bytes, that the build rounds down, plus
-    `extra_bytes`, the per-state arrays (`sampler.state_bytes`).  Noisy
-    runs hold the int64 tables that `sector_basis` keeps, summed over every
-    sector k of the window: per bond the `BondTables` rows and order,
-    16 (C(w, k) + C(w - 2, k - 1)) bytes, and the `site_bits` and
-    `lowering` tables, 8 w C(w, k) and 16 w C(w - 1, k - 1) bytes;
-    (36 w - 20) 2^w bytes in all, plus `extra_bytes`, the per-shot arrays
-    of one batch and the amplitudes of one chunk, which the noisy chunk
-    rule bounds whichever columns jump (`sampler.shot_bytes`).  Each
-    worker thread holds a block and a batch of its own; that multiple is
-    not counted.  A run that passes may still take too long.
+    Exact runs hold the block engine (`_engine_bytes`) in complex128 with
+    m = `CHUNK_COLUMNS`, and the engine of the forward window, of at most
+    w - 2 sites.  Sampled runs hold it in complex64 with m = 1, and the
+    complex128 build of its largest operator, 16 C(w/2, w/4)^2 bytes.
+    Noisy runs hold the int64 tables that `sector_basis` keeps, over every
+    sector of the window, (36 w - 20) 2^w bytes.  `extra_bytes` adds what
+    the run holds beside these (`sampler.state_bytes`, `sampler.shot_bytes`).
+    Each worker thread holds a block and a batch of its own; that multiple
+    is not counted.  A run that passes may still take too long.
 
     Raises:
         EnumerationCapError: if the estimate exceeds the cap.

@@ -374,37 +374,29 @@ def _batch_states(width, k, shots, numbers):
     return max(1, ensemble._CHUNK_AMPLITUDES // per_state)
 
 
-# Bytes per amplitude of a noisy chunk, what a damping step peaks at (the
-# block, its moved columns, their probabilities and index rows, the lowered
-# copy; traced at most 72), beside a gather of at most 2^16 probabilities.
+# Bytes a run holds at once beside the window's tables, set above the
+# traced peaks of `TestWindowCheck` and `TestDampBlocks`.  Per column, a
+# noisy batch holds `_NUMBER_BYTES` per drawn number and `_SITE_BYTES` per
+# chain site (measured bits, decay and readout uniforms, their copies,
+# masks and indices), and one chunk of it `_GATHERED_BYTES` per number it
+# gathers (with its realized circuit) and `_AMPLITUDE_BYTES` per amplitude
+# of the largest sector it can reach, what a damping step peaks at (traced
+# at most 72).  The batch peaks at 0.51-0.65 of that estimate on 46 sites.
+# A noiseless run holds `_STATE_BYTES` (n + 1) a state (traced at most
+# 44 (n + 1) for n = 2..20, and 31.4 (n + 1) at n = 46).
+_NUMBER_BYTES = 16
+_SITE_BYTES = 32
+_GATHERED_BYTES = 32
 _AMPLITUDE_BYTES = 80
+_STATE_BYTES = 48
 
 
 def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
-    """Bytes of the per-shot arrays of the largest batch a noisy run of
-    `shots` shots a state holds at once, for `ensemble.check_memory`: the
-    most over the window popcounts k0, whose batches hold as many states
-    as `_batch_states` packs.  A shot keeps its measured bits, one byte a
-    site, throughout, and its numbers, R = the disorder normals, 2 k0
-    damping uniforms per damped half-layer and one measurement uniform,
-    8 bytes each, until it is measured.  Beside these the batch holds the
-    larger of two phases, 8 bytes a number:
-
-    * drawing: each shot's decay (n - w) and readout (n) uniforms, and the
-      largest single draw of one state (its normals, damping uniforms or
-      readout uniforms) before it is copied into place;
-    * evolving: each shot's readout uniforms and 48 bytes of masks, jump
-      counts and indices; and, for the columns of one chunk, their
-      gathered numbers and three per disorder normal for the realized
-      circuit as it is built.
-
-    The evolving phase also holds one chunk's amplitudes, whichever of its
-    columns jump at most `ensemble._chunk_columns` times C(w, reach), the
-    largest sector they can reach (`_reach`), at `_AMPLITUDE_BYTES` each.
-
-    The copies of the measured bits that the decay, the readout and the
-    tally make, 5 n bytes a shot at most at once, stay below the drawing
-    phase."""
+    """Bytes a noisy run of `shots` shots a state holds at once beside the
+    window's tables, for `ensemble.check_memory`: the most over the window
+    popcounts k0 of one batch as `_batch_states` packs it and one chunk of
+    it, `ensemble._chunk_columns` of the largest sector its columns can
+    reach (`_reach`), at the byte constants above."""
     n = config.n_qubits
     lo, hi = config.window
     w = hi - lo
@@ -413,30 +405,18 @@ def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
     for k in range(w + 1):
         numbers = draws + 2 * k * damped + 1
         columns = shots * _batch_states(w, k, shots, numbers)
-        largest = shots * max(n, draws, 2 * k * damped)
-        drawing = columns * (2 * n - w) + largest
         reach = _reach(w, k, damped)
         chunk = min(columns, ensemble._chunk_columns(w, reach))
-        evolving = 8 * (columns * n + chunk * (numbers + 3 * draws)) + 48 * columns
-        evolving += chunk * math.comb(w, reach) * _AMPLITUDE_BYTES
-        held = columns * (n + 8 * numbers)
-        most = max(most, held + max(8 * drawing, evolving))
+        batch = columns * (_NUMBER_BYTES * numbers + _SITE_BYTES * n)
+        amplitudes = _AMPLITUDE_BYTES * math.comb(w, reach)
+        most = max(most, batch + chunk * (amplitudes + _GATHERED_BYTES * numbers))
     return most
 
 
 def state_bytes(config: ChainConfig, states: int) -> int:
     """Bytes of the per-state arrays a noiseless run of `states` states
-    holds, for `ensemble.check_memory`, a bound from the sum of its
-    phases: drawing the initial bits, 32 n a state (the uniforms, the
-    drawn bits, their complement and the relabeled bits, 8 bytes a site);
-    the tallies, 8 (n + 1); seven rows of R = w/2 + 1 numbers, 8 bytes
-    each, a distinct word or a state (the masses, their renormalized and
-    rolled rows and the order that rolls them, each state's row of them,
-    its draws and its right-count changes); and 64 bytes of words,
-    indices and flags."""
-    n = config.n_qubits
-    lo, hi = config.window
-    return states * (32 * n + 8 * (n + 1) + 56 * ((hi - lo) // 2 + 1) + 64)
+    holds, for `ensemble.check_memory`: `_STATE_BYTES` (n + 1) a state."""
+    return states * _STATE_BYTES * (config.n_qubits + 1)
 
 
 def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):

@@ -610,16 +610,16 @@ class TestWindowCheck:
         # damping lowers a column into sectors of up to C(22, 11) = 705432
         # amplitudes, and a chunk holds only as many columns as fit that
         # sector, one here, whichever of them jump and whatever the
-        # filter: beside the window's tables 65,641 shots a state fit,
+        # filter: beside the window's tables 58,936 shots a state fit,
         # and one more is refused under `shots_per_state`
         cfg = {**self.config("noisy-sampled", 46, 11), "postselect": postselect}
-        cli._parse_config({**cfg, "shots_per_state": 65_641})
+        cli._parse_config({**cfg, "shots_per_state": 58_936})
         with pytest.raises(ConfigError, match="config key 'shots_per_state'"):
-            cli._parse_config({**cfg, "shots_per_state": 65_642})
+            cli._parse_config({**cfg, "shots_per_state": 58_937})
 
     def test_a_noiseless_run_of_too_many_states_is_refused_under_its_key(self):
-        # 10^6 states of a 2-site window on 46 sites hold about 2 GB of
-        # per-state arrays, 10^7 about 20 GB
+        # 10^6 states of a 2-site window on 46 sites hold about 2.3 GB of
+        # per-state arrays, 10^7 about 23 GB
         cfg = self.config("sampled", 46, 1)
         cli._parse_config({**cfg, "initial_states": 10**6})
         with pytest.raises(ConfigError, match="config key 'initial_states'"):

@@ -1638,20 +1638,21 @@ class TestWindowCheck:
         # plus what a run of 8 shots peaks at (its generator and
         # bookkeeping), and more than half of it.  Every sector's tables,
         # which `check_memory` counts apart, are built first: 8 shots do
-        # not jump into every sector that 1000 reach.  At t = 7 the chunk
+        # not jump into every sector that 400 reach.  At t = 7 the chunk
         # budget is lowered from 2^16 to 2^8, so that, as at the refusal
         # edge there, the shots outnumber a chunk's columns at every k0:
         # the numbers gathered for a chunk and its realized circuit are
         # charged for one chunk, not for every shot.  Damping moves a
         # column from the one-word sector into sectors of up to C(14, 7)
-        # words, so a chunk holds one column here, in every mode.  The
+        # words, so a chunk holds one column here, in every mode, and 400
+        # shots, each a one-column trajectory, still fill one batch.  The
         # 8-shot base already holds one chunk's damping transient, so this
         # cannot tell whether `shot_bytes` covers that transient;
         # `TestDampBlocks` ties it to a traced peak
         shots = 20_000
         if t == 7:
             monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 1 << 8)
-            shots = 1_000
+            shots = 400
         config = ChainConfig(46, t, HEIS)
         lo, hi = config.window
         phys = np.zeros((1, 46), dtype=np.int64)
@@ -1682,7 +1683,7 @@ class TestWindowCheck:
     def test_a_noisy_state_of_too_many_shots_is_refused_before_drawing(
         self, monkeypatch
     ):
-        # 10^7 shots of a 2-site window on 46 sites hold about 12 GB of
+        # 10^7 shots of a 2-site window on 46 sites hold about 17 GB of
         # per-shot arrays; 10^5 of them fit
         def drawing(*args):
             raise AssertionError("drew before the memory check")
@@ -1706,7 +1707,7 @@ class TestWindowCheck:
         assert peak < 1 << 16
 
     @pytest.mark.parametrize("relabel", [False, True])
-    @pytest.mark.parametrize("n, t", [(46, 1), (46, 3), (12, 6)])
+    @pytest.mark.parametrize("n, t", [(2, 1), (8, 4), (12, 6), (46, 1), (46, 3)])
     def test_the_state_estimate_bounds_what_a_noiseless_run_holds(
         self, n, t, relabel
     ):
@@ -1733,7 +1734,7 @@ class TestWindowCheck:
     def test_a_noiseless_run_of_too_many_states_is_refused_before_drawing(
         self, monkeypatch
     ):
-        # 10^7 states of a 2-site window on 46 sites hold about 20 GB of
+        # 10^7 states of a 2-site window on 46 sites hold about 23 GB of
         # per-state arrays; 10^5 of them fit
         def drawing(*args):
             raise AssertionError("drew before the memory check")
