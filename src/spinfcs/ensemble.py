@@ -642,7 +642,6 @@ def transfer_tensor(
     params: FSimParams,
     layer_order: LayerOrder = LayerOrder.EVEN_FIRST,
     *,
-    symmetric: bool = True,
     threads: int = 1,
 ) -> np.ndarray:
     """Block-resolved transfer tensor T[t, a, b, r] for t = 0..cycles.
@@ -653,14 +652,12 @@ def transfer_tensor(
     `distribution_from_tensor` for any mu.  Output is bitwise independent of
     `threads` (fixed reduction order) and of the BLAS thread count.
 
-    `symmetric` evolves the least word of each orbit of the symmetry group
-    and adds the group's images (module docstring): the mirror alone for
-    `tail` gates with cycles > h, the mirror and the bit flip otherwise.
-    It skips the self-mirror blocks (a, a), whose rows reciprocity fills,
-    and runs each task's first cycles on the forward light cone's window
-    (`_forward_window`).  `symmetric=False` runs the same engine with the
-    trivial group, on every column and the whole chain, and fills nothing,
-    as a reference.
+    It evolves the least word of each orbit of the symmetry group and adds
+    the group's images (module docstring): the mirror alone for `tail`
+    gates with cycles > h, the mirror and the bit flip otherwise.  It skips
+    the self-mirror blocks (a, a), whose rows reciprocity fills, and runs
+    each task's first cycles on the forward light cone's window
+    (`_forward_window`).
     """
     if n_qubits < 2 or n_qubits % 2 != 0:
         raise ValueError(f"n_qubits must be even and >= 2, got {n_qubits}")
@@ -677,7 +674,7 @@ def transfer_tensor(
     if cycles == 0:
         return T
     split = params.convention is PhaseConvention.SPLIT
-    order = 1 if not symmetric else 2 if not split and cycles > half else 4
+    order = 2 if not split and cycles > half else 4
     if order == 4:
         # the bit flip commutes with `split` gates only; for cycles <= h
         # the `split` tensor is the `tail` one
@@ -685,13 +682,13 @@ def transfer_tensor(
     operators = _half_chain_operators(half, params, layer_order, 0)
     window = None
     f, spent = _forward_window(half, cycles, layer_order)
-    if symmetric and spent:
+    if spent:
         window = (f, spent, _half_chain_operators(f, params, layer_order, half - f))
     tasks = [
         (a, b, columns[j0 : j0 + CHUNK_COLUMNS], weights[j0 : j0 + CHUNK_COLUMNS])
         for a in range(half + 1)
         for b in range(half + 1)
-        if not (symmetric and a == b)  # reciprocity fills them below
+        if a != b  # reciprocity fills them below
         for columns, weights in [_orbit_columns(half, a, b, order)]
         for j0 in range(0, columns.size, CHUNK_COLUMNS)
     ]
@@ -703,26 +700,24 @@ def transfer_tensor(
     parts = thread_map(run, tasks, threads)
     for (a, b, _, _), part in zip(tasks, parts):  # fixed order: deterministic sum
         T[1:, a, b] += part
-    if order > 1:
-        # mirror image: T[a, b, r] += T[b, a, s], s = a+b-r
-        a, b, r = np.indices((half + 1,) * 3)
-        s = a + b - r
-        inside = (0 <= s) & (s <= half)
-        T[1:, inside] += T[1:, b[inside], a[inside], s[inside]]
+    # mirror image: T[a, b, r] += T[b, a, s], s = a+b-r
+    a, b, r = np.indices((half + 1,) * 3)
+    s = a + b - r
+    inside = (0 <= s) & (s <= half)
+    T[1:, inside] += T[1:, b[inside], a[inside], s[inside]]
     if order > 2:
         # bit-flip image: T[a, b, r] += T[h-a, h-b, h-r]
         T[1:] = T[1:] + T[1:, ::-1, ::-1, ::-1]
-    if symmetric:
-        # reciprocity: T[a, b, r] = T[a+b-r, r, b], so off its diagonal the
-        # row of a self-mirror block is a copy, exact zeros included; its
-        # diagonal, on the initial block, is what the row's C(h, a)^2 leaves
-        a, r = np.indices((half + 1,) * 2)
-        s = 2 * a - r
-        off = (0 <= s) & (s <= half) & (r != a)
-        T[1:, a[off], a[off], r[off]] = T[1:, s[off], r[off], a[off]]
-        diagonal = np.arange(half + 1)
-        rest = T[1:, diagonal, diagonal].sum(axis=-1)
-        T[1:, diagonal, diagonal, diagonal] = T[0, diagonal, diagonal, diagonal] - rest
+    # reciprocity: T[a, b, r] = T[a+b-r, r, b], so off its diagonal the row
+    # of a self-mirror block is a copy, exact zeros included; its diagonal,
+    # on the initial block, is what the row's C(h, a)^2 leaves
+    a, r = np.indices((half + 1,) * 2)
+    s = 2 * a - r
+    off = (0 <= s) & (s <= half) & (r != a)
+    T[1:, a[off], a[off], r[off]] = T[1:, s[off], r[off], a[off]]
+    diagonal = np.arange(half + 1)
+    rest = T[1:, diagonal, diagonal].sum(axis=-1)
+    T[1:, diagonal, diagonal, diagonal] = T[0, diagonal, diagonal, diagonal] - rest
     return T
 
 

@@ -5,9 +5,9 @@ layers every qubit decays with a per-half-layer probability
 p = 1 - exp(-1/(2 T1)), uniform across qubits, so a state with N
 excitations makes Binomial(N, p) jumps per half-layer whatever its
 amplitudes; only which sites jump depends on them.  The count is drawn by
-thinning, as the number of N uniforms below p, so that a block of states
-draws it from arrays, one column per state, exactly as one state draws it
-from its generator.  Qubits outside the light cone never see gates and
+thinning, as the number of N uniforms below p (`thinned_jumps`), so that a
+block of states draws it from arrays, one column per state, exactly as one
+state draws it from its generator.  Qubits outside the light cone never see gates and
 reduce to classical bits decaying with 1 - exp(-t/T1).
 Readout errors flip measured bits at independent 0->1 and 1->0 rates.
 Both channels read uniforms that their caller drew, so a shot's jumps and
@@ -95,11 +95,10 @@ def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
 
     The columns that jump are lowered together, in rounds: in round r each
     column with more than r jumps sits in the sector with k - r ones.  It
-    draws its site as `Generator.choice(p=...)` would, searching the
-    normalized cumsum of its site occupations with its uniform, and the
-    basis's `lowering` table moves its amplitudes to the sector below.
-    There they are divided by the square root of the site's occupation,
-    which is their norm.  Each column's arithmetic is its own, so its
+    draws its site from its normalized site occupations with its uniform
+    (`draw_index`), and the basis's `lowering` table moves its amplitudes
+    to the sector below.  There they are divided by the square root of the
+    site's occupation, which is their norm.  Each column's arithmetic is its own, so its
     result does not depend on the other columns of the block.
 
     Returns (block, columns) pairs, one per excitation count that columns
@@ -108,7 +107,7 @@ def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
     (ascending), in that order.  The input block is left unchanged.
     """
     basis, k = state.basis, state.basis.n_excitations
-    counts = np.count_nonzero(uniforms[0, :k] < p_decay, axis=0)
+    counts = thinned_jumps(uniforms[0], p_decay, k)
     moved, stay = np.flatnonzero(counts), np.flatnonzero(counts == 0)
     if not moved.size:
         return [(state, stay)]
@@ -125,10 +124,8 @@ def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
         occupation = np.empty((len(rows), len(source)))
         for q in range(0, len(source), step):
             occupation[:, q : q + step] = rows.take(source[q : q + step], axis=1).sum(axis=2)
-        cdf = np.cumsum(occupation / occupation.sum(axis=1, keepdims=True), axis=1)
-        cdf /= cdf[:, -1:]
         u = uniforms[1, k - basis.n_excitations, moved]  # round r = k - ones
-        sites = np.count_nonzero(cdf <= u[:, None], axis=1)
+        sites = draw_index(occupation / occupation.sum(axis=1, keepdims=True), u)
         basis = sector_basis(basis.n_sites, basis.n_excitations - 1)
         every = np.arange(moved.size)
         lowered = np.zeros((basis.dimension, moved.size), dtype=np.complex128)
@@ -145,21 +142,38 @@ def damp_columns(state: SectorState, p_decay: float, uniforms: np.ndarray):
     return out
 
 
+def thinned_jumps(thinning, p_decay, ones) -> np.ndarray:
+    """Jumps of one damping step on m columns, from their thinning uniforms
+    (K, m): column j with `ones` excitations (a count, or one a column, at
+    most K) jumps once per uniform below p_decay among its first `ones`."""
+    ranks = np.arange(len(thinning))[:, None]
+    return np.count_nonzero((thinning < p_decay) & (ranks < ones), axis=0)
+
+
+def draw_index(masses, u) -> np.ndarray:
+    """The outcome each row of `masses` (m, outcomes) draws with its
+    uniform u (m,), as `Generator.choice(p=...)` draws: the first outcome
+    whose cumulative mass, divided by the row's total, lies above u.  The
+    division makes the top edge exactly 1, so no u < 1 lands past the
+    row's last outcome of nonzero mass, whatever the rounding of its sum."""
+    cdf = np.cumsum(masses, axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.count_nonzero(cdf <= u[..., None], axis=-1)
+
+
 def may_keep_popcount(k, p_decay, uniforms, decayed, flips, e0) -> np.ndarray:
     """Which of m shots can still read out the popcount they were prepared
     with, from the numbers they drew before evolving.  A shot whose window
-    starts with k ones makes J jumps whatever its amplitudes, counted as
-    `damp_columns` counts them from its damping uniforms (half-layers, 2,
-    k, m): on each half-layer, its first k' thinning uniforms below
-    p_decay, k' the ones it has left.  It loses `decayed` (m,) ones outside
-    the window, and its readout adds at most U ones, one per site whose
-    readout uniform in `flips` (m, n) lies below e0.  So a shot with
+    starts with k ones makes J jumps whatever its amplitudes: per
+    half-layer, the `thinned_jumps` of its damping uniforms (half-layers,
+    2, k, m) and the ones it has left.  It loses `decayed` (m,) ones
+    outside the window, and its readout adds at most U ones, one per site
+    whose readout uniform in `flips` (m, n) lies below e0.  So a shot with
     U < J + decayed reads out fewer ones than it was prepared with, and
     every post-selection mode but "none" rejects it."""
     left = np.full(flips.shape[0], k)
-    ranks = np.arange(k)[:, None]
     for thinning in uniforms[:, 0]:
-        left -= np.count_nonzero((thinning < p_decay) & (ranks < left), axis=0)
+        left -= thinned_jumps(thinning, p_decay, left)
     return np.count_nonzero(flips < e0, axis=1) >= k - left + decayed
 
 

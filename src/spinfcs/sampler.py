@@ -38,37 +38,11 @@ two routes to its tally:
   whatever the draws before it leave over, and a zero-mass one draws
   nothing).  That is each state's own multinomial, drawn in state
   order: O(t) binomial draws per state, none per shot;
-* noisy: each shot is its own trajectory on the window.  Before any runs,
-  the state draws, with its counter block 1, its shots' numbers as arrays
-  with one column per shot: disorder normals; per half-layer, k0 uniforms
-  that thin the jumps and k0 that pick their sites (k0 the window's
-  popcount); one measurement uniform; then one uniform per site outside
-  the window, for its decay, and one per site, for its readout flip.  The
-  sites outside the window decay, once per batch, before anything
-  evolves.  The numbers then fix, before a shot evolves, its jumps J (its
-  thinning uniforms give them whatever its amplitudes), its decays D
-  outside the window and a bound U on its readout's 0->1 flips, the sites
-  whose readout uniform lies below e0.  A shot with U < J + D reads out
-  fewer ones than it was prepared with, so under the "number_only" and
-  "causal" filters it is rejected unevolved (`noise.may_keep_popcount`);
-  without a filter every shot evolves.  The shots that evolve run as
-  the columns of blocks, each column with its own gate angles and
-  Z rotations, and the shots of many states share a block.  The
-  Z rotations are never applied: each column's angles so far twist the
-  hops of its next gates ("virtual Z"), which leaves every |amplitude|^2,
-  and so every jump and measurement, as the rotations would.  The states of
-  one k0 are packed, in index order and side by side, into batches of as
-  many whole states as keep their shots' amplitudes and numbers within
-  2^16, the units of work for the threads.  A batch's evolving shots run
-  in chunks of at most max(1, 2^16 // dim) columns, dim that of the
-  largest sector they can reach: the prepared window's sector, or with
-  damping, which only lowers the count, C(w, min(k0, w/2)).  The columns
-  of a chunk that jump are lowered together, one round per jump
-  (`noise.damp_columns`), and join the columns of their new excitation
-  count in one block, which the chunk rule keeps within the size rule of
-  its sector.  A shot reads its own columns, whatever its block, batch
-  or thread.  The readout flips read their uniforms once
-  per batch, after the evolution.
+* noisy: each shot is its own trajectory on the window, its disorder,
+  damping jumps, outside decays and readout flips read from numbers that
+  its state draws before anything evolves, and the shots of batches of
+  states evolve together as the columns of blocks.  `_noisy_records`
+  describes the route's four passes.
 
 The noisy route evolves gate by gate (`_trajectory`), since jittered
 per-column angles and damping jumps cannot use the engine's dense
@@ -119,6 +93,7 @@ from .noise import (
     damp_columns,
     disorder_and_dephasing,
     disorder_draws,
+    draw_index,
     may_keep_popcount,
     postselect,
     readout_flip,
@@ -226,19 +201,6 @@ class SampledRun:
         return int(self.kept.sum()) / (self.kept.size * self.sample.shots_per_state)
 
 
-def _cdf(probabilities):
-    """Outcome CDFs along the last axis, their top edge guarded against
-    rounding: each is at least 1 from its last outcome of nonzero mass on,
-    so a uniform u < 1 never lands on an outcome beyond it, whose
-    probability is 0."""
-    cdf = np.cumsum(probabilities, axis=-1)
-    nonzero = probabilities > 0
-    last = nonzero.shape[-1] - 1 - np.argmax(nonzero[..., ::-1], axis=-1)
-    top = np.arange(cdf.shape[-1]) >= np.expand_dims(last, -1)
-    np.maximum(cdf, 1.0, out=cdf, where=top)
-    return cdf
-
-
 def _trajectory(state, lo, config, noise, numbers):
     """The columns of `state`, on the window of sites lo.. of the chain,
     after the circuit, up to a phase per basis word that no measurement
@@ -296,7 +258,7 @@ def _damp_blocks(blocks, p_decay, uniforms):
     """One damping step on every column of the (block, columns) pairs,
     column c reading uniforms[..., c].  The columns that jumped join those
     of their new excitation count in one block, which the chunk rule of
-    `_noisy_records` keeps within `ensemble._chunk_columns`."""
+    `_plan` keeps within `ensemble._chunk_columns`."""
     width = blocks[0][0].basis.n_sites
     pieces = defaultdict(list)  # excitation count -> [(state, columns)]
     for block, columns in blocks:
@@ -352,26 +314,25 @@ def _tally(bits, flagged, measured, config, postselect_mode, alive):
     return np.bincount(half + delta_r, minlength=n + 1), np.count_nonzero(keep)
 
 
-def _shot_draws(config, noise):
-    """(disorder normals, damped half-layers) of one noisy shot on the
-    window of `config`."""
+def _plan(config, noise, shots, k):
+    """How a noisy run of `shots` shots a state lays out the states whose
+    window starts with k ones: (disorder normals and damped half-layers of
+    a shot, the numbers it draws, states a batch, columns a chunk, reach).
+    A shot draws its normals, 2 k a damped half-layer and 1.  A batch
+    holds as many states as keep their shots' C(w, k) amplitudes and
+    numbers within `ensemble._CHUNK_AMPLITUDES`, at least one.  A chunk
+    holds `ensemble._chunk_columns` of the largest sector its columns can
+    reach, that of `reach` ones: k, or with damping, which only lowers the
+    count, min(k, w // 2)."""
     lo, hi = config.window
-    layers = brickwork_layers(hi - lo, lo, config.layer_order) * config.cycles
-    draws = sum(disorder_draws(noise, hi - lo, layers))
-    return draws, len(layers) if noise.half_layer_decay > 0.0 else 0
-
-
-def _reach(width, k, damped):
-    """Excitation count of the largest sector a noisy column whose window
-    starts with k ones can reach: damping only lowers the count."""
-    return min(k, width // 2) if damped else k
-
-
-def _batch_states(width, k, shots, numbers):
-    """States of window popcount k in a noisy batch: as many as keep their
-    shots' C(width, k) amplitudes and `numbers` within the budget, >= 1."""
-    per_state = shots * (math.comb(width, k) + numbers)
-    return max(1, ensemble._CHUNK_AMPLITUDES // per_state)
+    w = hi - lo
+    layers = brickwork_layers(w, lo, config.layer_order) * config.cycles
+    draws = sum(disorder_draws(noise, w, layers))
+    damped = len(layers) if noise.half_layer_decay > 0.0 else 0
+    numbers = draws + 2 * k * damped + 1
+    states = max(1, ensemble._CHUNK_AMPLITUDES // (shots * (math.comb(w, k) + numbers)))
+    reach = min(k, w // 2) if damped else k
+    return draws, damped, numbers, states, ensemble._chunk_columns(w, reach), reach
 
 
 # Bytes a run holds at once beside the window's tables, set above the
@@ -381,7 +342,8 @@ def _batch_states(width, k, shots, numbers):
 # masks and indices), and one chunk of it `_GATHERED_BYTES` per number it
 # gathers (with its realized circuit) and `_AMPLITUDE_BYTES` per amplitude
 # of the largest sector it can reach, what a damping step peaks at (traced
-# at most 72).  The batch peaks at 0.51-0.65 of that estimate on 46 sites.
+# at most 72).  The batch peaks at 0.51-0.56 of that estimate on 46 sites,
+# in the draw pass: its arrays and the largest draw before it is copied.
 # A noiseless run holds `_STATE_BYTES` (n + 1) a state (traced at most
 # 44 (n + 1) for n = 2..20, and 31.4 (n + 1) at n = 46).
 _NUMBER_BYTES = 16
@@ -394,22 +356,19 @@ _STATE_BYTES = 48
 def shot_bytes(config: ChainConfig, shots: int, noise: NoiseConfig) -> int:
     """Bytes a noisy run of `shots` shots a state holds at once beside the
     window's tables, for `ensemble.check_memory`: the most over the window
-    popcounts k0 of one batch as `_batch_states` packs it and one chunk of
-    it, `ensemble._chunk_columns` of the largest sector its columns can
-    reach (`_reach`), at the byte constants above."""
+    popcounts k0 of one batch and one chunk of it, as `_plan` lays them
+    out, at the byte constants above."""
     n = config.n_qubits
     lo, hi = config.window
     w = hi - lo
-    draws, damped = _shot_draws(config, noise)
     most = 0
     for k in range(w + 1):
-        numbers = draws + 2 * k * damped + 1
-        columns = shots * _batch_states(w, k, shots, numbers)
-        reach = _reach(w, k, damped)
-        chunk = min(columns, ensemble._chunk_columns(w, reach))
+        _, _, numbers, states, chunk, reach = _plan(config, noise, shots, k)
+        columns = shots * states
         batch = columns * (_NUMBER_BYTES * numbers + _SITE_BYTES * n)
         amplitudes = _AMPLITUDE_BYTES * math.comb(w, reach)
-        most = max(most, batch + chunk * (amplitudes + _GATHERED_BYTES * numbers))
+        chunk = min(columns, chunk) * (amplitudes + _GATHERED_BYTES * numbers)
+        most = max(most, batch + chunk)
     return most
 
 
@@ -421,43 +380,48 @@ def state_bytes(config: ChainConfig, states: int) -> int:
 
 def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
     """Every state's `counts` row and kept-shot count with noise, as two
-    arrays in state order.  The states of one window popcount k0 are
-    packed, in index order, into batches of `_batch_states` each: their
-    shots' C(width, k0) amplitudes and numbers (the disorder normals, 2 k0
-    per damped half-layer, 1) stay within `ensemble._CHUNK_AMPLITUDES`.  A
-    batch is the threads' unit of work and runs in four passes.
+    arrays in state order.  Each shot is its own trajectory on the window.
+    The states of one window popcount k0 are packed, in index order and
+    side by side, into batches of `_plan`'s size, the threads' unit of
+    work, and a batch runs in four passes.
 
     Draw: each state opens its counter block 1 and draws its shots' numbers
     as arrays, one column per shot: the disorder normals, per half-layer k0
     thinning and k0 site uniforms, one measurement uniform, then one decay
     uniform per site outside the window and one readout uniform per site.
     Reject: the batch's outside sites decay, in one call reading the drawn
-    uniforms; then, under the "number_only" and "causal" filters, the
-    shots whose jumps and decays outnumber the readout uniforms below e0
-    are rejected (`noise.may_keep_popcount`): they cannot read out their
-    prepared popcount.  Evolve: the states' arrays are placed side by side,
-    and the shots not rejected, in order, are the columns of the batch's
-    block, each reading its own numbers; the block runs in chunks of at
-    most `_chunk_columns` of the largest sector its columns can reach
-    (`_reach`), so that damping never gathers more columns of a count
-    than one block of its sector holds, and each shot measures the first
-    outcome of its column's guarded CDF above its uniform.  Tally: the batch's readouts
-    flip, in one call reading the drawn uniforms; each state then filters
-    its measured rows, the rejected ones failing the popcount test, and
-    tallies them into its own row of the two arrays."""
+    uniforms.  The numbers now fix a shot's jumps J (its thinning uniforms
+    give them whatever its amplitudes), its decays D outside the window
+    and a bound U on its readout's 0->1 flips, the sites whose readout
+    uniform lies below e0.  A shot with U < J + D reads out fewer ones than
+    it was prepared with, so under the "number_only" and "causal" filters
+    it is rejected unevolved (`noise.may_keep_popcount`).  Evolve: the
+    shots not rejected, in order, are the columns of the batch's block,
+    each with its own gate angles and Z rotations (`_trajectory`), in
+    chunks of `_plan`'s columns, so that damping never gathers more
+    columns of a count than one block of its sector holds.  The columns of
+    a chunk that jump are lowered together, one round per jump
+    (`noise.damp_columns`), and join the columns of their new excitation
+    count in one block.  Each shot then measures its column with its
+    uniform (`noise.draw_index`); it reads its own numbers, whatever its
+    block, batch or thread.  Tally: the batch's readouts flip, in one call
+    reading the drawn uniforms; each state then filters its measured rows,
+    the rejected ones failing the popcount test, and tallies them into its
+    own row of the two arrays."""
     bits, phys, flagged = prepared
     n, t, shots = config.n_qubits, config.cycles, sample.shots_per_state
     lo, hi = config.window
     width = hi - lo
-    draws, damped = _shot_draws(config, noise)
     words = bits_to_word(phys[:, lo:hi])
     ones = np.bitwise_count(words).tolist()
+    plans = {k: _plan(config, noise, shots, k) for k in set(ones)}
     outside = np.r_[:lo, hi:n]
     counts = np.empty((len(ones), n + 1), dtype=np.int64)
     kept = np.empty(len(ones), dtype=np.int64)
 
     def tally_batch(batch):
         k, m = ones[batch[0]], len(batch) * shots
+        draws, damped, _, _, size, _ = plans[k]
         # the shots of batch[b] are rows b * shots .. of `measured`, `decay`
         # and `flips`, and the same columns of their numbers
         measured = np.repeat(phys[batch].astype(np.int8), shots, axis=0)  # 1 B a site
@@ -486,7 +450,6 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
             # the numbers of its shots
             evolved = np.flatnonzero(alive)
             start = words[batch].repeat(shots)[evolved]
-            size = ensemble._chunk_columns(width, _reach(width, k, damped))
             for s0 in range(0, evolved.size, size):
                 part = evolved[s0 : s0 + size]
                 # no name holds a block once damping has replaced it, or
@@ -495,8 +458,7 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
                     SectorState.from_words(start[s0 : s0 + size], width),
                     lo, config, noise, (normals[:, part], uniforms[..., part]),
                 ):
-                    cdf = _cdf(block.probabilities().T)
-                    found = np.count_nonzero(cdf <= u[part][columns, None], axis=1)
+                    found = draw_index(block.probabilities().T, u[part][columns])
                     found = block.basis.words[found]
                     measured[part[columns], lo:hi] = word_to_bits(found, width)
                 del block
@@ -511,9 +473,9 @@ def _noisy_records(prepared, config, sample, noise, postselect_mode, threads):
             )
 
     batches = []
-    for k in sorted(set(ones)):
+    for k, plan in sorted(plans.items()):
         group = [i for i, count in enumerate(ones) if count == k]
-        per = _batch_states(width, k, shots, draws + 2 * k * damped + 1)
+        per = plan[3]
         batches += [group[j : j + per] for j in range(0, len(group), per)]
     thread_map(tally_batch, batches, threads)
     return counts, kept
@@ -575,10 +537,9 @@ def run_sampled(
     block engine, and every state draws its tally of right counts in one
     multinomial call over the exact right-count masses of its word;
     `postselect_mode` has no effect there, because every mode keeps every
-    noiseless shot.  With noise every shot is an
-    independent trajectory (disorder realizations included), the shots of
-    batches of states evolve together as the columns of blocks, and their
-    measured bitstrings are post-selected under `postselect_mode`.  Output
+    noiseless shot.  With noise every shot is an independent trajectory,
+    run as `_noisy_records` describes, and its measured bitstring is
+    post-selected under `postselect_mode`.  Output
     is bitwise independent of `threads`.  Before anything is drawn, the
     window must pass `ensemble.check_memory` together with the run's
     `state_bytes`, or with noise its `shot_bytes` (else

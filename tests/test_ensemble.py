@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -255,7 +256,8 @@ class TestMemoryCheck:
 
         monkeypatch.setattr(ensemble, "_SectorBlocks", Counted)
         monkeypatch.setattr(ensemble, "_half_chain_operators", counted)
-        transfer_tensor(n, n // 2 + 2, self.HEIS, order, symmetric=symmetric)
+        tensor = transfer_tensor if symmetric else every_column_tensor
+        tensor(n, n // 2 + 2, self.HEIS, order)
         assert live[0] == 0 and len(operators) == 1 + (symmetric and n > 2)
         monkeypatch.setattr(ensemble, "MEMORY_CAP", sum(operators) + peak[0] - 1)
         with pytest.raises(EnumerationCapError):
@@ -305,12 +307,32 @@ class TestPureDomainWall:
 GENERIC = (0.37 * np.pi, -0.61 * np.pi)
 
 
+def every_column_tensor(n, cycles, params, layer_order=LayerOrder.EVEN_FIRST):
+    """The unreduced reference of `transfer_tensor`, on the same engine: the
+    tensor end `ensemble._evolve_block` over every column of every block,
+    in chunks of `CHUNK_COLUMNS` at weight 1, on the whole chain, with no
+    symmetry group, no window and no fill."""
+    half = n // 2
+    T = np.zeros((cycles + 1, half + 1, half + 1, half + 1))
+    operators = ensemble._half_chain_operators(half, params, layer_order, 0)
+    for a, b in itertools.product(range(half + 1), repeat=2):
+        words = math.comb(half, a) * math.comb(half, b)
+        T[0, a, b, b] = words
+        for j0 in range(0, words, CHUNK_COLUMNS):
+            columns = np.arange(j0, min(words, j0 + CHUNK_COLUMNS))
+            weights = np.ones(columns.size)
+            T[1:, a, b] += ensemble._evolve_block(
+                half, a, b, columns, weights, cycles, operators, None
+            )
+    return T
+
+
 @functools.cache
 def every_column(n, t, order, convention, angles=GENERIC):
-    """The unreduced reference tensor (`symmetric=False`), read-only and
-    shared by the tests that compare with it."""
+    """`every_column_tensor`, read-only and shared by the tests that compare
+    with it."""
     params = params_at(*angles, convention.value)
-    T = transfer_tensor(n, t, params, order, symmetric=False)
+    T = every_column_tensor(n, t, params, order)
     T.setflags(write=False)
     return T
 
@@ -355,16 +377,16 @@ class TestTransferTensor:
             n, cycles, theta, phi, convention.value, order.value
         )
         params = params_at(theta, phi, convention.value)
-        for symmetric in (True, False):
+        for build in (transfer_tensor, every_column_tensor):
             for t in (n // 2, cycles):
-                T = transfer_tensor(n, t, params, order, symmetric=symmetric)
+                T = build(n, t, params, order)
                 assert np.max(np.abs(T - oracle[: t + 1])) <= 1e-12
 
     def test_mirror_flag_is_an_optimization_only(self, heisenberg_angles):
         theta, phi = heisenberg_angles
         params = params_at(theta, phi)
-        full = transfer_tensor(8, 4, params, symmetric=False)
-        mirrored = transfer_tensor(8, 4, params, symmetric=True)
+        full = every_column_tensor(8, 4, params)
+        mirrored = transfer_tensor(8, 4, params)
         assert np.max(np.abs(full - mirrored)) < 1e-11
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
@@ -376,7 +398,7 @@ class TestTransferTensor:
         params = params_at(*GENERIC, convention.value)
         tolerance = 1e-12 * block_words(half)[None, :, :, None]
         for t in (half - 1, half, half + 2):
-            reduced = transfer_tensor(n, t, params, order, symmetric=True)
+            reduced = transfer_tensor(n, t, params, order)
             every = every_column(n, t, order, convention)
             assert np.all(np.abs(reduced - every) <= tolerance)
             # their moments agree too, also at mu = inf, where the mean is far from 0
@@ -500,11 +522,13 @@ class TestTransferTensor:
         monkeypatch.setattr(ensemble, "_evolve_block", spy)
         monkeypatch.setattr(ensemble, "_SectorBlocks", Counted)
         params = params_at(0.3, 0.7, convention)
-        transfer_tensor(8, cycles, params, symmetric=symmetric)
+        # the unreduced reference evolves every word once, on the chain
+        build = transfer_tensor if symmetric else every_column_tensor
+        build(8, cycles, params)
         assert sum(count for count, _ in evolved) == words
         assert order * sum(weight for _, weight in evolved) == 256 - 70 * symmetric
-        # even-first, the first two cycles reach 3 sites of each half: with
-        # `symmetric` every word runs them on that window, then the chain
+        # even-first, the first two cycles reach 3 sites of each half: the
+        # tensor runs every word it evolves on that window, then the chain
         assert engine_columns == {3: words * symmetric, 4: words}
 
     def test_thread_count_does_not_change_bits(self, heisenberg_angles):

@@ -43,6 +43,7 @@ from spinfcs.noise import (
     damping_step,
     disorder_and_dephasing,
     disorder_draws,
+    draw_index,
     postselect,
     readout_flip,
 )
@@ -50,7 +51,6 @@ from spinfcs import _kernels, ensemble, sampler
 from spinfcs.sampler import (
     SampleConfig,
     SampledRun,
-    _cdf,
     _philox,
     _prepare,
     _substream,
@@ -78,9 +78,12 @@ from spinfcs.stats import (
 HEIS = FSimParams(0.4 * np.pi, 0.8 * np.pi)
 
 
-def _measure_indices(cdf, rng, shots):
-    """Outcome indices of `shots` shots, one uniform each, from the CDF
-    `_cdf` gives: the sampler's draws, one state at a time."""
+def _measure_indices(probabilities, rng, shots):
+    """Outcome indices of `shots` shots of one state, one uniform each, as
+    `Generator.choice(p=...)` draws them: the sampler's draws, one state at
+    a time."""
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
     return np.searchsorted(cdf, rng.random(shots), side="right")
 
 
@@ -186,15 +189,21 @@ class TestMeasurement:
 
     def test_a_uniform_above_the_mass_lands_on_the_last_outcome_with_mass(self):
         assert np.cumsum(self.P)[1] <= TOP
-        assert _measure_indices(_cdf(self.P), TopGenerator(), 4).tolist() == [1] * 4
+        assert _measure_indices(self.P, TopGenerator(), 4).tolist() == [1] * 4
+        assert draw_index(np.tile(self.P, (4, 1)), np.full(4, TOP)).tolist() == [1] * 4
 
     def test_each_row_of_a_stack_is_guarded_on_its_own(self):
+        # each row draws its own last outcome with mass at the top uniform,
+        # and every row draws what it draws alone and what the one-state
+        # reference draws, at every uniform
         stack = np.array([self.P, [0.0, 0.0, TOP], [0.5, 0.0, 0.0]])
-        cdf = _cdf(stack)
-        assert cdf.tolist() == [[0.3, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
-        for row, probabilities in zip(cdf, stack):
-            assert row.tolist() == _cdf(probabilities).tolist()
-            assert np.all(np.diff(row) >= 0)
+        assert draw_index(stack, np.full(3, TOP)).tolist() == [1, 2, 0]
+        for u in (0.0, 0.2, 0.3, 0.5, 0.9, TOP):
+            drawn = draw_index(stack, np.full(3, u))
+            for index, probabilities in zip(drawn, stack):
+                assert draw_index(probabilities[None], np.array([u])) == [index]
+                want = _measure_indices(probabilities, Served(np.array([u])), 1)
+                assert want.tolist() == [index]
 
     def test_noisy_shots_measure_only_outcomes_with_mass(self, monkeypatch):
         # a 4-site window with one excitation: basis words 0001 .. 1000
@@ -811,7 +820,9 @@ class TestSinglePrecision:
         # every word of the window, anchored at 0 and 1, in both layer
         # orders, at t = 1, w/2 and w/2 + 2: total-variation distance at
         # most 1e-6 from complex128, and masses outside the light cone
-        # |r - b0| <= t exactly 0.0
+        # |r - b0| <= t exactly 0.0.  On two threads, whose masses are
+        # bitwise those of one
+        # (`test_masses_are_bitwise_alike_for_any_thread_count`)
         params = FSimParams(0.4 * np.pi, 0.8 * np.pi, convention)
         every = np.arange(2**width, dtype=np.uint64)
         b0 = np.bitwise_count(every & np.uint64((1 << width // 2) - 1))
@@ -819,7 +830,7 @@ class TestSinglePrecision:
         for lo, order, t in itertools.product(
             (0, 1), LayerOrder, sorted({1, width // 2, width // 2 + 2})
         ):
-            args = (every, width, lo, t, params, order)
+            args = (every, width, lo, t, params, order, 2)
             exact = word_right_masses(*args)
             single = word_right_masses(*args, dtype=np.complex64)
             assert single.dtype == np.float64
@@ -1111,7 +1122,7 @@ def per_shot_measured(ens, config, sample, noise, i):
                     state = damping_step(
                         state, noise.half_layer_decay, Served(thin[:k], sites)
                     )
-            index = _measure_indices(_cdf(state.probabilities()), Served(u[shot]), 1)[0]
+            index = _measure_indices(state.probabilities(), Served(u[shot]), 1)[0]
             row[lo:hi] = word_to_bits(state.basis.words[index], hi - lo)
         outside = np.r_[:lo, hi:n]
         row[outside] = damp_bits(phys[outside], float(t), noise, decay[shot])
@@ -1181,12 +1192,15 @@ class TestBatchedNoisyRoute:
 
     @staticmethod
     def assert_records_are_the_per_shot_ones(
-        run, rows, alive, ens, config, sample, noise, mode
+        run, rows, alive, ens, config, sample, noise, mode, reference=None
     ):
         # the evolved shots are those the rule restated shot by shot keeps
         # (every shot without a filter), and every other shot reads out a
         # popcount other than its prepared one; every measured bit of an
-        # evolved shot, before any filter, then the rows
+        # evolved shot, before any filter, then the rows.  `reference`
+        # keeps each state's per-shot rows, which no mode changes, for the
+        # calls of the other modes
+        reference = {} if reference is None else reference
         initial_bits, counts, kept = run
         assert len(counts) == len(rows) == sample.n_initial_states
         for i in range(len(counts)):
@@ -1194,7 +1208,9 @@ class TestBatchedNoisyRoute:
             if mode != "none":
                 evolved = drawn_survivors(ens, config, sample, noise, i)
             assert np.array_equal(alive[i], evolved)
-            measured = per_shot_measured(ens, config, sample, noise, i)
+            if i not in reference:
+                reference[i] = per_shot_measured(ens, config, sample, noise, i)
+            measured = reference[i]
             phys = _prepare(ens, sample, config.cycles)[1][i]
             assert np.all(measured[~evolved].sum(axis=1) != phys.sum())
             assert np.array_equal(rows[i][evolved], measured[evolved])
@@ -1249,6 +1265,7 @@ class TestBatchedNoisyRoute:
         config = ChainConfig(10, 2, HEIS)  # window sites 3..6, decay outside
         sample = SampleConfig(6, 40, seed=8)
         monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 32)
+        reference = {}
         for mode in ("none", "number_only"):
             run, widths, jumps, rows, alive = self.traced_run(
                 monkeypatch, ens, config, sample, noise, mode
@@ -1257,25 +1274,27 @@ class TestBatchedNoisyRoute:
                 assert max(widths) > 1
                 assert (jumps > 0) == (noise.half_layer_decay > 0)
             self.assert_records_are_the_per_shot_ones(
-                run, rows, alive, ens, config, sample, noise, mode
+                run, rows, alive, ens, config, sample, noise, mode, reference
             )
 
     def test_records_equal_the_per_shot_loop_at_the_real_chunk_size(self, monkeypatch):
-        # a 10-site window: 320 shots of a sector of dimension >= 210 span
-        # two chunks or more
-        n, t = 12, 5
+        # a 10-site window: the fewest shots that span two chunks of the
+        # run's own plan, 261, as a damped chunk of the state with 6 ones
+        # holds 2^16 // C(10, 5) = 260 columns
+        n, t, shots = 12, 5, 261
         ens = ImbalanceEnsemble(0.5, n)
         config = ChainConfig(n, t, HEIS)
-        sample = SampleConfig(3, 320, seed=3)
+        sample = SampleConfig(3, shots, seed=3)
         lo, hi = config.window
         _, phys, _ = _prepare(ens, sample, t)
         chunks = [
-            math.ceil(320 / ensemble._chunk_columns(hi - lo, int(row[lo:hi].sum())))
-            for row in phys
+            math.ceil(shots / sampler._plan(config, self.NOISE, shots, k)[4])
+            for k in phys[:, lo:hi].sum(axis=1).tolist()
         ]
         assert max(chunks) >= 2
         # the filter rejects every shot that jumps here before it evolves:
         # the run without it covers the jumps
+        reference = {}
         for mode in ("none", "causal"):
             run, widths, jumps, rows, alive = self.traced_run(
                 monkeypatch, ens, config, sample, self.NOISE, mode
@@ -1283,7 +1302,7 @@ class TestBatchedNoisyRoute:
             if mode == "none":
                 assert jumps > 0
             self.assert_records_are_the_per_shot_ones(
-                run, rows, alive, ens, config, sample, self.NOISE, mode
+                run, rows, alive, ens, config, sample, self.NOISE, mode, reference
             )
 
 
@@ -1644,7 +1663,7 @@ class TestWindowCheck:
         # the numbers gathered for a chunk and its realized circuit are
         # charged for one chunk, not for every shot.  Damping moves a
         # column from the one-word sector into sectors of up to C(14, 7)
-        # words, so a chunk holds one column here, in every mode, and 400
+        # words, so a chunk holds one column here, in every mode, and 300
         # shots, each a one-column trajectory, still fill one batch.  The
         # 8-shot base already holds one chunk's damping transient, so this
         # cannot tell whether `shot_bytes` covers that transient;
@@ -1652,7 +1671,7 @@ class TestWindowCheck:
         shots = 20_000
         if t == 7:
             monkeypatch.setattr(ensemble, "_CHUNK_AMPLITUDES", 1 << 8)
-            shots = 400
+            shots = 300
         config = ChainConfig(46, t, HEIS)
         lo, hi = config.window
         phys = np.zeros((1, 46), dtype=np.int64)
@@ -1678,7 +1697,7 @@ class TestWindowCheck:
 
         base, held = peak(8), peak(shots)
         need = sampler.shot_bytes(config, shots, self.RATES)
-        assert need / 2 < held <= need + base
+        assert need / 2 < held <= need + base, f"held/need = {held / need:.3f}"
 
     def test_a_noisy_state_of_too_many_shots_is_refused_before_drawing(
         self, monkeypatch
